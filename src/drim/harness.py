@@ -6,7 +6,8 @@ observability, or prior belief), as the mean of `runs` independent
 episodes. DRL policies are trained on demand and cached as parameter
 files; per-run seeds derive from the master seed and the full coordinate
 tuple, so any spec re-run reproduces its result CSVs byte for byte
-(wall-clock timings live in a separate file).
+(wall-clock timings live in a separate file). Per-run wave-kernel
+counters go to `counters.csv`, which is byte-reproducible too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from drim.datasets import load_urv_email
 from drim.network import Graph, ObservableGraph, full_view, load_edge_list
 from drim.opinion import TrustModel, TrustVariant
 from drim.population import PopulationState
-from drim.propagation import Episode, EpisodeConfig, RoundLog, run_episode
+from drim.propagation import Episode, EpisodeConfig, RoundLog, WaveCounters, run_episode
 from drim.rl import PolicyAgent, PPOConfig, load_params, save_params, train_agent
 from drim.strategies import Agent, Scheme, action_space, make_heuristic_agent
 
@@ -153,9 +154,16 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 
 def worker_count() -> int:
+    """Parallel replicas: `DRIM_WORKERS` if set, else min(cpu count, 4)."""
     env = os.environ.get(WORKER_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"{WORKER_ENV_VAR}={env!r} is not an integer >= 1")
+        return workers
     return max(1, min(os.cpu_count() or 1, 4))
 
 
@@ -270,11 +278,13 @@ class _EvalTask:
     fp_agent: Agent
 
 
-def _run_eval(task: _EvalTask) -> tuple[dict[str, float], float, list[RoundLog]]:
+def _run_eval(
+    task: _EvalTask,
+) -> tuple[dict[str, float], float, list[RoundLog], WaveCounters]:
     start = time.perf_counter()
     ep = run_episode(task.graph, task.cfg, task.tp_agent, task.fp_agent, task.observable)
     elapsed = time.perf_counter() - start
-    return ep.final_metrics(), elapsed, ep.logs
+    return ep.final_metrics(), elapsed, ep.logs, ep.counters
 
 
 def run_cell(
@@ -297,8 +307,8 @@ def run_cell(
         seed = derive_seed(spec.master_seed, *coords, run)
         tasks.append(_EvalTask(graph, observable, cfg.with_seed(seed), tp_agent, fp_agent))
     outcomes = _parallel_map(_run_eval, tasks, workers)
-    metrics = [m for m, _, _ in outcomes]
-    seconds = [s for _, s, _ in outcomes]
+    metrics = [m for m, _, _, _ in outcomes]
+    seconds = [s for _, s, _, _ in outcomes]
     n_true = np.array([m["n_true"] for m in metrics])
     decided = np.array([m["decided_n_true"] for m in metrics])
     n_false = np.array([m["n_false"] for m in metrics])
@@ -317,8 +327,9 @@ def run_cell(
             "sweep_axis": coords[3], "sweep_value": coords[4], "run": run,
             "n_true": m["n_true"], "n_false": m["n_false"],
             "decided_n_true": m["decided_n_true"], "decided_n_false": m["decided_n_false"],
+            **asdict(counters),
         }
-        for run, m in enumerate(metrics)
+        for run, (m, _, _, counters) in enumerate(outcomes)
     ]
     return row, raw, seconds
 
@@ -365,6 +376,7 @@ def run_grid(
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(spec.out_dir / "results.csv", rows)
     write_raw_csv(spec.out_dir / "raw_runs.csv", raw_rows)
+    write_counters_csv(spec.out_dir / "counters.csv", raw_rows)
     write_timings_csv(spec.out_dir / "timings.csv", timing_rows)
     return rows
 
@@ -420,6 +432,16 @@ def write_raw_csv(path: Path, raw_rows: list[dict]) -> None:
         writer.writerow(cols)
         for rec in raw_rows:
             writer.writerow([f"{rec[c]:g}" if isinstance(rec[c], float) else rec[c] for c in cols])
+
+
+def write_counters_csv(path: Path, raw_rows: list[dict]) -> None:
+    """Per-run wave-kernel counters (`WaveCounters`), keyed like raw_runs.csv."""
+    cols = ("scheme", "opinion_model", "fp_strategy", "sweep_axis", "sweep_value",
+            "run") + tuple(f.name for f in fields(WaveCounters))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([rec[c] for c in cols] for rec in raw_rows)
 
 
 def write_timings_csv(path: Path, timing_rows: list[tuple]) -> None:
@@ -560,7 +582,7 @@ def bench_runtime(
         for run in range(episodes + 1):
             seed = derive_seed(spec.master_seed, "bench", scheme.value, run)
             task = _EvalTask(graph, observable, cfg.with_seed(seed), tp_agent, fp_agent)
-            _, elapsed, _ = _run_eval(task)
+            _, elapsed, _, _ = _run_eval(task)
             times.append(elapsed)
         out[scheme.value] = float(np.mean(times[1:]))
     return out

@@ -21,32 +21,39 @@ from scipy.cluster.vq import kmeans2
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 
+# Rows of A + A² materialized at once by ObservableGraph.within2_counts.
+_WITHIN2_BLOCK = 128
+
+
 class EdgeListFormat(Enum):
     PLAIN = "plain"
     MATRIX_MARKET = "matrix_market"
 
 
 class Graph:
-    """Immutable undirected graph with n nodes and a sorted edge array."""
+    """Immutable undirected graph: n nodes, a sorted edge array, and CSR
+    adjacency (`indices[indptr[v]:indptr[v + 1]]` are v's neighbors in
+    ascending order)."""
 
-    __slots__ = ("n", "edge_u", "edge_v", "adjacency")
+    __slots__ = ("n", "edge_u", "edge_v", "indptr", "indices")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        pairs = sorted({(min(a, b), max(a, b)) for a, b in edges if a != b})
-        for a, b in pairs:
-            if a < 0 or b >= n:
-                raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
+        raw = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        raw = raw.reshape(-1, 2)
+        raw = raw[raw[:, 0] != raw[:, 1]]
+        pairs = np.unique(np.sort(raw, axis=1), axis=0)
+        bad = (pairs[:, 0] < 0) | (pairs[:, 1] >= n)
+        if np.count_nonzero(bad):
+            a, b = pairs[np.argmax(bad)].tolist()
+            raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
         self.n = n
-        m = len(pairs)
-        self.edge_u = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=m)
-        self.edge_v = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=m)
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for a, b in pairs:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        for nbrs in adjacency:
-            nbrs.sort()
-        self.adjacency = adjacency
+        self.edge_u = np.ascontiguousarray(pairs[:, 0])
+        self.edge_v = np.ascontiguousarray(pairs[:, 1])
+        src = np.concatenate([self.edge_u, self.edge_v])
+        dst = np.concatenate([self.edge_v, self.edge_u])
+        self.indices = dst[np.lexsort((dst, src))]
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
 
     @property
     def num_edges(self) -> int:
@@ -55,11 +62,11 @@ class Graph:
     def edges(self) -> set[tuple[int, int]]:
         return set(zip(self.edge_u.tolist(), self.edge_v.tolist()))
 
+    def neighbors(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.edge_u, 1)
-        np.add.at(deg, self.edge_v, 1)
-        return deg
+        return np.diff(self.indptr)
 
 
 class ObservableGraph:
@@ -70,8 +77,7 @@ class ObservableGraph:
     def __init__(self, base: Graph, p_nv: float, visible: np.ndarray):
         self.base = base
         self.p_nv = p_nv
-        edges = zip(base.edge_u[visible].tolist(), base.edge_v[visible].tolist())
-        self.view = Graph(base.n, edges)
+        self.view = Graph(base.n, np.stack([base.edge_u[visible], base.edge_v[visible]], axis=1))
         self._degrees: np.ndarray | None = None
         self._within2: np.ndarray | None = None
 
@@ -82,10 +88,6 @@ class ObservableGraph:
     @property
     def num_visible_edges(self) -> int:
         return self.view.num_edges
-
-    @property
-    def adjacency(self) -> list[list[int]]:
-        return self.view.adjacency
 
     @property
     def edge_u(self) -> np.ndarray:
@@ -101,13 +103,22 @@ class ObservableGraph:
         return self._degrees
 
     def within2_counts(self) -> np.ndarray:
-        """Size of every node's 1-to-2-hop neighborhood (cached)."""
+        """Size of every node's 1-to-2-hop neighborhood (cached).
+
+        Counts the off-diagonal nonzeros of A + A² per row, a block of
+        rows at a time so that A² is never held whole.
+        """
         if self._within2 is None:
-            self._within2 = np.fromiter(
-                (within_d_hops(self, v, 2) for v in range(self.n)),
-                dtype=np.int64,
-                count=self.n,
+            view, n = self.view, self.n
+            adj = sparse.csr_matrix(
+                (np.ones(view.indices.size, dtype=bool), view.indices, view.indptr), shape=(n, n)
             )
+            counts = np.empty(n, dtype=np.int64)
+            for lo in range(0, n, _WITHIN2_BLOCK):
+                rows = adj[lo:lo + _WITHIN2_BLOCK]
+                reach = (rows + rows @ adj).tocsr()
+                counts[lo:lo + rows.shape[0]] = np.diff(reach.indptr) - reach.diagonal(k=lo)
+            self._within2 = counts
         return self._within2
 
 
@@ -134,17 +145,18 @@ def mask_network(g: Graph, p_nv: float, rng_seed: int | np.random.Generator) -> 
 def degree(g: ObservableGraph, v: int) -> int:
     if not 0 <= v < g.n:
         raise IndexError(f"node {v} out of range")
-    return len(g.adjacency[v])
+    return int(g.degrees()[v])
 
 
 def free_degree(g: ObservableGraph, v: int, free) -> int:
     """Number of visible neighbors of v inside the free set."""
     if not 0 <= v < g.n:
         raise IndexError(f"node {v} out of range")
+    nbrs = g.view.neighbors(v)
     if isinstance(free, np.ndarray) and free.dtype == bool:
-        return int(sum(1 for nb in g.adjacency[v] if free[nb]))
+        return int(np.count_nonzero(free[nbrs]))
     free_set = free if isinstance(free, (set, frozenset)) else set(free)
-    return sum(1 for nb in g.adjacency[v] if nb in free_set)
+    return sum(1 for nb in nbrs.tolist() if nb in free_set)
 
 
 def free_degrees(g: ObservableGraph, free_mask: np.ndarray) -> np.ndarray:
@@ -165,11 +177,11 @@ def within_d_hops(g: ObservableGraph, v: int, d: int) -> int:
     seen = {v}
     frontier = [v]
     count = 0
-    adjacency = g.adjacency
+    view = g.view
     for _ in range(d):
         nxt = []
         for node in frontier:
-            for nb in adjacency[node]:
+            for nb in view.neighbors(node).tolist():
                 if nb not in seen:
                     seen.add(nb)
                     nxt.append(nb)

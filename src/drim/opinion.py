@@ -17,16 +17,31 @@ Operators implemented here:
     vacuity_maximize        re-express an opinion with maximal u, projection preserved
     apply_uom_refresh       conditional vacuity maximization (low u, high dissonance)
 
-All functions are pure and operate on plain floats; they are safe to call
-from any number of concurrent simulation replicas.
+Array-first: every operator from `project` down works elementwise on
+numpy arrays. An opinion argument is anything that unpacks into
+(b, d, u, a): an `Opinion` whose fields are floats or equal-shape
+arrays, or a (4, ...) array whose rows are b, d, u, a. A scalar is the
+0-d case. Results come back as `Opinion`s of arrays (0-d for scalar
+input), and applying an operator to an array gives, bit for bit, what
+applying it to each element on its own gives. The wave kernel in
+`propagation`, the population and the tests all use this one copy.
+
+Degenerate fusion (beta <= 1e-12, two dogmatic opinions under full
+trust) is reported per element: every component of that element comes
+back NaN. A scalar call has exactly one element and raises ValueError
+instead.
+
+All functions are pure; they are safe to call from any number of
+concurrent simulation replicas.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
+
+import numpy as np
 
 SIMPLEX_TOL = 1e-9
 
@@ -124,60 +139,65 @@ def opinion_from_evidence(ev: Evidence, a: float) -> Opinion:
     return Opinion(r / total, s / total, W / total, a)
 
 
-def project(op: Opinion) -> tuple[float, float]:
+def project(op) -> tuple:
     """Projected belief and disbelief: P(b) = b + a·u, P(d) = d + (1-a)·u.
 
     The pair sums to 1 for any valid opinion.
     """
-    pb = op.b + op.a * op.u
-    pd = op.d + (1.0 - op.a) * op.u
+    b, d, u, a = op
+    pb = b + a * u
+    pd = d + (1.0 - a) * u
     return pb, pd
 
 
-def dissonance(op: Opinion) -> float:
+def dissonance(op):
     """Uncertainty mass caused by conflicting evidence.
 
     (b + d) · Bal(b, d) with Bal(b, d) = 1 - |b - d| / (b + d).
     A vacuous opinion (b + d = 0) carries no conflict, so returns 0.
     """
-    mass = op.b + op.d
-    if mass <= 0.0:
-        return 0.0
-    bal = 1.0 - abs(op.b - op.d) / mass
-    return mass * bal
+    b, d, _, _ = op
+    mass = b + d
+    has_mass = mass > 0.0
+    bal = 1.0 - np.abs(b - d) / np.where(has_mass, mass, 1.0)
+    return np.where(has_mass, mass * bal, 0.0)
 
 
-def trust_coefficient(model: TrustModel, op_i: Opinion, op_j: Opinion) -> float:
+def trust_coefficient(model: TrustModel, op_i, op_j):
     """Trust of user i in user j under the given model.
 
     UOM: (1 - u_i)(1 - u_j) — mutual certainty.
     HOM: cosine similarity of the (b, d) vectors; 0 if either side has
          expressed no stance (b = d = 0).
-    NOM: 1 — no trust filter.
+    NOM: 1 — no trust filter (the scalar 1.0, which broadcasts).
     """
     variant = model.variant
     if variant is TrustVariant.NOM:
         return 1.0
+    b_i, d_i, u_i, _ = op_i
+    b_j, d_j, u_j, _ = op_j
     if variant is TrustVariant.UOM:
-        return (1.0 - op_i.u) * (1.0 - op_j.u)
+        return (1.0 - u_i) * (1.0 - u_j)
     # HOM
-    denom = math.hypot(op_i.b, op_i.d) * math.hypot(op_j.b, op_j.d)
-    if denom <= 0.0:  # also covers underflow of the norm product
-        return 0.0
-    cos = (op_i.b * op_j.b + op_i.d * op_j.d) / denom
-    return min(1.0, max(0.0, cos))
+    denom = np.hypot(b_i, d_i) * np.hypot(b_j, d_j)
+    stance = denom > 0.0  # False also on underflow of the norm product
+    cos = (b_i * b_j + d_i * d_j) / np.where(stance, denom, 1.0)
+    return np.where(stance, np.minimum(1.0, np.maximum(0.0, cos)), 0.0)
 
 
-def discount(op_j: Opinion, c: float) -> Opinion:
-    """Scale sender opinion by trust c: (c·b, c·d, 1 - c(1 - u), a)."""
-    if not 0.0 <= c <= 1.0:
+def discount(op_j, c) -> Opinion:
+    """Scale sender opinion by trust c: (c·b, c·d, 1 - c(1 - u), a).
+
+    Full trust (c = 1) keeps u exactly.
+    """
+    c_arr = np.asarray(c)
+    if np.any((c_arr < 0.0) | (c_arr > 1.0)):
         raise ValueError(f"trust coefficient c={c} outside [0, 1]")
-    if c == 1.0:  # keep the identity exact
-        return op_j
-    return Opinion(c * op_j.b, c * op_j.d, 1.0 - c * (1.0 - op_j.u), op_j.a)
+    b, d, u, a = op_j
+    return Opinion(c * b, c * d, np.where(c == 1.0, u, 1.0 - c * (1.0 - u)), a)
 
 
-def fuse(op_i: Opinion, op_j: Opinion, c: float) -> Opinion:
+def fuse(op_i, op_j, c) -> Opinion:
     """Consensus of receiver op_i with sender op_j discounted by trust c.
 
     With u_x = 1 - c(1 - u_j) (the discounted sender's vacuity) and
@@ -190,36 +210,46 @@ def fuse(op_i: Opinion, op_j: Opinion, c: float) -> Opinion:
 
     Vacuity never increases: u' <= u_i. When the a-denominator vanishes
     (receiver fully vacuous against a fully vacuous discounted sender)
-    the receiver's base rate is kept. Raises when β = 0, which happens
-    only for c = 1 with two dogmatic opinions; callers must pre-apply
-    vacuity maximization or freeze such users.
+    the receiver's base rate is kept. β = 0 happens only for c = 1 with
+    two dogmatic opinions: such an element comes back all-NaN, and a
+    scalar call raises ValueError; callers must pre-apply vacuity
+    maximization, freeze such users, or skip the element.
     """
     b_i, d_i, u_i, a_i = op_i
     b_j, d_j, u_j, a_j = op_j
-    u_x = 1.0 - c * (1.0 - u_j)
-    beta = 1.0 - c * (1.0 - u_i) * (1.0 - u_j)
-    if beta <= _DEGENERATE_TOL:
-        raise ValueError(
-            "degenerate fusion: both opinions dogmatic under full trust (beta = 0)"
-        )
+    certainty_j = 1.0 - u_j
+    u_x = 1.0 - c * certainty_j
+    beta = 1.0 - c * (1.0 - u_i) * certainty_j
+    degenerate = beta <= _DEGENERATE_TOL
+    if np.count_nonzero(degenerate):
+        if np.ndim(degenerate) == 0:
+            raise ValueError(
+                "degenerate fusion: both opinions dogmatic under full trust (beta = 0)"
+            )
+        beta = np.where(degenerate, np.nan, beta)
     b = (b_i * u_x + c * b_j * u_i) / beta
     d = (d_i * u_x + c * d_j * u_i) / beta
-    u = (u_i * u_x) / beta
+    u_ix = u_i * u_x
+    u = u_ix / beta
 
-    a_den = beta - u_i * u_x
-    if abs(a_den) <= _DEGENERATE_TOL:
-        a = a_i
-    else:
-        a = ((a_i - (a_i + a_j) * u_i) * u_x + a_j * u_i) / a_den
-        a = min(1.0, max(0.0, a))
+    a_den = beta - u_ix
+    keep_a = np.abs(a_den) <= _DEGENERATE_TOL
+    kept = np.count_nonzero(keep_a)
+    if kept:
+        a_den = np.where(keep_a, 1.0, a_den)
+    a = ((a_i - (a_i + a_j) * u_i) * u_x + a_j * u_i) / a_den
+    a = np.minimum(1.0, np.maximum(0.0, a))
+    if kept:
+        a = np.where(keep_a, a_i, a)
 
     total = b + d + u
-    if abs(total - 1.0) > _RENORM_TOL:
-        b, d, u = b / total, d / total, u / total
+    drift = np.abs(total - 1.0) > _RENORM_TOL
+    if np.count_nonzero(drift):
+        b, d, u = (np.where(drift, x / total, x) for x in (b, d, u))
     return Opinion(b, d, u, a)
 
 
-def vacuity_maximize(op: Opinion) -> Opinion:
+def vacuity_maximize(op) -> Opinion:
     """Re-express an opinion with maximal vacuity, preserving its projection.
 
     Interior base rate: ü = min(P(b)/a, P(d)/(1-a)), b̈ = P(b) - a·ü,
@@ -227,27 +257,45 @@ def vacuity_maximize(op: Opinion) -> Opinion:
     a = 0 and a = 1 the maximal vacuity is P(d) and P(b) respectively.
     """
     pb, pd = project(op)
-    a = op.a
-    if a <= 0.0:
-        return Opinion(pb, 0.0, pd, a)
-    if a >= 1.0:
-        return Opinion(0.0, pd, pb, a)
-    u = min(pb / a, pd / (1.0 - a))
-    b = max(0.0, pb - a * u)
-    d = max(0.0, pd - (1.0 - a) * u)
-    return Opinion(b, d, u, a)
+    a = op[3]
+    low, high = a <= 0.0, a >= 1.0
+    interior = (a > 0.0) & (a < 1.0)
+    with np.errstate(over="ignore"):  # a subnormal base rate sends P(b)/a to inf
+        u = np.minimum(pb / np.where(interior, a, 1.0), pd / np.where(interior, 1.0 - a, 1.0))
+    b = np.maximum(0.0, pb - a * u)
+    d = np.maximum(0.0, pd - (1.0 - a) * u)
+    return Opinion(
+        np.where(low, pb, np.where(high, 0.0, b)),
+        np.where(low, 0.0, np.where(high, pd, d)),
+        np.where(low, pd, np.where(high, pb, u)),
+        a,
+    )
 
 
-def apply_uom_refresh(op: Opinion, model: TrustModel) -> Opinion:
-    """Vacuity-maximize a low-vacuity, high-dissonance opinion.
+def refresh_due(op, model: TrustModel):
+    """Mask of the elements the UOM refresh acts on.
 
-    Fires only under the UOM variant, when u < xi and dissonance > t_d;
-    otherwise returns the opinion unchanged. Applied to a receiver
-    immediately before each fusion so that users stuck on conflicting
-    evidence can absorb new information.
+    True only under the UOM variant, where u < xi and dissonance > t_d.
+    The same test exempts a low-vacuity user from the freeze latch.
     """
     if model.variant is not TrustVariant.UOM:
+        return np.zeros(np.shape(op[2]), dtype=bool)
+    low = op[2] < model.xi
+    if not np.count_nonzero(low):
+        return low
+    return low & (dissonance(op) > model.t_d)
+
+
+def apply_uom_refresh(op, model: TrustModel):
+    """Vacuity-maximize a low-vacuity, high-dissonance opinion.
+
+    Acts, elementwise, where `refresh_due` holds; returns the opinion
+    itself when no element qualifies. Applied to a receiver immediately
+    before each fusion so that users stuck on conflicting evidence can
+    absorb new information.
+    """
+    due = refresh_due(op, model)
+    if not np.count_nonzero(due):
         return op
-    if op.u < model.xi and dissonance(op) > model.t_d:
-        return vacuity_maximize(op)
-    return op
+    maxed = vacuity_maximize(op)
+    return Opinion(*(np.where(due, x, y) for x, y in zip(maxed, op)))

@@ -7,9 +7,10 @@ uncertain opinion built from evidence (1, 1, 101); parties later promote
 users to immutable seed roles with confident opinions built from
 (100, 1, 2) for the true party and (1, 100, 2) for the false party.
 
-Opinions are stored as flat numpy arrays for cheap vectorized queries
-(influence counts, free-node masks); single-user reads and writes go
-through `get_opinion` / `set_opinion`.
+Opinions are stored as one (4, n) array `bdua` whose rows b, d, u, a are
+also exposed as flat arrays, for cheap vectorized queries (influence
+counts, free-node masks) and column gathers in the wave kernel;
+single-user reads and writes go through `get_opinion` / `set_opinion`.
 """
 
 from __future__ import annotations
@@ -55,25 +56,40 @@ class Alignment(Enum):
 class PopulationState:
     """Mutable per-replica user state.
 
-    Arrays (all length n): b, d, u, a opinion components; p_read, p_share
-    behavior probabilities; role codes; frozen latches. Seed users are
-    frozen at promotion and their opinions never change afterwards.
+    Arrays (all length n): b, d, u, a opinion components, which are the
+    rows of the (4, n) array `bdua` (write them in place); p_read,
+    p_share behavior probabilities; role codes; frozen latches. Seed
+    users are frozen at promotion and their opinions never change
+    afterwards.
     """
 
-    __slots__ = ("n", "b", "d", "u", "a", "p_read", "p_share", "role", "frozen")
+    __slots__ = ("n", "bdua", "p_read", "p_share", "role", "frozen")
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"population needs at least one user, got n={n}")
         self.n = n
-        self.b = np.zeros(n)
-        self.d = np.zeros(n)
-        self.u = np.ones(n)
-        self.a = np.full(n, 0.5)
+        self.bdua = np.array([np.zeros(n), np.zeros(n), np.ones(n), np.full(n, 0.5)])
         self.p_read = np.ones(n)
         self.p_share = np.ones(n)
         self.role = np.full(n, Role.LEGITIMATE.value, dtype=np.int8)
         self.frozen = np.zeros(n, dtype=bool)
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.bdua[0]
+
+    @property
+    def d(self) -> np.ndarray:
+        return self.bdua[1]
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.bdua[2]
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.bdua[3]
 
     def get_opinion(self, i: int) -> Opinion:
         return Opinion(self.b[i], self.d[i], self.u[i], self.a[i])

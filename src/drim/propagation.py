@@ -10,26 +10,42 @@ opinion with probability p_share. Users are processed at most once per
 wave; seeds of either party and frozen users never update (frozen
 readers may still re-share their settled opinion).
 
+The wave kernel is level-synchronous over the CSR adjacency (Beamer et
+al., SC 2012). Per BFS level it gathers the (target, sender) pairs of
+the frontier, sorts them stably by target (senders stay in frontier
+order, which is ascending id), and fuses one sender rank at a time
+across all reading targets at once with the array operators of
+`drim.opinion`. A target stops at the sender whose fusion froze it;
+a degenerate fusion (beta <= 1e-12) is skipped and counted.
+
+Draw-order contract: within a level, the reached users are visited in
+ascending id order; each takes one `rng.random()` read draw, and a user
+whose read succeeded takes one more, its share draw, before the next
+user's read draw. Nothing else in a wave draws. The kernel takes these
+draws in blocks of exactly as many as are still certain to be needed,
+so the generator ends every wave in the same state as one scalar call
+per draw would leave it.
+
 Rewards use decided influence counts (vacuity below 0.5) so that the
 all-undecided starting population contributes a zero baseline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from drim.network import Graph, ObservableGraph, full_view, mask_network
 from drim.opinion import (
-    Opinion,
     TrustModel,
     TrustVariant,
     UOM,
-    apply_uom_refresh,
-    dissonance,
+    apply_uom_refresh,  # noqa: F401  (re-exported; the kernel works from refresh_due)
     fuse,
+    refresh_due,
     trust_coefficient,
+    vacuity_maximize,
 )
 from drim.population import (
     FREE_VACUITY_THRESHOLD,
@@ -79,6 +95,114 @@ class RoundLog:
     reward: float
 
 
+@dataclass
+class WaveCounters:
+    """Deterministic totals of the wave kernel (per episode).
+
+    reached: users reached (each took a read draw); reads: of those, the
+    ones whose read succeeded; fusions: sender opinions fused, degenerate
+    attempts included; refreshes: UOM refreshes fired before a fusion;
+    frozen: freeze latches set; degenerate: fusions skipped because
+    beta <= 1e-12.
+    """
+
+    reached: int = 0
+    reads: int = 0
+    fusions: int = 0
+    refreshes: int = 0
+    frozen: int = 0
+    degenerate: int = 0
+
+
+def _read_share_draws(
+    rng: np.random.Generator, p_read: np.ndarray, p_share: np.ndarray
+) -> tuple[list[int], list[int]]:
+    """Positions of the reached users that read, and of those that share.
+
+    Replays the draw-order contract over blocks of uniforms: a read draw
+    per user and a share draw after each successful read. A block holds
+    only the draws still certain to be needed (a read draw per remaining
+    user, plus a share draw if one is due), so none is taken that the
+    contract would not take.
+    """
+    m = len(p_read)
+    p_read, p_share = p_read.tolist(), p_share.tolist()
+    reads: list[int] = []
+    shares: list[int] = []
+    t = 0
+    share_due = False  # user t - 1 read and awaits its share draw
+    while t < m or share_due:
+        for x in rng.random(m - t + share_due).tolist():
+            if share_due:
+                share_due = False
+                if x < p_share[t - 1]:
+                    shares.append(t - 1)
+            else:
+                if x < p_read[t]:
+                    reads.append(t)
+                    share_due = True
+                t += 1
+    return reads, shares
+
+
+def _fuse_level(
+    state: PopulationState,
+    model: TrustModel,
+    ids: np.ndarray,
+    slot: np.ndarray,
+    end: np.ndarray,
+    senders: np.ndarray,
+    counters: WaveCounters,
+) -> None:
+    """Fuse every reader's senders into it, one sender rank at a time.
+
+    Reader ids[i] (none frozen) fuses senders[slot[i]:end[i]] in order
+    and stops early at the fusion that freezes it. Results are written
+    through to the state after every rank: within a level no reader is
+    anyone's sender, so no later fusion of the level reads them.
+    """
+    bdua, frozen = state.bdua, state.frozen
+    rows = bdua[0], bdua[1], bdua[2], bdua[3]
+    is_uom = model.variant is TrustVariant.UOM
+    t_u = model.t_u
+    while True:
+        op_i = bdua.take(ids, axis=1)
+        op_j = bdua.take(senders.take(slot), axis=1)
+        if is_uom:
+            due = refresh_due(op_i, model)
+            fired = int(np.count_nonzero(due))
+            if fired:
+                counters.refreshes += fired
+                maxed = vacuity_maximize(op_i)
+                op_i = np.array([np.where(due, x, y) for x, y in zip(maxed, op_i)])
+        new = fuse(op_i, op_j, trust_coefficient(model, op_i, op_j))
+        counters.fusions += ids.size
+        skipped = np.isnan(new.u)
+        bad = int(np.count_nonzero(skipped))
+        if bad:  # dogmatic pair slipped past the freeze latch: keep op_i
+            counters.degenerate += bad
+            new = [np.where(skipped, y, x) for x, y in zip(new, op_i)]
+        for row, x in zip(rows, new):
+            row[ids] = x
+        slot = slot + 1
+        more = slot < end
+        stop = new[2] <= t_u
+        if bad:  # a skipped fusion is no fusion: nothing to freeze on
+            stop &= ~skipped
+        if np.count_nonzero(stop):
+            stop &= ~refresh_due(new, model)
+            halted = int(np.count_nonzero(stop))
+            if halted:
+                frozen[ids[stop]] = True
+                counters.frozen += halted
+                more &= ~stop
+        left = np.count_nonzero(more)
+        if left == 0:
+            return
+        if left < ids.size:
+            ids, slot, end = ids[more], slot[more], end[more]
+
+
 def propagate_wave(
     state: PopulationState,
     g: Graph,
@@ -86,61 +210,58 @@ def propagate_wave(
     model: TrustModel,
     rng: np.random.Generator,
     origins: np.ndarray | None = None,
+    counters: WaveCounters | None = None,
 ) -> PopulationState:
-    """Run one BFS information wave from the party's seed set (in place)."""
-    sharers = origins if origins is not None else state.seed_ids(party)
-    sharers = [int(s) for s in sharers]
-    if not sharers:
-        return state
+    """Run one BFS information wave from the party's seed set (in place).
 
-    adjacency = g.adjacency
-    b, d, u, a = state.b, state.d, state.u, state.a
-    p_read, p_share, frozen = state.p_read, state.p_share, state.frozen
-    is_uom = model.variant is TrustVariant.UOM
-    t_u, xi, t_d = model.t_u, model.xi, model.t_d
+    origins, when given, replace the seed set as the first sharers (in
+    the given order). counters, when given, accumulate the wave's totals.
+    """
+    sharers = np.asarray(state.seed_ids(party) if origins is None else origins, dtype=np.int64)
+    if sharers.size == 0:
+        return state
+    counters = counters if counters is not None else WaveCounters()
+    indptr, indices = g.indptr, g.indices
+    frozen = state.frozen
 
     # Seeds of either party never read or update; own seeds are origins.
     visited = state.role != Role.LEGITIMATE.value
-    visited = visited.copy()
     visited[sharers] = True
 
-    while sharers:
-        targets: dict[int, list[int]] = {}
-        for s in sharers:
-            for nb in adjacency[s]:
-                if not visited[nb]:
-                    senders = targets.get(nb)
-                    if senders is None:
-                        targets[nb] = [s]
-                    else:
-                        senders.append(s)
-        if not targets:
+    while sharers.size:
+        # (target, sender) pairs in frontier order, then grouped by target
+        starts = indptr.take(sharers)
+        degree = indptr.take(sharers + 1) - starts
+        ends = degree.cumsum()
+        if ends[-1] == 0:
             break
-        next_sharers: list[int] = []
-        for tgt in sorted(targets):
-            visited[tgt] = True
-            if rng.random() >= p_read[tgt]:
-                continue
-            if not frozen[tgt]:
-                op_i = Opinion(b[tgt], d[tgt], u[tgt], a[tgt])
-                for snd in targets[tgt]:
-                    op_j = Opinion(b[snd], d[snd], u[snd], a[snd])
-                    if is_uom:
-                        op_i = apply_uom_refresh(op_i, model)
-                    c = trust_coefficient(model, op_i, op_j)
-                    try:
-                        op_i = fuse(op_i, op_j, c)
-                    except ValueError:
-                        continue  # dogmatic pair slipped past the freeze latch
-                    if op_i.u <= t_u and not (
-                        is_uom and op_i.u < xi and dissonance(op_i) > t_d
-                    ):
-                        frozen[tgt] = True
-                        break
-                b[tgt], d[tgt], u[tgt], a[tgt] = op_i
-            if rng.random() < p_share[tgt]:
-                next_sharers.append(tgt)
-        sharers = next_sharers
+        slots = np.arange(ends[-1]) + (starts - (ends - degree)).repeat(degree)
+        targets = indices.take(slots)
+        fresh = (~visited.take(targets)).nonzero()[0]
+        if fresh.size == 0:
+            break
+        senders = sharers.repeat(degree).take(fresh)
+        targets = targets.take(fresh)
+        order = targets.argsort(kind="stable")
+        targets, senders = targets.take(order), senders.take(order)
+        bounds = np.empty(targets.size + 1, dtype=bool)
+        bounds[0] = bounds[-1] = True
+        np.not_equal(targets[1:], targets[:-1], out=bounds[1:-1])
+        bounds = bounds.nonzero()[0]  # group starts, then the end of the last group
+        reached = targets.take(bounds[:-1])
+        visited[reached] = True
+
+        reads, shares = _read_share_draws(rng, state.p_read.take(reached),
+                                          state.p_share.take(reached))
+        counters.reached += reached.size
+        counters.reads += len(reads)
+        if reads:
+            reads = np.array(reads)
+            reads = reads.take((~frozen.take(reached.take(reads))).nonzero()[0])
+            if reads.size:
+                _fuse_level(state, model, reached.take(reads), bounds.take(reads),
+                            bounds.take(reads + 1), senders, counters)
+        sharers = reached.take(shares) if shares else reached[:0]
     return state
 
 
@@ -226,6 +347,7 @@ class Episode:
         self.prop_graph = self.obs.view if cfg.propagate_on_masked else graph
         self.rng = np.random.default_rng(dyn_seed)
         self.model = cfg.opinion_model
+        self.counters = WaveCounters()
         self.t = 0
         nt, nf = decided_influence_counts(self.pop)
         self.n_true_series = [nt]
@@ -271,7 +393,8 @@ class Episode:
         waves = self.cfg.p_f if party is Party.FALSE_PARTY else self.cfg.p_t
         origins = np.array([seed]) if self.cfg.waves_from_newest_only else None
         for _ in range(waves):
-            propagate_wave(self.pop, self.prop_graph, party, self.model, self.rng, origins)
+            propagate_wave(self.pop, self.prop_graph, party, self.model, self.rng, origins,
+                           counters=self.counters)
         self.t += 1
         nt, nf = decided_influence_counts(self.pop)
         self.n_true_series.append(nt)

@@ -23,6 +23,7 @@ from drim.harness import (
     read_results_csv,
     run_grid,
     write_population_csv,
+    worker_count,
     write_roundlog_csv,
 )
 from drim.opinion import NOM
@@ -92,6 +93,28 @@ class TestExperimentSpec:
         assert spec.episode_config(0.1).prior_a == 0.1
 
 
+class TestWorkerCount:
+    def test_env_value_used(self, monkeypatch):
+        monkeypatch.setenv("DRIM_WORKERS", "3")
+        assert worker_count() == 3
+
+    def test_unset_defaults_to_cpu_bound(self, monkeypatch):
+        monkeypatch.delenv("DRIM_WORKERS", raising=False)
+        assert 1 <= worker_count() <= 4
+
+    @pytest.mark.parametrize("value", ["two", "1.5", " "])
+    def test_non_integer_rejected_with_name_and_value(self, monkeypatch, value):
+        monkeypatch.setenv("DRIM_WORKERS", value)
+        with pytest.raises(ValueError, match=f"DRIM_WORKERS={value!r}"):
+            worker_count()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_below_one_rejected_with_name_and_value(self, monkeypatch, value):
+        monkeypatch.setenv("DRIM_WORKERS", value)
+        with pytest.raises(ValueError, match=f"DRIM_WORKERS={value!r}"):
+            worker_count()
+
+
 class TestSeedDerivation:
     def test_stable(self):
         assert derive_seed(0, "a", 1) == derive_seed(0, "a", 1)
@@ -143,7 +166,21 @@ class TestRunGrid:
         raw_a = (spec_a.out_dir / "raw_runs.csv").read_bytes()
         raw_b = (spec_b.out_dir / "raw_runs.csv").read_bytes()
         assert raw_a == raw_b
+        counters_a = (spec_a.out_dir / "counters.csv").read_bytes()
+        assert counters_a == (spec_b.out_dir / "counters.csv").read_bytes()
         assert [r.mean_n_true for r in rows_a] == [r.mean_n_true for r in rows_b]
+
+    def test_counters_csv_one_row_per_run(self, tmp_path, tiny_dataset):
+        spec = tiny_spec(tmp_path, tiny_dataset, runs=3)
+        run_grid(spec, workers=1)
+        lines = (spec.out_dir / "counters.csv").read_text().splitlines()
+        assert lines[0] == ("scheme,opinion_model,fp_strategy,sweep_axis,sweep_value,run,"
+                            "reached,reads,fusions,refreshes,frozen,degenerate")
+        assert [line.split(",")[5] for line in lines[1:]] == ["0", "1", "2"]
+        for line in lines[1:]:
+            reached, reads, fusions, _, _, degenerate = map(int, line.split(",")[6:])
+            assert 0 < reads <= reached
+            assert 0 <= degenerate <= fusions
 
     def test_sweep_produces_one_row_per_point(self, tmp_path, tiny_dataset):
         spec = tiny_spec(

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+import reference_wave as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -307,3 +309,161 @@ class TestTrustModelConfig:
     def test_configurable(self):
         m = TrustModel(TrustVariant.UOM, xi=0.05, t_d=0.4, t_u=0.02)
         assert m.xi == 0.05 and m.t_d == 0.4 and m.t_u == 0.02
+
+
+# ----------------------------------------------------------------------
+# The operators over arrays. Oracles: elementwise application to 0-d
+# inputs (the array form must match it bit for bit) and the scalar
+# operators the array form replaced (`reference_wave`).
+
+SIMPLEX_TOL = 1e-9
+
+
+@st.composite
+def opinion_arrays(draw, min_size=1, max_size=24):
+    """An Opinion of equal-length float arrays, edge cases mixed in."""
+    edge = st.sampled_from([
+        Opinion(1.0, 0.0, 0.0, 0.5), Opinion(0.0, 1.0, 0.0, 0.5), Opinion(0.0, 0.0, 1.0, 0.5),
+        Opinion(0.5, 0.5, 0.0, 0.5), Opinion(0.49, 0.505, 0.005, 0.5),
+        Opinion(0.3, 0.2, 0.5, 0.0), Opinion(0.3, 0.2, 0.5, 1.0),
+    ])
+    ops = draw(st.lists(st.one_of(opinions(), edge), min_size=min_size, max_size=max_size))
+    return Opinion(*(np.array(col, dtype=float) for col in zip(*ops)))
+
+
+def _element(op, i):
+    return Opinion(*(float(x[i]) for x in op))
+
+
+def _fuse_one(fuse_fn, op_i, op_j, c):
+    """A scalar fusion, with a degenerate pair reported as the array form does."""
+    try:
+        return fuse_fn(op_i, op_j, c)
+    except ValueError:
+        return Opinion(math.nan, math.nan, math.nan, math.nan)
+
+
+def _same_bits(x, y) -> bool:
+    return np.array_equal(np.asarray(x), np.asarray(y), equal_nan=True)
+
+
+def _pair_arrays(op_i, op_j):
+    size = min(op_i.b.size, op_j.b.size)
+    return Opinion(*(x[:size] for x in op_i)), Opinion(*(x[:size] for x in op_j)), size
+
+
+class TestArrayAlgebraMatchesElementwise:
+    @given(opinion_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_unary_operators(self, op):
+        arr_proj = project(op)
+        arr_diss = dissonance(op)
+        arr_vm = vacuity_maximize(op)
+        arr_ref = apply_uom_refresh(op, UOM)
+        for i in range(op.b.size):
+            one = _element(op, i)
+            assert all(_same_bits(x[i], y) for x, y in zip(arr_proj, project(one)))
+            assert _same_bits(arr_diss[i], dissonance(one))
+            assert all(_same_bits(x[i], y) for x, y in zip(arr_vm, vacuity_maximize(one)))
+            assert all(_same_bits(x[i], y) for x, y in zip(arr_ref, apply_uom_refresh(one, UOM)))
+
+    @given(opinion_arrays(), opinion_arrays(), st.floats(0.0, 1.0, allow_nan=False))
+    @settings(max_examples=200, deadline=None)
+    def test_binary_operators(self, op_i, op_j, c_scale):
+        op_i, op_j, size = _pair_arrays(op_i, op_j)
+        for model in (UOM, HOM, NOM):
+            c_arr = np.broadcast_to(trust_coefficient(model, op_i, op_j), (size,))
+            for k in range(size):
+                c_one = trust_coefficient(model, _element(op_i, k), _element(op_j, k))
+                assert _same_bits(c_arr[k], c_one)
+        c = c_scale * trust_coefficient(UOM, op_i, op_j)
+        disc = discount(op_j, c)
+        fused = fuse(op_i, op_j, c)
+        for k in range(size):
+            one_i, one_j, c_k = _element(op_i, k), _element(op_j, k), float(c[k])
+            assert all(_same_bits(x[k], y) for x, y in zip(disc, discount(one_j, c_k)))
+            want = _fuse_one(fuse, one_i, one_j, c_k)
+            assert all(_same_bits(x[k], y) for x, y in zip(fused, want))
+
+    @given(opinion_arrays(), opinion_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_full_trust_fusion_and_degenerate_elements(self, op_i, op_j):
+        op_i, op_j, size = _pair_arrays(op_i, op_j)
+        fused = fuse(op_i, op_j, 1.0)
+        for k in range(size):
+            one_i, one_j = _element(op_i, k), _element(op_j, k)
+            if 1.0 - (1.0 - one_i.u) * (1.0 - one_j.u) <= 1e-12:
+                assert all(np.isnan(x[k]) for x in fused)
+                with pytest.raises(ValueError):
+                    fuse(one_i, one_j, 1.0)
+            else:
+                assert all(_same_bits(x[k], y) for x, y in zip(fused, fuse(one_i, one_j, 1.0)))
+
+
+class TestArrayAlgebraMatchesScalarReference:
+    @given(opinion_arrays(), opinion_arrays(), st.floats(0.0, 1.0, allow_nan=False))
+    @settings(max_examples=200, deadline=None)
+    def test_same_values_as_scalar_operators(self, op_i, op_j, c):
+        op_i, op_j, size = _pair_arrays(op_i, op_j)
+        fused = fuse(op_i, op_j, c)
+        diss, maxed = dissonance(op_i), vacuity_maximize(op_i)
+        refreshed = apply_uom_refresh(op_i, UOM)
+        for k in range(size):
+            one_i, one_j = _element(op_i, k), _element(op_j, k)
+            assert _same_bits(diss[k], ref.dissonance(one_i))
+            assert all(_same_bits(x[k], y) for x, y in zip(maxed, ref.vacuity_maximize(one_i)))
+            assert all(_same_bits(x[k], y)
+                       for x, y in zip(refreshed, ref.apply_uom_refresh(one_i, UOM)))
+            for model in (UOM, NOM):
+                assert _same_bits(trust_coefficient(model, one_i, one_j),
+                                  ref.trust_coefficient(model, one_i, one_j))
+            # np.hypot and math.hypot may differ by one ulp
+            assert trust_coefficient(HOM, one_i, one_j) == pytest.approx(
+                ref.trust_coefficient(HOM, one_i, one_j), rel=1e-15, abs=1e-15)
+            want = _fuse_one(ref.fuse, one_i, one_j, c)
+            assert all(_same_bits(x[k], y) for x, y in zip(fused, want))
+
+
+class TestArrayAlgebraProperties:
+    @given(opinion_arrays(), opinion_arrays(), st.floats(0.0, 1.0, allow_nan=False))
+    @settings(max_examples=300, deadline=None)
+    def test_fusion_keeps_simplex_and_never_raises_vacuity(self, op_i, op_j, c):
+        op_i, op_j, _ = _pair_arrays(op_i, op_j)
+        got = fuse(op_i, op_j, c)
+        ok = ~np.isnan(got.u)
+        b, d, u, a = (x[ok] for x in got)
+        assert np.all(np.abs(b + d + u - 1.0) <= SIMPLEX_TOL)
+        for x in (b, d, u, a):
+            assert np.all((x >= -SIMPLEX_TOL) & (x <= 1.0 + SIMPLEX_TOL))
+        assert np.all(u <= op_i.u[ok] + SIMPLEX_TOL)
+
+    @given(opinion_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_vacuity_maximize_preserves_projection_and_zeroes_one_side(self, op):
+        got = vacuity_maximize(op)
+        for before, after in zip(project(op), project(got)):
+            np.testing.assert_allclose(after, before, rtol=0.0, atol=SIMPLEX_TOL)
+        assert np.all(np.minimum(got.b, got.d) <= SIMPLEX_TOL)
+        assert np.all(np.abs(got.b + got.d + got.u - 1.0) <= SIMPLEX_TOL)
+        assert np.all(got.u >= op.u - SIMPLEX_TOL)
+
+    def test_refresh_returns_input_when_nothing_is_due(self):
+        op = Opinion(np.array([0.3, 0.99]), np.array([0.3, 0.005]),
+                     np.array([0.4, 0.005]), np.array([0.5, 0.5]))
+        assert apply_uom_refresh(op, UOM) is op
+        assert apply_uom_refresh(op, NOM) is op
+
+    def test_refresh_acts_only_on_due_elements(self):
+        op = Opinion(np.array([0.49, 0.99]), np.array([0.505, 0.005]),
+                     np.array([0.005, 0.005]), np.array([0.5, 0.5]))
+        got = apply_uom_refresh(op, UOM)
+        assert got.u[0] > op.u[0]
+        assert all(x[1] == y[1] for x, y in zip(got, op))
+
+    def test_rows_of_a_4xn_array_are_an_opinion(self):
+        op = Opinion(np.array([0.2, 0.5]), np.array([0.1, 0.3]),
+                     np.array([0.7, 0.2]), np.array([0.5, 0.4]))
+        stacked = np.array(op)
+        flipped = stacked[:, ::-1]
+        for x, y in zip(fuse(stacked, flipped, 0.4), fuse(op, Opinion(*flipped), 0.4)):
+            assert np.array_equal(x, y)

@@ -1,0 +1,203 @@
+"""The level-synchronous wave kernel against the scalar reference.
+
+Oracles:
+  - differential: `reference_wave.propagate_wave` (the scalar per-pair
+    loop the kernel replaced) run on a copy of the same state with a copy
+    of the same generator must leave identical roles, freeze latches and
+    generator state, and equal opinions: bit for bit under UOM and NOM,
+    within a few ulp under HOM (`np.hypot` and `math.hypot` disagree by
+    one ulp on some inputs);
+  - goldens: results.csv / raw_runs.csv of small fixed specs, written by
+    the scalar implementation, must come out byte for byte.
+"""
+
+from __future__ import annotations
+
+import copy
+from pathlib import Path
+
+import numpy as np
+import pytest
+import reference_wave
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from drim import harness, rl
+from drim.network import Graph
+from drim.opinion import HOM, NOM, UOM, TrustModel, TrustVariant
+from drim.population import Party, init_population, promote_seed
+from drim.propagation import EpisodeConfig, WaveCounters, propagate_wave, run_episode
+from drim.strategies import RandomStrategyAgent, Scheme, action_space, make_heuristic_agent
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+# With t_u = 0 a user whose vacuity reaches 0 can stay unfrozen, so the
+# degenerate-fusion path is reachable.
+LATCH_OFF = [TrustModel(variant, t_u=0.0) for variant in TrustVariant]
+
+
+@st.composite
+def wave_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=24))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, min_size=1, max_size=3 * n))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    model = draw(st.sampled_from([UOM, HOM, NOM, *LATCH_OFF]))
+    tip = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    fip = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    use_origins = draw(st.booleans())
+    odd_integer_calls = draw(st.integers(min_value=0, max_value=3)) * 2 + 1
+    waves = draw(st.integers(min_value=1, max_value=4))
+    return n, edges, seed, model, tip, fip, use_origins, odd_integer_calls, waves
+
+
+def _population(n: int, seed: int, tip: list[int], fip: list[int]):
+    """Users with varied opinions (some dogmatic, some conflicted) and a few seeds."""
+    rng = np.random.default_rng(seed)
+    state = init_population(n, rng)
+    mass = rng.random(n) * rng.choice([0.2, 0.9, 1.0], size=n)
+    mass[rng.random(n) < 0.3] = 1.0  # dogmatic: u = 0
+    state.p_read[rng.random(n) < 0.5] = 1.0
+    state.p_share[rng.random(n) < 0.5] = 1.0
+    share = rng.random(n)
+    state.b[:] = mass * share
+    state.d[:] = mass - state.b
+    state.u[:] = 1.0 - mass
+    state.a[:] = rng.choice([0.0, 0.3, 0.5, 1.0], size=n)
+    for user in tip:
+        promote_seed(state, user, Party.TRUE_PARTY)
+    for user in sorted(set(fip) - set(tip)):
+        promote_seed(state, user, Party.FALSE_PARTY)
+    return state
+
+
+def _assert_same(kernel, reference, model, kernel_rng, reference_rng) -> None:
+    assert np.array_equal(kernel.frozen, reference.frozen)
+    assert np.array_equal(kernel.role, reference.role)
+    assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
+    for got, want in zip(kernel.bdua, reference.bdua):
+        if model.variant is TrustVariant.HOM:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+        else:
+            assert np.array_equal(got, want)
+
+
+class TestDifferentialAgainstScalarWave:
+    @given(wave_cases())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_waves_match_reference(self, case):
+        n, edges, seed, model, tip, fip, use_origins, odd_calls, waves = case
+        g = Graph(n, edges)
+        kernel = _population(n, seed, tip, fip)
+        reference = copy.deepcopy(kernel)
+        kernel_rng = np.random.default_rng(seed + 1)
+        for _ in range(odd_calls):  # leave half of a 64-bit draw buffered
+            kernel_rng.integers(0, 1000)
+        assert kernel_rng.bit_generator.state["has_uint32"] == 1
+        reference_rng = copy.deepcopy(kernel_rng)
+        origins = np.array(tip[::-1] + tip[:1]) if use_origins else None  # unsorted, repeated
+        counters = WaveCounters()
+        for wave in range(waves):
+            party = Party.TRUE_PARTY if wave % 2 == 0 else Party.FALSE_PARTY
+            frozen_before = int(np.count_nonzero(kernel.frozen))
+            frozen_counted = counters.frozen
+            propagate_wave(kernel, g, party, model, kernel_rng, origins, counters=counters)
+            reference_wave.propagate_wave(reference, g, party, model, reference_rng, origins)
+            _assert_same(kernel, reference, model, kernel_rng, reference_rng)
+            newly_frozen = int(np.count_nonzero(kernel.frozen)) - frozen_before
+            assert counters.frozen - frozen_counted == newly_frozen
+        assert counters.reads <= counters.reached
+        assert counters.degenerate <= counters.fusions
+        if model.variant is not TrustVariant.UOM:
+            assert counters.refreshes == 0
+
+    @pytest.mark.parametrize("model", [UOM, HOM, NOM], ids=["uom", "hom", "nom"])
+    def test_bundled_graph_episode_waves(self, model):
+        from drim.datasets import load_urv_email
+
+        g = load_urv_email()
+        kernel = init_population(g.n, 3)
+        for user in (5, 77, 400):
+            promote_seed(kernel, user, Party.TRUE_PARTY)
+        for user in (9, 600):
+            promote_seed(kernel, user, Party.FALSE_PARTY)
+        reference = copy.deepcopy(kernel)
+        kernel_rng, reference_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for wave in range(12):
+            party = Party.TRUE_PARTY if wave % 3 else Party.FALSE_PARTY
+            propagate_wave(kernel, g, party, model, kernel_rng)
+            reference_wave.propagate_wave(reference, g, party, model, reference_rng)
+            _assert_same(kernel, reference, model, kernel_rng, reference_rng)
+
+
+class TestDegenerateFusion:
+    def test_degenerate_pair_is_skipped_and_counted(self):
+        # t_u = 0 lets a dogmatic (u = 0) user stay unfrozen, so a dogmatic
+        # sender under full trust meets it with beta = 0.
+        model = TrustModel(TrustVariant.NOM, t_u=0.0)
+        g = Graph(3, [(0, 1), (1, 2)])
+        state = init_population(3, 0)
+        state.p_read[:] = 1.0
+        state.p_share[:] = 1.0
+        promote_seed(state, 0, Party.TRUE_PARTY)
+        state.b[1:], state.d[1:], state.u[1:] = [1.0, 0.0], [0.0, 1.0], 0.0
+        reference = copy.deepcopy(state)
+        counters = WaveCounters()
+        propagate_wave(state, g, Party.TRUE_PARTY, model, np.random.default_rng(0),
+                       counters=counters)
+        reference_wave.propagate_wave(reference, g, Party.TRUE_PARTY, model,
+                                      np.random.default_rng(0))
+        assert counters.degenerate == 1
+        assert counters.fusions == 2
+        assert counters.frozen == 1  # user 1 fused down to u = 0 and froze
+        assert not state.frozen[2]
+        assert (state.b[2], state.d[2], state.u[2]) == (0.0, 1.0, 0.0)
+        assert np.array_equal(state.bdua, reference.bdua)
+        assert np.array_equal(state.frozen, reference.frozen)
+
+    def test_workload_episode_reports_no_degenerate_fusion(self):
+        from drim.datasets import load_urv_email
+
+        cfg = EpisodeConfig(k=5, rng_seed=4)
+        ep = run_episode(load_urv_email(), cfg, RandomStrategyAgent(), make_heuristic_agent("cf"))
+        c = ep.counters
+        assert c.degenerate == 0
+        assert 0 < c.reads <= c.reached
+        assert c.fusions > 0
+
+
+def _golden_spec(out_dir: Path, opinion_model: str, scheme: Scheme, fp: str, p_nv: float):
+    spec = harness.ExperimentSpec(
+        scheme=scheme, opinion_model=opinion_model, fp_strategy=fp, p_nv=p_nv,
+        runs=3, k=10, master_seed=0, out_dir=out_dir, auto_train=False,
+    )
+    tp_path, _ = harness.policy_paths(spec, scheme, fp)
+    tp_path.parent.mkdir(parents=True, exist_ok=True)
+    policy_seed = harness.derive_seed(0, "golden-policy", *spec.coordinates())
+    params = rl.init_params(len(action_space(scheme)), spec.ppo.hidden, policy_seed)
+    rl.save_params(params, tp_path)
+    return spec
+
+
+GOLDEN_CELLS = {
+    "uom": ("uom", Scheme.DRIM_A, "cf", 1.0),
+    "hom": ("hom", Scheme.DRIM_A, "cf", 1.0),
+    "nom": ("nom", Scheme.DRIM_A, "cf", 1.0),
+    "cstorm-nom-random-masked": ("nom", Scheme.C_STORM, "random", 0.6),
+    "storm-uom-sgf-masked": ("uom", Scheme.STORM, "sgf", 0.4),
+}
+
+
+def write_golden_cell(name: str, out_dir: Path) -> Path:
+    """Run one golden cell into out_dir; also how the goldens were made."""
+    spec = _golden_spec(out_dir, *GOLDEN_CELLS[name])
+    harness.run_grid(spec, workers=1)
+    return spec.out_dir
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CELLS))
+def test_result_csvs_match_scalar_goldens(tmp_path, name):
+    out = write_golden_cell(name, tmp_path / name)
+    for csv_name in ("results.csv", "raw_runs.csv"):
+        assert (out / csv_name).read_bytes() == (GOLDEN / name / csv_name).read_bytes(), csv_name
