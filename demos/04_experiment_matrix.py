@@ -2,19 +2,21 @@
 """A miniature of the full experiment pipeline: grid, sweep, reports.
 
 Evaluates two schemes under all three opinion models against one false
-party, sweeps the true party's propagation budget, and pivots the rows
-into report CSVs. Budgets are small; the CLI runs the full versions:
+party and sweeps the true party's propagation budget. Budgets are small;
+the CLI runs the full versions, and `drim report` pivots their output
+directories into the paper's layouts (table2 from `drim bench`):
 
     drim eval  --schemes drim-a,drim-na,storm,cstorm --oms uom,hom,nom \
                --fps random,af,bf,sgf,cf,drl --out results/table1
     drim sweep --axis ip --range 1:5 --fp drl --out results/fig3a
     drim bench --episodes 20 --out results/bench
     drim report --layout table1 --results results/table1
+    drim report --layout table2 --results results/bench
 """
 
 from pathlib import Path
 
-from drim.harness import ExperimentSpec, emit_report, run_grid
+from drim.harness import ExperimentSpec, run_grid
 from drim.rl import PPOConfig
 from drim.strategies import Scheme
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from drim.network import spectral_communities
-from drim.population import FREE_VACUITY_THRESHOLD, Party
+from drim.population import Party, free_mask
 from drim.propagation import Episode
 from drim.strategies import Agent, Scheme, StrategyKind, action_space
 
@@ -36,8 +36,7 @@ class CommunityRestriction:
 
     def pool(self, episode: Episode) -> np.ndarray:
         assert self.labels is not None, "begin_episode not called"
-        free = episode.pop.u >= FREE_VACUITY_THRESHOLD
-        counts = np.bincount(self.labels[free], minlength=self.labels.max() + 1)
+        counts = np.bincount(self.labels[free_mask(episode.pop)], minlength=self.labels.max() + 1)
         best = int(np.argmax(counts))
         return self.labels == best
 
@@ -59,13 +58,6 @@ class CommunityAgent(Agent):
 
     def candidate_pool(self, episode: Episode, party: Party) -> np.ndarray | None:
         return self.restriction.pool(episode)
-
-
-def storm_agent(params) -> Agent:
-    """Evaluation agent for STORM: the PPO shell over {CF, BF}."""
-    from drim.rl import PolicyAgent
-
-    return PolicyAgent(params, action_space(Scheme.STORM))
 
 
 def cstorm_agent(params, communities: int = DEFAULT_COMMUNITIES) -> Agent:

@@ -14,21 +14,16 @@ from drim.harness import (
     SWEEP_DEFAULTS,
     ExperimentSpec,
     bench_runtime,
-    derive_seed,
     emit_report,
-    load_graph,
-    read_results_csv,
+    fp_policy_path,
     run_grid,
+    train_policy,
 )
-from drim.network import full_view
-from drim.rl import save_params, train_agent
 from drim.strategies import Scheme
-
-_SCHEME_NAMES = [s.value for s in Scheme]
 
 
 def _add_common_overrides(p: argparse.ArgumentParser, with_out_dir: bool = True) -> None:
-    p.add_argument("--scheme", choices=_SCHEME_NAMES)
+    p.add_argument("--scheme", choices=[s.value for s in Scheme])
     p.add_argument("--om", dest="opinion_model", choices=OPINION_MODELS)
     p.add_argument("--fp", dest="fp_strategy", choices=FP_STRATEGIES)
     p.add_argument("--runs", type=int)
@@ -72,25 +67,10 @@ def _spec_from_args(args, extra: dict | None = None) -> ExperimentSpec:
 
 def cmd_train(args) -> int:
     spec = _spec_from_args(args)
-    graph = load_graph(spec)
-    cfg = spec.episode_config()
-    seed = derive_seed(spec.master_seed, "train", spec.scheme.value,
-                       spec.opinion_model, args.opponent)
-    observable = full_view(graph) if cfg.p_nv >= 1.0 else None
-    result = train_agent(spec.scheme, args.opponent, graph, cfg, spec.ppo, seed,
-                         observable=observable)
     out = Path(args.out_policy)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_params(result.params, out)
+    result = train_policy(spec, spec.scheme, args.opponent, out)
     if result.opponent_params is not None:
-        fp_out = out.with_name(out.stem + "_fp" + out.suffix)
-        save_params(result.opponent_params, fp_out)
-        print(f"wrote {fp_out}")
-    curve_path = out.with_suffix(".curve.csv")
-    with open(curve_path, "w", encoding="utf-8") as fh:
-        fh.write("update,mean_return,entropy\n")
-        for update, mean_return, entropy in result.curve:
-            fh.write(f"{update},{mean_return:.4f},{entropy:.6f}\n")
+        print(f"wrote {fp_policy_path(out)}")
     print(f"wrote {out} (final mean return {result.curve[-1][1]:.1f})")
     return 0
 
@@ -137,41 +117,16 @@ def cmd_bench(args) -> int:
     spec = _spec_from_args(args)
     schemes = tuple(Scheme(s) for s in args.schemes.split(","))
     times = bench_runtime(spec, schemes, episodes=args.episodes, workers=args.workers)
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "bench.csv"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("scheme,mean_episode_seconds\n")
-        for scheme, seconds in times.items():
-            fh.write(f"{scheme},{seconds:.6f}\n")
-            print(f"{scheme}: {seconds:.3f} s/episode")
-    print(f"wrote {out}")
+    for scheme, seconds in times.items():
+        print(f"{scheme}: {seconds:.3f} s/episode")
+    print(f"wrote {spec.out_dir / 'bench.csv'}")
     return 0
 
 
 def cmd_report(args) -> int:
     out = Path(args.out_file or f"{args.layout}.csv")
     try:
-        if args.layout == "table2":
-            times: dict[str, float] = {}
-            for results_dir in args.results:
-                with open(Path(results_dir) / "bench.csv", encoding="utf-8") as fh:
-                    for line in fh.readlines()[1:]:
-                        scheme, seconds = line.strip().split(",")
-                        times[scheme] = float(seconds)
-            missing = [s for s in _SCHEME_NAMES if s not in times]
-            if missing:
-                raise ValueError(f"missing result cell: scheme={','.join(missing)}")
-            out.parent.mkdir(parents=True, exist_ok=True)
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write("scheme,mean_episode_seconds\n")
-                for scheme in _SCHEME_NAMES:
-                    fh.write(f"{scheme},{times[scheme]:.6f}\n")
-        else:
-            rows = []
-            for results_dir in args.results:
-                rows.extend(read_results_csv(Path(results_dir) / "results.csv"))
-            emit_report(rows, args.layout, out)
+        emit_report(args.results, args.layout, out)
     except (ValueError, FileNotFoundError) as exc:
         print(f"report failed: {exc}", file=sys.stderr)
         return 2
@@ -222,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="pivot results into a layout CSV")
     p.add_argument("--layout", required=True, choices=LAYOUTS)
     p.add_argument("--results", nargs="+", required=True,
-                   help="one or more eval/sweep output directories")
+                   help="one or more eval/sweep output directories "
+                        "(bench output directories for table2)")
     p.add_argument("--out", dest="out_file")
     p.set_defaults(func=cmd_report)
     return parser

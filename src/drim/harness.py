@@ -4,7 +4,8 @@ An experiment evaluates one (scheme, opinion model, FP strategy) cell, or
 a sweep of cells along one axis (TP propagation count, network
 observability, or prior belief), as the mean of `runs` independent
 episodes. DRL policies are trained on demand and cached as parameter
-files; per-run seeds derive from the master seed and the full coordinate
+files keyed by the cell, the training settings and the dataset's bytes;
+per-run seeds derive from the master seed and the full coordinate
 tuple, so any spec re-run reproduces its result CSVs byte for byte
 (wall-clock timings live in a separate file). Per-run wave-kernel
 counters go to `counters.csv`, which is byte-reproducible too.
@@ -23,12 +24,19 @@ from pathlib import Path
 import numpy as np
 
 from drim.baselines import make_scheme_agent
-from drim.datasets import load_urv_email
+from drim.datasets import load_urv_email, urv_email_path
 from drim.network import Graph, ObservableGraph, full_view, load_edge_list
 from drim.opinion import TrustModel, TrustVariant
-from drim.population import PopulationState
-from drim.propagation import Episode, EpisodeConfig, RoundLog, WaveCounters, run_episode
-from drim.rl import PolicyAgent, PPOConfig, load_params, save_params, train_agent
+from drim.propagation import EpisodeConfig, RoundLog, WaveCounters, run_episode
+from drim.rl import (
+    PolicyAgent,
+    PPOConfig,
+    TrainResult,
+    atomic_write,
+    load_params,
+    save_params,
+    train_agent,
+)
 from drim.strategies import Agent, Scheme, action_space, make_heuristic_agent
 
 FP_STRATEGIES = ("random", "af", "bf", "sgf", "cf", "drl")
@@ -129,7 +137,6 @@ class ResultRow:
     std_n_true: float
     mean_n_false: float
     mean_decided_n_true: float
-    mean_episode_seconds: float
 
     COLUMNS = (
         "scheme", "opinion_model", "fp_strategy", "sweep_axis", "sweep_value",
@@ -185,25 +192,56 @@ def load_graph(spec: ExperimentSpec) -> Graph:
 # Policy training & caching
 # ----------------------------------------------------------------------
 
-def _ppo_tag(ppo: PPOConfig, train_cfg: EpisodeConfig) -> str:
+def _policy_tag(spec: ExperimentSpec) -> str:
+    """Hash of what determines a policy besides its cell and master seed:
+    the PPO and training-episode settings and the edge-list file's bytes
+    (the bundled file when the spec names no dataset)."""
+    ppo, cfg = spec.ppo, spec.episode_config()
+    dataset = urv_email_path() if spec.dataset is None else Path(spec.dataset)
     text = "|".join(
         str(x)
         for x in (
             ppo.gamma, ppo.clip_epsilon, ppo.epochs, ppo.actor_lr, ppo.critic_lr,
             ppo.rollout_episodes, ppo.updates, ppo.entropy_coef, ppo.hidden,
             ppo.selfplay_updates_per_side, ppo.selfplay_alternations,
-            train_cfg.k, train_cfg.p_t, train_cfg.p_f, train_cfg.p_nv, train_cfg.prior_a,
+            cfg.k, cfg.p_t, cfg.p_f, cfg.p_nv, cfg.prior_a,
+            hashlib.sha256(dataset.read_bytes()).hexdigest(),
         )
     )
     return hashlib.sha256(text.encode()).hexdigest()[:8]
 
 
+def fp_policy_path(tp_path: Path) -> Path:
+    """Where a self-play run keeps the false party's policy beside tp_path."""
+    return tp_path.with_name(f"{tp_path.stem}_fp{tp_path.suffix}")
+
+
 def policy_paths(spec: ExperimentSpec, scheme: Scheme, fp: str) -> tuple[Path, Path | None]:
-    tag = _ppo_tag(spec.ppo, spec.episode_config())
-    stem = f"{scheme.value}_{spec.opinion_model}_vs_{fp}_{tag}_s{spec.master_seed}"
+    stem = f"{scheme.value}_{spec.opinion_model}_vs_{fp}_{_policy_tag(spec)}_s{spec.master_seed}"
     tp = spec.policy_dir / f"{stem}.bin"
-    fp_path = spec.policy_dir / f"{stem}_fp.bin" if fp == "drl" else None
-    return tp, fp_path
+    return tp, fp_policy_path(tp) if fp == "drl" else None
+
+
+def train_policy(spec: ExperimentSpec, scheme: Scheme, fp: str, tp_path: Path) -> TrainResult:
+    """Train the true party's policy for one cell and write its artifacts.
+
+    Writes the self-play FP policy (fp == "drl") to `<stem>_fp.bin` and
+    the learning curve to `<stem>.curve.csv` before the TP policy, each
+    atomically, so an existing TP file means a complete set.
+    """
+    graph = load_graph(spec)
+    cfg = spec.episode_config()
+    seed = derive_seed(spec.master_seed, "train", scheme.value, spec.opinion_model, fp)
+    observable = full_view(graph) if cfg.p_nv >= 1.0 else None
+    result = train_agent(scheme, fp, graph, cfg, spec.ppo, seed, observable=observable)
+    tp_path.parent.mkdir(parents=True, exist_ok=True)
+    if result.opponent_params is not None:
+        save_params(result.opponent_params, fp_policy_path(tp_path))
+    curve = "".join(f"{u},{r:.4f},{e:.6f}\n" for u, r, e in result.curve)
+    with atomic_write(tp_path.with_suffix(".curve.csv")) as fh:
+        fh.write(f"update,mean_return,entropy\n{curve}".encode())
+    save_params(result.params, tp_path)
+    return result
 
 
 @dataclass
@@ -214,25 +252,8 @@ class _TrainTask:
 
 
 def _train_one(task: _TrainTask) -> None:
-    spec, scheme, fp = task.spec, task.scheme, task.fp
-    tp_path, fp_path = policy_paths(spec, scheme, fp)
-    if tp_path.exists() and (fp_path is None or fp_path.exists()):
-        return
-    graph = load_graph(spec)
-    train_cfg = spec.episode_config()
-    seed = derive_seed(spec.master_seed, "train", scheme.value, spec.opinion_model, fp)
-    observable = full_view(graph) if train_cfg.p_nv >= 1.0 else None
-    result = train_agent(scheme, fp, graph, train_cfg, spec.ppo, seed, observable=observable)
-    spec.policy_dir.mkdir(parents=True, exist_ok=True)
-    save_params(result.params, tp_path)
-    if fp_path is not None:
-        assert result.opponent_params is not None
-        save_params(result.opponent_params, fp_path)
-    curve_path = tp_path.with_suffix(".curve.csv")
-    with open(curve_path, "w", encoding="utf-8") as fh:
-        fh.write("update,mean_return,entropy\n")
-        for update, mean_return, entropy in result.curve:
-            fh.write(f"{update},{mean_return:.4f},{entropy:.6f}\n")
+    tp_path, _ = policy_paths(task.spec, task.scheme, task.fp)
+    train_policy(task.spec, task.scheme, task.fp, tp_path)
 
 
 def ensure_policies(spec: ExperimentSpec, cells: list[tuple[Scheme, str]], workers: int | None = None) -> None:
@@ -319,7 +340,6 @@ def run_cell(
         std_n_true=float(n_true.std()),
         mean_n_false=float(n_false.mean()),
         mean_decided_n_true=float(decided.mean()),
-        mean_episode_seconds=float(np.mean(seconds)),
     )
     raw = [
         {
@@ -381,13 +401,6 @@ def run_grid(
     return rows
 
 
-def run_experiment(
-    spec: ExperimentSpec, graph: Graph | None = None, workers: int | None = None
-) -> list[ResultRow]:
-    """Evaluate the spec (one cell, or its sweep); write result CSVs."""
-    return run_grid(spec, graph=graph, workers=workers)
-
-
 # ----------------------------------------------------------------------
 # CSV writers / readers
 # ----------------------------------------------------------------------
@@ -418,7 +431,6 @@ def read_results_csv(path: Path) -> list[ResultRow]:
                     std_n_true=float(rec["std_n_true"]),
                     mean_n_false=float(rec["mean_n_false"]),
                     mean_decided_n_true=float(rec["mean_decided_n_true"]),
-                    mean_episode_seconds=0.0,
                 )
             )
     return rows
@@ -465,17 +477,6 @@ def write_roundlog_csv(path: Path, episode_logs: list[tuple[int, list[RoundLog]]
                                  e.n_true, e.n_false, f"{e.reward:g}"))
 
 
-def write_population_csv(path: Path, state: PopulationState) -> None:
-    """Documented snapshot format: user_id, role, p_read, p_share, b, d, u, a."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("user_id", "role", "p_read", "p_share", "b", "d", "u", "a"))
-        for row in state.snapshot_rows():
-            uid, role, p_read, p_share, b, d, u, a = row
-            writer.writerow((uid, role, f"{p_read:g}", f"{p_share:g}",
-                             f"{b:.12g}", f"{d:.12g}", f"{u:.12g}", f"{a:.12g}"))
-
-
 # ----------------------------------------------------------------------
 # Report layouts
 # ----------------------------------------------------------------------
@@ -496,18 +497,9 @@ def _cell_value(rows, **filters) -> ResultRow:
     return matches[0]
 
 
-def emit_report(rows: list[ResultRow], layout: str, out_path: Path) -> Path:
-    """Pivot result rows into one layout CSV keyed to the experiment grids.
-
-    Influence cells report the decided true-party count; table2 reports
-    mean per-episode seconds.
-    """
-    if layout not in LAYOUTS:
-        raise ValueError(f"unknown layout {layout!r}")
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+def _pivot_results(rows: list[ResultRow], layout: str) -> tuple[list, list[list]]:
+    """Header and lines of a results.csv layout: decided true-party counts."""
     lines: list[list] = []
-
     if layout == "table1":
         header = ["scheme_om"] + list(FP_STRATEGIES)
         for scheme in _SCHEME_ORDER:
@@ -527,7 +519,7 @@ def emit_report(rows: list[ResultRow], layout: str, out_path: Path) -> Path:
                                    fp_strategy=fp, sweep_axis="none")
                 line.append(f"{cell.mean_decided_n_true:.4f}")
             lines.append(line)
-    elif layout in ("fig3a", "fig3b", "fig3c"):
+    else:  # fig3a, fig3b, fig3c
         axis = {"fig3a": "ip", "fig3b": "p_nv", "fig3c": "prior_a"}[layout]
         header = [axis] + list(_SCHEME_ORDER)
         values = sorted(
@@ -542,12 +534,36 @@ def emit_report(rows: list[ResultRow], layout: str, out_path: Path) -> Path:
                 cell = _cell_value(rows, scheme=scheme, sweep_axis=axis, sweep_value=value)
                 line.append(f"{cell.mean_decided_n_true:.4f}")
             lines.append(line)
-    else:  # table2
-        header = ["scheme", "mean_episode_seconds"]
-        for scheme in _SCHEME_ORDER:
-            cell = _cell_value(rows, scheme=scheme, sweep_axis="none")
-            lines.append([scheme, f"{cell.mean_episode_seconds:.6f}"])
+    return header, lines
 
+
+def emit_report(results_dirs: list[str | Path], layout: str, out_path: Path) -> Path:
+    """Pivot the result files of output directories into one layout CSV
+    keyed to the experiment grids.
+
+    table2 reads each directory's `bench.csv` (written by `bench_runtime`)
+    and reports mean seconds per episode by scheme; the other layouts
+    read `results.csv`, and their cells report the decided true-party
+    count.
+    """
+    if layout not in LAYOUTS:
+        raise ValueError(f"unknown layout {layout!r}")
+    if layout == "table2":
+        times: dict[str, float] = {}
+        for results_dir in results_dirs:
+            times.update(_read_bench_csv(Path(results_dir) / "bench.csv"))
+        missing = [scheme for scheme in _SCHEME_ORDER if scheme not in times]
+        if missing:
+            raise ValueError(f"missing result cell: scheme={','.join(missing)}")
+        header = ["scheme", "mean_episode_seconds"]
+        lines = [[scheme, f"{times[scheme]:.6f}"] for scheme in _SCHEME_ORDER]
+    else:
+        rows = [row for results_dir in results_dirs
+                for row in read_results_csv(Path(results_dir) / "results.csv")]
+        header, lines = _pivot_results(rows, layout)
+
+    out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -565,7 +581,8 @@ def bench_runtime(
     episodes: int = 20,
     workers: int | None = None,
 ) -> dict[str, float]:
-    """Mean wall-clock seconds per evaluation episode for each scheme.
+    """Mean wall-clock seconds per evaluation episode for each scheme,
+    also written to `bench.csv` in spec.out_dir.
 
     Runs episodes+1 per scheme in-process and discards the first (warmup).
     """
@@ -585,4 +602,14 @@ def bench_runtime(
             _, elapsed, _, _ = _run_eval(task)
             times.append(elapsed)
         out[scheme.value] = float(np.mean(times[1:]))
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    with open(spec.out_dir / "bench.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("scheme", "mean_episode_seconds"))
+        writer.writerows((scheme, f"{seconds:.6f}") for scheme, seconds in out.items())
     return out
+
+
+def _read_bench_csv(path: Path) -> dict[str, float]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return {rec["scheme"]: float(rec["mean_episode_seconds"]) for rec in csv.DictReader(fh)}

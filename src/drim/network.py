@@ -3,14 +3,13 @@
 The simulation graph is undirected and unweighted, without self-loops or
 duplicate edges. An ObservableGraph is the edge-masked view a party plans
 on when network visibility is partial: each edge of the base graph is
-kept independently with probability p_nv. Spreading normally still runs
-on the full graph; only planning queries (degree, free degree, d-hop
+kept independently with probability p_nv. Spreading always runs on the
+full graph; only planning queries (degree, free degree, 2-hop
 neighborhoods, communities) consult the mask.
 """
 
 from __future__ import annotations
 
-import io
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable
@@ -69,37 +68,20 @@ class Graph:
         return np.diff(self.indptr)
 
 
-class ObservableGraph:
-    """A p_nv-masked view of a base graph, shared by both parties."""
+class ObservableGraph(Graph):
+    """The visible-edge graph a party plans on, with its planning
+    statistics cached: both parties query the same view all episode."""
 
-    __slots__ = ("base", "p_nv", "view", "_degrees", "_within2")
+    __slots__ = ("_degrees", "_within2")
 
-    def __init__(self, base: Graph, p_nv: float, visible: np.ndarray):
-        self.base = base
-        self.p_nv = p_nv
-        self.view = Graph(base.n, np.stack([base.edge_u[visible], base.edge_v[visible]], axis=1))
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        super().__init__(n, edges)
         self._degrees: np.ndarray | None = None
         self._within2: np.ndarray | None = None
 
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def num_visible_edges(self) -> int:
-        return self.view.num_edges
-
-    @property
-    def edge_u(self) -> np.ndarray:
-        return self.view.edge_u
-
-    @property
-    def edge_v(self) -> np.ndarray:
-        return self.view.edge_v
-
     def degrees(self) -> np.ndarray:
         if self._degrees is None:
-            self._degrees = self.view.degrees()
+            self._degrees = super().degrees()
         return self._degrees
 
     def within2_counts(self) -> np.ndarray:
@@ -109,9 +91,9 @@ class ObservableGraph:
         rows at a time so that A² is never held whole.
         """
         if self._within2 is None:
-            view, n = self.view, self.n
+            n = self.n
             adj = sparse.csr_matrix(
-                (np.ones(view.indices.size, dtype=bool), view.indices, view.indptr), shape=(n, n)
+                (np.ones(self.indices.size, dtype=bool), self.indices, self.indptr), shape=(n, n)
             )
             counts = np.empty(n, dtype=np.int64)
             for lo in range(0, n, _WITHIN2_BLOCK):
@@ -124,7 +106,7 @@ class ObservableGraph:
 
 def full_view(g: Graph) -> ObservableGraph:
     """The fully visible observable graph (p_nv = 1)."""
-    return ObservableGraph(g, 1.0, np.ones(g.num_edges, dtype=bool))
+    return ObservableGraph(g.n, np.stack([g.edge_u, g.edge_v], axis=1))
 
 
 def mask_network(g: Graph, p_nv: float, rng_seed: int | np.random.Generator) -> ObservableGraph:
@@ -139,24 +121,7 @@ def mask_network(g: Graph, p_nv: float, rng_seed: int | np.random.Generator) -> 
         return full_view(g)
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     visible = rng.random(g.num_edges) < p_nv
-    return ObservableGraph(g, p_nv, visible)
-
-
-def degree(g: ObservableGraph, v: int) -> int:
-    if not 0 <= v < g.n:
-        raise IndexError(f"node {v} out of range")
-    return int(g.degrees()[v])
-
-
-def free_degree(g: ObservableGraph, v: int, free) -> int:
-    """Number of visible neighbors of v inside the free set."""
-    if not 0 <= v < g.n:
-        raise IndexError(f"node {v} out of range")
-    nbrs = g.view.neighbors(v)
-    if isinstance(free, np.ndarray) and free.dtype == bool:
-        return int(np.count_nonzero(free[nbrs]))
-    free_set = free if isinstance(free, (set, frozenset)) else set(free)
-    return sum(1 for nb in nbrs.tolist() if nb in free_set)
+    return ObservableGraph(g.n, np.stack([g.edge_u[visible], g.edge_v[visible]], axis=1))
 
 
 def free_degrees(g: ObservableGraph, free_mask: np.ndarray) -> np.ndarray:
@@ -166,30 +131,6 @@ def free_degrees(g: ObservableGraph, free_mask: np.ndarray) -> np.ndarray:
     np.add.at(out, eu, free_mask[ev].astype(np.int64))
     np.add.at(out, ev, free_mask[eu].astype(np.int64))
     return out
-
-
-def within_d_hops(g: ObservableGraph, v: int, d: int) -> int:
-    """Distinct nodes at BFS distance 1..d from v (v itself excluded)."""
-    if not 0 <= v < g.n:
-        raise IndexError(f"node {v} out of range")
-    if d < 1:
-        raise ValueError(f"hop count d={d} must be >= 1")
-    seen = {v}
-    frontier = [v]
-    count = 0
-    view = g.view
-    for _ in range(d):
-        nxt = []
-        for node in frontier:
-            for nb in view.neighbors(node).tolist():
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        count += len(nxt)
-        if not nxt:
-            break
-        frontier = nxt
-    return count
 
 
 def spectral_communities(
@@ -303,10 +244,3 @@ def load_edge_list(
         raise ValueError("empty edge-list stream")
     return Graph(n, edges)
 
-
-def write_community_csv(path: str | Path, labels: np.ndarray) -> None:
-    """Export per-node community labels as (node_id, label) CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node_id,label\n")
-        for i, lab in enumerate(labels.tolist()):
-            fh.write(f"{i},{lab}\n")

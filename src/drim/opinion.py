@@ -71,9 +71,6 @@ class Opinion(NamedTuple):
         return self
 
 
-VACUOUS = Opinion(0.0, 0.0, 1.0, 0.5)
-
-
 class Evidence(NamedTuple):
     """Evidence counts: r supports belief, s supports disbelief, W is the
     non-informative prior weight."""

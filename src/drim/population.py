@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from drim.opinion import Evidence, Opinion, opinion_from_evidence, project
+from drim.opinion import Evidence, Opinion, opinion_from_evidence
 
 BEHAVIOR_LEVELS = (1.0, 0.5, 0.25, 0.1)
 
@@ -43,14 +43,6 @@ class Party(Enum):
     @property
     def opponent(self) -> "Party":
         return Party.FALSE_PARTY if self is Party.TRUE_PARTY else Party.TRUE_PARTY
-
-
-class Alignment(Enum):
-    TRUE_ALIGNED = "true"
-    FALSE_ALIGNED = "false"
-    # Reserved for decided-influence reporting; `classify` never emits it
-    # under the boundary conventions below.
-    UNDECIDED = "undecided"
 
 
 class PopulationState:
@@ -100,50 +92,26 @@ class PopulationState:
         self.u[i] = op.u
         self.a[i] = op.a
 
-    @property
-    def opinions(self) -> list[Opinion]:
-        return [self.get_opinion(i) for i in range(self.n)]
-
     def seed_ids(self, party: Party) -> np.ndarray:
         code = Role.TIP_SEED.value if party is Party.TRUE_PARTY else Role.FIP_SEED.value
         return np.flatnonzero(self.role == code)
-
-    def is_seed(self, i: int) -> bool:
-        return self.role[i] != Role.LEGITIMATE.value
 
     def projected(self) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized projection: P(b) = b + a·u and P(d) = d + (1-a)·u."""
         pb = self.b + self.a * self.u
         return pb, 1.0 - pb
 
-    def snapshot_rows(self) -> list[tuple]:
-        """Tabular export: (user_id, role, p_read, p_share, b, d, u, a)."""
-        return [
-            (
-                i,
-                Role(self.role[i]).name,
-                float(self.p_read[i]),
-                float(self.p_share[i]),
-                float(self.b[i]),
-                float(self.d[i]),
-                float(self.u[i]),
-                float(self.a[i]),
-            )
-            for i in range(self.n)
-        ]
-
 
 def init_population(
     n: int,
     rng_seed: int | np.random.Generator,
     prior_a: float | np.ndarray = 0.5,
-    level_weights: tuple[float, ...] | None = None,
 ) -> PopulationState:
     """Create n legitimate users with the high-uncertainty opinion.
 
     Every user gets the evidence-(1, 1, 101) opinion with the given base
-    rate and reading/sharing probabilities sampled from the four-level
-    set (uniformly unless level_weights is given).
+    rate and reading/sharing probabilities sampled uniformly from the
+    four-level set.
     """
     state = PopulationState(n)
     prior = np.asarray(prior_a, dtype=float)
@@ -157,14 +125,8 @@ def init_population(
 
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     levels = np.array(BEHAVIOR_LEVELS)
-    weights = None
-    if level_weights is not None:
-        w = np.asarray(level_weights, dtype=float)
-        if w.shape != levels.shape or np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("level_weights must be four nonnegative values")
-        weights = w / w.sum()
-    state.p_read = rng.choice(levels, size=n, p=weights)
-    state.p_share = rng.choice(levels, size=n, p=weights)
+    state.p_read = rng.choice(levels, size=n)
+    state.p_share = rng.choice(levels, size=n)
     return state
 
 
@@ -181,21 +143,16 @@ def promote_seed(state: PopulationState, user: int, party: Party) -> None:
     state.frozen[user] = True
 
 
-def classify(op: Opinion) -> Alignment:
-    """Label an opinion by projected probability.
-
-    TRUE_ALIGNED iff P(b) >= 0.5, FALSE_ALIGNED iff P(d) > 0.5; the
-    boundary belongs to the true side so the two labels partition.
-    """
-    pb, _ = project(op)
-    return Alignment.TRUE_ALIGNED if pb >= 0.5 else Alignment.FALSE_ALIGNED
-
-
 def influence_counts(state: PopulationState) -> tuple[int, int]:
-    """Raw influence: (|P(b) >= 0.5|, |P(d) > 0.5|); the two sum to n."""
+    """Raw influence: (|P(b) >= 0.5|, |P(d) > 0.5|).
+
+    The boundary P(b) = 0.5 belongs to the true side, so the two counts
+    partition the users and sum to n.
+    """
     pb, _ = state.projected()
     n_true = int(np.count_nonzero(pb >= 0.5))
     return n_true, state.n - n_true
+
 
 def decided_influence_counts(state: PopulationState) -> tuple[int, int]:
     """Influence among decided users only (vacuity below 0.5).
@@ -214,15 +171,3 @@ def free_mask(state: PopulationState) -> np.ndarray:
     """Boolean mask of free users: vacuity still at or above 0.5."""
     return state.u >= FREE_VACUITY_THRESHOLD
 
-
-def free_nodes(state: PopulationState) -> set[int]:
-    return set(np.flatnonzero(free_mask(state)).tolist())
-
-
-def most_active_user(state: PopulationState, candidates) -> int:
-    """The candidate with the highest p_read·p_share; ties to lowest id."""
-    ids = np.fromiter(sorted(candidates), dtype=np.int64, count=len(candidates))
-    if ids.size == 0:
-        raise ValueError("no candidates to choose from")
-    scores = state.p_read[ids] * state.p_share[ids]
-    return int(ids[int(np.argmax(scores))])

@@ -48,11 +48,11 @@ from drim.opinion import (
     vacuity_maximize,
 )
 from drim.population import (
-    FREE_VACUITY_THRESHOLD,
     Party,
     PopulationState,
     Role,
     decided_influence_counts,
+    free_mask,
     influence_counts,
     init_population,
     promote_seed,
@@ -70,9 +70,7 @@ class EpisodeConfig:
     opinion_model: TrustModel = UOM
     p_nv: float = 1.0
     rng_seed: int = 0
-    propagate_on_masked: bool = False
     prior_a: float = 0.5
-    waves_from_newest_only: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.p_t < 1 or self.p_f < 1:
@@ -209,15 +207,13 @@ def propagate_wave(
     party: Party,
     model: TrustModel,
     rng: np.random.Generator,
-    origins: np.ndarray | None = None,
     counters: WaveCounters | None = None,
 ) -> PopulationState:
     """Run one BFS information wave from the party's seed set (in place).
 
-    origins, when given, replace the seed set as the first sharers (in
-    the given order). counters, when given, accumulate the wave's totals.
+    counters, when given, accumulate the wave's totals.
     """
-    sharers = np.asarray(state.seed_ids(party) if origins is None else origins, dtype=np.int64)
+    sharers = state.seed_ids(party)
     if sharers.size == 0:
         return state
     counters = counters if counters is not None else WaveCounters()
@@ -267,7 +263,7 @@ def propagate_wave(
 
 def extract_state(state: PopulationState, g_observable: ObservableGraph) -> tuple[int, int]:
     """Raw policy observation: (edges among free nodes, max free-node degree)."""
-    free = state.u >= FREE_VACUITY_THRESHOLD
+    free = free_mask(state)
     eu, ev = g_observable.edge_u, g_observable.edge_v
     edge_count = int(np.count_nonzero(free[eu] & free[ev]))
     if np.any(free):
@@ -277,35 +273,8 @@ def extract_state(state: PopulationState, g_observable: ObservableGraph) -> tupl
     return edge_count, max_deg
 
 
-def instant_reward(counts: list[int], party: Party, t: int) -> float:
-    """Net change of the party's aligned count: n_t - n_{t-2}.
-
-    The false party moves first, so its t=1 reward compares against the
-    pre-game baseline n_0; the true party's first reward is at t=2.
-    counts[i] is the party's aligned count after step i (counts[0] is
-    the baseline).
-    """
-    if t < 1 or t >= len(counts):
-        raise ValueError(f"step t={t} outside recorded history")
-    first = 1 if party is Party.FALSE_PARTY else 2
-    if t < first or (t - first) % 2 != 0:
-        raise ValueError(f"step t={t} is not a {party.name} step")
-    prev = t - 2 if t >= 2 else 0
-    return float(counts[t] - counts[prev])
-
-
-def discounted_return(rewards, T: int, gamma: float) -> float:
-    """Discounted tail sum starting at index T: sum_t gamma^(t-T+1) R_t."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma={gamma} outside (0, 1)")
-    total = 0.0
-    for offset, r in enumerate(rewards[T:]):
-        total += (gamma ** (offset + 1)) * r
-    return total
-
-
 def discounted_returns(rewards, gamma: float) -> np.ndarray:
-    """Vector of discounted tail sums for every start index."""
+    """Discounted tail sum from every start index T: sum_{t>=T} gamma^(t-T+1) R_t."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma={gamma} outside (0, 1)")
     out = np.zeros(len(rewards))
@@ -344,7 +313,6 @@ class Episode:
             self.obs = full_view(graph)
         else:
             self.obs = mask_network(graph, cfg.p_nv, np.random.default_rng(mask_seed))
-        self.prop_graph = self.obs.view if cfg.propagate_on_masked else graph
         self.rng = np.random.default_rng(dyn_seed)
         self.model = cfg.opinion_model
         self.counters = WaveCounters()
@@ -364,18 +332,18 @@ class Episode:
         self, kind: StrategyKind, party: Party, pool_mask: np.ndarray | None = None
     ) -> tuple[str, int]:
         """Apply a strategy with the fallback chain; returns (fired, seed)."""
-        seed = select_seed(kind, party, self.pop, self.obs, self.rng, pool_mask)
+        seed = select_seed(kind, party, self.pop, self.obs, pool_mask)
         if seed is not None:
             return kind.value, seed
         for fb in _FALLBACK_CHAIN:
             if fb is not kind:
-                seed = select_seed(fb, party, self.pop, self.obs, self.rng, pool_mask)
+                seed = select_seed(fb, party, self.pop, self.obs, pool_mask)
                 if seed is not None:
                     return fb.value, seed
         eligible = self.pop.role == Role.LEGITIMATE.value
         if pool_mask is not None:
             eligible = eligible & pool_mask
-        free = eligible & (self.pop.u >= FREE_VACUITY_THRESHOLD)
+        free = eligible & free_mask(self.pop)
         for mask in (free, eligible):
             ids = np.flatnonzero(mask)
             if ids.size:
@@ -387,13 +355,18 @@ class Episode:
     def step_with_kind(
         self, party: Party, kind: StrategyKind, pool_mask: np.ndarray | None = None
     ) -> RoundLog:
-        """Promote one seed by strategy and run the party's waves."""
+        """Promote one seed by strategy and run the party's waves.
+
+        The reward is the net change of the party's decided count since
+        its own previous step: n_t - n_{t-2}. The false party moves
+        first, so its t=1 reward compares against the pre-game baseline
+        n_0; the true party's first reward is at t=2, also against n_0.
+        """
         fired, seed = self.resolve_seed(kind, party, pool_mask)
         promote_seed(self.pop, seed, party)
         waves = self.cfg.p_f if party is Party.FALSE_PARTY else self.cfg.p_t
-        origins = np.array([seed]) if self.cfg.waves_from_newest_only else None
         for _ in range(waves):
-            propagate_wave(self.pop, self.prop_graph, party, self.model, self.rng, origins,
+            propagate_wave(self.pop, self.graph, party, self.model, self.rng,
                            counters=self.counters)
         self.t += 1
         nt, nf = decided_influence_counts(self.pop)

@@ -11,9 +11,12 @@ per batch.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -512,11 +515,28 @@ def train_agent(
     return TrainResult(tp_params, curve, opponent_params=fp_params)
 
 
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[IO[bytes]]:
+    """Binary handle on a temp file beside path, moved onto path by
+    `os.replace` when the block completes; if the block raises, the temp
+    file is removed and path is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_params(params: PolicyParams, path: str | Path) -> None:
     """Little-endian binary dump: magic, action count, hidden width,
-    then each array as (rows, cols, float64 data) in fixed order."""
+    then each array as (rows, cols, float64 data) in fixed order.
+    Written atomically (`atomic_write`)."""
     arrays = params.actor.arrays() + params.critic.arrays()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", params.n_actions, params.actor.hidden))
         fh.write(struct.pack("<I", len(arrays)))

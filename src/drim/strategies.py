@@ -1,14 +1,13 @@
 """Seed-selection strategies and the agent interface.
 
-Four heuristics plus a random meta-strategy form the action set both
-parties draw from; RL agents fire the same heuristics by index.
+Four heuristics form the action set both parties draw from; RL agents
+fire them by index, and the random agent draws one uniformly per step.
 
     AF  most active user: highest p_read · p_share
     BF  blocking: neighbor of an opponent-aligned node with the highest
         free degree (free neighbors of the candidate itself)
     SGF subgreedy: largest 1-to-2-hop neighborhood
     CF  highest visible degree centrality
-    RANDOM  uniform strategy choice from the party's action set
 
 All candidate pools exclude existing seeds of either party; planning
 statistics come from the observable (possibly masked) graph. Ties break
@@ -23,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from drim.network import ObservableGraph, free_degrees
-from drim.population import FREE_VACUITY_THRESHOLD, Party, PopulationState, Role
+from drim.population import Party, PopulationState, Role, free_mask
 
 
 class StrategyKind(Enum):
@@ -31,7 +30,6 @@ class StrategyKind(Enum):
     BF = "bf"
     SGF = "sgf"
     CF = "cf"
-    RANDOM = "random"
 
 
 class Scheme(Enum):
@@ -70,23 +68,15 @@ def select_seed(
     party: Party,
     state: PopulationState,
     g_observable: ObservableGraph,
-    rng: np.random.Generator,
     pool_mask: np.ndarray | None = None,
-    action_set: tuple[StrategyKind, ...] | None = None,
 ) -> int | None:
     """Pick a seed user by the given strategy, or None if no candidate.
 
-    pool_mask optionally restricts candidates (community-based agents);
-    action_set feeds the RANDOM meta-strategy (defaults to the full set).
+    pool_mask optionally restricts candidates (community-based agents).
     """
     eligible = state.role == Role.LEGITIMATE.value
     if pool_mask is not None:
         eligible = eligible & pool_mask
-
-    if kind is StrategyKind.RANDOM:
-        choices = action_set or _ACTION_SPACES[Scheme.DRIM_A]
-        pick = choices[int(rng.integers(len(choices)))]
-        return select_seed(pick, party, state, g_observable, rng, pool_mask, action_set)
 
     if kind is StrategyKind.AF:
         return _masked_lowest_argmax(state.p_read * state.p_share, eligible)
@@ -109,8 +99,7 @@ def select_seed(
     candidates = eligible & adjacent
     if not np.any(candidates):
         return None
-    free = state.u >= FREE_VACUITY_THRESHOLD
-    return _masked_lowest_argmax(free_degrees(g_observable, free), candidates)
+    return _masked_lowest_argmax(free_degrees(g_observable, free_mask(state)), candidates)
 
 
 class Agent:
@@ -130,8 +119,6 @@ class Agent:
 
 class FixedStrategyAgent(Agent):
     def __init__(self, kind: StrategyKind):
-        if kind is StrategyKind.RANDOM:
-            raise ValueError("use RandomStrategyAgent for the random meta-strategy")
         self.kind = kind
         self.name = kind.value
 

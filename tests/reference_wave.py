@@ -167,11 +167,9 @@ def propagate_wave(
     party: Party,
     model: TrustModel,
     rng: np.random.Generator,
-    origins: np.ndarray | None = None,
 ) -> PopulationState:
     """Run one BFS information wave from the party's seed set (in place)."""
-    sharers = origins if origins is not None else state.seed_ids(party)
-    sharers = [int(s) for s in sharers]
+    sharers = [int(s) for s in state.seed_ids(party)]
     if not sharers:
         return state
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from drim.baselines import CommunityAgent, CommunityRestriction, cstorm_agent, make_scheme_agent, storm_agent
+from drim.baselines import CommunityAgent, CommunityRestriction, cstorm_agent, make_scheme_agent
 from drim.datasets import load_urv_email
 from drim.network import Graph, full_view
 from drim.opinion import NOM, UOM
@@ -26,7 +25,7 @@ class TestActionSpaces:
     def test_agents_check_param_shape(self):
         params = init_params(4, 8, rng_seed=0)  # wrong size for STORM
         with pytest.raises(ValueError):
-            storm_agent(params)
+            make_scheme_agent(Scheme.STORM, params)
 
 
 class TestCommunityRestriction:
@@ -71,7 +70,7 @@ class TestCstormReducesToStorm:
         params = init_params(2, 16, rng_seed=2)
         fp = make_heuristic_agent("cf")
 
-        storm_ep = run_episode(g, cfg, storm_agent(params), fp, observable=full_view(g))
+        storm_ep = run_episode(g, cfg, make_scheme_agent(Scheme.STORM, params), fp, observable=full_view(g))
         cstorm_ep = run_episode(
             g, cfg, cstorm_agent(params, communities=1), fp, observable=full_view(g)
         )

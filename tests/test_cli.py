@@ -82,6 +82,36 @@ class TestCommands:
         assert rc == 0
         assert (out / "bench.csv").exists()
 
+    def test_bench_then_table2_report(self, tiny_edges, tmp_path, capsys):
+        bench = tmp_path / "bench"
+        rc = main([
+            "bench", "--episodes", "1", "--om", "nom", "--fp", "cf",
+            "--dataset", str(tiny_edges), "--out", str(bench), *FAST,
+        ])
+        assert rc == 0
+        bench_lines = (bench / "bench.csv").read_text().splitlines()
+        report = tmp_path / "t2.csv"
+        rc = main(["report", "--layout", "table2", "--results", str(bench),
+                   "--out", str(report)])
+        assert rc == 0
+        lines = report.read_text().splitlines()
+        assert lines == bench_lines  # bench order is the table's scheme order
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "drim-a", "drim-na", "storm", "cstorm"]
+        assert all(float(line.split(",")[1]) > 0 for line in lines[1:])
+
+        partial = tmp_path / "partial"
+        assert main([
+            "bench", "--episodes", "1", "--schemes", "drim-a,storm", "--om", "nom",
+            "--fp", "cf", "--dataset", str(tiny_edges), "--out", str(partial),
+            "--policies", str(bench / "policies"), *FAST,
+        ]) == 0
+        capsys.readouterr()
+        rc = main(["report", "--layout", "table2", "--results", str(partial),
+                   "--out", str(tmp_path / "t2b.csv")])
+        assert rc == 2
+        assert "scheme=drim-na,cstorm" in capsys.readouterr().err
+
     def test_report_missing_cell_fails(self, tmp_path, capsys):
         rc = main([
             "report", "--layout", "table2", "--results", str(tmp_path),

@@ -22,14 +22,13 @@ from drim.harness import (
     policy_paths,
     read_results_csv,
     run_grid,
-    write_population_csv,
     worker_count,
+    write_results_csv,
     write_roundlog_csv,
 )
 from drim.opinion import NOM
-from drim.population import Party, init_population, promote_seed
 from drim.propagation import EpisodeConfig, run_episode
-from drim.rl import PPOConfig
+from drim.rl import PPOConfig, load_params, save_params
 from drim.strategies import Scheme, make_heuristic_agent
 
 
@@ -219,6 +218,46 @@ class TestPolicyCache:
         ensure_policies(spec, [(spec.scheme, "drl")], workers=1)
         tp_path, fp_path = policy_paths(spec, spec.scheme, "drl")
         assert tp_path.exists() and fp_path.exists()
+        assert sorted(p.name for p in spec.policy_dir.iterdir()) == sorted(
+            (tp_path.name, fp_path.name, tp_path.with_suffix(".curve.csv").name))
+
+    def test_key_depends_on_dataset_bytes(self, tmp_path, tiny_dataset):
+        other = tmp_path / "other.edges"
+        other.write_bytes(tiny_dataset.read_bytes() + b"1 24\n")
+        same = tmp_path / "same.edges"
+        same.write_bytes(tiny_dataset.read_bytes())
+        paths = {
+            name: policy_paths(tiny_spec(tmp_path, data), Scheme.DRIM_A, "cf")[0]
+            for name, data in (("tiny", tiny_dataset), ("other", other), ("same", same),
+                               ("bundled", None))
+        }
+        assert paths["tiny"] == paths["same"]  # the file's bytes, not its name
+        assert len({paths["tiny"], paths["other"], paths["bundled"]}) == 3
+
+    def test_failed_write_leaves_no_policy_and_retrains(self, tmp_path, tiny_dataset, monkeypatch):
+        from drim import harness
+
+        spec = tiny_spec(tmp_path, tiny_dataset)
+        tp_path, _ = policy_paths(spec, spec.scheme, spec.fp_strategy)
+
+        class Unwritable:
+            def __array__(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        def save_then_fail(params, path):
+            params.critic.w3 = Unwritable()  # raises after ten of twelve arrays
+            save_params(params, path)
+
+        monkeypatch.setattr(harness, "save_params", save_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            ensure_policies(spec, [(spec.scheme, spec.fp_strategy)], workers=1)
+        assert not tp_path.exists()
+        curve = tp_path.with_suffix(".curve.csv")
+        assert [p.name for p in spec.policy_dir.iterdir()] == [curve.name]  # no temp file
+
+        monkeypatch.undo()
+        ensure_policies(spec, [(spec.scheme, spec.fp_strategy)], workers=1)
+        load_params(tp_path, expected_actions=4)
 
 
 class TestBench:
@@ -231,6 +270,8 @@ class TestBench:
         spec = tiny_spec(tmp_path, tiny_dataset)
         times = bench_runtime(spec, schemes=(Scheme.DRIM_A,), episodes=2, workers=1)
         assert times["drim-a"] > 0
+        lines = (spec.out_dir / "bench.csv").read_text().splitlines()
+        assert lines == ["scheme,mean_episode_seconds", f"drim-a,{times['drim-a']:.6f}"]
 
 
 def synthetic_rows() -> list[ResultRow]:
@@ -240,28 +281,34 @@ def synthetic_rows() -> list[ResultRow]:
             for fp in FP_STRATEGIES:
                 rows.append(
                     ResultRow(scheme, om, fp, "none", "none", 2,
-                              800.0, 10.0, 300.0, 750.0, 0.2)
+                              800.0, 10.0, 300.0, 750.0)
                 )
     return rows
 
 
+def results_dir(path: Path, rows: list[ResultRow]) -> list[Path]:
+    """One output directory holding rows as its results.csv."""
+    write_results_csv(path / "results.csv", rows)
+    return [path]
+
+
 class TestEmitReport:
     def test_table1_shape(self, tmp_path):
-        out = emit_report(synthetic_rows(), "table1", tmp_path / "t1.csv")
+        out = emit_report(results_dir(tmp_path, synthetic_rows()), "table1", tmp_path / "t1.csv")
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 12
         assert lines[0].split(",") == ["scheme_om", *FP_STRATEGIES]
         assert lines[1].startswith("drim-a/uom,")
 
     def test_fig2_uses_uom_rows(self, tmp_path):
-        out = emit_report(synthetic_rows(), "fig2", tmp_path / "f2.csv")
+        out = emit_report(results_dir(tmp_path, synthetic_rows()), "fig2", tmp_path / "f2.csv")
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 4
 
     def test_missing_cell_named(self, tmp_path):
         rows = [r for r in synthetic_rows() if not (r.scheme == "storm" and r.fp_strategy == "bf")]
         with pytest.raises(ValueError, match="scheme=storm.*fp_strategy=bf"):
-            emit_report(rows, "table1", tmp_path / "t1.csv")
+            emit_report(results_dir(tmp_path, rows), "table1", tmp_path / "t1.csv")
 
     def test_fig3c_grid(self, tmp_path):
         rows = []
@@ -269,16 +316,16 @@ class TestEmitReport:
             for scheme in ("drim-a", "drim-na", "storm", "cstorm"):
                 rows.append(
                     ResultRow(scheme, "uom", "drl", "prior_a", value, 2,
-                              700.0, 5.0, 300.0, 650.0, 0.2)
+                              700.0, 5.0, 300.0, 650.0)
                 )
-        out = emit_report(rows, "fig3c", tmp_path / "f3c.csv")
+        out = emit_report(results_dir(tmp_path, rows), "fig3c", tmp_path / "f3c.csv")
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "prior_a,drim-a,drim-na,storm,cstorm"
         assert len(lines) == 6
 
     def test_unknown_layout(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_report(synthetic_rows(), "fig9", tmp_path / "x.csv")
+            emit_report(results_dir(tmp_path, synthetic_rows()), "fig9", tmp_path / "x.csv")
 
 
 class TestConfigFile:
@@ -336,16 +383,6 @@ class TestConfigFile:
 
 
 class TestAuxCsvWriters:
-    def test_population_snapshot_format(self, tmp_path):
-        state = init_population(3, rng_seed=0)
-        promote_seed(state, 1, Party.TRUE_PARTY)
-        out = tmp_path / "pop.csv"
-        write_population_csv(out, state)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "user_id,role,p_read,p_share,b,d,u,a"
-        assert len(lines) == 4
-        assert lines[2].split(",")[1] == "TIP_SEED"
-
     def test_roundlog_format(self, tmp_path):
         from drim.network import Graph
 

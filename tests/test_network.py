@@ -1,4 +1,9 @@
-"""Graph loading, masking, queries, and spectral communities."""
+"""Graph loading, masking, queries, and spectral communities.
+
+Oracles: a per-node loop over each node's visible neighbors for free
+degrees, and a plain BFS over the visible edge set for 1-to-2-hop
+neighborhood sizes.
+"""
 
 from __future__ import annotations
 
@@ -11,15 +16,12 @@ from drim.datasets import load_urv_email
 from drim.network import (
     EdgeListFormat,
     Graph,
-    degree,
-    free_degree,
+    ObservableGraph,
     free_degrees,
     full_view,
     load_edge_list,
     mask_network,
     spectral_communities,
-    within_d_hops,
-    write_community_csv,
 )
 
 
@@ -36,6 +38,35 @@ def make_path(n: int):
 def make_cycle(n: int):
     g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
     return full_view(g)
+
+
+def bfs_within(g: Graph, src: int, d: int) -> int:
+    """Distinct nodes at BFS distance 1..d from src over g's edge set."""
+    adjacency = {v: [] for v in range(g.n)}
+    for a, b in g.edges():
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    dist = {src: 0}
+    frontier = [src]
+    for step in range(1, d + 1):
+        nxt = []
+        for v in frontier:
+            for nb in adjacency[v]:
+                if nb not in dist:
+                    dist[nb] = step
+                    nxt.append(nb)
+        frontier = nxt
+    return sum(1 for k in dist.values() if 1 <= k <= d)
+
+
+def free_degree_loop(g: Graph, free: np.ndarray) -> list[int]:
+    """Free neighbors of every node, one node at a time."""
+    return [sum(1 for nb in g.neighbors(v).tolist() if free[nb]) for v in range(g.n)]
+
+
+def random_graph(n: int, m: int, seed: int) -> Graph:
+    rng = np.random.default_rng(seed)
+    return Graph(n, rng.integers(0, n, size=(m, 2)))
 
 
 class TestLoadEdgeList:
@@ -93,12 +124,12 @@ class TestMaskNetwork:
     def test_full_visibility(self):
         g = load_urv_email()
         ov = mask_network(g, 1.0, rng_seed=0)
-        assert ov.num_visible_edges == 5452
+        assert ov.num_edges == 5452
 
     def test_zero_visibility(self):
         g = load_urv_email()
         ov = mask_network(g, 0.0, rng_seed=0)
-        assert ov.num_visible_edges == 0
+        assert ov.num_edges == 0
 
     def test_deterministic_for_seed(self):
         g = load_urv_email()
@@ -109,7 +140,7 @@ class TestMaskNetwork:
 
     def test_binomial_mean_visible_edges(self):
         g = load_urv_email()
-        counts = [mask_network(g, 0.5, rng_seed=s).num_visible_edges for s in range(1000)]
+        counts = [mask_network(g, 0.5, rng_seed=s).num_edges for s in range(1000)]
         mean = np.mean(counts)
         sigma = np.sqrt(5452 * 0.25)  # per-mask binomial sd
         assert abs(mean - 2726) <= 3 * sigma / np.sqrt(1000)
@@ -118,7 +149,7 @@ class TestMaskNetwork:
         g = load_urv_email()
         ov = mask_network(g, 0.3, rng_seed=5)
         base = g.edges()
-        assert ov.view.edges() <= base
+        assert ov.edges() <= base
 
     def test_rejects_bad_probability(self):
         g = Graph(2, [(0, 1)])
@@ -128,79 +159,69 @@ class TestMaskNetwork:
 
 class TestQueries:
     def test_star_center_degree(self):
-        assert degree(make_star(4), 0) == 4
+        assert make_star(4).degrees()[0] == 4
 
     def test_isolated_node_degree(self):
         g = full_view(Graph(3, [(0, 1)]))
-        assert degree(g, 2) == 0
+        assert g.degrees()[2] == 0
 
     def test_path_middle_degree(self):
-        assert degree(make_path(3), 1) == 2
+        assert make_path(3).degrees()[1] == 2
 
     def test_invalid_index(self):
-        with pytest.raises(IndexError):
-            degree(make_path(3), 9)
+        with pytest.raises(ValueError, match=r"edge \(1, 9\) out of range for n=3"):
+            Graph(3, [(0, 1), (1, 9)])
 
     def test_free_degree_star(self):
         ov = make_star(4)
-        assert free_degree(ov, 0, {1, 2}) == 2
-        assert free_degree(ov, 0, set()) == 0
-        assert free_degree(ov, 0, {1, 2, 3, 4}) == degree(ov, 0)
+        assert free_degrees(ov, np.array([False, True, True, False, False]))[0] == 2
+        assert free_degrees(ov, np.zeros(5, dtype=bool))[0] == 0
+        assert free_degrees(ov, np.ones(5, dtype=bool))[0] == ov.degrees()[0]
 
     def test_free_degrees_vectorized_matches_scalar(self):
         g = load_urv_email()
-        ov = full_view(g)
         rng = np.random.default_rng(0)
-        mask = rng.random(g.n) < 0.4
-        vec = free_degrees(ov, mask)
-        free_set = set(np.flatnonzero(mask).tolist())
-        for v in rng.choice(g.n, size=25, replace=False):
-            assert vec[v] == free_degree(ov, int(v), free_set)
+        for ov in (full_view(g), mask_network(g, 0.4, rng_seed=1)):
+            mask = rng.random(g.n) < 0.4
+            assert free_degrees(ov, mask).tolist() == free_degree_loop(ov, mask)
 
     def test_within_two_hops_path(self):
-        assert within_d_hops(make_path(4), 0, 2) == 2
+        assert make_path(4).within2_counts().tolist() == [2, 3, 3, 2]
 
     def test_within_two_hops_star_center(self):
-        assert within_d_hops(make_star(4), 0, 2) == 4
+        assert make_star(4).within2_counts().tolist() == [4, 4, 4, 4, 4]
 
     def test_within_two_hops_cycle_brute_force(self):
         ov = make_cycle(5)
-        # brute-force BFS oracle
-        def bfs_within(adj, src, d):
-            dist = {src: 0}
-            frontier = [src]
-            for step in range(1, d + 1):
-                nxt = []
-                for v in frontier:
-                    for nb in adj[v]:
-                        if nb not in dist:
-                            dist[nb] = step
-                            nxt.append(nb)
-                frontier = nxt
-            return sum(1 for v, k in dist.items() if 1 <= k <= d)
-
-        adjacency = {v: [] for v in range(5)}
-        for a, b in ov.view.edges():
-            adjacency[a].append(b)
-            adjacency[b].append(a)
         for v in range(5):
-            assert within_d_hops(ov, v, 2) == bfs_within(adjacency, v, 2) == 4
+            assert ov.within2_counts()[v] == bfs_within(ov, v, 2) == 4
 
     def test_within_one_hop_equals_degree(self):
         g = load_urv_email()
         ov = full_view(g)
         for v in (0, 17, 500, 1132):
-            assert within_d_hops(ov, v, 1) == degree(ov, v)
+            assert bfs_within(ov, v, 1) == ov.degrees()[v] <= ov.within2_counts()[v]
+
+    @pytest.mark.parametrize("p_nv", [1.0, 0.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_within_two_hops_random_graphs_match_bfs(self, p_nv, seed):
+        # 300 nodes spans three of the 128-row blocks the counts are built in
+        g = random_graph(300, 900, seed)
+        ov = mask_network(g, p_nv, rng_seed=seed)
+        assert ov.within2_counts().tolist() == [bfs_within(ov, v, 2) for v in range(g.n)]
+
+    def test_within_two_hops_cached(self):
+        ov = make_cycle(6)
+        assert ov.within2_counts() is ov.within2_counts()
+        assert ov.degrees() is ov.degrees()
 
     def test_queries_ignore_hidden_edges(self):
         g = Graph(3, [(0, 1), (0, 2)])
         visible = np.array([True, False])
-        from drim.network import ObservableGraph
-
-        ov = ObservableGraph(g, 0.5, visible)
-        assert degree(ov, 0) == 1
-        assert within_d_hops(ov, 1, 2) == 1
-        assert free_degree(ov, 0, {1, 2}) == 1
+        ov = ObservableGraph(g.n, np.stack([g.edge_u[visible], g.edge_v[visible]], axis=1))
+        assert ov.degrees()[0] == 1
+        assert ov.within2_counts()[1] == 1
+        assert free_degrees(ov, np.array([False, True, True]))[0] == 1
 
 
 class TestSpectralCommunities:
@@ -262,10 +283,3 @@ def _modularity(g: Graph, labels: np.ndarray) -> float:
         q -= (dc / (2 * m)) ** 2
     return q
 
-
-class TestCommunityCsv:
-    def test_export(self, tmp_path):
-        labels = np.array([0, 1, 1])
-        path = tmp_path / "labels.csv"
-        write_community_csv(path, labels)
-        assert path.read_text() == "node_id,label\n0,0\n1,1\n2,1\n"

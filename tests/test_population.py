@@ -5,20 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from drim.network import Graph, full_view
 from drim.opinion import Opinion, project
 from drim.population import (
     BEHAVIOR_LEVELS,
-    Alignment,
     Party,
     Role,
-    classify,
     decided_influence_counts,
-    free_nodes,
+    free_mask,
     influence_counts,
     init_population,
-    most_active_user,
     promote_seed,
 )
+from drim.strategies import StrategyKind, select_seed
 
 TOL = 1e-9
 
@@ -38,7 +37,8 @@ class TestInitPopulation:
     def test_urv_scale(self):
         state = init_population(1133, rng_seed=7)
         assert state.n == 1133
-        assert len(state.snapshot_rows()) == 1133
+        assert state.bdua.shape == (4, 1133)
+        assert state.p_read.shape == state.p_share.shape == (1133,)
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
@@ -102,24 +102,36 @@ class TestPromoteSeed:
         assert state.seed_ids(Party.FALSE_PARTY).tolist() == [1]
 
 
+def single_user_counts(op: Opinion) -> tuple[int, int]:
+    """influence_counts of a one-user population holding op."""
+    state = init_population(1, rng_seed=0)
+    state.set_opinion(0, op)
+    return influence_counts(state)
+
+
 class TestClassify:
     def test_fresh_user_is_true_on_boundary(self):
         op = Opinion(1 / 103, 1 / 103, 101 / 103, 0.5)
         assert project(op)[0] == pytest.approx(0.5, abs=TOL)
-        assert classify(op) is Alignment.TRUE_ALIGNED
+        assert single_user_counts(op) == (1, 0)
 
     def test_tip_opinion(self):
-        assert classify(Opinion(100 / 103, 1 / 103, 2 / 103, 1.0)) is Alignment.TRUE_ALIGNED
+        assert single_user_counts(Opinion(100 / 103, 1 / 103, 2 / 103, 1.0)) == (1, 0)
 
     def test_fip_opinion(self):
-        assert classify(Opinion(1 / 103, 100 / 103, 2 / 103, 0.0)) is Alignment.FALSE_ALIGNED
+        assert single_user_counts(Opinion(1 / 103, 100 / 103, 2 / 103, 0.0)) == (0, 1)
 
     def test_partition(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            b, d = rng.dirichlet([1, 1, 1])[:2]
-            op = Opinion(b, d, max(0.0, 1 - b - d), rng.random())
-            assert classify(op) in (Alignment.TRUE_ALIGNED, Alignment.FALSE_ALIGNED)
+        state = init_population(200, rng_seed=0)
+        b, d, _ = rng.dirichlet([1, 1, 1], size=200).T
+        state.b[:], state.d[:] = b, d
+        state.u[:] = np.maximum(0.0, 1 - b - d)
+        state.a[:] = rng.random(200)
+        pb, _ = state.projected()
+        n_true, n_false = influence_counts(state)
+        assert n_true == np.count_nonzero(pb >= 0.5)
+        assert n_true + n_false == 200
 
 
 class TestInfluenceCounts:
@@ -153,24 +165,33 @@ class TestInfluenceCounts:
 class TestFreeNodes:
     def test_fresh_population_all_free(self):
         state = init_population(6, rng_seed=0)
-        assert free_nodes(state) == set(range(6))
+        assert free_mask(state).all()
 
     def test_all_dogmatic_population_none_free(self):
         state = init_population(4, rng_seed=0)
         state.u[:] = 0.0
         state.b[:] = 1.0
-        assert free_nodes(state) == set()
+        assert not free_mask(state).any()
 
     def test_threshold_boundary(self):
-        state = init_population(2, rng_seed=0)
+        state = init_population(3, rng_seed=0)
         state.u[0], state.b[0] = 0.6, 0.4
         state.u[1], state.b[1] = 0.4, 0.6
-        assert free_nodes(state) == {0}
+        state.u[2], state.b[2] = 0.5, 0.5
+        assert free_mask(state).tolist() == [True, False, True]
 
     def test_seeds_are_not_free(self):
         state = init_population(5, rng_seed=0)
         promote_seed(state, 3, Party.TRUE_PARTY)
-        assert 3 not in free_nodes(state)
+        assert not free_mask(state)[3]
+
+
+def most_active(state, candidates: list[int]) -> int | None:
+    """The AF strategy's pick from a candidate pool."""
+    pool = np.zeros(state.n, dtype=bool)
+    pool[candidates] = True
+    view = full_view(Graph(state.n, []))
+    return select_seed(StrategyKind.AF, Party.TRUE_PARTY, state, view, pool_mask=pool)
 
 
 class TestMostActiveUser:
@@ -178,33 +199,24 @@ class TestMostActiveUser:
         state = init_population(3, rng_seed=0)
         state.p_read[:] = [0.5, 1.0, 0.25]
         state.p_share[:] = [0.5, 1.0, 0.4]
-        assert most_active_user(state, {0, 1, 2}) == 1
+        assert most_active(state, [0, 1, 2]) == 1
 
     def test_tie_breaks_to_lowest_id(self):
         state = init_population(3, rng_seed=0)
         state.p_read[:] = [0.1, 0.5, 0.5]
         state.p_share[:] = [0.1, 1.0, 1.0]
-        assert most_active_user(state, {1, 2}) == 1
+        assert most_active(state, [1, 2]) == 1
 
     def test_single_candidate(self):
         state = init_population(3, rng_seed=0)
-        assert most_active_user(state, {2}) == 2
+        assert most_active(state, [2]) == 2
 
     def test_empty_candidates_rejected(self):
         state = init_population(3, rng_seed=0)
-        with pytest.raises(ValueError):
-            most_active_user(state, set())
+        assert most_active(state, []) is None
 
 
 class TestSnapshot:
-    def test_row_format(self):
-        state = init_population(3, rng_seed=0)
-        promote_seed(state, 1, Party.FALSE_PARTY)
-        rows = state.snapshot_rows()
-        assert rows[1][0] == 1
-        assert rows[1][1] == "FIP_SEED"
-        assert len(rows[0]) == 8
-
     def test_seed_opinion_immutable_after_promotion(self):
         state = init_population(3, rng_seed=0)
         promote_seed(state, 0, Party.TRUE_PARTY)

@@ -2,7 +2,8 @@
 
 The wave oracle recomputes expected opinions by applying the opinion
 operators step by step in the test, independent of the engine's BFS
-bookkeeping.
+bookkeeping. `discounted_return` below is the scalar oracle for the
+vectorized `discounted_returns`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import pytest
 
 from drim.datasets import load_urv_email
 from drim.network import Graph, full_view
-from drim.opinion import NOM, UOM, fuse, opinion_from_evidence, trust_coefficient
+from drim.opinion import NOM, UOM, Opinion, fuse, opinion_from_evidence, trust_coefficient
 from drim.population import (
     TIP_EVIDENCE,
     Party,
@@ -24,11 +25,8 @@ from drim.population import (
 from drim.propagation import (
     Episode,
     EpisodeConfig,
-    RoundLog,
-    discounted_return,
     discounted_returns,
     extract_state,
-    instant_reward,
     propagate_wave,
     run_episode,
 )
@@ -39,6 +37,11 @@ TOL = 1e-9
 
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def discounted_return(rewards, T: int, gamma: float) -> float:
+    """Discounted tail sum starting at index T: sum_t gamma^(t-T+1) R_t."""
+    return sum(gamma ** (offset + 1) * r for offset, r in enumerate(rewards[T:]))
 
 
 def all_on_population(n, seed=0):
@@ -257,25 +260,38 @@ class TestExtractState:
         assert s == (1.0, 1.0)
 
 
+def edgeless_episode(n: int) -> Episode:
+    """No edges, so a step changes only its own seed's opinion; CF ties
+    break to the lowest id, so seeds go to users 0, 1, 2, ... in turn."""
+    return Episode(Graph(n, []), EpisodeConfig(k=2, opinion_model=NOM, rng_seed=0))
+
+
 class TestRewards:
     def test_false_party_first_step_boundary(self):
-        assert instant_reward([0, 4], Party.FALSE_PARTY, 1) == 4.0
+        # FP moves first: its t=1 reward is against the pre-game baseline n_0
+        ep = edgeless_episode(4)
+        entry = ep.step_with_kind(Party.FALSE_PARTY, StrategyKind.CF)
+        assert (entry.t, ep.n_false_series) == (1, [0, 1])
+        assert entry.reward == 1.0
 
     def test_true_party_first_step(self):
-        assert instant_reward([0, 3, 6], Party.TRUE_PARTY, 2) == 6.0
+        # TP's first step is t=2, also rewarded against n_0, not n_1
+        ep = edgeless_episode(4)
+        ep.pop.set_opinion(3, Opinion(0.8, 0.0, 0.2, 0.5))  # user 3 decided true
+        ep.step_with_kind(Party.FALSE_PARTY, StrategyKind.CF)  # seeds 0: n_T 1
+        entry = ep.step_with_kind(Party.TRUE_PARTY, StrategyKind.CF)  # seeds 1: n_T 2
+        assert (entry.t, ep.n_true_series) == (2, [0, 1, 2])
+        assert entry.reward == 2.0
 
     def test_stagnant_counts(self):
-        assert instant_reward([5, 5, 5, 5], Party.FALSE_PARTY, 3) == 0.0
-
-    def test_wrong_parity_rejected(self):
-        with pytest.raises(ValueError):
-            instant_reward([0, 1, 2], Party.TRUE_PARTY, 1)
-        with pytest.raises(ValueError):
-            instant_reward([0, 1, 2], Party.FALSE_PARTY, 2)
-
-    def test_out_of_history_rejected(self):
-        with pytest.raises(ValueError):
-            instant_reward([0, 1], Party.FALSE_PARTY, 3)
+        ep = edgeless_episode(4)
+        ep.pop.set_opinion(1, Opinion(0.0, 0.8, 0.2, 0.5))  # user 1 decided false
+        ep.step_with_kind(Party.FALSE_PARTY, StrategyKind.CF)  # seeds 0: n_F 2
+        ep.step_with_kind(Party.TRUE_PARTY, StrategyKind.CF)  # seeds 1: n_F 1
+        entry = ep.step_with_kind(Party.FALSE_PARTY, StrategyKind.CF)  # seeds 2: n_F 2
+        # net change since FP's own previous step (t=1), not since t=2
+        assert ep.n_false_series == [0, 2, 1, 2]
+        assert entry.reward == 0.0
 
     def test_reward_telescoping_over_episode(self):
         g = load_urv_email()
@@ -300,16 +316,17 @@ class TestRewards:
 
 class TestDiscountedReturn:
     def test_single_reward(self):
-        assert discounted_return([1.0], 0, 0.95) == pytest.approx(0.95)
+        assert discounted_returns([1.0], 0.95)[0] == pytest.approx(0.95)
 
     def test_two_rewards(self):
-        assert discounted_return([1.0, 1.0], 0, 0.5) == pytest.approx(0.75)
+        assert discounted_returns([1.0, 1.0], 0.5).tolist() == pytest.approx([0.75, 0.5])
 
     def test_empty_tail(self):
         assert discounted_return([1.0, 2.0], 2, 0.95) == 0.0
+        assert discounted_returns([], 0.95).size == 0
 
     def test_all_zero(self):
-        assert discounted_return([0.0] * 5, 0, 0.95) == 0.0
+        assert not discounted_returns([0.0] * 5, 0.95).any()
 
     def test_vector_matches_scalar(self):
         rewards = [1.0, -2.0, 0.5, 3.0]
@@ -318,8 +335,9 @@ class TestDiscountedReturn:
             assert vec[T] == pytest.approx(discounted_return(rewards, T, 0.9))
 
     def test_rejects_bad_gamma(self):
-        with pytest.raises(ValueError):
-            discounted_return([1.0], 0, 1.0)
+        for gamma in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                discounted_returns([1.0], gamma)
 
 
 class TestEpisodeConfig:

@@ -336,3 +336,19 @@ class TestPersistence:
         path.write_bytes(b"not a policy file at all")
         with pytest.raises(ValueError):
             load_params(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "policy.bin"
+        save_params(init_params(4, 16, rng_seed=9), path)
+        before = path.read_bytes()
+
+        class Unwritable:
+            def __array__(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        params = init_params(4, 16, rng_seed=10)
+        params.critic.b3 = Unwritable()  # the last of twelve arrays
+        with pytest.raises(OSError, match="disk full"):
+            save_params(params, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["policy.bin"]

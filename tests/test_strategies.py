@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from drim.network import Graph, full_view
+from drim.opinion import NOM
 from drim.population import Party, init_population, promote_seed
+from drim.propagation import Episode, EpisodeConfig
 from drim.strategies import (
     FixedStrategyAgent,
     RandomStrategyAgent,
@@ -24,10 +26,6 @@ def star(leaves=4):
 
 def path(n):
     return full_view(Graph(n, [(i, i + 1) for i in range(n - 1)]))
-
-
-def rng():
-    return np.random.default_rng(0)
 
 
 class TestActionSpace:
@@ -56,26 +54,26 @@ class TestCentralityFirst:
     def test_star_center(self):
         g = star(4)
         state = init_population(5, rng_seed=0)
-        assert select_seed(StrategyKind.CF, Party.TRUE_PARTY, state, g, rng()) == 0
+        assert select_seed(StrategyKind.CF, Party.TRUE_PARTY, state, g) == 0
 
     def test_excludes_seeds(self):
         g = star(4)
         state = init_population(5, rng_seed=0)
         promote_seed(state, 0, Party.FALSE_PARTY)
-        got = select_seed(StrategyKind.CF, Party.TRUE_PARTY, state, g, rng())
+        got = select_seed(StrategyKind.CF, Party.TRUE_PARTY, state, g)
         assert got != 0
 
     def test_tie_breaks_to_lowest_id(self):
         g = path(4)  # degrees 1,2,2,1
         state = init_population(4, rng_seed=0)
-        assert select_seed(StrategyKind.CF, Party.TRUE_PARTY, state, g, rng()) == 1
+        assert select_seed(StrategyKind.CF, Party.TRUE_PARTY, state, g) == 1
 
 
 class TestSubgreedyFirst:
     def test_path_center(self):
         g = path(5)  # within-2 counts: 2,3,4,3,2
         state = init_population(5, rng_seed=0)
-        assert select_seed(StrategyKind.SGF, Party.TRUE_PARTY, state, g, rng()) == 2
+        assert select_seed(StrategyKind.SGF, Party.TRUE_PARTY, state, g) == 2
 
 
 class TestActiveFirst:
@@ -84,7 +82,7 @@ class TestActiveFirst:
         state = init_population(3, rng_seed=0)
         state.p_read[:] = [0.5, 1.0, 0.25]
         state.p_share[:] = [0.5, 1.0, 0.4]
-        assert select_seed(StrategyKind.AF, Party.TRUE_PARTY, state, g, rng()) == 1
+        assert select_seed(StrategyKind.AF, Party.TRUE_PARTY, state, g) == 1
 
 
 class TestBlockingFirst:
@@ -94,27 +92,27 @@ class TestBlockingFirst:
         state.p_read[:] = 1.0
         state.p_share[:] = 1.0
         promote_seed(state, 0, Party.FALSE_PARTY)  # opponent center
-        got = select_seed(StrategyKind.BF, Party.TRUE_PARTY, state, g, rng())
+        got = select_seed(StrategyKind.BF, Party.TRUE_PARTY, state, g)
         assert got == 1  # all leaves have free degree 0; lowest id wins
 
     def test_no_opponent_signals_fallback(self):
         g = star(4)
         state = init_population(5, rng_seed=0)
-        assert select_seed(StrategyKind.BF, Party.TRUE_PARTY, state, g, rng()) is None
+        assert select_seed(StrategyKind.BF, Party.TRUE_PARTY, state, g) is None
 
     def test_candidate_with_most_free_neighbors(self):
         # 0 (FIP) - 1 - {2,3}; 4 (pendant of 0)
         g = full_view(Graph(5, [(0, 1), (1, 2), (1, 3), (0, 4)]))
         state = init_population(5, rng_seed=0)
         promote_seed(state, 0, Party.FALSE_PARTY)
-        got = select_seed(StrategyKind.BF, Party.TRUE_PARTY, state, g, rng())
+        got = select_seed(StrategyKind.BF, Party.TRUE_PARTY, state, g)
         assert got == 1  # 1 has two free neighbors; 4 has none
 
     def test_false_party_blocks_true_aligned(self):
         g = path(3)
         state = init_population(3, rng_seed=0)
         promote_seed(state, 0, Party.TRUE_PARTY)
-        got = select_seed(StrategyKind.BF, Party.FALSE_PARTY, state, g, rng())
+        got = select_seed(StrategyKind.BF, Party.FALSE_PARTY, state, g)
         assert got == 1
 
 
@@ -135,17 +133,10 @@ class TestRandomMetaStrategy:
             assert abs(c - expected) <= 3 * sigma, f"{k}: {c}"
 
     def test_random_delegates_to_concrete_rule(self):
-        g = star(4)
-        state = init_population(5, rng_seed=0)
-        got = select_seed(
-            StrategyKind.RANDOM,
-            Party.TRUE_PARTY,
-            state,
-            g,
-            np.random.default_rng(7),
-            action_set=(StrategyKind.CF,),
-        )
-        assert got == 0  # CF on a star always picks the center
+        ep = Episode(star(4), EpisodeConfig(k=1, opinion_model=NOM, rng_seed=7))
+        entry = ep.run_party_step(Party.TRUE_PARTY, RandomStrategyAgent((StrategyKind.CF,)))
+        assert entry.strategy == "cf"
+        assert entry.seed == 0  # CF on a star always picks the center
 
 
 class TestSelectionContracts:
@@ -155,28 +146,28 @@ class TestSelectionContracts:
         promote_seed(state, 1, Party.TRUE_PARTY)
         promote_seed(state, 2, Party.FALSE_PARTY)
         for kind in (StrategyKind.AF, StrategyKind.BF, StrategyKind.SGF, StrategyKind.CF):
-            got = select_seed(kind, Party.TRUE_PARTY, state, g, rng())
+            got = select_seed(kind, Party.TRUE_PARTY, state, g)
             assert got not in (1, 2)
 
     def test_deterministic_given_fixed_inputs(self):
         g = star(6)
         state = init_population(7, rng_seed=1)
-        a = select_seed(StrategyKind.SGF, Party.TRUE_PARTY, state, g, np.random.default_rng(5))
-        b = select_seed(StrategyKind.SGF, Party.TRUE_PARTY, state, g, np.random.default_rng(5))
+        a = select_seed(StrategyKind.SGF, Party.TRUE_PARTY, state, g)
+        b = select_seed(StrategyKind.SGF, Party.TRUE_PARTY, state, g)
         assert a == b
 
     def test_pool_mask_restricts_candidates(self):
         g = star(4)
         state = init_population(5, rng_seed=0)
         pool = np.array([False, True, True, False, False])
-        got = select_seed(StrategyKind.CF, Party.TRUE_PARTY, state, g, rng(), pool_mask=pool)
+        got = select_seed(StrategyKind.CF, Party.TRUE_PARTY, state, g, pool_mask=pool)
         assert got == 1
 
     def test_exhausted_pool_returns_none(self):
         g = star(4)
         state = init_population(5, rng_seed=0)
         pool = np.zeros(5, dtype=bool)
-        assert select_seed(StrategyKind.CF, Party.TRUE_PARTY, state, g, rng(), pool_mask=pool) is None
+        assert select_seed(StrategyKind.CF, Party.TRUE_PARTY, state, g, pool_mask=pool) is None
 
 
 class TestAgentFactories:
@@ -185,5 +176,7 @@ class TestAgentFactories:
         assert make_heuristic_agent("random").name == "random"
 
     def test_fixed_agent_rejects_random_kind(self):
+        # random is a per-step draw over concrete kinds, not a kind itself
         with pytest.raises(ValueError):
-            FixedStrategyAgent(StrategyKind.RANDOM)
+            FixedStrategyAgent(StrategyKind("random"))
+        assert isinstance(make_heuristic_agent("random"), RandomStrategyAgent)

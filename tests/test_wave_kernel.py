@@ -45,10 +45,9 @@ def wave_cases(draw):
     model = draw(st.sampled_from([UOM, HOM, NOM, *LATCH_OFF]))
     tip = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
     fip = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
-    use_origins = draw(st.booleans())
     odd_integer_calls = draw(st.integers(min_value=0, max_value=3)) * 2 + 1
     waves = draw(st.integers(min_value=1, max_value=4))
-    return n, edges, seed, model, tip, fip, use_origins, odd_integer_calls, waves
+    return n, edges, seed, model, tip, fip, odd_integer_calls, waves
 
 
 def _population(n: int, seed: int, tip: list[int], fip: list[int]):
@@ -87,7 +86,7 @@ class TestDifferentialAgainstScalarWave:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_waves_match_reference(self, case):
-        n, edges, seed, model, tip, fip, use_origins, odd_calls, waves = case
+        n, edges, seed, model, tip, fip, odd_calls, waves = case
         g = Graph(n, edges)
         kernel = _population(n, seed, tip, fip)
         reference = copy.deepcopy(kernel)
@@ -96,14 +95,13 @@ class TestDifferentialAgainstScalarWave:
             kernel_rng.integers(0, 1000)
         assert kernel_rng.bit_generator.state["has_uint32"] == 1
         reference_rng = copy.deepcopy(kernel_rng)
-        origins = np.array(tip[::-1] + tip[:1]) if use_origins else None  # unsorted, repeated
         counters = WaveCounters()
         for wave in range(waves):
             party = Party.TRUE_PARTY if wave % 2 == 0 else Party.FALSE_PARTY
             frozen_before = int(np.count_nonzero(kernel.frozen))
             frozen_counted = counters.frozen
-            propagate_wave(kernel, g, party, model, kernel_rng, origins, counters=counters)
-            reference_wave.propagate_wave(reference, g, party, model, reference_rng, origins)
+            propagate_wave(kernel, g, party, model, kernel_rng, counters=counters)
+            reference_wave.propagate_wave(reference, g, party, model, reference_rng)
             _assert_same(kernel, reference, model, kernel_rng, reference_rng)
             newly_frozen = int(np.count_nonzero(kernel.frozen)) - frozen_before
             assert counters.frozen - frozen_counted == newly_frozen
