@@ -6,7 +6,9 @@ Not part of the test suite (the file is not named test_*.py). Run with
 
 and add --benchmark-autosave to keep the run under .benchmarks/.
 Each wave starts from the same mid-episode state: 25 seeds per party
-promoted on the bundled graph, three waves already run.
+promoted on the bundled graph, three waves already run. The batched wave
+runs that state as R = 10 lockstep replicas (stacked population, one
+generator each), the way `run_lockstep` does.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import pytest
 
 from drim.datasets import load_urv_email
 from drim.opinion import NOM, UOM, Opinion, fuse, trust_coefficient
-from drim.population import Party, init_population, promote_seed
+from drim.population import Party, init_population, promote_seed, stack_populations
 from drim.propagation import propagate_wave
 
 GRAPH = load_urv_email()
+REPLICAS = 10
 
 
 def _mid_episode(model):
@@ -31,7 +34,7 @@ def _mid_episode(model):
         promote_seed(state, user, Party.TRUE_PARTY if i % 2 else Party.FALSE_PARTY)
     rng = np.random.default_rng(2)
     for party in (Party.FALSE_PARTY, Party.TRUE_PARTY, Party.TRUE_PARTY):
-        propagate_wave(state, GRAPH, party, model, rng)
+        propagate_wave(state, GRAPH, party, model, (rng,))
     return state, rng
 
 
@@ -40,9 +43,20 @@ def test_one_wave(benchmark, model):
     state, rng = _mid_episode(model)
 
     def setup():
-        return (copy.deepcopy(state), GRAPH, Party.FALSE_PARTY, model, copy.deepcopy(rng)), {}
+        return (copy.deepcopy(state), GRAPH, Party.FALSE_PARTY, model, (copy.deepcopy(rng),)), {}
 
     benchmark.pedantic(propagate_wave, setup=setup, rounds=50, warmup_rounds=2)
+
+
+def test_one_batched_wave_uom(benchmark):
+    state, rng = _mid_episode(UOM)
+
+    def setup():
+        stacked = stack_populations([copy.deepcopy(state) for _ in range(REPLICAS)])
+        rngs = [copy.deepcopy(rng) for _ in range(REPLICAS)]
+        return (stacked, GRAPH, Party.FALSE_PARTY, UOM, rngs), {}
+
+    benchmark.pedantic(propagate_wave, setup=setup, rounds=20, warmup_rounds=2)
 
 
 def test_fuse_1k(benchmark):

@@ -9,17 +9,25 @@ per-run seeds derive from the master seed and the full coordinate
 tuple, so any spec re-run reproduces its result CSVs byte for byte
 (wall-clock timings live in a separate file). Per-run wave-kernel
 counters go to `counters.csv`, which is byte-reproducible too.
+
+A cell's runs are split into one contiguous batch per worker process
+(`worker_count()` bounds them), and each batch runs its episodes in
+lockstep (`propagation.run_lockstep`). Every result CSV is written
+atomically.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +35,14 @@ from drim.baselines import make_scheme_agent
 from drim.datasets import load_urv_email, urv_email_path
 from drim.network import Graph, ObservableGraph, full_view, load_edge_list
 from drim.opinion import TrustModel, TrustVariant
-from drim.propagation import EpisodeConfig, RoundLog, WaveCounters, run_episode
+from drim.propagation import (
+    Episode,
+    EpisodeConfig,
+    RoundLog,
+    WaveCounters,
+    run_episode,
+    run_lockstep,
+)
 from drim.rl import (
     PolicyAgent,
     PPOConfig,
@@ -161,7 +176,7 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 
 def worker_count() -> int:
-    """Parallel replicas: `DRIM_WORKERS` if set, else min(cpu count, 4)."""
+    """Worker processes: `DRIM_WORKERS` if set, else min(cpu count, 4)."""
     env = os.environ.get(WORKER_ENV_VAR)
     if env:
         try:
@@ -256,21 +271,25 @@ def _train_one(task: _TrainTask) -> None:
     train_policy(task.spec, task.scheme, task.fp, tp_path)
 
 
+def _missing_policies(
+    spec: ExperimentSpec, cells: list[tuple[Scheme, str]]
+) -> list[tuple[Scheme, str, Path]]:
+    """(scheme, fp, first missing policy file) of every distinct cell lacking one."""
+    missing = {}
+    for scheme, fp in cells:
+        paths = [path for path in policy_paths(spec, scheme, fp) if path is not None]
+        absent = [path for path in paths if not path.exists()]
+        if absent:
+            missing.setdefault(paths[0], (scheme, fp, absent[0]))
+    return list(missing.values())
+
+
 def ensure_policies(spec: ExperimentSpec, cells: list[tuple[Scheme, str]], workers: int | None = None) -> None:
     """Train (in parallel) any policies the given cells are missing."""
-    tasks = []
-    seen = set()
-    for scheme, fp in cells:
-        tp_path, fp_path = policy_paths(spec, scheme, fp)
-        if tp_path in seen:
-            continue
-        seen.add(tp_path)
-        if tp_path.exists() and (fp_path is None or fp_path.exists()):
-            continue
-        if not spec.auto_train:
-            raise FileNotFoundError(f"missing policy file {tp_path} (auto_train disabled)")
-        tasks.append(_TrainTask(spec, scheme, fp))
-    _parallel_map(_train_one, tasks, workers)
+    missing = _missing_policies(spec, cells)
+    if missing and not spec.auto_train:
+        raise FileNotFoundError(f"missing policy file {missing[0][2]} (auto_train disabled)")
+    _parallel_map(_train_one, [_TrainTask(spec, scheme, fp) for scheme, fp, _ in missing], workers)
 
 
 def load_cell_agents(spec: ExperimentSpec, scheme: Scheme, fp: str) -> tuple[Agent, Agent]:
@@ -292,20 +311,26 @@ def load_cell_agents(spec: ExperimentSpec, scheme: Scheme, fp: str) -> tuple[Age
 
 @dataclass
 class _EvalTask:
+    """One worker's share of a cell: its runs' configs, in run order."""
+
     graph: Graph
     observable: ObservableGraph | None
-    cfg: EpisodeConfig
+    cfgs: list[EpisodeConfig]
     tp_agent: Agent
     fp_agent: Agent
 
 
 def _run_eval(
     task: _EvalTask,
-) -> tuple[dict[str, float], float, list[RoundLog], WaveCounters]:
+) -> list[tuple[dict[str, float], float, list[RoundLog], WaveCounters]]:
+    """Run the task's episodes in lockstep. A lockstep episode has no wall
+    clock of its own, so each is timed as the batch's wall clock over
+    the batch size."""
     start = time.perf_counter()
-    ep = run_episode(task.graph, task.cfg, task.tp_agent, task.fp_agent, task.observable)
-    elapsed = time.perf_counter() - start
-    return ep.final_metrics(), elapsed, ep.logs, ep.counters
+    episodes = run_lockstep([Episode(task.graph, cfg, task.observable) for cfg in task.cfgs],
+                            task.tp_agent, task.fp_agent)
+    seconds = (time.perf_counter() - start) / len(episodes)
+    return [(ep.final_metrics(), seconds, ep.logs, ep.counters) for ep in episodes]
 
 
 def run_cell(
@@ -317,17 +342,20 @@ def run_cell(
     workers: int | None = None,
     observable: ObservableGraph | None = None,
 ) -> tuple[ResultRow, list[dict], list[float]]:
-    """Evaluate one cell: `spec.runs` episodes with derived seeds."""
+    """Evaluate one cell: `spec.runs` episodes with derived seeds, split
+    into one contiguous lockstep batch per worker."""
     cfg = spec.episode_config(sweep_value)
     tp_agent, fp_agent = load_cell_agents(spec, scheme, fp)
     coords = spec.coordinates(scheme, fp, sweep_value)
     if observable is None and cfg.p_nv >= 1.0:
         observable = full_view(graph)
-    tasks = []
-    for run in range(spec.runs):
-        seed = derive_seed(spec.master_seed, *coords, run)
-        tasks.append(_EvalTask(graph, observable, cfg.with_seed(seed), tp_agent, fp_agent))
-    outcomes = _parallel_map(_run_eval, tasks, workers)
+    workers = worker_count() if workers is None else workers
+    cfgs = [cfg.with_seed(derive_seed(spec.master_seed, *coords, run)) for run in range(spec.runs)]
+    tasks = [
+        _EvalTask(graph, observable, [cfgs[run] for run in batch], tp_agent, fp_agent)
+        for batch in np.array_split(np.arange(spec.runs), min(workers, spec.runs))
+    ]
+    outcomes = [o for batch in _parallel_map(_run_eval, tasks, workers) for o in batch]
     metrics = [m for m, _, _, _ in outcomes]
     seconds = [s for _, s, _, _ in outcomes]
     n_true = np.array([m["n_true"] for m in metrics])
@@ -363,17 +391,30 @@ def run_grid(
     workers: int | None = None,
 ) -> list[ResultRow]:
     """Evaluate a grid of cells sharing the spec's episode and training
-    configuration; write combined result CSVs into spec.out_dir."""
+    configuration; write combined result CSVs into spec.out_dir.
+
+    Missing policies are trained on the spec's dataset. A caller-supplied
+    graph must come with every policy already in place: a ValueError
+    naming the first missing file is raised before anything is trained.
+    """
     schemes = schemes or (spec.scheme,)
     opinion_models = opinion_models or (spec.opinion_model,)
     fp_strategies = fp_strategies or (spec.fp_strategy,)
+    cells = [(s, fp) for s in schemes for fp in fp_strategies]
+    if graph is not None:
+        for om in opinion_models:
+            missing = _missing_policies(replace(spec, opinion_model=om), cells)
+            if missing:
+                raise ValueError(
+                    f"missing policy file {missing[0][2]}: run_grid would train it on the "
+                    "spec's dataset, not on the graph passed in; train it first"
+                )
     graph = graph if graph is not None else load_graph(spec)
     points = list(spec.sweep_values) if spec.sweep_axis else [None]
     shared_view = full_view(graph)
 
     for om in opinion_models:
-        om_spec = replace(spec, opinion_model=om)
-        ensure_policies(om_spec, [(s, fp) for s in schemes for fp in fp_strategies], workers)
+        ensure_policies(replace(spec, opinion_model=om), cells, workers)
 
     rows: list[ResultRow] = []
     raw_rows: list[dict] = []
@@ -405,10 +446,17 @@ def run_grid(
 # CSV writers / readers
 # ----------------------------------------------------------------------
 
+@contextmanager
+def _atomic_csv(path: Path) -> Iterator:
+    """csv writer on a temp file that `atomic_write` moves onto path
+    when the block completes; if it raises, path is left as it was."""
+    with atomic_write(path) as fh, io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+        yield csv.writer(text, lineterminator="\n")
+
+
 def write_results_csv(path: Path, rows: list[ResultRow]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with _atomic_csv(path) as writer:
         writer.writerow(ResultRow.COLUMNS)
         for row in sorted(rows, key=lambda r: (r.scheme, r.opinion_model, r.fp_strategy,
                                                r.sweep_axis, r.sweep_value)):
@@ -439,8 +487,7 @@ def read_results_csv(path: Path) -> list[ResultRow]:
 def write_raw_csv(path: Path, raw_rows: list[dict]) -> None:
     cols = ("scheme", "opinion_model", "fp_strategy", "sweep_axis", "sweep_value",
             "run", "n_true", "n_false", "decided_n_true", "decided_n_false")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with _atomic_csv(path) as writer:
         writer.writerow(cols)
         for rec in raw_rows:
             writer.writerow([f"{rec[c]:g}" if isinstance(rec[c], float) else rec[c] for c in cols])
@@ -450,15 +497,14 @@ def write_counters_csv(path: Path, raw_rows: list[dict]) -> None:
     """Per-run wave-kernel counters (`WaveCounters`), keyed like raw_runs.csv."""
     cols = ("scheme", "opinion_model", "fp_strategy", "sweep_axis", "sweep_value",
             "run") + tuple(f.name for f in fields(WaveCounters))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with _atomic_csv(path) as writer:
         writer.writerow(cols)
         writer.writerows([rec[c] for c in cols] for rec in raw_rows)
 
 
 def write_timings_csv(path: Path, timing_rows: list[tuple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    """Per-run seconds: a lockstep batch's wall clock over its batch size."""
+    with _atomic_csv(path) as writer:
         writer.writerow(("scheme", "opinion_model", "fp_strategy", "sweep_axis",
                          "sweep_value", "run", "seconds"))
         for rec in timing_rows:
@@ -584,7 +630,8 @@ def bench_runtime(
     """Mean wall-clock seconds per evaluation episode for each scheme,
     also written to `bench.csv` in spec.out_dir.
 
-    Runs episodes+1 per scheme in-process and discards the first (warmup).
+    Runs episodes+1 per scheme in-process, one at a time (no lockstep
+    batch), and discards the first (warmup).
     """
     if episodes < 1:
         raise ValueError("bench needs at least one timed episode")
@@ -598,13 +645,12 @@ def bench_runtime(
         times = []
         for run in range(episodes + 1):
             seed = derive_seed(spec.master_seed, "bench", scheme.value, run)
-            task = _EvalTask(graph, observable, cfg.with_seed(seed), tp_agent, fp_agent)
-            _, elapsed, _, _ = _run_eval(task)
-            times.append(elapsed)
+            start = time.perf_counter()
+            run_episode(graph, cfg.with_seed(seed), tp_agent, fp_agent, observable)
+            times.append(time.perf_counter() - start)
         out[scheme.value] = float(np.mean(times[1:]))
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(spec.out_dir / "bench.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with _atomic_csv(spec.out_dir / "bench.csv") as writer:
         writer.writerow(("scheme", "mean_episode_seconds"))
         writer.writerows((scheme, f"{seconds:.6f}") for scheme, seconds in out.items())
     return out

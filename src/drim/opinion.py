@@ -51,6 +51,9 @@ _RENORM_TOL = 1e-12
 # Denominators smaller than this are treated as degenerate.
 _DEGENERATE_TOL = 1e-12
 
+# Smallest normal float: base rates closer than this to 0 or 1 are boundaries.
+_TINY = np.finfo(float).tiny
+
 
 class Opinion(NamedTuple):
     """A binomial subjective-logic opinion (b, d, u, a)."""
@@ -251,14 +254,16 @@ def vacuity_maximize(op) -> Opinion:
 
     Interior base rate: ü = min(P(b)/a, P(d)/(1-a)), b̈ = P(b) - a·ü,
     d̈ = P(d) - (1-a)·ü. At least one of b̈, d̈ is zero. At the boundaries
-    a = 0 and a = 1 the maximal vacuity is P(d) and P(b) respectively.
+    a = 0 and a = 1 the maximal vacuity is P(d) and P(b) respectively; a
+    base rate within the smallest normal float of a boundary counts as it.
     """
     pb, pd = project(op)
     a = op[3]
-    low, high = a <= 0.0, a >= 1.0
-    interior = (a > 0.0) & (a < 1.0)
-    with np.errstate(over="ignore"):  # a subnormal base rate sends P(b)/a to inf
-        u = np.minimum(pb / np.where(interior, a, 1.0), pd / np.where(interior, 1.0 - a, 1.0))
+    # A subnormal a (or 1 - a) counts as the boundary: there a·u underflows,
+    # so the interior formula would lose the vacuity it is meant to maximize.
+    low, high = a < _TINY, 1.0 - a < _TINY
+    interior = (a >= _TINY) & (1.0 - a >= _TINY)
+    u = np.minimum(pb / np.where(interior, a, 1.0), pd / np.where(interior, 1.0 - a, 1.0))
     b = np.maximum(0.0, pb - a * u)
     d = np.maximum(0.0, pd - (1.0 - a) * u)
     return Opinion(

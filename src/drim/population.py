@@ -102,6 +102,10 @@ class PopulationState:
         return pb, 1.0 - pb
 
 
+# The per-user arrays of a PopulationState (the last axis indexes users).
+_ARRAYS = ("bdua", "p_read", "p_share", "role", "frozen")
+
+
 def init_population(
     n: int,
     rng_seed: int | np.random.Generator,
@@ -128,6 +132,26 @@ def init_population(
     state.p_read = rng.choice(levels, size=n)
     state.p_share = rng.choice(levels, size=n)
     return state
+
+
+def stack_populations(states: list[PopulationState]) -> PopulationState:
+    """One state over the users of every state in `states` (all of one
+    size n), state r's users as r·n … r·n+n-1.
+
+    Each input is re-pointed at its slice of the stacked arrays (views),
+    so a write through either shows in both: per-replica code keeps
+    working on its own state while one kernel call updates them all.
+    """
+    n = states[0].n
+    if any(s.n != n for s in states):
+        raise ValueError("stacked populations must all have the same size")
+    stacked = PopulationState(n * len(states))
+    for name in _ARRAYS:
+        setattr(stacked, name, np.concatenate([getattr(s, name) for s in states], axis=-1))
+    for r, s in enumerate(states):
+        for name in _ARRAYS:
+            setattr(s, name, getattr(stacked, name)[..., r * n:(r + 1) * n])
+    return stacked
 
 
 def promote_seed(state: PopulationState, user: int, party: Party) -> None:

@@ -26,13 +26,25 @@ draws in blocks of exactly as many as are still certain to be needed,
 so the generator ends every wave in the same state as one scalar call
 per draw would leave it.
 
+Lockstep replicas: the kernel also runs R independent episodes at once
+(`run_lockstep`), the way vectorized RL environments step a batch
+(EnvPool, arXiv:2206.10558). Replica r owns users r·n … r·n+n-1 of one
+stacked population, and the wave runs over the disjoint union of R
+copies of the graph, read from the one CSR with ids offset by r·n; each
+level's reached users are split by replica, and replica r takes its
+draws from its own generator, so every replica sees exactly the draws
+and the fusions of its solo run. `Episode.step_with_kind` is the R = 1
+case.
+
 Rewards use decided influence counts (vacuity below 0.5) so that the
 all-undecided starting population contributes a zero baseline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass, fields, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -56,6 +68,7 @@ from drim.population import (
     influence_counts,
     init_population,
     promote_seed,
+    stack_populations,
 )
 from drim.strategies import Agent, StrategyKind, select_seed
 
@@ -112,10 +125,17 @@ class WaveCounters:
     degenerate: int = 0
 
 
+# WaveCounters fields, in order: the rows of the kernel's (fields, replicas) tally.
+_COUNTERS = tuple(f.name for f in fields(WaveCounters))
+_REACHED, _READS, _FUSIONS, _REFRESHES, _FROZEN, _DEGENERATE = range(len(_COUNTERS))
+
+
 def _read_share_draws(
-    rng: np.random.Generator, p_read: np.ndarray, p_share: np.ndarray
-) -> tuple[list[int], list[int]]:
-    """Positions of the reached users that read, and of those that share.
+    rng: np.random.Generator, p_read: list[float], p_share: list[float], t: int, m: int,
+    reads: list[int], shares: list[int],
+) -> None:
+    """Append the positions in [t, m) of the reached users that read to
+    reads, and of those that share to shares.
 
     Replays the draw-order contract over blocks of uniforms: a read draw
     per user and a share draw after each successful read. A block holds
@@ -123,11 +143,6 @@ def _read_share_draws(
     user, plus a share draw if one is due), so none is taken that the
     contract would not take.
     """
-    m = len(p_read)
-    p_read, p_share = p_read.tolist(), p_share.tolist()
-    reads: list[int] = []
-    shares: list[int] = []
-    t = 0
     share_due = False  # user t - 1 read and awaits its share draw
     while t < m or share_due:
         for x in rng.random(m - t + share_due).tolist():
@@ -140,7 +155,6 @@ def _read_share_draws(
                     reads.append(t)
                     share_due = True
                 t += 1
-    return reads, shares
 
 
 def _fuse_level(
@@ -150,35 +164,42 @@ def _fuse_level(
     slot: np.ndarray,
     end: np.ndarray,
     senders: np.ndarray,
-    counters: WaveCounters,
+    tally: np.ndarray,
+    n: int,
 ) -> None:
     """Fuse every reader's senders into it, one sender rank at a time.
 
     Reader ids[i] (none frozen) fuses senders[slot[i]:end[i]] in order
     and stops early at the fusion that freezes it. Results are written
     through to the state after every rank: within a level no reader is
-    anyone's sender, so no later fusion of the level reads them.
+    anyone's sender, so no later fusion of the level reads them. Totals
+    go to column ids // n of tally.
     """
     bdua, frozen = state.bdua, state.frozen
     rows = bdua[0], bdua[1], bdua[2], bdua[3]
     is_uom = model.variant is TrustVariant.UOM
     t_u = model.t_u
+    replicas = tally.shape[1]
+
+    def per_replica(users, weights=None):
+        return np.bincount(users // n, weights, replicas).astype(np.int64)
+
+    # Every fusion still to run; a halted reader gives back the rest below.
+    tally[_FUSIONS] += per_replica(ids, end - slot)
     while True:
         op_i = bdua.take(ids, axis=1)
         op_j = bdua.take(senders.take(slot), axis=1)
         if is_uom:
             due = refresh_due(op_i, model)
-            fired = int(np.count_nonzero(due))
-            if fired:
-                counters.refreshes += fired
+            if np.count_nonzero(due):
+                tally[_REFRESHES] += per_replica(ids[due])
                 maxed = vacuity_maximize(op_i)
                 op_i = np.array([np.where(due, x, y) for x, y in zip(maxed, op_i)])
         new = fuse(op_i, op_j, trust_coefficient(model, op_i, op_j))
-        counters.fusions += ids.size
         skipped = np.isnan(new.u)
         bad = int(np.count_nonzero(skipped))
         if bad:  # dogmatic pair slipped past the freeze latch: keep op_i
-            counters.degenerate += bad
+            tally[_DEGENERATE] += per_replica(ids[skipped])
             new = [np.where(skipped, y, x) for x, y in zip(new, op_i)]
         for row, x in zip(rows, new):
             row[ids] = x
@@ -189,10 +210,11 @@ def _fuse_level(
             stop &= ~skipped
         if np.count_nonzero(stop):
             stop &= ~refresh_due(new, model)
-            halted = int(np.count_nonzero(stop))
-            if halted:
-                frozen[ids[stop]] = True
-                counters.frozen += halted
+            if np.count_nonzero(stop):
+                halted = ids[stop]
+                frozen[halted] = True
+                tally[_FROZEN] += per_replica(halted)
+                tally[_FUSIONS] -= per_replica(halted, end[stop] - slot[stop])
                 more &= ~stop
         left = np.count_nonzero(more)
         if left == 0:
@@ -206,17 +228,24 @@ def propagate_wave(
     g: Graph,
     party: Party,
     model: TrustModel,
-    rng: np.random.Generator,
-    counters: WaveCounters | None = None,
+    rngs: Sequence[np.random.Generator],
+    counters: Sequence[WaveCounters] | None = None,
 ) -> PopulationState:
     """Run one BFS information wave from the party's seed set (in place).
 
-    counters, when given, accumulate the wave's totals.
+    state holds R = len(rngs) replicas of g's users: replica r owns users
+    r·n … r·n+n-1 (n = g.n), its edges are g's shifted by r·n, and
+    rngs[r] takes its draws. counters, when given, hold one
+    `WaveCounters` per replica, and accumulate the wave's totals.
     """
+    replicas, n = len(rngs), g.n
+    if state.n != replicas * n:
+        raise ValueError(f"{replicas} replicas of {n} users, but the state holds {state.n}")
     sharers = state.seed_ids(party)
     if sharers.size == 0:
         return state
-    counters = counters if counters is not None else WaveCounters()
+    cuts = np.arange(1, replicas) * n  # first user of every replica but the first
+    tally = np.zeros((len(_COUNTERS), replicas), dtype=np.int64)
     indptr, indices = g.indptr, g.indices
     frozen = state.frozen
 
@@ -226,13 +255,16 @@ def propagate_wave(
 
     while sharers.size:
         # (target, sender) pairs in frontier order, then grouped by target
-        starts = indptr.take(sharers)
-        degree = indptr.take(sharers + 1) - starts
+        local = sharers % n if replicas > 1 else sharers  # ids in g
+        starts = indptr.take(local)
+        degree = indptr.take(local + 1) - starts
         ends = degree.cumsum()
         if ends[-1] == 0:
             break
         slots = np.arange(ends[-1]) + (starts - (ends - degree)).repeat(degree)
         targets = indices.take(slots)
+        if replicas > 1:  # back to the sender's replica: + r·n
+            targets += (sharers - local).repeat(degree)
         fresh = (~visited.take(targets)).nonzero()[0]
         if fresh.size == 0:
             break
@@ -247,17 +279,29 @@ def propagate_wave(
         reached = targets.take(bounds[:-1])
         visited[reached] = True
 
-        reads, shares = _read_share_draws(rng, state.p_read.take(reached),
-                                          state.p_share.take(reached))
-        counters.reached += reached.size
-        counters.reads += len(reads)
+        # reached is ascending, so each replica's users are one segment of it
+        segments = [0, *reached.searchsorted(cuts).tolist(), reached.size]
+        p_read = state.p_read.take(reached).tolist()
+        p_share = state.p_share.take(reached).tolist()
+        reads: list[int] = []
+        shares: list[int] = []
+        for r, (lo, hi) in enumerate(zip(segments, segments[1:])):
+            if lo < hi:
+                before = len(reads)
+                _read_share_draws(rngs[r], p_read, p_share, lo, hi, reads, shares)
+                tally[_READS, r] += len(reads) - before
+        tally[_REACHED] += np.diff(segments)
         if reads:
             reads = np.array(reads)
             reads = reads.take((~frozen.take(reached.take(reads))).nonzero()[0])
             if reads.size:
                 _fuse_level(state, model, reached.take(reads), bounds.take(reads),
-                            bounds.take(reads + 1), senders, counters)
+                            bounds.take(reads + 1), senders, tally, n)
         sharers = reached.take(shares) if shares else reached[:0]
+    if counters is not None:
+        for c, column in zip(counters, tally.T.tolist()):
+            for name, x in zip(_COUNTERS, column):
+                setattr(c, name, getattr(c, name) + x)
     return state
 
 
@@ -362,12 +406,25 @@ class Episode:
         first, so its t=1 reward compares against the pre-game baseline
         n_0; the true party's first reward is at t=2, also against n_0.
         """
+        fired, seed = self._promote(party, kind, pool_mask)
+        for _ in range(self._waves(party)):
+            propagate_wave(self.pop, self.graph, party, self.model, (self.rng,),
+                           (self.counters,))
+        return self._close_step(party, fired, seed)
+
+    def _promote(
+        self, party: Party, kind: StrategyKind, pool_mask: np.ndarray | None
+    ) -> tuple[str, int]:
+        """First half of a step: resolve and promote the seed; (fired, seed)."""
         fired, seed = self.resolve_seed(kind, party, pool_mask)
         promote_seed(self.pop, seed, party)
-        waves = self.cfg.p_f if party is Party.FALSE_PARTY else self.cfg.p_t
-        for _ in range(waves):
-            propagate_wave(self.pop, self.graph, party, self.model, self.rng,
-                           counters=self.counters)
+        return fired, seed
+
+    def _waves(self, party: Party) -> int:
+        return self.cfg.p_f if party is Party.FALSE_PARTY else self.cfg.p_t
+
+    def _close_step(self, party: Party, fired: str, seed: int) -> RoundLog:
+        """Second half of a step, after the waves: counts, reward, log."""
         self.t += 1
         nt, nf = decided_influence_counts(self.pop)
         self.n_true_series.append(nt)
@@ -416,3 +473,41 @@ def run_episode(
     ep = Episode(graph, cfg, observable)
     ep.run(tp_agent, fp_agent)
     return ep
+
+
+def run_lockstep(episodes: list[Episode], tp_agent: Agent, fp_agent: Agent) -> list[Episode]:
+    """Run fresh episodes of one graph and scenario in lockstep (in place).
+
+    The episodes may differ only in their seeds. Their populations are
+    stacked (each `Episode.pop` becomes a view of its slice), and each of
+    a party's waves is one `propagate_wave` call over all of them, each
+    replica drawing from its own generator.
+    Seed selection, rewards and logs stay per episode, and every episode
+    gets its own copy of both agents, so per-episode agent state (C-STORM
+    community labels) stays per replica. Every episode ends exactly as
+    `Episode.run` alone would leave it.
+    """
+    first = episodes[0]
+    shared = (first.cfg.k, first.cfg.p_t, first.cfg.p_f, first.model)
+    for ep in episodes:
+        if ep.graph is not first.graph or (ep.cfg.k, ep.cfg.p_t, ep.cfg.p_f, ep.model) != shared:
+            raise ValueError("lockstep episodes must share the graph and the scenario")
+    pop = stack_populations([ep.pop for ep in episodes])
+    rngs = [ep.rng for ep in episodes]
+    counters = [ep.counters for ep in episodes]
+    agents = [{Party.TRUE_PARTY: copy.deepcopy(tp_agent),
+               Party.FALSE_PARTY: copy.deepcopy(fp_agent)} for _ in episodes]
+    for ep, agent in zip(episodes, agents):
+        agent[Party.TRUE_PARTY].begin_episode(ep, Party.TRUE_PARTY)
+        agent[Party.FALSE_PARTY].begin_episode(ep, Party.FALSE_PARTY)
+    for _ in range(first.cfg.k):
+        for party in (Party.FALSE_PARTY, Party.TRUE_PARTY):
+            steps = []
+            for ep, agent in zip(episodes, agents):
+                kind = agent[party].select(ep, party)
+                steps.append(ep._promote(party, kind, agent[party].candidate_pool(ep, party)))
+            for _ in range(first._waves(party)):
+                propagate_wave(pop, first.graph, party, first.model, rngs, counters)
+            for ep, (fired, seed) in zip(episodes, steps):
+                ep._close_step(party, fired, seed)
+    return episodes

@@ -3,7 +3,8 @@
 This is the per-pair wave loop and the scalar opinion operators that
 drim used before the level-synchronous kernel, kept verbatim except that
 adjacency lists are rebuilt here from the graph's edge arrays (the Graph
-no longer stores them). Tests run it side by side with
+no longer stores them) and that a subnormal base rate takes the boundary
+branch of `vacuity_maximize`, as it does in `drim.opinion`. Tests run it side by side with
 `drim.propagation.propagate_wave` and `drim.opinion`, and require equal
 results and an equal generator state.
 """
@@ -11,12 +12,14 @@ results and an equal generator state.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from drim.network import Graph
 from drim.opinion import Opinion, TrustModel, TrustVariant
 from drim.population import Party, PopulationState, Role
+from drim.propagation import WaveCounters
 
 _RENORM_TOL = 1e-12
 _DEGENERATE_TOL = 1e-12
@@ -136,9 +139,10 @@ def vacuity_maximize(op: Opinion) -> Opinion:
     """
     pb, pd = project(op)
     a = op.a
-    if a <= 0.0:
+    tiny = sys.float_info.min  # a subnormal a (or 1 - a) counts as the boundary
+    if a < tiny:
         return Opinion(pb, 0.0, pd, a)
-    if a >= 1.0:
+    if 1.0 - a < tiny:
         return Opinion(0.0, pd, pb, a)
     u = min(pb / a, pd / (1.0 - a))
     b = max(0.0, pb - a * u)
@@ -167,11 +171,17 @@ def propagate_wave(
     party: Party,
     model: TrustModel,
     rng: np.random.Generator,
+    counters: WaveCounters | None = None,
 ) -> PopulationState:
-    """Run one BFS information wave from the party's seed set (in place)."""
+    """Run one BFS information wave from the party's seed set (in place).
+
+    counters, when given, count what the kernel's `WaveCounters` count,
+    one event at a time.
+    """
     sharers = [int(s) for s in state.seed_ids(party)]
     if not sharers:
         return state
+    counters = counters if counters is not None else WaveCounters()
 
     adjacency = _adjacency(g)
     b, d, u, a = state.b, state.d, state.u, state.a
@@ -199,23 +209,30 @@ def propagate_wave(
         next_sharers: list[int] = []
         for tgt in sorted(targets):
             visited[tgt] = True
+            counters.reached += 1
             if rng.random() >= p_read[tgt]:
                 continue
+            counters.reads += 1
             if not frozen[tgt]:
                 op_i = Opinion(b[tgt], d[tgt], u[tgt], a[tgt])
                 for snd in targets[tgt]:
                     op_j = Opinion(b[snd], d[snd], u[snd], a[snd])
                     if is_uom:
-                        op_i = apply_uom_refresh(op_i, model)
+                        refreshed = apply_uom_refresh(op_i, model)
+                        counters.refreshes += refreshed is not op_i
+                        op_i = refreshed
                     c = trust_coefficient(model, op_i, op_j)
+                    counters.fusions += 1
                     try:
                         op_i = fuse(op_i, op_j, c)
                     except ValueError:
+                        counters.degenerate += 1
                         continue  # dogmatic pair slipped past the freeze latch
                     if op_i.u <= t_u and not (
                         is_uom and op_i.u < xi and dissonance(op_i) > t_d
                     ):
                         frozen[tgt] = True
+                        counters.frozen += 1
                         break
                 b[tgt], d[tgt], u[tgt], a[tgt] = op_i
             if rng.random() < p_share[tgt]:

@@ -23,8 +23,11 @@ from drim.harness import (
     read_results_csv,
     run_grid,
     worker_count,
+    write_counters_csv,
+    write_raw_csv,
     write_results_csv,
     write_roundlog_csv,
+    write_timings_csv,
 )
 from drim.opinion import NOM
 from drim.propagation import EpisodeConfig, run_episode
@@ -394,3 +397,30 @@ class TestAuxCsvWriters:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "episode,t,party,strategy,seed_id,n_true,n_false,reward"
         assert len(lines) == 1 + 4  # 2 rounds x 2 parties
+
+
+class TestAtomicResultCsvs:
+    """A result CSV write that raises midway leaves the previous file and
+    no temp file behind."""
+
+    GOOD_RAW = {"scheme": "drim-a", "opinion_model": "uom", "fp_strategy": "cf",
+                "sweep_axis": "none", "sweep_value": "none", "run": 0, "n_true": 1.0,
+                "n_false": 2.0, "decided_n_true": 0.0, "decided_n_false": 1.0,
+                "reached": 3, "reads": 2, "fusions": 1, "refreshes": 0, "frozen": 0,
+                "degenerate": 0}
+
+    @pytest.mark.parametrize("name, write, good, bad", [
+        ("results.csv", write_results_csv, synthetic_rows(), [object()]),
+        ("raw_runs.csv", write_raw_csv, [GOOD_RAW], [{"scheme": "x"}]),
+        ("counters.csv", write_counters_csv, [GOOD_RAW], [{"scheme": "x"}]),
+        ("timings.csv", write_timings_csv, [("a", "b", "c", "d", "e", 0, 0.5)], [("x",)]),
+    ])
+    def test_failed_write_keeps_previous_file(self, tmp_path, name, write, good, bad):
+        path = tmp_path / name
+        write(path, good)
+        before = path.read_bytes()
+        assert before.count(b"\n") == 1 + len(good)
+        with pytest.raises((AttributeError, KeyError, ValueError)):
+            write(path, good * 50 + bad)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]

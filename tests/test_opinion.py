@@ -272,6 +272,17 @@ class TestVacuityMaximize:
         assert min(got.b, got.d) == pytest.approx(0.0, abs=TOL)
         assert got.u >= op.u - TOL
 
+    @pytest.mark.parametrize("a", [5e-324, 1e-310, 0.0])
+    def test_subnormal_base_rate_keeps_vacuity(self, a):
+        # P(b) = a·u underflows to 0 at a subnormal base rate; the result
+        # must still be the boundary maximum, not u = 0.
+        op = Opinion(0.0, 0.5, 0.5, a)
+        got = vacuity_maximize(op)
+        assert_valid(got)
+        assert got.u >= op.u
+        assert got.d == 0.0 and got.u == pytest.approx(1.0, abs=TOL)
+        assert project(got)[0] == pytest.approx(project(op)[0], abs=TOL)
+
 
 class TestUomRefresh:
     def test_fires_on_low_vacuity_high_dissonance(self):

@@ -63,7 +63,7 @@ class TestPropagateWave:
         expect_1 = fuse(fresh, tip, trust_coefficient(NOM, fresh, tip))
         expect_2 = fuse(fresh, expect_1, trust_coefficient(NOM, fresh, expect_1))
 
-        propagate_wave(state, g, Party.TRUE_PARTY, NOM, np.random.default_rng(0))
+        propagate_wave(state, g, Party.TRUE_PARTY, NOM, (np.random.default_rng(0),))
         got_1 = state.get_opinion(1)
         got_2 = state.get_opinion(2)
         for got, expect in ((got_1, expect_1), (got_2, expect_2)):
@@ -78,7 +78,7 @@ class TestPropagateWave:
         state.p_read[:] = 0.0
         promote_seed(state, 0, Party.TRUE_PARTY)
         before = state.b.copy(), state.d.copy(), state.u.copy()
-        propagate_wave(state, g, Party.TRUE_PARTY, NOM, np.random.default_rng(0))
+        propagate_wave(state, g, Party.TRUE_PARTY, NOM, (np.random.default_rng(0),))
         assert np.array_equal(state.b[1:], before[0][1:])
         assert np.array_equal(state.u[1:], before[2][1:])
 
@@ -87,14 +87,14 @@ class TestPropagateWave:
         state = all_on_population(3)
         promote_seed(state, 0, Party.TRUE_PARTY)
         before = state.u.copy()
-        propagate_wave(state, g, Party.TRUE_PARTY, NOM, np.random.default_rng(0))
+        propagate_wave(state, g, Party.TRUE_PARTY, NOM, (np.random.default_rng(0),))
         assert np.array_equal(state.u[1:], before[1:])
 
     def test_no_seed_is_noop(self):
         g = path_graph(3)
         state = all_on_population(3)
         before = state.u.copy()
-        propagate_wave(state, g, Party.TRUE_PARTY, NOM, np.random.default_rng(0))
+        propagate_wave(state, g, Party.TRUE_PARTY, NOM, (np.random.default_rng(0),))
         assert np.array_equal(state.u, before)
 
     def test_wave_covers_exactly_the_seed_component(self):
@@ -102,7 +102,7 @@ class TestPropagateWave:
         state = all_on_population(6)
         promote_seed(state, 0, Party.TRUE_PARTY)
         fresh_u = state.u[3]
-        propagate_wave(state, g, Party.TRUE_PARTY, NOM, np.random.default_rng(0))
+        propagate_wave(state, g, Party.TRUE_PARTY, NOM, (np.random.default_rng(0),))
         assert state.u[1] < fresh_u and state.u[2] < fresh_u
         assert state.u[3] == fresh_u and state.u[4] == fresh_u and state.u[5] == fresh_u
 
@@ -113,7 +113,7 @@ class TestPropagateWave:
         promote_seed(state, 1, Party.FALSE_PARTY)
         fip_before = state.get_opinion(1)
         fresh_u = state.u[2]
-        propagate_wave(state, g, Party.TRUE_PARTY, NOM, np.random.default_rng(0))
+        propagate_wave(state, g, Party.TRUE_PARTY, NOM, (np.random.default_rng(0),))
         assert state.get_opinion(1) == fip_before
         assert state.u[2] == fresh_u  # the wave stops at the inert opponent seed
 
@@ -124,7 +124,7 @@ class TestPropagateWave:
         state.frozen[1] = True
         frozen_before = state.get_opinion(1)
         fresh = state.get_opinion(2)
-        propagate_wave(state, g, Party.TRUE_PARTY, NOM, np.random.default_rng(0))
+        propagate_wave(state, g, Party.TRUE_PARTY, NOM, (np.random.default_rng(0),))
         assert state.get_opinion(1) == frozen_before
         # node 2 received node 1's (unchanged) fresh-ish opinion
         expect = fuse(fresh, frozen_before, trust_coefficient(NOM, fresh, frozen_before))
@@ -141,7 +141,7 @@ class TestPropagateWave:
         tip = state.get_opinion(0)
         expect = fuse(fresh, tip, trust_coefficient(NOM, fresh, tip))
         expect = fuse(expect, tip, trust_coefficient(NOM, expect, tip))
-        propagate_wave(state, g, Party.TRUE_PARTY, NOM, np.random.default_rng(0))
+        propagate_wave(state, g, Party.TRUE_PARTY, NOM, (np.random.default_rng(0),))
         for x, y in zip(state.get_opinion(2), expect):
             assert x == pytest.approx(y, abs=TOL)
 
@@ -152,7 +152,7 @@ class TestPropagateWave:
         promote_seed(state, 0, Party.TRUE_PARTY)
         tip = state.get_opinion(0)
         fresh = state.get_opinion(2)
-        propagate_wave(state, g, Party.TRUE_PARTY, NOM, np.random.default_rng(0))
+        propagate_wave(state, g, Party.TRUE_PARTY, NOM, (np.random.default_rng(0),))
         # node 2 is reached by senders 1 and 3 in one layer: two fusions, one read
         op1 = fuse(fresh, tip, trust_coefficient(NOM, fresh, tip))
         got = state.get_opinion(2)

@@ -6,7 +6,8 @@ Oracles:
     of the same generator must leave identical roles, freeze latches and
     generator state, and equal opinions: bit for bit under UOM and NOM,
     within a few ulp under HOM (`np.hypot` and `math.hypot` disagree by
-    one ulp on some inputs);
+    one ulp on some inputs), and equal `WaveCounters`, counted here per
+    event;
   - goldens: results.csv / raw_runs.csv of small fixed specs, written by
     the scalar implementation, must come out byte for byte.
 """
@@ -95,14 +96,16 @@ class TestDifferentialAgainstScalarWave:
             kernel_rng.integers(0, 1000)
         assert kernel_rng.bit_generator.state["has_uint32"] == 1
         reference_rng = copy.deepcopy(kernel_rng)
-        counters = WaveCounters()
+        counters, reference_counters = WaveCounters(), WaveCounters()
         for wave in range(waves):
             party = Party.TRUE_PARTY if wave % 2 == 0 else Party.FALSE_PARTY
             frozen_before = int(np.count_nonzero(kernel.frozen))
             frozen_counted = counters.frozen
-            propagate_wave(kernel, g, party, model, kernel_rng, counters=counters)
-            reference_wave.propagate_wave(reference, g, party, model, reference_rng)
+            propagate_wave(kernel, g, party, model, (kernel_rng,), counters=(counters,))
+            reference_wave.propagate_wave(reference, g, party, model, reference_rng,
+                                          counters=reference_counters)
             _assert_same(kernel, reference, model, kernel_rng, reference_rng)
+            assert counters == reference_counters
             newly_frozen = int(np.count_nonzero(kernel.frozen)) - frozen_before
             assert counters.frozen - frozen_counted == newly_frozen
         assert counters.reads <= counters.reached
@@ -124,7 +127,7 @@ class TestDifferentialAgainstScalarWave:
         kernel_rng, reference_rng = np.random.default_rng(8), np.random.default_rng(8)
         for wave in range(12):
             party = Party.TRUE_PARTY if wave % 3 else Party.FALSE_PARTY
-            propagate_wave(kernel, g, party, model, kernel_rng)
+            propagate_wave(kernel, g, party, model, (kernel_rng,))
             reference_wave.propagate_wave(reference, g, party, model, reference_rng)
             _assert_same(kernel, reference, model, kernel_rng, reference_rng)
 
@@ -142,8 +145,8 @@ class TestDegenerateFusion:
         state.b[1:], state.d[1:], state.u[1:] = [1.0, 0.0], [0.0, 1.0], 0.0
         reference = copy.deepcopy(state)
         counters = WaveCounters()
-        propagate_wave(state, g, Party.TRUE_PARTY, model, np.random.default_rng(0),
-                       counters=counters)
+        propagate_wave(state, g, Party.TRUE_PARTY, model, (np.random.default_rng(0),),
+                       counters=(counters,))
         reference_wave.propagate_wave(reference, g, Party.TRUE_PARTY, model,
                                       np.random.default_rng(0))
         assert counters.degenerate == 1
