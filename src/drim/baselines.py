@@ -60,18 +60,15 @@ class CommunityAgent(Agent):
         return self.restriction.pool(episode)
 
 
-def cstorm_agent(params, communities: int = DEFAULT_COMMUNITIES) -> Agent:
-    """Evaluation agent for C-STORM: STORM restricted to the best community."""
-    from drim.rl import PolicyAgent
-
-    inner = PolicyAgent(params, action_space(Scheme.C_STORM))
-    return CommunityAgent(inner, CommunityRestriction(communities))
+def scheme_agent(scheme: Scheme, agent: Agent, communities: int = DEFAULT_COMMUNITIES) -> Agent:
+    """agent as the scheme plays it: C-STORM restricts it to the best community."""
+    if scheme is Scheme.C_STORM:
+        return CommunityAgent(agent, CommunityRestriction(communities))
+    return agent
 
 
 def make_scheme_agent(scheme: Scheme, params, communities: int = DEFAULT_COMMUNITIES) -> Agent:
     """Evaluation agent for any scheme from trained parameters."""
     from drim.rl import PolicyAgent
 
-    if scheme is Scheme.C_STORM:
-        return cstorm_agent(params, communities)
-    return PolicyAgent(params, action_space(scheme))
+    return scheme_agent(scheme, PolicyAgent(params, action_space(scheme)), communities)

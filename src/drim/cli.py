@@ -39,7 +39,8 @@ def _add_common_overrides(p: argparse.ArgumentParser, with_out_dir: bool = True)
     p.add_argument("--p-f", dest="p_f", type=int)
     p.add_argument("--p-nv", dest="p_nv", type=float)
     p.add_argument("--prior-a", dest="prior_a", type=float)
-    p.add_argument("--workers", type=int, help="parallel replicas (default: env/cpu)")
+    p.add_argument("--workers", type=int,
+                   help="worker processes (default: $DRIM_WORKERS, else min(cpus, 4))")
     for key in ("updates", "rollout-episodes", "epochs", "hidden",
                 "selfplay-updates-per-side", "selfplay-alternations"):
         p.add_argument(f"--{key}", dest=key.replace("-", "_"), type=int)

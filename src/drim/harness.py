@@ -18,6 +18,7 @@ atomically.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import io
@@ -25,7 +26,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -106,6 +107,8 @@ class ExperimentSpec:
                 self.sweep_values = SWEEP_DEFAULTS[self.sweep_axis]
             if not self.sweep_values:
                 raise ValueError("sweep grid must be nonempty")
+        for value in self.sweep_values or (None,):
+            self.episode_config(value)  # rejects a bad scenario before anything runs
         self.out_dir = Path(self.out_dir)
         if self.policy_dir is None:
             self.policy_dir = self.out_dir / "policies"
@@ -175,8 +178,13 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-def worker_count() -> int:
-    """Worker processes: `DRIM_WORKERS` if set, else min(cpu count, 4)."""
+def worker_count(workers: int | None = None) -> int:
+    """Worker processes: `workers` if given, else `DRIM_WORKERS` if set,
+    else min(cpu count, 4)."""
+    if workers is not None:
+        if workers < 1:
+            raise ValueError(f"workers={workers!r} is not an integer >= 1")
+        return workers
     env = os.environ.get(WORKER_ENV_VAR)
     if env:
         try:
@@ -190,7 +198,7 @@ def worker_count() -> int:
 
 
 def _parallel_map(fn, items: list, workers: int | None = None) -> list:
-    workers = worker_count() if workers is None else workers
+    workers = worker_count(workers)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
@@ -211,14 +219,12 @@ def _policy_tag(spec: ExperimentSpec) -> str:
     """Hash of what determines a policy besides its cell and master seed:
     the PPO and training-episode settings and the edge-list file's bytes
     (the bundled file when the spec names no dataset)."""
-    ppo, cfg = spec.ppo, spec.episode_config()
+    cfg = spec.episode_config()
     dataset = urv_email_path() if spec.dataset is None else Path(spec.dataset)
     text = "|".join(
         str(x)
         for x in (
-            ppo.gamma, ppo.clip_epsilon, ppo.epochs, ppo.actor_lr, ppo.critic_lr,
-            ppo.rollout_episodes, ppo.updates, ppo.entropy_coef, ppo.hidden,
-            ppo.selfplay_updates_per_side, ppo.selfplay_alternations,
+            *astuple(spec.ppo),
             cfg.k, cfg.p_t, cfg.p_f, cfg.p_nv, cfg.prior_a,
             hashlib.sha256(dataset.read_bytes()).hexdigest(),
         )
@@ -323,12 +329,13 @@ class _EvalTask:
 def _run_eval(
     task: _EvalTask,
 ) -> list[tuple[dict[str, float], float, list[RoundLog], WaveCounters]]:
-    """Run the task's episodes in lockstep. A lockstep episode has no wall
-    clock of its own, so each is timed as the batch's wall clock over
-    the batch size."""
+    """Run the task's episodes in lockstep, each with its own copies of
+    the cell's agents. A lockstep episode has no wall clock of its own,
+    so each is timed as the batch's wall clock over the batch size."""
     start = time.perf_counter()
-    episodes = run_lockstep([Episode(task.graph, cfg, task.observable) for cfg in task.cfgs],
-                            task.tp_agent, task.fp_agent)
+    episodes = [Episode(task.graph, cfg, task.observable) for cfg in task.cfgs]
+    agents = [(copy.deepcopy(task.tp_agent), copy.deepcopy(task.fp_agent)) for _ in episodes]
+    run_lockstep(episodes, agents)
     seconds = (time.perf_counter() - start) / len(episodes)
     return [(ep.final_metrics(), seconds, ep.logs, ep.counters) for ep in episodes]
 
@@ -349,7 +356,7 @@ def run_cell(
     coords = spec.coordinates(scheme, fp, sweep_value)
     if observable is None and cfg.p_nv >= 1.0:
         observable = full_view(graph)
-    workers = worker_count() if workers is None else workers
+    workers = worker_count(workers)
     cfgs = [cfg.with_seed(derive_seed(spec.master_seed, *coords, run)) for run in range(spec.runs)]
     tasks = [
         _EvalTask(graph, observable, [cfgs[run] for run in batch], tp_agent, fp_agent)
@@ -513,8 +520,7 @@ def write_timings_csv(path: Path, timing_rows: list[tuple]) -> None:
 
 def write_roundlog_csv(path: Path, episode_logs: list[tuple[int, list[RoundLog]]]) -> None:
     """Per-step audit export: episode, t, party, strategy, seed, counts, reward."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with _atomic_csv(path) as writer:
         writer.writerow(("episode", "t", "party", "strategy", "seed_id",
                          "n_true", "n_false", "reward"))
         for episode_idx, logs in episode_logs:
@@ -610,8 +616,7 @@ def emit_report(results_dirs: list[str | Path], layout: str, out_path: Path) -> 
 
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with _atomic_csv(out_path) as writer:
         writer.writerow(header)
         writer.writerows(lines)
     return out_path

@@ -40,10 +40,6 @@ class Party(Enum):
     TRUE_PARTY = "tp"
     FALSE_PARTY = "fp"
 
-    @property
-    def opponent(self) -> "Party":
-        return Party.FALSE_PARTY if self is Party.TRUE_PARTY else Party.TRUE_PARTY
-
 
 class PopulationState:
     """Mutable per-replica user state.

@@ -33,8 +33,10 @@ stacked population, and the wave runs over the disjoint union of R
 copies of the graph, read from the one CSR with ids offset by r·n; each
 level's reached users are split by replica, and replica r takes its
 draws from its own generator, so every replica sees exactly the draws
-and the fusions of its solo run. `Episode.step_with_kind` is the R = 1
-case.
+and the fusions of its solo run. `run_lockstep` is the only round loop:
+`run_episode` is its R = 1 case, evaluation runs a worker's share of a
+cell through it, and PPO training runs each update's rollout episodes
+through it with the learner as one of the agents.
 
 Rewards use decided influence counts (vacuity below 0.5) so that the
 all-undecided starting population contributes a zero baseline.
@@ -42,7 +44,6 @@ all-undecided starting population contributes a zero baseline.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
@@ -88,6 +89,10 @@ class EpisodeConfig:
     def __post_init__(self) -> None:
         if self.k < 1 or self.p_t < 1 or self.p_f < 1:
             raise ValueError("k, p_t, p_f must all be >= 1")
+        for name in ("p_nv", "prior_a"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
     def with_seed(self, rng_seed: int) -> "EpisodeConfig":
         return replace(self, rng_seed=rng_seed)
@@ -396,35 +401,14 @@ class Episode:
             return self.resolve_seed(kind, party, None)
         raise RuntimeError("no legitimate users left to seed")
 
-    def step_with_kind(
-        self, party: Party, kind: StrategyKind, pool_mask: np.ndarray | None = None
-    ) -> RoundLog:
-        """Promote one seed by strategy and run the party's waves.
+    def close_step(self, party: Party, fired: str, seed: int) -> RoundLog:
+        """Close a party's step once its waves have run: counts, reward, log.
 
         The reward is the net change of the party's decided count since
         its own previous step: n_t - n_{t-2}. The false party moves
         first, so its t=1 reward compares against the pre-game baseline
         n_0; the true party's first reward is at t=2, also against n_0.
         """
-        fired, seed = self._promote(party, kind, pool_mask)
-        for _ in range(self._waves(party)):
-            propagate_wave(self.pop, self.graph, party, self.model, (self.rng,),
-                           (self.counters,))
-        return self._close_step(party, fired, seed)
-
-    def _promote(
-        self, party: Party, kind: StrategyKind, pool_mask: np.ndarray | None
-    ) -> tuple[str, int]:
-        """First half of a step: resolve and promote the seed; (fired, seed)."""
-        fired, seed = self.resolve_seed(kind, party, pool_mask)
-        promote_seed(self.pop, seed, party)
-        return fired, seed
-
-    def _waves(self, party: Party) -> int:
-        return self.cfg.p_f if party is Party.FALSE_PARTY else self.cfg.p_t
-
-    def _close_step(self, party: Party, fired: str, seed: int) -> RoundLog:
-        """Second half of a step, after the waves: counts, reward, log."""
         self.t += 1
         nt, nf = decided_influence_counts(self.pop)
         self.n_true_series.append(nt)
@@ -435,22 +419,6 @@ class Episode:
         entry = RoundLog(self.t, party, seed, fired, nt, nf, reward)
         self.logs.append(entry)
         return entry
-
-    def run_party_step(self, party: Party, agent: Agent) -> RoundLog:
-        kind = agent.select(self, party)
-        return self.step_with_kind(party, kind, agent.candidate_pool(self, party))
-
-    def run_round(self, tp_agent: Agent, fp_agent: Agent) -> tuple[RoundLog, RoundLog]:
-        fp_entry = self.run_party_step(Party.FALSE_PARTY, fp_agent)
-        tp_entry = self.run_party_step(Party.TRUE_PARTY, tp_agent)
-        return fp_entry, tp_entry
-
-    def run(self, tp_agent: Agent, fp_agent: Agent) -> list[RoundLog]:
-        tp_agent.begin_episode(self, Party.TRUE_PARTY)
-        fp_agent.begin_episode(self, Party.FALSE_PARTY)
-        for _ in range(self.cfg.k):
-            self.run_round(tp_agent, fp_agent)
-        return self.logs
 
     def final_metrics(self) -> dict[str, float]:
         n_true, n_false = influence_counts(self.pop)
@@ -470,44 +438,48 @@ def run_episode(
     fp_agent: Agent,
     observable: ObservableGraph | None = None,
 ) -> Episode:
-    ep = Episode(graph, cfg, observable)
-    ep.run(tp_agent, fp_agent)
-    return ep
+    """Run one episode: `run_lockstep` of a single episode."""
+    return run_lockstep([Episode(graph, cfg, observable)], [(tp_agent, fp_agent)])[0]
 
 
-def run_lockstep(episodes: list[Episode], tp_agent: Agent, fp_agent: Agent) -> list[Episode]:
+def run_lockstep(episodes: list[Episode], agents: list[tuple[Agent, Agent]]) -> list[Episode]:
     """Run fresh episodes of one graph and scenario in lockstep (in place).
 
-    The episodes may differ only in their seeds. Their populations are
-    stacked (each `Episode.pop` becomes a view of its slice), and each of
-    a party's waves is one `propagate_wave` call over all of them, each
-    replica drawing from its own generator.
-    Seed selection, rewards and logs stay per episode, and every episode
-    gets its own copy of both agents, so per-episode agent state (C-STORM
-    community labels) stays per replica. Every episode ends exactly as
-    `Episode.run` alone would leave it.
+    agents holds one (tp_agent, fp_agent) pair per episode. An agent may
+    keep per-episode state (C-STORM community labels), so no agent may
+    serve two episodes. The episodes may differ only in their seeds.
+    Their populations are stacked (each `Episode.pop` becomes a view of
+    its slice), and each of a party's waves is one `propagate_wave` call
+    over all of them, each replica drawing from its own generator. Seed
+    selection, rewards and logs stay per episode, so every episode ends
+    exactly as it would if run alone.
     """
     first = episodes[0]
     shared = (first.cfg.k, first.cfg.p_t, first.cfg.p_f, first.model)
     for ep in episodes:
         if ep.graph is not first.graph or (ep.cfg.k, ep.cfg.p_t, ep.cfg.p_f, ep.model) != shared:
             raise ValueError("lockstep episodes must share the graph and the scenario")
+    if len(agents) != len(episodes):
+        raise ValueError(f"{len(agents)} agent pairs for {len(episodes)} episodes")
     pop = stack_populations([ep.pop for ep in episodes])
     rngs = [ep.rng for ep in episodes]
     counters = [ep.counters for ep in episodes]
-    agents = [{Party.TRUE_PARTY: copy.deepcopy(tp_agent),
-               Party.FALSE_PARTY: copy.deepcopy(fp_agent)} for _ in episodes]
-    for ep, agent in zip(episodes, agents):
-        agent[Party.TRUE_PARTY].begin_episode(ep, Party.TRUE_PARTY)
-        agent[Party.FALSE_PARTY].begin_episode(ep, Party.FALSE_PARTY)
+    for ep, (tp_agent, fp_agent) in zip(episodes, agents):
+        tp_agent.begin_episode(ep, Party.TRUE_PARTY)
+        fp_agent.begin_episode(ep, Party.FALSE_PARTY)
+    # (party, its agent's index in a (tp, fp) pair, waves); the false party moves first
+    turns = ((Party.FALSE_PARTY, 1, first.cfg.p_f), (Party.TRUE_PARTY, 0, first.cfg.p_t))
     for _ in range(first.cfg.k):
-        for party in (Party.FALSE_PARTY, Party.TRUE_PARTY):
+        for party, side, waves in turns:
             steps = []
-            for ep, agent in zip(episodes, agents):
-                kind = agent[party].select(ep, party)
-                steps.append(ep._promote(party, kind, agent[party].candidate_pool(ep, party)))
-            for _ in range(first._waves(party)):
+            for ep, pair in zip(episodes, agents):
+                agent = pair[side]
+                kind = agent.select(ep, party)
+                fired, seed = ep.resolve_seed(kind, party, agent.candidate_pool(ep, party))
+                promote_seed(ep.pop, seed, party)
+                steps.append((fired, seed))
+            for _ in range(waves):
                 propagate_wave(pop, first.graph, party, first.model, rngs, counters)
             for ep, (fired, seed) in zip(episodes, steps):
-                ep._close_step(party, fired, seed)
+                ep.close_step(party, fired, seed)
     return episodes

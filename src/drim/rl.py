@@ -7,6 +7,11 @@ analytic numpy backprop; finite differences verify them in the tests.
 Returns follow the episode reward discounting exactly (no GAE), and the
 advantage is return minus the collection-time value estimate, normalized
 per batch.
+
+Rollouts are played by the same driver as evaluation: each update's
+episodes run in one `run_lockstep` call, the learner (`LearnerAgent`)
+acting for its party in each of them beside a fresh opponent, and
+recording the states, actions, log-probabilities and values it saw.
 """
 
 from __future__ import annotations
@@ -16,13 +21,14 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
+from drim.baselines import make_scheme_agent, scheme_agent
 from drim.network import Graph, ObservableGraph
 from drim.population import Party
-from drim.propagation import Episode, EpisodeConfig, discounted_returns
+from drim.propagation import Episode, EpisodeConfig, discounted_returns, run_lockstep
 from drim.strategies import Agent, Scheme, StrategyKind, action_space, make_heuristic_agent
 
 STATE_DIM = 2
@@ -198,31 +204,6 @@ class Batch:
         return len(self.actions)
 
 
-def collect_episode(params: PolicyParams, env, rng: np.random.Generator, gamma: float) -> Trajectory:
-    """Roll one episode sampling from the current policy."""
-    states, actions, log_probs, rewards, values = [], [], [], [], []
-    state = env.reset()
-    done = False
-    while not done:
-        probs = policy_forward(params, state)
-        action = sample_action(probs, rng)
-        states.append(np.asarray(state, dtype=float))
-        actions.append(action)
-        log_probs.append(np.log(max(probs[action], 1e-300)))
-        values.append(value_forward(params, state))
-        state, reward, done = env.step(action)
-        rewards.append(reward)
-    rewards_arr = np.asarray(rewards, dtype=float)
-    return Trajectory(
-        states=np.asarray(states, dtype=float),
-        actions=np.asarray(actions, dtype=np.int64),
-        log_probs=np.asarray(log_probs, dtype=float),
-        rewards=rewards_arr,
-        values=np.asarray(values, dtype=float),
-        returns=discounted_returns(rewards_arr, gamma),
-    )
-
-
 def actor_loss_and_grads(
     params: PolicyParams,
     batch: Batch,
@@ -315,61 +296,60 @@ class PolicyAgent(Agent):
         return self.action_set[sample_action(probs, episode.rng)]
 
 
-class CimLearnerEnv:
-    """Episode wrapper exposing reset/step for one learning party.
+class LearnerAgent(PolicyAgent):
+    """Training-time agent for one episode: samples from its own
+    generator and records, at each of its steps, what PPO learns from."""
 
-    The opponent takes its interleaved steps inside reset/step, so the
-    learner always observes the state immediately before its own turn.
-    """
+    def __init__(self, params: PolicyParams, action_set: tuple[StrategyKind, ...],
+                 rng: np.random.Generator):
+        super().__init__(params, action_set)
+        self.rng = rng
+        self.party: Party | None = None
+        self.states: list[np.ndarray] = []
+        self.actions: list[int] = []
+        self.log_probs: list[float] = []
+        self.values: list[float] = []
 
-    def __init__(
-        self,
-        graph: Graph,
-        cfg: EpisodeConfig,
-        party: Party,
-        opponent: Agent,
-        action_set: tuple[StrategyKind, ...],
-        observable: ObservableGraph | None = None,
-        restriction=None,
-    ):
-        self.graph = graph
-        self.cfg = cfg
+    def begin_episode(self, episode: Episode, party: Party) -> None:
         self.party = party
-        self.opponent = opponent
-        self.action_set = action_set
-        self.observable = observable
-        self.restriction = restriction
-        self.episode: Episode | None = None
-        self._rounds = 0
 
-    @property
-    def rng(self) -> np.random.Generator:
-        assert self.episode is not None
-        return self.episode.rng
+    def select(self, episode: Episode, party: Party) -> StrategyKind:
+        state = np.asarray(episode.normalized_state(), dtype=float)
+        probs = policy_forward(self.params, state)
+        action = sample_action(probs, self.rng)
+        self.states.append(state)
+        self.actions.append(action)
+        self.log_probs.append(np.log(max(probs[action], 1e-300)))
+        self.values.append(value_forward(self.params, state))
+        return self.action_set[action]
 
-    def reset(self) -> np.ndarray:
-        self.episode = Episode(self.graph, self.cfg, self.observable)
-        self._rounds = 0
-        self.opponent.begin_episode(self.episode, self.party.opponent)
-        if self.restriction is not None:
-            self.restriction.begin_episode(self.episode, self.party)
-        if self.party is Party.TRUE_PARTY:
-            self.episode.run_party_step(Party.FALSE_PARTY, self.opponent)
-        return np.asarray(self.episode.normalized_state())
 
-    def step(self, action: int) -> tuple[np.ndarray, float, bool]:
-        assert self.episode is not None, "call reset() first"
-        kind = self.action_set[action]
-        pool = None if self.restriction is None else self.restriction.pool(self.episode)
-        entry = self.episode.step_with_kind(self.party, kind, pool)
-        self._rounds += 1
-        done = self._rounds >= self.cfg.k
-        if self.party is Party.TRUE_PARTY:
-            if not done:
-                self.episode.run_party_step(Party.FALSE_PARTY, self.opponent)
-        else:
-            self.episode.run_party_step(Party.TRUE_PARTY, self.opponent)
-        return np.asarray(self.episode.normalized_state()), entry.reward, done
+def collect_episode(episode: Episode, learner: LearnerAgent, gamma: float) -> Trajectory:
+    """The learner's trajectory through one finished episode: its
+    recorded steps, and its party's step rewards from the episode log."""
+    rewards = np.asarray([e.reward for e in episode.logs if e.party is learner.party], dtype=float)
+    return Trajectory(
+        states=np.asarray(learner.states, dtype=float),
+        actions=np.asarray(learner.actions, dtype=np.int64),
+        log_probs=np.asarray(learner.log_probs, dtype=float),
+        rewards=rewards,
+        values=np.asarray(learner.values, dtype=float),
+        returns=discounted_returns(rewards, gamma),
+    )
+
+
+@dataclass(frozen=True)
+class Matchup:
+    """The game a learner trains in: its party and scheme (action set,
+    and the community pool for C-STORM) against a fresh opponent per
+    episode, on one graph and scenario."""
+
+    graph: Graph
+    episode_cfg: EpisodeConfig
+    party: Party
+    scheme: Scheme
+    opponent: Callable[[], Agent]
+    observable: ObservableGraph | None = None
 
 
 @dataclass
@@ -381,67 +361,45 @@ class TrainResult:
 
 def collect_rollouts(
     params: PolicyParams,
-    env_factory,
+    matchup: Matchup,
     episodes: int,
     seed_seq: np.random.SeedSequence,
     gamma: float,
 ) -> Batch:
-    """Roll several independent episodes and concatenate them."""
-    trajectories = []
+    """Roll several independent episodes in one `run_lockstep` call and
+    concatenate the learner's trajectories."""
+    games, learners, agents = [], [], []
     for child in seed_seq.spawn(episodes):
         env_seed, sample_seed = child.spawn(2)
-        env = env_factory(int(env_seed.generate_state(1)[0]))
-        rng = np.random.default_rng(sample_seed)
-        trajectories.append(collect_episode(params, env, rng, gamma))
-    return Batch.from_trajectories(trajectories)
+        cfg = matchup.episode_cfg.with_seed(int(env_seed.generate_state(1)[0]))
+        games.append(Episode(matchup.graph, cfg, matchup.observable))
+        learner = LearnerAgent(params, action_space(matchup.scheme),
+                               np.random.default_rng(sample_seed))
+        learners.append(learner)
+        agent = scheme_agent(matchup.scheme, learner)
+        opponent = matchup.opponent()
+        agents.append((agent, opponent) if matchup.party is Party.TRUE_PARTY else (opponent, agent))
+    run_lockstep(games, agents)
+    return Batch.from_trajectories(
+        [collect_episode(ep, learner, gamma) for ep, learner in zip(games, learners)]
+    )
 
 
 def train_loop(
     params: PolicyParams,
-    env_factory,
+    rollout: Callable[[PolicyParams, np.random.SeedSequence], Batch],
     ppo_cfg: PPOConfig,
     seed_seq: np.random.SeedSequence,
     updates: int | None = None,
 ) -> TrainResult:
-    """Alternate rollout collection and PPO updates."""
+    """Alternate rollout collection (`rollout(params, seed_seq)`) and PPO updates."""
     curve = []
     total = updates if updates is not None else ppo_cfg.updates
     for update, child in enumerate(seed_seq.spawn(total)):
-        batch = collect_rollouts(params, env_factory, ppo_cfg.rollout_episodes, child, ppo_cfg.gamma)
+        batch = rollout(params, child)
         params, diag = ppo_update(params, batch, ppo_cfg)
         curve.append((update, float(np.mean(batch.episode_rewards)), diag.entropy))
     return TrainResult(params, curve)
-
-
-def _restriction_factory(scheme: Scheme):
-    if scheme is Scheme.C_STORM:
-        from drim.baselines import CommunityRestriction
-
-        return lambda: CommunityRestriction()
-    return lambda: None
-
-
-def make_cim_env_factory(
-    graph: Graph,
-    episode_cfg: EpisodeConfig,
-    party: Party,
-    opponent_factory,
-    action_set: tuple[StrategyKind, ...],
-    restriction_factory=lambda: None,
-    observable: ObservableGraph | None = None,
-):
-    def factory(seed: int) -> CimLearnerEnv:
-        return CimLearnerEnv(
-            graph,
-            episode_cfg.with_seed(seed),
-            party,
-            opponent_factory(),
-            action_set,
-            observable=observable,
-            restriction=restriction_factory(),
-        )
-
-    return factory
 
 
 def train_agent(
@@ -463,20 +421,20 @@ def train_agent(
     """
     seed_seq = np.random.SeedSequence(rng_seed)
     tp_space = action_space(scheme)
-    restriction = _restriction_factory(scheme)
+
+    def rollout(party: Party, learner_scheme: Scheme, make_opponent: Callable[[], Agent]):
+        matchup = Matchup(graph, episode_cfg, party, learner_scheme, make_opponent, observable)
+        return lambda params, seeds: collect_rollouts(
+            params, matchup, ppo_cfg.rollout_episodes, seeds, ppo_cfg.gamma)
 
     if opponent != "drl":
         init_seed, loop_seed = seed_seq.spawn(2)
         params = init_params(len(tp_space), ppo_cfg.hidden, np.random.default_rng(init_seed))
-        env_factory = make_cim_env_factory(
-            graph, episode_cfg, Party.TRUE_PARTY,
-            lambda: make_heuristic_agent(opponent),
-            tp_space, restriction, observable,
-        )
-        return train_loop(params, env_factory, ppo_cfg, loop_seed)
+        tp_rollout = rollout(Party.TRUE_PARTY, scheme, lambda: make_heuristic_agent(opponent))
+        return train_loop(params, tp_rollout, ppo_cfg, loop_seed)
 
     fp_space = action_space(Scheme.DRIM_A)
-    tp_init, fp_init, loop_seed = seed_seq.spawn(3)
+    tp_init, fp_init, _ = seed_seq.spawn(3)
     tp_params = init_params(len(tp_space), ppo_cfg.hidden, np.random.default_rng(tp_init))
     fp_params = init_params(len(fp_space), ppo_cfg.hidden, np.random.default_rng(fp_init))
     curve: list[tuple[int, float, float]] = []
@@ -484,34 +442,16 @@ def train_agent(
     for alternation in seed_seq.spawn(ppo_cfg.selfplay_alternations):
         tp_seed, fp_seed = alternation.spawn(2)
         frozen_fp = fp_params.copy()
-        env_factory = make_cim_env_factory(
-            graph, episode_cfg, Party.TRUE_PARTY,
-            lambda: PolicyAgent(frozen_fp, fp_space),
-            tp_space, restriction, observable,
-        )
-        result = train_loop(tp_params, env_factory, ppo_cfg, tp_seed, side_updates)
+        tp_rollout = rollout(Party.TRUE_PARTY, scheme, lambda: PolicyAgent(frozen_fp, fp_space))
+        result = train_loop(tp_params, tp_rollout, ppo_cfg, tp_seed, side_updates)
         tp_params = result.params
         base = len(curve)
         curve.extend((base + i, r, e) for i, r, e in result.curve)
 
         frozen_tp = tp_params.copy()
-        tp_restriction = restriction
-
-        def frozen_tp_agent():
-            agent = PolicyAgent(frozen_tp, tp_space)
-            holder = tp_restriction()
-            if holder is None:
-                return agent
-            from drim.baselines import CommunityAgent
-
-            return CommunityAgent(agent, holder)
-
-        env_factory = make_cim_env_factory(
-            graph, episode_cfg, Party.FALSE_PARTY,
-            frozen_tp_agent, fp_space, observable=observable,
-        )
-        fp_result = train_loop(fp_params, env_factory, ppo_cfg, fp_seed, side_updates)
-        fp_params = fp_result.params
+        fp_rollout = rollout(Party.FALSE_PARTY, Scheme.DRIM_A,
+                             lambda: make_scheme_agent(scheme, frozen_tp))
+        fp_params = train_loop(fp_params, fp_rollout, ppo_cfg, fp_seed, side_updates).params
     return TrainResult(tp_params, curve, opponent_params=fp_params)
 
 

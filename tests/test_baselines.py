@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from drim.baselines import CommunityAgent, CommunityRestriction, cstorm_agent, make_scheme_agent
+from drim.baselines import CommunityAgent, CommunityRestriction, make_scheme_agent
 from drim.datasets import load_urv_email
 from drim.network import Graph, full_view
 from drim.opinion import NOM, UOM
-from drim.propagation import Episode, EpisodeConfig, run_episode
+from drim.propagation import Episode, EpisodeConfig, run_episode, run_lockstep
 from drim.rl import init_params
 from drim.strategies import Scheme, StrategyKind, action_space, make_heuristic_agent
 
@@ -51,11 +51,11 @@ class TestCommunityRestriction:
             ep.pop.u[i] = 0.1
             ep.pop.b[i] = 0.9
         params = init_params(2, 8, rng_seed=1)
-        agent = cstorm_agent(params, communities=2)
-        agent.begin_episode(ep, None)
-        from drim.population import Party
-
-        entry = ep.run_party_step(Party.TRUE_PARTY, agent)
+        agent = make_scheme_agent(Scheme.C_STORM, params, communities=2)
+        # BF for the false party blocks next to the decided-true triangle
+        run_lockstep([ep], [(agent, make_heuristic_agent("bf"))])
+        fp_entry, entry = ep.logs
+        assert fp_entry.seed in (3, 4, 5)
         assert entry.seed in (0, 1, 2)
 
     def test_rejects_bad_k(self):
@@ -72,7 +72,8 @@ class TestCstormReducesToStorm:
 
         storm_ep = run_episode(g, cfg, make_scheme_agent(Scheme.STORM, params), fp, observable=full_view(g))
         cstorm_ep = run_episode(
-            g, cfg, cstorm_agent(params, communities=1), fp, observable=full_view(g)
+            g, cfg, make_scheme_agent(Scheme.C_STORM, params, communities=1), fp,
+            observable=full_view(g)
         )
         assert [e.seed for e in storm_ep.logs] == [e.seed for e in cstorm_ep.logs]
         assert [e.strategy for e in storm_ep.logs] == [e.strategy for e in cstorm_ep.logs]
@@ -86,7 +87,7 @@ class TestDeterminism:
         runs = []
         for _ in range(2):
             ep = run_episode(
-                g, cfg, cstorm_agent(params, communities=4),
+                g, cfg, make_scheme_agent(Scheme.C_STORM, params, communities=4),
                 make_heuristic_agent("random"), observable=full_view(g),
             )
             runs.append([e.seed for e in ep.logs])

@@ -52,6 +52,19 @@ class TestCommands:
         assert (out / "results.csv").exists()
         capsys.readouterr()
 
+    def test_eval_workers_zero_fails_before_training(self, tiny_edges, tmp_path):
+        out = tmp_path / "res"
+        args = list(FAST)
+        args[args.index("--workers") + 1] = "0"
+        with pytest.raises(ValueError, match="workers=0 is not an integer >= 1"):
+            main(["eval", "--dataset", str(tiny_edges), "--out", str(out), *args])
+        assert not out.exists()
+
+    def test_workers_help_names_processes(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["eval", "--help"])
+        assert "worker processes" in capsys.readouterr().out
+
     def test_train_writes_policy(self, tiny_edges, tmp_path, capsys):
         policy = tmp_path / "pol.bin"
         rc = main([

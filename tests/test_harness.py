@@ -30,7 +30,8 @@ from drim.harness import (
     write_timings_csv,
 )
 from drim.opinion import NOM
-from drim.propagation import EpisodeConfig, run_episode
+from drim.population import Party
+from drim.propagation import EpisodeConfig, RoundLog, run_episode
 from drim.rl import PPOConfig, load_params, save_params
 from drim.strategies import Scheme, make_heuristic_agent
 
@@ -94,6 +95,26 @@ class TestExperimentSpec:
         spec = ExperimentSpec(sweep_axis="prior_a", sweep_values=(0.1,))
         assert spec.episode_config(0.1).prior_a == 0.1
 
+    @pytest.mark.parametrize("name", ["p_nv", "prior_a"])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, 3.0, float("nan")])
+    def test_probabilities_outside_unit_interval_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must lie in \\[0, 1\\]"):
+            EpisodeConfig(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            ExperimentSpec(**{name: value})
+
+    @pytest.mark.parametrize("axis, values", [
+        ("p_nv", (0.5, 1.5)), ("prior_a", (-0.2, 0.5)), ("ip", (2, 0)),
+    ])
+    def test_bad_sweep_value_rejected_at_construction(self, axis, values):
+        with pytest.raises(ValueError):
+            ExperimentSpec(sweep_axis=axis, sweep_values=values)
+
+    def test_unit_interval_bounds_accepted(self):
+        for value in (0.0, 1.0):
+            assert EpisodeConfig(p_nv=value, prior_a=value).p_nv == value
+        assert ExperimentSpec(sweep_axis="p_nv", sweep_values=(0.0, 1.0)).sweep_values == (0.0, 1.0)
+
 
 class TestWorkerCount:
     def test_env_value_used(self, monkeypatch):
@@ -115,6 +136,18 @@ class TestWorkerCount:
         monkeypatch.setenv("DRIM_WORKERS", value)
         with pytest.raises(ValueError, match=f"DRIM_WORKERS={value!r}"):
             worker_count()
+
+    def test_explicit_value_beats_env(self, monkeypatch):
+        monkeypatch.setenv("DRIM_WORKERS", "3")
+        assert worker_count(2) == 2
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_explicit_below_one_rejected_before_training(self, tmp_path, tiny_dataset, value):
+        spec = tiny_spec(tmp_path, tiny_dataset)
+        with pytest.raises(ValueError, match=f"workers={value!r} is not an integer >= 1"):
+            run_grid(spec, workers=value)
+        assert not spec.policy_dir.exists() or not any(spec.policy_dir.iterdir())
+        assert not spec.out_dir.exists() or not any(spec.out_dir.iterdir())
 
 
 class TestSeedDerivation:
@@ -236,6 +269,22 @@ class TestPolicyCache:
         }
         assert paths["tiny"] == paths["same"]  # the file's bytes, not its name
         assert len({paths["tiny"], paths["other"], paths["bundled"]}) == 3
+
+    PARENT_DEFAULT_TAG = "baf6b1fa"  # the default spec's tag when the fields were listed by hand
+
+    def test_tag_covers_every_ppo_field(self):
+        from dataclasses import fields, replace
+
+        from drim.harness import _policy_tag
+
+        spec = ExperimentSpec()
+        assert _policy_tag(spec) == self.PARENT_DEFAULT_TAG
+        changed = {"gamma": 0.9, "clip_epsilon": 0.3, "entropy_coef": 0.02}
+        tags = {_policy_tag(spec)}
+        for f in fields(PPOConfig):
+            value = changed.get(f.name, getattr(spec.ppo, f.name) * 2)
+            tags.add(_policy_tag(replace(spec, ppo=replace(spec.ppo, **{f.name: value}))))
+        assert len(tags) == 1 + len(fields(PPOConfig))
 
     def test_failed_write_leaves_no_policy_and_retrains(self, tmp_path, tiny_dataset, monkeypatch):
         from drim import harness
@@ -414,6 +463,8 @@ class TestAtomicResultCsvs:
         ("raw_runs.csv", write_raw_csv, [GOOD_RAW], [{"scheme": "x"}]),
         ("counters.csv", write_counters_csv, [GOOD_RAW], [{"scheme": "x"}]),
         ("timings.csv", write_timings_csv, [("a", "b", "c", "d", "e", 0, 0.5)], [("x",)]),
+        ("rounds.csv", write_roundlog_csv,
+         [(0, [RoundLog(1, Party.FALSE_PARTY, 3, "cf", 0, 1, 1.0)])], [(1, [object()])]),
     ])
     def test_failed_write_keeps_previous_file(self, tmp_path, name, write, good, bad):
         path = tmp_path / name
@@ -424,3 +475,22 @@ class TestAtomicResultCsvs:
             write(path, good * 50 + bad)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+    def test_failed_report_keeps_previous_file(self, tmp_path, monkeypatch):
+        from drim import harness
+
+        class Unprintable:
+            def __str__(self):
+                raise ValueError("cannot format")
+
+        dirs = results_dir(tmp_path / "in", synthetic_rows())
+        out = tmp_path / "out" / "fig2.csv"
+        emit_report(dirs, "fig2", out)
+        before = out.read_bytes()
+        header, lines = harness._pivot_results(synthetic_rows(), "fig2")
+        monkeypatch.setattr(harness, "_pivot_results",
+                            lambda rows, layout: (header, lines * 50 + [[Unprintable()]]))
+        with pytest.raises(ValueError, match="cannot format"):
+            emit_report(dirs, "fig2", out)
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in out.parent.iterdir()) == ["fig2.csv"]

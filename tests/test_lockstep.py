@@ -1,8 +1,8 @@
 """Lockstep replica batching against solo episodes.
 
 Oracle: a replica run by `run_lockstep` beside R - 1 others must end
-exactly as the same episode run alone by `Episode.run` (the R = 1 case
-of the same kernel): equal opinions, latches, roles, generator state,
+exactly as the same episode run alone (`run_episode`, the R = 1 case
+of the same driver): equal opinions, latches, roles, generator state,
 wave counters and round logs. The harness built on it must write the
 same result CSVs at any worker count.
 """
@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from drim import harness, network, propagation, rl
-from drim.baselines import CommunityRestriction, cstorm_agent
+from drim.baselines import CommunityRestriction, make_scheme_agent
 from drim.datasets import load_urv_email
 from drim.network import Graph, spectral_communities
 from drim.opinion import (
@@ -40,7 +40,7 @@ from drim.population import (
     init_population,
     stack_populations,
 )
-from drim.propagation import Episode, EpisodeConfig, run_lockstep
+from drim.propagation import Episode, EpisodeConfig, run_episode, run_lockstep
 from drim.strategies import RandomStrategyAgent, Scheme, action_space, make_heuristic_agent
 
 LATCH_OFF = [TrustModel(variant, t_u=0.0) for variant in TrustVariant]
@@ -61,6 +61,11 @@ def _episodes(g: Graph, cfgs, dogmatic: float) -> list[Episode]:
     for ep in episodes:
         _make_dogmatic(ep, dogmatic)
     return episodes
+
+
+def _agents(count: int, fp: str) -> list[tuple]:
+    """One (random TP, heuristic FP) pair per episode."""
+    return [(RandomStrategyAgent(), make_heuristic_agent(fp)) for _ in range(count)]
 
 
 def _assert_same_episode(got: Episode, want: Episode) -> None:
@@ -96,10 +101,9 @@ class TestLockstepMatchesSolo:
         g = Graph(n, edges)
         cfg = EpisodeConfig(k=k, opinion_model=model, p_nv=p_nv)
         cfgs = [cfg.with_seed(seed) for seed in seeds]
-        tp, fp_agent = RandomStrategyAgent(), make_heuristic_agent(fp)
-        batched = run_lockstep(_episodes(g, cfgs, dogmatic), tp, fp_agent)
+        batched = run_lockstep(_episodes(g, cfgs, dogmatic), _agents(len(cfgs), fp))
         for got, want in zip(batched, _episodes(g, cfgs, dogmatic)):
-            want.run(copy.deepcopy(tp), copy.deepcopy(fp_agent))
+            run_lockstep([want], _agents(1, fp))
             _assert_same_episode(got, want)
 
     def test_degenerate_fusions_are_reached(self):
@@ -107,18 +111,23 @@ class TestLockstepMatchesSolo:
         g = Graph(12, [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (3, 9)])
         cfg = EpisodeConfig(k=4, opinion_model=LATCH_OFF[2])
         cfgs = [cfg.with_seed(seed) for seed in range(4)]
-        batched = run_lockstep(_episodes(g, cfgs, 0.5), RandomStrategyAgent(),
-                               make_heuristic_agent("cf"))
+        batched = run_lockstep(_episodes(g, cfgs, 0.5), _agents(len(cfgs), "cf"))
         assert sum(ep.counters.degenerate for ep in batched) > 0
         for got, want in zip(batched, _episodes(g, cfgs, 0.5)):
-            want.run(RandomStrategyAgent(), make_heuristic_agent("cf"))
+            run_lockstep([want], _agents(1, "cf"))
             _assert_same_episode(got, want)
 
     def test_rejects_mixed_scenarios(self):
         g = Graph(6, [(0, 1), (1, 2)])
         episodes = [Episode(g, EpisodeConfig(k=2)), Episode(g, EpisodeConfig(k=3))]
         with pytest.raises(ValueError, match="scenario"):
-            run_lockstep(episodes, RandomStrategyAgent(), RandomStrategyAgent())
+            run_lockstep(episodes, _agents(2, "random"))
+
+    def test_rejects_an_agent_pair_count_other_than_the_episode_count(self):
+        g = Graph(6, [(0, 1), (1, 2)])
+        episodes = [Episode(g, EpisodeConfig(k=2, rng_seed=seed)) for seed in range(2)]
+        with pytest.raises(ValueError, match="1 agent pairs for 2 episodes"):
+            run_lockstep(episodes, _agents(1, "random"))
 
 
 class TestStacking:
@@ -175,7 +184,7 @@ class TestBatchedEpisodeInvariants:
         g = load_urv_email()
         cfg = EpisodeConfig(k=6)
         episodes = [Episode(g, cfg.with_seed(seed)) for seed in range(3)]
-        run_lockstep(episodes, RandomStrategyAgent(), make_heuristic_agent("bf"))
+        run_lockstep(episodes, _agents(len(episodes), "bf"))
 
         assert not latch_problems
         tip = opinion_from_evidence(TIP_EVIDENCE, 1.0)
@@ -221,17 +230,17 @@ class TestCommunityLabelsPerReplica:
         params = rl.init_params(len(action_space(Scheme.C_STORM)), 8, 3)
         cfg = EpisodeConfig(k=4, opinion_model=NOM, p_nv=0.6)
         cfgs = [cfg.with_seed(seed) for seed in (5, 6, 7)]
-        agent = cstorm_agent(params, communities=3)
-        episodes = run_lockstep([Episode(g, c) for c in cfgs], agent,
-                                make_heuristic_agent("random"))
+        agent = make_scheme_agent(Scheme.C_STORM, params, communities=3)
+        pairs = [(copy.deepcopy(agent), make_heuristic_agent("random")) for _ in cfgs]
+        episodes = run_lockstep([Episode(g, c) for c in cfgs], pairs)
 
-        assert agent.restriction.labels is None  # the caller's agent is never used
+        assert agent.restriction.labels is None  # the template is never used, only its copies
         assert len(begun) == 3
         assert {id(ep) for ep in begun.values()} == {id(ep) for ep in episodes}
         assert pooled and all(begun[key] is ep for key, ep in pooled)
         for got, c in zip(episodes, cfgs):
-            want = Episode(g, c)
-            want.run(cstorm_agent(params, communities=3), make_heuristic_agent("random"))
+            want = run_episode(g, c, make_scheme_agent(Scheme.C_STORM, params, communities=3),
+                               make_heuristic_agent("random"))
             _assert_same_episode(got, want)
 
 

@@ -29,6 +29,7 @@ from drim.propagation import (
     extract_state,
     propagate_wave,
     run_episode,
+    run_lockstep,
 )
 from drim.strategies import FixedStrategyAgent, RandomStrategyAgent, StrategyKind
 
@@ -37,6 +38,17 @@ TOL = 1e-9
 
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+class PoolAgent(FixedStrategyAgent):
+    """A fixed strategy restricted to one user."""
+
+    def __init__(self, kind: StrategyKind, user: int):
+        super().__init__(kind)
+        self.user = user
+
+    def candidate_pool(self, episode, party):
+        return np.arange(episode.pop.n) == self.user
 
 
 def discounted_return(rewards, T: int, gamma: float) -> float:
@@ -161,14 +173,19 @@ class TestPropagateWave:
     def test_free_nodes_shrink_monotonically_under_fusion_only_models(self):
         g = load_urv_email()
         cfg = EpisodeConfig(k=10, opinion_model=NOM, rng_seed=5)
-        ep = Episode(g, cfg)
-        counts = [int(np.count_nonzero(free_mask(ep.pop)))]
-        tp, fp = FixedStrategyAgent(StrategyKind.CF), FixedStrategyAgent(StrategyKind.SGF)
-        tp.begin_episode(ep, Party.TRUE_PARTY)
-        fp.begin_episode(ep, Party.FALSE_PARTY)
-        for _ in range(cfg.k):
-            ep.run_round(tp, fp)
-            counts.append(int(np.count_nonzero(free_mask(ep.pop))))
+        counts = []
+
+        class CountingAgent(FixedStrategyAgent):
+            """The false party moves first, so it sees every round's start."""
+
+            def select(self, episode, party):
+                counts.append(int(np.count_nonzero(free_mask(episode.pop))))
+                return super().select(episode, party)
+
+        tp, fp = FixedStrategyAgent(StrategyKind.CF), CountingAgent(StrategyKind.SGF)
+        ep = run_episode(g, cfg, tp, fp)
+        counts.append(int(np.count_nonzero(free_mask(ep.pop))))
+        assert len(counts) == cfg.k + 1
         assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 
@@ -176,8 +193,8 @@ class TestRoundSchedule:
     def test_false_party_moves_first(self):
         g = path_graph(6)
         cfg = EpisodeConfig(k=1, opinion_model=NOM, rng_seed=0)
-        ep = Episode(g, cfg)
-        ep.run(FixedStrategyAgent(StrategyKind.CF), FixedStrategyAgent(StrategyKind.CF))
+        ep = run_episode(g, cfg, FixedStrategyAgent(StrategyKind.CF),
+                         FixedStrategyAgent(StrategyKind.CF))
         assert ep.logs[0].party is Party.FALSE_PARTY
         assert ep.logs[1].party is Party.TRUE_PARTY
         assert len(ep.logs) == 2
@@ -201,8 +218,9 @@ class TestRoundSchedule:
         assert not (tp & fp)
 
     def test_wave_budget_applied_per_party(self):
-        # p_t=2 must fuse the seed's opinion twice into its neighbor
-        g = path_graph(2)
+        # p_t=2 must fuse the seed's opinion twice into its neighbor; the
+        # false party seeds the isolated user 2, so its wave reaches no one
+        g = Graph(3, [(0, 1)])
         cfg = EpisodeConfig(k=1, p_t=2, p_f=1, opinion_model=NOM, rng_seed=0)
         ep = Episode(g, cfg)
         ep.pop.p_read[:] = 1.0
@@ -211,7 +229,8 @@ class TestRoundSchedule:
         tip = opinion_from_evidence(TIP_EVIDENCE, 1.0)
         once = fuse(fresh, tip, trust_coefficient(NOM, fresh, tip))
         twice = fuse(once, tip, trust_coefficient(NOM, once, tip))
-        ep.step_with_kind(Party.TRUE_PARTY, StrategyKind.CF)
+        run_lockstep([ep], [(FixedStrategyAgent(StrategyKind.CF), PoolAgent(StrategyKind.CF, 2))])
+        assert [e.seed for e in ep.logs] == [2, 0]
         got = ep.pop.get_opinion(1)
         for x, y in zip(got, twice):
             assert x == pytest.approx(y, abs=TOL)
@@ -228,8 +247,10 @@ class TestRoundSchedule:
         # BF has no opponent-aligned nodes at the very first step
         g = path_graph(8)
         cfg = EpisodeConfig(k=1, opinion_model=NOM, rng_seed=0)
-        ep = Episode(g, cfg)
-        entry = ep.step_with_kind(Party.FALSE_PARTY, StrategyKind.BF)
+        ep = run_episode(g, cfg, FixedStrategyAgent(StrategyKind.CF),
+                         FixedStrategyAgent(StrategyKind.BF))
+        entry = ep.logs[0]
+        assert entry.party is Party.FALSE_PARTY
         assert entry.strategy == "sgf"
 
 
@@ -260,37 +281,43 @@ class TestExtractState:
         assert s == (1.0, 1.0)
 
 
-def edgeless_episode(n: int) -> Episode:
+def edgeless_episode(n: int, k: int = 1) -> Episode:
     """No edges, so a step changes only its own seed's opinion; CF ties
     break to the lowest id, so seeds go to users 0, 1, 2, ... in turn."""
-    return Episode(Graph(n, []), EpisodeConfig(k=2, opinion_model=NOM, rng_seed=0))
+    return Episode(Graph(n, []), EpisodeConfig(k=k, opinion_model=NOM, rng_seed=0))
+
+
+def run_cf(ep: Episode) -> Episode:
+    """Play ep to the end with CF on both sides."""
+    cf = FixedStrategyAgent(StrategyKind.CF)
+    return run_lockstep([ep], [(cf, cf)])[0]
 
 
 class TestRewards:
     def test_false_party_first_step_boundary(self):
         # FP moves first: its t=1 reward is against the pre-game baseline n_0
-        ep = edgeless_episode(4)
-        entry = ep.step_with_kind(Party.FALSE_PARTY, StrategyKind.CF)
-        assert (entry.t, ep.n_false_series) == (1, [0, 1])
+        ep = run_cf(edgeless_episode(4))
+        entry = ep.logs[0]
+        assert (entry.t, ep.n_false_series[:2]) == (1, [0, 1])
         assert entry.reward == 1.0
 
     def test_true_party_first_step(self):
         # TP's first step is t=2, also rewarded against n_0, not n_1
         ep = edgeless_episode(4)
         ep.pop.set_opinion(3, Opinion(0.8, 0.0, 0.2, 0.5))  # user 3 decided true
-        ep.step_with_kind(Party.FALSE_PARTY, StrategyKind.CF)  # seeds 0: n_T 1
-        entry = ep.step_with_kind(Party.TRUE_PARTY, StrategyKind.CF)  # seeds 1: n_T 2
+        run_cf(ep)  # FP seeds 0: n_T 1; TP seeds 1: n_T 2
+        entry = ep.logs[1]
         assert (entry.t, ep.n_true_series) == (2, [0, 1, 2])
         assert entry.reward == 2.0
 
     def test_stagnant_counts(self):
-        ep = edgeless_episode(4)
+        ep = edgeless_episode(4, k=2)
         ep.pop.set_opinion(1, Opinion(0.0, 0.8, 0.2, 0.5))  # user 1 decided false
-        ep.step_with_kind(Party.FALSE_PARTY, StrategyKind.CF)  # seeds 0: n_F 2
-        ep.step_with_kind(Party.TRUE_PARTY, StrategyKind.CF)  # seeds 1: n_F 1
-        entry = ep.step_with_kind(Party.FALSE_PARTY, StrategyKind.CF)  # seeds 2: n_F 2
+        # FP seeds 0: n_F 2; TP seeds 1: n_F 1; FP seeds 2: n_F 2; TP seeds 3
+        run_cf(ep)
+        entry = ep.logs[2]
         # net change since FP's own previous step (t=1), not since t=2
-        assert ep.n_false_series == [0, 2, 1, 2]
+        assert ep.n_false_series[:4] == [0, 2, 1, 2]
         assert entry.reward == 0.0
 
     def test_reward_telescoping_over_episode(self):

@@ -9,10 +9,11 @@ from drim.datasets import load_urv_email
 from drim.network import full_view
 from drim.opinion import NOM, UOM
 from drim.population import Party
-from drim.propagation import EpisodeConfig
+from drim.propagation import Episode, EpisodeConfig, run_lockstep
 from drim.rl import (
     Batch,
-    CimLearnerEnv,
+    LearnerAgent,
+    Matchup,
     PolicyAgent,
     PPOConfig,
     actor_loss_and_grads,
@@ -21,7 +22,6 @@ from drim.rl import (
     critic_loss_and_grads,
     init_params,
     load_params,
-    make_cim_env_factory,
     policy_forward,
     ppo_update,
     sample_action,
@@ -32,17 +32,43 @@ from drim.rl import (
 from drim.strategies import Scheme, StrategyKind, action_space, make_heuristic_agent
 
 
-class BanditEnv:
-    """One-step environment: a single action pays 1, the rest pay 0."""
+def bandit_rollout(episodes: int, best: int = 2):
+    """Rollout callable for `train_loop`: one-step episodes in which a
+    single action pays 1 and the rest pay 0."""
 
-    def __init__(self, best: int = 2):
-        self.best = best
+    def rollout(params, seed_seq):
+        rng = np.random.default_rng(seed_seq)
+        state = np.ones(2)
+        probs = policy_forward(params, state)
+        actions = np.array([sample_action(probs, rng) for _ in range(episodes)])
+        rewards = (actions == best).astype(float)
+        return Batch(
+            states=np.ones((episodes, 2)),
+            actions=actions,
+            log_probs=np.log(probs[actions]),
+            returns=0.95 * rewards,
+            values=np.full(episodes, value_forward(params, state)),
+            episode_rewards=rewards.tolist(),
+        )
 
-    def reset(self):
-        return np.ones(2)
+    return rollout
 
-    def step(self, action):
-        return np.ones(2), 1.0 if action == self.best else 0.0, True
+
+def learner_episode(cfg, party, opponent, seed=1, gamma=0.95):
+    """One DRIM-A learner episode on the bundled graph against a
+    heuristic opponent, through `run_lockstep` and `collect_episode`."""
+    g = load_urv_email()
+    params = init_params(4, 16, rng_seed=0)
+    learner = LearnerAgent(params, action_space(Scheme.DRIM_A), np.random.default_rng(seed))
+    opponent = make_heuristic_agent(opponent)
+    agents = (learner, opponent) if party is Party.TRUE_PARTY else (opponent, learner)
+    (ep,) = run_lockstep([Episode(g, cfg, full_view(g))], [agents])
+    return ep, collect_episode(ep, learner, gamma)
+
+
+def matchup(cfg, party=Party.TRUE_PARTY, opponent="random", scheme=Scheme.DRIM_A):
+    g = load_urv_email()
+    return Matchup(g, cfg, party, scheme, lambda: make_heuristic_agent(opponent), full_view(g))
 
 
 def random_batch(rng, n=48, n_actions=4):
@@ -207,7 +233,7 @@ class TestBanditTraining:
     def test_dominant_action_learned(self):
         cfg = PPOConfig(hidden=16, rollout_episodes=16, updates=80, epochs=40, actor_lr=0.01)
         params = init_params(4, 16, np.random.default_rng(1))
-        result = train_loop(params, lambda seed: BanditEnv(best=2), cfg, np.random.SeedSequence(2))
+        result = train_loop(params, bandit_rollout(16, best=2), cfg, np.random.SeedSequence(2))
         probs = policy_forward(result.params, np.ones(2))
         assert probs[2] > 0.95
 
@@ -216,76 +242,73 @@ class TestBanditTraining:
         curves = []
         for _ in range(2):
             params = init_params(4, 8, np.random.default_rng(1))
-            result = train_loop(params, lambda seed: BanditEnv(), cfg, np.random.SeedSequence(3))
+            result = train_loop(params, bandit_rollout(4), cfg, np.random.SeedSequence(3))
             curves.append(result.curve)
         assert curves[0] == curves[1]
 
 
 class TestRollouts:
     def test_episode_has_k_learner_steps(self):
-        g = load_urv_email()
         cfg = EpisodeConfig(k=5, opinion_model=NOM, rng_seed=0)
-        env = CimLearnerEnv(
-            g, cfg, Party.TRUE_PARTY, make_heuristic_agent("cf"),
-            action_space(Scheme.DRIM_A), observable=full_view(g),
-        )
-        params = init_params(4, 16, rng_seed=0)
-        traj = collect_episode(params, env, np.random.default_rng(0), gamma=0.95)
+        _, traj = learner_episode(cfg, Party.TRUE_PARTY, "cf", seed=0)
         assert len(traj.actions) == 5
         assert traj.states.shape == (5, 2)
 
     def test_rollout_batch_reproducible(self):
-        g = load_urv_email()
         cfg = EpisodeConfig(k=3, opinion_model=NOM, rng_seed=0)
-        factory = make_cim_env_factory(
-            g, cfg, Party.TRUE_PARTY, lambda: make_heuristic_agent("random"),
-            action_space(Scheme.DRIM_A), observable=full_view(g),
-        )
         params = init_params(4, 16, rng_seed=0)
-        a = collect_rollouts(params, factory, 2, np.random.SeedSequence(7), 0.95)
-        b = collect_rollouts(params, factory, 2, np.random.SeedSequence(7), 0.95)
+        a = collect_rollouts(params, matchup(cfg), 2, np.random.SeedSequence(7), 0.95)
+        b = collect_rollouts(params, matchup(cfg), 2, np.random.SeedSequence(7), 0.95)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.returns, b.returns)
 
     def test_learner_rewards_telescope_to_decided_gain(self):
-        g = load_urv_email()
         cfg = EpisodeConfig(k=6, opinion_model=UOM, rng_seed=4)
-        env = CimLearnerEnv(
-            g, cfg, Party.TRUE_PARTY, make_heuristic_agent("cf"),
-            action_space(Scheme.DRIM_A), observable=full_view(g),
-        )
-        params = init_params(4, 16, rng_seed=0)
-        traj = collect_episode(params, env, np.random.default_rng(1), gamma=0.95)
-        series = env.episode.n_true_series
+        ep, traj = learner_episode(cfg, Party.TRUE_PARTY, "cf")
+        series = ep.n_true_series
         assert traj.rewards.sum() == pytest.approx(series[-1] - series[0])
 
     def test_fp_learner_steps_on_odd_parity(self):
-        g = load_urv_email()
         cfg = EpisodeConfig(k=4, opinion_model=NOM, rng_seed=2)
-        env = CimLearnerEnv(
-            g, cfg, Party.FALSE_PARTY, make_heuristic_agent("cf"),
-            action_space(Scheme.DRIM_A), observable=full_view(g),
-        )
-        params = init_params(4, 16, rng_seed=0)
-        traj = collect_episode(params, env, np.random.default_rng(1), gamma=0.95)
+        ep, traj = learner_episode(cfg, Party.FALSE_PARTY, "cf")
         assert len(traj.actions) == 4
-        fp_steps = [e.t for e in env.episode.logs if e.party is Party.FALSE_PARTY]
+        fp_steps = [e.t for e in ep.logs if e.party is Party.FALSE_PARTY]
         assert fp_steps == [1, 3, 5, 7]
-        assert env.episode.t == 8  # opponent finished the final round
+        assert ep.t == 8  # opponent finished the final round
 
     def test_returns_use_paper_discounting(self):
-        g = load_urv_email()
         cfg = EpisodeConfig(k=3, opinion_model=NOM, rng_seed=0)
-        env = CimLearnerEnv(
-            g, cfg, Party.TRUE_PARTY, make_heuristic_agent("cf"),
-            action_space(Scheme.DRIM_A), observable=full_view(g),
-        )
-        params = init_params(4, 16, rng_seed=0)
-        traj = collect_episode(params, env, np.random.default_rng(1), gamma=0.5)
+        _, traj = learner_episode(cfg, Party.TRUE_PARTY, "cf", gamma=0.5)
         r = traj.rewards
         expected_first = 0.5 * r[0] + 0.25 * r[1] + 0.125 * r[2]
         assert traj.returns[0] == pytest.approx(expected_first)
+
+    @pytest.mark.parametrize("party, scheme, opponent, model", [
+        (Party.TRUE_PARTY, Scheme.DRIM_A, "cf", UOM),
+        (Party.TRUE_PARTY, Scheme.C_STORM, "random", NOM),
+        (Party.FALSE_PARTY, Scheme.DRIM_A, "random", UOM),
+    ])
+    def test_lockstep_batch_equals_episodes_collected_alone(self, party, scheme, opponent, model):
+        # R = rollout_episodes in one run_lockstep call against R calls of R = 1
+        cfg = EpisodeConfig(k=4, opinion_model=model, p_nv=0.6)
+        game = matchup(cfg, party, opponent, scheme)
+        params = init_params(len(action_space(scheme)), 8, rng_seed=5)
+        params.actor.b3 += np.linspace(-0.5, 0.5, params.n_actions)
+        params.critic.b3 += 0.25
+        seeds = np.random.SeedSequence(13)
+        batched = collect_rollouts(params, game, 4, seeds, 0.9)
+        # collect_rollouts spawns one child per episode, so the i-th episode
+        # alone is a one-episode batch from a parent whose one child is child i
+        alone = []
+        for child in np.random.SeedSequence(13).spawn(4):
+            parent = np.random.SeedSequence(child.entropy, spawn_key=child.spawn_key[:-1],
+                                            n_children_spawned=child.spawn_key[-1])
+            alone.append(collect_rollouts(params, game, 1, parent, 0.9))
+        assert batched.episode_rewards == [r for b in alone for r in b.episode_rewards]
+        for name in ("states", "actions", "log_probs", "values", "returns"):
+            assert np.array_equal(getattr(batched, name),
+                                  np.concatenate([getattr(b, name) for b in alone])), name
 
 
 class TestPolicyAgent:

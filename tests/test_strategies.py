@@ -8,7 +8,7 @@ import pytest
 from drim.network import Graph, full_view
 from drim.opinion import NOM
 from drim.population import Party, init_population, promote_seed
-from drim.propagation import Episode, EpisodeConfig
+from drim.propagation import EpisodeConfig, run_episode
 from drim.strategies import (
     FixedStrategyAgent,
     RandomStrategyAgent,
@@ -133,8 +133,11 @@ class TestRandomMetaStrategy:
             assert abs(c - expected) <= 3 * sigma, f"{k}: {c}"
 
     def test_random_delegates_to_concrete_rule(self):
-        ep = Episode(star(4), EpisodeConfig(k=1, opinion_model=NOM, rng_seed=7))
-        entry = ep.run_party_step(Party.TRUE_PARTY, RandomStrategyAgent((StrategyKind.CF,)))
+        # the false party moves first, so the random agent plays it here
+        cfg = EpisodeConfig(k=1, opinion_model=NOM, rng_seed=7)
+        ep = run_episode(star(4), cfg, FixedStrategyAgent(StrategyKind.AF),
+                         RandomStrategyAgent((StrategyKind.CF,)))
+        entry = ep.logs[0]
         assert entry.strategy == "cf"
         assert entry.seed == 0  # CF on a star always picks the center
 
