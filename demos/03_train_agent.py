@@ -9,6 +9,7 @@ activity-first action is weak, so a trained policy learns to avoid it.
 import numpy as np
 
 from drim.datasets import load_urv_email
+from drim.harness import single_thread_blas
 from drim.network import full_view
 from drim.propagation import EpisodeConfig, run_episode
 from drim.rl import PPOConfig, policy_forward, save_params, train_agent
@@ -21,8 +22,9 @@ episode_cfg = EpisodeConfig(k=50, rng_seed=0)
 ppo_cfg = PPOConfig(hidden=64, rollout_episodes=8, updates=12, epochs=60, actor_lr=0.05)
 
 print("training drim-a against a centrality-first false party...")
-result = train_agent(Scheme.DRIM_A, "cf", graph, episode_cfg, ppo_cfg,
-                     rng_seed=11, observable=observable)
+with single_thread_blas():  # the same policy bytes on any core count
+    result = train_agent(Scheme.DRIM_A, "cf", graph, episode_cfg, ppo_cfg,
+                         rng_seed=11, observable=observable)
 print("update  mean_return  entropy")
 for update, mean_return, entropy in result.curve:
     print(f"{update:>6d}  {mean_return:>11.1f}  {entropy:.3f}")

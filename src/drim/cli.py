@@ -22,15 +22,18 @@ from drim.harness import (
 from drim.strategies import Scheme
 
 
-def _add_common_overrides(p: argparse.ArgumentParser, with_out_dir: bool = True) -> None:
+def _add_common_overrides(p: argparse.ArgumentParser, evaluates: bool = True) -> None:
+    """Spec overrides; `--out` and `--workers` only for commands that evaluate."""
     p.add_argument("--scheme", choices=[s.value for s in Scheme])
     p.add_argument("--om", dest="opinion_model", choices=OPINION_MODELS)
     p.add_argument("--fp", dest="fp_strategy", choices=FP_STRATEGIES)
     p.add_argument("--runs", type=int)
     p.add_argument("--master-seed", dest="master_seed", type=int)
     p.add_argument("--dataset", help="edge-list path (default: bundled graph)")
-    if with_out_dir:
+    if evaluates:
         p.add_argument("--out", dest="out_dir", help="output directory")
+        p.add_argument("--workers", type=int,
+                       help="worker processes (default: $DRIM_WORKERS, else min(usable cpus, 4))")
     p.add_argument("--policies", dest="policy_dir", help="policy cache directory")
     p.add_argument("--no-auto-train", action="store_true",
                    help="fail instead of training missing policies")
@@ -39,8 +42,6 @@ def _add_common_overrides(p: argparse.ArgumentParser, with_out_dir: bool = True)
     p.add_argument("--p-f", dest="p_f", type=int)
     p.add_argument("--p-nv", dest="p_nv", type=float)
     p.add_argument("--prior-a", dest="prior_a", type=float)
-    p.add_argument("--workers", type=int,
-                   help="worker processes (default: $DRIM_WORKERS, else min(cpus, 4))")
     for key in ("updates", "rollout-episodes", "epochs", "hidden",
                 "selfplay-updates-per-side", "selfplay-alternations"):
         p.add_argument(f"--{key}", dest=key.replace("-", "_"), type=int)
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="false-party strategy to train against")
     p.add_argument("--out", dest="out_policy", required=True, help="policy output file")
     p.add_argument("--spec", help="config file with defaults")
-    _add_common_overrides(p, with_out_dir=False)
+    _add_common_overrides(p, evaluates=False)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate scheme/OM/FP cells")

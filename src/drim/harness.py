@@ -14,12 +14,19 @@ A cell's runs are split into one contiguous batch per worker process
 (`worker_count()` bounds them), and each batch runs its episodes in
 lockstep (`propagation.run_lockstep`). Every result CSV is written
 atomically.
+
+The process pool is the only parallelism: every pooled map and every
+training run holds each loaded OpenBLAS at one thread
+(`single_thread_blas`), so workers do not oversubscribe the cores and a
+trained policy's bytes do not depend on the core count (OpenBLAS only;
+other BLAS libraries are left as they are).
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import ctypes
 import hashlib
 import io
 import os
@@ -180,7 +187,7 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 def worker_count(workers: int | None = None) -> int:
     """Worker processes: `workers` if given, else `DRIM_WORKERS` if set,
-    else min(cpu count, 4)."""
+    else min(CPUs this process may run on, 4)."""
     if workers is not None:
         if workers < 1:
             raise ValueError(f"workers={workers!r} is not an integer >= 1")
@@ -194,15 +201,68 @@ def worker_count(workers: int | None = None) -> int:
         if workers < 1:
             raise ValueError(f"{WORKER_ENV_VAR}={env!r} is not an integer >= 1")
         return workers
-    return max(1, min(os.cpu_count() or 1, 4))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, 4))
+
+
+# (get, set) thread-count symbols of numpy's OpenBLAS wheel, scipy's
+# (the one ARPACK calls) and a system build.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_controls() -> list[tuple]:
+    """(get, set) ctypes functions of every OpenBLAS loaded in this process;
+    empty without /proc or without OpenBLAS (MKL, Accelerate)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return []
+    controls = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for get, set_ in _OPENBLAS_SYMBOLS:
+            if hasattr(handle, get) and hasattr(handle, set_):
+                getter, setter = getattr(handle, get), getattr(handle, set_)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                controls.append((getter, setter))
+                break
+    return controls
+
+
+@contextmanager
+def single_thread_blas() -> Iterator[None]:
+    """Run the body with every loaded OpenBLAS at one thread, then restore
+    the previous counts. The pool is drim's only parallelism, and one BLAS
+    thread makes results independent of the core count. Entered in the
+    parent so forked workers inherit the count: setting it inside a worker
+    starts OpenBLAS's thread server there, so a count already 1 is left as is."""
+    restore = []
+    for getter, setter in _openblas_controls():
+        threads = getter()
+        if threads != 1:
+            setter(1)
+            restore.append((setter, threads))
+    try:
+        yield
+    finally:
+        for setter, threads in restore:
+            setter(threads)
 
 
 def _parallel_map(fn, items: list, workers: int | None = None) -> list:
     workers = worker_count(workers)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    with single_thread_blas():
+        if workers <= 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+            return list(pool.map(fn, items))
 
 
 def load_graph(spec: ExperimentSpec) -> Graph:
@@ -254,7 +314,8 @@ def train_policy(spec: ExperimentSpec, scheme: Scheme, fp: str, tp_path: Path) -
     cfg = spec.episode_config()
     seed = derive_seed(spec.master_seed, "train", scheme.value, spec.opinion_model, fp)
     observable = full_view(graph) if cfg.p_nv >= 1.0 else None
-    result = train_agent(scheme, fp, graph, cfg, spec.ppo, seed, observable=observable)
+    with single_thread_blas():
+        result = train_agent(scheme, fp, graph, cfg, spec.ppo, seed, observable=observable)
     tp_path.parent.mkdir(parents=True, exist_ok=True)
     if result.opponent_params is not None:
         save_params(result.opponent_params, fp_policy_path(tp_path))

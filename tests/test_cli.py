@@ -22,10 +22,11 @@ def tiny_edges(tmp_path_factory):
     return path
 
 
-FAST = [
+TRAIN_FAST = [
     "--k", "3", "--runs", "2", "--updates", "1", "--rollout-episodes", "2",
-    "--epochs", "2", "--hidden", "8", "--workers", "1",
+    "--epochs", "2", "--hidden", "8",
 ]
+FAST = [*TRAIN_FAST, "--workers", "1"]
 
 
 class TestParser:
@@ -69,11 +70,20 @@ class TestCommands:
         policy = tmp_path / "pol.bin"
         rc = main([
             "train", "--scheme", "storm", "--opponent", "cf", "--om", "nom",
-            "--dataset", str(tiny_edges), "--out", str(policy), *FAST,
+            "--dataset", str(tiny_edges), "--out", str(policy), *TRAIN_FAST,
         ])
         assert rc == 0
         assert policy.exists()
         assert policy.with_suffix(".curve.csv").exists()
+
+    def test_train_rejects_workers(self, tiny_edges, tmp_path, capsys):
+        policy = tmp_path / "pol.bin"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--opponent", "cf", "--dataset", str(tiny_edges),
+                  "--out", str(policy), *TRAIN_FAST, "--workers", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
+        assert not policy.exists()
 
     def test_sweep(self, tiny_edges, tmp_path, capsys):
         out = tmp_path / "sweep"

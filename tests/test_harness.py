@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +140,13 @@ class TestWorkerCount:
         with pytest.raises(ValueError, match=f"DRIM_WORKERS={value!r}"):
             worker_count()
 
+    def test_default_counts_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv("DRIM_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert worker_count() == 1  # e.g. under `taskset -c 0` on a many-core box
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert worker_count() == 4
+
     def test_explicit_value_beats_env(self, monkeypatch):
         monkeypatch.setenv("DRIM_WORKERS", "3")
         assert worker_count(2) == 2
@@ -232,6 +242,55 @@ class TestRunGrid:
         assert loaded[0].mean_decided_n_true == pytest.approx(
             round(rows[0].mean_decided_n_true, 4)
         )
+
+
+def _blas_probe(seed: int) -> tuple[list[int], int]:
+    """Spectral communities on a masked bundled view, then this process's
+    OpenBLAS thread counts and OS thread count."""
+    from drim.datasets import load_urv_email
+    from drim.harness import _openblas_controls
+    from drim.network import mask_network, spectral_communities
+
+    spectral_communities(mask_network(load_urv_email(), 0.6, seed), 5, seed)
+    return [get() for get, _ in _openblas_controls()], len(os.listdir("/proc/self/task"))
+
+
+class TestSingleThreadBlas:
+    def test_pool_workers_run_one_blas_thread(self):
+        from drim.harness import _openblas_controls, _parallel_map
+
+        controls = _openblas_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded")
+        before = [get() for get, _ in controls]
+        reports = _parallel_map(_blas_probe, [0, 1], workers=2)
+        assert reports == [([1] * len(controls), 1)] * 2
+        assert [get() for get, _ in controls] == before
+
+    def test_trained_policy_independent_of_blas_threads(self, tmp_path):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs 2 CPUs for OpenBLAS to thread")
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from drim.harness import ExperimentSpec, train_policy\n"
+            "from drim.rl import PPOConfig\n"
+            "from drim.strategies import Scheme\n"
+            "ppo = PPOConfig(hidden=64, rollout_episodes=8, epochs=2, updates=1)\n"
+            "out = Path(sys.argv[1])\n"
+            "train_policy(ExperimentSpec(k=50, ppo=ppo, out_dir=out.parent), Scheme.DRIM_A, 'cf', out)\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        policies = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+            out = tmp_path / threads / "policy.bin"
+            subprocess.run([sys.executable, "-c", script, str(out)],
+                           env=env, check=True, timeout=300)
+            policies.append(out.read_bytes())
+        assert policies[0] == policies[1]
 
 
 class TestPolicyCache:
