@@ -6,6 +6,7 @@ coincide on an unweighted graph, and the blocking action is kept. C-STORM
 adds a community step: spectral communities are computed once per episode
 on the observable graph, and before each selection the candidate pool is
 restricted to the community currently holding the most free nodes.
+Building a C-STORM agent is what loads scipy into a drim process.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ class CommunityRestriction:
     def __init__(self, k: int = DEFAULT_COMMUNITIES):
         if k < 1:
             raise ValueError("community count must be >= 1")
+        # Load spectral_communities' scipy modules here: C-STORM agents are
+        # built in the parent, so forked pool workers inherit them instead
+        # of each importing them again.
+        import scipy.cluster.vq  # noqa: F401
+        import scipy.sparse.linalg  # noqa: F401
+
         self.k = k
         self.labels: np.ndarray | None = None
 

@@ -9,6 +9,17 @@ from drim.harness import ExperimentSpec
 from drim.rl import PPOConfig
 from drim.strategies import Scheme
 
+
+def _auto_train(value: str) -> bool:
+    """configparser's boolean words, case-insensitive; any other text is an
+    error rather than False, so a typo cannot silently disable training."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+    except KeyError:
+        raise ValueError(
+            f"auto_train must be one of 1/yes/true/on or 0/no/false/off, got {value!r}") from None
+
+
 _EXPERIMENT_KEYS = {
     "scheme": lambda v: Scheme(v),
     "opinion_model": str,
@@ -18,7 +29,7 @@ _EXPERIMENT_KEYS = {
     "dataset": str,
     "out_dir": Path,
     "policy_dir": Path,
-    "auto_train": lambda v: str(v).lower() in ("1", "true", "yes", "on"),
+    "auto_train": _auto_train,
 }
 
 _EPISODE_KEYS = {"k": int, "p_t": int, "p_f": int, "p_nv": float, "prior_a": float}

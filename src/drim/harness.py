@@ -16,7 +16,8 @@ lockstep (`propagation.run_lockstep`). Every result CSV is written
 atomically.
 
 The process pool is the only parallelism: every pooled map and every
-training run holds each loaded OpenBLAS at one thread
+training run holds each loaded OpenBLAS at one thread, and starts any
+loaded later (scipy's, with the first C-STORM agent) at one thread
 (`single_thread_blas`), so workers do not oversubscribe the cores and a
 trained policy's bytes do not depend on the core count (OpenBLAS only;
 other BLAS libraries are left as they are).
@@ -212,6 +213,8 @@ _OPENBLAS_SYMBOLS = (
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+# Read by an OpenBLAS when it loads.
+_OPENBLAS_ENV_VAR = "OPENBLAS_NUM_THREADS"
 
 
 def _openblas_controls() -> list[tuple]:
@@ -242,16 +245,29 @@ def single_thread_blas() -> Iterator[None]:
     the previous counts. The pool is drim's only parallelism, and one BLAS
     thread makes results independent of the core count. Entered in the
     parent so forked workers inherit the count: setting it inside a worker
-    starts OpenBLAS's thread server there, so a count already 1 is left as is."""
+    starts OpenBLAS's thread server there, so a count already 1 is left as is.
+
+    scipy's OpenBLAS loads late, when a C-STORM agent is first built
+    (`baselines.CommunityRestriction`), possibly inside the body or in a
+    worker forked in it. So the body also runs with OPENBLAS_NUM_THREADS=1
+    in os.environ (inherited by workers; the previous value, or its
+    absence, is restored afterwards), and an OpenBLAS first loaded in the
+    body reads it: it starts, and is left, at one thread."""
     restore = []
     for getter, setter in _openblas_controls():
         threads = getter()
         if threads != 1:
             setter(1)
             restore.append((setter, threads))
+    env = os.environ.get(_OPENBLAS_ENV_VAR)
+    os.environ[_OPENBLAS_ENV_VAR] = "1"
     try:
         yield
     finally:
+        if env is None:
+            del os.environ[_OPENBLAS_ENV_VAR]
+        else:
+            os.environ[_OPENBLAS_ENV_VAR] = env
         for setter, threads in restore:
             setter(threads)
 

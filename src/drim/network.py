@@ -6,6 +6,11 @@ on when network visibility is partial: each edge of the base graph is
 kept independently with probability p_nv. Spreading always runs on the
 full graph; only planning queries (degree, free degree, 2-hop
 neighborhoods, communities) consult the mask.
+
+Only `spectral_communities` (C-STORM's community step) needs scipy, and
+it imports scipy's sparse, ARPACK and k-means modules when called; the
+rest of the module, and every drim process that never builds a C-STORM
+agent, runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -15,13 +20,13 @@ from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.cluster.vq import kmeans2
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 
-# Rows of A + A² materialized at once by ObservableGraph.within2_counts.
-_WITHIN2_BLOCK = 128
+# Reach cells (rows x n, one byte each) plus 2-hop walks (int64 index
+# arrays, about 40 bytes each) that one block of
+# ObservableGraph.within2_counts holds: about 10 MiB at most, unless a
+# single row needs more.
+_WITHIN2_BLOCK_ENTRIES = 1 << 18
 
 
 class EdgeListFormat(Enum):
@@ -87,19 +92,32 @@ class ObservableGraph(Graph):
     def within2_counts(self) -> np.ndarray:
         """Size of every node's 1-to-2-hop neighborhood (cached).
 
-        Counts the off-diagonal nonzeros of A + A² per row, a block of
-        rows at a time so that A² is never held whole.
+        Plain numpy over the CSR, no scipy: for a block of rows, mark each
+        row's neighbors and their neighbors (every 2-hop walk) in a boolean
+        reach block, clear the diagonal and count. Blocks are cut so that
+        reach cells plus walks stay within _WITHIN2_BLOCK_ENTRIES.
         """
         if self._within2 is None:
-            n = self.n
-            adj = sparse.csr_matrix(
-                (np.ones(self.indices.size, dtype=bool), self.indices, self.indptr), shape=(n, n)
-            )
+            n, indptr, indices = self.n, self.indptr, self.indices
+            deg = np.diff(indptr)
+            walk_ends = np.concatenate(([0], np.cumsum(deg[indices])))[indptr]
+            cost = np.cumsum(n + np.diff(walk_ends))
             counts = np.empty(n, dtype=np.int64)
-            for lo in range(0, n, _WITHIN2_BLOCK):
-                rows = adj[lo:lo + _WITHIN2_BLOCK]
-                reach = (rows + rows @ adj).tocsr()
-                counts[lo:lo + rows.shape[0]] = np.diff(reach.indptr) - reach.diagonal(k=lo)
+            lo = 0
+            while lo < n:
+                budget = _WITHIN2_BLOCK_ENTRIES + (cost[lo - 1] if lo else 0)
+                hi = max(lo + 1, int(np.searchsorted(cost, budget, side="right")))
+                rows = np.repeat(np.arange(hi - lo), deg[lo:hi])
+                hop1 = indices[indptr[lo]:indptr[hi]]
+                lens = deg[hop1]
+                starts = indptr[hop1] - (np.cumsum(lens) - lens)
+                walks = np.repeat(starts, lens) + np.arange(lens.sum())
+                reach = np.zeros((hi - lo, n), dtype=bool)
+                reach[rows, hop1] = True
+                reach[np.repeat(rows, lens), indices[walks]] = True
+                reach[np.arange(hi - lo), np.arange(lo, hi)] = False
+                counts[lo:hi] = np.count_nonzero(reach, axis=1)
+                lo = hi
             self._within2 = counts
         return self._within2
 
@@ -142,8 +160,13 @@ def spectral_communities(
     with the smallest eigenvalues (sparse Lanczos with a seeded start
     vector; dense fallback for small graphs), row-normalizes, and clusters
     with seeded k-means++. Labels cover [0, k); deterministic for a fixed
-    seed.
+    seed. Imports scipy's sparse, ARPACK and k-means modules on first use,
+    so only C-STORM pays for loading them.
     """
+    import scipy.sparse as sparse
+    from scipy.cluster.vq import kmeans2
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+
     if not 1 <= k <= g.n:
         raise ValueError(f"community count k={k} out of range [1, {g.n}]")
     if k == 1:

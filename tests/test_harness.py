@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from drim.baselines import CommunityRestriction
 from drim.config import parse_spec_file
 from drim.harness import (
     FP_STRATEGIES,
@@ -244,6 +246,15 @@ class TestRunGrid:
         )
 
 
+@pytest.fixture(scope="module", autouse=True)
+def c_storm_parent():
+    """Load scipy's spectral stack in this process, as building a C-STORM
+    agent does in the parent of a C-STORM pool. TestSingleThreadBlas
+    probes pools forked from that state; TestLateLoadedBlas probes a
+    parent without scipy, in a fresh interpreter."""
+    CommunityRestriction()
+
+
 def _blas_probe(seed: int) -> tuple[list[int], int]:
     """Spectral communities on a masked bundled view, then this process's
     OpenBLAS thread counts and OS thread count."""
@@ -291,6 +302,35 @@ class TestSingleThreadBlas:
                            env=env, check=True, timeout=300)
             policies.append(out.read_bytes())
         assert policies[0] == policies[1]
+
+
+class TestLateLoadedBlas:
+    LATE_LOAD = (
+        "import json, os, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from drim.harness import _openblas_controls, _parallel_map\n"
+        "from test_harness import _blas_probe\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+        "if _openblas_controls():\n"
+        "    reports = _parallel_map(_blas_probe, [0, 1], workers=2)\n"
+        "    print(json.dumps([reports, os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+    )
+
+    @pytest.mark.parametrize("prior", [None, "2"])
+    def test_workers_load_scipy_at_one_blas_thread(self, prior):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if prior is not None:
+            env["OPENBLAS_NUM_THREADS"] = prior
+        root = Path(__file__).resolve().parents[1]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self.LATE_LOAD, str(root / "tests")], env=env,
+                              capture_output=True, text=True, check=True, timeout=300)
+        if not proc.stdout.strip():
+            pytest.skip("no OpenBLAS loaded")
+        reports, after = json.loads(proc.stdout.strip().splitlines()[-1])
+        for threads, os_threads in reports:  # scipy's OpenBLAS among them, loaded in the worker
+            assert threads == [1] * len(threads) and os_threads == 1
+        assert after == prior
 
 
 class TestPolicyCache:
@@ -486,6 +526,26 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_spec_file(tmp_path / "nope.cfg")
+
+    @pytest.mark.parametrize("text,expected", [
+        ("1", True), ("YES", True), ("true", True), ("On", True),
+        ("0", False), ("no", False), ("FALSE", False), ("off", False),
+    ])
+    def test_auto_train_takes_boolean_words(self, tmp_path, text, expected):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(f"[experiment]\nauto_train = {text}\n")
+        assert parse_spec_file(cfg).auto_train is expected
+        assert parse_spec_file(None, {"auto_train": text}).auto_train is expected
+
+    @pytest.mark.parametrize("text", ["ture", "", "2", "enabled"])
+    def test_auto_train_rejects_other_text(self, tmp_path, text):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(f"[experiment]\nauto_train = {text}\n")
+        pattern = f"auto_train.*{text!r}"
+        with pytest.raises(ValueError, match=pattern):
+            parse_spec_file(cfg)
+        with pytest.raises(ValueError, match=pattern):
+            parse_spec_file(None, {"auto_train": text})
 
     def test_no_file_defaults(self):
         spec = parse_spec_file(None, {"runs": 2})

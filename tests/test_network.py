@@ -1,17 +1,22 @@
 """Graph loading, masking, queries, and spectral communities.
 
 Oracles: a per-node loop over each node's visible neighbors for free
-degrees, and a plain BFS over the visible edge set for 1-to-2-hop
-neighborhood sizes.
+degrees, and for 1-to-2-hop neighborhood sizes both a plain BFS over the
+visible edge set and scipy's sparse A + A² (the formula the numpy counts
+replaced).
 """
 
 from __future__ import annotations
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drim import network
 from drim.datasets import load_urv_email
 from drim.network import (
     EdgeListFormat,
@@ -62,6 +67,31 @@ def bfs_within(g: Graph, src: int, d: int) -> int:
 def free_degree_loop(g: Graph, free: np.ndarray) -> list[int]:
     """Free neighbors of every node, one node at a time."""
     return [sum(1 for nb in g.neighbors(v).tolist() if free[nb]) for v in range(g.n)]
+
+
+def sparse_within2(g: Graph) -> np.ndarray:
+    """Off-diagonal nonzeros of A + A² per row, with scipy.sparse."""
+    import scipy.sparse as sparse
+
+    adj = sparse.csr_matrix(
+        (np.ones(g.indices.size, dtype=bool), g.indices, g.indptr), shape=(g.n, g.n))
+    reach = (adj + adj @ adj).tocsr()
+    return np.diff(reach.indptr) - reach.diagonal()
+
+
+@st.composite
+def raw_graphs(draw):
+    """(n, raw edge list, block budget): some isolated nodes, duplicate
+    edges and self-loops in the input, and a budget of at most n // 3 rows
+    of n reach cells, so the counts span three row blocks or more."""
+    n = draw(st.integers(6, 60))
+    isolated = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n // 3))
+    linked = st.sampled_from(sorted(set(range(n)) - isolated))
+    edges = draw(st.lists(st.tuples(linked, linked), min_size=1, max_size=4 * n))
+    edges += draw(st.lists(st.sampled_from(edges), min_size=1, max_size=5))
+    edges += [(v, v) for v in draw(st.lists(linked, min_size=1, max_size=3))]
+    budget = draw(st.integers(1, n * (n // 3)))
+    return n, draw(st.permutations(edges)), budget
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:
@@ -205,10 +235,18 @@ class TestQueries:
     @pytest.mark.parametrize("p_nv", [1.0, 0.5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_within_two_hops_random_graphs_match_bfs(self, p_nv, seed):
-        # 300 nodes spans three of the 128-row blocks the counts are built in
         g = random_graph(300, 900, seed)
         ov = mask_network(g, p_nv, rng_seed=seed)
         assert ov.within2_counts().tolist() == [bfs_within(ov, v, 2) for v in range(g.n)]
+
+    @given(raw_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_within_two_hops_blocks_match_sparse_formula(self, case):
+        n, edges, budget = case
+        ov = ObservableGraph(n, edges)
+        with mock.patch.object(network, "_WITHIN2_BLOCK_ENTRIES", budget):
+            counts = ov.within2_counts()
+        assert counts.tolist() == sparse_within2(ov).tolist()
 
     def test_within_two_hops_cached(self):
         ov = make_cycle(6)
