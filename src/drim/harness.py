@@ -45,6 +45,7 @@ from drim.datasets import load_urv_email, urv_email_path
 from drim.network import Graph, ObservableGraph, full_view, load_edge_list
 from drim.opinion import TrustModel, TrustVariant
 from drim.propagation import (
+    DRAW_CONTRACT,
     Episode,
     EpisodeConfig,
     RoundLog,
@@ -293,8 +294,9 @@ def load_graph(spec: ExperimentSpec) -> Graph:
 
 def _policy_tag(spec: ExperimentSpec) -> str:
     """Hash of what determines a policy besides its cell and master seed:
-    the PPO and training-episode settings and the edge-list file's bytes
-    (the bundled file when the spec names no dataset)."""
+    the PPO and training-episode settings, the edge-list file's bytes
+    (the bundled file when the spec names no dataset) and the wave's
+    draw-order contract."""
     cfg = spec.episode_config()
     dataset = urv_email_path() if spec.dataset is None else Path(spec.dataset)
     text = "|".join(
@@ -303,6 +305,7 @@ def _policy_tag(spec: ExperimentSpec) -> str:
             *astuple(spec.ppo),
             cfg.k, cfg.p_t, cfg.p_f, cfg.p_nv, cfg.prior_a,
             hashlib.sha256(dataset.read_bytes()).hexdigest(),
+            DRAW_CONTRACT,
         )
     )
     return hashlib.sha256(text.encode()).hexdigest()[:8]

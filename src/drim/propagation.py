@@ -18,13 +18,14 @@ across all reading targets at once with the array operators of
 `drim.opinion`. A target stops at the sender whose fusion froze it;
 a degenerate fusion (beta <= 1e-12) is skipped and counted.
 
-Draw-order contract: within a level, the reached users are visited in
-ascending id order; each takes one `rng.random()` read draw, and a user
-whose read succeeded takes one more, its share draw, before the next
-user's read draw. Nothing else in a wave draws. The kernel takes these
-draws in blocks of exactly as many as are still certain to be needed,
-so the generator ends every wave in the same state as one scalar call
-per draw would leave it.
+Draw-order contract: within a level, a replica's s reached users, in
+ascending id order, take 2·s uniforms from its generator in one
+`rng.random((2, s))` call. Row 0 holds their read draws and row 1 their
+share draws: a user reads iff its read draw is below p_read, and shares
+iff it read and its share draw is below p_share. Nothing else in a wave
+draws, and only `random()` is used, so the half of a 64-bit draw that
+`integers` may hold buffered stays untouched. `DRAW_CONTRACT` names this
+contract: change it whenever the wave's draws change.
 
 Lockstep replicas: the kernel also runs R independent episodes at once
 (`run_lockstep`), the way vectorized RL environments step a batch
@@ -32,11 +33,11 @@ Lockstep replicas: the kernel also runs R independent episodes at once
 stacked population, and the wave runs over the disjoint union of R
 copies of the graph, read from the one CSR with ids offset by r·n; each
 level's reached users are split by replica, and replica r takes its
-draws from its own generator, so every replica sees exactly the draws
-and the fusions of its solo run. `run_lockstep` is the only round loop:
-`run_episode` is its R = 1 case, evaluation runs a worker's share of a
-cell through it, and PPO training runs each update's rollout episodes
-through it with the learner as one of the agents.
+block of draws from its own generator, so every replica sees exactly
+the draws and the fusions of its solo run. `run_lockstep` is the only
+round loop: `run_episode` is its R = 1 case, evaluation runs a worker's
+share of a cell through it, and PPO training runs each update's rollout
+episodes through it with the learner as one of the agents.
 
 Rewards use decided influence counts (vacuity below 0.5) so that the
 all-undecided starting population contributes a zero baseline.
@@ -72,6 +73,10 @@ from drim.population import (
     stack_populations,
 )
 from drim.strategies import Agent, StrategyKind, select_seed
+
+# The draw-order contract above; policy cache keys hash it, so a policy
+# trained on another stream of draws is retrained, not reused.
+DRAW_CONTRACT = "level-block: rng.random((2, s)) per replica and level"
 
 
 @dataclass(frozen=True)
@@ -133,33 +138,6 @@ class WaveCounters:
 # WaveCounters fields, in order: the rows of the kernel's (fields, replicas) tally.
 _COUNTERS = tuple(f.name for f in fields(WaveCounters))
 _REACHED, _READS, _FUSIONS, _REFRESHES, _FROZEN, _DEGENERATE = range(len(_COUNTERS))
-
-
-def _read_share_draws(
-    rng: np.random.Generator, p_read: list[float], p_share: list[float], t: int, m: int,
-    reads: list[int], shares: list[int],
-) -> None:
-    """Append the positions in [t, m) of the reached users that read to
-    reads, and of those that share to shares.
-
-    Replays the draw-order contract over blocks of uniforms: a read draw
-    per user and a share draw after each successful read. A block holds
-    only the draws still certain to be needed (a read draw per remaining
-    user, plus a share draw if one is due), so none is taken that the
-    contract would not take.
-    """
-    share_due = False  # user t - 1 read and awaits its share draw
-    while t < m or share_due:
-        for x in rng.random(m - t + share_due).tolist():
-            if share_due:
-                share_due = False
-                if x < p_share[t - 1]:
-                    shares.append(t - 1)
-            else:
-                if x < p_read[t]:
-                    reads.append(t)
-                    share_due = True
-                t += 1
 
 
 def _fuse_level(
@@ -286,23 +264,18 @@ def propagate_wave(
 
         # reached is ascending, so each replica's users are one segment of it
         segments = [0, *reached.searchsorted(cuts).tolist(), reached.size]
-        p_read = state.p_read.take(reached).tolist()
-        p_share = state.p_share.take(reached).tolist()
-        reads: list[int] = []
-        shares: list[int] = []
-        for r, (lo, hi) in enumerate(zip(segments, segments[1:])):
-            if lo < hi:
-                before = len(reads)
-                _read_share_draws(rngs[r], p_read, p_share, lo, hi, reads, shares)
-                tally[_READS, r] += len(reads) - before
+        draws = np.concatenate([rngs[r].random((2, hi - lo))
+                                for r, (lo, hi) in enumerate(zip(segments, segments[1:]))
+                                if lo < hi], axis=1)
+        read = draws[0] < state.p_read.take(reached)
+        share = read & (draws[1] < state.p_share.take(reached))
         tally[_REACHED] += np.diff(segments)
-        if reads:
-            reads = np.array(reads)
-            reads = reads.take((~frozen.take(reached.take(reads))).nonzero()[0])
-            if reads.size:
-                _fuse_level(state, model, reached.take(reads), bounds.take(reads),
-                            bounds.take(reads + 1), senders, tally, n)
-        sharers = reached.take(shares) if shares else reached[:0]
+        tally[_READS] += np.bincount(reached[read] // n, minlength=replicas)
+        fusing = (read & ~frozen.take(reached)).nonzero()[0]
+        if fusing.size:
+            _fuse_level(state, model, reached.take(fusing), bounds.take(fusing),
+                        bounds.take(fusing + 1), senders, tally, n)
+        sharers = reached[share]
     if counters is not None:
         for c, column in zip(counters, tally.T.tolist()):
             for name, x in zip(_COUNTERS, column):

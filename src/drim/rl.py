@@ -51,12 +51,13 @@ class PPOConfig:
     selfplay_alternations: int = 4
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.clip_epsilon < 1.0:
-            raise ValueError("clip_epsilon must lie in (0, 1)")
-        for name in ("gamma", "epochs", "actor_lr", "critic_lr", "rollout_episodes",
-                     "updates", "hidden"):
+        for name in ("gamma", "clip_epsilon"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
+        for name in ("epochs", "actor_lr", "critic_lr", "rollout_episodes", "updates",
+                     "hidden", "selfplay_updates_per_side", "selfplay_alternations"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 class Mlp:

@@ -3,10 +3,13 @@
 This is the per-pair wave loop and the scalar opinion operators that
 drim used before the level-synchronous kernel, kept verbatim except that
 adjacency lists are rebuilt here from the graph's edge arrays (the Graph
-no longer stores them) and that a subnormal base rate takes the boundary
-branch of `vacuity_maximize`, as it does in `drim.opinion`. Tests run it side by side with
-`drim.propagation.propagate_wave` and `drim.opinion`, and require equal
-results and an equal generator state.
+no longer stores them), that a subnormal base rate takes the boundary
+branch of `vacuity_maximize`, as it does in `drim.opinion`, and that
+the draws follow the kernel's block contract: per level, one scalar read
+draw per reached user in ascending id order, then one share draw per
+reached user in the same order, a user sharing only if it read. Tests
+run it side by side with `drim.propagation.propagate_wave` and
+`drim.opinion`, and require equal results and an equal generator state.
 """
 
 from __future__ import annotations
@@ -206,12 +209,14 @@ def propagate_wave(
                         senders.append(s)
         if not targets:
             break
-        next_sharers: list[int] = []
-        for tgt in sorted(targets):
+        level = sorted(targets)
+        readers: set[int] = set()
+        for tgt in level:
             visited[tgt] = True
             counters.reached += 1
             if rng.random() >= p_read[tgt]:
                 continue
+            readers.add(tgt)
             counters.reads += 1
             if not frozen[tgt]:
                 op_i = Opinion(b[tgt], d[tgt], u[tgt], a[tgt])
@@ -235,7 +240,6 @@ def propagate_wave(
                         counters.frozen += 1
                         break
                 b[tgt], d[tgt], u[tgt], a[tgt] = op_i
-            if rng.random() < p_share[tgt]:
-                next_sharers.append(tgt)
-        sharers = next_sharers
+        # then one share draw per reached user, in the same order
+        sharers = [tgt for tgt in level if rng.random() < p_share[tgt] and tgt in readers]
     return state

@@ -369,7 +369,9 @@ class TestPolicyCache:
         assert paths["tiny"] == paths["same"]  # the file's bytes, not its name
         assert len({paths["tiny"], paths["other"], paths["bundled"]}) == 3
 
-    PARENT_DEFAULT_TAG = "baf6b1fa"  # the default spec's tag when the fields were listed by hand
+    # The default spec's tag. It moved from "baf6b1fa" when the draw-order
+    # contract joined the key, so policies of the old stream are retrained.
+    PARENT_DEFAULT_TAG = "91710efc"
 
     def test_tag_covers_every_ppo_field(self):
         from dataclasses import fields, replace
@@ -384,6 +386,14 @@ class TestPolicyCache:
             value = changed.get(f.name, getattr(spec.ppo, f.name) * 2)
             tags.add(_policy_tag(replace(spec, ppo=replace(spec.ppo, **{f.name: value}))))
         assert len(tags) == 1 + len(fields(PPOConfig))
+
+    def test_tag_covers_draw_contract(self, monkeypatch):
+        from drim import harness
+
+        spec = ExperimentSpec()
+        before = harness._policy_tag(spec)
+        monkeypatch.setattr(harness, "DRAW_CONTRACT", "another stream")
+        assert harness._policy_tag(spec) != before
 
     def test_failed_write_leaves_no_policy_and_retrains(self, tmp_path, tiny_dataset, monkeypatch):
         from drim import harness
@@ -546,6 +556,18 @@ class TestConfigFile:
             parse_spec_file(cfg)
         with pytest.raises(ValueError, match=pattern):
             parse_spec_file(None, {"auto_train": text})
+
+    @pytest.mark.parametrize("key,text", [
+        ("gamma", "1.0"), ("gamma", "1.5"), ("gamma", "0"),
+        ("selfplay_updates_per_side", "0"), ("selfplay_alternations", "0"),
+    ])
+    def test_bad_training_values_rejected(self, tmp_path, key, text):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(f"[training]\n{key} = {text}\n")
+        with pytest.raises(ValueError, match=f"{key} must"):
+            parse_spec_file(cfg)
+        with pytest.raises(ValueError, match=f"{key} must"):
+            parse_spec_file(None, {key: text})
 
     def test_no_file_defaults(self):
         spec = parse_spec_file(None, {"runs": 2})

@@ -3,8 +3,8 @@
 Oracle: the TP policy, the self-play FP policy and the learning curve
 that `harness.train_policy` writes for three small cells on the bundled
 graph must come out byte for byte as the goldens in
-`tests/data/golden/train/`, which were written by the one-episode-at-a-time
-rollout path that the lockstep rollouts replaced. The cells cover a
+`tests/data/golden/train/`, which `write_golden_cell` wrote under the
+wave's block draw contract. The cells cover a
 heuristic opponent (CF, random), every opinion model, a masked view, the
 C-STORM learner with its community pool, the self-play FP learner and
 the frozen C-STORM TP opponent.

@@ -2,14 +2,18 @@
 
 Oracles:
   - differential: `reference_wave.propagate_wave` (the scalar per-pair
-    loop the kernel replaced) run on a copy of the same state with a copy
-    of the same generator must leave identical roles, freeze latches and
-    generator state, and equal opinions: bit for bit under UOM and NOM,
+    loop the kernel replaced, drawing in the kernel's order) run on a
+    copy of the same state with a copy of the same generator must leave
+    identical roles, freeze latches and generator state, and equal
+    opinions: bit for bit under UOM and NOM,
     within a few ulp under HOM (`np.hypot` and `math.hypot` disagree by
     one ulp on some inputs), and equal `WaveCounters`, counted here per
     event;
+  - draw contract: with p_read and p_share in {0, 1}, a wave takes one
+    `random((2, s))` block per level of s reached users;
   - goldens: results.csv / raw_runs.csv of small fixed specs, written by
-    the scalar implementation, must come out byte for byte.
+    `write_golden_cell` under the block draw contract, must come out byte
+    for byte.
 """
 
 from __future__ import annotations
@@ -130,6 +134,55 @@ class TestDifferentialAgainstScalarWave:
             propagate_wave(kernel, g, party, model, (kernel_rng,))
             reference_wave.propagate_wave(reference, g, party, model, reference_rng)
             _assert_same(kernel, reference, model, kernel_rng, reference_rng)
+
+
+class RecordingRng:
+    """A generator that logs the size of each `random` call and its state after."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.blocks = []
+
+    def random(self, size):
+        out = self.rng.random(size)
+        self.blocks.append((size, self.rng.bit_generator.state))
+        return out
+
+
+class TestDrawContract:
+    """With p_read and p_share in {0, 1} every outcome is known, so the
+    blocks a wave draws are pinned without a reference."""
+
+    def test_one_block_of_two_draws_per_reached_user_and_level(self):
+        # 0 is the seed; 1, 2, 3 are level 1; 4, 5 hang off 1, 6 off 2, 7 off 3.
+        g = Graph(8, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (3, 7)])
+        state = init_population(8, 0)
+        state.p_read[:] = state.p_share[:] = 1.0
+        state.p_share[2] = 0.0  # reads, does not share: 6 stays unreached
+        state.p_read[3] = 0.0  # does not read, so does not share: 7 stays unreached
+        promote_seed(state, 0, Party.TRUE_PARTY)
+        rng, counters = RecordingRng(5), WaveCounters()
+        propagate_wave(state, g, Party.TRUE_PARTY, NOM, (rng,), counters=(counters,))
+        fresh = np.random.default_rng(5)
+        sizes = [size for size, _ in rng.blocks]
+        assert sizes == [(2, 3), (2, 2)]  # levels {1, 2, 3} and {4, 5}
+        for size, state_after in rng.blocks:
+            fresh.random(2 * size[1])
+            assert state_after == fresh.bit_generator.state
+        assert (counters.reached, counters.reads) == (5, 4)
+
+    def test_unread_user_never_shares(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        state = init_population(3, 0)
+        state.p_read[:] = 0.0
+        state.p_share[:] = 1.0
+        promote_seed(state, 0, Party.TRUE_PARTY)
+        rng, counters = np.random.default_rng(6), WaveCounters()
+        propagate_wave(state, g, Party.TRUE_PARTY, UOM, (rng,), counters=(counters,))
+        assert (counters.reached, counters.reads) == (1, 0)  # no second level
+        fresh = np.random.default_rng(6)
+        fresh.random(2)
+        assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 class TestDegenerateFusion:
