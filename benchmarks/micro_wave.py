@@ -5,10 +5,14 @@ Not part of the test suite (the file is not named test_*.py). Run with
     python -m pytest benchmarks/micro_wave.py --benchmark-only
 
 and add --benchmark-autosave to keep the run under .benchmarks/.
-Each wave starts from the same mid-episode state: 25 seeds per party
-promoted on the bundled graph, three waves already run. The batched wave
-runs that state as R = 10 lockstep replicas (stacked population, one
-generator each), the way `run_lockstep` does.
+Each wave starts from the same mid-episode state on the bundled graph,
+drawn from its own seeded generator without running a wave (so a change
+to the wave's draws does not change the work timed): 25 seeds per party
+and 600 reached users, half of them near-certain (frozen once their
+vacuity is at most t_u) and half still uncertain. Every wave draws from a
+fresh generator of one fixed seed. The batched wave runs that state as
+R = 10 lockstep replicas (stacked population, one generator each), the
+way `run_lockstep` does.
 """
 
 from __future__ import annotations
@@ -27,33 +31,42 @@ GRAPH = load_urv_email()
 REPLICAS = 10
 
 
-def _mid_episode(model):
-    state = init_population(GRAPH.n, 0)
-    users = np.random.default_rng(1).permutation(GRAPH.n)[:50].tolist()
-    for i, user in enumerate(users):
+def _mid_episode():
+    rng = np.random.default_rng(1)
+    state = init_population(GRAPH.n, rng)
+    users = rng.permutation(GRAPH.n)[:650]
+    for i, user in enumerate(users[:50].tolist()):
         promote_seed(state, user, Party.TRUE_PARTY if i % 2 else Party.FALSE_PARTY)
-    rng = np.random.default_rng(2)
-    for party in (Party.FALSE_PARTY, Party.TRUE_PARTY, Party.TRUE_PARTY):
-        propagate_wave(state, GRAPH, party, model, (rng,))
-    return state, rng
+    reached = users[50:]
+    certain = np.arange(reached.size) % 2 == 0
+    u = np.where(certain, rng.uniform(0.005, 0.02, reached.size),
+                 rng.uniform(0.75, 0.98, reached.size))
+    b = rng.random(reached.size) * (1.0 - u)
+    state.bdua[:3, reached] = b, 1.0 - u - b, u
+    state.frozen[reached] = u <= UOM.t_u  # UOM and NOM share the freeze threshold
+    return state
+
+
+def _wave_rng():
+    return np.random.default_rng(2)
 
 
 @pytest.mark.parametrize("model", [UOM, NOM], ids=["uom", "nom"])
 def test_one_wave(benchmark, model):
-    state, rng = _mid_episode(model)
+    state = _mid_episode()
 
     def setup():
-        return (copy.deepcopy(state), GRAPH, Party.FALSE_PARTY, model, (copy.deepcopy(rng),)), {}
+        return (copy.deepcopy(state), GRAPH, Party.FALSE_PARTY, model, (_wave_rng(),)), {}
 
     benchmark.pedantic(propagate_wave, setup=setup, rounds=50, warmup_rounds=2)
 
 
 def test_one_batched_wave_uom(benchmark):
-    state, rng = _mid_episode(UOM)
+    state = _mid_episode()
 
     def setup():
         stacked = stack_populations([copy.deepcopy(state) for _ in range(REPLICAS)])
-        rngs = [copy.deepcopy(rng) for _ in range(REPLICAS)]
+        rngs = [_wave_rng() for _ in range(REPLICAS)]
         return (stacked, GRAPH, Party.FALSE_PARTY, UOM, rngs), {}
 
     benchmark.pedantic(propagate_wave, setup=setup, rounds=20, warmup_rounds=2)

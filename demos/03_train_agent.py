@@ -10,21 +10,18 @@ import numpy as np
 
 from drim.datasets import load_urv_email
 from drim.harness import single_thread_blas
-from drim.network import full_view
 from drim.propagation import EpisodeConfig, run_episode
 from drim.rl import PPOConfig, policy_forward, save_params, train_agent
 from drim.strategies import Scheme, action_space, make_heuristic_agent
 from drim.baselines import make_scheme_agent
 
 graph = load_urv_email()
-observable = full_view(graph)
 episode_cfg = EpisodeConfig(k=50, rng_seed=0)
 ppo_cfg = PPOConfig(hidden=64, rollout_episodes=8, updates=12, epochs=60, actor_lr=0.05)
 
 print("training drim-a against a centrality-first false party...")
 with single_thread_blas():  # the same policy bytes on any core count
-    result = train_agent(Scheme.DRIM_A, "cf", graph, episode_cfg, ppo_cfg,
-                         rng_seed=11, observable=observable)
+    result = train_agent(Scheme.DRIM_A, "cf", graph, episode_cfg, ppo_cfg, rng_seed=11)
 print("update  mean_return  entropy")
 for update, mean_return, entropy in result.curve:
     print(f"{update:>6d}  {mean_return:>11.1f}  {entropy:.3f}")
@@ -41,7 +38,7 @@ scores = []
 for seed in range(5):
     episode = run_episode(graph, episode_cfg.with_seed(100 + seed),
                           make_scheme_agent(Scheme.DRIM_A, result.params),
-                          make_heuristic_agent("cf"), observable=observable)
+                          make_heuristic_agent("cf"))
     scores.append(episode.final_metrics()["decided_n_true"])
 print(f"trained agent decided n^T over 5 episodes: {np.mean(scores):.0f} "
       f"(individual: {[int(s) for s in scores]})")

@@ -12,8 +12,10 @@ counters go to `counters.csv`, which is byte-reproducible too.
 
 A cell's runs are split into one contiguous batch per worker process
 (`worker_count()` bounds them), and each batch runs its episodes in
-lockstep (`propagation.run_lockstep`). Every result CSV is written
-atomically.
+lockstep (`propagation.run_lockstep`). The harness builds no planning
+view: each episode picks its own, and at p_nv = 1 every episode on the
+graph, in every cell and training run, shares the graph's one cached
+full view (`network.full_view`). Every result CSV is written atomically.
 
 The process pool is the only parallelism: every pooled map and every
 training run holds each loaded OpenBLAS at one thread, and starts any
@@ -42,7 +44,8 @@ import numpy as np
 
 from drim.baselines import make_scheme_agent
 from drim.datasets import load_urv_email, urv_email_path
-from drim.network import Graph, ObservableGraph, full_view, load_edge_list
+from drim.network import Graph, load_edge_list
+from drim.network import full_view  # noqa: F401  (re-exported; perfbench's tracer rebinds it)
 from drim.opinion import TrustModel, TrustVariant
 from drim.propagation import (
     DRAW_CONTRACT,
@@ -332,9 +335,8 @@ def train_policy(spec: ExperimentSpec, scheme: Scheme, fp: str, tp_path: Path) -
     graph = load_graph(spec)
     cfg = spec.episode_config()
     seed = derive_seed(spec.master_seed, "train", scheme.value, spec.opinion_model, fp)
-    observable = full_view(graph) if cfg.p_nv >= 1.0 else None
     with single_thread_blas():
-        result = train_agent(scheme, fp, graph, cfg, spec.ppo, seed, observable=observable)
+        result = train_agent(scheme, fp, graph, cfg, spec.ppo, seed)
     tp_path.parent.mkdir(parents=True, exist_ok=True)
     if result.opponent_params is not None:
         save_params(result.opponent_params, fp_policy_path(tp_path))
@@ -400,7 +402,6 @@ class _EvalTask:
     """One worker's share of a cell: its runs' configs, in run order."""
 
     graph: Graph
-    observable: ObservableGraph | None
     cfgs: list[EpisodeConfig]
     tp_agent: Agent
     fp_agent: Agent
@@ -413,7 +414,7 @@ def _run_eval(
     the cell's agents. A lockstep episode has no wall clock of its own,
     so each is timed as the batch's wall clock over the batch size."""
     start = time.perf_counter()
-    episodes = [Episode(task.graph, cfg, task.observable) for cfg in task.cfgs]
+    episodes = [Episode(task.graph, cfg) for cfg in task.cfgs]
     agents = [(copy.deepcopy(task.tp_agent), copy.deepcopy(task.fp_agent)) for _ in episodes]
     run_lockstep(episodes, agents)
     seconds = (time.perf_counter() - start) / len(episodes)
@@ -427,19 +428,16 @@ def run_cell(
     fp: str,
     sweep_value=None,
     workers: int | None = None,
-    observable: ObservableGraph | None = None,
 ) -> tuple[ResultRow, list[dict], list[float]]:
     """Evaluate one cell: `spec.runs` episodes with derived seeds, split
     into one contiguous lockstep batch per worker."""
     cfg = spec.episode_config(sweep_value)
     tp_agent, fp_agent = load_cell_agents(spec, scheme, fp)
     coords = spec.coordinates(scheme, fp, sweep_value)
-    if observable is None and cfg.p_nv >= 1.0:
-        observable = full_view(graph)
     workers = worker_count(workers)
     cfgs = [cfg.with_seed(derive_seed(spec.master_seed, *coords, run)) for run in range(spec.runs)]
     tasks = [
-        _EvalTask(graph, observable, [cfgs[run] for run in batch], tp_agent, fp_agent)
+        _EvalTask(graph, [cfgs[run] for run in batch], tp_agent, fp_agent)
         for batch in np.array_split(np.arange(spec.runs), min(workers, spec.runs))
     ]
     outcomes = [o for batch in _parallel_map(_run_eval, tasks, workers) for o in batch]
@@ -498,7 +496,6 @@ def run_grid(
                 )
     graph = graph if graph is not None else load_graph(spec)
     points = list(spec.sweep_values) if spec.sweep_axis else [None]
-    shared_view = full_view(graph)
 
     for om in opinion_models:
         ensure_policies(replace(spec, opinion_model=om), cells, workers)
@@ -511,11 +508,7 @@ def run_grid(
         for scheme in schemes:
             for fp in fp_strategies:
                 for point in points:
-                    cfg = om_spec.episode_config(point)
-                    observable = shared_view if cfg.p_nv >= 1.0 else None
-                    row, raw, seconds = run_cell(
-                        om_spec, graph, scheme, fp, point, workers, observable
-                    )
+                    row, raw, seconds = run_cell(om_spec, graph, scheme, fp, point, workers)
                     rows.append(row)
                     raw_rows.extend(raw)
                     coords = om_spec.coordinates(scheme, fp, point)
@@ -722,7 +715,6 @@ def bench_runtime(
         raise ValueError("bench needs at least one timed episode")
     graph = load_graph(spec)
     ensure_policies(spec, [(s, spec.fp_strategy) for s in schemes], workers)
-    observable = full_view(graph) if spec.p_nv >= 1.0 else None
     cfg = spec.episode_config()
     out: dict[str, float] = {}
     for scheme in schemes:
@@ -731,7 +723,7 @@ def bench_runtime(
         for run in range(episodes + 1):
             seed = derive_seed(spec.master_seed, "bench", scheme.value, run)
             start = time.perf_counter()
-            run_episode(graph, cfg.with_seed(seed), tp_agent, fp_agent, observable)
+            run_episode(graph, cfg.with_seed(seed), tp_agent, fp_agent)
             times.append(time.perf_counter() - start)
         out[scheme.value] = float(np.mean(times[1:]))
     spec.out_dir.mkdir(parents=True, exist_ok=True)

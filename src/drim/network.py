@@ -1,11 +1,14 @@
 """Graph storage, edge-list ingestion, and planning-side views.
 
 The simulation graph is undirected and unweighted, without self-loops or
-duplicate edges. An ObservableGraph is the edge-masked view a party plans
-on when network visibility is partial: each edge of the base graph is
-kept independently with probability p_nv. Spreading always runs on the
-full graph; only planning queries (degree, free degree, 2-hop
-neighborhoods, communities) consult the mask.
+duplicate edges. An ObservableGraph is the view a party plans on. When
+network visibility is partial it is edge-masked: each edge of the base
+graph is kept independently with probability p_nv. At p_nv = 1 it is
+the graph's one full view: `full_view` builds it on first use and keeps
+it on the graph, so every episode on that graph shares it and its cached
+degrees and 2-hop counts. Spreading always runs on the full graph; only
+planning queries (degree, free degree, 2-hop neighborhoods, communities)
+consult the view.
 
 Only `spectral_communities` (C-STORM's community step) needs scipy, and
 it imports scipy's sparse, ARPACK and k-means modules when called; the
@@ -15,7 +18,6 @@ agent, runs on numpy alone.
 
 from __future__ import annotations
 
-from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -29,17 +31,12 @@ import numpy as np
 _WITHIN2_BLOCK_ENTRIES = 1 << 18
 
 
-class EdgeListFormat(Enum):
-    PLAIN = "plain"
-    MATRIX_MARKET = "matrix_market"
-
-
 class Graph:
     """Immutable undirected graph: n nodes, a sorted edge array, and CSR
     adjacency (`indices[indptr[v]:indptr[v + 1]]` are v's neighbors in
-    ascending order)."""
+    ascending order). `_full_view` caches `full_view(self)`."""
 
-    __slots__ = ("n", "edge_u", "edge_v", "indptr", "indices")
+    __slots__ = ("n", "edge_u", "edge_v", "indptr", "indices", "_full_view")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         raw = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
@@ -58,6 +55,7 @@ class Graph:
         self.indices = dst[np.lexsort((dst, src))]
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
+        self._full_view: ObservableGraph | None = None
 
     @property
     def num_edges(self) -> int:
@@ -123,15 +121,18 @@ class ObservableGraph(Graph):
 
 
 def full_view(g: Graph) -> ObservableGraph:
-    """The fully visible observable graph (p_nv = 1)."""
-    return ObservableGraph(g.n, np.stack([g.edge_u, g.edge_v], axis=1))
+    """The fully visible observable graph (p_nv = 1), built on the first
+    call and kept on g: later calls return it with its caches."""
+    if g._full_view is None:
+        g._full_view = ObservableGraph(g.n, np.stack([g.edge_u, g.edge_v], axis=1))
+    return g._full_view
 
 
 def mask_network(g: Graph, p_nv: float, rng_seed: int | np.random.Generator) -> ObservableGraph:
     """Sample the visible-edge view: each edge kept with probability p_nv.
 
     Deterministic for a fixed seed; both parties plan on the same view
-    within an episode.
+    within an episode. At p_nv = 1 this is the graph's cached full view.
     """
     if not 0.0 <= p_nv <= 1.0:
         raise ValueError(f"p_nv={p_nv} outside [0, 1]")
@@ -203,44 +204,40 @@ def spectral_communities(
     return labels.astype(np.int64)
 
 
-def load_edge_list(
-    source: str | Path | IO, fmt: EdgeListFormat = EdgeListFormat.PLAIN, index_base: int = 1
-) -> Graph:
+def load_edge_list(source: str | Path | IO, index_base: int = 1) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
-    PLAIN lines hold two integer ids; '%' and '#' start comment lines.
-    MATRIX_MARKET input skips the '%%' header, reads the dimension line,
-    and treats entries as 1-indexed. Inputs are normalized to 0-indexed
-    ids; self-loops and duplicate edges are dropped.
+    Lines hold two integer ids; '%' and '#' start comment lines. Input
+    whose first line is a `%%MatrixMarket` banner is read as Matrix
+    Market: its first non-comment line gives the dimensions, and entries
+    are 1-indexed. Inputs are normalized to 0-indexed ids; self-loops and
+    duplicate edges are dropped.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            return load_edge_list(fh, fmt=fmt, index_base=index_base)
+            return load_edge_list(fh, index_base=index_base)
     raw = source.read()
     text = raw.decode() if isinstance(raw, bytes) else raw
 
-    lines = text.splitlines()
+    matrix_market = text.startswith("%%MatrixMarket")
     edges: list[tuple[int, int]] = []
     declared_n: int | None = None
-    saw_dimensions = False
     max_id = -1
-    if fmt is EdgeListFormat.MATRIX_MARKET:
+    if matrix_market:
         index_base = 1
 
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith(("%", "#")):
             continue
         parts = stripped.split()
-        if fmt is EdgeListFormat.MATRIX_MARKET and not saw_dimensions:
+        if matrix_market and declared_n is None:
             if len(parts) < 2:
                 raise ValueError(f"line {lineno}: bad matrix market dimension line")
             try:
-                rows, cols = int(parts[0]), int(parts[1])
+                declared_n = max(int(parts[0]), int(parts[1]))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad matrix market dimensions") from exc
-            declared_n = max(rows, cols)
-            saw_dimensions = True
             continue
         if len(parts) < 2:
             raise ValueError(f"line {lineno}: expected two node ids, got {stripped!r}")

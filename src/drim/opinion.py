@@ -63,16 +63,6 @@ class Opinion(NamedTuple):
     u: float
     a: float
 
-    def validate(self) -> "Opinion":
-        """Return self if the simplex and range invariants hold, else raise."""
-        for name, x in zip("bdua", self):
-            if not (-SIMPLEX_TOL <= x <= 1.0 + SIMPLEX_TOL):
-                raise ValueError(f"opinion component {name}={x} outside [0, 1]")
-        total = self.b + self.d + self.u
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"opinion components sum to {total}, expected 1")
-        return self
-
 
 class Evidence(NamedTuple):
     """Evidence counts: r supports belief, s supports disbelief, W is the

@@ -39,6 +39,10 @@ round loop: `run_episode` is its R = 1 case, evaluation runs a worker's
 share of a cell through it, and PPO training runs each update's rollout
 episodes through it with the learner as one of the agents.
 
+Both parties plan on the episode's view (`Episode.obs`): the graph's one
+cached full view at p_nv = 1 (`network.full_view`), shared by every
+episode on the graph, else an edge mask drawn from the episode's seed.
+
 Rewards use decided influence counts (vacuity below 0.5) so that the
 all-undecided starting population contributes a zero baseline.
 """
@@ -313,28 +317,19 @@ _FALLBACK_CHAIN = (StrategyKind.SGF, StrategyKind.CF)
 class Episode:
     """One competitive episode on a fixed graph.
 
-    Holds the population, the shared observable view both parties plan
-    on, decided-count series per step, and the audit log. Sub-seeds for
-    population sampling, edge masking, and dynamics derive from the
-    config seed, so an episode is reproducible end to end.
+    Holds the population, the view both parties plan on, decided-count
+    series per step, and the audit log. Sub-seeds for population
+    sampling, edge masking, and dynamics derive from the config seed, so
+    an episode is reproducible end to end.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        cfg: EpisodeConfig,
-        observable: ObservableGraph | None = None,
-    ):
+    def __init__(self, graph: Graph, cfg: EpisodeConfig):
         self.graph = graph
         self.cfg = cfg
         pop_seed, mask_seed, dyn_seed = np.random.SeedSequence(cfg.rng_seed).spawn(3)
         self.pop = init_population(graph.n, np.random.default_rng(pop_seed), cfg.prior_a)
-        if observable is not None:
-            self.obs = observable
-        elif cfg.p_nv >= 1.0:
-            self.obs = full_view(graph)
-        else:
-            self.obs = mask_network(graph, cfg.p_nv, np.random.default_rng(mask_seed))
+        self.obs = (full_view(graph) if cfg.p_nv >= 1.0
+                    else mask_network(graph, cfg.p_nv, np.random.default_rng(mask_seed)))
         self.rng = np.random.default_rng(dyn_seed)
         self.model = cfg.opinion_model
         self.counters = WaveCounters()
@@ -409,10 +404,9 @@ def run_episode(
     cfg: EpisodeConfig,
     tp_agent: Agent,
     fp_agent: Agent,
-    observable: ObservableGraph | None = None,
 ) -> Episode:
     """Run one episode: `run_lockstep` of a single episode."""
-    return run_lockstep([Episode(graph, cfg, observable)], [(tp_agent, fp_agent)])[0]
+    return run_lockstep([Episode(graph, cfg)], [(tp_agent, fp_agent)])[0]
 
 
 def run_lockstep(episodes: list[Episode], agents: list[tuple[Agent, Agent]]) -> list[Episode]:

@@ -16,6 +16,7 @@ recording the states, actions, log-probabilities and values it saw.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -26,7 +27,7 @@ from typing import IO, Callable, Iterator
 import numpy as np
 
 from drim.baselines import make_scheme_agent, scheme_agent
-from drim.network import Graph, ObservableGraph
+from drim.network import Graph
 from drim.population import Party
 from drim.propagation import Episode, EpisodeConfig, discounted_returns, run_lockstep
 from drim.strategies import Agent, Scheme, StrategyKind, action_space, make_heuristic_agent
@@ -56,8 +57,10 @@ class PPOConfig:
                 raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         for name in ("epochs", "actor_lr", "critic_lr", "rollout_episodes", "updates",
                      "hidden", "selfplay_updates_per_side", "selfplay_alternations"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.entropy_coef < math.inf:
+            raise ValueError(f"entropy_coef must be non-negative and finite, got {self.entropy_coef}")
 
 
 class Mlp:
@@ -350,7 +353,6 @@ class Matchup:
     party: Party
     scheme: Scheme
     opponent: Callable[[], Agent]
-    observable: ObservableGraph | None = None
 
 
 @dataclass
@@ -373,7 +375,7 @@ def collect_rollouts(
     for child in seed_seq.spawn(episodes):
         env_seed, sample_seed = child.spawn(2)
         cfg = matchup.episode_cfg.with_seed(int(env_seed.generate_state(1)[0]))
-        games.append(Episode(matchup.graph, cfg, matchup.observable))
+        games.append(Episode(matchup.graph, cfg))
         learner = LearnerAgent(params, action_space(matchup.scheme),
                                np.random.default_rng(sample_seed))
         learners.append(learner)
@@ -410,7 +412,6 @@ def train_agent(
     episode_cfg: EpisodeConfig,
     ppo_cfg: PPOConfig,
     rng_seed: int,
-    observable: ObservableGraph | None = None,
 ) -> TrainResult:
     """Train the true party's agent for a scheme against one opponent.
 
@@ -424,7 +425,7 @@ def train_agent(
     tp_space = action_space(scheme)
 
     def rollout(party: Party, learner_scheme: Scheme, make_opponent: Callable[[], Agent]):
-        matchup = Matchup(graph, episode_cfg, party, learner_scheme, make_opponent, observable)
+        matchup = Matchup(graph, episode_cfg, party, learner_scheme, make_opponent)
         return lambda params, seeds: collect_rollouts(
             params, matchup, ppo_cfg.rollout_episodes, seeds, ppo_cfg.gamma)
 

@@ -6,7 +6,7 @@ import pytest
 
 from drim.baselines import CommunityAgent, CommunityRestriction, make_scheme_agent
 from drim.datasets import load_urv_email
-from drim.network import Graph, full_view
+from drim.network import Graph
 from drim.opinion import NOM, UOM
 from drim.propagation import Episode, EpisodeConfig, run_episode, run_lockstep
 from drim.rl import init_params
@@ -70,11 +70,8 @@ class TestCstormReducesToStorm:
         params = init_params(2, 16, rng_seed=2)
         fp = make_heuristic_agent("cf")
 
-        storm_ep = run_episode(g, cfg, make_scheme_agent(Scheme.STORM, params), fp, observable=full_view(g))
-        cstorm_ep = run_episode(
-            g, cfg, make_scheme_agent(Scheme.C_STORM, params, communities=1), fp,
-            observable=full_view(g)
-        )
+        storm_ep = run_episode(g, cfg, make_scheme_agent(Scheme.STORM, params), fp)
+        cstorm_ep = run_episode(g, cfg, make_scheme_agent(Scheme.C_STORM, params, communities=1), fp)
         assert [e.seed for e in storm_ep.logs] == [e.seed for e in cstorm_ep.logs]
         assert [e.strategy for e in storm_ep.logs] == [e.strategy for e in cstorm_ep.logs]
 
@@ -88,7 +85,7 @@ class TestDeterminism:
         for _ in range(2):
             ep = run_episode(
                 g, cfg, make_scheme_agent(Scheme.C_STORM, params, communities=4),
-                make_heuristic_agent("random"), observable=full_view(g),
+                make_heuristic_agent("random"),
             )
             runs.append([e.seed for e in ep.logs])
         assert runs[0] == runs[1]

@@ -87,13 +87,14 @@ class TestCommands:
 
     @pytest.mark.parametrize("flag,value", [
         ("--gamma", "1.0"), ("--selfplay-updates-per-side", "0"),
-        ("--selfplay-alternations", "0"),
+        ("--selfplay-alternations", "0"), ("--actor-lr", "nan"), ("--critic-lr", "inf"),
+        ("--entropy-coef", "-5.0"),
     ])
     def test_train_rejects_bad_ppo_values_before_training(self, tiny_edges, tmp_path,
                                                           flag, value):
         policy = tmp_path / "pol.bin"
         field = flag[2:].replace("-", "_")
-        with pytest.raises(ValueError, match=f"{field} must"):
+        with pytest.raises(ValueError, match=f"{field} must.*got {value}"):
             main(["train", "--scheme", "drim-a", "--opponent", "drl", "--dataset",
                   str(tiny_edges), "--out", str(policy), *TRAIN_FAST, flag, value])
         assert not policy.exists()

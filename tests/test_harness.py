@@ -560,13 +560,16 @@ class TestConfigFile:
     @pytest.mark.parametrize("key,text", [
         ("gamma", "1.0"), ("gamma", "1.5"), ("gamma", "0"),
         ("selfplay_updates_per_side", "0"), ("selfplay_alternations", "0"),
+        ("actor_lr", "nan"), ("critic_lr", "inf"), ("entropy_coef", "-5.0"),
+        ("entropy_coef", "nan"),
     ])
     def test_bad_training_values_rejected(self, tmp_path, key, text):
         cfg = tmp_path / "spec.cfg"
         cfg.write_text(f"[training]\n{key} = {text}\n")
-        with pytest.raises(ValueError, match=f"{key} must"):
+        pattern = f"{key} must.*got {text}"
+        with pytest.raises(ValueError, match=pattern):
             parse_spec_file(cfg)
-        with pytest.raises(ValueError, match=f"{key} must"):
+        with pytest.raises(ValueError, match=pattern):
             parse_spec_file(None, {key: text})
 
     def test_no_file_defaults(self):

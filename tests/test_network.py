@@ -9,6 +9,7 @@ replaced).
 from __future__ import annotations
 
 import io
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 from drim import network
 from drim.datasets import load_urv_email
 from drim.network import (
-    EdgeListFormat,
     Graph,
     ObservableGraph,
     free_degrees,
@@ -124,8 +124,15 @@ class TestLoadEdgeList:
 
     def test_matrix_market(self):
         mm = b"%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n1 2\n2 3\n"
-        g = load_edge_list(io.BytesIO(mm), fmt=EdgeListFormat.MATRIX_MARKET)
+        g = load_edge_list(io.BytesIO(mm))
         assert g.n == 3 and g.num_edges == 2
+
+    def test_matrix_market_size_line_is_no_edge(self):
+        # Without the banner, the non-square size line "3 4 2" reads as edge (2, 3).
+        mm = b"%%MatrixMarket matrix coordinate pattern general\n3 4 2\n1 2\n2 3\n"
+        g = load_edge_list(io.BytesIO(mm))
+        assert g.n == 4
+        assert g.edges() == {(0, 1), (1, 2)}
 
     def test_malformed_line(self):
         with pytest.raises(ValueError):
@@ -138,7 +145,7 @@ class TestLoadEdgeList:
     def test_out_of_range_index(self):
         mm = b"%%MatrixMarket\n2 2 1\n1 5\n"
         with pytest.raises(ValueError):
-            load_edge_list(io.BytesIO(mm), fmt=EdgeListFormat.MATRIX_MARKET)
+            load_edge_list(io.BytesIO(mm))
 
     def test_empty_stream(self):
         with pytest.raises(ValueError):
@@ -252,6 +259,16 @@ class TestQueries:
         ov = make_cycle(6)
         assert ov.within2_counts() is ov.within2_counts()
         assert ov.degrees() is ov.degrees()
+
+    def test_full_view_built_once_per_graph(self):
+        g = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+        ov = full_view(g)
+        counts = ov.within2_counts()
+        assert full_view(g) is ov and mask_network(g, 1.0, rng_seed=3) is ov
+        assert full_view(g).within2_counts() is counts
+        clone = pickle.loads(pickle.dumps(g))
+        assert full_view(clone).within2_counts().tolist() == counts.tolist()
+        assert full_view(clone) is clone._full_view is not ov
 
     def test_queries_ignore_hidden_edges(self):
         g = Graph(3, [(0, 1), (0, 2)])

@@ -8,6 +8,8 @@ vectorized `discounted_returns`.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -378,3 +380,12 @@ class TestEpisodeConfig:
         cfg = EpisodeConfig(k=3, rng_seed=1)
         assert cfg.with_seed(9).rng_seed == 9
         assert cfg.with_seed(9).k == 3
+
+
+class TestEpisodeView:
+    def test_episodes_share_the_full_view_and_mask_below_it(self):
+        g = path_graph(6)
+        cfgs = [EpisodeConfig(k=1, rng_seed=seed) for seed in (0, 1)]
+        assert all(Episode(g, cfg).obs is full_view(g) for cfg in cfgs)
+        masked = [Episode(g, replace(cfg, p_nv=0.5)).obs for cfg in cfgs]
+        assert all(ov is not full_view(g) for ov in masked) and masked[0] is not masked[1]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from drim.datasets import load_urv_email
-from drim.network import full_view
 from drim.opinion import NOM, UOM
 from drim.population import Party
 from drim.propagation import Episode, EpisodeConfig, run_lockstep
@@ -62,13 +61,13 @@ def learner_episode(cfg, party, opponent, seed=1, gamma=0.95):
     learner = LearnerAgent(params, action_space(Scheme.DRIM_A), np.random.default_rng(seed))
     opponent = make_heuristic_agent(opponent)
     agents = (learner, opponent) if party is Party.TRUE_PARTY else (opponent, learner)
-    (ep,) = run_lockstep([Episode(g, cfg, full_view(g))], [agents])
+    (ep,) = run_lockstep([Episode(g, cfg)], [agents])
     return ep, collect_episode(ep, learner, gamma)
 
 
 def matchup(cfg, party=Party.TRUE_PARTY, opponent="random", scheme=Scheme.DRIM_A):
     g = load_urv_email()
-    return Matchup(g, cfg, party, scheme, lambda: make_heuristic_agent(opponent), full_view(g))
+    return Matchup(g, cfg, party, scheme, lambda: make_heuristic_agent(opponent))
 
 
 def random_batch(rng, n=48, n_actions=4):
