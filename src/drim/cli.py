@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from drim.config import parse_spec_file
+from drim.config import SPEC_KEYS, parse_spec_file
 from drim.harness import (
     FP_STRATEGIES,
     LAYOUTS,
@@ -22,49 +22,39 @@ from drim.harness import (
 from drim.strategies import Scheme
 
 
+# Settings whose flag is not `--<key with dashes>` taking the key's
+# converter: the historical short spellings, choice lists, help texts and
+# auto_train, which the command line can only switch off. Their values
+# stay text until `parse_spec_file` converts them.
+_FLAG_OPTIONS = {
+    "scheme": {"choices": [s.value for s in Scheme]},
+    "opinion_model": {"flag": "--om", "choices": OPINION_MODELS},
+    "fp_strategy": {"flag": "--fp", "choices": FP_STRATEGIES},
+    "dataset": {"help": "edge-list path (default: bundled graph)"},
+    "out_dir": {"flag": "--out", "help": "output directory"},
+    "policy_dir": {"flag": "--policies", "help": "policy cache directory"},
+    "auto_train": {"flag": "--no-auto-train", "action": "store_false", "default": None,
+                   "help": "fail instead of training missing policies"},
+}
+
+
 def _add_common_overrides(p: argparse.ArgumentParser, evaluates: bool = True) -> None:
-    """Spec overrides; `--out` and `--workers` only for commands that evaluate."""
-    p.add_argument("--scheme", choices=[s.value for s in Scheme])
-    p.add_argument("--om", dest="opinion_model", choices=OPINION_MODELS)
-    p.add_argument("--fp", dest="fp_strategy", choices=FP_STRATEGIES)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--master-seed", dest="master_seed", type=int)
-    p.add_argument("--dataset", help="edge-list path (default: bundled graph)")
+    """A flag for each setting in `SPEC_KEYS` outside [sweep] (the sweep
+    command declares its own); `--out` and `--workers` only for commands
+    that evaluate."""
+    for key, (section, convert) in SPEC_KEYS.items():
+        if section == "sweep" or (key == "out_dir" and not evaluates):
+            continue
+        options = dict(_FLAG_OPTIONS.get(key, {"type": convert}))
+        p.add_argument(options.pop("flag", "--" + key.replace("_", "-")), dest=key, **options)
     if evaluates:
-        p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument("--workers", type=int,
                        help="worker processes (default: $DRIM_WORKERS, else min(usable cpus, 4))")
-    p.add_argument("--policies", dest="policy_dir", help="policy cache directory")
-    p.add_argument("--no-auto-train", action="store_true",
-                   help="fail instead of training missing policies")
-    p.add_argument("--k", type=int)
-    p.add_argument("--p-t", dest="p_t", type=int)
-    p.add_argument("--p-f", dest="p_f", type=int)
-    p.add_argument("--p-nv", dest="p_nv", type=float)
-    p.add_argument("--prior-a", dest="prior_a", type=float)
-    for key in ("updates", "rollout-episodes", "epochs", "hidden",
-                "selfplay-updates-per-side", "selfplay-alternations"):
-        p.add_argument(f"--{key}", dest=key.replace("-", "_"), type=int)
-    for key in ("actor-lr", "critic-lr", "clip-epsilon", "entropy-coef", "gamma"):
-        p.add_argument(f"--{key}", dest=key.replace("-", "_"), type=float)
 
 
-def _spec_from_args(args, extra: dict | None = None) -> ExperimentSpec:
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "scheme", "opinion_model", "fp_strategy", "runs", "master_seed",
-            "dataset", "out_dir", "policy_dir", "k", "p_t", "p_f", "p_nv", "prior_a",
-            "updates", "rollout_episodes", "epochs", "hidden", "actor_lr", "critic_lr",
-            "clip_epsilon", "entropy_coef", "gamma",
-            "selfplay_updates_per_side", "selfplay_alternations",
-        )
-        if getattr(args, key, None) is not None
-    }
-    if getattr(args, "no_auto_train", False):
-        overrides["auto_train"] = False
-    overrides.update(extra or {})
-    return parse_spec_file(getattr(args, "spec", None), overrides)
+def _spec_from_args(args, **extra) -> ExperimentSpec:
+    overrides = {key: getattr(args, key, None) for key in SPEC_KEYS}
+    return parse_spec_file(args.spec, {**overrides, **extra})
 
 
 def cmd_train(args) -> int:
@@ -94,9 +84,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.values:
-        values = tuple(
-            int(v) if args.axis == "ip" else float(v) for v in args.values.split(",")
-        )
+        values = args.values  # text: parse_spec_file splits it, ExperimentSpec types it
     elif args.range:
         lo, _, hi = args.range.partition(":")
         if args.axis == "ip":
@@ -105,7 +93,7 @@ def cmd_sweep(args) -> int:
             raise SystemExit("--range is only meaningful for --axis ip; use --values")
     else:
         values = SWEEP_DEFAULTS[args.axis]
-    spec = _spec_from_args(args, {"sweep_axis": args.axis, "sweep_values": values})
+    spec = _spec_from_args(args, sweep_axis=args.axis, sweep_values=values)
     schemes = tuple(Scheme(s) for s in args.schemes.split(",")) if args.schemes else None
     rows = run_grid(spec, schemes, workers=args.workers)
     for row in rows:

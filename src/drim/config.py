@@ -1,8 +1,17 @@
-"""Flat key-value experiment config files (INI sections; CLI overrides win)."""
+"""Experiment settings: one table of keys, read by config files and the CLI.
+
+`SPEC_KEYS` maps each flat setting key to its INI section and its
+converter from text; the `[training]` entries are the fields of
+`PPOConfig`. A config file is INI with the sections `[experiment]`,
+`[episode]`, `[training]` and `[sweep]`; in `[sweep]` the keys drop
+their `sweep_` prefix (`axis`, `values`). An unknown section or key is
+an error. Overrides (the CLI's flags) win over the file.
+"""
 
 from __future__ import annotations
 
 import configparser
+from dataclasses import fields
 from pathlib import Path
 
 from drim.harness import ExperimentSpec
@@ -20,83 +29,70 @@ def _auto_train(value: str) -> bool:
             f"auto_train must be one of 1/yes/true/on or 0/no/false/off, got {value!r}") from None
 
 
-_EXPERIMENT_KEYS = {
-    "scheme": lambda v: Scheme(v),
-    "opinion_model": str,
-    "fp_strategy": str,
-    "runs": int,
-    "master_seed": int,
-    "dataset": str,
-    "out_dir": Path,
-    "policy_dir": Path,
-    "auto_train": _auto_train,
+def _words(value: str) -> tuple[str, ...]:
+    """Comma- or space-separated sweep points, as text: `ExperimentSpec`
+    turns them into the axis's type."""
+    return tuple(value.replace(",", " ").split())
+
+
+SPEC_KEYS = {
+    "scheme": ("experiment", Scheme),
+    "opinion_model": ("experiment", str),
+    "fp_strategy": ("experiment", str),
+    "runs": ("experiment", int),
+    "master_seed": ("experiment", int),
+    "dataset": ("experiment", str),
+    "out_dir": ("experiment", Path),
+    "policy_dir": ("experiment", Path),
+    "auto_train": ("experiment", _auto_train),
+    "k": ("episode", int),
+    "p_t": ("episode", int),
+    "p_f": ("episode", int),
+    "p_nv": ("episode", float),
+    "prior_a": ("episode", float),
+    # Every PPOConfig field has a plain int or float default.
+    **{f.name: ("training", type(f.default)) for f in fields(PPOConfig)},
+    "sweep_axis": ("sweep", str),
+    "sweep_values": ("sweep", _words),
 }
 
-_EPISODE_KEYS = {"k": int, "p_t": int, "p_f": int, "p_nv": float, "prior_a": float}
 
-_TRAINING_KEYS = {
-    "gamma": float,
-    "clip_epsilon": float,
-    "epochs": int,
-    "actor_lr": float,
-    "critic_lr": float,
-    "rollout_episodes": int,
-    "updates": int,
-    "entropy_coef": float,
-    "hidden": int,
-    "selfplay_updates_per_side": int,
-    "selfplay_alternations": int,
-}
+def _read_file(path: str | Path) -> list[tuple[str, str]]:
+    """(flat key, text) of every setting in an INI config file."""
+    parser = configparser.ConfigParser()
+    if not parser.read(path):
+        raise FileNotFoundError(f"config file {path} not found")
+    keys = {(section, key.removeprefix(f"{section}_")): key
+            for key, (section, _) in SPEC_KEYS.items()}
+    sections = {section for section, _ in keys}
+    if parser.defaults():  # configparser would copy [DEFAULT]'s keys into every section
+        raise ValueError(f"unknown section [{parser.default_section}] in {path}")
+    items = []
+    for section in parser.sections():
+        if section not in sections:
+            raise ValueError(f"unknown section [{section}] in {path}")
+        for name, text in parser.items(section):
+            if (section, name) not in keys:
+                raise ValueError(f"unknown key {name!r} in [{section}]")
+            items.append((keys[section, name], text))
+    return items
 
 
 def parse_spec_file(path: str | Path | None, overrides: dict | None = None) -> ExperimentSpec:
     """Build an ExperimentSpec from an optional config file plus overrides.
 
-    Override keys use the flat field names (e.g. "k", "scheme", "updates");
-    values may be already-typed or strings.
+    Override keys are `SPEC_KEYS` keys (e.g. "k", "scheme", "updates");
+    values may be already-typed or text, and None means not given.
     """
+    items = _read_file(path) if path is not None else []
     values: dict = {}
     ppo_values: dict = {}
-    if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise FileNotFoundError(f"config file {path} not found")
-        for section, keys, sink in (
-            ("experiment", _EXPERIMENT_KEYS, values),
-            ("episode", _EPISODE_KEYS, values),
-            ("training", _TRAINING_KEYS, ppo_values),
-        ):
-            if parser.has_section(section):
-                for key, raw in parser.items(section):
-                    if key not in keys:
-                        raise ValueError(f"unknown key {key!r} in [{section}]")
-                    sink[key] = keys[key](raw)
-        if parser.has_section("sweep"):
-            axis = parser.get("sweep", "axis", fallback=None)
-            if axis:
-                values["sweep_axis"] = axis
-            raw_values = parser.get("sweep", "values", fallback=None)
-            if raw_values:
-                values["sweep_values"] = tuple(
-                    int(v) if axis == "ip" else float(v)
-                    for v in raw_values.replace(",", " ").split()
-                )
-
-    for key, val in (overrides or {}).items():
-        if val is None:
+    for key, value in [*items, *(overrides or {}).items()]:
+        if value is None:
             continue
-        if key in _TRAINING_KEYS:
-            ppo_values[key] = _TRAINING_KEYS[key](val) if isinstance(val, str) else val
-        elif key in _EXPERIMENT_KEYS:
-            values[key] = _EXPERIMENT_KEYS[key](val) if isinstance(val, str) else val
-        elif key in _EPISODE_KEYS:
-            values[key] = _EPISODE_KEYS[key](val) if isinstance(val, str) else val
-        elif key in ("sweep_axis", "sweep_values"):
-            values[key] = val
-        else:
+        if key not in SPEC_KEYS:
             raise ValueError(f"unknown spec override {key!r}")
-
-    if ppo_values:
-        values["ppo"] = PPOConfig(**ppo_values)
-    return ExperimentSpec(**values)
+        section, convert = SPEC_KEYS[key]
+        sink = ppo_values if section == "training" else values
+        sink[key] = convert(value) if isinstance(value, str) else value
+    return ExperimentSpec(**values, ppo=PPOConfig(**ppo_values))

@@ -5,10 +5,13 @@ a sweep of cells along one axis (TP propagation count, network
 observability, or prior belief), as the mean of `runs` independent
 episodes. DRL policies are trained on demand and cached as parameter
 files keyed by the cell, the training settings and the dataset's bytes;
-per-run seeds derive from the master seed and the full coordinate
-tuple, so any spec re-run reproduces its result CSVs byte for byte
+per-run seeds derive from the master seed and the cell's `COORDINATES`,
+so any spec re-run reproduces its result CSVs byte for byte
 (wall-clock timings live in a separate file). Per-run wave-kernel
-counters go to `counters.csv`, which is byte-reproducible too.
+counters go to `counters.csv`, which is byte-reproducible too. Every
+result CSV leads with the `COORDINATES` columns, and `results.csv` has
+one column per `ResultRow` field. `ExperimentSpec` is the one place
+that turns sweep points into their axis's type.
 
 A cell's runs are split into one contiguous batch per worker process
 (`worker_count()` bounds them), and each batch runs its episodes in
@@ -37,8 +40,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -75,6 +79,11 @@ SWEEP_DEFAULTS = {
     "p_nv": (0.2, 0.4, 0.6, 0.8, 1.0),
     "prior_a": (0.1, 0.3, 0.5, 0.7, 0.9),
 }
+# The EpisodeConfig field each sweep axis sets.
+_SWEEP_FIELDS = {"ip": "p_t", "p_nv": "p_nv", "prior_a": "prior_a"}
+
+# The columns that name a cell; they lead every result CSV.
+COORDINATES = ("scheme", "opinion_model", "fp_strategy", "sweep_axis", "sweep_value")
 
 WORKER_ENV_VAR = "DRIM_WORKERS"
 
@@ -112,19 +121,33 @@ class ExperimentSpec:
             raise ValueError(f"unknown opinion model {self.opinion_model!r}")
         if self.fp_strategy not in FP_STRATEGIES:
             raise ValueError(f"unknown FP strategy {self.fp_strategy!r}")
-        if self.sweep_axis is not None:
+        if self.sweep_axis is None:
+            if self.sweep_values is not None:
+                raise ValueError(f"sweep_values {self.sweep_values!r} given without a sweep_axis")
+        else:
             if self.sweep_axis not in SWEEP_DEFAULTS:
                 raise ValueError(f"unknown sweep axis {self.sweep_axis!r}")
             if self.sweep_values is None:
                 self.sweep_values = SWEEP_DEFAULTS[self.sweep_axis]
             if not self.sweep_values:
                 raise ValueError("sweep grid must be nonempty")
+            self.sweep_values = tuple(self._sweep_point(v) for v in self.sweep_values)
         for value in self.sweep_values or (None,):
             self.episode_config(value)  # rejects a bad scenario before anything runs
         self.out_dir = Path(self.out_dir)
         if self.policy_dir is None:
             self.policy_dir = self.out_dir / "policies"
         self.policy_dir = Path(self.policy_dir)
+
+    def _sweep_point(self, value) -> int | float:
+        """A sweep point (number or text) as its axis's type: a whole
+        number for ip, a float otherwise."""
+        number = float(value)
+        if self.sweep_axis != "ip":
+            return number
+        if not number.is_integer():
+            raise ValueError(f"ip sweep points must be whole numbers, got {value!r}")
+        return int(number)
 
     def episode_config(self, sweep_value=None) -> EpisodeConfig:
         cfg = EpisodeConfig(
@@ -135,15 +158,12 @@ class ExperimentSpec:
             p_nv=self.p_nv,
             prior_a=self.prior_a,
         )
-        if self.sweep_axis is None or sweep_value is None:
+        if sweep_value is None:
             return cfg
-        if self.sweep_axis == "ip":
-            return replace(cfg, p_t=int(sweep_value))
-        if self.sweep_axis == "p_nv":
-            return replace(cfg, p_nv=float(sweep_value))
-        return replace(cfg, prior_a=float(sweep_value))
+        return replace(cfg, **{_SWEEP_FIELDS[self.sweep_axis]: sweep_value})
 
     def coordinates(self, scheme: Scheme | None = None, fp: str | None = None, sweep_value=None):
+        """A cell's values of `COORDINATES`."""
         return (
             (scheme or self.scheme).value,
             self.opinion_model,
@@ -155,7 +175,8 @@ class ExperimentSpec:
 
 @dataclass
 class ResultRow:
-    """Aggregated metrics for one experiment cell."""
+    """Aggregated metrics for one experiment cell, led by its
+    `COORDINATES`; results.csv has one column per field, in order."""
 
     scheme: str
     opinion_model: str
@@ -168,19 +189,10 @@ class ResultRow:
     mean_n_false: float
     mean_decided_n_true: float
 
-    COLUMNS = (
-        "scheme", "opinion_model", "fp_strategy", "sweep_axis", "sweep_value",
-        "runs", "mean_n_true", "std_n_true", "mean_n_false",
-        "mean_decided_n_true",
-    )
-
     def csv_values(self) -> list[str]:
-        return [
-            self.scheme, self.opinion_model, self.fp_strategy,
-            self.sweep_axis, self.sweep_value, str(self.runs),
-            f"{self.mean_n_true:.4f}", f"{self.std_n_true:.4f}",
-            f"{self.mean_n_false:.4f}", f"{self.mean_decided_n_true:.4f}",
-        ]
+        """Each field as text; the float means to 4 decimals."""
+        return [f"{getattr(self, name):.4f}" if kind is float else str(getattr(self, name))
+                for name, kind in get_type_hints(ResultRow).items()]
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -455,13 +467,7 @@ def run_cell(
         mean_decided_n_true=float(decided.mean()),
     )
     raw = [
-        {
-            "scheme": coords[0], "opinion_model": coords[1], "fp_strategy": coords[2],
-            "sweep_axis": coords[3], "sweep_value": coords[4], "run": run,
-            "n_true": m["n_true"], "n_false": m["n_false"],
-            "decided_n_true": m["decided_n_true"], "decided_n_false": m["decided_n_false"],
-            **asdict(counters),
-        }
+        {**dict(zip(COORDINATES, coords)), "run": run, **m, **asdict(counters)}
         for run, (m, _, _, counters) in enumerate(outcomes)
     ]
     return row, raw, seconds
@@ -537,36 +543,20 @@ def _atomic_csv(path: Path) -> Iterator:
 def write_results_csv(path: Path, rows: list[ResultRow]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with _atomic_csv(path) as writer:
-        writer.writerow(ResultRow.COLUMNS)
-        for row in sorted(rows, key=lambda r: (r.scheme, r.opinion_model, r.fp_strategy,
-                                               r.sweep_axis, r.sweep_value)):
+        writer.writerow(f.name for f in fields(ResultRow))
+        for row in sorted(rows, key=attrgetter(*COORDINATES)):
             writer.writerow(row.csv_values())
 
 
 def read_results_csv(path: Path) -> list[ResultRow]:
-    rows = []
+    types = get_type_hints(ResultRow)
     with open(path, encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                ResultRow(
-                    scheme=rec["scheme"],
-                    opinion_model=rec["opinion_model"],
-                    fp_strategy=rec["fp_strategy"],
-                    sweep_axis=rec["sweep_axis"],
-                    sweep_value=rec["sweep_value"],
-                    runs=int(rec["runs"]),
-                    mean_n_true=float(rec["mean_n_true"]),
-                    std_n_true=float(rec["std_n_true"]),
-                    mean_n_false=float(rec["mean_n_false"]),
-                    mean_decided_n_true=float(rec["mean_decided_n_true"]),
-                )
-            )
-    return rows
+        return [ResultRow(**{name: kind(rec[name]) for name, kind in types.items()})
+                for rec in csv.DictReader(fh)]
 
 
 def write_raw_csv(path: Path, raw_rows: list[dict]) -> None:
-    cols = ("scheme", "opinion_model", "fp_strategy", "sweep_axis", "sweep_value",
-            "run", "n_true", "n_false", "decided_n_true", "decided_n_false")
+    cols = (*COORDINATES, "run", "n_true", "n_false", "decided_n_true", "decided_n_false")
     with _atomic_csv(path) as writer:
         writer.writerow(cols)
         for rec in raw_rows:
@@ -575,8 +565,7 @@ def write_raw_csv(path: Path, raw_rows: list[dict]) -> None:
 
 def write_counters_csv(path: Path, raw_rows: list[dict]) -> None:
     """Per-run wave-kernel counters (`WaveCounters`), keyed like raw_runs.csv."""
-    cols = ("scheme", "opinion_model", "fp_strategy", "sweep_axis", "sweep_value",
-            "run") + tuple(f.name for f in fields(WaveCounters))
+    cols = (*COORDINATES, "run", *(f.name for f in fields(WaveCounters)))
     with _atomic_csv(path) as writer:
         writer.writerow(cols)
         writer.writerows([rec[c] for c in cols] for rec in raw_rows)
@@ -585,8 +574,7 @@ def write_counters_csv(path: Path, raw_rows: list[dict]) -> None:
 def write_timings_csv(path: Path, timing_rows: list[tuple]) -> None:
     """Per-run seconds: a lockstep batch's wall clock over its batch size."""
     with _atomic_csv(path) as writer:
-        writer.writerow(("scheme", "opinion_model", "fp_strategy", "sweep_axis",
-                         "sweep_value", "run", "seconds"))
+        writer.writerow((*COORDINATES, "run", "seconds"))
         for rec in timing_rows:
             writer.writerow([*rec[:-1], f"{rec[-1]:.6f}"])
 

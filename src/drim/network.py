@@ -138,7 +138,7 @@ def mask_network(g: Graph, p_nv: float, rng_seed: int | np.random.Generator) -> 
         raise ValueError(f"p_nv={p_nv} outside [0, 1]")
     if p_nv >= 1.0:
         return full_view(g)
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     visible = rng.random(g.num_edges) < p_nv
     return ObservableGraph(g.n, np.stack([g.edge_u[visible], g.edge_v[visible]], axis=1))
 
@@ -172,7 +172,7 @@ def spectral_communities(
         raise ValueError(f"community count k={k} out of range [1, {g.n}]")
     if k == 1:
         return np.zeros(g.n, dtype=np.int64)
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
 
     n = g.n
     eu, ev = g.edge_u, g.edge_v

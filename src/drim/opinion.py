@@ -43,8 +43,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-SIMPLEX_TOL = 1e-9
-
 # Drift beyond this after fusion triggers renormalization of (b, d, u).
 _RENORM_TOL = 1e-12
 

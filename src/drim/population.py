@@ -123,7 +123,7 @@ def init_population(
     state.u[:] = base.u
     state.a[:] = prior
 
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     levels = np.array(BEHAVIOR_LEVELS)
     state.p_read = rng.choice(levels, size=n)
     state.p_share = rng.choice(levels, size=n)

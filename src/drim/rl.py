@@ -136,7 +136,7 @@ class PolicyParams:
 
 
 def init_params(n_actions: int, hidden: int, rng_seed: int | np.random.Generator) -> PolicyParams:
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     return PolicyParams(
         actor=Mlp.create(STATE_DIM, hidden, n_actions, rng),
         critic=Mlp.create(STATE_DIM, hidden, 1, rng),

@@ -27,6 +27,10 @@ from drim.propagation import WaveCounters
 _RENORM_TOL = 1e-12
 _DEGENERATE_TOL = 1e-12
 
+# How far a tested (b, d, u) may stray from the simplex: the tolerance
+# the opinion and lockstep tests share.
+SIMPLEX_TOL = 1e-9
+
 
 def _adjacency(g: Graph) -> list[list[int]]:
     adjacency: list[list[int]] = [[] for _ in range(g.n)]

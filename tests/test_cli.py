@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,26 @@ TRAIN_FAST = [
 ]
 FAST = [*TRAIN_FAST, "--workers", "1"]
 
+# Every subcommand's option strings, pinned so no flag is added or lost
+# unnoticed. SETTING_FLAGS are the experiment settings' flags.
+HELP_FLAGS = ["-h", "--help"]
+SETTING_FLAGS = [
+    "--actor-lr", "--clip-epsilon", "--critic-lr", "--dataset", "--entropy-coef", "--epochs",
+    "--fp", "--gamma", "--hidden", "--k", "--master-seed", "--no-auto-train", "--om", "--p-f",
+    "--p-nv", "--p-t", "--policies", "--prior-a", "--rollout-episodes", "--runs", "--scheme",
+    "--selfplay-alternations", "--selfplay-updates-per-side", "--updates",
+]
+OPTION_STRINGS = {
+    "train": [*HELP_FLAGS, *SETTING_FLAGS, "--opponent", "--out", "--spec"],
+    "eval": [*HELP_FLAGS, *SETTING_FLAGS, "--fps", "--oms", "--out", "--schemes", "--spec",
+             "--workers"],
+    "sweep": [*HELP_FLAGS, *SETTING_FLAGS, "--axis", "--out", "--range", "--schemes", "--spec",
+              "--values", "--workers"],
+    "bench": [*HELP_FLAGS, *SETTING_FLAGS, "--episodes", "--out", "--schemes", "--spec",
+              "--workers"],
+    "report": [*HELP_FLAGS, "--layout", "--out", "--results"],
+}
+
 
 class TestParser:
     @pytest.mark.parametrize("cmd", ["train", "eval", "sweep", "bench", "report"])
@@ -36,6 +58,12 @@ class TestParser:
             build_parser().parse_args([cmd, "--help"])
         assert exc.value.code == 0
         assert "--" in capsys.readouterr().out
+
+    def test_option_strings_pinned(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        got = {name: sorted(o for a in p._actions for o in a.option_strings)
+               for name, p in sub.choices.items()}
+        assert got == {name: sorted(flags) for name, flags in OPTION_STRINGS.items()}
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -95,7 +95,9 @@ class TestExperimentSpec:
         assert spec.sweep_values == SWEEP_DEFAULTS["p_nv"]
 
     def test_episode_config_applies_sweep_value(self):
-        spec = ExperimentSpec(sweep_axis="ip", sweep_values=(1, 2, 3))
+        spec = ExperimentSpec(sweep_axis="ip", sweep_values=(1, 2.0, "3"))
+        assert spec.sweep_values == (1, 2, 3)
+        assert all(type(v) is int for v in spec.sweep_values)
         assert spec.episode_config(3).p_t == 3
         spec = ExperimentSpec(sweep_axis="prior_a", sweep_values=(0.1,))
         assert spec.episode_config(0.1).prior_a == 0.1
@@ -109,7 +111,7 @@ class TestExperimentSpec:
             ExperimentSpec(**{name: value})
 
     @pytest.mark.parametrize("axis, values", [
-        ("p_nv", (0.5, 1.5)), ("prior_a", (-0.2, 0.5)), ("ip", (2, 0)),
+        ("p_nv", (0.5, 1.5)), ("prior_a", (-0.2, 0.5)), ("ip", (2, 0)), ("ip", (1.5,)),
     ])
     def test_bad_sweep_value_rejected_at_construction(self, axis, values):
         with pytest.raises(ValueError):
@@ -374,18 +376,25 @@ class TestPolicyCache:
     PARENT_DEFAULT_TAG = "91710efc"
 
     def test_tag_covers_every_ppo_field(self):
+        # Each PPO field and each [episode] setting, changed alone, moves the tag.
         from dataclasses import fields, replace
 
+        from drim.config import SPEC_KEYS
         from drim.harness import _policy_tag
 
         spec = ExperimentSpec()
         assert _policy_tag(spec) == self.PARENT_DEFAULT_TAG
-        changed = {"gamma": 0.9, "clip_epsilon": 0.3, "entropy_coef": 0.02}
-        tags = {_policy_tag(spec)}
-        for f in fields(PPOConfig):
-            value = changed.get(f.name, getattr(spec.ppo, f.name) * 2)
-            tags.add(_policy_tag(replace(spec, ppo=replace(spec.ppo, **{f.name: value}))))
-        assert len(tags) == 1 + len(fields(PPOConfig))
+        changed = {"gamma": 0.9, "clip_epsilon": 0.3, "entropy_coef": 0.02, "p_nv": 0.5}
+        variants = []
+        for key, (section, _) in SPEC_KEYS.items():
+            if section == "training":
+                value = changed.get(key, getattr(spec.ppo, key) * 2)
+                variants.append(replace(spec, ppo=replace(spec.ppo, **{key: value})))
+            elif section == "episode":
+                variants.append(replace(spec, **{key: changed.get(key, getattr(spec, key) * 2)}))
+        tags = {_policy_tag(spec)} | {_policy_tag(variant) for variant in variants}
+        assert len(variants) == len(fields(PPOConfig)) + 5  # k, p_t, p_f, p_nv, prior_a
+        assert len(tags) == 1 + len(variants)
 
     def test_tag_covers_draw_contract(self, monkeypatch):
         from drim import harness
@@ -527,10 +536,17 @@ class TestConfigFile:
         assert spec.runs == 9
         assert spec.scheme is Scheme.DRIM_NA
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text,name", [
+        ("[experiment]\nbogus = 1\n", "bogus"),
+        ("[experimnet]\nruns = 3\n", "experimnet"),
+        ("[sweep]\naxes = ip\n", "axes"),
+        ("[sweep]\nvalues = 0.1, 0.2\n", "sweep_axis"),
+        ("[DEFAULT]\nruns = 3\n", "DEFAULT"),
+    ], ids=["key", "section", "sweep-key", "values-without-axis", "default-section"])
+    def test_unknown_key_rejected(self, tmp_path, text, name):
         cfg = tmp_path / "spec.cfg"
-        cfg.write_text("[experiment]\nbogus = 1\n")
-        with pytest.raises(ValueError):
+        cfg.write_text(text)
+        with pytest.raises(ValueError, match=name):
             parse_spec_file(cfg)
 
     def test_missing_file(self, tmp_path):

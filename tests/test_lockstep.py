@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference_wave import SIMPLEX_TOL
 
 from drim import harness, network, propagation, rl
 from drim.baselines import CommunityRestriction, make_scheme_agent
@@ -27,7 +28,6 @@ from drim.network import Graph, spectral_communities
 from drim.opinion import (
     HOM,
     NOM,
-    SIMPLEX_TOL,
     UOM,
     TrustModel,
     TrustVariant,

@@ -17,6 +17,7 @@ import pytest
 import reference_wave as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_wave import SIMPLEX_TOL
 
 from drim.opinion import (
     HOM,
@@ -326,8 +327,6 @@ class TestTrustModelConfig:
 # The operators over arrays. Oracles: elementwise application to 0-d
 # inputs (the array form must match it bit for bit) and the scalar
 # operators the array form replaced (`reference_wave`).
-
-SIMPLEX_TOL = 1e-9
 
 
 @st.composite
