@@ -12,7 +12,9 @@ and 600 reached users, half of them near-certain (frozen once their
 vacuity is at most t_u) and half still uncertain. Every wave draws from a
 fresh generator of one fixed seed. The batched wave runs that state as
 R = 10 lockstep replicas (stacked population, one generator each), the
-way `run_lockstep` does.
+way `run_lockstep` does. The masked-view benchmark builds one p_nv = 0.6
+view of the bundled graph from a fixed seed, as each eval-cstorm-masked
+episode does.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 from drim.datasets import load_urv_email
+from drim.network import mask_network
 from drim.opinion import NOM, UOM, Opinion, fuse, trust_coefficient
 from drim.population import Party, init_population, promote_seed, stack_populations
 from drim.propagation import propagate_wave
@@ -80,3 +83,7 @@ def test_fuse_1k(benchmark):
                   for m, s in zip(mass, share))
     c = trust_coefficient(UOM, op_i, op_j)
     benchmark(fuse, op_i, op_j, c)
+
+
+def test_mask_network(benchmark):
+    benchmark(mask_network, GRAPH, 0.6, 4)

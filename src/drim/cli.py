@@ -82,13 +82,25 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _ip_range(text: str) -> tuple[int, ...]:
+    """`--range lo:hi` as the ip points lo, lo + 1, ..., hi."""
+    lo, _, hi = text.partition(":")
+    try:
+        points = tuple(range(int(lo), int(hi) + 1))
+    except ValueError:
+        points = ()
+    if not points:
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi, two integers with lo <= hi, got {text!r}")
+    return points
+
+
 def cmd_sweep(args) -> int:
     if args.values:
         values = args.values  # text: parse_spec_file splits it, ExperimentSpec types it
     elif args.range:
-        lo, _, hi = args.range.partition(":")
         if args.axis == "ip":
-            values = tuple(range(int(lo), int(hi) + 1))
+            values = args.range
         else:
             raise SystemExit("--range is only meaningful for --axis ip; use --values")
     else:
@@ -150,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one axis")
     p.add_argument("--axis", required=True, choices=tuple(SWEEP_DEFAULTS))
-    p.add_argument("--range", help="lo:hi (ip axis only)")
+    p.add_argument("--range", type=_ip_range, help="lo:hi (ip axis only)")
     p.add_argument("--values", help="comma list of sweep values")
     p.add_argument("--spec", help="config file")
     p.add_argument("--schemes", help="comma list of schemes")

@@ -34,7 +34,12 @@ _WITHIN2_BLOCK_ENTRIES = 1 << 18
 class Graph:
     """Immutable undirected graph: n nodes, a sorted edge array, and CSR
     adjacency (`indices[indptr[v]:indptr[v + 1]]` are v's neighbors in
-    ascending order). `_full_view` caches `full_view(self)`."""
+    ascending order). `_full_view` caches `full_view(self)`.
+
+    Construction sorts 1-D integer keys, not pairs: each edge (u, v) with
+    u < v is the key u·n + v, so sorting and deduplicating the keys gives
+    the edges in (u, v) order, and sorting src·n + dst over both
+    directions gives the CSR's neighbor order."""
 
     __slots__ = ("n", "edge_u", "edge_v", "indptr", "indices", "_full_view")
 
@@ -42,17 +47,20 @@ class Graph:
         raw = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         raw = raw.reshape(-1, 2)
         raw = raw[raw[:, 0] != raw[:, 1]]
-        pairs = np.unique(np.sort(raw, axis=1), axis=0)
-        bad = (pairs[:, 0] < 0) | (pairs[:, 1] >= n)
+        lo, hi = np.minimum(raw[:, 0], raw[:, 1]), np.maximum(raw[:, 0], raw[:, 1])
+        bad = (lo < 0) | (hi >= n)
         if np.count_nonzero(bad):
-            a, b = pairs[np.argmax(bad)].tolist()
-            raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
+            lo, hi = lo[bad], hi[bad]
+            a = lo.min()
+            raise ValueError(f"edge ({a}, {hi[lo == a].min()}) out of range for n={n}")
         self.n = n
-        self.edge_u = np.ascontiguousarray(pairs[:, 0])
-        self.edge_v = np.ascontiguousarray(pairs[:, 1])
+        keys = np.sort(lo * n + hi)
+        # drop repeats of the sorted keys (np.unique hashes first: slower here)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        self.edge_u, self.edge_v = np.divmod(keys, n)
         src = np.concatenate([self.edge_u, self.edge_v])
         dst = np.concatenate([self.edge_v, self.edge_u])
-        self.indices = dst[np.lexsort((dst, src))]
+        self.indices = np.sort(src * n + dst) % n
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
         self._full_view: ObservableGraph | None = None

@@ -12,11 +12,13 @@ readers may still re-share their settled opinion).
 
 The wave kernel is level-synchronous over the CSR adjacency (Beamer et
 al., SC 2012). Per BFS level it gathers the (target, sender) pairs of
-the frontier, sorts them stably by target (senders stay in frontier
-order, which is ascending id), and fuses one sender rank at a time
-across all reading targets at once with the array operators of
-`drim.opinion`. A target stops at the sender whose fusion froze it;
-a degenerate fusion (beta <= 1e-12) is skipped and counted.
+the frontier, groups them by target with a stable sort on the narrowest
+unsigned dtype that holds R·n (a radix sort while that is 16 bits or
+less; senders stay in frontier order, which is ascending id), and fuses
+one sender rank at a time across all reading targets at once with the
+array operators of `drim.opinion`. A target stops at the sender whose
+fusion froze it; a degenerate fusion (beta <= 1e-12) is skipped and
+counted.
 
 Draw-order contract: within a level, a replica's s reached users, in
 ascending id order, take 2·s uniforms from its generator in one
@@ -235,6 +237,7 @@ def propagate_wave(
     tally = np.zeros((len(_COUNTERS), replicas), dtype=np.int64)
     indptr, indices = g.indptr, g.indices
     frozen = state.frozen
+    key_dtype = np.min_scalar_type(state.n)
 
     # Seeds of either party never read or update; own seeds are origins.
     visited = state.role != Role.LEGITIMATE.value
@@ -257,7 +260,7 @@ def propagate_wave(
             break
         senders = sharers.repeat(degree).take(fresh)
         targets = targets.take(fresh)
-        order = targets.argsort(kind="stable")
+        order = targets.astype(key_dtype).argsort(kind="stable")
         targets, senders = targets.take(order), senders.take(order)
         bounds = np.empty(targets.size + 1, dtype=bool)
         bounds[0] = bounds[-1] = True

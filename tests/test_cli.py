@@ -138,6 +138,16 @@ class TestCommands:
         text = (out / "results.csv").read_text()
         assert ",ip,1," in text and ",ip,2," in text
 
+    @pytest.mark.parametrize("bad", ["5", "a:b"])
+    def test_sweep_rejects_bad_range(self, tmp_path, capsys, bad):
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", "ip", "--range", bad, "--out", str(out), *FAST])
+        assert exc.value.code == 2
+        assert f"argument --range: expected lo:hi, two integers with lo <= hi, got '{bad}'" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench(self, tiny_edges, tmp_path, capsys):
         out = tmp_path / "bench"
         rc = main([

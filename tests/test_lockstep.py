@@ -117,6 +117,17 @@ class TestLockstepMatchesSolo:
             run_lockstep([want], _agents(1, "cf"))
             _assert_same_episode(got, want)
 
+    def test_replicas_past_sixteen_bit_ids(self):
+        # 58 replicas of the bundled graph hold 65 714 users, so each level
+        # groups its pairs on uint32 keys: numpy's stable sort, not radix.
+        g = load_urv_email()
+        replicas = 65_536 // g.n + 1
+        assert np.min_scalar_type(replicas * g.n) == np.uint32
+        cfgs = [EpisodeConfig(k=2, rng_seed=seed) for seed in range(replicas)]
+        batched = run_lockstep([Episode(g, cfg) for cfg in cfgs], _agents(replicas, "cf"))
+        for got, cfg in zip(batched, cfgs):
+            _assert_same_episode(got, run_episode(g, cfg, *_agents(1, "cf")[0]))
+
     def test_rejects_mixed_scenarios(self):
         g = Graph(6, [(0, 1), (1, 2)])
         episodes = [Episode(g, EpisodeConfig(k=2)), Episode(g, EpisodeConfig(k=3))]

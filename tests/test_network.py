@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drim import network
@@ -94,6 +94,41 @@ def raw_graphs(draw):
     return n, draw(st.permutations(edges)), budget
 
 
+def lexsort_graph(n: int, edges) -> tuple[np.ndarray, ...]:
+    """(edge_u, edge_v, indptr, indices) by the construction the 1-D keys
+    replaced: (lo, hi) rows made unique with np.unique(axis=0) and the CSR
+    ordered by lexsort. Raises the same ValueError for out-of-range ids."""
+    raw = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    raw = raw[raw[:, 0] != raw[:, 1]]
+    pairs = np.unique(np.sort(raw, axis=1), axis=0)
+    bad = (pairs[:, 0] < 0) | (pairs[:, 1] >= n)
+    if np.count_nonzero(bad):
+        a, b = pairs[np.argmax(bad)].tolist()
+        raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
+    edge_u = np.ascontiguousarray(pairs[:, 0])
+    edge_v = np.ascontiguousarray(pairs[:, 1])
+    src = np.concatenate([edge_u, edge_v])
+    dst = np.concatenate([edge_v, edge_u])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return edge_u, edge_v, indptr, dst[np.lexsort((dst, src))]
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, raw edges): self-loops, duplicates and reversed pairs, the
+    last node isolated when n > 1, an empty list possible, and ids out of
+    [0, n) in some cases."""
+    n = draw(st.integers(1, 30))
+    out_of_range = draw(st.booleans())
+    ids = st.integers(-3, n + 2) if out_of_range else st.integers(0, max(0, n - 2))
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=3 * n))
+    if edges:
+        extra = draw(st.lists(st.sampled_from(edges), max_size=5))
+        edges += extra + [(b, a) for a, b in extra] + [(a, a) for a, _ in extra]
+    return n, draw(st.permutations(edges))
+
+
 def random_graph(n: int, m: int, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     return Graph(n, rng.integers(0, n, size=(m, 2)))
@@ -155,6 +190,31 @@ class TestLoadEdgeList:
         g = load_urv_email()
         assert g.n == 1133
         assert g.num_edges == 5452
+
+
+class TestGraphConstruction:
+    @given(edge_lists(), st.booleans())
+    @example((1, []), False)
+    @example((1, [(0, 0)]), True)
+    @example((4, []), True)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lexsort_construction(self, case, as_array):
+        n, edges = case
+        given_edges = np.array(edges, dtype=np.int64) if as_array else edges
+        try:
+            want = lexsort_graph(n, edges)
+        except ValueError as exc:
+            bad = [(min(a, b), max(a, b)) for a, b in edges
+                   if a != b and (min(a, b) < 0 or max(a, b) >= n)]
+            assert str(exc) == f"edge {min(bad)} out of range for n={n}"
+            with pytest.raises(ValueError) as got:
+                Graph(n, given_edges)
+            assert str(got.value) == str(exc)
+            return
+        g = Graph(n, given_edges)
+        for got, expected in zip((g.edge_u, g.edge_v, g.indptr, g.indices), want):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
 
 class TestMaskNetwork:
