@@ -14,7 +14,9 @@ fresh generator of one fixed seed. The batched wave runs that state as
 R = 10 lockstep replicas (stacked population, one generator each), the
 way `run_lockstep` does. The masked-view benchmark builds one p_nv = 0.6
 view of the bundled graph from a fixed seed, as each eval-cstorm-masked
-episode does.
+episode does, and the spectral benchmark splits one such fixed view into
+8 communities, C-STORM's per-episode community step, with OpenBLAS held
+at one thread as in every evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 import pytest
 
 from drim.datasets import load_urv_email
-from drim.network import mask_network
+from drim.harness import single_thread_blas
+from drim.network import mask_network, spectral_communities
 from drim.opinion import NOM, UOM, Opinion, fuse, trust_coefficient
 from drim.population import Party, init_population, promote_seed, stack_populations
 from drim.propagation import propagate_wave
@@ -87,3 +90,9 @@ def test_fuse_1k(benchmark):
 
 def test_mask_network(benchmark):
     benchmark(mask_network, GRAPH, 0.6, 4)
+
+
+def test_spectral_communities(benchmark):
+    view = mask_network(GRAPH, 0.6, 4)
+    with single_thread_blas():
+        benchmark(spectral_communities, view, 8, 5)

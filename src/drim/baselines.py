@@ -38,8 +38,8 @@ class CommunityRestriction:
 
     def begin_episode(self, episode: Episode, party: Party) -> None:
         k = min(self.k, episode.graph.n)
-        seed = np.random.SeedSequence(episode.cfg.rng_seed).spawn(4)[3]
-        self.labels = spectral_communities(episode.obs, k, np.random.default_rng(seed))
+        self.labels = spectral_communities(episode.obs, k,
+                                           np.random.default_rng(episode.community_seed))
 
     def pool(self, episode: Episode) -> np.ndarray:
         assert self.labels is not None, "begin_episode not called"

@@ -16,9 +16,10 @@ that turns sweep points into their axis's type.
 A cell's runs are split into one contiguous batch per worker process
 (`worker_count()` bounds them), and each batch runs its episodes in
 lockstep (`propagation.run_lockstep`). The harness builds no planning
-view: each episode picks its own, and at p_nv = 1 every episode on the
-graph, in every cell and training run, shares the graph's one cached
-full view (`network.full_view`). Every result CSV is written atomically.
+view: each episode picks its own, and at p_nv = 1 that view is the graph
+itself (`network.full_view`), so every episode on the graph, in every
+cell and training run, shares its cached degrees and 2-hop counts.
+Every result CSV is written atomically.
 
 The process pool is the only parallelism: every pooled map and every
 training run holds each loaded OpenBLAS at one thread, and starts any
@@ -419,9 +420,7 @@ class _EvalTask:
     fp_agent: Agent
 
 
-def _run_eval(
-    task: _EvalTask,
-) -> list[tuple[dict[str, float], float, list[RoundLog], WaveCounters]]:
+def _run_eval(task: _EvalTask) -> list[tuple[dict[str, float], float, WaveCounters]]:
     """Run the task's episodes in lockstep, each with its own copies of
     the cell's agents. A lockstep episode has no wall clock of its own,
     so each is timed as the batch's wall clock over the batch size."""
@@ -430,7 +429,7 @@ def _run_eval(
     agents = [(copy.deepcopy(task.tp_agent), copy.deepcopy(task.fp_agent)) for _ in episodes]
     run_lockstep(episodes, agents)
     seconds = (time.perf_counter() - start) / len(episodes)
-    return [(ep.final_metrics(), seconds, ep.logs, ep.counters) for ep in episodes]
+    return [(ep.final_metrics(), seconds, ep.counters) for ep in episodes]
 
 
 def run_cell(
@@ -453,8 +452,8 @@ def run_cell(
         for batch in np.array_split(np.arange(spec.runs), min(workers, spec.runs))
     ]
     outcomes = [o for batch in _parallel_map(_run_eval, tasks, workers) for o in batch]
-    metrics = [m for m, _, _, _ in outcomes]
-    seconds = [s for _, s, _, _ in outcomes]
+    metrics = [m for m, _, _ in outcomes]
+    seconds = [s for _, s, _ in outcomes]
     n_true = np.array([m["n_true"] for m in metrics])
     decided = np.array([m["decided_n_true"] for m in metrics])
     n_false = np.array([m["n_false"] for m in metrics])
@@ -468,7 +467,7 @@ def run_cell(
     )
     raw = [
         {**dict(zip(COORDINATES, coords)), "run": run, **m, **asdict(counters)}
-        for run, (m, _, _, counters) in enumerate(outcomes)
+        for run, (m, _, counters) in enumerate(outcomes)
     ]
     return row, raw, seconds
 

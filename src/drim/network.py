@@ -1,14 +1,14 @@
 """Graph storage, edge-list ingestion, and planning-side views.
 
 The simulation graph is undirected and unweighted, without self-loops or
-duplicate edges. An ObservableGraph is the view a party plans on. When
-network visibility is partial it is edge-masked: each edge of the base
-graph is kept independently with probability p_nv. At p_nv = 1 it is
-the graph's one full view: `full_view` builds it on first use and keeps
-it on the graph, so every episode on that graph shares it and its cached
-degrees and 2-hop counts. Spreading always runs on the full graph; only
-planning queries (degree, free degree, 2-hop neighborhoods, communities)
-consult the view.
+duplicate edges. There is one graph type, `Graph`, and a party plans on
+a view of the network that is itself a `Graph`. When network visibility
+is partial the view is edge-masked: each edge of the base graph is kept
+independently with probability p_nv. At p_nv = 1 the view is the graph
+itself (`full_view(g) is g`), so every episode on a graph shares its
+cached degrees and 2-hop counts. Spreading always runs on the full
+graph; only planning queries (degree, free degree, 2-hop neighborhoods,
+communities) consult the view.
 
 Only `spectral_communities` (C-STORM's community step) needs scipy, and
 it imports scipy's sparse, ARPACK and k-means modules when called; the
@@ -25,23 +25,24 @@ import numpy as np
 
 
 # Reach cells (rows x n, one byte each) plus 2-hop walks (int64 index
-# arrays, about 40 bytes each) that one block of
-# ObservableGraph.within2_counts holds: about 10 MiB at most, unless a
-# single row needs more.
+# arrays, about 40 bytes each) that one block of Graph.within2_counts
+# holds: about 10 MiB at most, unless a single row needs more.
 _WITHIN2_BLOCK_ENTRIES = 1 << 18
 
 
 class Graph:
     """Immutable undirected graph: n nodes, a sorted edge array, and CSR
     adjacency (`indices[indptr[v]:indptr[v + 1]]` are v's neighbors in
-    ascending order). `_full_view` caches `full_view(self)`.
+    ascending order), with its planning statistics (degrees, 2-hop
+    counts) cached on first use. The simulation graph and every view a
+    party plans on are Graphs; the full view is the graph itself.
 
     Construction sorts 1-D integer keys, not pairs: each edge (u, v) with
     u < v is the key u·n + v, so sorting and deduplicating the keys gives
     the edges in (u, v) order, and sorting src·n + dst over both
     directions gives the CSR's neighbor order."""
 
-    __slots__ = ("n", "edge_u", "edge_v", "indptr", "indices", "_full_view")
+    __slots__ = ("n", "edge_u", "edge_v", "indptr", "indices", "_degrees", "_within2")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         raw = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
@@ -63,36 +64,17 @@ class Graph:
         self.indices = np.sort(src * n + dst) % n
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
-        self._full_view: ObservableGraph | None = None
+        self._degrees: np.ndarray | None = None
+        self._within2: np.ndarray | None = None
 
     @property
     def num_edges(self) -> int:
         return int(self.edge_u.size)
 
-    def edges(self) -> set[tuple[int, int]]:
-        return set(zip(self.edge_u.tolist(), self.edge_v.tolist()))
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-
-class ObservableGraph(Graph):
-    """The visible-edge graph a party plans on, with its planning
-    statistics cached: both parties query the same view all episode."""
-
-    __slots__ = ("_degrees", "_within2")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        super().__init__(n, edges)
-        self._degrees: np.ndarray | None = None
-        self._within2: np.ndarray | None = None
-
-    def degrees(self) -> np.ndarray:
+        """Degree of every node (cached)."""
         if self._degrees is None:
-            self._degrees = super().degrees()
+            self._degrees = np.diff(self.indptr)
         return self._degrees
 
     def within2_counts(self) -> np.ndarray:
@@ -105,7 +87,7 @@ class ObservableGraph(Graph):
         """
         if self._within2 is None:
             n, indptr, indices = self.n, self.indptr, self.indices
-            deg = np.diff(indptr)
+            deg = self.degrees()
             walk_ends = np.concatenate(([0], np.cumsum(deg[indices])))[indptr]
             cost = np.cumsum(n + np.diff(walk_ends))
             counts = np.empty(n, dtype=np.int64)
@@ -128,30 +110,31 @@ class ObservableGraph(Graph):
         return self._within2
 
 
-def full_view(g: Graph) -> ObservableGraph:
-    """The fully visible observable graph (p_nv = 1), built on the first
-    call and kept on g: later calls return it with its caches."""
-    if g._full_view is None:
-        g._full_view = ObservableGraph(g.n, np.stack([g.edge_u, g.edge_v], axis=1))
-    return g._full_view
+ObservableGraph = Graph  # (kept as a name; perfbench's tracer rebinds its within2_counts)
 
 
-def mask_network(g: Graph, p_nv: float, rng_seed: int | np.random.Generator) -> ObservableGraph:
+def full_view(g: Graph) -> Graph:
+    """The fully visible view (p_nv = 1): the graph itself, with its caches."""
+    return g
+
+
+def mask_network(g: Graph, p_nv: float, rng_seed: int | np.random.Generator) -> Graph:
     """Sample the visible-edge view: each edge kept with probability p_nv.
 
     Deterministic for a fixed seed; both parties plan on the same view
-    within an episode. At p_nv = 1 this is the graph's cached full view.
+    within an episode. At p_nv = 1 the view is g itself, so it shares
+    g's cached degrees and 2-hop counts.
     """
     if not 0.0 <= p_nv <= 1.0:
         raise ValueError(f"p_nv={p_nv} outside [0, 1]")
     if p_nv >= 1.0:
-        return full_view(g)
+        return g
     rng = np.random.default_rng(rng_seed)
     visible = rng.random(g.num_edges) < p_nv
-    return ObservableGraph(g.n, np.stack([g.edge_u[visible], g.edge_v[visible]], axis=1))
+    return Graph(g.n, np.stack([g.edge_u[visible], g.edge_v[visible]], axis=1))
 
 
-def free_degrees(g: ObservableGraph, free_mask: np.ndarray) -> np.ndarray:
+def free_degrees(g: Graph, free_mask: np.ndarray) -> np.ndarray:
     """Vectorized free degree of every node given a boolean free mask."""
     out = np.zeros(g.n, dtype=np.int64)
     eu, ev = g.edge_u, g.edge_v
@@ -161,7 +144,7 @@ def free_degrees(g: ObservableGraph, free_mask: np.ndarray) -> np.ndarray:
 
 
 def spectral_communities(
-    g: ObservableGraph, k: int, rng_seed: int | np.random.Generator
+    g: Graph, k: int, rng_seed: int | np.random.Generator
 ) -> np.ndarray:
     """Normalized-Laplacian spectral embedding clustered by k-means.
 
@@ -183,14 +166,8 @@ def spectral_communities(
     rng = np.random.default_rng(rng_seed)
 
     n = g.n
-    eu, ev = g.edge_u, g.edge_v
-    ones = np.ones(eu.size)
-    adj = sparse.coo_matrix(
-        (np.concatenate([ones, ones]),
-         (np.concatenate([eu, ev]), np.concatenate([ev, eu]))),
-        shape=(n, n),
-    ).tocsr()
-    deg = np.asarray(adj.sum(axis=1)).ravel()
+    adj = sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
+    deg = g.degrees()
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
     scaling = sparse.diags(inv_sqrt)
     lap = sparse.identity(n) - scaling @ adj @ scaling

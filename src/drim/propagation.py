@@ -41,9 +41,10 @@ round loop: `run_episode` is its R = 1 case, evaluation runs a worker's
 share of a cell through it, and PPO training runs each update's rollout
 episodes through it with the learner as one of the agents.
 
-Both parties plan on the episode's view (`Episode.obs`): the graph's one
-cached full view at p_nv = 1 (`network.full_view`), shared by every
-episode on the graph, else an edge mask drawn from the episode's seed.
+Both parties plan on the episode's view (`Episode.obs`), a
+`network.Graph`: at p_nv = 1 the graph itself (`network.full_view`), so
+every episode on the graph shares its cached degrees and 2-hop counts,
+else an edge mask drawn from the episode's seed.
 
 Rewards use decided influence counts (vacuity below 0.5) so that the
 all-undecided starting population contributes a zero baseline.
@@ -56,7 +57,7 @@ from typing import Sequence
 
 import numpy as np
 
-from drim.network import Graph, ObservableGraph, full_view, mask_network
+from drim.network import Graph, full_view, mask_network
 from drim.opinion import (
     TrustModel,
     TrustVariant,
@@ -290,7 +291,7 @@ def propagate_wave(
     return state
 
 
-def extract_state(state: PopulationState, g_observable: ObservableGraph) -> tuple[int, int]:
+def extract_state(state: PopulationState, g_observable: Graph) -> tuple[int, int]:
     """Raw policy observation: (edges among free nodes, max free-node degree)."""
     free = free_mask(state)
     eu, ev = g_observable.edge_u, g_observable.edge_v
@@ -322,14 +323,16 @@ class Episode:
 
     Holds the population, the view both parties plan on, decided-count
     series per step, and the audit log. Sub-seeds for population
-    sampling, edge masking, and dynamics derive from the config seed, so
-    an episode is reproducible end to end.
+    sampling, edge masking, dynamics and C-STORM's communities
+    (`community_seed`) derive from the config seed, so an episode is
+    reproducible end to end.
     """
 
     def __init__(self, graph: Graph, cfg: EpisodeConfig):
         self.graph = graph
         self.cfg = cfg
-        pop_seed, mask_seed, dyn_seed = np.random.SeedSequence(cfg.rng_seed).spawn(3)
+        pop_seed, mask_seed, dyn_seed, self.community_seed = (
+            np.random.SeedSequence(cfg.rng_seed).spawn(4))
         self.pop = init_population(graph.n, np.random.default_rng(pop_seed), cfg.prior_a)
         self.obs = (full_view(graph) if cfg.p_nv >= 1.0
                     else mask_network(graph, cfg.p_nv, np.random.default_rng(mask_seed)))

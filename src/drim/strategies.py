@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from drim.network import ObservableGraph, free_degrees
+from drim.network import Graph, free_degrees
 from drim.population import Party, PopulationState, Role, free_mask
 
 
@@ -67,7 +67,7 @@ def select_seed(
     kind: StrategyKind,
     party: Party,
     state: PopulationState,
-    g_observable: ObservableGraph,
+    g_observable: Graph,
     pool_mask: np.ndarray | None = None,
 ) -> int | None:
     """Pick a seed user by the given strategy, or None if no candidate.

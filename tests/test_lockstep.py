@@ -223,9 +223,8 @@ class TestCommunityLabelsPerReplica:
         def begin_episode(self, episode, party):
             real_begin(self, episode, party)
             begun[id(self)] = episode
-            seed = np.random.SeedSequence(episode.cfg.rng_seed).spawn(4)[3]
             want = spectral_communities(episode.obs, min(self.k, episode.graph.n),
-                                        np.random.default_rng(seed))
+                                        np.random.default_rng(episode.community_seed))
             assert np.array_equal(self.labels, want)
 
         def pool(self, episode):
@@ -283,7 +282,7 @@ class TestPooledCells:
                         reason="the counting patch reaches workers only when they fork")
     def test_within2_counts_computed_once_per_worker(self, tmp_path, monkeypatch):
         log = tmp_path / "within2.log"
-        real = network.ObservableGraph.within2_counts
+        real = network.Graph.within2_counts
 
         def within2_counts(self):
             if self._within2 is None:
@@ -291,7 +290,7 @@ class TestPooledCells:
                     fh.write(f"{os.getpid()}\n")
             return real(self)
 
-        monkeypatch.setattr(network.ObservableGraph, "within2_counts", within2_counts)
+        monkeypatch.setattr(network.Graph, "within2_counts", within2_counts)
         spec = _seeded_spec(tmp_path, runs=6, k=3, fp_strategy="sgf")
         harness.run_grid(spec, workers=2)
         pids = log.read_text().split()

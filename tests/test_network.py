@@ -1,9 +1,11 @@
 """Graph loading, masking, queries, and spectral communities.
 
 Oracles: a per-node loop over each node's visible neighbors for free
-degrees, and for 1-to-2-hop neighborhood sizes both a plain BFS over the
+degrees, for 1-to-2-hop neighborhood sizes both a plain BFS over the
 visible edge set and scipy's sparse A + A² (the formula the numpy counts
-replaced).
+replaced), and for spectral communities the same steps over a COO
+adjacency assembled from both edge directions (the construction the CSR
+adjacency replaced).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from drim import network
 from drim.datasets import load_urv_email
 from drim.network import (
     Graph,
-    ObservableGraph,
     free_degrees,
     full_view,
     load_edge_list,
@@ -31,24 +32,25 @@ from drim.network import (
 
 
 def make_star(leaves: int = 4):
-    g = Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-    return full_view(g)
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def make_path(n: int):
-    g = Graph(n, [(i, i + 1) for i in range(n - 1)])
-    return full_view(g)
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def make_cycle(n: int):
-    g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
-    return full_view(g)
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def edge_set(g: Graph) -> set[tuple[int, int]]:
+    return set(zip(g.edge_u.tolist(), g.edge_v.tolist()))
 
 
 def bfs_within(g: Graph, src: int, d: int) -> int:
     """Distinct nodes at BFS distance 1..d from src over g's edge set."""
     adjacency = {v: [] for v in range(g.n)}
-    for a, b in g.edges():
+    for a, b in edge_set(g):
         adjacency[a].append(b)
         adjacency[b].append(a)
     dist = {src: 0}
@@ -66,7 +68,8 @@ def bfs_within(g: Graph, src: int, d: int) -> int:
 
 def free_degree_loop(g: Graph, free: np.ndarray) -> list[int]:
     """Free neighbors of every node, one node at a time."""
-    return [sum(1 for nb in g.neighbors(v).tolist() if free[nb]) for v in range(g.n)]
+    return [sum(1 for nb in g.indices[g.indptr[v]:g.indptr[v + 1]].tolist() if free[nb])
+            for v in range(g.n)]
 
 
 def sparse_within2(g: Graph) -> np.ndarray:
@@ -77,6 +80,31 @@ def sparse_within2(g: Graph) -> np.ndarray:
         (np.ones(g.indices.size, dtype=bool), g.indices, g.indptr), shape=(g.n, g.n))
     reach = (adj + adj @ adj).tocsr()
     return np.diff(reach.indptr) - reach.diagonal()
+
+
+def coo_spectral_communities(g: Graph, k: int, rng_seed: int) -> np.ndarray:
+    """spectral_communities with its adjacency assembled as a COO matrix
+    from both edge directions and its degrees summed from that matrix."""
+    import scipy.sparse as sparse
+    from scipy.cluster.vq import kmeans2
+    from scipy.sparse.linalg import eigsh
+
+    rng = np.random.default_rng(rng_seed)
+    n, eu, ev = g.n, g.edge_u, g.edge_v
+    ones = np.ones(eu.size)
+    adj = sparse.coo_matrix(
+        (np.concatenate([ones, ones]), (np.concatenate([eu, ev]), np.concatenate([ev, eu]))),
+        shape=(n, n),
+    ).tocsr()
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    scaling = sparse.diags(np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0))
+    lap = sparse.identity(n) - scaling @ adj @ scaling
+    if k < n - 1 and n >= 64:
+        _, embedding = eigsh(lap, k=k, which="SA", v0=rng.standard_normal(n))
+    else:
+        embedding = np.linalg.eigh(lap.toarray())[1][:, :k]
+    embedding = embedding / np.maximum(np.linalg.norm(embedding, axis=1, keepdims=True), 1e-12)
+    return kmeans2(embedding, k, minit="++", seed=rng)[1].astype(np.int64)
 
 
 @st.composite
@@ -167,7 +195,7 @@ class TestLoadEdgeList:
         mm = b"%%MatrixMarket matrix coordinate pattern general\n3 4 2\n1 2\n2 3\n"
         g = load_edge_list(io.BytesIO(mm))
         assert g.n == 4
-        assert g.edges() == {(0, 1), (1, 2)}
+        assert edge_set(g) == {(0, 1), (1, 2)}
 
     def test_malformed_line(self):
         with pytest.raises(ValueError):
@@ -245,8 +273,7 @@ class TestMaskNetwork:
     def test_visible_edges_subset_of_base(self):
         g = load_urv_email()
         ov = mask_network(g, 0.3, rng_seed=5)
-        base = g.edges()
-        assert ov.edges() <= base
+        assert edge_set(ov) <= edge_set(g)
 
     def test_rejects_bad_probability(self):
         g = Graph(2, [(0, 1)])
@@ -259,7 +286,7 @@ class TestQueries:
         assert make_star(4).degrees()[0] == 4
 
     def test_isolated_node_degree(self):
-        g = full_view(Graph(3, [(0, 1)]))
+        g = Graph(3, [(0, 1)])
         assert g.degrees()[2] == 0
 
     def test_path_middle_degree(self):
@@ -278,7 +305,7 @@ class TestQueries:
     def test_free_degrees_vectorized_matches_scalar(self):
         g = load_urv_email()
         rng = np.random.default_rng(0)
-        for ov in (full_view(g), mask_network(g, 0.4, rng_seed=1)):
+        for ov in (g, mask_network(g, 0.4, rng_seed=1)):
             mask = rng.random(g.n) < 0.4
             assert free_degrees(ov, mask).tolist() == free_degree_loop(ov, mask)
 
@@ -294,8 +321,7 @@ class TestQueries:
             assert ov.within2_counts()[v] == bfs_within(ov, v, 2) == 4
 
     def test_within_one_hop_equals_degree(self):
-        g = load_urv_email()
-        ov = full_view(g)
+        ov = load_urv_email()
         for v in (0, 17, 500, 1132):
             assert bfs_within(ov, v, 1) == ov.degrees()[v] <= ov.within2_counts()[v]
 
@@ -310,7 +336,7 @@ class TestQueries:
     @settings(max_examples=150, deadline=None)
     def test_within_two_hops_blocks_match_sparse_formula(self, case):
         n, edges, budget = case
-        ov = ObservableGraph(n, edges)
+        ov = Graph(n, edges)
         with mock.patch.object(network, "_WITHIN2_BLOCK_ENTRIES", budget):
             counts = ov.within2_counts()
         assert counts.tolist() == sparse_within2(ov).tolist()
@@ -320,20 +346,18 @@ class TestQueries:
         assert ov.within2_counts() is ov.within2_counts()
         assert ov.degrees() is ov.degrees()
 
-    def test_full_view_built_once_per_graph(self):
-        g = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
-        ov = full_view(g)
-        counts = ov.within2_counts()
-        assert full_view(g) is ov and mask_network(g, 1.0, rng_seed=3) is ov
-        assert full_view(g).within2_counts() is counts
+    def test_full_view_is_the_graph(self):
+        g = make_cycle(6)
+        assert full_view(g) is g and mask_network(g, 1.0, rng_seed=3) is g
+        counts = g.within2_counts()
         clone = pickle.loads(pickle.dumps(g))
-        assert full_view(clone).within2_counts().tolist() == counts.tolist()
-        assert full_view(clone) is clone._full_view is not ov
+        assert clone._within2 is not None and clone._within2.tolist() == counts.tolist()
+        assert clone.within2_counts() is clone._within2
 
     def test_queries_ignore_hidden_edges(self):
         g = Graph(3, [(0, 1), (0, 2)])
         visible = np.array([True, False])
-        ov = ObservableGraph(g.n, np.stack([g.edge_u[visible], g.edge_v[visible]], axis=1))
+        ov = Graph(g.n, np.stack([g.edge_u[visible], g.edge_v[visible]], axis=1))
         assert ov.degrees()[0] == 1
         assert ov.within2_counts()[1] == 1
         assert free_degrees(ov, np.array([False, True, True]))[0] == 1
@@ -342,14 +366,14 @@ class TestQueries:
 class TestSpectralCommunities:
     def test_disjoint_triangles_separate(self):
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        labels = spectral_communities(full_view(g), 2, rng_seed=0)
+        labels = spectral_communities(g, 2, rng_seed=0)
         assert len(set(labels[:3])) == 1
         assert len(set(labels[3:])) == 1
         assert labels[0] != labels[3]
 
     def test_single_community(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        labels = spectral_communities(full_view(g), 1, rng_seed=0)
+        labels = spectral_communities(g, 1, rng_seed=0)
         assert np.all(labels == 0)
 
     def test_two_cliques_with_bridge(self):
@@ -360,7 +384,7 @@ class TestSpectralCommunities:
                     edges.append((base + i, base + j))
         edges.append((0, 10))
         g = Graph(20, edges)
-        labels = spectral_communities(full_view(g), 2, rng_seed=1)
+        labels = spectral_communities(g, 2, rng_seed=1)
         assert len(set(labels[:10])) == 1
         assert len(set(labels[10:])) == 1
         assert labels[0] != labels[10]
@@ -369,22 +393,34 @@ class TestSpectralCommunities:
 
     def test_labels_cover_range(self):
         g = load_urv_email()
-        labels = spectral_communities(full_view(g), 8, rng_seed=3)
+        labels = spectral_communities(g, 8, rng_seed=3)
         assert labels.shape == (1133,)
         assert labels.min() >= 0 and labels.max() < 8
 
     def test_k_out_of_range(self):
         g = Graph(3, [(0, 1)])
         with pytest.raises(ValueError):
-            spectral_communities(full_view(g), 0, rng_seed=0)
+            spectral_communities(g, 0, rng_seed=0)
         with pytest.raises(ValueError):
-            spectral_communities(full_view(g), 4, rng_seed=0)
+            spectral_communities(g, 4, rng_seed=0)
 
     def test_deterministic(self):
         g = load_urv_email()
-        a = spectral_communities(full_view(g), 4, rng_seed=9)
-        b = spectral_communities(full_view(g), 4, rng_seed=9)
+        a = spectral_communities(g, 4, rng_seed=9)
+        b = spectral_communities(g, 4, rng_seed=9)
         assert np.array_equal(a, b)
+
+
+    @pytest.mark.parametrize("mask_seed", [0, 1, 2])
+    def test_matches_coo_adjacency_reference(self, mask_seed):
+        g = load_urv_email()
+        view = mask_network(g, 0.6, np.random.default_rng(mask_seed))
+        for k, seed in ((8, mask_seed), (3, 100 + mask_seed)):
+            got = spectral_communities(view, k, rng_seed=seed)
+            assert np.array_equal(got, coo_spectral_communities(view, k, seed))
+        small = make_cycle(12)
+        assert np.array_equal(spectral_communities(small, 3, rng_seed=mask_seed),
+                              coo_spectral_communities(small, 3, mask_seed))
 
 
 def _modularity(g: Graph, labels: np.ndarray) -> float:
