@@ -11,9 +11,8 @@ import numpy as np
 from drim.datasets import load_urv_email
 from drim.harness import single_thread_blas
 from drim.propagation import EpisodeConfig, run_episode
-from drim.rl import PPOConfig, policy_forward, save_params, train_agent
+from drim.rl import PPOConfig, make_scheme_agent, policy_forward, save_params, train_agent
 from drim.strategies import Scheme, action_space, make_heuristic_agent
-from drim.baselines import make_scheme_agent
 
 graph = load_urv_email()
 episode_cfg = EpisodeConfig(k=50, rng_seed=0)

@@ -38,12 +38,14 @@ _FLAG_OPTIONS = {
 }
 
 
-def _add_common_overrides(p: argparse.ArgumentParser, evaluates: bool = True) -> None:
+def _add_common_overrides(p: argparse.ArgumentParser, unread: tuple[str, ...] = (),
+                          evaluates: bool = True) -> None:
     """A flag for each setting in `SPEC_KEYS` outside [sweep] (the sweep
-    command declares its own); `--out` and `--workers` only for commands
-    that evaluate."""
+    command declares its own) that the command reads, so no flag is
+    silently ignored: none for the `unread` keys. `--workers` only for
+    commands that evaluate."""
     for key, (section, convert) in SPEC_KEYS.items():
-        if section == "sweep" or (key == "out_dir" and not evaluates):
+        if section == "sweep" or key in unread:
             continue
         options = dict(_FLAG_OPTIONS.get(key, {"type": convert}))
         p.add_argument(options.pop("flag", "--" + key.replace("_", "-")), dest=key, **options)
@@ -143,16 +145,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "(subjective-logic opinions, PPO seed selection)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each command takes whole flags only (allow_abbrev=False): with
+    # abbreviations, `bench --scheme` would pass for `--schemes`.
 
-    p = sub.add_parser("train", help="train one agent and save its policy")
+    p = sub.add_parser("train", help="train one agent and save its policy", allow_abbrev=False)
     p.add_argument("--opponent", required=True, choices=FP_STRATEGIES,
                    help="false-party strategy to train against")
     p.add_argument("--out", dest="out_policy", required=True, help="policy output file")
     p.add_argument("--spec", help="config file with defaults")
-    _add_common_overrides(p, evaluates=False)
+    # --opponent stands in for fp_strategy, and --out for the policy paths
+    _add_common_overrides(p, ("runs", "fp_strategy", "out_dir", "policy_dir", "auto_train"),
+                          evaluates=False)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate scheme/OM/FP cells")
+    p = sub.add_parser("eval", help="evaluate scheme/OM/FP cells", allow_abbrev=False)
     p.add_argument("--spec", help="config file")
     p.add_argument("--schemes", help="comma list (overrides --scheme)")
     p.add_argument("--oms", help="comma list of opinion models")
@@ -160,23 +166,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_overrides(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="sweep one axis")
+    p = sub.add_parser("sweep", help="sweep one axis", allow_abbrev=False)
     p.add_argument("--axis", required=True, choices=tuple(SWEEP_DEFAULTS))
-    p.add_argument("--range", type=_ip_range, help="lo:hi (ip axis only)")
-    p.add_argument("--values", help="comma list of sweep values")
+    points = p.add_mutually_exclusive_group()
+    points.add_argument("--range", type=_ip_range, help="lo:hi (ip axis only)")
+    points.add_argument("--values", help="comma list of sweep values")
     p.add_argument("--spec", help="config file")
     p.add_argument("--schemes", help="comma list of schemes")
     _add_common_overrides(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bench", help="per-scheme episode runtime")
+    p = sub.add_parser("bench", help="per-scheme episode runtime", allow_abbrev=False)
     p.add_argument("--episodes", type=int, default=20)
     p.add_argument("--schemes", default="drim-a,drim-na,storm,cstorm")
     p.add_argument("--spec", help="config file")
-    _add_common_overrides(p)
+    _add_common_overrides(p, ("scheme", "runs"))  # --schemes, --episodes
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("report", help="pivot results into a layout CSV")
+    p = sub.add_parser("report", help="pivot results into a layout CSV", allow_abbrev=False)
     p.add_argument("--layout", required=True, choices=LAYOUTS)
     p.add_argument("--results", nargs="+", required=True,
                    help="one or more eval/sweep output directories "

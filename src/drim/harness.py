@@ -31,7 +31,6 @@ other BLAS libraries are left as they are).
 
 from __future__ import annotations
 
-import copy
 import csv
 import ctypes
 import hashlib
@@ -47,7 +46,6 @@ from typing import Iterator, get_type_hints
 
 import numpy as np
 
-from drim.baselines import make_scheme_agent
 from drim.datasets import load_urv_email, urv_email_path
 from drim.network import Graph, load_edge_list
 from drim.network import full_view  # noqa: F401  (re-exported; perfbench's tracer rebinds it)
@@ -67,13 +65,14 @@ from drim.rl import (
     TrainResult,
     atomic_write,
     load_params,
+    make_scheme_agent,
     save_params,
     train_agent,
 )
-from drim.strategies import Agent, Scheme, action_space, make_heuristic_agent
+from drim.strategies import Agent, Scheme, StrategyKind, action_space, make_heuristic_agent
 
-FP_STRATEGIES = ("random", "af", "bf", "sgf", "cf", "drl")
-OPINION_MODELS = ("uom", "hom", "nom")
+FP_STRATEGIES = ("random", *(k.value for k in StrategyKind), "drl")
+OPINION_MODELS = tuple(v.value for v in TrustVariant)
 
 SWEEP_DEFAULTS = {
     "ip": (1, 2, 3, 4, 5),
@@ -421,13 +420,12 @@ class _EvalTask:
 
 
 def _run_eval(task: _EvalTask) -> list[tuple[dict[str, float], float, WaveCounters]]:
-    """Run the task's episodes in lockstep, each with its own copies of
-    the cell's agents. A lockstep episode has no wall clock of its own,
-    so each is timed as the batch's wall clock over the batch size."""
+    """Run the task's episodes in lockstep, the cell's one pair of agents
+    playing every episode. A lockstep episode has no wall clock of its
+    own, so each is timed as the batch's wall clock over the batch size."""
     start = time.perf_counter()
     episodes = [Episode(task.graph, cfg) for cfg in task.cfgs]
-    agents = [(copy.deepcopy(task.tp_agent), copy.deepcopy(task.fp_agent)) for _ in episodes]
-    run_lockstep(episodes, agents)
+    run_lockstep(episodes, [(task.tp_agent, task.fp_agent)] * len(episodes))
     seconds = (time.perf_counter() - start) / len(episodes)
     return [(ep.final_metrics(), seconds, ep.counters) for ep in episodes]
 
@@ -595,7 +593,7 @@ def write_roundlog_csv(path: Path, episode_logs: list[tuple[int, list[RoundLog]]
 
 LAYOUTS = ("table1", "fig2", "fig3a", "fig3b", "fig3c", "table2")
 
-_SCHEME_ORDER = ("drim-a", "drim-na", "storm", "cstorm")
+_SCHEME_ORDER = tuple(s.value for s in Scheme)
 
 
 def _cell_value(rows, **filters) -> ResultRow:

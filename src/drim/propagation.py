@@ -325,7 +325,8 @@ class Episode:
     series per step, and the audit log. Sub-seeds for population
     sampling, edge masking, dynamics and C-STORM's communities
     (`community_seed`) derive from the config seed, so an episode is
-    reproducible end to end.
+    reproducible end to end. `communities` holds C-STORM's labels of
+    the view, keyed by community count, once an agent has computed them.
     """
 
     def __init__(self, graph: Graph, cfg: EpisodeConfig):
@@ -337,6 +338,7 @@ class Episode:
         self.obs = (full_view(graph) if cfg.p_nv >= 1.0
                     else mask_network(graph, cfg.p_nv, np.random.default_rng(mask_seed)))
         self.rng = np.random.default_rng(dyn_seed)
+        self.communities: dict[int, np.ndarray] = {}
         self.model = cfg.opinion_model
         self.counters = WaveCounters()
         self.t = 0
@@ -418,9 +420,9 @@ def run_episode(
 def run_lockstep(episodes: list[Episode], agents: list[tuple[Agent, Agent]]) -> list[Episode]:
     """Run fresh episodes of one graph and scenario in lockstep (in place).
 
-    agents holds one (tp_agent, fp_agent) pair per episode. An agent may
-    keep per-episode state (C-STORM community labels), so no agent may
-    serve two episodes. The episodes may differ only in their seeds.
+    agents holds one (tp_agent, fp_agent) pair per episode. Agents keep
+    no per-episode state; a `LearnerAgent` serves one episode. The
+    episodes may differ only in their seeds.
     Their populations are stacked (each `Episode.pop` becomes a view of
     its slice), and each of a party's waves is one `propagate_wave` call
     over all of them, each replica drawing from its own generator. Seed
@@ -437,9 +439,6 @@ def run_lockstep(episodes: list[Episode], agents: list[tuple[Agent, Agent]]) -> 
     pop = stack_populations([ep.pop for ep in episodes])
     rngs = [ep.rng for ep in episodes]
     counters = [ep.counters for ep in episodes]
-    for ep, (tp_agent, fp_agent) in zip(episodes, agents):
-        tp_agent.begin_episode(ep, Party.TRUE_PARTY)
-        fp_agent.begin_episode(ep, Party.FALSE_PARTY)
     # (party, its agent's index in a (tp, fp) pair, waves); the false party moves first
     turns = ((Party.FALSE_PARTY, 1, first.cfg.p_f), (Party.TRUE_PARTY, 0, first.cfg.p_t))
     for _ in range(first.cfg.k):

@@ -9,9 +9,11 @@ advantage is return minus the collection-time value estimate, normalized
 per batch.
 
 Rollouts are played by the same driver as evaluation: each update's
-episodes run in one `run_lockstep` call, the learner (`LearnerAgent`)
-acting for its party in each of them beside a fresh opponent, and
-recording the states, actions, log-probabilities and values it saw.
+episodes run in one `run_lockstep` call, a learner (`LearnerAgent`) per
+episode acting for its party beside the one opponent agent that serves
+them all, and recording the states, actions, log-probabilities and
+values it saw. `make_scheme_agent` builds any scheme's evaluation agent
+from trained parameters.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import IO, Callable, Iterator
 
 import numpy as np
 
-from drim.baselines import make_scheme_agent, scheme_agent
+from drim.baselines import DEFAULT_COMMUNITIES, scheme_agent
 from drim.network import Graph
 from drim.population import Party
 from drim.propagation import Episode, EpisodeConfig, discounted_returns, run_lockstep
@@ -285,8 +287,6 @@ def ppo_update(params: PolicyParams, batch: Batch, cfg: PPOConfig) -> tuple[Poli
 class PolicyAgent(Agent):
     """Evaluation-time agent: samples a strategy from a trained policy."""
 
-    name = "drl"
-
     def __init__(self, params: PolicyParams, action_set: tuple[StrategyKind, ...]):
         if params.n_actions != len(action_set):
             raise ValueError(
@@ -298,6 +298,12 @@ class PolicyAgent(Agent):
     def select(self, episode: Episode, party: Party) -> StrategyKind:
         probs = policy_forward(self.params, episode.normalized_state())
         return self.action_set[sample_action(probs, episode.rng)]
+
+
+def make_scheme_agent(scheme: Scheme, params: PolicyParams,
+                      communities: int = DEFAULT_COMMUNITIES) -> Agent:
+    """Evaluation agent for any scheme from trained parameters."""
+    return scheme_agent(scheme, PolicyAgent(params, action_space(scheme)), communities)
 
 
 class LearnerAgent(PolicyAgent):
@@ -314,10 +320,8 @@ class LearnerAgent(PolicyAgent):
         self.log_probs: list[float] = []
         self.values: list[float] = []
 
-    def begin_episode(self, episode: Episode, party: Party) -> None:
-        self.party = party
-
     def select(self, episode: Episode, party: Party) -> StrategyKind:
+        self.party = party
         state = np.asarray(episode.normalized_state(), dtype=float)
         probs = policy_forward(self.params, state)
         action = sample_action(probs, self.rng)
@@ -345,14 +349,14 @@ def collect_episode(episode: Episode, learner: LearnerAgent, gamma: float) -> Tr
 @dataclass(frozen=True)
 class Matchup:
     """The game a learner trains in: its party and scheme (action set,
-    and the community pool for C-STORM) against a fresh opponent per
-    episode, on one graph and scenario."""
+    and the community pool for C-STORM) against one opponent agent, which
+    plays every episode, on one graph and scenario."""
 
     graph: Graph
     episode_cfg: EpisodeConfig
     party: Party
     scheme: Scheme
-    opponent: Callable[[], Agent]
+    opponent: Agent
 
 
 @dataclass
@@ -379,8 +383,7 @@ def collect_rollouts(
         learner = LearnerAgent(params, action_space(matchup.scheme),
                                np.random.default_rng(sample_seed))
         learners.append(learner)
-        agent = scheme_agent(matchup.scheme, learner)
-        opponent = matchup.opponent()
+        agent, opponent = scheme_agent(matchup.scheme, learner), matchup.opponent
         agents.append((agent, opponent) if matchup.party is Party.TRUE_PARTY else (opponent, agent))
     run_lockstep(games, agents)
     return Batch.from_trajectories(
@@ -424,15 +427,15 @@ def train_agent(
     seed_seq = np.random.SeedSequence(rng_seed)
     tp_space = action_space(scheme)
 
-    def rollout(party: Party, learner_scheme: Scheme, make_opponent: Callable[[], Agent]):
-        matchup = Matchup(graph, episode_cfg, party, learner_scheme, make_opponent)
+    def rollout(party: Party, learner_scheme: Scheme, rival: Agent):
+        matchup = Matchup(graph, episode_cfg, party, learner_scheme, rival)
         return lambda params, seeds: collect_rollouts(
             params, matchup, ppo_cfg.rollout_episodes, seeds, ppo_cfg.gamma)
 
     if opponent != "drl":
         init_seed, loop_seed = seed_seq.spawn(2)
         params = init_params(len(tp_space), ppo_cfg.hidden, np.random.default_rng(init_seed))
-        tp_rollout = rollout(Party.TRUE_PARTY, scheme, lambda: make_heuristic_agent(opponent))
+        tp_rollout = rollout(Party.TRUE_PARTY, scheme, make_heuristic_agent(opponent))
         return train_loop(params, tp_rollout, ppo_cfg, loop_seed)
 
     fp_space = action_space(Scheme.DRIM_A)
@@ -443,16 +446,15 @@ def train_agent(
     side_updates = ppo_cfg.selfplay_updates_per_side
     for alternation in seed_seq.spawn(ppo_cfg.selfplay_alternations):
         tp_seed, fp_seed = alternation.spawn(2)
-        frozen_fp = fp_params.copy()
-        tp_rollout = rollout(Party.TRUE_PARTY, scheme, lambda: PolicyAgent(frozen_fp, fp_space))
+        frozen_fp = PolicyAgent(fp_params.copy(), fp_space)
+        tp_rollout = rollout(Party.TRUE_PARTY, scheme, frozen_fp)
         result = train_loop(tp_params, tp_rollout, ppo_cfg, tp_seed, side_updates)
         tp_params = result.params
         base = len(curve)
         curve.extend((base + i, r, e) for i, r, e in result.curve)
 
-        frozen_tp = tp_params.copy()
-        fp_rollout = rollout(Party.FALSE_PARTY, Scheme.DRIM_A,
-                             lambda: make_scheme_agent(scheme, frozen_tp))
+        frozen_tp = make_scheme_agent(scheme, tp_params.copy())
+        fp_rollout = rollout(Party.FALSE_PARTY, Scheme.DRIM_A, frozen_tp)
         fp_params = train_loop(fp_params, fp_rollout, ppo_cfg, fp_seed, side_updates).params
     return TrainResult(tp_params, curve, opponent_params=fp_params)
 

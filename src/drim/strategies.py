@@ -105,11 +105,6 @@ def select_seed(
 class Agent:
     """Picks a strategy each step; the episode resolves it to a seed."""
 
-    name = "agent"
-
-    def begin_episode(self, episode, party: Party) -> None:
-        pass
-
     def select(self, episode, party: Party) -> StrategyKind:
         raise NotImplementedError
 
@@ -120,15 +115,12 @@ class Agent:
 class FixedStrategyAgent(Agent):
     def __init__(self, kind: StrategyKind):
         self.kind = kind
-        self.name = kind.value
 
     def select(self, episode, party: Party) -> StrategyKind:
         return self.kind
 
 
 class RandomStrategyAgent(Agent):
-    name = "random"
-
     def __init__(self, action_set: tuple[StrategyKind, ...] | None = None):
         self.action_set = action_set or _ACTION_SPACES[Scheme.DRIM_A]
 

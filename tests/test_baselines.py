@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from drim.baselines import CommunityAgent, CommunityRestriction, make_scheme_agent
+from drim.baselines import CommunityRestriction
 from drim.datasets import load_urv_email
 from drim.network import Graph
 from drim.opinion import NOM, UOM
 from drim.propagation import Episode, EpisodeConfig, run_episode, run_lockstep
-from drim.rl import init_params
+from drim.rl import PolicyAgent, init_params, make_scheme_agent
 from drim.strategies import Scheme, StrategyKind, action_space, make_heuristic_agent
 
 
@@ -37,11 +37,11 @@ class TestCommunityRestriction:
         for i in (3, 4, 5):
             ep.pop.u[i] = 0.1
             ep.pop.b[i] = 0.9
-        restriction = CommunityRestriction(k=2)
-        restriction.begin_episode(ep, None)
+        restriction = CommunityRestriction(make_heuristic_agent("cf"), k=2)
         pool = restriction.pool(ep)
         assert pool[:3].all()
         assert not pool[3:].any()
+        assert set(ep.communities) == {2}  # the labels live on the episode
 
     def test_seed_selected_inside_best_community(self):
         g = two_triangles()
@@ -60,7 +60,7 @@ class TestCommunityRestriction:
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            CommunityRestriction(k=0)
+            CommunityRestriction(make_heuristic_agent("cf"), k=0)
 
 
 class TestCstormReducesToStorm:
@@ -95,9 +95,10 @@ class TestSchemeAgentFactory:
     def test_drim_agent(self):
         params = init_params(4, 8, rng_seed=0)
         agent = make_scheme_agent(Scheme.DRIM_A, params)
-        assert agent.name == "drl"
+        assert isinstance(agent, PolicyAgent)
 
     def test_cstorm_agent_wrapped(self):
         params = init_params(2, 8, rng_seed=0)
         agent = make_scheme_agent(Scheme.C_STORM, params)
-        assert isinstance(agent, CommunityAgent)
+        assert isinstance(agent, CommunityRestriction)
+        assert isinstance(agent.inner, PolicyAgent)

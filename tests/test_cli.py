@@ -25,28 +25,30 @@ def tiny_edges(tmp_path_factory):
 
 
 TRAIN_FAST = [
-    "--k", "3", "--runs", "2", "--updates", "1", "--rollout-episodes", "2",
-    "--epochs", "2", "--hidden", "8",
+    "--k", "3", "--updates", "1", "--rollout-episodes", "2", "--epochs", "2", "--hidden", "8",
 ]
-FAST = [*TRAIN_FAST, "--workers", "1"]
+BENCH_FAST = [*TRAIN_FAST, "--workers", "1"]
+FAST = [*BENCH_FAST, "--runs", "2"]
 
 # Every subcommand's option strings, pinned so no flag is added or lost
-# unnoticed. SETTING_FLAGS are the experiment settings' flags.
+# unnoticed. SETTING_FLAGS are the flags of the experiment settings every
+# command reads; train and bench have no flag for a setting they ignore.
 HELP_FLAGS = ["-h", "--help"]
 SETTING_FLAGS = [
     "--actor-lr", "--clip-epsilon", "--critic-lr", "--dataset", "--entropy-coef", "--epochs",
-    "--fp", "--gamma", "--hidden", "--k", "--master-seed", "--no-auto-train", "--om", "--p-f",
-    "--p-nv", "--p-t", "--policies", "--prior-a", "--rollout-episodes", "--runs", "--scheme",
-    "--selfplay-alternations", "--selfplay-updates-per-side", "--updates",
+    "--gamma", "--hidden", "--k", "--master-seed", "--om", "--p-f", "--p-nv", "--p-t",
+    "--prior-a", "--rollout-episodes", "--selfplay-alternations", "--selfplay-updates-per-side",
+    "--updates",
 ]
 OPTION_STRINGS = {
-    "train": [*HELP_FLAGS, *SETTING_FLAGS, "--opponent", "--out", "--spec"],
-    "eval": [*HELP_FLAGS, *SETTING_FLAGS, "--fps", "--oms", "--out", "--schemes", "--spec",
-             "--workers"],
-    "sweep": [*HELP_FLAGS, *SETTING_FLAGS, "--axis", "--out", "--range", "--schemes", "--spec",
-              "--values", "--workers"],
-    "bench": [*HELP_FLAGS, *SETTING_FLAGS, "--episodes", "--out", "--schemes", "--spec",
+    "train": [*HELP_FLAGS, *SETTING_FLAGS, "--scheme", "--opponent", "--out", "--spec"],
+    "eval": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--no-auto-train", "--policies", "--runs",
+             "--scheme", "--fps", "--oms", "--out", "--schemes", "--spec", "--workers"],
+    "sweep": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--no-auto-train", "--policies", "--runs",
+              "--scheme", "--axis", "--out", "--range", "--schemes", "--spec", "--values",
               "--workers"],
+    "bench": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--no-auto-train", "--policies",
+              "--episodes", "--out", "--schemes", "--spec", "--workers"],
     "report": [*HELP_FLAGS, "--layout", "--out", "--results"],
 }
 
@@ -68,6 +70,27 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["destroy"])
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bench", "--scheme", "storm"], "unrecognized arguments: --scheme storm"),
+        (["bench", "--runs", "7"], "unrecognized arguments: --runs 7"),
+        (["train", "--opponent", "cf", "--out", "p.bin", "--fp", "random"],
+         "unrecognized arguments: --fp random"),
+        (["train", "--opponent", "cf", "--out", "p.bin", "--runs", "9"],
+         "unrecognized arguments: --runs 9"),
+        (["train", "--opponent", "cf", "--out", "p.bin", "--policies", "X"],
+         "unrecognized arguments: --policies X"),
+        (["train", "--opponent", "cf", "--out", "p.bin", "--no-auto-train"],
+         "unrecognized arguments: --no-auto-train"),
+        (["sweep", "--axis", "ip", "--values", "1", "--range", "3:4"],
+         "argument --range: not allowed with argument --values"),
+    ], ids=["bench-scheme", "bench-runs", "train-fp", "train-runs", "train-policies",
+            "train-no-auto-train", "sweep-values-and-range"])
+    def test_ignored_settings_rejected(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCommands:
@@ -152,7 +175,7 @@ class TestCommands:
         out = tmp_path / "bench"
         rc = main([
             "bench", "--episodes", "1", "--schemes", "drim-a", "--om", "nom",
-            "--fp", "cf", "--dataset", str(tiny_edges), "--out", str(out), *FAST,
+            "--fp", "cf", "--dataset", str(tiny_edges), "--out", str(out), *BENCH_FAST,
         ])
         assert rc == 0
         assert (out / "bench.csv").exists()
@@ -161,7 +184,7 @@ class TestCommands:
         bench = tmp_path / "bench"
         rc = main([
             "bench", "--episodes", "1", "--om", "nom", "--fp", "cf",
-            "--dataset", str(tiny_edges), "--out", str(bench), *FAST,
+            "--dataset", str(tiny_edges), "--out", str(bench), *BENCH_FAST,
         ])
         assert rc == 0
         bench_lines = (bench / "bench.csv").read_text().splitlines()
@@ -179,7 +202,7 @@ class TestCommands:
         assert main([
             "bench", "--episodes", "1", "--schemes", "drim-a,storm", "--om", "nom",
             "--fp", "cf", "--dataset", str(tiny_edges), "--out", str(partial),
-            "--policies", str(bench / "policies"), *FAST,
+            "--policies", str(bench / "policies"), *BENCH_FAST,
         ]) == 0
         capsys.readouterr()
         rc = main(["report", "--layout", "table2", "--results", str(partial),

@@ -254,7 +254,7 @@ def c_storm_parent():
     agent does in the parent of a C-STORM pool. TestSingleThreadBlas
     probes pools forked from that state; TestLateLoadedBlas probes a
     parent without scipy, in a fresh interpreter."""
-    CommunityRestriction()
+    CommunityRestriction(make_heuristic_agent("cf"))
 
 
 def _blas_probe(seed: int) -> tuple[list[int], int]:

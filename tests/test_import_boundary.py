@@ -26,10 +26,9 @@ stages = {}
 import drim, drim.cli, drim.config, drim.harness, drim.rl
 stages["import"] = scipy_modules()
 
-from drim.baselines import make_scheme_agent
 from drim.datasets import load_urv_email
 from drim.propagation import EpisodeConfig, run_episode
-from drim.rl import init_params
+from drim.rl import init_params, make_scheme_agent
 from drim.strategies import Scheme, make_heuristic_agent
 
 tp = make_scheme_agent(Scheme.DRIM_A, init_params(4, 8, 0))

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from reference_wave import SIMPLEX_TOL
 
 from drim import harness, network, propagation, rl
-from drim.baselines import CommunityRestriction, make_scheme_agent
+from drim.rl import make_scheme_agent
 from drim.datasets import load_urv_email
 from drim.network import Graph, spectral_communities
 from drim.opinion import (
@@ -215,24 +215,7 @@ class TestBatchedEpisodeInvariants:
 
 
 class TestCommunityLabelsPerReplica:
-    def test_masked_cstorm_replicas_plan_on_their_own_communities(self, monkeypatch):
-        begun: dict[int, Episode] = {}
-        pooled: list[tuple[int, Episode]] = []
-        real_begin, real_pool = CommunityRestriction.begin_episode, CommunityRestriction.pool
-
-        def begin_episode(self, episode, party):
-            real_begin(self, episode, party)
-            begun[id(self)] = episode
-            want = spectral_communities(episode.obs, min(self.k, episode.graph.n),
-                                        np.random.default_rng(episode.community_seed))
-            assert np.array_equal(self.labels, want)
-
-        def pool(self, episode):
-            pooled.append((id(self), episode))
-            return real_pool(self, episode)
-
-        monkeypatch.setattr(CommunityRestriction, "begin_episode", begin_episode)
-        monkeypatch.setattr(CommunityRestriction, "pool", pool)
+    def test_masked_cstorm_replicas_plan_on_their_own_communities(self):
         rng = np.random.default_rng(11)
         edges = [(i, j) for i in range(30) for j in range(i + 1, 30)
                  if (i < 15) == (j < 15) and rng.random() < 0.3]
@@ -240,18 +223,19 @@ class TestCommunityLabelsPerReplica:
         params = rl.init_params(len(action_space(Scheme.C_STORM)), 8, 3)
         cfg = EpisodeConfig(k=4, opinion_model=NOM, p_nv=0.6)
         cfgs = [cfg.with_seed(seed) for seed in (5, 6, 7)]
-        agent = make_scheme_agent(Scheme.C_STORM, params, communities=3)
-        pairs = [(copy.deepcopy(agent), make_heuristic_agent("random")) for _ in cfgs]
-        episodes = run_lockstep([Episode(g, c) for c in cfgs], pairs)
+        tp_agent = make_scheme_agent(Scheme.C_STORM, params, communities=3)
+        fp_agent = make_heuristic_agent("random")
+        episodes = run_lockstep([Episode(g, c) for c in cfgs], [(tp_agent, fp_agent)] * 3)
 
-        assert agent.restriction.labels is None  # the template is never used, only its copies
-        assert len(begun) == 3
-        assert {id(ep) for ep in begun.values()} == {id(ep) for ep in episodes}
-        assert pooled and all(begun[key] is ep for key, ep in pooled)
+        labels = []
         for got, c in zip(episodes, cfgs):
-            want = run_episode(g, c, make_scheme_agent(Scheme.C_STORM, params, communities=3),
-                               make_heuristic_agent("random"))
-            _assert_same_episode(got, want)
+            want = spectral_communities(got.obs, 3, np.random.default_rng(got.community_seed))
+            assert set(got.communities) == {3}
+            assert np.array_equal(got.communities[3], want)
+            labels.append(want)
+            _assert_same_episode(got, run_episode(g, c, tp_agent, fp_agent))
+        # the replicas' views differ, so one set of labels could not serve all three
+        assert not all(np.array_equal(labels[0], other) for other in labels[1:])
 
 
 def _seeded_spec(tmp_path: Path, **kw) -> harness.ExperimentSpec:

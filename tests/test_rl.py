@@ -67,7 +67,7 @@ def learner_episode(cfg, party, opponent, seed=1, gamma=0.95):
 
 def matchup(cfg, party=Party.TRUE_PARTY, opponent="random", scheme=Scheme.DRIM_A):
     g = load_urv_email()
-    return Matchup(g, cfg, party, scheme, lambda: make_heuristic_agent(opponent))
+    return Matchup(g, cfg, party, scheme, make_heuristic_agent(opponent))
 
 
 def random_batch(rng, n=48, n_actions=4):

@@ -174,9 +174,9 @@ class TestSelectionContracts:
 
 
 class TestAgentFactories:
-    def test_fixed_agent_names(self):
-        assert make_heuristic_agent("cf").name == "cf"
-        assert make_heuristic_agent("random").name == "random"
+    def test_fixed_agent_kinds(self):
+        assert make_heuristic_agent("cf").kind is StrategyKind.CF
+        assert make_heuristic_agent("sgf").kind is StrategyKind.SGF
 
     def test_fixed_agent_rejects_random_kind(self):
         # random is a per-step draw over concrete kinds, not a kind itself
