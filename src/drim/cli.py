@@ -97,6 +97,17 @@ def _ip_range(text: str) -> tuple[int, ...]:
     return points
 
 
+def _positive_int(text: str) -> int:
+    """An integer flag that must be at least 1, such as `bench --episodes`."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def cmd_sweep(args) -> int:
     if args.values:
         values = args.values  # text: parse_spec_file splits it, ExperimentSpec types it
@@ -177,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="per-scheme episode runtime", allow_abbrev=False)
-    p.add_argument("--episodes", type=int, default=20)
+    p.add_argument("--episodes", type=_positive_int, default=20)
     p.add_argument("--schemes", default="drim-a,drim-na,storm,cstorm")
     p.add_argument("--spec", help="config file")
     _add_common_overrides(p, ("scheme", "runs"))  # --schemes, --episodes

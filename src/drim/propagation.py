@@ -14,11 +14,18 @@ The wave kernel is level-synchronous over the CSR adjacency (Beamer et
 al., SC 2012). Per BFS level it gathers the (target, sender) pairs of
 the frontier, groups them by target with a stable sort on the narrowest
 unsigned dtype that holds R·n (a radix sort while that is 16 bits or
-less; senders stay in frontier order, which is ascending id), and fuses
-one sender rank at a time across all reading targets at once with the
-array operators of `drim.opinion`. A target stops at the sender whose
-fusion froze it; a degenerate fusion (beta <= 1e-12) is skipped and
-counted.
+less; senders stay in frontier order, which is ascending id), draws, and
+turns each reading, unfrozen target's senders into fusion events. The
+BFS never depends on an opinion, so fusion waits until the levels are
+done and then runs on a dependency-depth schedule, the level scheduling
+of sparse triangular solves (Anderson & Saad, "Solving sparse triangular
+linear systems on parallel computers", Int. J. High Speed Computing
+1(1), 1989): an event lies one step past its reader's previous event and
+past its sender's last, and each depth is one step of the array
+operators of `drim.opinion` over all its events at once. Every event
+sees the opinions the level-by-level, sender-by-sender order would give
+it, so the results are exact. A target that freezes skips its later
+events; a degenerate fusion (beta <= 1e-12) is skipped and counted.
 
 Draw-order contract: within a level, a replica's s reached users, in
 ascending id order, take 2·s uniforms from its generator in one
@@ -147,70 +154,57 @@ _COUNTERS = tuple(f.name for f in fields(WaveCounters))
 _REACHED, _READS, _FUSIONS, _REFRESHES, _FROZEN, _DEGENERATE = range(len(_COUNTERS))
 
 
-def _fuse_level(
+def _fuse_step(
     state: PopulationState,
     model: TrustModel,
     ids: np.ndarray,
-    slot: np.ndarray,
-    end: np.ndarray,
     senders: np.ndarray,
     tally: np.ndarray,
     n: int,
-) -> None:
-    """Fuse every reader's senders into it, one sender rank at a time.
+) -> bool:
+    """Run one depth of a wave's fusion schedule: reader ids[i] fuses senders[i].
 
-    Reader ids[i] (none frozen) fuses senders[slot[i]:end[i]] in order
-    and stops early at the fusion that freezes it. Results are written
-    through to the state after every rank: within a level no reader is
-    anyone's sender, so no later fusion of the level reads them. Totals
-    go to column ids // n of tally.
+    Two ordering invariants make one vectorised step exact: every event
+    lies deeper than its reader's previous event, so the ids are
+    distinct; and every event lies deeper than its sender's last event,
+    so each sender's opinion is settled and no reader of the step is
+    another's sender. Results are written through to the state; a
+    reader whose fusion freezes it is latched here. Totals go to column
+    ids // n of tally. Returns whether any reader froze.
     """
     bdua, frozen = state.bdua, state.frozen
-    rows = bdua[0], bdua[1], bdua[2], bdua[3]
-    is_uom = model.variant is TrustVariant.UOM
-    t_u = model.t_u
     replicas = tally.shape[1]
 
-    def per_replica(users, weights=None):
-        return np.bincount(users // n, weights, replicas).astype(np.int64)
+    def per_replica(users):
+        return np.bincount(users // n, minlength=replicas)
 
-    # Every fusion still to run; a halted reader gives back the rest below.
-    tally[_FUSIONS] += per_replica(ids, end - slot)
-    while True:
-        op_i = bdua.take(ids, axis=1)
-        op_j = bdua.take(senders.take(slot), axis=1)
-        if is_uom:
-            due = refresh_due(op_i, model)
-            if np.count_nonzero(due):
-                tally[_REFRESHES] += per_replica(ids[due])
-                maxed = vacuity_maximize(op_i)
-                op_i = np.array([np.where(due, x, y) for x, y in zip(maxed, op_i)])
-        new = fuse(op_i, op_j, trust_coefficient(model, op_i, op_j))
-        skipped = np.isnan(new.u)
-        bad = int(np.count_nonzero(skipped))
-        if bad:  # dogmatic pair slipped past the freeze latch: keep op_i
-            tally[_DEGENERATE] += per_replica(ids[skipped])
-            new = [np.where(skipped, y, x) for x, y in zip(new, op_i)]
-        for row, x in zip(rows, new):
-            row[ids] = x
-        slot = slot + 1
-        more = slot < end
-        stop = new[2] <= t_u
-        if bad:  # a skipped fusion is no fusion: nothing to freeze on
-            stop &= ~skipped
+    op_i = bdua.take(ids, axis=1)
+    op_j = bdua.take(senders, axis=1)
+    if model.variant is TrustVariant.UOM:
+        due = refresh_due(op_i, model)
+        if np.count_nonzero(due):
+            tally[_REFRESHES] += per_replica(ids[due])
+            maxed = vacuity_maximize(op_i)
+            op_i = np.array([np.where(due, x, y) for x, y in zip(maxed, op_i)])
+    new = fuse(op_i, op_j, trust_coefficient(model, op_i, op_j))
+    skipped = np.isnan(new.u)
+    bad = int(np.count_nonzero(skipped))
+    if bad:  # dogmatic pair slipped past the freeze latch: keep op_i
+        tally[_DEGENERATE] += per_replica(ids[skipped])
+        new = [np.where(skipped, y, x) for x, y in zip(new, op_i)]
+    for row, x in zip(bdua, new):
+        row[ids] = x
+    stop = new[2] <= model.t_u
+    if bad:  # a skipped fusion is no fusion: nothing to freeze on
+        stop &= ~skipped
+    if np.count_nonzero(stop):
+        stop &= ~refresh_due(new, model)
         if np.count_nonzero(stop):
-            stop &= ~refresh_due(new, model)
-            if np.count_nonzero(stop):
-                halted = ids[stop]
-                frozen[halted] = True
-                tally[_FROZEN] += per_replica(halted)
-                tally[_FUSIONS] -= per_replica(halted, end[stop] - slot[stop])
-                more &= ~stop
-        left = np.count_nonzero(more)
-        if left == 0:
-            return
-        if left < ids.size:
-            ids, slot, end = ids[more], slot[more], end[more]
+            halted = ids[stop]
+            frozen[halted] = True
+            tally[_FROZEN] += per_replica(halted)
+            return True
+    return False
 
 
 def propagate_wave(
@@ -243,6 +237,11 @@ def propagate_wave(
     # Seeds of either party never read or update; own seeds are origins.
     visited = state.role != Role.LEGITIMATE.value
     visited[sharers] = True
+    # The schedule: last[u] is the depth of u's last fusion event so far,
+    # 0 for a user without one; events holds (depths, readers, senders)
+    # of each level's fusion events.
+    last = np.zeros(state.n, dtype=np.int64)
+    events = []
 
     while sharers.size:
         # (target, sender) pairs in frontier order, then grouped by target
@@ -281,9 +280,45 @@ def propagate_wave(
         tally[_READS] += np.bincount(reached[read] // n, minlength=replicas)
         fusing = (read & ~frozen.take(reached)).nonzero()[0]
         if fusing.size:
-            _fuse_level(state, model, reached.take(fusing), bounds.take(fusing),
-                        bounds.take(fusing + 1), senders, tally, n)
+            # Event k of a reader with senders s_0, s_1, ... lies at depth
+            # d_k = k + max_{j<=k}(last[s_j] - j + 1): one past its previous
+            # event and past its sender's last. Numbering the level's events
+            # i = 0, 1, ..., that is i plus a running max of last[s_i] + 1 - i
+            # within each reader's run, one running max over keys that carry
+            # the index of the run's first event in their high 32 bits.
+            first = bounds.take(fusing)
+            count = bounds.take(fusing + 1) - first
+            ends = count.cumsum()
+            start = ends - count  # each run's first event
+            i = np.arange(ends[-1])
+            ev_senders = senders.take(i + (first - start).repeat(count))
+            high = start.repeat(count) << 32
+            depth = np.maximum.accumulate(high + last.take(ev_senders) + 1 - i) - high + i
+            ev_readers = reached.take(fusing)
+            last[ev_readers] = depth.take(ends - 1)
+            events.append((depth, ev_readers.repeat(count), ev_senders))
         sharers = reached[share]
+
+    if events:
+        # One fusion step per depth, in depth order; a stable sort keeps
+        # each step's events in level, reader and sender order.
+        depth, readers, froms = (np.concatenate(x) for x in zip(*events))
+        steps = np.bincount(depth).cumsum()  # depths run 1, 2, ..., max
+        order = depth.astype(np.min_scalar_type(steps.size)).argsort(kind="stable")
+        readers, froms = readers.take(order), froms.take(order)
+        tally[_FUSIONS] += np.bincount(readers // n, minlength=replicas)
+        halts = False
+        steps = steps.tolist()
+        for lo, hi in zip(steps, steps[1:]):
+            ids, senders = readers[lo:hi], froms[lo:hi]
+            if halts:  # a reader that froze skips its later events
+                live = ~frozen.take(ids)
+                if not live.all():
+                    tally[_FUSIONS] -= np.bincount(ids[~live] // n, minlength=replicas)
+                    ids, senders = ids[live], senders[live]
+                    if ids.size == 0:
+                        continue
+            halts |= _fuse_step(state, model, ids, senders, tally, n)
     if counters is not None:
         for c, column in zip(counters, tally.T.tolist()):
             for name, x in zip(_COUNTERS, column):
@@ -330,6 +365,9 @@ class Episode:
     """
 
     def __init__(self, graph: Graph, cfg: EpisodeConfig):
+        if 2 * cfg.k > graph.n:  # each of the 2·k steps seeds a distinct user
+            raise ValueError(f"k={cfg.k} rounds seed 2·k = {2 * cfg.k} users, "
+                             f"but the graph has only n={graph.n}")
         self.graph = graph
         self.cfg = cfg
         pop_seed, mask_seed, dyn_seed, self.community_seed = (

@@ -84,8 +84,11 @@ class TestParser:
          "unrecognized arguments: --no-auto-train"),
         (["sweep", "--axis", "ip", "--values", "1", "--range", "3:4"],
          "argument --range: not allowed with argument --values"),
+        (["bench", "--episodes", "0"], "argument --episodes: expected an integer >= 1, got '0'"),
+        (["bench", "--episodes", "-2"], "argument --episodes: expected an integer >= 1, got '-2'"),
     ], ids=["bench-scheme", "bench-runs", "train-fp", "train-runs", "train-policies",
-            "train-no-auto-train", "sweep-values-and-range"])
+            "train-no-auto-train", "sweep-values-and-range", "bench-episodes-zero",
+            "bench-episodes-negative"])
     def test_ignored_settings_rejected(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
@@ -111,6 +114,16 @@ class TestCommands:
         with pytest.raises(ValueError, match="workers=0 is not an integer >= 1"):
             main(["eval", "--dataset", str(tiny_edges), "--out", str(out), *args])
         assert not out.exists()
+
+    def test_eval_fails_before_training_when_seeds_outnumber_users(self, tmp_path):
+        ring = tmp_path / "ring.edges"
+        ring.write_text("".join(f"{i} {i % 5 + 1}\n" for i in range(1, 6)))
+        out, policies = tmp_path / "res", tmp_path / "policies"
+        with pytest.raises(ValueError, match=r"k=3 .* n=5"):
+            main(["eval", "--scheme", "storm", "--fp", "cf", "--dataset", str(ring),
+                  "--out", str(out), "--policies", str(policies), *FAST])
+        assert not out.exists()
+        assert not [path for path in policies.rglob("*") if path.is_file()]
 
     def test_workers_help_names_processes(self, capsys):
         with pytest.raises(SystemExit):

@@ -381,6 +381,12 @@ class TestEpisodeConfig:
         assert cfg.with_seed(9).rng_seed == 9
         assert cfg.with_seed(9).k == 3
 
+    def test_episode_rejects_more_seeds_than_users(self):
+        ring = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+        with pytest.raises(ValueError, match=r"k=3 .* n=5"):
+            Episode(ring, EpisodeConfig(k=3))
+        Episode(Graph(6, [(i, (i + 1) % 6) for i in range(6)]), EpisodeConfig(k=3))
+
 
 class TestEpisodeView:
     def test_episodes_share_the_full_view_and_mask_below_it(self):

@@ -11,6 +11,9 @@ Oracles:
     event;
   - draw contract: with p_read and p_share in {0, 1}, a wave takes one
     `random((2, s))` block per level of s reached users;
+  - depth schedule: on a graph with every outcome known, a counting
+    wrapper on `propagation.fuse` sees one fusion step per dependency
+    depth, not one per sender rank of each BFS level;
   - goldens: results.csv / raw_runs.csv of small fixed specs, written by
     `write_golden_cell` under the block draw contract, must come out byte
     for byte.
@@ -27,9 +30,9 @@ import reference_wave
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from drim import harness, rl
+from drim import harness, propagation, rl
 from drim.network import Graph
-from drim.opinion import HOM, NOM, UOM, TrustModel, TrustVariant
+from drim.opinion import HOM, NOM, UOM, TrustModel, TrustVariant, fuse
 from drim.population import Party, init_population, promote_seed
 from drim.propagation import EpisodeConfig, WaveCounters, propagate_wave, run_episode
 from drim.strategies import RandomStrategyAgent, Scheme, action_space, make_heuristic_agent
@@ -183,6 +186,59 @@ class TestDrawContract:
         fresh = np.random.default_rng(6)
         fresh.random(2)
         assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+class TestDepthSchedule:
+    """With p_read = p_share = 1, seeds 0-3 and user 4 reading all four at
+    level 1, beside a chain 5-6-7-8 of single-sender readers hanging off
+    seed 0 at levels 1 to 4, fusion is four steps deep: a rank-by-rank
+    schedule would take 4 + 1 + 1 + 1 = 7 steps."""
+
+    EDGES = [(0, 4), (1, 4), (2, 4), (3, 4), (0, 5), (5, 6), (6, 7), (7, 8)]
+
+    def _wave(self, monkeypatch, n, edges, model):
+        """One wave from seeds 0-3, checked against the scalar reference;
+        returns the state before and after, the counters, and the size
+        of every fusion step."""
+        g = Graph(n, edges)
+        state = init_population(n, 0)
+        state.p_read[:] = state.p_share[:] = 1.0
+        for user in range(4):
+            promote_seed(state, user, Party.TRUE_PARTY)
+        before, reference = copy.deepcopy(state), copy.deepcopy(state)
+        steps = []
+
+        def counting_fuse(op_i, op_j, c):
+            steps.append(np.size(op_i[0]))
+            return fuse(op_i, op_j, c)
+
+        monkeypatch.setattr(propagation, "fuse", counting_fuse)
+        rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+        counters, reference_counters = WaveCounters(), WaveCounters()
+        propagate_wave(state, g, Party.TRUE_PARTY, model, (rng,), counters=(counters,))
+        reference_wave.propagate_wave(reference, g, Party.TRUE_PARTY, model, reference_rng,
+                                      counters=reference_counters)
+        _assert_same(state, reference, model, rng, reference_rng)
+        assert counters == reference_counters
+        return before, state, counters, steps
+
+    def test_one_fusion_step_per_depth(self, monkeypatch):
+        _, _, counters, steps = self._wave(monkeypatch, 9, self.EDGES, UOM)
+        assert steps == [2, 2, 2, 2]  # user 4 and the chain reader of each depth
+        assert counters.fusions == 8
+
+    def test_frozen_reader_skips_its_later_events(self, monkeypatch):
+        # Under NOM a fresh user freezes after its second seed fusion at the
+        # default t_u, so user 4 halts at depth 2 and drops its events at
+        # depths 3 and 4; user 9 reads 4 at level 2, at depth 5.
+        before, state, counters, steps = self._wave(
+            monkeypatch, 10, [*self.EDGES, (4, 9)], NOM)
+        assert steps == [2, 2, 1, 1, 1]
+        assert state.frozen[4]
+        assert counters.fusions == 2 + 4 + 1  # user 4, the chain, user 9
+        halted = fuse(fuse(before.bdua[:, 4], before.bdua[:, 0], 1.0), before.bdua[:, 1], 1.0)
+        assert np.array_equal(state.bdua[:, 4], np.array(halted))
+        assert np.array_equal(state.bdua[:, 9], np.array(fuse(before.bdua[:, 9], halted, 1.0)))
 
 
 class TestDegenerateFusion:
