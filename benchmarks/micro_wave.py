@@ -12,7 +12,9 @@ and 600 reached users, half of them near-certain (frozen once their
 vacuity is at most t_u) and half still uncertain. Every wave draws from a
 fresh generator of one fixed seed. The batched wave runs that state as
 R = 10 lockstep replicas (stacked population, one generator each), the
-way `run_lockstep` does. The masked-view benchmark builds one p_nv = 0.6
+way `run_lockstep` does, and the batched turn runs the true party's
+turn of p_t = 2 waves over them as one call, as `run_lockstep` does
+for each party turn. The masked-view benchmark builds one p_nv = 0.6
 view of the bundled graph from a fixed seed, as each eval-cstorm-masked
 episode does, and the spectral benchmark splits one such fixed view into
 8 communities, C-STORM's per-episode community step, with OpenBLAS held
@@ -74,6 +76,17 @@ def test_one_batched_wave_uom(benchmark):
         stacked = stack_populations([copy.deepcopy(state) for _ in range(REPLICAS)])
         rngs = [_wave_rng() for _ in range(REPLICAS)]
         return (stacked, GRAPH, Party.FALSE_PARTY, UOM, rngs), {}
+
+    benchmark.pedantic(propagate_wave, setup=setup, rounds=20, warmup_rounds=2)
+
+
+def test_one_batched_turn_uom(benchmark):
+    state = _mid_episode()
+
+    def setup():
+        stacked = stack_populations([copy.deepcopy(state) for _ in range(REPLICAS)])
+        rngs = [_wave_rng() for _ in range(REPLICAS)]
+        return (stacked, GRAPH, Party.TRUE_PARTY, UOM, rngs), {"waves": 2}
 
     benchmark.pedantic(propagate_wave, setup=setup, rounds=20, warmup_rounds=2)
 

@@ -13,6 +13,8 @@ episodes. Building a C-STORM agent is what loads scipy into a drim process.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from drim.network import spectral_communities
@@ -38,8 +40,8 @@ class CommunityRestriction(Agent):
         self.inner = inner
         self.k = k
 
-    def select(self, episode: Episode, party: Party) -> StrategyKind:
-        return self.inner.select(episode, party)
+    def select(self, episodes: Sequence[Episode], party: Party) -> list[StrategyKind]:
+        return self.inner.select(episodes, party)
 
     def candidate_pool(self, episode: Episode, party: Party) -> np.ndarray | None:
         return self.pool(episode)

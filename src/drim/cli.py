@@ -13,6 +13,7 @@ from drim.harness import (
     OPINION_MODELS,
     SWEEP_DEFAULTS,
     ExperimentSpec,
+    UnplayableSpec,
     bench_runtime,
     emit_report,
     fp_policy_path,
@@ -206,7 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UnplayableSpec as exc:  # a usage error, found once the graph is loaded
+        print(f"drim {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

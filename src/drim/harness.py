@@ -303,6 +303,18 @@ def load_graph(spec: ExperimentSpec) -> Graph:
     return load_edge_list(spec.dataset)
 
 
+class UnplayableSpec(ValueError):
+    """The spec's game cannot be played on its graph."""
+
+
+def check_playable(spec: ExperimentSpec, graph: Graph) -> None:
+    """Raise `UnplayableSpec` unless the graph holds the 2·k users that
+    a game of k rounds seeds, before anything is trained or started."""
+    if 2 * spec.k > graph.n:
+        raise UnplayableSpec(f"--k {spec.k}: k rounds seed 2·k = {2 * spec.k} users, "
+                             f"but the graph has only n={graph.n}")
+
+
 # ----------------------------------------------------------------------
 # Policy training & caching
 # ----------------------------------------------------------------------
@@ -498,6 +510,7 @@ def run_grid(
                     "spec's dataset, not on the graph passed in; train it first"
                 )
     graph = graph if graph is not None else load_graph(spec)
+    check_playable(spec, graph)
     points = list(spec.sweep_values) if spec.sweep_axis else [None]
 
     for om in opinion_models:
@@ -699,6 +712,7 @@ def bench_runtime(
     if episodes < 1:
         raise ValueError("bench needs at least one timed episode")
     graph = load_graph(spec)
+    check_playable(spec, graph)
     ensure_policies(spec, [(s, spec.fp_strategy) for s in schemes], workers)
     cfg = spec.episode_config()
     out: dict[str, float] = {}

@@ -134,13 +134,12 @@ def mask_network(g: Graph, p_nv: float, rng_seed: int | np.random.Generator) -> 
     return Graph(g.n, np.stack([g.edge_u[visible], g.edge_v[visible]], axis=1))
 
 
-def free_degrees(g: Graph, free_mask: np.ndarray) -> np.ndarray:
-    """Vectorized free degree of every node given a boolean free mask."""
-    out = np.zeros(g.n, dtype=np.int64)
-    eu, ev = g.edge_u, g.edge_v
-    np.add.at(out, eu, free_mask[ev].astype(np.int64))
-    np.add.at(out, ev, free_mask[eu].astype(np.int64))
-    return out
+def neighbor_sums(edge_u: np.ndarray, edge_v: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum of weights over every node's neighbors along the edges
+    (edge_u[i], edge_v[i]); a free mask as weights gives free degrees."""
+    size = weights.size
+    return (np.bincount(edge_u, weights=weights.take(edge_v), minlength=size)
+            + np.bincount(edge_v, weights=weights.take(edge_u), minlength=size))
 
 
 def spectral_communities(

@@ -174,17 +174,18 @@ def influence_counts(state: PopulationState) -> tuple[int, int]:
     return n_true, state.n - n_true
 
 
-def decided_influence_counts(state: PopulationState) -> tuple[int, int]:
+def decided_influence_counts(state: PopulationState, replicas: int = 1) -> np.ndarray:
     """Influence among decided users only (vacuity below 0.5).
 
-    A fresh population is all-undecided, so these counts start at zero;
-    they are the reward baseline and the headline experiment metric.
+    Row r holds (true, false) decided counts of replica r of a state
+    stacked from `replicas` populations of equal size. A fresh
+    population is all-undecided, so these counts start at zero; they are
+    the reward baseline and the headline experiment metric.
     """
     pb, _ = state.projected()
     decided = state.u < FREE_VACUITY_THRESHOLD
-    n_true = int(np.count_nonzero(decided & (pb >= 0.5)))
-    n_false = int(np.count_nonzero(decided & (pb < 0.5)))
-    return n_true, n_false
+    sides = np.stack([decided & (pb >= 0.5), decided & (pb < 0.5)])
+    return np.count_nonzero(sides.reshape(2, replicas, -1), axis=2).T
 
 
 def free_mask(state: PopulationState) -> np.ndarray:

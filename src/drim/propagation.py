@@ -11,21 +11,28 @@ wave; seeds of either party and frozen users never update (frozen
 readers may still re-share their settled opinion).
 
 The wave kernel is level-synchronous over the CSR adjacency (Beamer et
-al., SC 2012). Per BFS level it gathers the (target, sender) pairs of
-the frontier, groups them by target with a stable sort on the narrowest
+al., SC 2012), and one call runs a party's whole turn: its waves' BFS
+one after another, in the order (and so with the draws) of one call
+per wave. Per BFS level it gathers the (target, sender) pairs of the
+frontier, groups them by target with a stable sort on the narrowest
 unsigned dtype that holds R·n (a radix sort while that is 16 bits or
 less; senders stay in frontier order, which is ascending id), draws, and
-turns each reading, unfrozen target's senders into fusion events. The
-BFS never depends on an opinion, so fusion waits until the levels are
-done and then runs on a dependency-depth schedule, the level scheduling
-of sparse triangular solves (Anderson & Saad, "Solving sparse triangular
-linear systems on parallel computers", Int. J. High Speed Computing
-1(1), 1989): an event lies one step past its reader's previous event and
-past its sender's last, and each depth is one step of the array
-operators of `drim.opinion` over all its events at once. Every event
-sees the opinions the level-by-level, sender-by-sender order would give
-it, so the results are exact. A target that freezes skips its later
-events; a degenerate fusion (beta <= 1e-12) is skipped and counted.
+turns each reading target's senders into fusion events, unless the
+target was frozen when the turn began. The BFS never depends on an
+opinion, so fusion waits until every level of every wave of the turn
+is done and then runs on one dependency-depth schedule, the level
+scheduling of sparse triangular solves (Anderson & Saad, "Solving
+sparse triangular linear systems on parallel computers", Int. J. High
+Speed Computing 1(1), 1989): an event lies one step past its reader's
+previous event and past its sender's last, and, across waves, past
+every event of an earlier wave that read its reader (write after read:
+`last_read`, kept only while a later wave follows). Each depth is one
+step of the array operators of `drim.opinion` over all its events at
+once. Every event sees the opinions the wave-by-wave, level-by-level,
+sender-by-sender order would give it, so the results are exact. A
+target that freezes skips its later events, in its own wave or a later
+one, and they are taken back out of the fusion count; a degenerate
+fusion (beta <= 1e-12) is skipped and counted.
 
 Draw-order contract: within a level, a replica's s reached users, in
 ascending id order, take 2·s uniforms from its generator in one
@@ -43,10 +50,15 @@ stacked population, and the wave runs over the disjoint union of R
 copies of the graph, read from the one CSR with ids offset by r·n; each
 level's reached users are split by replica, and replica r takes its
 block of draws from its own generator, so every replica sees exactly
-the draws and the fusions of its solo run. `run_lockstep` is the only
-round loop: `run_episode` is its R = 1 case, evaluation runs a worker's
-share of a cell through it, and PPO training runs each update's rollout
-episodes through it with the learner as one of the agents.
+the draws and the fusions of its solo run. The party turn is the unit
+of lockstep work: each agent makes one `select` for all the replicas it
+plays (a policy agent in one stacked observation pass and one forward),
+`select_seed` scores each chosen strategy once on the stacked planning
+views, one kernel call runs the turn's waves, and one count covers the
+stacked population. `run_lockstep` is the only round loop:
+`run_episode` is its R = 1 case, evaluation runs a worker's share of a
+cell through it, and PPO training runs each update's rollout episodes
+through it with the learner as one of the agents.
 
 Both parties plan on the episode's view (`Episode.obs`), a
 `network.Graph`: at p_nv = 1 the graph itself (`network.full_view`), so
@@ -214,94 +226,112 @@ def propagate_wave(
     model: TrustModel,
     rngs: Sequence[np.random.Generator],
     counters: Sequence[WaveCounters] | None = None,
+    waves: int = 1,
 ) -> PopulationState:
-    """Run one BFS information wave from the party's seed set (in place).
+    """Run a party turn's `waves` BFS information waves from its seed set (in place).
 
     state holds R = len(rngs) replicas of g's users: replica r owns users
     r·n … r·n+n-1 (n = g.n), its edges are g's shifted by r·n, and
     rngs[r] takes its draws. counters, when given, hold one
-    `WaveCounters` per replica, and accumulate the wave's totals.
+    `WaveCounters` per replica, and accumulate the turn's totals. The
+    result equals `waves` calls of one wave each.
     """
     replicas, n = len(rngs), g.n
     if state.n != replicas * n:
         raise ValueError(f"{replicas} replicas of {n} users, but the state holds {state.n}")
-    sharers = state.seed_ids(party)
-    if sharers.size == 0:
+    seeds = state.seed_ids(party)
+    if seeds.size == 0:
         return state
     cuts = np.arange(1, replicas) * n  # first user of every replica but the first
     tally = np.zeros((len(_COUNTERS), replicas), dtype=np.int64)
     indptr, indices = g.indptr, g.indices
     frozen = state.frozen
     key_dtype = np.min_scalar_type(state.n)
+    # Seeds of either party never read or update.
+    unseeded = state.role == Role.LEGITIMATE.value
 
-    # Seeds of either party never read or update; own seeds are origins.
-    visited = state.role != Role.LEGITIMATE.value
-    visited[sharers] = True
     # The schedule: last[u] is the depth of u's last fusion event so far,
-    # 0 for a user without one; events holds (depths, readers, senders)
-    # of each level's fusion events.
+    # 0 for a user without one; last_read[u] the depth of the deepest
+    # event of an earlier wave that read u; events holds (depths,
+    # readers, senders) of each level's fusion events.
     last = np.zeros(state.n, dtype=np.int64)
+    last_read = np.zeros(state.n, dtype=np.int64)
     events = []
 
-    while sharers.size:
-        # (target, sender) pairs in frontier order, then grouped by target
-        local = sharers % n if replicas > 1 else sharers  # ids in g
-        starts = indptr.take(local)
-        degree = indptr.take(local + 1) - starts
-        ends = degree.cumsum()
-        if ends[-1] == 0:
-            break
-        slots = np.arange(ends[-1]) + (starts - (ends - degree)).repeat(degree)
-        targets = indices.take(slots)
-        if replicas > 1:  # back to the sender's replica: + r·n
-            targets += (sharers - local).repeat(degree)
-        fresh = (~visited.take(targets)).nonzero()[0]
-        if fresh.size == 0:
-            break
-        senders = sharers.repeat(degree).take(fresh)
-        targets = targets.take(fresh)
-        order = targets.astype(key_dtype).argsort(kind="stable")
-        targets, senders = targets.take(order), senders.take(order)
-        bounds = np.empty(targets.size + 1, dtype=bool)
-        bounds[0] = bounds[-1] = True
-        np.not_equal(targets[1:], targets[:-1], out=bounds[1:-1])
-        bounds = bounds.nonzero()[0]  # group starts, then the end of the last group
-        reached = targets.take(bounds[:-1])
-        visited[reached] = True
+    for wave in range(waves):
+        visited = ~unseeded
+        sharers = seeds  # own seeds are the origins
+        while sharers.size:
+            # (target, sender) pairs in frontier order, then grouped by target
+            local = sharers % n if replicas > 1 else sharers  # ids in g
+            starts = indptr.take(local)
+            degree = indptr.take(local + 1) - starts
+            ends = degree.cumsum()
+            if ends[-1] == 0:
+                break
+            slots = np.arange(ends[-1]) + (starts - (ends - degree)).repeat(degree)
+            targets = indices.take(slots)
+            if replicas > 1:  # back to the sender's replica: + r·n
+                targets += (sharers - local).repeat(degree)
+            fresh = (~visited.take(targets)).nonzero()[0]
+            if fresh.size == 0:
+                break
+            senders = sharers.repeat(degree).take(fresh)
+            targets = targets.take(fresh)
+            order = targets.astype(key_dtype).argsort(kind="stable")
+            targets, senders = targets.take(order), senders.take(order)
+            bounds = np.empty(targets.size + 1, dtype=bool)
+            bounds[0] = bounds[-1] = True
+            np.not_equal(targets[1:], targets[:-1], out=bounds[1:-1])
+            bounds = bounds.nonzero()[0]  # group starts, then the end of the last group
+            reached = targets.take(bounds[:-1])
+            visited[reached] = True
 
-        # reached is ascending, so each replica's users are one segment of it
-        segments = [0, *reached.searchsorted(cuts).tolist(), reached.size]
-        draws = np.concatenate([rngs[r].random((2, hi - lo))
-                                for r, (lo, hi) in enumerate(zip(segments, segments[1:]))
-                                if lo < hi], axis=1)
-        read = draws[0] < state.p_read.take(reached)
-        share = read & (draws[1] < state.p_share.take(reached))
-        tally[_REACHED] += np.diff(segments)
-        tally[_READS] += np.bincount(reached[read] // n, minlength=replicas)
-        fusing = (read & ~frozen.take(reached)).nonzero()[0]
-        if fusing.size:
-            # Event k of a reader with senders s_0, s_1, ... lies at depth
-            # d_k = k + max_{j<=k}(last[s_j] - j + 1): one past its previous
-            # event and past its sender's last. Numbering the level's events
-            # i = 0, 1, ..., that is i plus a running max of last[s_i] + 1 - i
-            # within each reader's run, one running max over keys that carry
-            # the index of the run's first event in their high 32 bits.
-            first = bounds.take(fusing)
-            count = bounds.take(fusing + 1) - first
-            ends = count.cumsum()
-            start = ends - count  # each run's first event
-            i = np.arange(ends[-1])
-            ev_senders = senders.take(i + (first - start).repeat(count))
-            high = start.repeat(count) << 32
-            depth = np.maximum.accumulate(high + last.take(ev_senders) + 1 - i) - high + i
-            ev_readers = reached.take(fusing)
-            last[ev_readers] = depth.take(ends - 1)
-            events.append((depth, ev_readers.repeat(count), ev_senders))
-        sharers = reached[share]
+            # reached is ascending, so each replica's users are one segment of it
+            segments = [0, *reached.searchsorted(cuts).tolist(), reached.size]
+            draws = np.concatenate([rngs[r].random((2, hi - lo))
+                                    for r, (lo, hi) in enumerate(zip(segments, segments[1:]))
+                                    if lo < hi], axis=1)
+            read = draws[0] < state.p_read.take(reached)
+            share = read & (draws[1] < state.p_share.take(reached))
+            tally[_REACHED] += np.diff(segments)
+            tally[_READS] += np.bincount(reached[read] // n, minlength=replicas)
+            # Readers frozen at the start of the turn take no events; those
+            # that freeze during it skip theirs when the schedule runs.
+            fusing = (read & ~frozen.take(reached)).nonzero()[0]
+            if fusing.size:
+                # Event k of a reader with senders s_0, s_1, ... lies at depth
+                # d_k = k + max(f + 1, max_{j<=k}(last[s_j] - j + 1)): one past
+                # its previous event, past its sender's last, and past its
+                # floor f, the deeper of its own last event and the last
+                # earlier-wave event that read it (0 in a turn's first wave).
+                # Numbering the level's events i = 0, 1, ..., that is i plus a
+                # running max of last[s_i] + 1 - i within each reader's run
+                # (its first entry raised to f + 1 - i), one running max over
+                # keys that carry the index of the run's first event in their
+                # high 32 bits.
+                first = bounds.take(fusing)
+                count = bounds.take(fusing + 1) - first
+                ends = count.cumsum()
+                start = ends - count  # each run's first event
+                i = np.arange(ends[-1])
+                ev_senders = senders.take(i + (first - start).repeat(count))
+                ev_readers = reached.take(fusing)
+                key = last.take(ev_senders) + 1 - i
+                if wave:
+                    floor = np.maximum(last.take(ev_readers), last_read.take(ev_readers))
+                    key[start] = np.maximum(key.take(start), floor + 1 - start)
+                high = start.repeat(count) << 32
+                depth = np.maximum.accumulate(high + key) - high + i
+                last[ev_readers] = depth.take(ends - 1)
+                if wave + 1 < waves:  # a later wave must not update a user before this read
+                    np.maximum.at(last_read, ev_senders, depth)
+                events.append((depth, ev_readers.repeat(count), ev_senders))
+            sharers = reached[share]
 
     if events:
         # One fusion step per depth, in depth order; a stable sort keeps
-        # each step's events in level, reader and sender order.
+        # each step's events in wave, level, reader and sender order.
         depth, readers, froms = (np.concatenate(x) for x in zip(*events))
         steps = np.bincount(depth).cumsum()  # depths run 1, 2, ..., max
         order = depth.astype(np.min_scalar_type(steps.size)).argsort(kind="stable")
@@ -326,16 +356,15 @@ def propagate_wave(
     return state
 
 
-def extract_state(state: PopulationState, g_observable: Graph) -> tuple[int, int]:
-    """Raw policy observation: (edges among free nodes, max free-node degree)."""
-    free = free_mask(state)
-    eu, ev = g_observable.edge_u, g_observable.edge_v
-    edge_count = int(np.count_nonzero(free[eu] & free[ev]))
-    if np.any(free):
-        max_deg = int(g_observable.degrees()[free].max())
-    else:
-        max_deg = 0
-    return edge_count, max_deg
+def extract_state(free: np.ndarray, views: Sequence[Graph]) -> np.ndarray:
+    """Raw policy observations of R = len(views) replicas, given their
+    stacked free mask: row r is (edges of views[r] among replica r's
+    free users, the largest degree in views[r] among them)."""
+    n = views[0].n
+    edges = [np.count_nonzero(free_r.take(view.edge_u) & free_r.take(view.edge_v))
+             for view, free_r in zip(views, free.reshape(-1, n))]
+    max_deg = (free.reshape(-1, n) * np.stack([view.degrees() for view in views])).max(axis=1)
+    return np.stack([edges, max_deg], axis=1)
 
 
 def discounted_returns(rewards, gamma: float) -> np.ndarray:
@@ -380,28 +409,24 @@ class Episode:
         self.model = cfg.opinion_model
         self.counters = WaveCounters()
         self.t = 0
-        nt, nf = decided_influence_counts(self.pop)
+        nt, nf = decided_influence_counts(self.pop)[0].tolist()
         self.n_true_series = [nt]
         self.n_false_series = [nf]
         self.logs: list[RoundLog] = []
-        e0, d0 = extract_state(self.pop, self.obs)
-        self._state_norm = (max(e0, 1), max(d0, 1))
-
-    def normalized_state(self) -> tuple[float, float]:
-        e, dg = extract_state(self.pop, self.obs)
-        return e / self._state_norm[0], dg / self._state_norm[1]
+        start = extract_state(free_mask(self.pop), [self.obs])[0]
+        self.state_norm = np.maximum(start, 1)
 
     def resolve_seed(
-        self, kind: StrategyKind, party: Party, pool_mask: np.ndarray | None = None
+        self, kind: StrategyKind, party: Party, pool_mask: np.ndarray | None, pick: int
     ) -> tuple[str, int]:
-        """Apply a strategy with the fallback chain; returns (fired, seed)."""
-        seed = select_seed(kind, party, self.pop, self.obs, pool_mask)
-        if seed is not None:
-            return kind.value, seed
+        """Resolve kind's pick (-1 when it had no candidate) through the
+        fallback chain; returns (fired, seed)."""
+        if pick >= 0:
+            return kind.value, pick
         for fb in _FALLBACK_CHAIN:
             if fb is not kind:
-                seed = select_seed(fb, party, self.pop, self.obs, pool_mask)
-                if seed is not None:
+                seed = int(select_seed([fb], party, self.pop, [self.obs], pool_mask)[0])
+                if seed >= 0:
                     return fb.value, seed
         eligible = self.pop.role == Role.LEGITIMATE.value
         if pool_mask is not None:
@@ -412,11 +437,13 @@ class Episode:
             if ids.size:
                 return "fallback", int(ids[0])
         if pool_mask is not None:  # exhausted pool: retry unrestricted
-            return self.resolve_seed(kind, party, None)
+            pick = int(select_seed([kind], party, self.pop, [self.obs])[0])
+            return self.resolve_seed(kind, party, None, pick)
         raise RuntimeError("no legitimate users left to seed")
 
-    def close_step(self, party: Party, fired: str, seed: int) -> RoundLog:
-        """Close a party's step once its waves have run: counts, reward, log.
+    def close_step(self, party: Party, fired: str, seed: int, nt: int, nf: int) -> RoundLog:
+        """Close a party's step once its waves have run, given the decided
+        counts (nt, nf) they left: counts, reward, log.
 
         The reward is the net change of the party's decided count since
         its own previous step: n_t - n_{t-2}. The false party moves
@@ -424,7 +451,6 @@ class Episode:
         n_0; the true party's first reward is at t=2, also against n_0.
         """
         self.t += 1
-        nt, nf = decided_influence_counts(self.pop)
         self.n_true_series.append(nt)
         self.n_false_series.append(nf)
         counts = self.n_true_series if party is Party.TRUE_PARTY else self.n_false_series
@@ -436,13 +462,21 @@ class Episode:
 
     def final_metrics(self) -> dict[str, float]:
         n_true, n_false = influence_counts(self.pop)
-        dec_true, dec_false = decided_influence_counts(self.pop)
+        dec_true, dec_false = decided_influence_counts(self.pop)[0].tolist()
         return {
             "n_true": float(n_true),
             "n_false": float(n_false),
             "decided_n_true": float(dec_true),
             "decided_n_false": float(dec_false),
         }
+
+
+def normalized_states(episodes: Sequence[Episode]) -> np.ndarray:
+    """The episodes' policy observations, one stacked pass: row r is
+    episode r's raw observation over its value at the start."""
+    free = np.concatenate([free_mask(ep.pop) for ep in episodes])
+    raw = extract_state(free, [ep.obs for ep in episodes])
+    return raw / np.array([ep.state_norm for ep in episodes])
 
 
 def run_episode(
@@ -462,10 +496,14 @@ def run_lockstep(episodes: list[Episode], agents: list[tuple[Agent, Agent]]) -> 
     no per-episode state; a `LearnerAgent` serves one episode. The
     episodes may differ only in their seeds.
     Their populations are stacked (each `Episode.pop` becomes a view of
-    its slice), and each of a party's waves is one `propagate_wave` call
-    over all of them, each replica drawing from its own generator. Seed
-    selection, rewards and logs stay per episode, so every episode ends
-    exactly as it would if run alone.
+    its slice), and a party's turn is one batched step over all of
+    them: each agent makes one `select` for all the episodes it plays,
+    `select_seed` scores the chosen strategies on the stacked planning
+    views, one `propagate_wave` call runs the turn's waves, each replica
+    drawing from its own generator, and one `decided_influence_counts`
+    call counts the outcome. Fallbacks, promotions, rewards and logs
+    stay per episode, so every episode ends exactly as it would if run
+    alone.
     """
     first = episodes[0]
     shared = (first.cfg.k, first.cfg.p_t, first.cfg.p_f, first.model)
@@ -474,22 +512,41 @@ def run_lockstep(episodes: list[Episode], agents: list[tuple[Agent, Agent]]) -> 
             raise ValueError("lockstep episodes must share the graph and the scenario")
     if len(agents) != len(episodes):
         raise ValueError(f"{len(agents)} agent pairs for {len(episodes)} episodes")
+    replicas, n = len(episodes), first.graph.n
     pop = stack_populations([ep.pop for ep in episodes])
+    views = [ep.obs for ep in episodes]
     rngs = [ep.rng for ep in episodes]
     counters = [ep.counters for ep in episodes]
-    # (party, its agent's index in a (tp, fp) pair, waves); the false party moves first
-    turns = ((Party.FALSE_PARTY, 1, first.cfg.p_f), (Party.TRUE_PARTY, 0, first.cfg.p_t))
+    # (party, waves, each replica's agent, each agent's episodes and their
+    # rows); the false party moves first
+    turns = []
+    for party, side, waves in ((Party.FALSE_PARTY, 1, first.cfg.p_f),
+                               (Party.TRUE_PARTY, 0, first.cfg.p_t)):
+        players = [pair[side] for pair in agents]
+        rows: dict[int, list[int]] = {}
+        for r, agent in enumerate(players):
+            rows.setdefault(id(agent), []).append(r)
+        groups = [(players[at[0]], [episodes[r] for r in at], at) for at in rows.values()]
+        turns.append((party, waves, players, groups))
     for _ in range(first.cfg.k):
-        for party, side, waves in turns:
+        for party, waves, players, groups in turns:
+            kinds: list = [None] * replicas
+            for agent, played, at in groups:
+                for r, kind in zip(at, agent.select(played, party)):
+                    kinds[r] = kind
+            pools = [agent.candidate_pool(ep, party) for agent, ep in zip(players, episodes)]
+            stacked_pool = None
+            if any(pool is not None for pool in pools):
+                stacked_pool = np.concatenate([np.ones(n, dtype=bool) if pool is None else pool
+                                               for pool in pools])
+            picks = select_seed(kinds, party, pop, views, stacked_pool).tolist()
             steps = []
-            for ep, pair in zip(episodes, agents):
-                agent = pair[side]
-                kind = agent.select(ep, party)
-                fired, seed = ep.resolve_seed(kind, party, agent.candidate_pool(ep, party))
+            for ep, kind, pool, pick in zip(episodes, kinds, pools, picks):
+                fired, seed = ep.resolve_seed(kind, party, pool, pick)
                 promote_seed(ep.pop, seed, party)
                 steps.append((fired, seed))
-            for _ in range(waves):
-                propagate_wave(pop, first.graph, party, first.model, rngs, counters)
-            for ep, (fired, seed) in zip(episodes, steps):
-                ep.close_step(party, fired, seed)
+            propagate_wave(pop, first.graph, party, first.model, rngs, counters, waves)
+            counts = decided_influence_counts(pop, replicas).tolist()
+            for ep, (fired, seed), (nt, nf) in zip(episodes, steps, counts):
+                ep.close_step(party, fired, seed, nt, nf)
     return episodes

@@ -24,14 +24,20 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
 from drim.baselines import DEFAULT_COMMUNITIES, scheme_agent
 from drim.network import Graph
 from drim.population import Party
-from drim.propagation import Episode, EpisodeConfig, discounted_returns, run_lockstep
+from drim.propagation import (
+    Episode,
+    EpisodeConfig,
+    discounted_returns,
+    normalized_states,
+    run_lockstep,
+)
 from drim.strategies import Agent, Scheme, StrategyKind, action_space, make_heuristic_agent
 
 STATE_DIM = 2
@@ -151,19 +157,33 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def policy_forward(params: PolicyParams, state) -> np.ndarray:
-    """Action probabilities for one state (softmax head)."""
-    s = np.asarray(state, dtype=float).reshape(1, STATE_DIM)
+def _stacked_forward(mlp: Mlp, states) -> tuple[np.ndarray, bool]:
+    """mlp's output for one state or each row of an (R, 2) stack.
+
+    A stack runs as R one-row products, (R, 1, 2) @ (2, H) and so on,
+    which give each row exactly the bits of its own (1, 2) forward; an
+    (R, 2) @ (2, H) product may differ from it in the last bits.
+    Returns the (R, out) outputs and whether states was a stack.
+    """
+    s = np.asarray(states, dtype=float)
     if not np.all(np.isfinite(s)):
-        raise ValueError(f"non-finite state {state}")
-    logits, _ = params.actor.forward(s)
-    return _softmax(logits)[0]
+        raise ValueError(f"non-finite state {states}")
+    out, _ = mlp.forward(s.reshape(-1, 1, STATE_DIM))
+    return out[:, 0], s.ndim > 1
 
 
-def value_forward(params: PolicyParams, state) -> float:
-    s = np.asarray(state, dtype=float).reshape(1, STATE_DIM)
-    v, _ = params.critic.forward(s)
-    return float(v[0, 0])
+def policy_forward(params: PolicyParams, states) -> np.ndarray:
+    """Action probabilities (softmax head) for one state, or a row of
+    them for each row of an (R, 2) stack of states."""
+    logits, stacked = _stacked_forward(params.actor, states)
+    probs = _softmax(logits)
+    return probs if stacked else probs[0]
+
+
+def value_forward(params: PolicyParams, states) -> float | np.ndarray:
+    """Value estimate of one state, or of each row of an (R, 2) stack."""
+    values, stacked = _stacked_forward(params.critic, states)
+    return values[:, 0] if stacked else float(values[0, 0])
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -295,9 +315,10 @@ class PolicyAgent(Agent):
         self.params = params
         self.action_set = action_set
 
-    def select(self, episode: Episode, party: Party) -> StrategyKind:
-        probs = policy_forward(self.params, episode.normalized_state())
-        return self.action_set[sample_action(probs, episode.rng)]
+    def select(self, episodes: Sequence[Episode], party: Party) -> list[StrategyKind]:
+        """One forward over every episode's state; each samples from its own generator."""
+        probs = policy_forward(self.params, normalized_states(episodes))
+        return [self.action_set[sample_action(p, ep.rng)] for p, ep in zip(probs, episodes)]
 
 
 def make_scheme_agent(scheme: Scheme, params: PolicyParams,
@@ -320,16 +341,19 @@ class LearnerAgent(PolicyAgent):
         self.log_probs: list[float] = []
         self.values: list[float] = []
 
-    def select(self, episode: Episode, party: Party) -> StrategyKind:
+    def select(self, episodes: Sequence[Episode], party: Party) -> list[StrategyKind]:
         self.party = party
-        state = np.asarray(episode.normalized_state(), dtype=float)
-        probs = policy_forward(self.params, state)
-        action = sample_action(probs, self.rng)
-        self.states.append(state)
-        self.actions.append(action)
-        self.log_probs.append(np.log(max(probs[action], 1e-300)))
-        self.values.append(value_forward(self.params, state))
-        return self.action_set[action]
+        states = normalized_states(episodes)
+        values = value_forward(self.params, states)
+        kinds = []
+        for state, probs, value in zip(states, policy_forward(self.params, states), values):
+            action = sample_action(probs, self.rng)
+            self.states.append(state)
+            self.actions.append(action)
+            self.log_probs.append(np.log(max(probs[action], 1e-300)))
+            self.values.append(float(value))
+            kinds.append(self.action_set[action])
+        return kinds
 
 
 def collect_episode(episode: Episode, learner: LearnerAgent, gamma: float) -> Trajectory:

@@ -11,17 +11,21 @@ fire them by index, and the random agent draws one uniformly per step.
 
 All candidate pools exclude existing seeds of either party; planning
 statistics come from the observable (possibly masked) graph. Ties break
-to the lowest user id. An empty pool is signalled by returning None; the
-episode driver owns the fallback chain.
+to the lowest user id. Seeds are chosen for a lockstep batch at once:
+an agent picks a strategy for every episode it plays, and
+`select_seed` scores each strategy once over the stacked population
+and planning views of the replicas that chose it. An empty pool is signalled by -1; the episode
+driver owns the fallback chain.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
-from drim.network import Graph, free_degrees
+from drim.network import Graph, neighbor_sums
 from drim.population import Party, PopulationState, Role, free_mask
 
 
@@ -52,60 +56,66 @@ def action_space(scheme: Scheme) -> tuple[StrategyKind, ...]:
     return _ACTION_SPACES[scheme]
 
 
-def _masked_lowest_argmax(scores: np.ndarray, eligible: np.ndarray) -> int | None:
-    """Argmax over eligible entries, ties to the lowest index."""
-    if not np.any(eligible):
-        return None
-    masked = np.where(eligible, scores.astype(float), -1.0)
-    best = int(np.argmax(masked))
-    if masked[best] < 0.0:
-        return None
-    return best
+# A free neighbor weighs 2**_FREE_BIT in BF's neighbor sums: more than
+# any user's aligned neighbors together, and every sum stays exact in a
+# float64.
+_FREE_BIT = 32
 
 
 def select_seed(
-    kind: StrategyKind,
+    kinds: Sequence[StrategyKind],
     party: Party,
     state: PopulationState,
-    g_observable: Graph,
+    views: Sequence[Graph],
     pool_mask: np.ndarray | None = None,
-) -> int | None:
-    """Pick a seed user by the given strategy, or None if no candidate.
+) -> np.ndarray:
+    """Per replica r, the user (an id in 0 … n-1) that strategy kinds[r]
+    picks among replica r's users, or -1 where it has no candidate.
 
-    pool_mask optionally restricts candidates (community-based agents).
+    state holds R = len(views) replicas of n users stacked, replica r's
+    as r·n … r·n+n-1, and replica r plans on views[r]. Each kind is
+    scored once, on the stacked arrays of all the replicas that chose
+    it. pool_mask, over all R·n users, optionally restricts candidates
+    (community-based agents).
     """
+    replicas, n = len(views), views[0].n
     eligible = state.role == Role.LEGITIMATE.value
     if pool_mask is not None:
-        eligible = eligible & pool_mask
-
-    if kind is StrategyKind.AF:
-        return _masked_lowest_argmax(state.p_read * state.p_share, eligible)
-
-    if kind is StrategyKind.CF:
-        return _masked_lowest_argmax(g_observable.degrees(), eligible)
-
-    if kind is StrategyKind.SGF:
-        return _masked_lowest_argmax(g_observable.within2_counts(), eligible)
-
-    # BF: candidates adjacent to opponent-aligned users, strict projection.
-    pb, pd = state.projected()
-    aligned = pb > 0.5 if party is Party.FALSE_PARTY else pd > 0.5
-    if not np.any(aligned):
-        return None
-    eu, ev = g_observable.edge_u, g_observable.edge_v
-    adjacent = np.zeros(state.n, dtype=bool)
-    adjacent[ev[aligned[eu]]] = True
-    adjacent[eu[aligned[ev]]] = True
-    candidates = eligible & adjacent
-    if not np.any(candidates):
-        return None
-    return _masked_lowest_argmax(free_degrees(g_observable, free_mask(state)), candidates)
+        eligible &= pool_mask
+    eligible = eligible.reshape(replicas, n)
+    rows_of: dict[StrategyKind, list[int]] = {}
+    for r, kind in enumerate(kinds):
+        rows_of.setdefault(kind, []).append(r)
+    scores = np.empty((replicas, n))
+    for kind, rows in rows_of.items():
+        if kind is StrategyKind.AF:
+            scores[rows] = (state.p_read * state.p_share).reshape(replicas, n)[rows]
+        elif kind is StrategyKind.CF:
+            scores[rows] = [views[r].degrees() for r in rows]
+        elif kind is StrategyKind.SGF:
+            scores[rows] = [views[r].within2_counts() for r in rows]
+        else:  # BF: candidates adjacent to opponent-aligned users, strict projection
+            pb, pd = state.projected()
+            aligned = pb > 0.5 if party is Party.FALSE_PARTY else pd > 0.5
+            # One sum over each user's neighbors counts both: its free
+            # neighbors above bit _FREE_BIT, its aligned ones below it.
+            mark = np.where(free_mask(state), float(1 << _FREE_BIT), 0.0) + aligned
+            # the rows' views, stacked as their users are
+            eu = np.concatenate([views[r].edge_u + r * n for r in rows])
+            ev = np.concatenate([views[r].edge_v + r * n for r in rows])
+            around = neighbor_sums(eu, ev, mark).astype(np.int64).reshape(replicas, n)[rows]
+            eligible[rows] &= (around & ((1 << _FREE_BIT) - 1)) > 0
+            scores[rows] = around >> _FREE_BIT
+    masked = np.where(eligible, scores, -1.0)
+    best = masked.argmax(axis=1)  # ties to the lowest id
+    return np.where(masked[np.arange(replicas), best] < 0.0, -1, best)
 
 
 class Agent:
-    """Picks a strategy each step; the episode resolves it to a seed."""
+    """Picks a strategy for each episode it plays, each step; the driver
+    resolves them to seeds."""
 
-    def select(self, episode, party: Party) -> StrategyKind:
+    def select(self, episodes: Sequence, party: Party) -> list[StrategyKind]:
         raise NotImplementedError
 
     def candidate_pool(self, episode, party: Party) -> np.ndarray | None:
@@ -116,16 +126,17 @@ class FixedStrategyAgent(Agent):
     def __init__(self, kind: StrategyKind):
         self.kind = kind
 
-    def select(self, episode, party: Party) -> StrategyKind:
-        return self.kind
+    def select(self, episodes: Sequence, party: Party) -> list[StrategyKind]:
+        return [self.kind] * len(episodes)
 
 
 class RandomStrategyAgent(Agent):
     def __init__(self, action_set: tuple[StrategyKind, ...] | None = None):
         self.action_set = action_set or _ACTION_SPACES[Scheme.DRIM_A]
 
-    def select(self, episode, party: Party) -> StrategyKind:
-        return self.action_set[int(episode.rng.integers(len(self.action_set)))]
+    def select(self, episodes: Sequence, party: Party) -> list[StrategyKind]:
+        actions = len(self.action_set)
+        return [self.action_set[int(ep.rng.integers(actions))] for ep in episodes]
 
 
 def make_heuristic_agent(name: str) -> Agent:

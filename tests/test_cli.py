@@ -7,6 +7,7 @@ import argparse
 import numpy as np
 import pytest
 
+from drim import harness
 from drim.cli import build_parser, main
 
 
@@ -115,15 +116,34 @@ class TestCommands:
             main(["eval", "--dataset", str(tiny_edges), "--out", str(out), *args])
         assert not out.exists()
 
-    def test_eval_fails_before_training_when_seeds_outnumber_users(self, tmp_path):
+    def _ring_game(self, tmp_path, monkeypatch, command, *args):
+        """`command` on a 5-node ring at k = 3: 2·k = 6 seeds would not fit."""
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a pool or trained a policy")
+
+        monkeypatch.setattr(harness, "_parallel_map", no_pool)
         ring = tmp_path / "ring.edges"
         ring.write_text("".join(f"{i} {i % 5 + 1}\n" for i in range(1, 6)))
         out, policies = tmp_path / "res", tmp_path / "policies"
-        with pytest.raises(ValueError, match=r"k=3 .* n=5"):
-            main(["eval", "--scheme", "storm", "--fp", "cf", "--dataset", str(ring),
-                  "--out", str(out), "--policies", str(policies), *FAST])
+        rc = main([command, *args, "--fp", "cf", "--dataset", str(ring), "--out", str(out),
+                   "--policies", str(policies)])
         assert not out.exists()
         assert not [path for path in policies.rglob("*") if path.is_file()]
+        return rc
+
+    def test_eval_fails_before_training_when_seeds_outnumber_users(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        rc = self._ring_game(tmp_path, monkeypatch, "eval", "--scheme", "storm", *FAST)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "drim eval: error: --k 3" in err and "n=5" in err
+
+    def test_bench_fails_before_training_when_seeds_outnumber_users(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        rc = self._ring_game(tmp_path, monkeypatch, "bench", "--schemes", "storm", *BENCH_FAST)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "drim bench: error: --k 3" in err and "n=5" in err
 
     def test_workers_help_names_processes(self, capsys):
         with pytest.raises(SystemExit):

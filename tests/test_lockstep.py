@@ -4,7 +4,10 @@ Oracle: a replica run by `run_lockstep` beside R - 1 others must end
 exactly as the same episode run alone (`run_episode`, the R = 1 case
 of the same driver): equal opinions, latches, roles, generator state,
 wave counters and round logs. The harness built on it must write the
-same result CSVs at any worker count.
+same result CSVs at any worker count. Each batched piece of a party
+turn (the stacked policy forward, observations, seed scores and
+decided counts) must equal its per-episode value computed the way the
+per-episode driver did, and a turn is one kernel call.
 """
 
 from __future__ import annotations
@@ -37,11 +40,27 @@ from drim.population import (
     FIP_EVIDENCE,
     TIP_EVIDENCE,
     Party,
+    Role,
+    decided_influence_counts,
+    free_mask,
     init_population,
     stack_populations,
 )
-from drim.propagation import Episode, EpisodeConfig, run_episode, run_lockstep
-from drim.strategies import RandomStrategyAgent, Scheme, action_space, make_heuristic_agent
+from drim.propagation import (
+    Episode,
+    EpisodeConfig,
+    normalized_states,
+    run_episode,
+    run_lockstep,
+)
+from drim.strategies import (
+    RandomStrategyAgent,
+    Scheme,
+    StrategyKind,
+    action_space,
+    make_heuristic_agent,
+    select_seed,
+)
 
 LATCH_OFF = [TrustModel(variant, t_u=0.0) for variant in TrustVariant]
 
@@ -212,6 +231,138 @@ class TestBatchedEpisodeInvariants:
                 assert tuple(pop.bdua[:, user]) == op
                 assert op == (tuple(tip) if user in seeds[Party.TRUE_PARTY] else tuple(fip))
             assert np.all(pop.frozen[np.concatenate(list(seeds.values()))])
+
+
+def _mid_game(p_nv: float, replicas: int = 4) -> list[Episode]:
+    """Replicas of the bundled graph six rounds into a game, restacked."""
+    g = load_urv_email()
+    cfg = EpisodeConfig(k=6, opinion_model=NOM, p_nv=p_nv)
+    episodes = [Episode(g, cfg.with_seed(seed)) for seed in range(replicas)]
+    run_lockstep(episodes, _agents(replicas, "random"))
+    return episodes
+
+
+def _one_pick(kind, party, state, view, pool) -> int:
+    """The per-episode selection rule, one strategy on one state: the
+    best-scored eligible user, ties to the lowest id, or -1."""
+    eligible = state.role == Role.LEGITIMATE.value
+    if pool is not None:
+        eligible = eligible & pool
+    if kind is StrategyKind.AF:
+        scores = state.p_read * state.p_share
+    elif kind is StrategyKind.CF:
+        scores = view.degrees()
+    elif kind is StrategyKind.SGF:
+        scores = view.within2_counts()
+    else:
+        pb, pd = state.projected()
+        aligned = pb > 0.5 if party is Party.FALSE_PARTY else pd > 0.5
+        free = free_mask(state)
+        scores = np.zeros(state.n, dtype=np.int64)
+        adjacent = np.zeros(state.n, dtype=bool)
+        for u, v in zip(view.edge_u.tolist(), view.edge_v.tolist()):
+            scores[u] += free[v]
+            scores[v] += free[u]
+            adjacent[u] |= aligned[v]
+            adjacent[v] |= aligned[u]
+        eligible = eligible & adjacent
+    ids = np.flatnonzero(eligible)
+    return int(ids[np.argmax(scores[ids])]) if ids.size else -1
+
+
+class TestBatchedStep:
+    @pytest.mark.parametrize("weights", range(5))
+    def test_stacked_forward_matches_one_state_forward_bit_for_bit(self, weights):
+        rng = np.random.default_rng(weights)
+        params = rl.init_params(4, 64, rng)
+        for mlp in (params.actor, params.critic):  # the initial head is zero: uniform
+            mlp.w3[:] = rng.normal(0.0, 1.0, mlp.w3.shape)
+            mlp.b3[:] = rng.normal(0.0, 0.3, mlp.b3.shape)
+        states = rng.uniform(0.0, 1.2, size=(10, 2))
+        probs = rl.policy_forward(params, states)
+        values = rl.value_forward(params, states)
+        assert not np.allclose(probs, 0.25)
+        for state, row, value in zip(states, probs, values):
+            logits, _ = params.actor.forward(state.reshape(1, 2))
+            assert np.array_equal(row, rl._softmax(logits)[0])
+            assert np.array_equal(row, rl.policy_forward(params, state))
+            assert value == params.critic.forward(state.reshape(1, 2))[0][0, 0]
+
+    @pytest.mark.parametrize("p_nv", [1.0, 0.6])
+    def test_batched_observations_match_per_episode(self, p_nv):
+        episodes = _mid_game(p_nv)
+        got = normalized_states(episodes)
+        for ep, row in zip(episodes, got):
+            free = free_mask(ep.pop)
+            edges = np.count_nonzero(free[ep.obs.edge_u] & free[ep.obs.edge_v])
+            max_deg = int(ep.obs.degrees()[free].max()) if free.any() else 0
+            start = ep.state_norm.tolist()
+            assert row.tolist() == [edges / start[0], max_deg / start[1]]
+
+    @pytest.mark.parametrize("p_nv", [1.0, 0.6])
+    @pytest.mark.parametrize("party", list(Party))
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_batched_seed_scores_match_per_episode(self, p_nv, party, pooled):
+        episodes = _mid_game(p_nv, replicas=5)
+        pools = [None] * len(episodes)
+        if pooled:  # C-STORM's pools: each replica's best community of its own view
+            cstorm = make_scheme_agent(Scheme.C_STORM, rl.init_params(2, 8, 0))
+            pools = [cstorm.candidate_pool(ep, party) for ep in episodes]
+            pools[1] = None  # a replica played by an agent without a pool
+        n = episodes[0].graph.n
+        stacked_pool = (np.concatenate([np.ones(n, dtype=bool) if p is None else p for p in pools])
+                        if pooled else None)
+        pop = stack_populations([ep.pop for ep in episodes])
+        views = [ep.obs for ep in episodes]
+        kinds = list(StrategyKind)
+        for shift in range(len(kinds)):  # every kind in every replica, mixed in each call
+            chosen = [kinds[(r + shift) % len(kinds)] for r in range(len(episodes))]
+            got = select_seed(chosen, party, pop, views, stacked_pool).tolist()
+            want = [_one_pick(kind, party, ep.pop, ep.obs, pool)
+                    for kind, ep, pool in zip(chosen, episodes, pools)]
+            assert got == want
+
+    def test_a_replica_without_candidates_falls_back_alone(self):
+        # At the first step no user leans true, so the false party's BF has
+        # no candidate in any replica; CF beside it still picks.
+        g = load_urv_email()
+        episodes = [Episode(g, EpisodeConfig(k=2, rng_seed=seed)) for seed in range(3)]
+        pop = stack_populations([ep.pop for ep in episodes])
+        views = [ep.obs for ep in episodes]
+        kinds = [StrategyKind.BF, StrategyKind.CF, StrategyKind.BF]
+        picks = select_seed(kinds, Party.FALSE_PARTY, pop, views).tolist()
+        assert picks[0] == picks[2] == -1 and picks[1] >= 0
+        fired = [ep.resolve_seed(kind, Party.FALSE_PARTY, None, pick)
+                 for ep, kind, pick in zip(episodes, kinds, picks)]
+        sgf = int(np.argmax(g.within2_counts()))
+        assert fired == [("sgf", sgf), ("cf", picks[1]), ("sgf", sgf)]
+
+    def test_decided_counts_per_replica(self):
+        episodes = _mid_game(0.6)
+        pop = stack_populations([ep.pop for ep in episodes])
+        got = decided_influence_counts(pop, len(episodes)).tolist()
+        for ep, row in zip(episodes, got):
+            pb, _ = ep.pop.projected()
+            decided = ep.pop.u < 0.5
+            assert row == [np.count_nonzero(decided & (pb >= 0.5)),
+                           np.count_nonzero(decided & (pb < 0.5))]
+            assert row[0] == ep.logs[-1].n_true and row[1] == ep.logs[-1].n_false
+
+    def test_one_kernel_call_per_party_turn(self, monkeypatch):
+        calls = []
+        real = propagation.propagate_wave
+
+        def propagate_wave(state, g, party, model, rngs, counters=None, waves=1):
+            calls.append((party, len(rngs), waves))
+            return real(state, g, party, model, rngs, counters, waves)
+
+        monkeypatch.setattr(propagation, "propagate_wave", propagate_wave)
+        g = load_urv_email()
+        cfg = EpisodeConfig(k=3, p_t=2, p_f=3)
+        run_lockstep([Episode(g, cfg.with_seed(seed)) for seed in range(4)],
+                     [(RandomStrategyAgent(), make_heuristic_agent("cf"))] * 4)
+        turn = [(Party.FALSE_PARTY, 4, 3), (Party.TRUE_PARTY, 4, 2)]
+        assert calls == turn * cfg.k
 
 
 class TestCommunityLabelsPerReplica:

@@ -156,10 +156,10 @@ class TestInfluenceCounts:
 
     def test_decided_counts_ignore_fresh_users(self):
         state = init_population(10, rng_seed=0)
-        assert decided_influence_counts(state) == (0, 0)
+        assert decided_influence_counts(state).tolist() == [[0, 0]]
         promote_seed(state, 0, Party.TRUE_PARTY)
         promote_seed(state, 1, Party.FALSE_PARTY)
-        assert decided_influence_counts(state) == (1, 1)
+        assert decided_influence_counts(state).tolist() == [[1, 1]]
 
 
 class TestFreeNodes:
@@ -190,8 +190,9 @@ def most_active(state, candidates: list[int]) -> int | None:
     """The AF strategy's pick from a candidate pool."""
     pool = np.zeros(state.n, dtype=bool)
     pool[candidates] = True
-    view = full_view(Graph(state.n, []))
-    return select_seed(StrategyKind.AF, Party.TRUE_PARTY, state, view, pool_mask=pool)
+    view = [full_view(Graph(state.n, []))]
+    got = int(select_seed([StrategyKind.AF], Party.TRUE_PARTY, state, view, pool)[0])
+    return None if got < 0 else got
 
 
 class TestMostActiveUser:

@@ -29,6 +29,7 @@ from drim.propagation import (
     EpisodeConfig,
     discounted_returns,
     extract_state,
+    normalized_states,
     propagate_wave,
     run_episode,
     run_lockstep,
@@ -180,9 +181,10 @@ class TestPropagateWave:
         class CountingAgent(FixedStrategyAgent):
             """The false party moves first, so it sees every round's start."""
 
-            def select(self, episode, party):
+            def select(self, episodes, party):
+                (episode,) = episodes
                 counts.append(int(np.count_nonzero(free_mask(episode.pop))))
-                return super().select(episode, party)
+                return super().select(episodes, party)
 
         tp, fp = FixedStrategyAgent(StrategyKind.CF), CountingAgent(StrategyKind.SGF)
         ep = run_episode(g, cfg, tp, fp)
@@ -260,27 +262,26 @@ class TestExtractState:
     def test_urv_all_free(self):
         g = load_urv_email()
         state = init_population(g.n, rng_seed=0)
-        assert extract_state(state, full_view(g)) == (5452, 71)
+        assert extract_state(free_mask(state), [g]).tolist() == [[5452, 71]]
 
     def test_no_free_nodes(self):
         g = path_graph(3)
         state = init_population(3, rng_seed=0)
         state.u[:] = 0.0
         state.b[:] = 1.0
-        assert extract_state(state, full_view(g)) == (0, 0)
+        assert extract_state(free_mask(state), [g]).tolist() == [[0, 0]]
 
     def test_triangle_partial_free(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         state = init_population(3, rng_seed=0)
         state.u[2] = 0.1
         state.b[2] = 0.9
-        assert extract_state(state, full_view(g)) == (1, 2)
+        assert extract_state(free_mask(state), [g]).tolist() == [[1, 2]]
 
     def test_normalized_state_starts_at_unity(self):
         g = load_urv_email()
         ep = Episode(g, EpisodeConfig(k=1, rng_seed=0))
-        s = ep.normalized_state()
-        assert s == (1.0, 1.0)
+        assert normalized_states([ep]).tolist() == [[1.0, 1.0]]
 
 
 def edgeless_episode(n: int, k: int = 1) -> Episode:
@@ -338,7 +339,7 @@ class TestRewards:
         g = load_urv_email()
         cfg = EpisodeConfig(k=5, opinion_model=UOM, rng_seed=9)
         ep = run_episode(g, cfg, RandomStrategyAgent(), RandomStrategyAgent())
-        nt, nf = decided_influence_counts(ep.pop)
+        (nt, nf), = decided_influence_counts(ep.pop).tolist()
         assert ep.logs[-1].n_true == nt
         assert ep.logs[-1].n_false == nf
 

@@ -20,6 +20,12 @@ from drim.strategies import (
 )
 
 
+def pick(kind, party, state, g, pool_mask=None) -> int | None:
+    """`select_seed` for one replica: its pick, or None for no candidate."""
+    got = int(select_seed([kind], party, state, [g], pool_mask)[0])
+    return None if got < 0 else got
+
+
 def star(leaves=4):
     return full_view(Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)]))
 
@@ -54,26 +60,26 @@ class TestCentralityFirst:
     def test_star_center(self):
         g = star(4)
         state = init_population(5, rng_seed=0)
-        assert select_seed(StrategyKind.CF, Party.TRUE_PARTY, state, g) == 0
+        assert pick(StrategyKind.CF, Party.TRUE_PARTY, state, g) == 0
 
     def test_excludes_seeds(self):
         g = star(4)
         state = init_population(5, rng_seed=0)
         promote_seed(state, 0, Party.FALSE_PARTY)
-        got = select_seed(StrategyKind.CF, Party.TRUE_PARTY, state, g)
+        got = pick(StrategyKind.CF, Party.TRUE_PARTY, state, g)
         assert got != 0
 
     def test_tie_breaks_to_lowest_id(self):
         g = path(4)  # degrees 1,2,2,1
         state = init_population(4, rng_seed=0)
-        assert select_seed(StrategyKind.CF, Party.TRUE_PARTY, state, g) == 1
+        assert pick(StrategyKind.CF, Party.TRUE_PARTY, state, g) == 1
 
 
 class TestSubgreedyFirst:
     def test_path_center(self):
         g = path(5)  # within-2 counts: 2,3,4,3,2
         state = init_population(5, rng_seed=0)
-        assert select_seed(StrategyKind.SGF, Party.TRUE_PARTY, state, g) == 2
+        assert pick(StrategyKind.SGF, Party.TRUE_PARTY, state, g) == 2
 
 
 class TestActiveFirst:
@@ -82,7 +88,7 @@ class TestActiveFirst:
         state = init_population(3, rng_seed=0)
         state.p_read[:] = [0.5, 1.0, 0.25]
         state.p_share[:] = [0.5, 1.0, 0.4]
-        assert select_seed(StrategyKind.AF, Party.TRUE_PARTY, state, g) == 1
+        assert pick(StrategyKind.AF, Party.TRUE_PARTY, state, g) == 1
 
 
 class TestBlockingFirst:
@@ -92,27 +98,27 @@ class TestBlockingFirst:
         state.p_read[:] = 1.0
         state.p_share[:] = 1.0
         promote_seed(state, 0, Party.FALSE_PARTY)  # opponent center
-        got = select_seed(StrategyKind.BF, Party.TRUE_PARTY, state, g)
+        got = pick(StrategyKind.BF, Party.TRUE_PARTY, state, g)
         assert got == 1  # all leaves have free degree 0; lowest id wins
 
     def test_no_opponent_signals_fallback(self):
         g = star(4)
         state = init_population(5, rng_seed=0)
-        assert select_seed(StrategyKind.BF, Party.TRUE_PARTY, state, g) is None
+        assert pick(StrategyKind.BF, Party.TRUE_PARTY, state, g) is None
 
     def test_candidate_with_most_free_neighbors(self):
         # 0 (FIP) - 1 - {2,3}; 4 (pendant of 0)
         g = full_view(Graph(5, [(0, 1), (1, 2), (1, 3), (0, 4)]))
         state = init_population(5, rng_seed=0)
         promote_seed(state, 0, Party.FALSE_PARTY)
-        got = select_seed(StrategyKind.BF, Party.TRUE_PARTY, state, g)
+        got = pick(StrategyKind.BF, Party.TRUE_PARTY, state, g)
         assert got == 1  # 1 has two free neighbors; 4 has none
 
     def test_false_party_blocks_true_aligned(self):
         g = path(3)
         state = init_population(3, rng_seed=0)
         promote_seed(state, 0, Party.TRUE_PARTY)
-        got = select_seed(StrategyKind.BF, Party.FALSE_PARTY, state, g)
+        got = pick(StrategyKind.BF, Party.FALSE_PARTY, state, g)
         assert got == 1
 
 
@@ -125,7 +131,7 @@ class TestRandomMetaStrategy:
         class FakeEpisode:
             rng = np.random.default_rng(123)
 
-        draws = [agent.select(FakeEpisode(), Party.TRUE_PARTY) for _ in range(3000)]
+        draws = [agent.select([FakeEpisode()], Party.TRUE_PARTY)[0] for _ in range(3000)]
         counts = {k: draws.count(k) for k in action_space(Scheme.DRIM_NA)}
         expected = 1000
         sigma = np.sqrt(3000 * (1 / 3) * (2 / 3))
@@ -149,28 +155,28 @@ class TestSelectionContracts:
         promote_seed(state, 1, Party.TRUE_PARTY)
         promote_seed(state, 2, Party.FALSE_PARTY)
         for kind in (StrategyKind.AF, StrategyKind.BF, StrategyKind.SGF, StrategyKind.CF):
-            got = select_seed(kind, Party.TRUE_PARTY, state, g)
+            got = pick(kind, Party.TRUE_PARTY, state, g)
             assert got not in (1, 2)
 
     def test_deterministic_given_fixed_inputs(self):
         g = star(6)
         state = init_population(7, rng_seed=1)
-        a = select_seed(StrategyKind.SGF, Party.TRUE_PARTY, state, g)
-        b = select_seed(StrategyKind.SGF, Party.TRUE_PARTY, state, g)
+        a = pick(StrategyKind.SGF, Party.TRUE_PARTY, state, g)
+        b = pick(StrategyKind.SGF, Party.TRUE_PARTY, state, g)
         assert a == b
 
     def test_pool_mask_restricts_candidates(self):
         g = star(4)
         state = init_population(5, rng_seed=0)
         pool = np.array([False, True, True, False, False])
-        got = select_seed(StrategyKind.CF, Party.TRUE_PARTY, state, g, pool_mask=pool)
+        got = pick(StrategyKind.CF, Party.TRUE_PARTY, state, g, pool_mask=pool)
         assert got == 1
 
     def test_exhausted_pool_returns_none(self):
         g = star(4)
         state = init_population(5, rng_seed=0)
         pool = np.zeros(5, dtype=bool)
-        assert select_seed(StrategyKind.CF, Party.TRUE_PARTY, state, g, pool_mask=pool) is None
+        assert pick(StrategyKind.CF, Party.TRUE_PARTY, state, g, pool_mask=pool) is None
 
 
 class TestAgentFactories:

@@ -14,6 +14,11 @@ Oracles:
   - depth schedule: on a graph with every outcome known, a counting
     wrapper on `propagation.fuse` sees one fusion step per dependency
     depth, not one per sender rank of each BFS level;
+  - turn schedule: one call running a party turn's waves must equal one
+    call per wave, and the reference run wave by wave, bit for bit
+    (opinions, latches, counters and generator states), including a
+    user read in one wave and updated in the next, and a reader frozen
+    in one wave whose later events are skipped and untallied;
   - goldens: results.csv / raw_runs.csv of small fixed specs, written by
     `write_golden_cell` under the block draw contract, must come out byte
     for byte.
@@ -33,7 +38,7 @@ from hypothesis import strategies as st
 from drim import harness, propagation, rl
 from drim.network import Graph
 from drim.opinion import HOM, NOM, UOM, TrustModel, TrustVariant, fuse
-from drim.population import Party, init_population, promote_seed
+from drim.population import Party, init_population, promote_seed, stack_populations
 from drim.propagation import EpisodeConfig, WaveCounters, propagate_wave, run_episode
 from drim.strategies import RandomStrategyAgent, Scheme, action_space, make_heuristic_agent
 
@@ -239,6 +244,119 @@ class TestDepthSchedule:
         halted = fuse(fuse(before.bdua[:, 4], before.bdua[:, 0], 1.0), before.bdua[:, 1], 1.0)
         assert np.array_equal(state.bdua[:, 4], np.array(halted))
         assert np.array_equal(state.bdua[:, 9], np.array(fuse(before.bdua[:, 9], halted, 1.0)))
+
+
+@st.composite
+def turn_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=24))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, min_size=1, max_size=3 * n))
+    replicas = draw(st.integers(min_value=1, max_value=3))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=replicas, max_size=replicas))
+    model = draw(st.sampled_from([UOM, HOM, NOM, *LATCH_OFF]))
+    tip = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    fip = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    party = draw(st.sampled_from(list(Party)))
+    waves = draw(st.integers(min_value=1, max_value=4))
+    return n, edges, seeds, model, tip, fip, party, waves
+
+
+class TestTurnSchedule:
+    """A turn's waves in one call, fused on one schedule, against one call
+    per wave and the scalar reference run wave by wave."""
+
+    @given(turn_cases())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_turn_matches_wave_by_wave(self, case):
+        n, edges, seeds, model, tip, fip, party, waves = case
+        g = Graph(n, edges)
+        replicas = [_population(n, seed, tip, fip) for seed in seeds]
+        references = copy.deepcopy(replicas)
+        per_wave = stack_populations(copy.deepcopy(replicas))
+        turn = stack_populations(replicas)
+        turn_rngs = [np.random.default_rng(seed + 1) for seed in seeds]
+        wave_rngs, reference_rngs = copy.deepcopy(turn_rngs), copy.deepcopy(turn_rngs)
+        turn_counters = [WaveCounters() for _ in seeds]
+        wave_counters = [WaveCounters() for _ in seeds]
+        reference_counters = [WaveCounters() for _ in seeds]
+
+        propagate_wave(turn, g, party, model, turn_rngs, turn_counters, waves)
+        for _ in range(waves):
+            propagate_wave(per_wave, g, party, model, wave_rngs, wave_counters)
+            for state, rng, counters in zip(references, reference_rngs, reference_counters):
+                reference_wave.propagate_wave(state, g, party, model, rng, counters=counters)
+
+        assert np.array_equal(turn.bdua, per_wave.bdua, equal_nan=True)
+        assert np.array_equal(turn.frozen, per_wave.frozen)
+        assert turn_counters == wave_counters == reference_counters
+        for got, rng, want, want_rng, other_rng in zip(replicas, turn_rngs, references,
+                                                       reference_rngs, wave_rngs):
+            assert rng.bit_generator.state == other_rng.bit_generator.state
+            _assert_same(got, want, model, rng, want_rng)
+
+    def _turn(self, monkeypatch, n, edges, seeds, model, waves=2):
+        """A turn of the true party from `seeds` with p_read = p_share = 1,
+        checked against one call per wave and the reference; returns the
+        state after each wave of the per-wave calls, the turn's state and
+        counters, and the size of every fusion step."""
+        g = Graph(n, edges)
+        state = init_population(n, 0)
+        state.p_read[:] = state.p_share[:] = 1.0
+        for user in seeds:
+            promote_seed(state, user, Party.TRUE_PARTY)
+        per_wave, reference = copy.deepcopy(state), copy.deepcopy(state)
+        rng, wave_rng, reference_rng = (np.random.default_rng(3) for _ in range(3))
+        counters, want = WaveCounters(), WaveCounters()
+        snapshots = []
+        for _ in range(waves):
+            propagate_wave(per_wave, g, Party.TRUE_PARTY, model, (wave_rng,))
+            snapshots.append(per_wave.bdua.copy())
+            reference_wave.propagate_wave(reference, g, Party.TRUE_PARTY, model, reference_rng,
+                                          counters=want)
+        steps = []
+
+        def counting_fuse(op_i, op_j, c):
+            steps.append(np.size(op_i[0]))
+            return fuse(op_i, op_j, c)
+
+        monkeypatch.setattr(propagation, "fuse", counting_fuse)
+        propagate_wave(state, g, Party.TRUE_PARTY, model, (rng,), counters=(counters,),
+                       waves=waves)
+        assert np.array_equal(state.bdua, per_wave.bdua)
+        assert np.array_equal(state.frozen, per_wave.frozen)
+        assert rng.bit_generator.state == wave_rng.bit_generator.state
+        _assert_same(state, reference, model, rng, reference_rng)
+        assert counters == want
+        return snapshots, state, counters, steps
+
+    def test_user_read_in_one_wave_waits_to_update_in_the_next(self, monkeypatch):
+        # Seed 0 reaches 1, 3 and 5 at level 1, and 2 reads them in that
+        # order at level 2, so 2 reads 5 at depth 4 of wave 1. In wave 2, 5
+        # reads 0 again: by its own last event it could go at depth 2, but
+        # it must wait past depth 4, or 2 would read 5's wave-2 opinion.
+        model = TrustModel(TrustVariant.NOM, t_u=0.0)  # nobody freezes
+        edges = [(0, 1), (0, 3), (0, 5), (1, 2), (3, 2), (5, 2)]
+        snapshots, _, counters, steps = self._turn(monkeypatch, 6, edges, [0], model)
+        assert not np.array_equal(snapshots[0][:, 5], snapshots[1][:, 5])  # 5 updated in wave 2
+        # wave 1: {1, 3, 5}, then 2 <- 1, 3, 5 at depths 2-4; wave 2: 1, 3
+        # and 5 each one past the wave-1 read of them (3, 4, 5), then 2 <- 1,
+        # 3, 5 at depths 5-7
+        assert steps == [3, 1, 2, 2, 2, 1, 1]
+        assert counters.fusions == 12
+
+    def test_reader_frozen_in_one_wave_skips_its_later_events(self, monkeypatch):
+        # Under NOM a fresh user freezes after its second seed fusion at the
+        # default t_u: user 4 reads seeds 0 and 1 and freezes in wave 1, and
+        # 9 freezes on reading it. Both still read and 4 still shares in
+        # wave 2, but the turn's wave-2 events of both are skipped, not
+        # fused and not counted.
+        snapshots, state, counters, steps = self._turn(
+            monkeypatch, 10, [(0, 4), (1, 4), (4, 9)], [0, 1], NOM)
+        assert state.frozen[4] and state.frozen[9]
+        assert np.array_equal(snapshots[0], snapshots[1])
+        assert steps == [1, 1, 1]  # wave 1: 4 <- 0, 4 <- 1, 9 <- 4
+        assert counters.fusions == 3
+        assert counters.reads == 4
 
 
 class TestDegenerateFusion:
