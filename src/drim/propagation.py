@@ -72,6 +72,7 @@ all-undecided starting population contributes a zero baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -118,8 +119,10 @@ class EpisodeConfig:
     prior_a: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.p_t < 1 or self.p_f < 1:
-            raise ValueError("k, p_t, p_f must all be >= 1")
+        for name in ("k", "p_t", "p_f"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
         for name in ("p_nv", "prior_a"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -492,8 +495,9 @@ def run_episode(
 def run_lockstep(episodes: list[Episode], agents: list[tuple[Agent, Agent]]) -> list[Episode]:
     """Run fresh episodes of one graph and scenario in lockstep (in place).
 
-    agents holds one (tp_agent, fp_agent) pair per episode. Agents keep
-    no per-episode state; a `LearnerAgent` serves one episode. The
+    agents holds one (tp_agent, fp_agent) pair per episode, and one pair
+    may serve them all: per-episode state lives on the `Episode`, or is
+    keyed by it (a `LearnerAgent`'s generators and records). The
     episodes may differ only in their seeds.
     Their populations are stacked (each `Episode.pop` becomes a view of
     its slice), and a party's turn is one batched step over all of

@@ -9,11 +9,11 @@ advantage is return minus the collection-time value estimate, normalized
 per batch.
 
 Rollouts are played by the same driver as evaluation: each update's
-episodes run in one `run_lockstep` call, a learner (`LearnerAgent`) per
-episode acting for its party beside the one opponent agent that serves
-them all, and recording the states, actions, log-probabilities and
-values it saw. `make_scheme_agent` builds any scheme's evaluation agent
-from trained parameters.
+episodes run in one `run_lockstep` call, where one learner
+(`LearnerAgent`) plays its party in all of them beside one opponent
+agent and records per episode the states, actions, log-probabilities
+and values it saw. `make_scheme_agent` builds any scheme's evaluation
+agent from trained parameters.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence
 
@@ -63,6 +64,11 @@ class PPOConfig:
         for name in ("gamma", "clip_epsilon"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
+        for name in ("epochs", "rollout_episodes", "updates", "hidden",
+                     "selfplay_updates_per_side", "selfplay_alternations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
         for name in ("epochs", "actor_lr", "critic_lr", "rollout_episodes", "updates",
                      "hidden", "selfplay_updates_per_side", "selfplay_alternations"):
             if not 0 < getattr(self, name) < math.inf:
@@ -328,53 +334,49 @@ def make_scheme_agent(scheme: Scheme, params: PolicyParams,
 
 
 class LearnerAgent(PolicyAgent):
-    """Training-time agent for one episode: samples from its own
-    generator and records, at each of its steps, what PPO learns from."""
+    """Training-time agent for a rollout batch: samples each episode from
+    that episode's own generator (`rngs`) and records there, per step,
+    the (state, action, log-probability, value) row PPO learns from."""
 
     def __init__(self, params: PolicyParams, action_set: tuple[StrategyKind, ...],
-                 rng: np.random.Generator):
+                 rngs: dict[Episode, np.random.Generator]):
         super().__init__(params, action_set)
-        self.rng = rng
-        self.party: Party | None = None
-        self.states: list[np.ndarray] = []
-        self.actions: list[int] = []
-        self.log_probs: list[float] = []
-        self.values: list[float] = []
+        self.rngs = rngs
+        self.steps: dict[Episode, list[tuple]] = {ep: [] for ep in rngs}
 
     def select(self, episodes: Sequence[Episode], party: Party) -> list[StrategyKind]:
-        self.party = party
         states = normalized_states(episodes)
+        probs = policy_forward(self.params, states)
         values = value_forward(self.params, states)
         kinds = []
-        for state, probs, value in zip(states, policy_forward(self.params, states), values):
-            action = sample_action(probs, self.rng)
-            self.states.append(state)
-            self.actions.append(action)
-            self.log_probs.append(np.log(max(probs[action], 1e-300)))
-            self.values.append(float(value))
+        for ep, state, p, value in zip(episodes, states, probs, values):
+            action = sample_action(p, self.rngs[ep])
+            self.steps[ep].append((state, action, np.log(max(p[action], 1e-300)), float(value)))
             kinds.append(self.action_set[action])
         return kinds
 
 
-def collect_episode(episode: Episode, learner: LearnerAgent, gamma: float) -> Trajectory:
+def collect_episode(episode: Episode, learner: LearnerAgent, party: Party,
+                    gamma: float) -> Trajectory:
     """The learner's trajectory through one finished episode: its
-    recorded steps, and its party's step rewards from the episode log."""
-    rewards = np.asarray([e.reward for e in episode.logs if e.party is learner.party], dtype=float)
+    recorded steps there, and party's step rewards from the episode log."""
+    states, actions, log_probs, values = zip(*learner.steps[episode])
+    rewards = np.asarray([e.reward for e in episode.logs if e.party is party], dtype=float)
     return Trajectory(
-        states=np.asarray(learner.states, dtype=float),
-        actions=np.asarray(learner.actions, dtype=np.int64),
-        log_probs=np.asarray(learner.log_probs, dtype=float),
+        states=np.asarray(states, dtype=float),
+        actions=np.asarray(actions, dtype=np.int64),
+        log_probs=np.asarray(log_probs, dtype=float),
         rewards=rewards,
-        values=np.asarray(learner.values, dtype=float),
+        values=np.asarray(values, dtype=float),
         returns=discounted_returns(rewards, gamma),
     )
 
 
 @dataclass(frozen=True)
 class Matchup:
-    """The game a learner trains in: its party and scheme (action set,
-    and the community pool for C-STORM) against one opponent agent, which
-    plays every episode, on one graph and scenario."""
+    """The game a learner trains in: its party (whose rewards it learns
+    from) and scheme (action set, and the community pool for C-STORM)
+    against one opponent agent, on one graph and scenario."""
 
     graph: Graph
     episode_cfg: EpisodeConfig
@@ -397,22 +399,20 @@ def collect_rollouts(
     seed_seq: np.random.SeedSequence,
     gamma: float,
 ) -> Batch:
-    """Roll several independent episodes in one `run_lockstep` call and
-    concatenate the learner's trajectories."""
-    games, learners, agents = [], [], []
+    """Roll several independent episodes in one `run_lockstep` call, one
+    learner and one opponent playing them all, and concatenate the
+    learner's trajectories."""
+    rngs = {}
     for child in seed_seq.spawn(episodes):
         env_seed, sample_seed = child.spawn(2)
         cfg = matchup.episode_cfg.with_seed(int(env_seed.generate_state(1)[0]))
-        games.append(Episode(matchup.graph, cfg))
-        learner = LearnerAgent(params, action_space(matchup.scheme),
-                               np.random.default_rng(sample_seed))
-        learners.append(learner)
-        agent, opponent = scheme_agent(matchup.scheme, learner), matchup.opponent
-        agents.append((agent, opponent) if matchup.party is Party.TRUE_PARTY else (opponent, agent))
-    run_lockstep(games, agents)
+        rngs[Episode(matchup.graph, cfg)] = np.random.default_rng(sample_seed)
+    learner = LearnerAgent(params, action_space(matchup.scheme), rngs)
+    agent, opponent = scheme_agent(matchup.scheme, learner), matchup.opponent
+    pair = (agent, opponent) if matchup.party is Party.TRUE_PARTY else (opponent, agent)
+    games = run_lockstep(list(rngs), [pair] * episodes)
     return Batch.from_trajectories(
-        [collect_episode(ep, learner, gamma) for ep, learner in zip(games, learners)]
-    )
+        [collect_episode(ep, learner, matchup.party, gamma) for ep in games])
 
 
 def train_loop(

@@ -376,6 +376,11 @@ class TestEpisodeConfig:
             EpisodeConfig(k=0)
         with pytest.raises(ValueError):
             EpisodeConfig(p_t=0)
+        for name in ("k", "p_t", "p_f"):
+            for value in (2.5, 2.0, True):
+                with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+                    EpisodeConfig(**{name: value})
+        assert EpisodeConfig(k=np.int64(3)).k == 3
 
     def test_with_seed(self):
         cfg = EpisodeConfig(k=3, rng_seed=1)

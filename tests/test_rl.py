@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from drim import baselines, rl
+from drim.config import parse_spec_file
 from drim.datasets import load_urv_email
 from drim.opinion import NOM, UOM
 from drim.population import Party
@@ -58,11 +60,12 @@ def learner_episode(cfg, party, opponent, seed=1, gamma=0.95):
     heuristic opponent, through `run_lockstep` and `collect_episode`."""
     g = load_urv_email()
     params = init_params(4, 16, rng_seed=0)
-    learner = LearnerAgent(params, action_space(Scheme.DRIM_A), np.random.default_rng(seed))
+    ep = Episode(g, cfg)
+    learner = LearnerAgent(params, action_space(Scheme.DRIM_A), {ep: np.random.default_rng(seed)})
     opponent = make_heuristic_agent(opponent)
     agents = (learner, opponent) if party is Party.TRUE_PARTY else (opponent, learner)
-    (ep,) = run_lockstep([Episode(g, cfg)], [agents])
-    return ep, collect_episode(ep, learner, gamma)
+    run_lockstep([ep], [agents])
+    return ep, collect_episode(ep, learner, party, gamma)
 
 
 def matchup(cfg, party=Party.TRUE_PARTY, opponent="random", scheme=Scheme.DRIM_A):
@@ -308,6 +311,47 @@ class TestRollouts:
         for name in ("states", "actions", "log_probs", "values", "returns"):
             assert np.array_equal(getattr(batched, name),
                                   np.concatenate([getattr(b, name) for b in alone])), name
+
+
+class TestOneLearnerPerBatch:
+    def test_one_forward_per_learner_turn(self, monkeypatch):
+        rows = []
+        real = rl.policy_forward
+
+        def policy_forward(params, states):
+            rows.append(len(states))
+            return real(params, states)
+
+        monkeypatch.setattr(rl, "policy_forward", policy_forward)
+        cfg = EpisodeConfig(k=3, opinion_model=NOM)
+        collect_rollouts(init_params(4, 8, 0), matchup(cfg), 4, np.random.SeedSequence(3), 0.95)
+        assert rows == [4] * cfg.k
+
+    def test_one_learner_and_one_community_restriction_per_cstorm_batch(self, monkeypatch):
+        built = []
+        for cls in (LearnerAgent, baselines.CommunityRestriction):
+            def init(self, *args, real=cls.__init__, **kwargs):
+                built.append(self)
+                real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        cfg = EpisodeConfig(k=2, opinion_model=NOM, p_nv=0.6)
+        game = matchup(cfg, scheme=Scheme.C_STORM)
+        collect_rollouts(init_params(2, 8, 0), game, 4, np.random.SeedSequence(3), 0.95)
+        assert [type(agent) for agent in built] == [LearnerAgent, baselines.CommunityRestriction]
+        assert not hasattr(built[0], "party")
+
+
+@pytest.mark.parametrize("name", ["epochs", "rollout_episodes", "updates", "hidden",
+                                  "selfplay_updates_per_side", "selfplay_alternations"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+def test_ppo_config_rejects_non_integer_counts(name, value):
+    pattern = f"{name} must be a whole number, got {value!r}"
+    with pytest.raises(ValueError, match=pattern):
+        PPOConfig(**{name: value})
+    with pytest.raises(ValueError, match=pattern):
+        parse_spec_file(None, {name: value})
+    assert getattr(PPOConfig(**{name: np.int64(3)}), name) == 3
 
 
 class TestPolicyAgent:
