@@ -26,7 +26,7 @@ for update, mean_return, entropy in result.curve:
     print(f"{update:>6d}  {mean_return:>11.1f}  {entropy:.3f}")
 
 names = [k.value for k in action_space(Scheme.DRIM_A)]
-probs = policy_forward(result.params, (0.9, 0.95))
+(probs,) = policy_forward(result.params, [(0.9, 0.95)])
 print("\npolicy near episode start:",
       {n: round(float(p), 3) for n, p in zip(names, probs)})
 

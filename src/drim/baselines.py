@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from drim.network import spectral_communities
-from drim.population import Party, free_mask
+from drim.population import free_mask
 from drim.propagation import Episode
 from drim.strategies import Agent, Scheme, StrategyKind
 
@@ -40,10 +40,10 @@ class CommunityRestriction(Agent):
         self.inner = inner
         self.k = k
 
-    def select(self, episodes: Sequence[Episode], party: Party) -> list[StrategyKind]:
-        return self.inner.select(episodes, party)
+    def select(self, episodes: Sequence[Episode]) -> list[StrategyKind]:
+        return self.inner.select(episodes)
 
-    def candidate_pool(self, episode: Episode, party: Party) -> np.ndarray | None:
+    def candidate_pool(self, episode: Episode) -> np.ndarray | None:
         return self.pool(episode)
 
     def pool(self, episode: Episode) -> np.ndarray:
@@ -58,8 +58,8 @@ class CommunityRestriction(Agent):
         return labels == best
 
 
-def scheme_agent(scheme: Scheme, agent: Agent, communities: int = DEFAULT_COMMUNITIES) -> Agent:
+def scheme_agent(scheme: Scheme, agent: Agent) -> Agent:
     """agent as the scheme plays it: C-STORM restricts it to the best community."""
     if scheme is Scheme.C_STORM:
-        return CommunityRestriction(agent, communities)
+        return CommunityRestriction(agent)
     return agent

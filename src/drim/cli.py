@@ -113,10 +113,9 @@ def cmd_sweep(args) -> int:
     if args.values:
         values = args.values  # text: parse_spec_file splits it, ExperimentSpec types it
     elif args.range:
-        if args.axis == "ip":
-            values = args.range
-        else:
-            raise SystemExit("--range is only meaningful for --axis ip; use --values")
+        if args.axis != "ip":
+            args.usage_error("argument --range: only meaningful for --axis ip; use --values")
+        values = args.range
     else:
         values = SWEEP_DEFAULTS[args.axis]
     spec = _spec_from_args(args, sweep_axis=args.axis, sweep_values=values)
@@ -186,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="config file")
     p.add_argument("--schemes", help="comma list of schemes")
     _add_common_overrides(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, usage_error=p.error)
 
     p = sub.add_parser("bench", help="per-scheme episode runtime", allow_abbrev=False)
     p.add_argument("--episodes", type=_positive_int, default=20)

@@ -40,6 +40,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from numbers import Integral
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, get_type_hints
@@ -115,6 +116,10 @@ class ExperimentSpec:
     ppo: PPOConfig = field(default_factory=PPOConfig)
 
     def __post_init__(self) -> None:
+        for name in ("runs", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.opinion_model not in OPINION_MODELS:
@@ -614,9 +619,11 @@ def _cell_value(rows, **filters) -> ResultRow:
         r for r in rows
         if all(getattr(r, key) == val for key, val in filters.items())
     ]
+    wanted = ", ".join(f"{k}={v}" for k, v in filters.items())
     if not matches:
-        wanted = ", ".join(f"{k}={v}" for k, v in filters.items())
         raise ValueError(f"missing result cell: {wanted}")
+    if len(matches) > 1:
+        raise ValueError(f"ambiguous result cell: {wanted} matches {len(matches)} rows")
     return matches[0]
 
 
@@ -667,14 +674,18 @@ def emit_report(results_dirs: list[str | Path], layout: str, out_path: Path) -> 
     table2 reads each directory's `bench.csv` (written by `bench_runtime`)
     and reports mean seconds per episode by scheme; the other layouts
     read `results.csv`, and their cells report the decided true-party
-    count.
+    count. A cell that more than one row matches, as when two
+    directories hold it, is an error rather than a silent pick.
     """
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}")
     if layout == "table2":
         times: dict[str, float] = {}
         for results_dir in results_dirs:
-            times.update(_read_bench_csv(Path(results_dir) / "bench.csv"))
+            for scheme, seconds in _read_bench_csv(Path(results_dir) / "bench.csv").items():
+                if scheme in times:
+                    raise ValueError(f"ambiguous result cell: scheme={scheme} in two bench.csv")
+                times[scheme] = seconds
         missing = [scheme for scheme in _SCHEME_ORDER if scheme not in times]
         if missing:
             raise ValueError(f"missing result cell: scheme={','.join(missing)}")

@@ -134,7 +134,8 @@ class EpisodeConfig:
 
 @dataclass
 class RoundLog:
-    """Audit entry for one party-step."""
+    """Audit entry for one party-step; strategy is the value of the
+    `StrategyKind` that picked the seed (af, bf, sgf or cf)."""
 
     t: int
     party: Party
@@ -382,9 +383,6 @@ def discounted_returns(rewards, gamma: float) -> np.ndarray:
     return out
 
 
-_FALLBACK_CHAIN = (StrategyKind.SGF, StrategyKind.CF)
-
-
 class Episode:
     """One competitive episode on a fixed graph.
 
@@ -422,23 +420,21 @@ class Episode:
     def resolve_seed(
         self, kind: StrategyKind, party: Party, pool_mask: np.ndarray | None, pick: int
     ) -> tuple[str, int]:
-        """Resolve kind's pick (-1 when it had no candidate) through the
-        fallback chain; returns (fired, seed)."""
+        """Resolve kind's pick (-1 when it had no candidate); returns
+        (fired, seed).
+
+        AF, SGF and CF score every eligible user (legitimate, and in
+        pool_mask if given) at 0 or more, so they miss only when no user
+        is eligible. BF can also miss with eligible users left, and SGF,
+        on the same users, then hits. Any other miss is an exhausted
+        pool: kind picks again without it.
+        """
         if pick >= 0:
             return kind.value, pick
-        for fb in _FALLBACK_CHAIN:
-            if fb is not kind:
-                seed = int(select_seed([fb], party, self.pop, [self.obs], pool_mask)[0])
-                if seed >= 0:
-                    return fb.value, seed
-        eligible = self.pop.role == Role.LEGITIMATE.value
-        if pool_mask is not None:
-            eligible = eligible & pool_mask
-        free = eligible & free_mask(self.pop)
-        for mask in (free, eligible):
-            ids = np.flatnonzero(mask)
-            if ids.size:
-                return "fallback", int(ids[0])
+        if kind is StrategyKind.BF:
+            seed = int(select_seed([StrategyKind.SGF], party, self.pop, [self.obs], pool_mask)[0])
+            if seed >= 0:
+                return StrategyKind.SGF.value, seed
         if pool_mask is not None:  # exhausted pool: retry unrestricted
             pick = int(select_seed([kind], party, self.pop, [self.obs])[0])
             return self.resolve_seed(kind, party, None, pick)
@@ -536,9 +532,9 @@ def run_lockstep(episodes: list[Episode], agents: list[tuple[Agent, Agent]]) -> 
         for party, waves, players, groups in turns:
             kinds: list = [None] * replicas
             for agent, played, at in groups:
-                for r, kind in zip(at, agent.select(played, party)):
+                for r, kind in zip(at, agent.select(played)):
                     kinds[r] = kind
-            pools = [agent.candidate_pool(ep, party) for agent, ep in zip(players, episodes)]
+            pools = [agent.candidate_pool(ep) for agent, ep in zip(players, episodes)]
             stacked_pool = None
             if any(pool is not None for pool in pools):
                 stacked_pool = np.concatenate([np.ones(n, dtype=bool) if pool is None else pool

@@ -29,7 +29,7 @@ from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from drim.baselines import DEFAULT_COMMUNITIES, scheme_agent
+from drim.baselines import scheme_agent
 from drim.network import Graph
 from drim.population import Party
 from drim.propagation import (
@@ -163,33 +163,29 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _stacked_forward(mlp: Mlp, states) -> tuple[np.ndarray, bool]:
-    """mlp's output for one state or each row of an (R, 2) stack.
+def _stacked_forward(mlp: Mlp, states) -> np.ndarray:
+    """mlp's (R, out) outputs for each row of an (R, 2) stack of states.
 
-    A stack runs as R one-row products, (R, 1, 2) @ (2, H) and so on,
+    The stack runs as R one-row products, (R, 1, 2) @ (2, H) and so on,
     which give each row exactly the bits of its own (1, 2) forward; an
     (R, 2) @ (2, H) product may differ from it in the last bits.
-    Returns the (R, out) outputs and whether states was a stack.
     """
     s = np.asarray(states, dtype=float)
     if not np.all(np.isfinite(s)):
         raise ValueError(f"non-finite state {states}")
     out, _ = mlp.forward(s.reshape(-1, 1, STATE_DIM))
-    return out[:, 0], s.ndim > 1
+    return out[:, 0]
 
 
 def policy_forward(params: PolicyParams, states) -> np.ndarray:
-    """Action probabilities (softmax head) for one state, or a row of
-    them for each row of an (R, 2) stack of states."""
-    logits, stacked = _stacked_forward(params.actor, states)
-    probs = _softmax(logits)
-    return probs if stacked else probs[0]
+    """Action probabilities (softmax head), one row for each row of an
+    (R, 2) stack of states."""
+    return _softmax(_stacked_forward(params.actor, states))
 
 
-def value_forward(params: PolicyParams, states) -> float | np.ndarray:
-    """Value estimate of one state, or of each row of an (R, 2) stack."""
-    values, stacked = _stacked_forward(params.critic, states)
-    return values[:, 0] if stacked else float(values[0, 0])
+def value_forward(params: PolicyParams, states) -> np.ndarray:
+    """Value estimates, one for each row of an (R, 2) stack of states."""
+    return _stacked_forward(params.critic, states)[:, 0]
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -321,16 +317,15 @@ class PolicyAgent(Agent):
         self.params = params
         self.action_set = action_set
 
-    def select(self, episodes: Sequence[Episode], party: Party) -> list[StrategyKind]:
+    def select(self, episodes: Sequence[Episode]) -> list[StrategyKind]:
         """One forward over every episode's state; each samples from its own generator."""
         probs = policy_forward(self.params, normalized_states(episodes))
         return [self.action_set[sample_action(p, ep.rng)] for p, ep in zip(probs, episodes)]
 
 
-def make_scheme_agent(scheme: Scheme, params: PolicyParams,
-                      communities: int = DEFAULT_COMMUNITIES) -> Agent:
+def make_scheme_agent(scheme: Scheme, params: PolicyParams) -> Agent:
     """Evaluation agent for any scheme from trained parameters."""
-    return scheme_agent(scheme, PolicyAgent(params, action_space(scheme)), communities)
+    return scheme_agent(scheme, PolicyAgent(params, action_space(scheme)))
 
 
 class LearnerAgent(PolicyAgent):
@@ -344,7 +339,7 @@ class LearnerAgent(PolicyAgent):
         self.rngs = rngs
         self.steps: dict[Episode, list[tuple]] = {ep: [] for ep in rngs}
 
-    def select(self, episodes: Sequence[Episode], party: Party) -> list[StrategyKind]:
+    def select(self, episodes: Sequence[Episode]) -> list[StrategyKind]:
         states = normalized_states(episodes)
         probs = policy_forward(self.params, states)
         values = value_forward(self.params, states)

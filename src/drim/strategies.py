@@ -14,8 +14,9 @@ statistics come from the observable (possibly masked) graph. Ties break
 to the lowest user id. Seeds are chosen for a lockstep batch at once:
 an agent picks a strategy for every episode it plays, and
 `select_seed` scores each strategy once over the stacked population
-and planning views of the replicas that chose it. An empty pool is signalled by -1; the episode
-driver owns the fallback chain.
+and planning views of the replicas that chose it. A miss is signalled
+by -1; `Episode.resolve_seed` resolves it in two steps: a BF miss falls
+back to SGF, and an exhausted community pool is dropped.
 """
 
 from __future__ import annotations
@@ -112,13 +113,14 @@ def select_seed(
 
 
 class Agent:
-    """Picks a strategy for each episode it plays, each step; the driver
-    resolves them to seeds."""
+    """Picks a strategy for each episode of a batch it plays, each step;
+    the driver resolves them to seeds. No agent's choice depends on the
+    party it plays, so it is not told which."""
 
-    def select(self, episodes: Sequence, party: Party) -> list[StrategyKind]:
+    def select(self, episodes: Sequence) -> list[StrategyKind]:
         raise NotImplementedError
 
-    def candidate_pool(self, episode, party: Party) -> np.ndarray | None:
+    def candidate_pool(self, episode) -> np.ndarray | None:
         return None
 
 
@@ -126,7 +128,7 @@ class FixedStrategyAgent(Agent):
     def __init__(self, kind: StrategyKind):
         self.kind = kind
 
-    def select(self, episodes: Sequence, party: Party) -> list[StrategyKind]:
+    def select(self, episodes: Sequence) -> list[StrategyKind]:
         return [self.kind] * len(episodes)
 
 
@@ -134,7 +136,7 @@ class RandomStrategyAgent(Agent):
     def __init__(self, action_set: tuple[StrategyKind, ...] | None = None):
         self.action_set = action_set or _ACTION_SPACES[Scheme.DRIM_A]
 
-    def select(self, episodes: Sequence, party: Party) -> list[StrategyKind]:
+    def select(self, episodes: Sequence) -> list[StrategyKind]:
         actions = len(self.action_set)
         return [self.action_set[int(ep.rng.integers(actions))] for ep in episodes]
 

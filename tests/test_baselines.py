@@ -13,6 +13,11 @@ from drim.rl import PolicyAgent, init_params, make_scheme_agent
 from drim.strategies import Scheme, StrategyKind, action_space, make_heuristic_agent
 
 
+def cstorm_agent(params, k: int) -> CommunityRestriction:
+    """A C-STORM policy agent restricted to the best of k communities."""
+    return CommunityRestriction(PolicyAgent(params, action_space(Scheme.C_STORM)), k)
+
+
 def two_triangles():
     return Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
@@ -51,7 +56,7 @@ class TestCommunityRestriction:
             ep.pop.u[i] = 0.1
             ep.pop.b[i] = 0.9
         params = init_params(2, 8, rng_seed=1)
-        agent = make_scheme_agent(Scheme.C_STORM, params, communities=2)
+        agent = cstorm_agent(params, 2)
         # BF for the false party blocks next to the decided-true triangle
         run_lockstep([ep], [(agent, make_heuristic_agent("bf"))])
         fp_entry, entry = ep.logs
@@ -71,7 +76,7 @@ class TestCstormReducesToStorm:
         fp = make_heuristic_agent("cf")
 
         storm_ep = run_episode(g, cfg, make_scheme_agent(Scheme.STORM, params), fp)
-        cstorm_ep = run_episode(g, cfg, make_scheme_agent(Scheme.C_STORM, params, communities=1), fp)
+        cstorm_ep = run_episode(g, cfg, cstorm_agent(params, 1), fp)
         assert [e.seed for e in storm_ep.logs] == [e.seed for e in cstorm_ep.logs]
         assert [e.strategy for e in storm_ep.logs] == [e.strategy for e in cstorm_ep.logs]
 
@@ -84,7 +89,7 @@ class TestDeterminism:
         runs = []
         for _ in range(2):
             ep = run_episode(
-                g, cfg, make_scheme_agent(Scheme.C_STORM, params, communities=4),
+                g, cfg, cstorm_agent(params, 4),
                 make_heuristic_agent("random"),
             )
             runs.append([e.seed for e in ep.logs])

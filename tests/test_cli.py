@@ -194,14 +194,21 @@ class TestCommands:
         text = (out / "results.csv").read_text()
         assert ",ip,1," in text and ",ip,2," in text
 
-    @pytest.mark.parametrize("bad", ["5", "a:b"])
-    def test_sweep_rejects_bad_range(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize("axis, bad, message", [
+        pytest.param("ip", "5", "expected lo:hi, two integers with lo <= hi, got '5'", id="5"),
+        pytest.param("ip", "a:b", "expected lo:hi, two integers with lo <= hi, got 'a:b'",
+                     id="a:b"),
+        pytest.param("p_nv", "1:3", "only meaningful for --axis ip; use --values",
+                     id="p_nv-1:3"),
+    ])
+    def test_sweep_rejects_bad_range(self, tmp_path, capsys, axis, bad, message):
         out = tmp_path / "sweep"
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--axis", "ip", "--range", bad, "--out", str(out), *FAST])
+            main(["sweep", "--axis", axis, "--range", bad, "--out", str(out), *FAST])
         assert exc.value.code == 2
-        assert f"argument --range: expected lo:hi, two integers with lo <= hi, got '{bad}'" \
-            in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: drim sweep")
+        assert f"drim sweep: error: argument --range: {message}" in err
         assert not out.exists()
 
     def test_bench(self, tiny_edges, tmp_path, capsys):
@@ -242,6 +249,20 @@ class TestCommands:
                    "--out", str(tmp_path / "t2b.csv")])
         assert rc == 2
         assert "scheme=drim-na,cstorm" in capsys.readouterr().err
+
+    def test_report_ambiguous_cell_fails(self, tmp_path, capsys):
+        # the same sweep cells under two opinion models
+        dirs = []
+        for om in ("uom", "nom"):
+            rows = [harness.ResultRow(scheme, om, "cf", "ip", "1", 2, 1.0, 0.0, 1.0, 1.0)
+                    for scheme in ("drim-a", "drim-na", "storm", "cstorm")]
+            harness.write_results_csv(tmp_path / om / "results.csv", rows)
+            dirs.append(str(tmp_path / om))
+        report = tmp_path / "f3a.csv"
+        rc = main(["report", "--layout", "fig3a", "--results", *dirs, "--out", str(report)])
+        assert rc == 2
+        assert "ambiguous result cell: scheme=drim-a" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_report_missing_cell_fails(self, tmp_path, capsys):
         rc = main([

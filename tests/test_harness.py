@@ -90,6 +90,16 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(sweep_axis="bogus")
 
+    @pytest.mark.parametrize("name", ["runs", "master_seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_counts_rejected(self, name, value):
+        pattern = f"{name} must be a whole number, got {value!r}"
+        with pytest.raises(ValueError, match=pattern):
+            ExperimentSpec(**{name: value})
+        with pytest.raises(ValueError, match=pattern):
+            parse_spec_file(None, {name: value})
+        assert getattr(ExperimentSpec(**{name: np.int64(3)}), name) == 3
+
     def test_sweep_defaults_fill_in(self):
         spec = ExperimentSpec(sweep_axis="p_nv")
         assert spec.sweep_values == SWEEP_DEFAULTS["p_nv"]
@@ -492,6 +502,31 @@ class TestEmitReport:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "prior_a,drim-a,drim-na,storm,cstorm"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("layout", ["table1", "fig3a"])
+    def test_cell_in_two_directories_is_ambiguous(self, tmp_path, layout):
+        # two sweeps (or two evaluations) of the same cells under different
+        # opinion models: the report must not pick whichever came first
+        dirs = []
+        for om in ("uom", "nom"):
+            rows = [ResultRow(scheme, om, "cf", "ip", value, 2, 800.0, 10.0, 300.0, 750.0)
+                    for scheme in ("drim-a", "drim-na", "storm", "cstorm")
+                    for value in ("1", "2")]
+            dirs += results_dir(tmp_path / om, rows + synthetic_rows())
+        with pytest.raises(ValueError, match="ambiguous result cell: scheme=drim-a"):
+            emit_report(dirs, layout, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_table2_scheme_in_two_bench_files_is_ambiguous(self, tmp_path):
+        dirs = []
+        for name, seconds in (("a", 0.5), ("b", 0.7)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "bench.csv").write_text(
+                "scheme,mean_episode_seconds\n"
+                + "".join(f"{s},{seconds}\n" for s in ("drim-a", "drim-na", "storm", "cstorm")))
+            dirs.append(tmp_path / name)
+        with pytest.raises(ValueError, match="ambiguous result cell: scheme=drim-a"):
+            emit_report(dirs, "table2", tmp_path / "t2.csv")
 
     def test_unknown_layout(self, tmp_path):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from reference_wave import SIMPLEX_TOL
 
 from drim import harness, network, propagation, rl
-from drim.rl import make_scheme_agent
+from drim.baselines import CommunityRestriction
 from drim.datasets import load_urv_email
 from drim.network import Graph, spectral_communities
 from drim.opinion import (
@@ -53,6 +53,7 @@ from drim.propagation import (
     run_episode,
     run_lockstep,
 )
+from drim.rl import PolicyAgent, make_scheme_agent
 from drim.strategies import (
     RandomStrategyAgent,
     Scheme,
@@ -285,7 +286,7 @@ class TestBatchedStep:
         for state, row, value in zip(states, probs, values):
             logits, _ = params.actor.forward(state.reshape(1, 2))
             assert np.array_equal(row, rl._softmax(logits)[0])
-            assert np.array_equal(row, rl.policy_forward(params, state))
+            assert np.array_equal(row, rl.policy_forward(params, [state])[0])
             assert value == params.critic.forward(state.reshape(1, 2))[0][0, 0]
 
     @pytest.mark.parametrize("p_nv", [1.0, 0.6])
@@ -307,7 +308,7 @@ class TestBatchedStep:
         pools = [None] * len(episodes)
         if pooled:  # C-STORM's pools: each replica's best community of its own view
             cstorm = make_scheme_agent(Scheme.C_STORM, rl.init_params(2, 8, 0))
-            pools = [cstorm.candidate_pool(ep, party) for ep in episodes]
+            pools = [cstorm.candidate_pool(ep) for ep in episodes]
             pools[1] = None  # a replica played by an agent without a pool
         n = episodes[0].graph.n
         stacked_pool = (np.concatenate([np.ones(n, dtype=bool) if p is None else p for p in pools])
@@ -374,7 +375,7 @@ class TestCommunityLabelsPerReplica:
         params = rl.init_params(len(action_space(Scheme.C_STORM)), 8, 3)
         cfg = EpisodeConfig(k=4, opinion_model=NOM, p_nv=0.6)
         cfgs = [cfg.with_seed(seed) for seed in (5, 6, 7)]
-        tp_agent = make_scheme_agent(Scheme.C_STORM, params, communities=3)
+        tp_agent = CommunityRestriction(PolicyAgent(params, action_space(Scheme.C_STORM)), 3)
         fp_agent = make_heuristic_agent("random")
         episodes = run_lockstep([Episode(g, c) for c in cfgs], [(tp_agent, fp_agent)] * 3)
 

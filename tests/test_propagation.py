@@ -50,7 +50,7 @@ class PoolAgent(FixedStrategyAgent):
         super().__init__(kind)
         self.user = user
 
-    def candidate_pool(self, episode, party):
+    def candidate_pool(self, episode):
         return np.arange(episode.pop.n) == self.user
 
 
@@ -181,10 +181,10 @@ class TestPropagateWave:
         class CountingAgent(FixedStrategyAgent):
             """The false party moves first, so it sees every round's start."""
 
-            def select(self, episodes, party):
+            def select(self, episodes):
                 (episode,) = episodes
                 counts.append(int(np.count_nonzero(free_mask(episode.pop))))
-                return super().select(episodes, party)
+                return super().select(episodes)
 
         tp, fp = FixedStrategyAgent(StrategyKind.CF), CountingAgent(StrategyKind.SGF)
         ep = run_episode(g, cfg, tp, fp)
@@ -256,6 +256,22 @@ class TestRoundSchedule:
         entry = ep.logs[0]
         assert entry.party is Party.FALSE_PARTY
         assert entry.strategy == "sgf"
+
+    def test_exhausted_pool_retries_unrestricted(self):
+        # Users 6 and 7 are isolated beside the path 0-...-5. Each party's
+        # pool is one isolated user, seeded in round 1, so in round 2 its
+        # strategy picks again among all users. The true party's CF then
+        # takes the first degree-2 user left. The false party's BF has no
+        # candidate in either round (its only opponent-aligned user is the
+        # isolated true seed), so it falls back to SGF both times: in its
+        # pool in round 1, and on the largest 2-hop count (user 2) in round 2.
+        g = Graph(8, [(i, i + 1) for i in range(5)])
+        cfg = EpisodeConfig(k=2, opinion_model=NOM, rng_seed=0)
+        ep = run_episode(g, cfg, PoolAgent(StrategyKind.CF, 6), PoolAgent(StrategyKind.BF, 7))
+        assert [(e.party, e.seed, e.strategy) for e in ep.logs] == [
+            (Party.FALSE_PARTY, 7, "sgf"), (Party.TRUE_PARTY, 6, "cf"),
+            (Party.FALSE_PARTY, 2, "sgf"), (Party.TRUE_PARTY, 1, "cf"),
+        ]
 
 
 class TestExtractState:

@@ -40,7 +40,7 @@ def bandit_rollout(episodes: int, best: int = 2):
     def rollout(params, seed_seq):
         rng = np.random.default_rng(seed_seq)
         state = np.ones(2)
-        probs = policy_forward(params, state)
+        (probs,) = policy_forward(params, [state])
         actions = np.array([sample_action(probs, rng) for _ in range(episodes)])
         rewards = (actions == best).astype(float)
         return Batch(
@@ -48,7 +48,7 @@ def bandit_rollout(episodes: int, best: int = 2):
             actions=actions,
             log_probs=np.log(probs[actions]),
             returns=0.95 * rewards,
-            values=np.full(episodes, value_forward(params, state)),
+            values=np.full(episodes, value_forward(params, [state])[0]),
             episode_rewards=rewards.tolist(),
         )
 
@@ -86,30 +86,30 @@ def random_batch(rng, n=48, n_actions=4):
 class TestPolicyForward:
     def test_valid_distribution(self):
         params = init_params(4, 16, rng_seed=0)
-        probs = policy_forward(params, (0.3, 0.8))
+        (probs,) = policy_forward(params, [(0.3, 0.8)])
         assert probs.shape == (4,)
         assert abs(probs.sum() - 1.0) < 1e-9
         assert np.all(probs >= 0)
 
     def test_zero_head_gives_uniform(self):
         params = init_params(5, 16, rng_seed=0)  # head initialized to zeros
-        probs = policy_forward(params, (0.2, 0.9))
+        probs = policy_forward(params, [(0.2, 0.9)])
         assert np.allclose(probs, 0.2, atol=1e-12)
 
     def test_deterministic(self):
         params = init_params(3, 16, rng_seed=1)
-        a = policy_forward(params, (0.4, 0.5))
-        b = policy_forward(params, (0.4, 0.5))
+        a = policy_forward(params, [(0.4, 0.5)])
+        b = policy_forward(params, [(0.4, 0.5)])
         assert np.array_equal(a, b)
 
     def test_rejects_non_finite_state(self):
         params = init_params(3, 16, rng_seed=1)
         with pytest.raises(ValueError):
-            policy_forward(params, (np.nan, 0.5))
+            policy_forward(params, [(np.nan, 0.5)])
 
     def test_value_forward_scalar(self):
         params = init_params(3, 16, rng_seed=1)
-        assert value_forward(params, (0.5, 0.5)) == 0.0  # zero head
+        assert value_forward(params, [(0.5, 0.5)]).tolist() == [0.0]  # zero head
 
 
 class TestGradients:
@@ -179,10 +179,10 @@ class TestPpoUpdate:
             returns=returns,
             values=np.zeros(n),
         )
-        before = policy_forward(params, (1.0, 1.0))[2]
+        before = policy_forward(params, [(1.0, 1.0)])[0, 2]
         cfg = PPOConfig(hidden=16, epochs=10, actor_lr=0.05)
         new, diag = ppo_update(params, batch, cfg)
-        after = policy_forward(new, (1.0, 1.0))[2]
+        after = policy_forward(new, [(1.0, 1.0)])[0, 2]
         assert after > before
         assert np.isfinite(diag.surrogate_loss)
 
@@ -236,7 +236,7 @@ class TestBanditTraining:
         cfg = PPOConfig(hidden=16, rollout_episodes=16, updates=80, epochs=40, actor_lr=0.01)
         params = init_params(4, 16, np.random.default_rng(1))
         result = train_loop(params, bandit_rollout(16, best=2), cfg, np.random.SeedSequence(2))
-        probs = policy_forward(result.params, np.ones(2))
+        (probs,) = policy_forward(result.params, np.ones((1, 2)))
         assert probs[2] > 0.95
 
     def test_training_reproducible(self):

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from drim.network import Graph, full_view
 from drim.opinion import NOM
-from drim.population import Party, init_population, promote_seed
+from drim.population import Party, Role, init_population, promote_seed, stack_populations
 from drim.propagation import EpisodeConfig, run_episode
 from drim.strategies import (
     FixedStrategyAgent,
@@ -122,6 +124,56 @@ class TestBlockingFirst:
         assert got == 1
 
 
+# (b, d, u) of users swayed before the step: decided true, decided false,
+# and free but leaning true or false.
+SWAYED = [(0.8, 0.1, 0.1), (0.1, 0.8, 0.1), (0.3, 0.1, 0.6), (0.1, 0.3, 0.6)]
+
+
+@st.composite
+def stacked_cases(draw):
+    """R replicas of n users, each on its own view, with seeds of either
+    party, swayed users, users with p_read · p_share = 0, and optionally
+    a candidate pool over all R·n users."""
+    replicas = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=2, max_value=10))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    users = st.lists(st.integers(0, n - 1), max_size=n, unique=True)
+    states, views = [], []
+    for _ in range(replicas):
+        views.append(Graph(n, draw(st.lists(pairs, max_size=2 * n))))
+        state = init_population(n, draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        for user in draw(users):
+            state.b[user], state.d[user], state.u[user] = draw(st.sampled_from(SWAYED))
+        state.p_read[draw(users)] = 0.0
+        for user in draw(users):
+            promote_seed(state, user, draw(st.sampled_from(list(Party))))
+        states.append(state)
+    pool = draw(st.none() | st.lists(st.booleans(), min_size=replicas * n,
+                                     max_size=replicas * n).map(np.array))
+    return stack_populations(states), views, pool
+
+
+class TestMissesOnlyWithoutEligibleUsers:
+    """The two-step miss chain of `Episode.resolve_seed` rests on these."""
+
+    @given(stacked_cases(), st.sampled_from(list(Party)))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_only_bf_misses_with_eligible_users_and_sgf_then_hits(self, case, party):
+        state, views, pool = case
+        eligible = state.role == Role.LEGITIMATE.value
+        if pool is not None:
+            eligible = eligible & pool
+        has_eligible = eligible.reshape(len(views), -1).any(axis=1)
+
+        def picks(kind):
+            return select_seed([kind] * len(views), party, state, views, pool)
+
+        for kind in (StrategyKind.AF, StrategyKind.SGF, StrategyKind.CF):
+            assert ((picks(kind) < 0) == ~has_eligible).all(), kind
+        bf_missed = picks(StrategyKind.BF) < 0
+        assert (picks(StrategyKind.SGF)[bf_missed & has_eligible] >= 0).all()
+
+
 class TestRandomMetaStrategy:
     def test_frequencies_uniform_over_action_set(self):
         g = star(4)
@@ -131,7 +183,7 @@ class TestRandomMetaStrategy:
         class FakeEpisode:
             rng = np.random.default_rng(123)
 
-        draws = [agent.select([FakeEpisode()], Party.TRUE_PARTY)[0] for _ in range(3000)]
+        draws = [agent.select([FakeEpisode()])[0] for _ in range(3000)]
         counts = {k: draws.count(k) for k in action_space(Scheme.DRIM_NA)}
         expected = 1000
         sigma = np.sqrt(3000 * (1 / 3) * (2 / 3))

@@ -19,9 +19,9 @@ Oracles:
     (opinions, latches, counters and generator states), including a
     user read in one wave and updated in the next, and a reader frozen
     in one wave whose later events are skipped and untallied;
-  - goldens: results.csv / raw_runs.csv of small fixed specs, written by
-    `write_golden_cell` under the block draw contract, must come out byte
-    for byte.
+  - goldens: results.csv / raw_runs.csv / counters.csv of small fixed
+    specs, written by `write_golden_cell` under the block draw contract,
+    must come out byte for byte.
 """
 
 from __future__ import annotations
@@ -427,5 +427,5 @@ def write_golden_cell(name: str, out_dir: Path) -> Path:
 @pytest.mark.parametrize("name", sorted(GOLDEN_CELLS))
 def test_result_csvs_match_scalar_goldens(tmp_path, name):
     out = write_golden_cell(name, tmp_path / name)
-    for csv_name in ("results.csv", "raw_runs.csv"):
+    for csv_name in ("results.csv", "raw_runs.csv", "counters.csv"):
         assert (out / csv_name).read_bytes() == (GOLDEN / name / csv_name).read_bytes(), csv_name
