@@ -4,8 +4,11 @@
 Evaluates two schemes under all three opinion models against one false
 party and sweeps the true party's propagation budget. Budgets are small;
 the CLI runs the full versions, and `drim report` pivots their output
-directories into the paper's layouts (table2 from `drim bench`):
+directories into the paper's layouts (table2 from `drim bench`).
+`drim train` fills the policy store that `eval` then reads; `eval`
+would also train what is missing:
 
+    drim train --scheme drim-a --fp drl --out results/table1
     drim eval  --schemes drim-a,drim-na,storm,cstorm --oms uom,hom,nom \
                --fps random,af,bf,sgf,cf,drl --out results/table1
     drim sweep --axis ip --range 1:5 --fp drl --out results/fig3a

@@ -16,24 +16,25 @@ from drim.harness import (
     UnplayableSpec,
     bench_runtime,
     emit_report,
-    fp_policy_path,
+    policy_paths,
     run_grid,
     train_policy,
 )
 from drim.strategies import Scheme
 
+SCHEMES = tuple(s.value for s in Scheme)
 
 # Settings whose flag is not `--<key with dashes>` taking the key's
 # converter: the historical short spellings, choice lists, help texts and
 # auto_train, which the command line can only switch off. Their values
 # stay text until `parse_spec_file` converts them.
 _FLAG_OPTIONS = {
-    "scheme": {"choices": [s.value for s in Scheme]},
+    "scheme": {"choices": SCHEMES},
     "opinion_model": {"flag": "--om", "choices": OPINION_MODELS},
     "fp_strategy": {"flag": "--fp", "choices": FP_STRATEGIES},
     "dataset": {"help": "edge-list path (default: bundled graph)"},
     "out_dir": {"flag": "--out", "help": "output directory"},
-    "policy_dir": {"flag": "--policies", "help": "policy cache directory"},
+    "policy_dir": {"flag": "--policies", "help": "policy store directory (default: <out>/policies)"},
     "auto_train": {"flag": "--no-auto-train", "action": "store_false", "default": None,
                    "help": "fail instead of training missing policies"},
 }
@@ -51,7 +52,7 @@ def _add_common_overrides(p: argparse.ArgumentParser, unread: tuple[str, ...] = 
         options = dict(_FLAG_OPTIONS.get(key, {"type": convert}))
         p.add_argument(options.pop("flag", "--" + key.replace("_", "-")), dest=key, **options)
     if evaluates:
-        p.add_argument("--workers", type=int,
+        p.add_argument("--workers", type=_positive_int,
                        help="worker processes (default: $DRIM_WORKERS, else min(usable cpus, 4))")
 
 
@@ -62,20 +63,18 @@ def _spec_from_args(args, **extra) -> ExperimentSpec:
 
 def cmd_train(args) -> int:
     spec = _spec_from_args(args)
-    out = Path(args.out_policy)
-    result = train_policy(spec, spec.scheme, args.opponent, out)
-    if result.opponent_params is not None:
-        print(f"wrote {fp_policy_path(out)}")
-    print(f"wrote {out} (final mean return {result.curve[-1][1]:.1f})")
+    result = train_policy(spec, spec.scheme, spec.fp_strategy)
+    tp_path, fp_path = policy_paths(spec, spec.scheme, spec.fp_strategy)
+    if fp_path is not None:
+        print(f"wrote {fp_path}")
+    print(f"wrote {tp_path} (final mean return {result.curve[-1][1]:.1f})")
     return 0
 
 
 def cmd_eval(args) -> int:
     spec = _spec_from_args(args)
-    schemes = tuple(Scheme(s) for s in args.schemes.split(",")) if args.schemes else None
-    oms = tuple(args.oms.split(",")) if args.oms else None
-    fps = tuple(args.fps.split(",")) if args.fps else None
-    rows = run_grid(spec, schemes, oms, fps, workers=args.workers)
+    schemes = tuple(map(Scheme, args.schemes)) if args.schemes else None
+    rows = run_grid(spec, schemes, args.oms, args.fps, workers=args.workers)
     for row in rows:
         print(f"{row.scheme}/{row.opinion_model} vs {row.fp_strategy}"
               f"{'' if row.sweep_value == 'none' else ' @' + row.sweep_value}: "
@@ -99,7 +98,7 @@ def _ip_range(text: str) -> tuple[int, ...]:
 
 
 def _positive_int(text: str) -> int:
-    """An integer flag that must be at least 1, such as `bench --episodes`."""
+    """An integer flag that must be at least 1: `bench --episodes`, `--workers`."""
     try:
         value = int(text)
     except ValueError:
@@ -107,6 +106,20 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
+
+
+def _comma_list(choices: tuple[str, ...]):
+    """The argparse type of a comma list of distinct `choices`."""
+    def parse(text: str) -> tuple[str, ...]:
+        items = tuple(text.split(","))
+        for i, item in enumerate(items):
+            if item not in choices:
+                raise argparse.ArgumentTypeError(
+                    f"invalid choice: {item!r} (choose from {', '.join(choices)})")
+            if item in items[:i]:
+                raise argparse.ArgumentTypeError(f"{item!r} given twice")
+        return items
+    return parse
 
 
 def cmd_sweep(args) -> int:
@@ -119,7 +132,7 @@ def cmd_sweep(args) -> int:
     else:
         values = SWEEP_DEFAULTS[args.axis]
     spec = _spec_from_args(args, sweep_axis=args.axis, sweep_values=values)
-    schemes = tuple(Scheme(s) for s in args.schemes.split(",")) if args.schemes else None
+    schemes = tuple(map(Scheme, args.schemes)) if args.schemes else None
     rows = run_grid(spec, schemes, workers=args.workers)
     for row in rows:
         print(f"{row.scheme} @ {row.sweep_axis}={row.sweep_value}: "
@@ -130,8 +143,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     spec = _spec_from_args(args)
-    schemes = tuple(Scheme(s) for s in args.schemes.split(","))
-    times = bench_runtime(spec, schemes, episodes=args.episodes, workers=args.workers)
+    times = bench_runtime(spec, tuple(map(Scheme, args.schemes)), episodes=args.episodes,
+                          workers=args.workers)
     for scheme, seconds in times.items():
         print(f"{scheme}: {seconds:.3f} s/episode")
     print(f"wrote {spec.out_dir / 'bench.csv'}")
@@ -159,21 +172,17 @@ def build_parser() -> argparse.ArgumentParser:
     # Each command takes whole flags only (allow_abbrev=False): with
     # abbreviations, `bench --scheme` would pass for `--schemes`.
 
-    p = sub.add_parser("train", help="train one agent and save its policy", allow_abbrev=False)
-    p.add_argument("--opponent", required=True, choices=FP_STRATEGIES,
-                   help="false-party strategy to train against")
-    p.add_argument("--out", dest="out_policy", required=True, help="policy output file")
+    p = sub.add_parser("train", help="train one cell's policy into the policy store",
+                       allow_abbrev=False)
     p.add_argument("--spec", help="config file with defaults")
-    # --opponent stands in for fp_strategy, and --out for the policy paths
-    _add_common_overrides(p, ("runs", "fp_strategy", "out_dir", "policy_dir", "auto_train"),
-                          evaluates=False)
+    _add_common_overrides(p, ("runs", "auto_train"), evaluates=False)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate scheme/OM/FP cells", allow_abbrev=False)
     p.add_argument("--spec", help="config file")
-    p.add_argument("--schemes", help="comma list (overrides --scheme)")
-    p.add_argument("--oms", help="comma list of opinion models")
-    p.add_argument("--fps", help="comma list of FP strategies")
+    p.add_argument("--schemes", type=_comma_list(SCHEMES), help="comma list (overrides --scheme)")
+    p.add_argument("--oms", type=_comma_list(OPINION_MODELS), help="comma list of opinion models")
+    p.add_argument("--fps", type=_comma_list(FP_STRATEGIES), help="comma list of FP strategies")
     _add_common_overrides(p)
     p.set_defaults(func=cmd_eval)
 
@@ -183,13 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
     points.add_argument("--range", type=_ip_range, help="lo:hi (ip axis only)")
     points.add_argument("--values", help="comma list of sweep values")
     p.add_argument("--spec", help="config file")
-    p.add_argument("--schemes", help="comma list of schemes")
+    p.add_argument("--schemes", type=_comma_list(SCHEMES), help="comma list of schemes")
     _add_common_overrides(p)
     p.set_defaults(func=cmd_sweep, usage_error=p.error)
 
     p = sub.add_parser("bench", help="per-scheme episode runtime", allow_abbrev=False)
     p.add_argument("--episodes", type=_positive_int, default=20)
-    p.add_argument("--schemes", default="drim-a,drim-na,storm,cstorm")
+    p.add_argument("--schemes", type=_comma_list(SCHEMES), default=SCHEMES)
     p.add_argument("--spec", help="config file")
     _add_common_overrides(p, ("scheme", "runs"))  # --schemes, --episodes
     p.set_defaults(func=cmd_bench)

@@ -3,9 +3,11 @@
 An experiment evaluates one (scheme, opinion model, FP strategy) cell, or
 a sweep of cells along one axis (TP propagation count, network
 observability, or prior belief), as the mean of `runs` independent
-episodes. DRL policies are trained on demand and cached as parameter
-files keyed by the cell, the training settings and the dataset's bytes;
-per-run seeds derive from the master seed and the cell's `COORDINATES`,
+episodes. DRL policies live in one policy store (`policy_paths`), as
+parameter files keyed by the cell, the training settings and the
+dataset's bytes. `train_policy`, the one training path, writes there,
+both for `drim train` and for any policy an evaluation finds missing.
+Per-run seeds derive from the master seed and the cell's `COORDINATES`,
 so any spec re-run reproduces its result CSVs byte for byte
 (wall-clock timings live in a separate file). Per-run wave-kernel
 counters go to `counters.csv`, which is byte-reproducible too. Every
@@ -19,7 +21,7 @@ lockstep (`propagation.run_lockstep`). The harness builds no planning
 view: each episode picks its own, and at p_nv = 1 that view is the graph
 itself (`network.full_view`), so every episode on the graph, in every
 cell and training run, shares its cached degrees and 2-hop counts.
-Every result CSV is written atomically.
+Every CSV goes through one writer, `_write_csv`, which writes atomically.
 
 The process pool is the only parallelism: every pooled map and every
 training run holds each loaded OpenBLAS at one thread, and starts any
@@ -343,49 +345,39 @@ def _policy_tag(spec: ExperimentSpec) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:8]
 
 
-def fp_policy_path(tp_path: Path) -> Path:
-    """Where a self-play run keeps the false party's policy beside tp_path."""
-    return tp_path.with_name(f"{tp_path.stem}_fp{tp_path.suffix}")
-
-
 def policy_paths(spec: ExperimentSpec, scheme: Scheme, fp: str) -> tuple[Path, Path | None]:
+    """Where the policy store keeps a cell's TP policy and, for self-play
+    (fp == "drl"), the false party's policy beside it."""
     stem = f"{scheme.value}_{spec.opinion_model}_vs_{fp}_{_policy_tag(spec)}_s{spec.master_seed}"
     tp = spec.policy_dir / f"{stem}.bin"
-    return tp, fp_policy_path(tp) if fp == "drl" else None
+    return tp, tp.with_name(f"{stem}_fp.bin") if fp == "drl" else None
 
 
-def train_policy(spec: ExperimentSpec, scheme: Scheme, fp: str, tp_path: Path) -> TrainResult:
-    """Train the true party's policy for one cell and write its artifacts.
+def train_policy(spec: ExperimentSpec, scheme: Scheme, fp: str) -> TrainResult:
+    """Train the true party's policy for one cell into the policy store.
 
-    Writes the self-play FP policy (fp == "drl") to `<stem>_fp.bin` and
-    the learning curve to `<stem>.curve.csv` before the TP policy, each
+    Writes the self-play FP policy (fp == "drl") and the learning curve
+    (`<stem>.curve.csv`) before the TP policy, at `policy_paths`, each
     atomically, so an existing TP file means a complete set.
     """
     graph = load_graph(spec)
+    check_playable(spec, graph)
     cfg = spec.episode_config()
     seed = derive_seed(spec.master_seed, "train", scheme.value, spec.opinion_model, fp)
     with single_thread_blas():
         result = train_agent(scheme, fp, graph, cfg, spec.ppo, seed)
+    tp_path, fp_path = policy_paths(spec, scheme, fp)
     tp_path.parent.mkdir(parents=True, exist_ok=True)
-    if result.opponent_params is not None:
-        save_params(result.opponent_params, fp_policy_path(tp_path))
-    curve = "".join(f"{u},{r:.4f},{e:.6f}\n" for u, r, e in result.curve)
-    with atomic_write(tp_path.with_suffix(".curve.csv")) as fh:
-        fh.write(f"update,mean_return,entropy\n{curve}".encode())
+    if fp_path is not None:
+        save_params(result.opponent_params, fp_path)
+    _write_csv(tp_path.with_suffix(".curve.csv"), ("update", "mean_return", "entropy"),
+               ((u, f"{r:.4f}", f"{e:.6f}") for u, r, e in result.curve))
     save_params(result.params, tp_path)
     return result
 
 
-@dataclass
-class _TrainTask:
-    spec: ExperimentSpec
-    scheme: Scheme
-    fp: str
-
-
-def _train_one(task: _TrainTask) -> None:
-    tp_path, _ = policy_paths(task.spec, task.scheme, task.fp)
-    train_policy(task.spec, task.scheme, task.fp, tp_path)
+def _train_one(cell: tuple[ExperimentSpec, Scheme, str]) -> None:
+    train_policy(*cell)
 
 
 def _missing_policies(
@@ -406,7 +398,7 @@ def ensure_policies(spec: ExperimentSpec, cells: list[tuple[Scheme, str]], worke
     missing = _missing_policies(spec, cells)
     if missing and not spec.auto_train:
         raise FileNotFoundError(f"missing policy file {missing[0][2]} (auto_train disabled)")
-    _parallel_map(_train_one, [_TrainTask(spec, scheme, fp) for scheme, fp, _ in missing], workers)
+    _parallel_map(_train_one, [(spec, scheme, fp) for scheme, fp, _ in missing], workers)
 
 
 def load_cell_agents(spec: ExperimentSpec, scheme: Scheme, fp: str) -> tuple[Agent, Agent]:
@@ -535,7 +527,6 @@ def run_grid(
                     coords = om_spec.coordinates(scheme, fp, point)
                     timing_rows.extend((*coords, i, s) for i, s in enumerate(seconds))
 
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(spec.out_dir / "results.csv", rows)
     write_raw_csv(spec.out_dir / "raw_runs.csv", raw_rows)
     write_counters_csv(spec.out_dir / "counters.csv", raw_rows)
@@ -547,20 +538,20 @@ def run_grid(
 # CSV writers / readers
 # ----------------------------------------------------------------------
 
-@contextmanager
-def _atomic_csv(path: Path) -> Iterator:
-    """csv writer on a temp file that `atomic_write` moves onto path
-    when the block completes; if it raises, path is left as it was."""
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a header and rows to a temp file that `atomic_write` moves
+    onto path once every row is written; if a row raises, path is left
+    as it was. Creates path's directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as fh, io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-        yield csv.writer(text, lineterminator="\n")
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_results_csv(path: Path, rows: list[ResultRow]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with _atomic_csv(path) as writer:
-        writer.writerow(f.name for f in fields(ResultRow))
-        for row in sorted(rows, key=attrgetter(*COORDINATES)):
-            writer.writerow(row.csv_values())
+    _write_csv(path, (f.name for f in fields(ResultRow)),
+               (row.csv_values() for row in sorted(rows, key=attrgetter(*COORDINATES))))
 
 
 def read_results_csv(path: Path) -> list[ResultRow]:
@@ -572,37 +563,27 @@ def read_results_csv(path: Path) -> list[ResultRow]:
 
 def write_raw_csv(path: Path, raw_rows: list[dict]) -> None:
     cols = (*COORDINATES, "run", "n_true", "n_false", "decided_n_true", "decided_n_false")
-    with _atomic_csv(path) as writer:
-        writer.writerow(cols)
-        for rec in raw_rows:
-            writer.writerow([f"{rec[c]:g}" if isinstance(rec[c], float) else rec[c] for c in cols])
+    _write_csv(path, cols, ([f"{rec[c]:g}" if isinstance(rec[c], float) else rec[c] for c in cols]
+                            for rec in raw_rows))
 
 
 def write_counters_csv(path: Path, raw_rows: list[dict]) -> None:
     """Per-run wave-kernel counters (`WaveCounters`), keyed like raw_runs.csv."""
     cols = (*COORDINATES, "run", *(f.name for f in fields(WaveCounters)))
-    with _atomic_csv(path) as writer:
-        writer.writerow(cols)
-        writer.writerows([rec[c] for c in cols] for rec in raw_rows)
+    _write_csv(path, cols, ([rec[c] for c in cols] for rec in raw_rows))
 
 
 def write_timings_csv(path: Path, timing_rows: list[tuple]) -> None:
     """Per-run seconds: a lockstep batch's wall clock over its batch size."""
-    with _atomic_csv(path) as writer:
-        writer.writerow((*COORDINATES, "run", "seconds"))
-        for rec in timing_rows:
-            writer.writerow([*rec[:-1], f"{rec[-1]:.6f}"])
+    _write_csv(path, (*COORDINATES, "run", "seconds"),
+               ([*rec[:-1], f"{rec[-1]:.6f}"] for rec in timing_rows))
 
 
 def write_roundlog_csv(path: Path, episode_logs: list[tuple[int, list[RoundLog]]]) -> None:
     """Per-step audit export: episode, t, party, strategy, seed, counts, reward."""
-    with _atomic_csv(path) as writer:
-        writer.writerow(("episode", "t", "party", "strategy", "seed_id",
-                         "n_true", "n_false", "reward"))
-        for episode_idx, logs in episode_logs:
-            for e in logs:
-                writer.writerow((episode_idx, e.t, e.party.value, e.strategy, e.seed,
-                                 e.n_true, e.n_false, f"{e.reward:g}"))
+    _write_csv(path, ("episode", "t", "party", "strategy", "seed_id", "n_true", "n_false", "reward"),
+               ((episode_idx, e.t, e.party.value, e.strategy, e.seed, e.n_true, e.n_false,
+                 f"{e.reward:g}") for episode_idx, logs in episode_logs for e in logs))
 
 
 # ----------------------------------------------------------------------
@@ -696,12 +677,8 @@ def emit_report(results_dirs: list[str | Path], layout: str, out_path: Path) -> 
                 for row in read_results_csv(Path(results_dir) / "results.csv")]
         header, lines = _pivot_results(rows, layout)
 
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with _atomic_csv(out_path) as writer:
-        writer.writerow(header)
-        writer.writerows(lines)
-    return out_path
+    _write_csv(out_path, header, lines)
+    return Path(out_path)
 
 
 # ----------------------------------------------------------------------
@@ -736,10 +713,8 @@ def bench_runtime(
             run_episode(graph, cfg.with_seed(seed), tp_agent, fp_agent)
             times.append(time.perf_counter() - start)
         out[scheme.value] = float(np.mean(times[1:]))
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    with _atomic_csv(spec.out_dir / "bench.csv") as writer:
-        writer.writerow(("scheme", "mean_episode_seconds"))
-        writer.writerows((scheme, f"{seconds:.6f}") for scheme, seconds in out.items())
+    _write_csv(spec.out_dir / "bench.csv", ("scheme", "mean_episode_seconds"),
+               ((scheme, f"{seconds:.6f}") for scheme, seconds in out.items()))
     return out
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ SETTING_FLAGS = [
     "--updates",
 ]
 OPTION_STRINGS = {
-    "train": [*HELP_FLAGS, *SETTING_FLAGS, "--scheme", "--opponent", "--out", "--spec"],
+    "train": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--policies", "--scheme", "--out", "--spec"],
     "eval": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--no-auto-train", "--policies", "--runs",
              "--scheme", "--fps", "--oms", "--out", "--schemes", "--spec", "--workers"],
     "sweep": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--no-auto-train", "--policies", "--runs",
@@ -75,21 +76,31 @@ class TestParser:
     @pytest.mark.parametrize("argv,message", [
         (["bench", "--scheme", "storm"], "unrecognized arguments: --scheme storm"),
         (["bench", "--runs", "7"], "unrecognized arguments: --runs 7"),
-        (["train", "--opponent", "cf", "--out", "p.bin", "--fp", "random"],
-         "unrecognized arguments: --fp random"),
-        (["train", "--opponent", "cf", "--out", "p.bin", "--runs", "9"],
-         "unrecognized arguments: --runs 9"),
-        (["train", "--opponent", "cf", "--out", "p.bin", "--policies", "X"],
-         "unrecognized arguments: --policies X"),
-        (["train", "--opponent", "cf", "--out", "p.bin", "--no-auto-train"],
-         "unrecognized arguments: --no-auto-train"),
+        (["train", "--opponent", "cf"], "unrecognized arguments: --opponent cf"),
+        (["train", "--fp", "cf", "--runs", "9"], "unrecognized arguments: --runs 9"),
+        (["train", "--fp", "cf", "--no-auto-train"], "unrecognized arguments: --no-auto-train"),
         (["sweep", "--axis", "ip", "--values", "1", "--range", "3:4"],
          "argument --range: not allowed with argument --values"),
         (["bench", "--episodes", "0"], "argument --episodes: expected an integer >= 1, got '0'"),
         (["bench", "--episodes", "-2"], "argument --episodes: expected an integer >= 1, got '-2'"),
-    ], ids=["bench-scheme", "bench-runs", "train-fp", "train-runs", "train-policies",
+        (["eval", "--workers", "0"], "argument --workers: expected an integer >= 1, got '0'"),
+        (["sweep", "--axis", "ip", "--workers", "0"],
+         "argument --workers: expected an integer >= 1, got '0'"),
+        (["bench", "--workers", "-1"], "argument --workers: expected an integer >= 1, got '-1'"),
+        (["eval", "--schemes", "foo"], "argument --schemes: invalid choice: 'foo' (choose from "
+                                       "drim-a, drim-na, storm, cstorm)"),
+        (["eval", "--oms", "uom,xyz"], "argument --oms: invalid choice: 'xyz'"),
+        (["eval", "--fps", "zzz"], "argument --fps: invalid choice: 'zzz'"),
+        (["eval", "--fps", "cf,random,cf"], "argument --fps: 'cf' given twice"),
+        (["sweep", "--axis", "ip", "--schemes", "storm,storm"],
+         "argument --schemes: 'storm' given twice"),
+        (["bench", "--schemes", "drim-a,"], "argument --schemes: invalid choice: ''"),
+    ], ids=["bench-scheme", "bench-runs", "train-opponent", "train-runs",
             "train-no-auto-train", "sweep-values-and-range", "bench-episodes-zero",
-            "bench-episodes-negative"])
+            "bench-episodes-negative", "eval-workers-zero", "sweep-workers-zero",
+            "bench-workers-negative", "eval-schemes-unknown", "eval-oms-unknown",
+            "eval-fps-unknown", "eval-fps-repeated", "sweep-schemes-repeated",
+            "bench-schemes-empty-entry"])
     def test_ignored_settings_rejected(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
@@ -108,12 +119,14 @@ class TestCommands:
         assert (out / "results.csv").exists()
         capsys.readouterr()
 
-    def test_eval_workers_zero_fails_before_training(self, tiny_edges, tmp_path):
+    def test_eval_workers_zero_fails_before_training(self, tiny_edges, tmp_path, capsys):
         out = tmp_path / "res"
         args = list(FAST)
         args[args.index("--workers") + 1] = "0"
-        with pytest.raises(ValueError, match="workers=0 is not an integer >= 1"):
+        with pytest.raises(SystemExit) as exc:
             main(["eval", "--dataset", str(tiny_edges), "--out", str(out), *args])
+        assert exc.value.code == 2
+        assert "argument --workers: expected an integer >= 1, got '0'" in capsys.readouterr().err
         assert not out.exists()
 
     def _ring_game(self, tmp_path, monkeypatch, command, *args):
@@ -122,14 +135,22 @@ class TestCommands:
             raise AssertionError("started a pool or trained a policy")
 
         monkeypatch.setattr(harness, "_parallel_map", no_pool)
+        monkeypatch.setattr(harness, "train_agent", no_pool)
         ring = tmp_path / "ring.edges"
         ring.write_text("".join(f"{i} {i % 5 + 1}\n" for i in range(1, 6)))
         out, policies = tmp_path / "res", tmp_path / "policies"
         rc = main([command, *args, "--fp", "cf", "--dataset", str(ring), "--out", str(out),
                    "--policies", str(policies)])
         assert not out.exists()
-        assert not [path for path in policies.rglob("*") if path.is_file()]
+        assert not policies.exists()
         return rc
+
+    def test_train_fails_before_training_when_seeds_outnumber_users(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        rc = self._ring_game(tmp_path, monkeypatch, "train", "--scheme", "storm", *TRAIN_FAST)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "drim train: error: --k 3" in err and "n=5" in err
 
     def test_eval_fails_before_training_when_seeds_outnumber_users(self, tmp_path, capsys,
                                                                    monkeypatch):
@@ -151,23 +172,47 @@ class TestCommands:
         assert "worker processes" in capsys.readouterr().out
 
     def test_train_writes_policy(self, tiny_edges, tmp_path, capsys):
-        policy = tmp_path / "pol.bin"
+        out = tmp_path / "res"
         rc = main([
-            "train", "--scheme", "storm", "--opponent", "cf", "--om", "nom",
-            "--dataset", str(tiny_edges), "--out", str(policy), *TRAIN_FAST,
+            "train", "--scheme", "storm", "--fp", "cf", "--om", "nom",
+            "--dataset", str(tiny_edges), "--out", str(out), *TRAIN_FAST,
         ])
         assert rc == 0
-        assert policy.exists()
-        assert policy.with_suffix(".curve.csv").exists()
+        policy = Path(capsys.readouterr().out.split()[1])
+        assert policy.parent == out / "policies" and policy.name.startswith("storm_nom_vs_cf_")
+        assert sorted(p.name for p in policy.parent.iterdir()) == sorted(
+            (policy.name, policy.with_suffix(".curve.csv").name))
+
+    def test_eval_reads_the_policies_train_wrote(self, tiny_edges, tmp_path, capsys,
+                                                monkeypatch):
+        out = tmp_path / "res"
+        cell = ["--scheme", "drim-a", "--om", "nom", "--fp", "drl", "--dataset", str(tiny_edges),
+                "--out", str(out), *TRAIN_FAST, "--selfplay-updates-per-side", "1",
+                "--selfplay-alternations", "1"]
+        assert main(["train", *cell]) == 0
+        wrote = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+        assert [path.endswith("_fp.bin") for path in wrote] == [True, False]
+        policies = {path: (out / "policies" / path).read_bytes()
+                    for path in sorted(p.name for p in (out / "policies").iterdir())}
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a policy")
+
+        monkeypatch.setattr(harness, "train_agent", no_training)
+        assert main(["eval", *cell, "--no-auto-train", "--runs", "2", "--workers", "1"]) == 0
+        assert (out / "results.csv").read_text().splitlines()[1].startswith("drim-a,nom,drl,")
+        assert policies == {path: (out / "policies" / path).read_bytes() for path in policies}
+        assert sorted(str(out / "policies" / path) for path in policies if "curve" not in path) \
+            == sorted(wrote)
 
     def test_train_rejects_workers(self, tiny_edges, tmp_path, capsys):
-        policy = tmp_path / "pol.bin"
+        out = tmp_path / "res"
         with pytest.raises(SystemExit) as exc:
-            main(["train", "--opponent", "cf", "--dataset", str(tiny_edges),
-                  "--out", str(policy), *TRAIN_FAST, "--workers", "1"])
+            main(["train", "--fp", "cf", "--dataset", str(tiny_edges),
+                  "--out", str(out), *TRAIN_FAST, "--workers", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
-        assert not policy.exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--gamma", "1.0"), ("--selfplay-updates-per-side", "0"),
@@ -176,12 +221,12 @@ class TestCommands:
     ])
     def test_train_rejects_bad_ppo_values_before_training(self, tiny_edges, tmp_path,
                                                           flag, value):
-        policy = tmp_path / "pol.bin"
+        out = tmp_path / "res"
         field = flag[2:].replace("-", "_")
         with pytest.raises(ValueError, match=f"{field} must.*got {value}"):
-            main(["train", "--scheme", "drim-a", "--opponent", "drl", "--dataset",
-                  str(tiny_edges), "--out", str(policy), *TRAIN_FAST, flag, value])
-        assert not policy.exists()
+            main(["train", "--scheme", "drim-a", "--fp", "drl", "--dataset",
+                  str(tiny_edges), "--out", str(out), *TRAIN_FAST, flag, value])
+        assert not out.exists()
 
     def test_sweep(self, tiny_edges, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -296,12 +296,13 @@ class TestSingleThreadBlas:
         script = (
             "import sys\n"
             "from pathlib import Path\n"
-            "from drim.harness import ExperimentSpec, train_policy\n"
+            "from drim.harness import ExperimentSpec, policy_paths, train_policy\n"
             "from drim.rl import PPOConfig\n"
             "from drim.strategies import Scheme\n"
             "ppo = PPOConfig(hidden=64, rollout_episodes=8, epochs=2, updates=1)\n"
-            "out = Path(sys.argv[1])\n"
-            "train_policy(ExperimentSpec(k=50, ppo=ppo, out_dir=out.parent), Scheme.DRIM_A, 'cf', out)\n"
+            "spec = ExperimentSpec(k=50, ppo=ppo, policy_dir=Path(sys.argv[1]))\n"
+            "train_policy(spec, Scheme.DRIM_A, 'cf')\n"
+            "print(policy_paths(spec, Scheme.DRIM_A, 'cf')[0])\n"
         )
         root = Path(__file__).resolve().parents[1]
         policies = []
@@ -309,10 +310,9 @@ class TestSingleThreadBlas:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(
                 filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-            out = tmp_path / threads / "policy.bin"
-            subprocess.run([sys.executable, "-c", script, str(out)],
-                           env=env, check=True, timeout=300)
-            policies.append(out.read_bytes())
+            proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / threads)],
+                                  env=env, check=True, timeout=300, capture_output=True, text=True)
+            policies.append(Path(proc.stdout.strip()).read_bytes())
         assert policies[0] == policies[1]
 
 
