@@ -16,9 +16,12 @@ way `run_lockstep` does, and the batched turn runs the true party's
 turn of p_t = 2 waves over them as one call, as `run_lockstep` does
 for each party turn. The masked-view benchmark builds one p_nv = 0.6
 view of the bundled graph from a fixed seed, as each eval-cstorm-masked
-episode does, and the spectral benchmark splits one such fixed view into
-8 communities, C-STORM's per-episode community step, with OpenBLAS held
-at one thread as in every evaluation.
+episode does. The spectral benchmarks split one such fixed view into 8
+communities, C-STORM's community step on a fresh masked view (each round
+solves, as every eval-cstorm-masked episode does), and the full graph,
+whose embedding is solved once and cached, as at p_nv = 1, so each
+round is the per-episode k-means alone; OpenBLAS is held at one thread,
+as in every evaluation.
 """
 
 from __future__ import annotations
@@ -107,5 +110,16 @@ def test_mask_network(benchmark):
 
 def test_spectral_communities(benchmark):
     view = mask_network(GRAPH, 0.6, 4)
+
+    def fresh_view():  # drop the embedding the last round cached on the view
+        view._embeddings.clear()
+
     with single_thread_blas():
-        benchmark(spectral_communities, view, 8, 5)
+        benchmark.pedantic(spectral_communities, args=(view, 8, 5), setup=fresh_view,
+                           rounds=100, warmup_rounds=2)
+
+
+def test_spectral_communities_full_cached(benchmark):
+    with single_thread_blas():
+        spectral_communities(GRAPH, 8, 5)  # the one solve; every round reuses its embedding
+        benchmark(spectral_communities, GRAPH, 8, 5)

@@ -7,8 +7,13 @@ adds a community step: spectral communities of the episode's view are
 computed on its first selection and kept on the episode
 (`Episode.communities`), and before each selection the candidate pool is
 restricted to the community currently holding the most free nodes. The
-agent itself keeps no per-episode state, so one serves any number of
-episodes. Building a C-STORM agent is what loads scipy into a drim process.
+view's spectral embedding is solved once and cached on the view, so at
+p_nv = 1 (the view is the graph) a process solves once per graph and
+each episode only runs its seeded k-means. The agent itself keeps no
+per-episode state, so one serves any number of episodes. Building a
+C-STORM agent is what loads scipy into a drim process, and only its
+sparse matrices and ARPACK (`scipy.sparse.linalg`): the k-means step is
+numpy.
 """
 
 from __future__ import annotations
@@ -31,10 +36,9 @@ class CommunityRestriction(Agent):
     def __init__(self, inner: Agent, k: int = DEFAULT_COMMUNITIES):
         if k < 1:
             raise ValueError("community count must be >= 1")
-        # Load spectral_communities' scipy modules here: C-STORM agents are
-        # built in the parent, so forked pool workers inherit them instead
-        # of each importing them again.
-        import scipy.cluster.vq  # noqa: F401
+        # Load spectral_communities' scipy module (sparse matrices and
+        # ARPACK) here: C-STORM agents are built in the parent, so forked
+        # pool workers inherit it instead of each importing it again.
         import scipy.sparse.linalg  # noqa: F401
 
         self.inner = inner

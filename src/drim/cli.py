@@ -152,7 +152,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out = Path(args.out_file or f"{args.layout}.csv")
+    out = Path(args.out) / f"{args.layout}.csv"
     try:
         emit_report(args.results, args.layout, out)
     except (ValueError, FileNotFoundError) as exc:
@@ -208,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", nargs="+", required=True,
                    help="one or more eval/sweep output directories "
                         "(bench output directories for table2)")
-    p.add_argument("--out", dest="out_file")
+    p.add_argument("--out", default=".",
+                   help="output directory, receives <layout>.csv (default: the working directory)")
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -23,8 +23,9 @@ itself (`network.full_view`), so every episode on the graph, in every
 cell and training run, shares its cached degrees and 2-hop counts.
 Every CSV goes through one writer, `_write_csv`, which writes atomically.
 
-The process pool is the only parallelism: every pooled map and every
-training run holds each loaded OpenBLAS at one thread, and starts any
+The process pool is the only parallelism: every pooled map, every
+training run and every `bench_runtime` episode holds each loaded
+OpenBLAS at one thread, and starts any
 loaded later (scipy's, with the first C-STORM agent) at one thread
 (`single_thread_blas`), so workers do not oversubscribe the cores and a
 trained policy's bytes do not depend on the core count (OpenBLAS only;
@@ -50,7 +51,7 @@ from typing import Iterator, get_type_hints
 import numpy as np
 
 from drim.datasets import load_urv_email, urv_email_path
-from drim.network import Graph, load_edge_list
+from drim.network import COMMUNITY_CONTRACT, Graph, load_edge_list
 from drim.network import full_view  # noqa: F401  (re-exported; perfbench's tracer rebinds it)
 from drim.opinion import TrustModel, TrustVariant
 from drim.propagation import (
@@ -326,11 +327,11 @@ def check_playable(spec: ExperimentSpec, graph: Graph) -> None:
 # Policy training & caching
 # ----------------------------------------------------------------------
 
-def _policy_tag(spec: ExperimentSpec) -> str:
+def _policy_tag(spec: ExperimentSpec, *contracts: str) -> str:
     """Hash of what determines a policy besides its cell and master seed:
     the PPO and training-episode settings, the edge-list file's bytes
-    (the bundled file when the spec names no dataset) and the wave's
-    draw-order contract."""
+    (the bundled file when the spec names no dataset), the wave's
+    draw-order contract and the scheme's own `contracts`, if any."""
     cfg = spec.episode_config()
     dataset = urv_email_path() if spec.dataset is None else Path(spec.dataset)
     text = "|".join(
@@ -340,6 +341,7 @@ def _policy_tag(spec: ExperimentSpec) -> str:
             cfg.k, cfg.p_t, cfg.p_f, cfg.p_nv, cfg.prior_a,
             hashlib.sha256(dataset.read_bytes()).hexdigest(),
             DRAW_CONTRACT,
+            *contracts,
         )
     )
     return hashlib.sha256(text.encode()).hexdigest()[:8]
@@ -347,8 +349,11 @@ def _policy_tag(spec: ExperimentSpec) -> str:
 
 def policy_paths(spec: ExperimentSpec, scheme: Scheme, fp: str) -> tuple[Path, Path | None]:
     """Where the policy store keeps a cell's TP policy and, for self-play
-    (fp == "drl"), the false party's policy beside it."""
-    stem = f"{scheme.value}_{spec.opinion_model}_vs_{fp}_{_policy_tag(spec)}_s{spec.master_seed}"
+    (fp == "drl"), the false party's policy beside it. C-STORM's tag
+    also hashes its community labels' contract, so changing them moves
+    only C-STORM's policies."""
+    tag = _policy_tag(spec, *([COMMUNITY_CONTRACT] if scheme is Scheme.C_STORM else []))
+    stem = f"{scheme.value}_{spec.opinion_model}_vs_{fp}_{tag}_s{spec.master_seed}"
     tp = spec.policy_dir / f"{stem}.bin"
     return tp, tp.with_name(f"{stem}_fp.bin") if fp == "drl" else None
 
@@ -695,7 +700,8 @@ def bench_runtime(
     also written to `bench.csv` in spec.out_dir.
 
     Runs episodes+1 per scheme in-process, one at a time (no lockstep
-    batch), and discards the first (warmup).
+    batch), and discards the first (warmup). Like every drim computation,
+    the episodes run with OpenBLAS at one thread (`single_thread_blas`).
     """
     if episodes < 1:
         raise ValueError("bench needs at least one timed episode")
@@ -704,15 +710,16 @@ def bench_runtime(
     ensure_policies(spec, [(s, spec.fp_strategy) for s in schemes], workers)
     cfg = spec.episode_config()
     out: dict[str, float] = {}
-    for scheme in schemes:
-        tp_agent, fp_agent = load_cell_agents(spec, scheme, spec.fp_strategy)
-        times = []
-        for run in range(episodes + 1):
-            seed = derive_seed(spec.master_seed, "bench", scheme.value, run)
-            start = time.perf_counter()
-            run_episode(graph, cfg.with_seed(seed), tp_agent, fp_agent)
-            times.append(time.perf_counter() - start)
-        out[scheme.value] = float(np.mean(times[1:]))
+    with single_thread_blas():
+        for scheme in schemes:
+            tp_agent, fp_agent = load_cell_agents(spec, scheme, spec.fp_strategy)
+            times = []
+            for run in range(episodes + 1):
+                seed = derive_seed(spec.master_seed, "bench", scheme.value, run)
+                start = time.perf_counter()
+                run_episode(graph, cfg.with_seed(seed), tp_agent, fp_agent)
+                times.append(time.perf_counter() - start)
+            out[scheme.value] = float(np.mean(times[1:]))
     _write_csv(spec.out_dir / "bench.csv", ("scheme", "mean_episode_seconds"),
                ((scheme, f"{seconds:.6f}") for scheme, seconds in out.items()))
     return out

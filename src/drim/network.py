@@ -6,14 +6,16 @@ a view of the network that is itself a `Graph`. When network visibility
 is partial the view is edge-masked: each edge of the base graph is kept
 independently with probability p_nv. At p_nv = 1 the view is the graph
 itself (`full_view(g) is g`), so every episode on a graph shares its
-cached degrees and 2-hop counts. Spreading always runs on the full
-graph; only planning queries (degree, free degree, 2-hop neighborhoods,
-communities) consult the view.
+cached degrees, 2-hop counts and spectral embeddings. Spreading always
+runs on the full graph; only planning queries (degree, free degree, 2-hop
+neighborhoods, communities) consult the view.
 
 Only `spectral_communities` (C-STORM's community step) needs scipy, and
-it imports scipy's sparse, ARPACK and k-means modules when called; the
-rest of the module, and every drim process that never builds a C-STORM
-agent, runs on numpy alone.
+only for sparse matrices and ARPACK (`scipy.sparse.linalg`), imported
+when a view is first solved. It labels the view's components, its
+isolated users and its k-means clusters in numpy; the rest of the
+module, and every drim process that never builds a C-STORM agent, runs
+on numpy alone.
 """
 
 from __future__ import annotations
@@ -29,20 +31,37 @@ import numpy as np
 # holds: about 10 MiB at most, unless a single row needs more.
 _WITHIN2_BLOCK_ENTRIES = 1 << 18
 
+# Names the community labels `spectral_communities` gives a view: C-STORM
+# policies trained under other labels are keyed apart (`harness.policy_paths`).
+COMMUNITY_CONTRACT = ("components in closed form, isolated users left out, one deflated "
+                      "eigsh (tol 1e-8, seed-0 start), numpy k-means++ and 10 Lloyd steps")
+
+# The spectral step: ARPACK's relative tolerance, the seed of its fixed
+# start vector, the eigenvalue the known zero modes are moved to (the top
+# of the normalized Laplacian's spectrum [0, 2]), the linked-user count
+# below which a dense eigh solves instead, and k-means' Lloyd iterations.
+_EIGSH_TOL = 1e-8
+_EIGSH_START_SEED = 0
+_ZERO_MODE_SHIFT = 2.0
+_DENSE_BELOW = 64
+_KMEANS_ITERATIONS = 10
+
 
 class Graph:
     """Immutable undirected graph: n nodes, a sorted edge array, and CSR
     adjacency (`indices[indptr[v]:indptr[v + 1]]` are v's neighbors in
     ascending order), with its planning statistics (degrees, 2-hop
-    counts) cached on first use. The simulation graph and every view a
-    party plans on are Graphs; the full view is the graph itself.
+    counts, C-STORM's spectral embedding per community count) cached on
+    first use. The simulation graph and every view a party plans on are
+    Graphs; the full view is the graph itself.
 
     Construction sorts 1-D integer keys, not pairs: each edge (u, v) with
     u < v is the key u·n + v, so sorting and deduplicating the keys gives
     the edges in (u, v) order, and sorting src·n + dst over both
     directions gives the CSR's neighbor order."""
 
-    __slots__ = ("n", "edge_u", "edge_v", "indptr", "indices", "_degrees", "_within2")
+    __slots__ = ("n", "edge_u", "edge_v", "indptr", "indices", "_degrees", "_within2",
+                 "_embeddings")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         raw = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
@@ -66,6 +85,7 @@ class Graph:
         np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
         self._degrees: np.ndarray | None = None
         self._within2: np.ndarray | None = None
+        self._embeddings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def num_edges(self) -> int:
@@ -142,50 +162,149 @@ def neighbor_sums(edge_u: np.ndarray, edge_v: np.ndarray, weights: np.ndarray) -
             + np.bincount(edge_v, weights=weights.take(edge_u), minlength=size))
 
 
+def _component_roots(g: Graph) -> np.ndarray:
+    """The smallest user id in every user's connected component (an
+    isolated user is its own root), in numpy over the CSR: each round,
+    every user with an edge takes the smallest label among its own and its
+    neighbors', then every label jumps to its label's label; the rounds
+    stop when no label changes."""
+    roots = np.arange(g.n)
+    linked = np.flatnonzero(g.degrees())
+    starts = g.indptr[linked]
+    while True:
+        low = roots.copy()
+        low[linked] = np.minimum(roots[linked], np.minimum.reduceat(roots[g.indices], starts))
+        low = low[low]
+        if np.array_equal(low, roots):
+            return roots
+        roots = low
+
+
+def _spectral_embedding(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(users, vectors): the users the spectral step embeds, ascending,
+    and their rows of k smallest eigenvectors of the normalized Laplacian
+    L = I - D^{-1/2} A D^{-1/2}, orthonormal columns. Cached on g per k
+    (`Graph._embeddings`), as it depends on the view alone.
+
+    Isolated users (no visible edge) are left out. Each component of two
+    or more users has a zero mode in closed form, its D^{1/2}-weighted
+    indicator (von Luxburg, Stat. Comput. 17, 2007). With m < k such
+    components, the other k - m vectors are the smallest eigenvectors of
+    L over the linked users with the m zero modes moved to eigenvalue
+    _ZERO_MODE_SHIFT, from one ARPACK solve (`eigsh`, relative tolerance
+    _EIGSH_TOL, a Gaussian start vector of the fixed seed
+    _EIGSH_START_SEED), or from a dense `eigh` below _DENSE_BELOW linked
+    users. With m >= k the zero eigenspace alone has k or more
+    dimensions: the zero modes of the k largest components (ties to the
+    smallest user id) are the embedding, and the users of smaller
+    components are left out.
+    """
+    cached = g._embeddings.get(k)
+    if cached is not None:
+        return cached
+    deg = g.degrees()
+    linked = np.flatnonzero(deg)
+    size = linked.size
+    _, component, sizes = np.unique(_component_roots(g)[linked], return_inverse=True,
+                                    return_counts=True)
+    # number the components largest first; roots ascend, so ties keep the smallest root first
+    rank = np.empty_like(sizes)
+    rank[np.argsort(-sizes, kind="stable")] = np.arange(sizes.size)
+    component = rank[component]
+    m = sizes.size
+    sqrt_deg = np.sqrt(deg[linked])
+    zero = np.zeros((size, m))
+    zero[np.arange(size), component] = sqrt_deg
+    zero /= np.linalg.norm(zero, axis=0)
+    if m >= k:
+        keep = component < k
+        cached = g._embeddings[k] = linked[keep], zero[keep, :k]
+        return cached
+    from scipy.sparse import csr_matrix, identity
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+
+    # L over the linked users: isolated rows of g's CSR are empty, so the
+    # linked rows keep g's row pointers, with the columns renumbered
+    position = np.cumsum(deg > 0) - 1
+    cols = position[g.indices]
+    weights = (1.0 / sqrt_deg)[np.repeat(np.arange(size), deg[linked])] / sqrt_deg[cols]
+    lap = identity(size, format="csr") - csr_matrix(
+        (weights, cols, np.append(g.indptr[linked], g.indices.size)), shape=(size, size))
+    shifted = _ZERO_MODE_SHIFT * zero
+
+    def deflated(x):
+        return lap @ x + zero @ (shifted.T @ x)
+
+    vecs = None
+    if size >= _DENSE_BELOW and k - m < size - 1:
+        v0 = np.random.default_rng(_EIGSH_START_SEED).standard_normal(size)
+        try:
+            _, vecs = eigsh(LinearOperator((size, size), matvec=deflated, dtype=float),
+                            k=k - m, which="SA", v0=v0, tol=_EIGSH_TOL)
+        except (ArpackError, ArpackNoConvergence):
+            vecs = None
+    if vecs is None:
+        vecs = np.linalg.eigh(deflated(np.eye(size)))[1][:, :k - m]
+    cached = g._embeddings[k] = linked, np.hstack([zero, vecs])
+    return cached
+
+
+def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Cluster labels in [0, k) of the rows of points: k-means++ seeding
+    (Arthur & Vassilvitskii, SODA 2007), then _KMEANS_ITERATIONS Lloyd
+    iterations; a cluster left empty keeps its centre.
+
+    The first centre is a uniform pick (`rng.integers`); each next one is
+    drawn with probability proportional to the squared distance to the
+    nearest centre so far (one `rng.random()`), and once every point sits
+    on a centre the remaining centres repeat the first. Each assignment is
+    one matmul: the nearest centre minimizes |c|^2 - 2 x.c."""
+    n = points.shape[0]
+    centres = np.repeat(points[[rng.integers(n)]], k, axis=0)
+    dist2 = ((points - centres[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        cum = np.cumsum(dist2)
+        if cum[-1] <= 0.0:
+            break
+        pick = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), n - 1)
+        centres[i] = points[pick]
+        dist2 = np.minimum(dist2, ((points - centres[i]) ** 2).sum(axis=1))
+    clusters = np.arange(k)
+    for _ in range(_KMEANS_ITERATIONS):
+        labels = np.argmin((centres**2).sum(axis=1) - 2.0 * (points @ centres.T), axis=1)
+        members = (labels[:, None] == clusters).astype(float)
+        counts = members.sum(axis=0)
+        filled = counts > 0
+        centres[filled] = (members.T @ points)[filled] / counts[filled, None]
+    return labels
+
+
 def spectral_communities(
     g: Graph, k: int, rng_seed: int | np.random.Generator
 ) -> np.ndarray:
-    """Normalized-Laplacian spectral embedding clustered by k-means.
+    """k communities of g's users: labels in [0, k), deterministic for a
+    fixed seed.
 
-    Embeds every node into the k eigenvectors of L = I - D^{-1/2} A D^{-1/2}
-    with the smallest eigenvalues (sparse Lanczos with a seeded start
-    vector; dense fallback for small graphs), row-normalizes, and clusters
-    with seeded k-means++. Labels cover [0, k); deterministic for a fixed
-    seed. Imports scipy's sparse, ARPACK and k-means modules on first use,
-    so only C-STORM pays for loading them.
+    Clusters g's spectral embedding (`_spectral_embedding`, solved once
+    per view and k), its rows normalized to unit length, with seeded
+    k-means (`_kmeans`). Users the embedding leaves out, isolated users
+    and those of components beyond the k largest, take the label of the
+    largest community found (the lowest such label on ties), or 0 when
+    no user is embedded. Loads scipy's sparse and ARPACK modules on the
+    first solve, so only C-STORM pays for them.
     """
-    import scipy.sparse as sparse
-    from scipy.cluster.vq import kmeans2
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
-
     if not 1 <= k <= g.n:
         raise ValueError(f"community count k={k} out of range [1, {g.n}]")
+    labels = np.zeros(g.n, dtype=np.int64)
     if k == 1:
-        return np.zeros(g.n, dtype=np.int64)
-    rng = np.random.default_rng(rng_seed)
-
-    n = g.n
-    adj = sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
-    deg = g.degrees()
-    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
-    scaling = sparse.diags(inv_sqrt)
-    lap = sparse.identity(n) - scaling @ adj @ scaling
-
-    embedding: np.ndarray | None = None
-    if k < n - 1 and n >= 64:
-        v0 = rng.standard_normal(n)
-        try:
-            _, vecs = eigsh(lap, k=k, which="SA", v0=v0)
-            embedding = vecs
-        except (ArpackError, ArpackNoConvergence):
-            embedding = None
-    if embedding is None:
-        _, eigvecs = np.linalg.eigh(lap.toarray())
-        embedding = eigvecs[:, :k]
-    norms = np.linalg.norm(embedding, axis=1, keepdims=True)
-    embedding = embedding / np.maximum(norms, 1e-12)
-    _, labels = kmeans2(embedding, k, minit="++", seed=rng)
-    return labels.astype(np.int64)
+        return labels
+    users, vectors = _spectral_embedding(g, k)
+    if users.size:
+        points = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+        found = _kmeans(points, k, np.random.default_rng(rng_seed))
+        labels[:] = np.argmax(np.bincount(found, minlength=k))
+        labels[users] = found
+    return labels
 
 
 def load_edge_list(source: str | Path | IO, index_base: int = 1) -> Graph:

@@ -273,11 +273,12 @@ class TestCommands:
         ])
         assert rc == 0
         bench_lines = (bench / "bench.csv").read_text().splitlines()
-        report = tmp_path / "t2.csv"
+        reports = tmp_path / "reports"
         rc = main(["report", "--layout", "table2", "--results", str(bench),
-                   "--out", str(report)])
+                   "--out", str(reports)])
         assert rc == 0
-        lines = report.read_text().splitlines()
+        assert f"wrote {reports / 'table2.csv'}" in capsys.readouterr().out
+        lines = (reports / "table2.csv").read_text().splitlines()
         assert lines == bench_lines  # bench order is the table's scheme order
         assert [line.split(",")[0] for line in lines[1:]] == [
             "drim-a", "drim-na", "storm", "cstorm"]
@@ -291,7 +292,7 @@ class TestCommands:
         ]) == 0
         capsys.readouterr()
         rc = main(["report", "--layout", "table2", "--results", str(partial),
-                   "--out", str(tmp_path / "t2b.csv")])
+                   "--out", str(tmp_path / "partial-report")])
         assert rc == 2
         assert "scheme=drim-na,cstorm" in capsys.readouterr().err
 
@@ -303,15 +304,15 @@ class TestCommands:
                     for scheme in ("drim-a", "drim-na", "storm", "cstorm")]
             harness.write_results_csv(tmp_path / om / "results.csv", rows)
             dirs.append(str(tmp_path / om))
-        report = tmp_path / "f3a.csv"
-        rc = main(["report", "--layout", "fig3a", "--results", *dirs, "--out", str(report)])
+        reports = tmp_path / "reports"
+        rc = main(["report", "--layout", "fig3a", "--results", *dirs, "--out", str(reports)])
         assert rc == 2
         assert "ambiguous result cell: scheme=drim-a" in capsys.readouterr().err
-        assert not report.exists()
+        assert not (reports / "fig3a.csv").exists()
 
     def test_report_missing_cell_fails(self, tmp_path, capsys):
         rc = main([
             "report", "--layout", "table2", "--results", str(tmp_path),
-            "--out", str(tmp_path / "t2.csv"),
+            "--out", str(tmp_path / "reports"),
         ])
         assert rc == 2

@@ -406,6 +406,19 @@ class TestPolicyCache:
         assert len(variants) == len(fields(PPOConfig)) + 5  # k, p_t, p_f, p_nv, prior_a
         assert len(tags) == 1 + len(variants)
 
+    def test_community_contract_moves_only_c_storm_paths(self, monkeypatch):
+        from drim import harness
+
+        spec = ExperimentSpec()
+        before = {scheme: policy_paths(spec, scheme, "drl") for scheme in Scheme}
+        assert before[Scheme.DRIM_A][0].name == f"drim-a_uom_vs_drl_{self.PARENT_DEFAULT_TAG}_s0.bin"
+        monkeypatch.setattr(harness, "COMMUNITY_CONTRACT", "other community labels")
+        after = {scheme: policy_paths(spec, scheme, "drl") for scheme in Scheme}
+        assert harness._policy_tag(spec) == self.PARENT_DEFAULT_TAG
+        for scheme in Scheme:
+            moved = [a != b for a, b in zip(after[scheme], before[scheme])]
+            assert moved == [scheme is Scheme.C_STORM] * 2, scheme
+
     def test_tag_covers_draw_contract(self, monkeypatch):
         from drim import harness
 
@@ -452,6 +465,36 @@ class TestBench:
         assert times["drim-a"] > 0
         lines = (spec.out_dir / "bench.csv").read_text().splitlines()
         assert lines == ["scheme,mean_episode_seconds", f"drim-a,{times['drim-a']:.6f}"]
+
+    def test_episodes_run_one_blas_thread(self, tmp_path, tiny_dataset, monkeypatch):
+        from drim import harness
+        from drim.harness import _openblas_controls
+
+        controls = _openblas_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded")
+        spec = tiny_spec(tmp_path, tiny_dataset)
+        ensure_policies(spec, [(Scheme.STORM, spec.fp_strategy)], workers=1)
+        seen = []
+
+        def probed(*args, **kwargs):
+            seen.append([get() for get, _ in controls])
+            return run_episode(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_episode", probed)
+        before = [get() for get, _ in controls]
+        try:
+            for _, set_ in controls:
+                set_(2)
+            if [get() for get, _ in controls] != [2] * len(controls):
+                pytest.skip("OpenBLAS would not run 2 threads")
+            bench_runtime(spec, schemes=(Scheme.STORM,), episodes=2, workers=1)
+            after = [get() for get, _ in controls]
+        finally:
+            for (_, set_), threads in zip(controls, before):
+                set_(threads)
+        assert seen == [[1] * len(controls)] * 3  # the warm-up and two timed episodes
+        assert after == [2] * len(controls)
 
 
 def synthetic_rows() -> list[ResultRow]:

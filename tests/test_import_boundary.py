@@ -1,8 +1,9 @@
 """scipy is C-STORM's dependency alone.
 
 Importing drim and running its DRIM schemes (SGF's 2-hop counts
-included) loads no scipy module; building a C-STORM agent loads the
-spectral stack that `spectral_communities` uses. Each check runs in a
+included) loads no scipy module; building a C-STORM agent loads
+`scipy.sparse.linalg`, all that `spectral_communities` uses (no
+`scipy.cluster` or `scipy.spatial`), so its episodes load nothing more. Each check runs in a
 fresh interpreter, since other tests load scipy into this one.
 """
 
@@ -36,8 +37,12 @@ ep = run_episode(load_urv_email(), EpisodeConfig(k=20, rng_seed=3), tp, make_heu
 stages["strategies"] = sorted({log.strategy for log in ep.logs})
 stages["episode"] = scipy_modules()
 
-make_scheme_agent(Scheme.C_STORM, init_params(2, 8, 0))
+cstorm = make_scheme_agent(Scheme.C_STORM, init_params(2, 8, 0))
 stages["c_storm"] = scipy_modules()
+cfg = EpisodeConfig(k=5, p_nv=0.6, rng_seed=3)
+ep = run_episode(load_urv_email(), cfg, cstorm, make_heuristic_agent("cf"))
+stages["communities"] = sorted(ep.communities)
+stages["c_storm_episode"] = scipy_modules()
 print(json.dumps(stages))
 """
 
@@ -55,4 +60,10 @@ def test_only_c_storm_loads_scipy():
     assert stages["import"] == []
     assert "sgf" in stages["strategies"]
     assert stages["episode"] == []
-    assert {"scipy.sparse.linalg", "scipy.cluster.vq"} <= set(stages["c_storm"])
+    assert "scipy.sparse.linalg" in stages["c_storm"]
+    # a C-STORM episode solves a masked view with what the agent loaded:
+    # sparse matrices and ARPACK, no k-means or spatial module
+    assert stages["communities"] == [8]
+    assert stages["c_storm_episode"] == stages["c_storm"]
+    assert not [m for m in stages["c_storm_episode"]
+                if m.startswith(("scipy.cluster", "scipy.spatial"))]

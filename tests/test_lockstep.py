@@ -367,6 +367,32 @@ class TestBatchedStep:
 
 
 class TestCommunityLabelsPerReplica:
+    def test_full_view_batch_solves_once_per_graph(self, monkeypatch):
+        import scipy.sparse.linalg as linalg
+
+        calls = []
+        solve = linalg.eigsh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eigsh", counted)
+        base = load_urv_email()
+        g = Graph(base.n, np.stack([base.edge_u, base.edge_v], axis=1))  # nothing cached yet
+        params = rl.init_params(len(action_space(Scheme.C_STORM)), 8, 3)
+        tp_agent = CommunityRestriction(PolicyAgent(params, action_space(Scheme.C_STORM)))
+        cfg = EpisodeConfig(k=3, opinion_model=NOM)
+        games = [Episode(g, cfg.with_seed(seed)) for seed in range(4)]
+        run_lockstep(games, [(tp_agent, make_heuristic_agent("random"))] * len(games))
+        k = tp_agent.k
+        assert len(calls) == 1 and set(g._embeddings) == {k}
+        for game in games:
+            assert game.obs is g
+            assert np.array_equal(game.communities[k], spectral_communities(
+                g, k, np.random.default_rng(game.community_seed)))
+        assert len(calls) == 1
+
     def test_masked_cstorm_replicas_plan_on_their_own_communities(self):
         rng = np.random.default_rng(11)
         edges = [(i, j) for i in range(30) for j in range(i + 1, 30)

@@ -3,9 +3,11 @@
 Oracles: a per-node loop over each node's visible neighbors for free
 degrees, for 1-to-2-hop neighborhood sizes both a plain BFS over the
 visible edge set and scipy's sparse A + A² (the formula the numpy counts
-replaced), and for spectral communities the same steps over a COO
-adjacency assembled from both edge directions (the construction the CSR
-adjacency replaced).
+replaced), for components a BFS, and for the spectral embedding dense
+`eigh` of the normalized Laplacian: its k smallest eigenvectors span the
+embedding's subspace (principal angles below ANGLE_BOUND). A view built
+from a COO adjacency of both edge directions gives the same labels as
+the view itself.
 """
 
 from __future__ import annotations
@@ -82,29 +84,68 @@ def sparse_within2(g: Graph) -> np.ndarray:
     return np.diff(reach.indptr) - reach.diagonal()
 
 
-def coo_spectral_communities(g: Graph, k: int, rng_seed: int) -> np.ndarray:
-    """spectral_communities with its adjacency assembled as a COO matrix
-    from both edge directions and its degrees summed from that matrix."""
+def coo_view(g: Graph) -> Graph:
+    """g rebuilt from a scipy COO adjacency of both edge directions, its
+    entries shuffled."""
     import scipy.sparse as sparse
-    from scipy.cluster.vq import kmeans2
-    from scipy.sparse.linalg import eigsh
 
-    rng = np.random.default_rng(rng_seed)
-    n, eu, ev = g.n, g.edge_u, g.edge_v
-    ones = np.ones(eu.size)
+    eu, ev = g.edge_u, g.edge_v
     adj = sparse.coo_matrix(
-        (np.concatenate([ones, ones]), (np.concatenate([eu, ev]), np.concatenate([ev, eu]))),
-        shape=(n, n),
-    ).tocsr()
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    scaling = sparse.diags(np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0))
-    lap = sparse.identity(n) - scaling @ adj @ scaling
-    if k < n - 1 and n >= 64:
-        _, embedding = eigsh(lap, k=k, which="SA", v0=rng.standard_normal(n))
-    else:
-        embedding = np.linalg.eigh(lap.toarray())[1][:, :k]
-    embedding = embedding / np.maximum(np.linalg.norm(embedding, axis=1, keepdims=True), 1e-12)
-    return kmeans2(embedding, k, minit="++", seed=rng)[1].astype(np.int64)
+        (np.ones(2 * eu.size), (np.concatenate([eu, ev]), np.concatenate([ev, eu]))),
+        shape=(g.n, g.n))
+    order = np.random.default_rng(0).permutation(adj.nnz)
+    return Graph(g.n, np.stack([adj.row[order], adj.col[order]], axis=1))
+
+
+def bfs_component_roots(g: Graph) -> list[int]:
+    """The smallest user id of every user's component, by BFS from each
+    user in ascending order."""
+    roots = [-1] * g.n
+    for start in range(g.n):
+        if roots[start] >= 0:
+            continue
+        roots[start] = start
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for nb in g.indices[g.indptr[v]:g.indptr[v + 1]].tolist():
+                if roots[nb] < 0:
+                    roots[nb] = start
+                    frontier.append(nb)
+    return roots
+
+
+def dense_laplacian_spectrum(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of g's normalized Laplacian over all
+    users (an isolated user's row is the identity's), by dense eigh."""
+    adj = np.zeros((g.n, g.n))
+    adj[g.edge_u, g.edge_v] = adj[g.edge_v, g.edge_u] = 1.0
+    deg = adj.sum(axis=1)
+    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
+    return np.linalg.eigh(np.eye(g.n) - inv_sqrt[:, None] * adj * inv_sqrt)
+
+
+def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Principal angles (radians) between the column spaces of a and b."""
+    cosines = np.linalg.svd(np.linalg.qr(a)[0].T @ np.linalg.qr(b)[0], compute_uv=False)
+    return np.arccos(np.clip(cosines, -1.0, 1.0))
+
+
+# Bound on the principal angles between the embedding and dense eigh's
+# eigenvectors: ARPACK runs at relative tolerance 1e-8, and on the views
+# tested the eigengap after the k-th eigenvalue is about 4e-3 or more, so
+# the subspace error stays near 1e-7 rad (Davis-Kahan); the bound leaves
+# a factor of ten.
+ANGLE_BOUND = 1e-6
+
+
+def embedded(g: Graph, k: int) -> np.ndarray:
+    """The spectral embedding of g as an (n, k) array, zero rows for the
+    users it leaves out."""
+    users, vectors = network._spectral_embedding(g, k)
+    out = np.zeros((g.n, vectors.shape[1]))
+    out[users] = vectors
+    return out
 
 
 @st.composite
@@ -417,10 +458,122 @@ class TestSpectralCommunities:
         view = mask_network(g, 0.6, np.random.default_rng(mask_seed))
         for k, seed in ((8, mask_seed), (3, 100 + mask_seed)):
             got = spectral_communities(view, k, rng_seed=seed)
-            assert np.array_equal(got, coo_spectral_communities(view, k, seed))
+            assert np.array_equal(got, spectral_communities(coo_view(view), k, seed))
         small = make_cycle(12)
         assert np.array_equal(spectral_communities(small, 3, rng_seed=mask_seed),
-                              coo_spectral_communities(small, 3, mask_seed))
+                              spectral_communities(coo_view(small), 3, mask_seed))
+
+    @pytest.mark.parametrize("mask_seed", [0, 1, 2])
+    def test_embedding_spans_dense_smallest_eigenvectors(self, mask_seed):
+        # these views have 2, 3 and 3 components of two or more users, so
+        # the zero eigenvalue repeats, and 37-46 isolated users
+        k = 8
+        view = mask_network(load_urv_email(), 0.6, np.random.default_rng(mask_seed))
+        values, vectors = dense_laplacian_spectrum(view)
+        assert values[k] - values[k - 1] > 1e-3  # the k-dim eigenspace is well defined
+        roots = network._component_roots(view)
+        linked = view.degrees() > 0
+        assert np.unique(roots[linked]).size == np.count_nonzero(values < 1e-9) >= 2
+        got = embedded(view, k)
+        assert np.allclose(got.T @ got, np.eye(k), atol=1e-9)
+        assert principal_angles(got, vectors[:, :k]).max() < ANGLE_BOUND
+
+    def test_at_least_k_components_embed_the_k_largest(self):
+        sizes = (5, 4, 3, 3, 2)
+        edges, base = [], 0
+        for size in sizes:
+            edges += [(base + i, base + j) for i in range(size) for j in range(i + 1, size)]
+            base += size
+        g = Graph(base + 2, edges)  # users 17 and 18 are isolated
+        clique = np.append(np.repeat(np.arange(len(sizes)), sizes), [-1, -1])
+        for k in (3, 5):
+            users, vectors = network._spectral_embedding(g, k)
+            # the first 3-clique wins the tie
+            assert np.array_equal(users, np.flatnonzero((clique >= 0) & (clique < k)))
+            assert np.allclose(vectors.T @ vectors, np.eye(k))
+            labels = spectral_communities(g, k, rng_seed=k)
+            kept = [labels[clique == c] for c in range(k)]
+            assert all(np.all(group == group[0]) for group in kept)
+            assert len({int(group[0]) for group in kept}) == k
+            # everyone left out (the smaller cliques at k = 3, the isolated
+            # users) joins the largest community, the 5-clique's
+            left_out = np.ones(g.n, dtype=bool)
+            left_out[users] = False
+            assert np.all(labels[left_out] == labels[0])
+
+    def test_isolated_users_join_the_largest_community(self):
+        def cliques(a, b):
+            edges = [(i, j) for i in range(a) for j in range(i + 1, a)]
+            edges += [(a + i, a + j) for i in range(b) for j in range(i + 1, b)]
+            return edges + [(0, a)]
+
+        g = Graph(13, cliques(6, 4))  # users 10, 11 and 12 have no edge
+        users, _ = network._spectral_embedding(g, 2)
+        assert np.array_equal(users, np.arange(10))
+        labels = spectral_communities(g, 2, rng_seed=1)
+        assert labels[0] != labels[6]
+        assert np.all(labels[:6] == labels[0]) and np.all(labels[6:10] == labels[6])
+        assert np.all(labels[10:] == labels[0])
+        # between communities of one size, the lower label
+        g = Graph(12, cliques(5, 5))
+        for seed in range(4):
+            labels = spectral_communities(g, 2, rng_seed=seed)
+            assert sorted({int(labels[0]), int(labels[5])}) == [0, 1]
+            assert np.all(labels[10:] == 0)
+
+    def test_no_edges_is_one_community(self):
+        assert np.array_equal(spectral_communities(Graph(5, []), 3, rng_seed=0), np.zeros(5))
+
+    def test_one_solve_per_view_and_k(self, monkeypatch):
+        import scipy.sparse.linalg as linalg
+
+        calls = []
+        solve = linalg.eigsh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eigsh", counted)
+        view = mask_network(load_urv_email(), 0.6, np.random.default_rng(4))
+        first = spectral_communities(view, 8, rng_seed=1)
+        assert np.array_equal(spectral_communities(view, 8, rng_seed=1), first)
+        spectral_communities(view, 8, rng_seed=2)
+        assert len(calls) == 1 and set(view._embeddings) == {8}
+        spectral_communities(view, 5, rng_seed=2)
+        assert len(calls) == 2 and set(view._embeddings) == {5, 8}
+
+    def test_kmeans_keeps_empty_cluster_centres(self):
+        # three distinct points, five clusters: two centres repeat and stay empty
+        points = np.repeat(np.eye(3), [4, 3, 2], axis=0)
+        labels = network._kmeans(points, 5, np.random.default_rng(0))
+        groups = [set(labels[:4].tolist()), set(labels[4:7].tolist()), set(labels[7:].tolist())]
+        assert all(len(group) == 1 for group in groups)
+        assert len(set.union(*groups)) == 3 and labels.max() < 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_graphs(), st.integers(2, 8))
+def test_spectral_labels_on_random_graphs(case, k):
+    n, edges, _ = case
+    g = Graph(n, edges)
+    k = min(k, n)
+    labels = spectral_communities(g, k, rng_seed=0)
+    assert labels.shape == (n,) and labels.min() >= 0 and labels.max() < k
+    users, vectors = network._spectral_embedding(g, k)
+    assert np.all(g.degrees()[users] > 0) and np.all(np.linalg.norm(vectors, axis=1) > 0)
+    left_out = np.ones(n, dtype=bool)
+    left_out[users] = False
+    largest = np.argmax(np.bincount(labels[users], minlength=k))
+    assert np.all(labels[left_out] == largest)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_graphs())
+def test_component_roots_match_bfs(case):
+    n, edges, _ = case
+    g = Graph(n, edges)
+    assert network._component_roots(g).tolist() == bfs_component_roots(g)
 
 
 def _modularity(g: Graph, labels: np.ndarray) -> float:
