@@ -19,6 +19,7 @@ from drim.harness import (
     policy_paths,
     run_grid,
     train_policy,
+    worker_count,
 )
 from drim.strategies import Scheme
 
@@ -57,8 +58,18 @@ def _add_common_overrides(p: argparse.ArgumentParser, unread: tuple[str, ...] = 
 
 
 def _spec_from_args(args, **extra) -> ExperimentSpec:
+    """The one path from a command's input to its spec: its flags (and
+    `extra`) over its `--spec` file. A value the spec rejects, a missing
+    file and, for a command that evaluates, a bad `DRIM_WORKERS` are
+    usage errors: exit 2 before anything is written."""
     overrides = {key: getattr(args, key, None) for key in SPEC_KEYS}
-    return parse_spec_file(args.spec, {**overrides, **extra})
+    try:
+        spec = parse_spec_file(args.spec, {**overrides, **extra})
+        if "workers" in args:
+            worker_count(args.workers)
+    except (ValueError, FileNotFoundError) as exc:
+        args.usage_error(str(exc))
+    return spec
 
 
 def cmd_train(args) -> int:
@@ -84,21 +95,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _ip_range(text: str) -> tuple[int, ...]:
-    """`--range lo:hi` as the ip points lo, lo + 1, ..., hi."""
-    lo, _, hi = text.partition(":")
-    try:
-        points = tuple(range(int(lo), int(hi) + 1))
-    except ValueError:
-        points = ()
-    if not points:
-        raise argparse.ArgumentTypeError(
-            f"expected lo:hi, two integers with lo <= hi, got {text!r}")
-    return points
-
-
 def _positive_int(text: str) -> int:
-    """An integer flag that must be at least 1: `bench --episodes`, `--workers`."""
+    """An integer flag that must be at least 1: `--workers`."""
     try:
         value = int(text)
     except ValueError:
@@ -123,15 +121,8 @@ def _comma_list(choices: tuple[str, ...]):
 
 
 def cmd_sweep(args) -> int:
-    if args.values:
-        values = args.values  # text: parse_spec_file splits it, ExperimentSpec types it
-    elif args.range:
-        if args.axis != "ip":
-            args.usage_error("argument --range: only meaningful for --axis ip; use --values")
-        values = args.range
-    else:
-        values = SWEEP_DEFAULTS[args.axis]
-    spec = _spec_from_args(args, sweep_axis=args.axis, sweep_values=values)
+    # --values is text: parse_spec_file splits it, ExperimentSpec types it
+    spec = _spec_from_args(args, sweep_axis=args.axis, sweep_values=args.values)
     schemes = tuple(map(Scheme, args.schemes)) if args.schemes else None
     rows = run_grid(spec, schemes, workers=args.workers)
     for row in rows:
@@ -143,8 +134,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     spec = _spec_from_args(args)
-    times = bench_runtime(spec, tuple(map(Scheme, args.schemes)), episodes=args.episodes,
-                          workers=args.workers)
+    times = bench_runtime(spec, tuple(map(Scheme, args.schemes)), workers=args.workers)
     for scheme, seconds in times.items():
         print(f"{scheme}: {seconds:.3f} s/episode")
     print(f"wrote {spec.out_dir / 'bench.csv'}")
@@ -176,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                        allow_abbrev=False)
     p.add_argument("--spec", help="config file with defaults")
     _add_common_overrides(p, ("runs", "auto_train"), evaluates=False)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, usage_error=p.error)
 
     p = sub.add_parser("eval", help="evaluate scheme/OM/FP cells", allow_abbrev=False)
     p.add_argument("--spec", help="config file")
@@ -184,24 +174,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oms", type=_comma_list(OPINION_MODELS), help="comma list of opinion models")
     p.add_argument("--fps", type=_comma_list(FP_STRATEGIES), help="comma list of FP strategies")
     _add_common_overrides(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, usage_error=p.error)
 
     p = sub.add_parser("sweep", help="sweep one axis", allow_abbrev=False)
     p.add_argument("--axis", required=True, choices=tuple(SWEEP_DEFAULTS))
-    points = p.add_mutually_exclusive_group()
-    points.add_argument("--range", type=_ip_range, help="lo:hi (ip axis only)")
-    points.add_argument("--values", help="comma list of sweep values")
+    p.add_argument("--values", help="comma list of sweep points (default: the config file's, "
+                                    "else the axis's five)")
     p.add_argument("--spec", help="config file")
     p.add_argument("--schemes", type=_comma_list(SCHEMES), help="comma list of schemes")
     _add_common_overrides(p)
     p.set_defaults(func=cmd_sweep, usage_error=p.error)
 
     p = sub.add_parser("bench", help="per-scheme episode runtime", allow_abbrev=False)
-    p.add_argument("--episodes", type=_positive_int, default=20)
     p.add_argument("--schemes", type=_comma_list(SCHEMES), default=SCHEMES)
     p.add_argument("--spec", help="config file")
-    _add_common_overrides(p, ("scheme", "runs"))  # --schemes, --episodes
-    p.set_defaults(func=cmd_bench)
+    _add_common_overrides(p, ("scheme",))  # --schemes instead
+    p.set_defaults(func=cmd_bench, usage_error=p.error)
 
     p = sub.add_parser("report", help="pivot results into a layout CSV", allow_abbrev=False)
     p.add_argument("--layout", required=True, choices=LAYOUTS)

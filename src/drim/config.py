@@ -5,7 +5,8 @@ converter from text; the `[training]` entries are the fields of
 `PPOConfig`. A config file is INI with the sections `[experiment]`,
 `[episode]`, `[training]` and `[sweep]`; in `[sweep]` the keys drop
 their `sweep_` prefix (`axis`, `values`). An unknown section or key is
-an error. Overrides (the CLI's flags) win over the file.
+an error, and so is a value its converter rejects, named by its key.
+Overrides (the CLI's flags) win over the file.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ def _auto_train(value: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
     except KeyError:
-        raise ValueError(
-            f"auto_train must be one of 1/yes/true/on or 0/no/false/off, got {value!r}") from None
+        raise ValueError(f"expected one of 1/yes/true/on or 0/no/false/off, got {value!r}") from None
 
 
 def _words(value: str) -> tuple[str, ...]:
@@ -94,5 +94,8 @@ def parse_spec_file(path: str | Path | None, overrides: dict | None = None) -> E
             raise ValueError(f"unknown spec override {key!r}")
         section, convert = SPEC_KEYS[key]
         sink = ppo_values if section == "training" else values
-        sink[key] = convert(value) if isinstance(value, str) else value
+        try:
+            sink[key] = convert(value) if isinstance(value, str) else value
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     return ExperimentSpec(**values, ppo=PPOConfig(**ppo_values))

@@ -140,6 +140,13 @@ class ExperimentSpec:
             if not self.sweep_values:
                 raise ValueError("sweep grid must be nonempty")
             self.sweep_values = tuple(self._sweep_point(v) for v in self.sweep_values)
+            seen: dict[str, int | float] = {}
+            for value in self.sweep_values:  # two points of one coordinate would share seeds
+                text = self.coordinates(sweep_value=value)[-1]
+                if text in seen:
+                    raise ValueError(f"sweep points {seen[text]!r} and {value!r} "
+                                     f"share the coordinate sweep_value={text}")
+                seen[text] = value
         for value in self.sweep_values or (None,):
             self.episode_config(value)  # rejects a bad scenario before anything runs
         self.out_dir = Path(self.out_dir)
@@ -568,8 +575,7 @@ def read_results_csv(path: Path) -> list[ResultRow]:
 
 def write_raw_csv(path: Path, raw_rows: list[dict]) -> None:
     cols = (*COORDINATES, "run", "n_true", "n_false", "decided_n_true", "decided_n_false")
-    _write_csv(path, cols, ([f"{rec[c]:g}" if isinstance(rec[c], float) else rec[c] for c in cols]
-                            for rec in raw_rows))
+    _write_csv(path, cols, ([rec[c] for c in cols] for rec in raw_rows))
 
 
 def write_counters_csv(path: Path, raw_rows: list[dict]) -> None:
@@ -587,8 +593,8 @@ def write_timings_csv(path: Path, timing_rows: list[tuple]) -> None:
 def write_roundlog_csv(path: Path, episode_logs: list[tuple[int, list[RoundLog]]]) -> None:
     """Per-step audit export: episode, t, party, strategy, seed, counts, reward."""
     _write_csv(path, ("episode", "t", "party", "strategy", "seed_id", "n_true", "n_false", "reward"),
-               ((episode_idx, e.t, e.party.value, e.strategy, e.seed, e.n_true, e.n_false,
-                 f"{e.reward:g}") for episode_idx, logs in episode_logs for e in logs))
+               ((episode_idx, e.t, e.party.value, e.strategy, e.seed, e.n_true, e.n_false, e.reward)
+                for episode_idx, logs in episode_logs for e in logs))
 
 
 # ----------------------------------------------------------------------
@@ -693,18 +699,16 @@ def emit_report(results_dirs: list[str | Path], layout: str, out_path: Path) -> 
 def bench_runtime(
     spec: ExperimentSpec,
     schemes: tuple[Scheme, ...] = (Scheme.DRIM_A, Scheme.DRIM_NA, Scheme.STORM, Scheme.C_STORM),
-    episodes: int = 20,
     workers: int | None = None,
 ) -> dict[str, float]:
     """Mean wall-clock seconds per evaluation episode for each scheme,
     also written to `bench.csv` in spec.out_dir.
 
-    Runs episodes+1 per scheme in-process, one at a time (no lockstep
-    batch), and discards the first (warmup). Like every drim computation,
-    the episodes run with OpenBLAS at one thread (`single_thread_blas`).
+    Runs spec.runs + 1 episodes per scheme in-process, one at a time (no
+    lockstep batch), and discards the first (warmup). Like every drim
+    computation, the episodes run with OpenBLAS at one thread
+    (`single_thread_blas`).
     """
-    if episodes < 1:
-        raise ValueError("bench needs at least one timed episode")
     graph = load_graph(spec)
     check_playable(spec, graph)
     ensure_policies(spec, [(s, spec.fp_strategy) for s in schemes], workers)
@@ -714,7 +718,7 @@ def bench_runtime(
         for scheme in schemes:
             tp_agent, fp_agent = load_cell_agents(spec, scheme, spec.fp_strategy)
             times = []
-            for run in range(episodes + 1):
+            for run in range(spec.runs + 1):
                 seed = derive_seed(spec.master_seed, "bench", scheme.value, run)
                 start = time.perf_counter()
                 run_episode(graph, cfg.with_seed(seed), tp_agent, fp_agent)

@@ -307,18 +307,18 @@ def spectral_communities(
     return labels
 
 
-def load_edge_list(source: str | Path | IO, index_base: int = 1) -> Graph:
+def load_edge_list(source: str | Path | IO) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
-    Lines hold two integer ids; '%' and '#' start comment lines. Input
-    whose first line is a `%%MatrixMarket` banner is read as Matrix
-    Market: its first non-comment line gives the dimensions, and entries
-    are 1-indexed. Inputs are normalized to 0-indexed ids; self-loops and
-    duplicate edges are dropped.
+    Lines hold two integer ids, numbered from 1; '%' and '#' start
+    comment lines. Input whose first line is a `%%MatrixMarket` banner
+    is read as Matrix Market: its first non-comment line gives the
+    dimensions. Ids become 0-indexed; self-loops and duplicate edges are
+    dropped.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            return load_edge_list(fh, index_base=index_base)
+            return load_edge_list(fh)
     raw = source.read()
     text = raw.decode() if isinstance(raw, bytes) else raw
 
@@ -326,8 +326,6 @@ def load_edge_list(source: str | Path | IO, index_base: int = 1) -> Graph:
     edges: list[tuple[int, int]] = []
     declared_n: int | None = None
     max_id = -1
-    if matrix_market:
-        index_base = 1
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -348,10 +346,10 @@ def load_edge_list(source: str | Path | IO, index_base: int = 1) -> Graph:
             a, b = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-integer node id in {stripped!r}") from exc
-        a -= index_base
-        b -= index_base
+        a -= 1
+        b -= 1
         if a < 0 or b < 0:
-            raise ValueError(f"line {lineno}: node id below index base")
+            raise ValueError(f"line {lineno}: node ids start at 1, got {stripped!r}")
         if declared_n is not None and (a >= declared_n or b >= declared_n):
             raise ValueError(f"line {lineno}: node id exceeds declared size {declared_n}")
         max_id = max(max_id, a, b)

@@ -143,7 +143,7 @@ class RoundLog:
     strategy: str
     n_true: int
     n_false: int
-    reward: float
+    reward: int
 
 
 @dataclass
@@ -454,19 +454,20 @@ class Episode:
         self.n_false_series.append(nf)
         counts = self.n_true_series if party is Party.TRUE_PARTY else self.n_false_series
         prev = self.t - 2 if self.t >= 2 else 0
-        reward = float(counts[self.t] - counts[prev])
+        reward = counts[self.t] - counts[prev]
         entry = RoundLog(self.t, party, seed, fired, nt, nf, reward)
         self.logs.append(entry)
         return entry
 
-    def final_metrics(self) -> dict[str, float]:
+    def final_metrics(self) -> dict[str, int]:
+        """Raw influence counts at the end, and the decided counts the
+        last step left."""
         n_true, n_false = influence_counts(self.pop)
-        dec_true, dec_false = decided_influence_counts(self.pop)[0].tolist()
         return {
-            "n_true": float(n_true),
-            "n_false": float(n_false),
-            "decided_n_true": float(dec_true),
-            "decided_n_false": float(dec_false),
+            "n_true": n_true,
+            "n_false": n_false,
+            "decided_n_true": self.n_true_series[-1],
+            "decided_n_false": self.n_false_series[-1],
         }
 
 

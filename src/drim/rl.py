@@ -509,46 +509,46 @@ def save_params(params: PolicyParams, path: str | Path) -> None:
             fh.write(mat.tobytes(order="C"))
 
 
+def _param_shapes(n_actions: int, hidden: int) -> list[tuple[int, ...]]:
+    """Shapes of a policy's twelve arrays, in `save_params` order: the
+    actor's, then the critic's (one output), each w1, b1, w2, b2, w3, b3."""
+    return [shape for out in (n_actions, 1)
+            for shape in ((STATE_DIM, hidden), (hidden,), (hidden, hidden), (hidden,),
+                          (hidden, out), (out,))]
+
+
 def load_params(path: str | Path, expected_actions: int | None = None) -> PolicyParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a `save_params` file. Its header's action count and hidden
+    width declare every array's shape (`_param_shapes`); each stored
+    array must have it (a bias is stored as one row), and the file must
+    end after the last one."""
+    blob = Path(path).read_bytes()
     if not blob.startswith(_MAGIC):
         raise ValueError(f"{path}: not a policy parameter file")
-    offset = len(_MAGIC)
-    try:
-        n_actions, hidden = struct.unpack_from("<II", blob, offset)
-        offset += 8
-        (count,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        arrays = []
-        for _ in range(count):
-            rows, cols = struct.unpack_from("<II", blob, offset)
-            offset += 8
-            size = rows * cols * 8
-            if offset + size > len(blob):
-                raise ValueError(f"{path}: truncated parameter file")
-            arrays.append(
-                np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=offset)
-                .reshape(rows, cols)
-                .copy()
-            )
-            offset += size
-    except struct.error as exc:
-        raise ValueError(f"{path}: truncated parameter file") from exc
-    if offset != len(blob):
-        raise ValueError(f"{path}: trailing bytes in parameter file")
-    if count != 12:
-        raise ValueError(f"{path}: expected 12 arrays, found {count}")
+    offset = len(_MAGIC) + 12
+    if len(blob) < offset:
+        raise ValueError(f"{path}: truncated parameter file")
+    n_actions, hidden, count = struct.unpack_from("<III", blob, len(_MAGIC))
     if expected_actions is not None and n_actions != expected_actions:
         raise ValueError(
             f"{path}: policy trained for {n_actions} actions, expected {expected_actions}"
         )
-
-    def vec(a):  # stored 1-D arrays come back as (1, n)
-        return a.reshape(-1)
-
-    actor = Mlp(arrays[0], vec(arrays[1]), arrays[2], vec(arrays[3]), arrays[4], vec(arrays[5]))
-    critic = Mlp(arrays[6], vec(arrays[7]), arrays[8], vec(arrays[9]), arrays[10], vec(arrays[11]))
-    if actor.out_dim != n_actions or actor.hidden != hidden:
-        raise ValueError(f"{path}: header inconsistent with array shapes")
-    return PolicyParams(actor, critic)
+    shapes = _param_shapes(n_actions, hidden)
+    if count != len(shapes):
+        raise ValueError(f"{path}: expected {len(shapes)} arrays, found {count}")
+    arrays = []
+    for i, shape in enumerate(shapes):
+        want = shape if len(shape) == 2 else (1, *shape)
+        end = offset + 8 + 8 * math.prod(shape)
+        if end > len(blob):
+            raise ValueError(f"{path}: truncated parameter file")
+        stored = struct.unpack_from("<II", blob, offset)
+        if stored != want:
+            raise ValueError(f"{path}: array {i} is {stored[0]}x{stored[1]}, but the header's "
+                             f"{n_actions} actions and hidden width {hidden} make it "
+                             f"{want[0]}x{want[1]}")
+        arrays.append(np.frombuffer(blob, "<f8", math.prod(shape), offset + 8).reshape(shape).copy())
+        offset = end
+    if offset != len(blob):
+        raise ValueError(f"{path}: trailing bytes in parameter file")
+    return PolicyParams(Mlp(*arrays[:6]), Mlp(*arrays[6:]))

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drim import harness
+from drim import cli, harness
 from drim.cli import build_parser, main
+from drim.propagation import run_episode
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +49,9 @@ OPTION_STRINGS = {
     "eval": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--no-auto-train", "--policies", "--runs",
              "--scheme", "--fps", "--oms", "--out", "--schemes", "--spec", "--workers"],
     "sweep": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--no-auto-train", "--policies", "--runs",
-              "--scheme", "--axis", "--out", "--range", "--schemes", "--spec", "--values",
-              "--workers"],
-    "bench": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--no-auto-train", "--policies",
-              "--episodes", "--out", "--schemes", "--spec", "--workers"],
+              "--scheme", "--axis", "--out", "--schemes", "--spec", "--values", "--workers"],
+    "bench": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--no-auto-train", "--policies", "--runs",
+              "--out", "--schemes", "--spec", "--workers"],
     "report": [*HELP_FLAGS, "--layout", "--out", "--results"],
 }
 
@@ -75,15 +76,13 @@ class TestParser:
 
     @pytest.mark.parametrize("argv,message", [
         (["bench", "--scheme", "storm"], "unrecognized arguments: --scheme storm"),
-        (["bench", "--runs", "7"], "unrecognized arguments: --runs 7"),
         (["train", "--opponent", "cf"], "unrecognized arguments: --opponent cf"),
         (["train", "--fp", "cf", "--runs", "9"], "unrecognized arguments: --runs 9"),
         (["train", "--fp", "cf", "--no-auto-train"], "unrecognized arguments: --no-auto-train"),
-        (["sweep", "--axis", "ip", "--values", "1", "--range", "3:4"],
-         "argument --range: not allowed with argument --values"),
-        (["bench", "--episodes", "0"], "argument --episodes: expected an integer >= 1, got '0'"),
-        (["bench", "--episodes", "-2"], "argument --episodes: expected an integer >= 1, got '-2'"),
+        (["sweep", "--axis", "ip", "--range", "1:5"], "unrecognized arguments: --range 1:5"),
+        (["bench", "--episodes", "5"], "unrecognized arguments: --episodes 5"),
         (["eval", "--workers", "0"], "argument --workers: expected an integer >= 1, got '0'"),
+        (["eval", "--workers", "two"], "argument --workers: expected an integer >= 1, got 'two'"),
         (["sweep", "--axis", "ip", "--workers", "0"],
          "argument --workers: expected an integer >= 1, got '0'"),
         (["bench", "--workers", "-1"], "argument --workers: expected an integer >= 1, got '-1'"),
@@ -95,9 +94,9 @@ class TestParser:
         (["sweep", "--axis", "ip", "--schemes", "storm,storm"],
          "argument --schemes: 'storm' given twice"),
         (["bench", "--schemes", "drim-a,"], "argument --schemes: invalid choice: ''"),
-    ], ids=["bench-scheme", "bench-runs", "train-opponent", "train-runs",
-            "train-no-auto-train", "sweep-values-and-range", "bench-episodes-zero",
-            "bench-episodes-negative", "eval-workers-zero", "sweep-workers-zero",
+    ], ids=["bench-scheme", "train-opponent", "train-runs",
+            "train-no-auto-train", "sweep-range", "bench-episodes",
+            "eval-workers-zero", "eval-workers-word", "sweep-workers-zero",
             "bench-workers-negative", "eval-schemes-unknown", "eval-oms-unknown",
             "eval-fps-unknown", "eval-fps-repeated", "sweep-schemes-repeated",
             "bench-schemes-empty-entry"])
@@ -219,14 +218,83 @@ class TestCommands:
         ("--selfplay-alternations", "0"), ("--actor-lr", "nan"), ("--critic-lr", "inf"),
         ("--entropy-coef", "-5.0"),
     ])
-    def test_train_rejects_bad_ppo_values_before_training(self, tiny_edges, tmp_path,
+    def test_train_rejects_bad_ppo_values_before_training(self, tiny_edges, tmp_path, capsys,
                                                           flag, value):
         out = tmp_path / "res"
         field = flag[2:].replace("-", "_")
-        with pytest.raises(ValueError, match=f"{field} must.*got {value}"):
+        with pytest.raises(SystemExit) as exc:
             main(["train", "--scheme", "drim-a", "--fp", "drl", "--dataset",
                   str(tiny_edges), "--out", str(out), *TRAIN_FAST, flag, value])
+        assert exc.value.code == 2
+        assert re.search(f"drim train: error: {field} must.*got {value}", capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, spec_text, env, message", [
+        (["eval", "--runs", "0"], None, None, "runs must be >= 1"),
+        (["eval", "--p-nv", "2"], None, None, "p_nv must lie in [0, 1], got 2.0"),
+        (["sweep", "--axis", "p_nv", "--values", "0.2,7"], None, None,
+         "p_nv must lie in [0, 1], got 7.0"),
+        (["sweep", "--axis", "p_nv", "--values", "0.2,0.2"], None, None,
+         "sweep points 0.2 and 0.2 share the coordinate sweep_value=0.2"),
+        (["eval"], "[episode]\nk = 0\n", None, "k must be a whole number >= 1, got 0"),
+        (["eval"], "[episode]\nk = three\n", None,
+         "k: invalid literal for int() with base 10: 'three'"),
+        (["train"], "[experiment]\nauto_train = ture\n", None,
+         "auto_train: expected one of 1/yes/true/on or 0/no/false/off, got 'ture'"),
+        (["bench"], "[experiment]\nrunz = 3\n", None, "unknown key 'runz' in [experiment]"),
+        (["eval", "--spec", "absent.cfg"], None, None, "config file absent.cfg not found"),
+        (["bench", "--runs", "0"], None, None, "runs must be >= 1"),
+        (["eval"], None, "abc", "DRIM_WORKERS='abc' is not an integer >= 1"),
+        (["sweep", "--axis", "ip"], None, "0", "DRIM_WORKERS='0' is not an integer >= 1"),
+    ], ids=["runs-zero", "p-nv-two", "sweep-point-out-of-range", "sweep-points-share-coordinate",
+            "file-k-zero", "file-k-word", "file-auto-train-typo", "file-unknown-key",
+            "missing-spec-file", "bench-runs-zero", "workers-env-word", "workers-env-zero"])
+    def test_bad_setting_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, spec_text,
+                                        env, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("loaded a graph or trained a policy")
+
+        monkeypatch.setattr(harness, "load_graph", no_work)
+        monkeypatch.setattr(harness, "train_agent", no_work)
+        monkeypatch.chdir(tmp_path)
+        if env is not None:
+            monkeypatch.setenv("DRIM_WORKERS", env)
+        if spec_text is not None:
+            Path("spec.cfg").write_text(spec_text)
+            argv = [*argv, "--spec", "spec.cfg"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", "res"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: drim {argv[0]}")
+        assert f"drim {argv[0]}: error: {message}\n" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["spec.cfg"] if spec_text else [])
+
+    def test_sweep_points_come_from_values_else_file_else_axis(self, tmp_path, monkeypatch):
+        specs = []
+        monkeypatch.setattr(cli, "run_grid", lambda spec, *args, **kwargs: specs.append(spec) or [])
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text("[sweep]\naxis = ip\nvalues = 2 3\n")
+        for argv in (["--values", "4"], ["--spec", str(cfg)], []):
+            assert main(["sweep", "--axis", "ip", "--out", str(tmp_path), *argv]) == 0
+        assert [spec.sweep_values for spec in specs] == [(4,), (2, 3), (1, 2, 3, 4, 5)]
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_bench_times_runs_episodes(self, tiny_edges, tmp_path, capsys, monkeypatch, source):
+        played = []
+
+        def counted(*args):
+            played.append(args)
+            return run_episode(*args)
+
+        monkeypatch.setattr(harness, "run_episode", counted)
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text("[experiment]\nruns = 3\n")
+        runs = ["--runs", "3"] if source == "flag" else ["--spec", str(cfg)]
+        assert main(["bench", *runs, "--schemes", "storm,drim-na", "--om", "nom", "--fp", "cf",
+                     "--dataset", str(tiny_edges), "--out", str(tmp_path / "bench"),
+                     *BENCH_FAST]) == 0
+        assert len(played) == 2 * (1 + 3)  # per scheme, the warm-up and three timed episodes
 
     def test_sweep(self, tiny_edges, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -239,27 +307,10 @@ class TestCommands:
         text = (out / "results.csv").read_text()
         assert ",ip,1," in text and ",ip,2," in text
 
-    @pytest.mark.parametrize("axis, bad, message", [
-        pytest.param("ip", "5", "expected lo:hi, two integers with lo <= hi, got '5'", id="5"),
-        pytest.param("ip", "a:b", "expected lo:hi, two integers with lo <= hi, got 'a:b'",
-                     id="a:b"),
-        pytest.param("p_nv", "1:3", "only meaningful for --axis ip; use --values",
-                     id="p_nv-1:3"),
-    ])
-    def test_sweep_rejects_bad_range(self, tmp_path, capsys, axis, bad, message):
-        out = tmp_path / "sweep"
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--axis", axis, "--range", bad, "--out", str(out), *FAST])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: drim sweep")
-        assert f"drim sweep: error: argument --range: {message}" in err
-        assert not out.exists()
-
     def test_bench(self, tiny_edges, tmp_path, capsys):
         out = tmp_path / "bench"
         rc = main([
-            "bench", "--episodes", "1", "--schemes", "drim-a", "--om", "nom",
+            "bench", "--runs", "1", "--schemes", "drim-a", "--om", "nom",
             "--fp", "cf", "--dataset", str(tiny_edges), "--out", str(out), *BENCH_FAST,
         ])
         assert rc == 0
@@ -268,7 +319,7 @@ class TestCommands:
     def test_bench_then_table2_report(self, tiny_edges, tmp_path, capsys):
         bench = tmp_path / "bench"
         rc = main([
-            "bench", "--episodes", "1", "--om", "nom", "--fp", "cf",
+            "bench", "--runs", "1", "--om", "nom", "--fp", "cf",
             "--dataset", str(tiny_edges), "--out", str(bench), *BENCH_FAST,
         ])
         assert rc == 0
@@ -286,7 +337,7 @@ class TestCommands:
 
         partial = tmp_path / "partial"
         assert main([
-            "bench", "--episodes", "1", "--schemes", "drim-a,storm", "--om", "nom",
+            "bench", "--runs", "1", "--schemes", "drim-a,storm", "--om", "nom",
             "--fp", "cf", "--dataset", str(tiny_edges), "--out", str(partial),
             "--policies", str(bench / "policies"), *BENCH_FAST,
         ]) == 0

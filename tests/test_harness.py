@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -122,9 +123,20 @@ class TestExperimentSpec:
 
     @pytest.mark.parametrize("axis, values", [
         ("p_nv", (0.5, 1.5)), ("prior_a", (-0.2, 0.5)), ("ip", (2, 0)), ("ip", (1.5,)),
+        ("p_nv", ()),
     ])
     def test_bad_sweep_value_rejected_at_construction(self, axis, values):
         with pytest.raises(ValueError):
+            ExperimentSpec(sweep_axis=axis, sweep_values=values)
+
+    @pytest.mark.parametrize("axis, values, named", [
+        ("p_nv", (0.2, 0.4, 0.2), "0.2 and 0.2 share the coordinate sweep_value=0.2"),
+        ("prior_a", (0.1234561, 0.1234564),
+         "0.1234561 and 0.1234564 share the coordinate sweep_value=0.123456"),
+        ("ip", (2, "2.0"), "2 and 2 share the coordinate sweep_value=2"),
+    ])
+    def test_sweep_points_sharing_a_coordinate_rejected(self, axis, values, named):
+        with pytest.raises(ValueError, match=re.escape(f"sweep points {named}")):
             ExperimentSpec(sweep_axis=axis, sweep_values=values)
 
     def test_unit_interval_bounds_accepted(self):
@@ -454,14 +466,9 @@ class TestPolicyCache:
 
 
 class TestBench:
-    def test_rejects_zero_episodes(self, tmp_path, tiny_dataset):
-        spec = tiny_spec(tmp_path, tiny_dataset)
-        with pytest.raises(ValueError):
-            bench_runtime(spec, episodes=0)
-
     def test_times_positive(self, tmp_path, tiny_dataset):
         spec = tiny_spec(tmp_path, tiny_dataset)
-        times = bench_runtime(spec, schemes=(Scheme.DRIM_A,), episodes=2, workers=1)
+        times = bench_runtime(spec, schemes=(Scheme.DRIM_A,), workers=1)
         assert times["drim-a"] > 0
         lines = (spec.out_dir / "bench.csv").read_text().splitlines()
         assert lines == ["scheme,mean_episode_seconds", f"drim-a,{times['drim-a']:.6f}"]
@@ -488,12 +495,12 @@ class TestBench:
                 set_(2)
             if [get() for get, _ in controls] != [2] * len(controls):
                 pytest.skip("OpenBLAS would not run 2 threads")
-            bench_runtime(spec, schemes=(Scheme.STORM,), episodes=2, workers=1)
+            bench_runtime(spec, schemes=(Scheme.STORM,), workers=1)
             after = [get() for get, _ in controls]
         finally:
             for (_, set_), threads in zip(controls, before):
                 set_(threads)
-        assert seen == [[1] * len(controls)] * 3  # the warm-up and two timed episodes
+        assert seen == [[1] * len(controls)] * 3  # the warm-up and spec.runs = 2 timed episodes
         assert after == [2] * len(controls)
 
 
@@ -545,6 +552,15 @@ class TestEmitReport:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "prior_a,drim-a,drim-na,storm,cstorm"
         assert len(lines) == 6
+
+    def test_fig3_layout_without_its_axis_fails(self, tmp_path):
+        # a results.csv of the other axes' sweeps only: no fig3a row at all
+        rows = [ResultRow("storm", "uom", "cf", axis, "0.5", 2, 700.0, 5.0, 300.0, 650.0)
+                for axis in ("p_nv", "prior_a")]
+        with pytest.raises(ValueError, match="missing result cell: sweep_axis=ip"):
+            emit_report(results_dir(tmp_path, rows + synthetic_rows()), "fig3a",
+                        tmp_path / "f3a.csv")
+        assert not (tmp_path / "f3a.csv").exists()
 
     @pytest.mark.parametrize("layout", ["table1", "fig3a"])
     def test_cell_in_two_directories_is_ambiguous(self, tmp_path, layout):
@@ -666,6 +682,10 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=pattern):
             parse_spec_file(None, {key: text})
 
+    def test_unknown_override_rejected(self):
+        with pytest.raises(ValueError, match="unknown spec override 'bogus'"):
+            parse_spec_file(None, {"runs": 2, "bogus": 1})
+
     def test_no_file_defaults(self):
         spec = parse_spec_file(None, {"runs": 2})
         assert spec.runs == 2
@@ -685,14 +705,24 @@ class TestAuxCsvWriters:
         assert lines[0] == "episode,t,party,strategy,seed_id,n_true,n_false,reward"
         assert len(lines) == 1 + 4  # 2 rounds x 2 parties
 
+    def test_counts_print_as_integers(self, tmp_path):
+        big = 1234567
+        write_raw_csv(tmp_path / "raw.csv", [{**TestAtomicResultCsvs.GOOD_RAW, "n_true": big}])
+        assert (tmp_path / "raw.csv").read_text().splitlines()[1] == \
+            f"drim-a,uom,cf,none,none,0,{big},2,0,1"
+        log = RoundLog(1, Party.FALSE_PARTY, 3, "cf", big, 1, big)
+        write_roundlog_csv(tmp_path / "rounds.csv", [(0, [log])])
+        assert (tmp_path / "rounds.csv").read_text().splitlines()[1] == \
+            f"0,1,fp,cf,3,{big},1,{big}"
+
 
 class TestAtomicResultCsvs:
     """A result CSV write that raises midway leaves the previous file and
     no temp file behind."""
 
     GOOD_RAW = {"scheme": "drim-a", "opinion_model": "uom", "fp_strategy": "cf",
-                "sweep_axis": "none", "sweep_value": "none", "run": 0, "n_true": 1.0,
-                "n_false": 2.0, "decided_n_true": 0.0, "decided_n_false": 1.0,
+                "sweep_axis": "none", "sweep_value": "none", "run": 0, "n_true": 1,
+                "n_false": 2, "decided_n_true": 0, "decided_n_false": 1,
                 "reached": 3, "reads": 2, "fusions": 1, "refreshes": 0, "frozen": 0,
                 "degenerate": 0}
 
@@ -702,7 +732,7 @@ class TestAtomicResultCsvs:
         ("counters.csv", write_counters_csv, [GOOD_RAW], [{"scheme": "x"}]),
         ("timings.csv", write_timings_csv, [("a", "b", "c", "d", "e", 0, 0.5)], [("x",)]),
         ("rounds.csv", write_roundlog_csv,
-         [(0, [RoundLog(1, Party.FALSE_PARTY, 3, "cf", 0, 1, 1.0)])], [(1, [object()])]),
+         [(0, [RoundLog(1, Party.FALSE_PARTY, 3, "cf", 0, 1, 1)])], [(1, [object()])]),
     ])
     def test_failed_write_keeps_previous_file(self, tmp_path, name, write, good, bad):
         path = tmp_path / name

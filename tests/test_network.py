@@ -222,9 +222,12 @@ class TestLoadEdgeList:
         g = load_edge_list(io.BytesIO(b"% header\n# note\n1 2\n"))
         assert g.num_edges == 1
 
-    def test_zero_indexed_flag(self):
-        g = load_edge_list(io.BytesIO(b"0 1\n1 2\n"), index_base=0)
-        assert g.n == 3 and g.num_edges == 2
+    @pytest.mark.parametrize("text, line", [
+        (b"1 2\n0 1\n", 2), (b"%%MatrixMarket\n3 3 2\n1 2\n0 1\n", 4),
+    ], ids=["plain", "matrix-market"])
+    def test_zero_id_rejected_with_line_number(self, text, line):
+        with pytest.raises(ValueError, match=f"line {line}: node ids start at 1, got '0 1'"):
+            load_edge_list(io.BytesIO(text))
 
     def test_matrix_market(self):
         mm = b"%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n1 2\n2 3\n"
@@ -245,6 +248,14 @@ class TestLoadEdgeList:
     def test_single_token_line(self):
         with pytest.raises(ValueError):
             load_edge_list(io.BytesIO(b"7\n"))
+
+    @pytest.mark.parametrize("size_line, message", [
+        (b"3", "line 2: bad matrix market dimension line"),
+        (b"3 x 2", "line 2: bad matrix market dimensions"),
+    ], ids=["one-field", "non-integer"])
+    def test_bad_matrix_market_size_line(self, size_line, message):
+        with pytest.raises(ValueError, match=message):
+            load_edge_list(io.BytesIO(b"%%MatrixMarket\n" + size_line + b"\n1 2\n"))
 
     def test_out_of_range_index(self):
         mm = b"%%MatrixMarket\n2 2 1\n1 5\n"
@@ -475,6 +486,24 @@ class TestSpectralCommunities:
         linked = view.degrees() > 0
         assert np.unique(roots[linked]).size == np.count_nonzero(values < 1e-9) >= 2
         got = embedded(view, k)
+        assert np.allclose(got.T @ got, np.eye(k), atol=1e-9)
+        assert principal_angles(got, vectors[:, :k]).max() < ANGLE_BOUND
+
+    def test_dense_fallback_when_arpack_does_not_converge(self):
+        from scipy.sparse import linalg
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        def no_convergence(*args, **kwargs):
+            calls.append(kwargs["k"])
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        calls = []
+        k = 8
+        view = mask_network(load_urv_email(), 0.6, np.random.default_rng(0))
+        with mock.patch.object(linalg, "eigsh", no_convergence):
+            got = embedded(view, k)
+        assert calls == [k - 2]  # the view's 2 components give 2 zero modes in closed form
+        values, vectors = dense_laplacian_spectrum(view)
         assert np.allclose(got.T @ got, np.eye(k), atol=1e-9)
         assert principal_angles(got, vectors[:, :k]).max() < ANGLE_BOUND
 

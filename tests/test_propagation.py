@@ -358,6 +358,11 @@ class TestRewards:
         (nt, nf), = decided_influence_counts(ep.pop).tolist()
         assert ep.logs[-1].n_true == nt
         assert ep.logs[-1].n_false == nf
+        metrics = ep.final_metrics()
+        assert (metrics["decided_n_true"], metrics["decided_n_false"]) == (nt, nf)
+        assert metrics["n_true"] + metrics["n_false"] == g.n
+        assert all(type(value) is int for value in metrics.values())
+        assert all(type(entry.reward) is int for entry in ep.logs)
 
 
 class TestDiscountedReturn:

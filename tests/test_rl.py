@@ -230,6 +230,19 @@ class TestPpoUpdate:
         with pytest.raises(ValueError):
             ppo_update(params, batch, PPOConfig(hidden=16))
 
+    def test_non_finite_loss_raises(self):
+        params = init_params(4, 16, rng_seed=0)
+        batch = Batch(
+            states=np.ones((4, 2)),
+            actions=np.arange(4),
+            log_probs=np.full(4, np.log(0.25)),
+            returns=np.array([0.0, 1.0, np.inf, 0.0]),
+            values=np.zeros(4),
+        )
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError,
+                                                          match="non-finite PPO loss"):
+            ppo_update(params, batch, PPOConfig(hidden=16))
+
 
 class TestBanditTraining:
     def test_dominant_action_learned(self):
@@ -395,6 +408,41 @@ class TestPersistence:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ValueError):
+            load_params(path)
+
+    @pytest.mark.parametrize("in_dim, out_dim, message", [
+        (3, 1, "array 6 is 3x16, but .* make it 2x16"),
+        (2, 2, "array 10 is 16x2, but .* make it 16x1"),
+    ], ids=["3-wide-state", "2-output-critic"])
+    def test_array_shape_off_its_layout_rejected(self, tmp_path, in_dim, out_dim, message):
+        # the header (4 actions, hidden 16) holds; only the critic is off
+        params = init_params(4, 16, rng_seed=9)
+        params.critic = rl.Mlp.create(in_dim, 16, out_dim, np.random.default_rng(0))
+        path = tmp_path / "policy.bin"
+        save_params(params, path)
+        with pytest.raises(ValueError, match=message):
+            load_params(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        (1, 8, "array 0 is 2x16, but the header's 4 actions and hidden width 8 make it 2x8"),
+        (2, 11, "expected 12 arrays, found 11"),
+    ], ids=["hidden-width", "array-count"])
+    def test_header_off_the_arrays_rejected(self, tmp_path, field, value, message):
+        # the header is (action count, hidden width, array count), three uint32 after the magic
+        path = tmp_path / "policy.bin"
+        save_params(init_params(4, 16, rng_seed=9), path)
+        blob = bytearray(path.read_bytes())
+        at = len(rl._MAGIC) + 4 * field
+        blob[at:at + 4] = value.to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=message):
+            load_params(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "policy.bin"
+        save_params(init_params(4, 16, rng_seed=9), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing bytes"):
             load_params(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
