@@ -4,7 +4,8 @@
 Evaluates two schemes under all three opinion models against one false
 party and sweeps the true party's propagation budget. Budgets are small;
 the CLI runs the full versions, and `drim report` pivots their output
-directories into the paper's layouts (table2 from `drim bench`).
+directories into the paper's layouts (table2 from the evaluation's
+own `timings.csv`).
 `drim train` fills the policy store that `eval` then reads; `eval`
 would also train what is missing:
 
@@ -12,9 +13,8 @@ would also train what is missing:
     drim eval  --schemes drim-a,drim-na,storm,cstorm --oms uom,hom,nom \
                --fps random,af,bf,sgf,cf,drl --out results/table1
     drim sweep --axis ip --fp drl --out results/fig3a
-    drim bench --runs 20 --out results/bench
     drim report --layout table1 --results results/table1
-    drim report --layout table2 --results results/bench
+    drim report --layout table2 --results results/table1
 """
 
 from pathlib import Path

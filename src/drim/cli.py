@@ -1,4 +1,8 @@
-"""Command-line interface: train, eval, sweep, bench, report."""
+"""Command-line interface: train, eval, sweep, report.
+
+`report --layout table2` (the paper's runtime table) reads the
+`timings.csv` that `eval` writes, so it times the lockstep batches the
+results came from."""
 
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ from drim.harness import (
     SWEEP_DEFAULTS,
     ExperimentSpec,
     UnplayableSpec,
-    bench_runtime,
     emit_report,
     policy_paths,
     run_grid,
@@ -41,14 +44,13 @@ _FLAG_OPTIONS = {
 }
 
 
-def _add_common_overrides(p: argparse.ArgumentParser, unread: tuple[str, ...] = (),
-                          evaluates: bool = True) -> None:
+def _add_common_overrides(p: argparse.ArgumentParser, evaluates: bool = True) -> None:
     """A flag for each setting in `SPEC_KEYS` outside [sweep] (the sweep
     command declares its own) that the command reads, so no flag is
-    silently ignored: none for the `unread` keys. `--workers` only for
-    commands that evaluate."""
+    silently ignored: a command that only trains reads neither `runs` nor
+    `auto_train`, and takes no `--workers`."""
     for key, (section, convert) in SPEC_KEYS.items():
-        if section == "sweep" or key in unread:
+        if section == "sweep" or (not evaluates and key in ("runs", "auto_train")):
             continue
         options = dict(_FLAG_OPTIONS.get(key, {"type": convert}))
         p.add_argument(options.pop("flag", "--" + key.replace("_", "-")), dest=key, **options)
@@ -132,15 +134,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    spec = _spec_from_args(args)
-    times = bench_runtime(spec, tuple(map(Scheme, args.schemes)), workers=args.workers)
-    for scheme, seconds in times.items():
-        print(f"{scheme}: {seconds:.3f} s/episode")
-    print(f"wrote {spec.out_dir / 'bench.csv'}")
-    return 0
-
-
 def cmd_report(args) -> int:
     out = Path(args.out) / f"{args.layout}.csv"
     try:
@@ -160,12 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # Each command takes whole flags only (allow_abbrev=False): with
-    # abbreviations, `bench --scheme` would pass for `--schemes`.
+    # abbreviations, `sweep --value` would pass for `--values`.
 
     p = sub.add_parser("train", help="train one cell's policy into the policy store",
                        allow_abbrev=False)
     p.add_argument("--spec", help="config file with defaults")
-    _add_common_overrides(p, ("runs", "auto_train"), evaluates=False)
+    _add_common_overrides(p, evaluates=False)
     p.set_defaults(func=cmd_train, usage_error=p.error)
 
     p = sub.add_parser("eval", help="evaluate scheme/OM/FP cells", allow_abbrev=False)
@@ -185,17 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_overrides(p)
     p.set_defaults(func=cmd_sweep, usage_error=p.error)
 
-    p = sub.add_parser("bench", help="per-scheme episode runtime", allow_abbrev=False)
-    p.add_argument("--schemes", type=_comma_list(SCHEMES), default=SCHEMES)
-    p.add_argument("--spec", help="config file")
-    _add_common_overrides(p, ("scheme",))  # --schemes instead
-    p.set_defaults(func=cmd_bench, usage_error=p.error)
-
     p = sub.add_parser("report", help="pivot results into a layout CSV", allow_abbrev=False)
     p.add_argument("--layout", required=True, choices=LAYOUTS)
     p.add_argument("--results", nargs="+", required=True,
                    help="one or more eval/sweep output directories "
-                        "(bench output directories for table2)")
+                        "(table2 reads their timings.csv)")
     p.add_argument("--out", default=".",
                    help="output directory, receives <layout>.csv (default: the working directory)")
     p.set_defaults(func=cmd_report)
@@ -206,7 +193,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnplayableSpec as exc:  # a usage error, found once the graph is loaded
+    except UnplayableSpec as exc:  # a usage error, found while the graph loads
         print(f"drim {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

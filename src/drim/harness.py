@@ -1,4 +1,4 @@
-"""Experiment harness: specs, policy management, sweeps, timing, CSVs.
+"""Experiment harness: specs, policy management, sweeps, CSVs, reports.
 
 An experiment evaluates one (scheme, opinion model, FP strategy) cell, or
 a sweep of cells along one axis (TP propagation count, network
@@ -9,7 +9,8 @@ dataset's bytes. `train_policy`, the one training path, writes there,
 both for `drim train` and for any policy an evaluation finds missing.
 Per-run seeds derive from the master seed and the cell's `COORDINATES`,
 so any spec re-run reproduces its result CSVs byte for byte
-(wall-clock timings live in a separate file). Per-run wave-kernel
+(wall-clock timings live in a separate file, `timings.csv`, which Table 2
+is reported from). Per-run wave-kernel
 counters go to `counters.csv`, which is byte-reproducible too. Every
 result CSV leads with the `COORDINATES` columns, and `results.csv` has
 one column per `ResultRow` field. `ExperimentSpec` is the one place
@@ -23,9 +24,8 @@ itself (`network.full_view`), so every episode on the graph, in every
 cell and training run, shares its cached degrees and 2-hop counts.
 Every CSV goes through one writer, `_write_csv`, which writes atomically.
 
-The process pool is the only parallelism: every pooled map, every
-training run and every `bench_runtime` episode holds each loaded
-OpenBLAS at one thread, and starts any
+The process pool is the only parallelism: every pooled map and every
+training run holds each loaded OpenBLAS at one thread, and starts any
 loaded later (scipy's, with the first C-STORM agent) at one thread
 (`single_thread_blas`), so workers do not oversubscribe the cores and a
 trained policy's bytes do not depend on the core count (OpenBLAS only;
@@ -60,9 +60,9 @@ from drim.propagation import (
     EpisodeConfig,
     RoundLog,
     WaveCounters,
-    run_episode,
     run_lockstep,
 )
+from drim.propagation import run_episode  # noqa: F401  (re-exported; perfbench's tracer rebinds it)
 from drim.rl import (
     PolicyAgent,
     PPOConfig,
@@ -312,14 +312,19 @@ def _parallel_map(fn, items: list, workers: int | None = None) -> list:
             return list(pool.map(fn, items))
 
 
+class UnplayableSpec(ValueError):
+    """The spec cannot be played: its dataset is missing, unreadable or
+    not an edge list, or its game does not fit its graph."""
+
+
 def load_graph(spec: ExperimentSpec) -> Graph:
+    """The spec's graph; a dataset that does not load is `UnplayableSpec`."""
     if spec.dataset is None:
         return load_urv_email()
-    return load_edge_list(spec.dataset)
-
-
-class UnplayableSpec(ValueError):
-    """The spec's game cannot be played on its graph."""
+    try:
+        return load_edge_list(spec.dataset)
+    except (OSError, ValueError) as exc:
+        raise UnplayableSpec(f"--dataset {spec.dataset}: {exc}") from exc
 
 
 def check_playable(spec: ExperimentSpec, graph: Graph) -> None:
@@ -443,7 +448,8 @@ class _EvalTask:
 def _run_eval(task: _EvalTask) -> list[tuple[dict[str, float], float, WaveCounters]]:
     """Run the task's episodes in lockstep, the cell's one pair of agents
     playing every episode. A lockstep episode has no wall clock of its
-    own, so each is timed as the batch's wall clock over the batch size."""
+    own, so each is timed as the batch's wall clock (episode set-up
+    included) over the batch size."""
     start = time.perf_counter()
     episodes = [Episode(task.graph, cfg) for cfg in task.cfgs]
     run_lockstep(episodes, [(task.tp_agent, task.fp_agent)] * len(episodes))
@@ -458,9 +464,10 @@ def run_cell(
     fp: str,
     sweep_value=None,
     workers: int | None = None,
-) -> tuple[ResultRow, list[dict], list[float]]:
+) -> tuple[ResultRow, list[dict], list[tuple[float, int]]]:
     """Evaluate one cell: `spec.runs` episodes with derived seeds, split
-    into one contiguous lockstep batch per worker."""
+    into one contiguous lockstep batch per worker. Also returns each
+    run's (seconds, batch index)."""
     cfg = spec.episode_config(sweep_value)
     tp_agent, fp_agent = load_cell_agents(spec, scheme, fp)
     coords = spec.coordinates(scheme, fp, sweep_value)
@@ -470,9 +477,9 @@ def run_cell(
         _EvalTask(graph, [cfgs[run] for run in batch], tp_agent, fp_agent)
         for batch in np.array_split(np.arange(spec.runs), min(workers, spec.runs))
     ]
-    outcomes = [o for batch in _parallel_map(_run_eval, tasks, workers) for o in batch]
+    batches = _parallel_map(_run_eval, tasks, workers)
+    outcomes = [o for batch in batches for o in batch]
     metrics = [m for m, _, _ in outcomes]
-    seconds = [s for _, s, _ in outcomes]
     n_true = np.array([m["n_true"] for m in metrics])
     decided = np.array([m["decided_n_true"] for m in metrics])
     n_false = np.array([m["n_false"] for m in metrics])
@@ -488,7 +495,7 @@ def run_cell(
         {**dict(zip(COORDINATES, coords)), "run": run, **m, **asdict(counters)}
         for run, (m, _, counters) in enumerate(outcomes)
     ]
-    return row, raw, seconds
+    return row, raw, [(s, b) for b, batch in enumerate(batches) for _, s, _ in batch]
 
 
 def run_grid(
@@ -533,11 +540,11 @@ def run_grid(
         for scheme in schemes:
             for fp in fp_strategies:
                 for point in points:
-                    row, raw, seconds = run_cell(om_spec, graph, scheme, fp, point, workers)
+                    row, raw, timings = run_cell(om_spec, graph, scheme, fp, point, workers)
                     rows.append(row)
                     raw_rows.extend(raw)
                     coords = om_spec.coordinates(scheme, fp, point)
-                    timing_rows.extend((*coords, i, s) for i, s in enumerate(seconds))
+                    timing_rows.extend((*coords, run, s, b) for run, (s, b) in enumerate(timings))
 
     write_results_csv(spec.out_dir / "results.csv", rows)
     write_raw_csv(spec.out_dir / "raw_runs.csv", raw_rows)
@@ -566,11 +573,21 @@ def write_results_csv(path: Path, rows: list[ResultRow]) -> None:
                (row.csv_values() for row in sorted(rows, key=attrgetter(*COORDINATES))))
 
 
+def _read_csv(path: Path, columns) -> list[dict[str, str]]:
+    """The records of a result CSV; a file lacking any of `columns`, such
+    as one an older drim wrote, is a ValueError naming them."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} has no {', '.join(missing)} column")
+        return list(reader)
+
+
 def read_results_csv(path: Path) -> list[ResultRow]:
     types = get_type_hints(ResultRow)
-    with open(path, encoding="utf-8", newline="") as fh:
-        return [ResultRow(**{name: kind(rec[name]) for name, kind in types.items()})
-                for rec in csv.DictReader(fh)]
+    return [ResultRow(**{name: kind(rec[name]) for name, kind in types.items()})
+            for rec in _read_csv(path, types)]
 
 
 def write_raw_csv(path: Path, raw_rows: list[dict]) -> None:
@@ -585,9 +602,10 @@ def write_counters_csv(path: Path, raw_rows: list[dict]) -> None:
 
 
 def write_timings_csv(path: Path, timing_rows: list[tuple]) -> None:
-    """Per-run seconds: a lockstep batch's wall clock over its batch size."""
-    _write_csv(path, (*COORDINATES, "run", "seconds"),
-               ([*rec[:-1], f"{rec[-1]:.6f}"] for rec in timing_rows))
+    """Per-run seconds (a lockstep batch's wall clock over its batch size)
+    and the run's batch index within its cell."""
+    _write_csv(path, (*COORDINATES, "run", "seconds", "batch"),
+               ([*key, f"{seconds:.6f}", batch] for *key, seconds, batch in timing_rows))
 
 
 def write_roundlog_csv(path: Path, episode_logs: list[tuple[int, list[RoundLog]]]) -> None:
@@ -659,30 +677,47 @@ def _pivot_results(rows: list[ResultRow], layout: str) -> tuple[list, list[list]
     return header, lines
 
 
+def _table2(results_dirs: list[str | Path]) -> tuple[list, list[list]]:
+    """Header and lines of table2 from the `sweep_axis = none` rows of the
+    directories' `timings.csv`: per scheme, seconds per episode (its runs'
+    seconds over its runs, i.e. the summed batch clocks over the summed
+    batch sizes) and the mean batch size."""
+    seconds: dict[str, list[float]] = {scheme: [] for scheme in _SCHEME_ORDER}
+    batches: dict[str, set] = {scheme: set() for scheme in _SCHEME_ORDER}
+    home: dict[tuple, Path] = {}
+    for results_dir in map(Path, results_dirs):
+        for rec in _read_csv(results_dir / "timings.csv", (*COORDINATES, "seconds", "batch")):
+            if rec["sweep_axis"] != "none":
+                continue
+            cell = tuple(rec[c] for c in COORDINATES)
+            if home.setdefault(cell, results_dir) != results_dir:
+                wanted = ", ".join(f"{c}={v}" for c, v in zip(COORDINATES, cell))
+                raise ValueError(f"ambiguous result cell: {wanted} in {home[cell]} "
+                                 f"and {results_dir}")
+            seconds[rec["scheme"]].append(float(rec["seconds"]))
+            batches[rec["scheme"]].add((cell, rec["batch"]))
+    missing = [scheme for scheme in _SCHEME_ORDER if not seconds[scheme]]
+    if missing:
+        raise ValueError(f"missing result cell: scheme={','.join(missing)}")
+    header = ["scheme", "mean_episode_seconds", "episodes_per_batch"]
+    return header, [[scheme, f"{sum(seconds[scheme]) / len(seconds[scheme]):.6f}",
+                     f"{len(seconds[scheme]) / len(batches[scheme]):.4f}"]
+                    for scheme in _SCHEME_ORDER]
+
+
 def emit_report(results_dirs: list[str | Path], layout: str, out_path: Path) -> Path:
     """Pivot the result files of output directories into one layout CSV
     keyed to the experiment grids.
 
-    table2 reads each directory's `bench.csv` (written by `bench_runtime`)
-    and reports mean seconds per episode by scheme; the other layouts
-    read `results.csv`, and their cells report the decided true-party
-    count. A cell that more than one row matches, as when two
+    table2 reads each directory's `timings.csv` (`_table2`); the other
+    layouts read `results.csv`, and their cells report the decided
+    true-party count. A cell that more than one row matches, as when two
     directories hold it, is an error rather than a silent pick.
     """
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}")
     if layout == "table2":
-        times: dict[str, float] = {}
-        for results_dir in results_dirs:
-            for scheme, seconds in _read_bench_csv(Path(results_dir) / "bench.csv").items():
-                if scheme in times:
-                    raise ValueError(f"ambiguous result cell: scheme={scheme} in two bench.csv")
-                times[scheme] = seconds
-        missing = [scheme for scheme in _SCHEME_ORDER if scheme not in times]
-        if missing:
-            raise ValueError(f"missing result cell: scheme={','.join(missing)}")
-        header = ["scheme", "mean_episode_seconds"]
-        lines = [[scheme, f"{times[scheme]:.6f}"] for scheme in _SCHEME_ORDER]
+        header, lines = _table2(results_dirs)
     else:
         rows = [row for results_dir in results_dirs
                 for row in read_results_csv(Path(results_dir) / "results.csv")]
@@ -690,45 +725,3 @@ def emit_report(results_dirs: list[str | Path], layout: str, out_path: Path) -> 
 
     _write_csv(out_path, header, lines)
     return Path(out_path)
-
-
-# ----------------------------------------------------------------------
-# Runtime benchmark
-# ----------------------------------------------------------------------
-
-def bench_runtime(
-    spec: ExperimentSpec,
-    schemes: tuple[Scheme, ...] = (Scheme.DRIM_A, Scheme.DRIM_NA, Scheme.STORM, Scheme.C_STORM),
-    workers: int | None = None,
-) -> dict[str, float]:
-    """Mean wall-clock seconds per evaluation episode for each scheme,
-    also written to `bench.csv` in spec.out_dir.
-
-    Runs spec.runs + 1 episodes per scheme in-process, one at a time (no
-    lockstep batch), and discards the first (warmup). Like every drim
-    computation, the episodes run with OpenBLAS at one thread
-    (`single_thread_blas`).
-    """
-    graph = load_graph(spec)
-    check_playable(spec, graph)
-    ensure_policies(spec, [(s, spec.fp_strategy) for s in schemes], workers)
-    cfg = spec.episode_config()
-    out: dict[str, float] = {}
-    with single_thread_blas():
-        for scheme in schemes:
-            tp_agent, fp_agent = load_cell_agents(spec, scheme, spec.fp_strategy)
-            times = []
-            for run in range(spec.runs + 1):
-                seed = derive_seed(spec.master_seed, "bench", scheme.value, run)
-                start = time.perf_counter()
-                run_episode(graph, cfg.with_seed(seed), tp_agent, fp_agent)
-                times.append(time.perf_counter() - start)
-            out[scheme.value] = float(np.mean(times[1:]))
-    _write_csv(spec.out_dir / "bench.csv", ("scheme", "mean_episode_seconds"),
-               ((scheme, f"{seconds:.6f}") for scheme, seconds in out.items()))
-    return out
-
-
-def _read_bench_csv(path: Path) -> dict[str, float]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return {rec["scheme"]: float(rec["mean_episode_seconds"]) for rec in csv.DictReader(fh)}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import re
 from pathlib import Path
 
@@ -11,7 +12,6 @@ import pytest
 
 from drim import cli, harness
 from drim.cli import build_parser, main
-from drim.propagation import run_episode
 
 
 @pytest.fixture(scope="module")
@@ -31,12 +31,11 @@ def tiny_edges(tmp_path_factory):
 TRAIN_FAST = [
     "--k", "3", "--updates", "1", "--rollout-episodes", "2", "--epochs", "2", "--hidden", "8",
 ]
-BENCH_FAST = [*TRAIN_FAST, "--workers", "1"]
-FAST = [*BENCH_FAST, "--runs", "2"]
+FAST = [*TRAIN_FAST, "--workers", "1", "--runs", "2"]
 
 # Every subcommand's option strings, pinned so no flag is added or lost
 # unnoticed. SETTING_FLAGS are the flags of the experiment settings every
-# command reads; train and bench have no flag for a setting they ignore.
+# command reads; train has no flag for a setting it ignores.
 HELP_FLAGS = ["-h", "--help"]
 SETTING_FLAGS = [
     "--actor-lr", "--clip-epsilon", "--critic-lr", "--dataset", "--entropy-coef", "--epochs",
@@ -50,14 +49,12 @@ OPTION_STRINGS = {
              "--scheme", "--fps", "--oms", "--out", "--schemes", "--spec", "--workers"],
     "sweep": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--no-auto-train", "--policies", "--runs",
               "--scheme", "--axis", "--out", "--schemes", "--spec", "--values", "--workers"],
-    "bench": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--no-auto-train", "--policies", "--runs",
-              "--out", "--schemes", "--spec", "--workers"],
     "report": [*HELP_FLAGS, "--layout", "--out", "--results"],
 }
 
 
 class TestParser:
-    @pytest.mark.parametrize("cmd", ["train", "eval", "sweep", "bench", "report"])
+    @pytest.mark.parametrize("cmd", ["train", "eval", "sweep", "report"])
     def test_help_available(self, cmd, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([cmd, "--help"])
@@ -75,17 +72,15 @@ class TestParser:
             build_parser().parse_args(["destroy"])
 
     @pytest.mark.parametrize("argv,message", [
-        (["bench", "--scheme", "storm"], "unrecognized arguments: --scheme storm"),
         (["train", "--opponent", "cf"], "unrecognized arguments: --opponent cf"),
         (["train", "--fp", "cf", "--runs", "9"], "unrecognized arguments: --runs 9"),
         (["train", "--fp", "cf", "--no-auto-train"], "unrecognized arguments: --no-auto-train"),
         (["sweep", "--axis", "ip", "--range", "1:5"], "unrecognized arguments: --range 1:5"),
-        (["bench", "--episodes", "5"], "unrecognized arguments: --episodes 5"),
         (["eval", "--workers", "0"], "argument --workers: expected an integer >= 1, got '0'"),
         (["eval", "--workers", "two"], "argument --workers: expected an integer >= 1, got 'two'"),
         (["sweep", "--axis", "ip", "--workers", "0"],
          "argument --workers: expected an integer >= 1, got '0'"),
-        (["bench", "--workers", "-1"], "argument --workers: expected an integer >= 1, got '-1'"),
+        (["eval", "--workers", "-1"], "argument --workers: expected an integer >= 1, got '-1'"),
         (["eval", "--schemes", "foo"], "argument --schemes: invalid choice: 'foo' (choose from "
                                        "drim-a, drim-na, storm, cstorm)"),
         (["eval", "--oms", "uom,xyz"], "argument --oms: invalid choice: 'xyz'"),
@@ -93,13 +88,13 @@ class TestParser:
         (["eval", "--fps", "cf,random,cf"], "argument --fps: 'cf' given twice"),
         (["sweep", "--axis", "ip", "--schemes", "storm,storm"],
          "argument --schemes: 'storm' given twice"),
-        (["bench", "--schemes", "drim-a,"], "argument --schemes: invalid choice: ''"),
-    ], ids=["bench-scheme", "train-opponent", "train-runs",
-            "train-no-auto-train", "sweep-range", "bench-episodes",
+        (["sweep", "--axis", "ip", "--schemes", "drim-a,"],
+         "argument --schemes: invalid choice: ''"),
+    ], ids=["train-opponent", "train-runs", "train-no-auto-train", "sweep-range",
             "eval-workers-zero", "eval-workers-word", "sweep-workers-zero",
-            "bench-workers-negative", "eval-schemes-unknown", "eval-oms-unknown",
+            "eval-workers-negative", "eval-schemes-unknown", "eval-oms-unknown",
             "eval-fps-unknown", "eval-fps-repeated", "sweep-schemes-repeated",
-            "bench-schemes-empty-entry"])
+            "sweep-schemes-empty-entry"])
     def test_ignored_settings_rejected(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
@@ -158,12 +153,36 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "drim eval: error: --k 3" in err and "n=5" in err
 
-    def test_bench_fails_before_training_when_seeds_outnumber_users(self, tmp_path, capsys,
+    def test_sweep_fails_before_training_when_seeds_outnumber_users(self, tmp_path, capsys,
                                                                     monkeypatch):
-        rc = self._ring_game(tmp_path, monkeypatch, "bench", "--schemes", "storm", *BENCH_FAST)
+        rc = self._ring_game(tmp_path, monkeypatch, "sweep", "--axis", "ip", "--values", "1",
+                             "--schemes", "storm", *FAST)
         assert rc == 2
         err = capsys.readouterr().err
-        assert "drim bench: error: --k 3" in err and "n=5" in err
+        assert "drim sweep: error: --k 3" in err and "n=5" in err
+
+    @pytest.mark.parametrize("command", [["train"], ["eval", "--runs", "2"]])
+    @pytest.mark.parametrize("dataset, cause", [
+        (None, "No such file or directory"),
+        ("1 2\n0 3\n", "line 2: node ids start at 1, got '0 3'"),
+    ], ids=["absent", "zero-id"])
+    def test_bad_dataset_is_usage_error(self, tmp_path, capsys, monkeypatch, command, dataset,
+                                        cause):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a policy")
+
+        monkeypatch.setattr(harness, "train_agent", no_training)
+        path = tmp_path / "g.edges"
+        if dataset is not None:
+            path.write_text(dataset)
+        out = tmp_path / "res"
+        rc = main([*command, "--fp", "cf", "--dataset", str(path), "--out", str(out),
+                   *TRAIN_FAST])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"drim {command[0]}: error: --dataset {path}: ")
+        assert cause in err
+        assert not out.exists()
 
     def test_workers_help_names_processes(self, capsys):
         with pytest.raises(SystemExit):
@@ -241,14 +260,14 @@ class TestCommands:
          "k: invalid literal for int() with base 10: 'three'"),
         (["train"], "[experiment]\nauto_train = ture\n", None,
          "auto_train: expected one of 1/yes/true/on or 0/no/false/off, got 'ture'"),
-        (["bench"], "[experiment]\nrunz = 3\n", None, "unknown key 'runz' in [experiment]"),
+        (["eval"], "[experiment]\nrunz = 3\n", None, "unknown key 'runz' in [experiment]"),
         (["eval", "--spec", "absent.cfg"], None, None, "config file absent.cfg not found"),
-        (["bench", "--runs", "0"], None, None, "runs must be >= 1"),
+        (["sweep", "--axis", "ip", "--runs", "0"], None, None, "runs must be >= 1"),
         (["eval"], None, "abc", "DRIM_WORKERS='abc' is not an integer >= 1"),
         (["sweep", "--axis", "ip"], None, "0", "DRIM_WORKERS='0' is not an integer >= 1"),
     ], ids=["runs-zero", "p-nv-two", "sweep-point-out-of-range", "sweep-points-share-coordinate",
             "file-k-zero", "file-k-word", "file-auto-train-typo", "file-unknown-key",
-            "missing-spec-file", "bench-runs-zero", "workers-env-word", "workers-env-zero"])
+            "missing-spec-file", "sweep-runs-zero", "workers-env-word", "workers-env-zero"])
     def test_bad_setting_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, spec_text,
                                         env, message):
         def no_work(*args, **kwargs):
@@ -279,23 +298,6 @@ class TestCommands:
             assert main(["sweep", "--axis", "ip", "--out", str(tmp_path), *argv]) == 0
         assert [spec.sweep_values for spec in specs] == [(4,), (2, 3), (1, 2, 3, 4, 5)]
 
-    @pytest.mark.parametrize("source", ["flag", "file"])
-    def test_bench_times_runs_episodes(self, tiny_edges, tmp_path, capsys, monkeypatch, source):
-        played = []
-
-        def counted(*args):
-            played.append(args)
-            return run_episode(*args)
-
-        monkeypatch.setattr(harness, "run_episode", counted)
-        cfg = tmp_path / "spec.cfg"
-        cfg.write_text("[experiment]\nruns = 3\n")
-        runs = ["--runs", "3"] if source == "flag" else ["--spec", str(cfg)]
-        assert main(["bench", *runs, "--schemes", "storm,drim-na", "--om", "nom", "--fp", "cf",
-                     "--dataset", str(tiny_edges), "--out", str(tmp_path / "bench"),
-                     *BENCH_FAST]) == 0
-        assert len(played) == 2 * (1 + 3)  # per scheme, the warm-up and three timed episodes
-
     def test_sweep(self, tiny_edges, tmp_path, capsys):
         out = tmp_path / "sweep"
         rc = main([
@@ -307,45 +309,42 @@ class TestCommands:
         text = (out / "results.csv").read_text()
         assert ",ip,1," in text and ",ip,2," in text
 
-    def test_bench(self, tiny_edges, tmp_path, capsys):
-        out = tmp_path / "bench"
-        rc = main([
-            "bench", "--runs", "1", "--schemes", "drim-a", "--om", "nom",
-            "--fp", "cf", "--dataset", str(tiny_edges), "--out", str(out), *BENCH_FAST,
-        ])
-        assert rc == 0
-        assert (out / "bench.csv").exists()
-
-    def test_bench_then_table2_report(self, tiny_edges, tmp_path, capsys):
-        bench = tmp_path / "bench"
-        rc = main([
-            "bench", "--runs", "1", "--om", "nom", "--fp", "cf",
-            "--dataset", str(tiny_edges), "--out", str(bench), *BENCH_FAST,
-        ])
-        assert rc == 0
-        bench_lines = (bench / "bench.csv").read_text().splitlines()
-        reports = tmp_path / "reports"
-        rc = main(["report", "--layout", "table2", "--results", str(bench),
-                   "--out", str(reports)])
-        assert rc == 0
-        assert f"wrote {reports / 'table2.csv'}" in capsys.readouterr().out
-        lines = (reports / "table2.csv").read_text().splitlines()
-        assert lines == bench_lines  # bench order is the table's scheme order
-        assert [line.split(",")[0] for line in lines[1:]] == [
-            "drim-a", "drim-na", "storm", "cstorm"]
-        assert all(float(line.split(",")[1]) > 0 for line in lines[1:])
-
-        partial = tmp_path / "partial"
+    def test_eval_then_table2_report(self, tiny_edges, tmp_path, capsys):
+        out = tmp_path / "table2"
         assert main([
-            "bench", "--runs", "1", "--schemes", "drim-a,storm", "--om", "nom",
-            "--fp", "cf", "--dataset", str(tiny_edges), "--out", str(partial),
-            "--policies", str(bench / "policies"), *BENCH_FAST,
+            "eval", "--schemes", "drim-a,drim-na,storm,cstorm", "--om", "nom",
+            "--fps", "cf,random", "--dataset", str(tiny_edges), "--out", str(out),
+            *TRAIN_FAST, "--runs", "3", "--workers", "2",
         ]) == 0
         capsys.readouterr()
-        rc = main(["report", "--layout", "table2", "--results", str(partial),
-                   "--out", str(tmp_path / "partial-report")])
+        reports = tmp_path / "reports"
+        assert main(["report", "--layout", "table2", "--results", str(out),
+                     "--out", str(reports)]) == 0
+        assert f"wrote {reports / 'table2.csv'}" in capsys.readouterr().out
+
+        # per scheme: its runs' seconds over its runs, beside the mean batch size
+        timings = list(csv.DictReader((out / "timings.csv").read_text().splitlines()))
+        want = [["scheme", "mean_episode_seconds", "episodes_per_batch"]]
+        for scheme in cli.SCHEMES:
+            rows = [r for r in timings if r["scheme"] == scheme]
+            assert len(rows) == 2 * 3
+            batches = {(r["fp_strategy"], r["batch"]) for r in rows}
+            assert len(batches) == 2 * 2  # two cells, each in batches of 2 and 1 runs
+            want.append([scheme, f"{sum(float(r['seconds']) for r in rows) / len(rows):.6f}",
+                         "1.5000"])
+        got = list(csv.reader((reports / "table2.csv").read_text().splitlines()))
+        assert got == want
+        assert all(float(line[1]) > 0 for line in got[1:])
+
+        # the same cells in a second directory: not a silent pick
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        (copy / "timings.csv").write_bytes((out / "timings.csv").read_bytes())
+        rc = main(["report", "--layout", "table2", "--results", str(out), str(copy),
+                   "--out", str(tmp_path / "twice")])
         assert rc == 2
-        assert "scheme=drim-na,cstorm" in capsys.readouterr().err
+        assert "ambiguous result cell: scheme=drim-a" in capsys.readouterr().err
+        assert not (tmp_path / "twice").exists()
 
     def test_report_ambiguous_cell_fails(self, tmp_path, capsys):
         # the same sweep cells under two opinion models

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import os
@@ -21,7 +22,6 @@ from drim.harness import (
     SWEEP_DEFAULTS,
     ExperimentSpec,
     ResultRow,
-    bench_runtime,
     derive_seed,
     emit_report,
     ensure_policies,
@@ -37,7 +37,7 @@ from drim.harness import (
 )
 from drim.opinion import NOM
 from drim.population import Party
-from drim.propagation import EpisodeConfig, RoundLog, run_episode
+from drim.propagation import EpisodeConfig, RoundLog, run_episode, run_lockstep
 from drim.rl import PPOConfig, load_params, save_params
 from drim.strategies import Scheme, make_heuristic_agent
 
@@ -466,12 +466,18 @@ class TestPolicyCache:
 
 
 class TestBench:
+    """Table 2's timings: the `timings.csv` of the evaluation's own
+    lockstep batches."""
+
     def test_times_positive(self, tmp_path, tiny_dataset):
-        spec = tiny_spec(tmp_path, tiny_dataset)
-        times = bench_runtime(spec, schemes=(Scheme.DRIM_A,), workers=1)
-        assert times["drim-a"] > 0
-        lines = (spec.out_dir / "bench.csv").read_text().splitlines()
-        assert lines == ["scheme,mean_episode_seconds", f"drim-a,{times['drim-a']:.6f}"]
+        spec = tiny_spec(tmp_path, tiny_dataset, runs=3)
+        run_grid(spec, workers=1)
+        with open(spec.out_dir / "timings.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["run"], r["batch"]) for r in rows] == [("0", "0"), ("1", "0"), ("2", "0")]
+        assert all(float(r["seconds"]) > 0 for r in rows)
+        # one batch: every run is timed as the batch's clock over its size
+        assert len({r["seconds"] for r in rows}) == 1
 
     def test_episodes_run_one_blas_thread(self, tmp_path, tiny_dataset, monkeypatch):
         from drim import harness
@@ -480,27 +486,27 @@ class TestBench:
         controls = _openblas_controls()
         if not controls:
             pytest.skip("no OpenBLAS loaded")
-        spec = tiny_spec(tmp_path, tiny_dataset)
+        spec = tiny_spec(tmp_path, tiny_dataset, scheme=Scheme.STORM)
         ensure_policies(spec, [(Scheme.STORM, spec.fp_strategy)], workers=1)
         seen = []
 
         def probed(*args, **kwargs):
             seen.append([get() for get, _ in controls])
-            return run_episode(*args, **kwargs)
+            return run_lockstep(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "run_episode", probed)
+        monkeypatch.setattr(harness, "run_lockstep", probed)
         before = [get() for get, _ in controls]
         try:
             for _, set_ in controls:
                 set_(2)
             if [get() for get, _ in controls] != [2] * len(controls):
                 pytest.skip("OpenBLAS would not run 2 threads")
-            bench_runtime(spec, schemes=(Scheme.STORM,), workers=1)
+            run_grid(spec, workers=1)
             after = [get() for get, _ in controls]
         finally:
             for (_, set_), threads in zip(controls, before):
                 set_(threads)
-        assert seen == [[1] * len(controls)] * 3  # the warm-up and spec.runs = 2 timed episodes
+        assert seen == [[1] * len(controls)]  # the cell's one in-process batch
         assert after == [2] * len(controls)
 
 
@@ -576,16 +582,63 @@ class TestEmitReport:
             emit_report(dirs, layout, tmp_path / "out.csv")
         assert not (tmp_path / "out.csv").exists()
 
-    def test_table2_scheme_in_two_bench_files_is_ambiguous(self, tmp_path):
-        dirs = []
-        for name, seconds in (("a", 0.5), ("b", 0.7)):
-            (tmp_path / name).mkdir()
-            (tmp_path / name / "bench.csv").write_text(
-                "scheme,mean_episode_seconds\n"
-                + "".join(f"{s},{seconds}\n" for s in ("drim-a", "drim-na", "storm", "cstorm")))
-            dirs.append(tmp_path / name)
-        with pytest.raises(ValueError, match="ambiguous result cell: scheme=drim-a"):
+    @staticmethod
+    def _timings_dir(path: Path, schemes, sweep_axis="none", sweep_value="none") -> Path:
+        """An output directory whose timings.csv holds two runs, one
+        batch each, of one cell per scheme."""
+        write_timings_csv(path / "timings.csv", [
+            (scheme, "uom", "cf", sweep_axis, sweep_value, run, 0.25 * (run + 1), run)
+            for scheme in schemes for run in (0, 1)])
+        return path
+
+    def test_table2_scheme_in_two_directories_is_ambiguous(self, tmp_path):
+        dirs = [self._timings_dir(tmp_path / name, ("drim-a", "drim-na", "storm", "cstorm"))
+                for name in ("a", "b")]
+        with pytest.raises(ValueError, match="ambiguous result cell: scheme=drim-a, "
+                                             "opinion_model=uom, fp_strategy=cf"):
             emit_report(dirs, "table2", tmp_path / "t2.csv")
+        assert not (tmp_path / "t2.csv").exists()
+
+    def test_table2_pools_cells_across_directories(self, tmp_path):
+        write_timings_csv(tmp_path / "b" / "timings.csv", [
+            (scheme, om, "cf", "none", "none", run, 0.5, run // 2)
+            for scheme in ("storm", "cstorm") for om in ("hom", "nom") for run in range(4)])
+        dirs = [self._timings_dir(tmp_path / "a", ("drim-a", "drim-na")), tmp_path / "b",
+                self._timings_dir(tmp_path / "sweep", ("storm",), "ip", "2")]
+        out = emit_report(dirs, "table2", tmp_path / "t2.csv")
+        assert out.read_text().splitlines() == [
+            "scheme,mean_episode_seconds,episodes_per_batch",
+            "drim-a,0.375000,1.0000",
+            "drim-na,0.375000,1.0000",
+            "storm,0.500000,2.0000",
+            "cstorm,0.500000,2.0000",
+        ]
+
+    @pytest.mark.parametrize("dirs, missing", [
+        ([("a", ("drim-a", "storm"), "none"), ("b", ("drim-na",), "none")], "cstorm"),
+        ([("sweep", ("drim-a", "drim-na", "storm", "cstorm"), "ip")],
+         "drim-a,drim-na,storm,cstorm"),
+    ], ids=["absent-scheme", "sweep-only"])
+    def test_table2_scheme_without_rows_is_missing(self, tmp_path, dirs, missing):
+        paths = [self._timings_dir(tmp_path / name, schemes, axis,
+                                   "none" if axis == "none" else "1")
+                 for name, schemes, axis in dirs]
+        with pytest.raises(ValueError, match=f"missing result cell: scheme={missing}$"):
+            emit_report(paths, "table2", tmp_path / "t2.csv")
+        assert not (tmp_path / "t2.csv").exists()
+
+    @pytest.mark.parametrize("layout, name, text, missing", [
+        ("table2", "timings.csv",  # as written before the batch column
+         "scheme,opinion_model,fp_strategy,sweep_axis,sweep_value,run,seconds\n"
+         "storm,uom,cf,none,none,0,0.5\n", "batch"),
+        ("table1", "results.csv", "scheme,opinion_model\nstorm,uom\n",
+         "fp_strategy, sweep_axis, sweep_value, runs"),
+    ])
+    def test_file_without_a_column_is_named(self, tmp_path, layout, name, text, missing):
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ValueError, match=f"{name} has no {missing}"):
+            emit_report([tmp_path], layout, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_unknown_layout(self, tmp_path):
         with pytest.raises(ValueError):
@@ -730,7 +783,7 @@ class TestAtomicResultCsvs:
         ("results.csv", write_results_csv, synthetic_rows(), [object()]),
         ("raw_runs.csv", write_raw_csv, [GOOD_RAW], [{"scheme": "x"}]),
         ("counters.csv", write_counters_csv, [GOOD_RAW], [{"scheme": "x"}]),
-        ("timings.csv", write_timings_csv, [("a", "b", "c", "d", "e", 0, 0.5)], [("x",)]),
+        ("timings.csv", write_timings_csv, [("a", "b", "c", "d", "e", 0, 0.5, 0)], [("x",)]),
         ("rounds.csv", write_roundlog_csv,
          [(0, [RoundLog(1, Party.FALSE_PARTY, 3, "cf", 0, 1, 1)])], [(1, [object()])]),
     ])

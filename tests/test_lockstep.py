@@ -431,14 +431,19 @@ class TestPooledCells:
     def test_uneven_worker_batches_write_the_same_csvs(self, tmp_path):
         spec = _seeded_spec(tmp_path, runs=5, k=4, fp_strategy="random")
         outs = {}
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             out = tmp_path / f"w{workers}"
             harness.run_grid(replace(spec, out_dir=out), workers=workers)
             outs[workers] = out
+            timings = [line.split(",") for line in
+                       (out / "timings.csv").read_text().splitlines()[1:]]
+            assert [line[5] for line in timings] == ["0", "1", "2", "3", "4"]
+            batches = np.array_split(np.arange(5), workers)
+            assert [int(line[7]) for line in timings] == [
+                b for b, runs in enumerate(batches) for _ in runs]
         for name in ("results.csv", "raw_runs.csv", "counters.csv"):
-            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
-        timings = (outs[2] / "timings.csv").read_text().splitlines()[1:]
-        assert [line.split(",")[5] for line in timings] == ["0", "1", "2", "3", "4"]
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes() \
+                == (outs[3] / name).read_bytes(), name
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the counting patch reaches workers only when they fork")
