@@ -14,7 +14,8 @@ fresh generator of one fixed seed. The batched wave runs that state as
 R = 10 lockstep replicas (stacked population, one generator each), the
 way `run_lockstep` does, and the batched turn runs the true party's
 turn of p_t = 2 waves over them as one call, as `run_lockstep` does
-for each party turn. The masked-view benchmark builds one p_nv = 0.6
+for each party turn; it runs at R = 80 too, where the grouping sort is
+no longer a radix sort. The masked-view benchmark builds one p_nv = 0.6
 view of the bundled graph from a fixed seed, as each eval-cstorm-masked
 episode does. The spectral benchmarks split one such fixed view into 8
 communities, C-STORM's community step on a fresh masked view (each round
@@ -40,6 +41,9 @@ from drim.propagation import propagate_wave
 
 GRAPH = load_urv_email()
 REPLICAS = 10
+# R·n = 90 640 > 65 535: the kernel's grouping sort key outgrows uint16
+# and numpy's stable argsort leaves radix sort for a comparison sort.
+WIDE_REPLICAS = 80
 
 
 def _mid_episode():
@@ -83,15 +87,23 @@ def test_one_batched_wave_uom(benchmark):
     benchmark.pedantic(propagate_wave, setup=setup, rounds=20, warmup_rounds=2)
 
 
-def test_one_batched_turn_uom(benchmark):
+def _batched_turn_uom(benchmark, replicas):
     state = _mid_episode()
 
     def setup():
-        stacked = stack_populations([copy.deepcopy(state) for _ in range(REPLICAS)])
-        rngs = [_wave_rng() for _ in range(REPLICAS)]
+        stacked = stack_populations([copy.deepcopy(state) for _ in range(replicas)])
+        rngs = [_wave_rng() for _ in range(replicas)]
         return (stacked, GRAPH, Party.TRUE_PARTY, UOM, rngs), {"waves": 2}
 
     benchmark.pedantic(propagate_wave, setup=setup, rounds=20, warmup_rounds=2)
+
+
+def test_one_batched_turn_uom(benchmark):
+    _batched_turn_uom(benchmark, REPLICAS)
+
+
+def test_one_batched_turn_uom_r80(benchmark):
+    _batched_turn_uom(benchmark, WIDE_REPLICAS)
 
 
 def test_fuse_1k(benchmark):

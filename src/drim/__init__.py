@@ -13,7 +13,6 @@ from drim.opinion import (
     Opinion,
     TrustModel,
     TrustVariant,
-    discount,
     dissonance,
     fuse,
     opinion_from_evidence,
@@ -27,7 +26,6 @@ __all__ = [
     "Opinion",
     "TrustModel",
     "TrustVariant",
-    "discount",
     "dissonance",
     "fuse",
     "opinion_from_evidence",

@@ -92,10 +92,6 @@ COORDINATES = ("scheme", "opinion_model", "fp_strategy", "sweep_axis", "sweep_va
 WORKER_ENV_VAR = "DRIM_WORKERS"
 
 
-def trust_model(name: str) -> TrustModel:
-    return TrustModel(TrustVariant(name))
-
-
 @dataclass
 class ExperimentSpec:
     """One experiment cell or sweep, plus its training configuration."""
@@ -169,7 +165,7 @@ class ExperimentSpec:
             k=self.k,
             p_t=self.p_t,
             p_f=self.p_f,
-            opinion_model=trust_model(self.opinion_model),
+            opinion_model=TrustModel(TrustVariant(self.opinion_model)),
             p_nv=self.p_nv,
             prior_a=self.prior_a,
         )

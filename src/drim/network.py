@@ -81,9 +81,9 @@ class Graph:
         src = np.concatenate([self.edge_u, self.edge_v])
         dst = np.concatenate([self.edge_v, self.edge_u])
         self.indices = np.sort(src * n + dst) % n
+        self._degrees = np.bincount(src, minlength=n)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
-        self._degrees: np.ndarray | None = None
+        np.cumsum(self._degrees, out=self.indptr[1:])
         self._within2: np.ndarray | None = None
         self._embeddings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -92,9 +92,7 @@ class Graph:
         return int(self.edge_u.size)
 
     def degrees(self) -> np.ndarray:
-        """Degree of every node (cached)."""
-        if self._degrees is None:
-            self._degrees = np.diff(self.indptr)
+        """Degree of every node."""
         return self._degrees
 
     def within2_counts(self) -> np.ndarray:

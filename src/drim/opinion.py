@@ -12,7 +12,6 @@ Operators implemented here:
     project                 decision probabilities P(b) = b + a·u, P(d) = d + (1-a)·u
     dissonance              conflict-driven uncertainty (b+d)·Bal(b, d)
     trust_coefficient       UOM / HOM / NOM discount coefficient
-    discount                scale an opinion by a trust coefficient
     fuse                    consensus of a receiver with a trust-discounted sender
     vacuity_maximize        re-express an opinion with maximal u, projection preserved
     apply_uom_refresh       conditional vacuity maximization (low u, high dissonance)
@@ -171,18 +170,6 @@ def trust_coefficient(model: TrustModel, op_i, op_j):
     stance = denom > 0.0  # False also on underflow of the norm product
     cos = (b_i * b_j + d_i * d_j) / np.where(stance, denom, 1.0)
     return np.where(stance, np.minimum(1.0, np.maximum(0.0, cos)), 0.0)
-
-
-def discount(op_j, c) -> Opinion:
-    """Scale sender opinion by trust c: (c·b, c·d, 1 - c(1 - u), a).
-
-    Full trust (c = 1) keeps u exactly.
-    """
-    c_arr = np.asarray(c)
-    if np.any((c_arr < 0.0) | (c_arr > 1.0)):
-        raise ValueError(f"trust coefficient c={c} outside [0, 1]")
-    b, d, u, a = op_j
-    return Opinion(c * b, c * d, np.where(c == 1.0, u, 1.0 - c * (1.0 - u)), a)
 
 
 def fuse(op_i, op_j, c) -> Opinion:

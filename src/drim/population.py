@@ -105,23 +105,22 @@ _ARRAYS = ("bdua", "p_read", "p_share", "role", "frozen")
 def init_population(
     n: int,
     rng_seed: int | np.random.Generator,
-    prior_a: float | np.ndarray = 0.5,
+    prior_a: float = 0.5,
 ) -> PopulationState:
     """Create n legitimate users with the high-uncertainty opinion.
 
-    Every user gets the evidence-(1, 1, 101) opinion with the given base
-    rate and reading/sharing probabilities sampled uniformly from the
+    Every user gets the evidence-(1, 1, 101) opinion with base rate
+    prior_a and reading/sharing probabilities sampled uniformly from the
     four-level set.
     """
-    state = PopulationState(n)
-    prior = np.asarray(prior_a, dtype=float)
-    if np.any(prior < 0.0) or np.any(prior > 1.0):
+    if not 0.0 <= prior_a <= 1.0:  # also refuses NaN
         raise ValueError(f"prior belief must lie in [0, 1], got {prior_a}")
+    state = PopulationState(n)
     base = opinion_from_evidence(LEGITIMATE_EVIDENCE, 0.5)
     state.b[:] = base.b
     state.d[:] = base.d
     state.u[:] = base.u
-    state.a[:] = prior
+    state.a[:] = prior_a
 
     rng = np.random.default_rng(rng_seed)
     levels = np.array(BEHAVIOR_LEVELS)

@@ -76,6 +76,9 @@ from numbers import Integral
 from typing import Sequence
 
 import numpy as np
+# numpy loads numpy.random lazily; every episode seeds from it, so load it
+# with this module, not inside the first episode a pool worker times.
+import numpy.random  # noqa: F401
 
 from drim.network import Graph, full_view, mask_network
 from drim.opinion import (
@@ -267,7 +270,7 @@ def propagate_wave(
         sharers = seeds  # own seeds are the origins
         while sharers.size:
             # (target, sender) pairs in frontier order, then grouped by target
-            local = sharers % n if replicas > 1 else sharers  # ids in g
+            local = sharers % n  # ids in g
             starts = indptr.take(local)
             degree = indptr.take(local + 1) - starts
             ends = degree.cumsum()
@@ -275,8 +278,7 @@ def propagate_wave(
                 break
             slots = np.arange(ends[-1]) + (starts - (ends - degree)).repeat(degree)
             targets = indices.take(slots)
-            if replicas > 1:  # back to the sender's replica: + r·n
-                targets += (sharers - local).repeat(degree)
+            targets += (sharers - local).repeat(degree)  # back to the sender's replica: + r·n
             fresh = (~visited.take(targets)).nonzero()[0]
             if fresh.size == 0:
                 break
@@ -407,7 +409,6 @@ class Episode:
                     else mask_network(graph, cfg.p_nv, np.random.default_rng(mask_seed)))
         self.rng = np.random.default_rng(dyn_seed)
         self.communities: dict[int, np.ndarray] = {}
-        self.model = cfg.opinion_model
         self.counters = WaveCounters()
         self.t = 0
         nt, nf = decided_influence_counts(self.pop)[0].tolist()
@@ -507,9 +508,11 @@ def run_lockstep(episodes: list[Episode], agents: list[tuple[Agent, Agent]]) -> 
     alone.
     """
     first = episodes[0]
-    shared = (first.cfg.k, first.cfg.p_t, first.cfg.p_f, first.model)
+    model = first.cfg.opinion_model
+    shared = (first.cfg.k, first.cfg.p_t, first.cfg.p_f, model)
     for ep in episodes:
-        if ep.graph is not first.graph or (ep.cfg.k, ep.cfg.p_t, ep.cfg.p_f, ep.model) != shared:
+        if ep.graph is not first.graph or (
+                ep.cfg.k, ep.cfg.p_t, ep.cfg.p_f, ep.cfg.opinion_model) != shared:
             raise ValueError("lockstep episodes must share the graph and the scenario")
     if len(agents) != len(episodes):
         raise ValueError(f"{len(agents)} agent pairs for {len(episodes)} episodes")
@@ -546,7 +549,7 @@ def run_lockstep(episodes: list[Episode], agents: list[tuple[Agent, Agent]]) -> 
                 fired, seed = ep.resolve_seed(kind, party, pool, pick)
                 promote_seed(ep.pop, seed, party)
                 steps.append((fired, seed))
-            propagate_wave(pop, first.graph, party, first.model, rngs, counters, waves)
+            propagate_wave(pop, first.graph, party, model, rngs, counters, waves)
             counts = decided_influence_counts(pop, replicas).tolist()
             for ep, (fired, seed), (nt, nf) in zip(episodes, steps, counts):
                 ep.close_step(party, fired, seed, nt, nf)

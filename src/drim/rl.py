@@ -415,12 +415,12 @@ def train_loop(
     rollout: Callable[[PolicyParams, np.random.SeedSequence], Batch],
     ppo_cfg: PPOConfig,
     seed_seq: np.random.SeedSequence,
-    updates: int | None = None,
+    updates: int,
 ) -> TrainResult:
-    """Alternate rollout collection (`rollout(params, seed_seq)`) and PPO updates."""
+    """Alternate rollout collection (`rollout(params, seed_seq)`) and
+    `updates` PPO updates."""
     curve = []
-    total = updates if updates is not None else ppo_cfg.updates
-    for update, child in enumerate(seed_seq.spawn(total)):
+    for update, child in enumerate(seed_seq.spawn(updates)):
         batch = rollout(params, child)
         params, diag = ppo_update(params, batch, ppo_cfg)
         curve.append((update, float(np.mean(batch.episode_rewards)), diag.entropy))
@@ -455,7 +455,7 @@ def train_agent(
         init_seed, loop_seed = seed_seq.spawn(2)
         params = init_params(len(tp_space), ppo_cfg.hidden, np.random.default_rng(init_seed))
         tp_rollout = rollout(Party.TRUE_PARTY, scheme, make_heuristic_agent(opponent))
-        return train_loop(params, tp_rollout, ppo_cfg, loop_seed)
+        return train_loop(params, tp_rollout, ppo_cfg, loop_seed, ppo_cfg.updates)
 
     fp_space = action_space(Scheme.DRIM_A)
     tp_init, fp_init, _ = seed_seq.spawn(3)

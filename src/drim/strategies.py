@@ -133,12 +133,11 @@ class FixedStrategyAgent(Agent):
 
 
 class RandomStrategyAgent(Agent):
-    def __init__(self, action_set: tuple[StrategyKind, ...] | None = None):
-        self.action_set = action_set or _ACTION_SPACES[Scheme.DRIM_A]
+    """Draws one of DRIM-A's four strategies uniformly per episode and step."""
 
     def select(self, episodes: Sequence) -> list[StrategyKind]:
-        actions = len(self.action_set)
-        return [self.action_set[int(ep.rng.integers(actions))] for ep in episodes]
+        kinds = _ACTION_SPACES[Scheme.DRIM_A]
+        return [kinds[int(ep.rng.integers(len(kinds)))] for ep in episodes]
 
 
 def make_heuristic_agent(name: str) -> Agent:

@@ -3,8 +3,10 @@
 Importing drim and running its DRIM schemes (SGF's 2-hop counts
 included) loads no scipy module; building a C-STORM agent loads
 `scipy.sparse.linalg`, all that `spectral_communities` uses (no
-`scipy.cluster` or `scipy.spatial`), so its episodes load nothing more. Each check runs in a
-fresh interpreter, since other tests load scipy into this one.
+`scipy.cluster` or `scipy.spatial`), so its episodes load nothing more. Importing the
+harness does load `numpy.random`, which numpy loads lazily, so a pool worker does not
+load it inside its first timed batch. Each check runs in a fresh interpreter, since
+other tests load scipy and numpy.random into this one.
 """
 
 from __future__ import annotations
@@ -67,3 +69,8 @@ def test_only_c_storm_loads_scipy():
     assert stages["c_storm_episode"] == stages["c_storm"]
     assert not [m for m in stages["c_storm_episode"]
                 if m.startswith(("scipy.cluster", "scipy.spatial"))]
+
+
+def test_harness_import_loads_numpy_random():
+    script = 'import json, sys, drim.harness; print(json.dumps("numpy.random" in sys.modules))'
+    assert run_fresh(script) is True

@@ -28,7 +28,6 @@ from drim.opinion import (
     TrustModel,
     TrustVariant,
     apply_uom_refresh,
-    discount,
     dissonance,
     fuse,
     opinion_from_evidence,
@@ -163,28 +162,6 @@ class TestTrustCoefficient:
             assert -TOL <= c_ij <= 1.0 + TOL
 
 
-class TestDiscount:
-    def test_full_trust_is_identity(self):
-        op = Opinion(0.6, 0.2, 0.2, 0.5)
-        assert discount(op, 1.0) == op
-
-    def test_zero_trust_is_vacuous(self):
-        got = discount(Opinion(0.6, 0.2, 0.2, 0.3), 0.0)
-        assert got == Opinion(0.0, 0.0, 1.0, 0.3)
-
-    def test_direct_substitution(self):
-        got = discount(Opinion(0.6, 0.2, 0.2, 0.5), 0.5)
-        assert got.b == pytest.approx(0.3, abs=TOL)
-        assert got.d == pytest.approx(0.1, abs=TOL)
-        assert got.u == pytest.approx(0.6, abs=TOL)
-        assert got.a == 0.5
-
-    @given(opinions(), st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-    @settings(max_examples=300)
-    def test_preserves_simplex(self, op, c):
-        assert_valid(discount(op, c))
-
-
 class TestFuse:
     def test_vacuous_sender_changes_nothing(self):
         op_i = Opinion(0.3, 0.25, 0.45, 0.7)
@@ -208,7 +185,7 @@ class TestFuse:
         op_i = Opinion(0.5, 0.1, 0.4, 0.6)
         op_j = Opinion(0.2, 0.3, 0.5, 0.4)
         c = 0.37
-        via_discount = fuse(op_i, discount(op_j, c), 1.0)
+        via_discount = fuse(op_i, ref.discount(op_j, c), 1.0)
         direct = fuse(op_i, op_j, c)
         for x, y in zip(direct, via_discount):
             assert x == pytest.approx(y, abs=TOL)
@@ -387,11 +364,9 @@ class TestArrayAlgebraMatchesElementwise:
                 c_one = trust_coefficient(model, _element(op_i, k), _element(op_j, k))
                 assert _same_bits(c_arr[k], c_one)
         c = c_scale * trust_coefficient(UOM, op_i, op_j)
-        disc = discount(op_j, c)
         fused = fuse(op_i, op_j, c)
         for k in range(size):
             one_i, one_j, c_k = _element(op_i, k), _element(op_j, k), float(c[k])
-            assert all(_same_bits(x[k], y) for x, y in zip(disc, discount(one_j, c_k)))
             want = _fuse_one(fuse, one_i, one_j, c_k)
             assert all(_same_bits(x[k], y) for x, y in zip(fused, want))
 

@@ -45,8 +45,9 @@ class TestInitPopulation:
             init_population(0, rng_seed=0)
 
     def test_invalid_prior_rejected(self):
-        with pytest.raises(ValueError):
-            init_population(5, rng_seed=0, prior_a=1.2)
+        for prior in (1.2, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                init_population(5, rng_seed=0, prior_a=prior)
 
     def test_behavior_levels_from_four_level_set(self):
         state = init_population(500, rng_seed=3)

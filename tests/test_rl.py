@@ -248,7 +248,8 @@ class TestBanditTraining:
     def test_dominant_action_learned(self):
         cfg = PPOConfig(hidden=16, rollout_episodes=16, updates=80, epochs=40, actor_lr=0.01)
         params = init_params(4, 16, np.random.default_rng(1))
-        result = train_loop(params, bandit_rollout(16, best=2), cfg, np.random.SeedSequence(2))
+        result = train_loop(params, bandit_rollout(16, best=2), cfg, np.random.SeedSequence(2),
+                            cfg.updates)
         (probs,) = policy_forward(result.params, np.ones((1, 2)))
         assert probs[2] > 0.95
 
@@ -257,7 +258,7 @@ class TestBanditTraining:
         curves = []
         for _ in range(2):
             params = init_params(4, 8, np.random.default_rng(1))
-            result = train_loop(params, bandit_rollout(4), cfg, np.random.SeedSequence(3))
+            result = train_loop(params, bandit_rollout(4), cfg, np.random.SeedSequence(3), cfg.updates)
             curves.append(result.curve)
         assert curves[0] == curves[1]
 

@@ -176,29 +176,33 @@ class TestMissesOnlyWithoutEligibleUsers:
 
 class TestRandomMetaStrategy:
     def test_frequencies_uniform_over_action_set(self):
-        g = star(4)
-        state = init_population(5, rng_seed=0)
-        agent = RandomStrategyAgent(action_space(Scheme.DRIM_NA))
+        agent = RandomStrategyAgent()
 
         class FakeEpisode:
             rng = np.random.default_rng(123)
 
-        draws = [agent.select([FakeEpisode()])[0] for _ in range(3000)]
-        counts = {k: draws.count(k) for k in action_space(Scheme.DRIM_NA)}
+        draws = [agent.select([FakeEpisode()])[0] for _ in range(4000)]
+        counts = {k: draws.count(k) for k in action_space(Scheme.DRIM_A)}
+        assert sum(counts.values()) == 4000
         expected = 1000
-        sigma = np.sqrt(3000 * (1 / 3) * (2 / 3))
+        sigma = np.sqrt(4000 * (1 / 4) * (3 / 4))
         for k, c in counts.items():
             assert abs(c - expected) <= 3 * sigma, f"{k}: {c}"
 
     def test_random_delegates_to_concrete_rule(self):
-        # the false party moves first, so the random agent plays it here
-        cfg = EpisodeConfig(k=1, opinion_model=NOM, rng_seed=7)
-        ep = run_episode(star(4), cfg, FixedStrategyAgent(StrategyKind.AF),
-                         RandomStrategyAgent((StrategyKind.CF,)))
-        entry = ep.logs[0]
-        assert entry.strategy == "cf"
-        assert entry.seed == 0  # CF on a star always picks the center
-
+        # the false party moves first, so the random agent plays it here;
+        # BF has nothing to block on the first move, so it logs its SGF fallback
+        fired = set()
+        for seed in range(12):
+            cfg = EpisodeConfig(k=1, opinion_model=NOM, rng_seed=seed)
+            ep = run_episode(star(4), cfg, FixedStrategyAgent(StrategyKind.AF),
+                             RandomStrategyAgent())
+            entry = ep.logs[0]
+            assert entry.strategy in ("af", "sgf", "cf")
+            if entry.strategy != "af":
+                assert entry.seed == 0  # SGF and CF on a star pick the center
+            fired.add(entry.strategy)
+        assert len(fired) > 1
 
 class TestSelectionContracts:
     def test_never_returns_existing_seed(self):
