@@ -47,9 +47,6 @@ class CommunityRestriction(Agent):
     def select(self, episodes: Sequence[Episode]) -> list[StrategyKind]:
         return self.inner.select(episodes)
 
-    def candidate_pool(self, episode: Episode) -> np.ndarray | None:
-        return self.pool(episode)
-
     def pool(self, episode: Episode) -> np.ndarray:
         """The community of the episode's view holding the most free nodes."""
         labels = episode.communities.get(self.k)

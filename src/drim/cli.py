@@ -1,4 +1,4 @@
-"""Command-line interface: train, eval, sweep, report.
+"""Command-line interface: train, eval, report.
 
 `report --layout table2` (the paper's runtime table) reads the
 `timings.csv` that `eval` writes, so it times the lockstep batches the
@@ -41,16 +41,18 @@ _FLAG_OPTIONS = {
     "policy_dir": {"flag": "--policies", "help": "policy store directory (default: <out>/policies)"},
     "auto_train": {"flag": "--no-auto-train", "action": "store_false", "default": None,
                    "help": "fail instead of training missing policies"},
+    "sweep_axis": {"flag": "--axis", "choices": tuple(SWEEP_DEFAULTS)},
+    "sweep_values": {"flag": "--values", "help": "comma list of sweep points (default: the "
+                                                 "config file's, else the axis's five)"},
 }
 
 
 def _add_common_overrides(p: argparse.ArgumentParser, evaluates: bool = True) -> None:
-    """A flag for each setting in `SPEC_KEYS` outside [sweep] (the sweep
-    command declares its own) that the command reads, so no flag is
-    silently ignored: a command that only trains reads neither `runs` nor
-    `auto_train`, and takes no `--workers`."""
+    """A flag for each setting in `SPEC_KEYS` that the command reads, so
+    no flag is silently ignored: a command that only trains reads neither
+    `runs`, `auto_train` nor [sweep], and takes no `--workers`."""
     for key, (section, convert) in SPEC_KEYS.items():
-        if section == "sweep" or (not evaluates and key in ("runs", "auto_train")):
+        if not evaluates and (section == "sweep" or key in ("runs", "auto_train")):
             continue
         options = dict(_FLAG_OPTIONS.get(key, {"type": convert}))
         p.add_argument(options.pop("flag", "--" + key.replace("_", "-")), dest=key, **options)
@@ -59,14 +61,14 @@ def _add_common_overrides(p: argparse.ArgumentParser, evaluates: bool = True) ->
                        help="worker processes (default: $DRIM_WORKERS, else min(usable cpus, 4))")
 
 
-def _spec_from_args(args, **extra) -> ExperimentSpec:
-    """The one path from a command's input to its spec: its flags (and
-    `extra`) over its `--spec` file. A value the spec rejects, a missing
-    file and, for a command that evaluates, a bad `DRIM_WORKERS` are
-    usage errors: exit 2 before anything is written."""
+def _spec_from_args(args) -> ExperimentSpec:
+    """The one path from a command's input to its spec: its flags over
+    its `--spec` file. A value the spec rejects, a missing file and, for
+    a command that evaluates, a bad `DRIM_WORKERS` are usage errors:
+    exit 2 before anything is written."""
     overrides = {key: getattr(args, key, None) for key in SPEC_KEYS}
     try:
-        spec = parse_spec_file(args.spec, {**overrides, **extra})
+        spec = parse_spec_file(args.spec, overrides)
         if "workers" in args:
             worker_count(args.workers)
     except (ValueError, FileNotFoundError) as exc:
@@ -122,18 +124,6 @@ def _comma_list(choices: tuple[str, ...]):
     return parse
 
 
-def cmd_sweep(args) -> int:
-    # --values is text: parse_spec_file splits it, ExperimentSpec types it
-    spec = _spec_from_args(args, sweep_axis=args.axis, sweep_values=args.values)
-    schemes = tuple(map(Scheme, args.schemes)) if args.schemes else None
-    rows = run_grid(spec, schemes, workers=args.workers)
-    for row in rows:
-        print(f"{row.scheme} @ {row.sweep_axis}={row.sweep_value}: "
-              f"decided n^T {row.mean_decided_n_true:.1f}")
-    print(f"wrote {spec.out_dir}/results.csv")
-    return 0
-
-
 def cmd_report(args) -> int:
     out = Path(args.out) / f"{args.layout}.csv"
     try:
@@ -153,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # Each command takes whole flags only (allow_abbrev=False): with
-    # abbreviations, `sweep --value` would pass for `--values`.
+    # abbreviations, `eval --value` would pass for `--values`.
 
     p = sub.add_parser("train", help="train one cell's policy into the policy store",
                        allow_abbrev=False)
@@ -169,19 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_overrides(p)
     p.set_defaults(func=cmd_eval, usage_error=p.error)
 
-    p = sub.add_parser("sweep", help="sweep one axis", allow_abbrev=False)
-    p.add_argument("--axis", required=True, choices=tuple(SWEEP_DEFAULTS))
-    p.add_argument("--values", help="comma list of sweep points (default: the config file's, "
-                                    "else the axis's five)")
-    p.add_argument("--spec", help="config file")
-    p.add_argument("--schemes", type=_comma_list(SCHEMES), help="comma list of schemes")
-    _add_common_overrides(p)
-    p.set_defaults(func=cmd_sweep, usage_error=p.error)
-
     p = sub.add_parser("report", help="pivot results into a layout CSV", allow_abbrev=False)
     p.add_argument("--layout", required=True, choices=LAYOUTS)
     p.add_argument("--results", nargs="+", required=True,
-                   help="one or more eval/sweep output directories "
+                   help="one or more eval output directories "
                         "(table2 reads their timings.csv)")
     p.add_argument("--out", default=".",
                    help="output directory, receives <layout>.csv (default: the working directory)")

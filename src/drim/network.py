@@ -351,8 +351,6 @@ def load_edge_list(source: str | Path | IO) -> Graph:
         if declared_n is not None and (a >= declared_n or b >= declared_n):
             raise ValueError(f"line {lineno}: node id exceeds declared size {declared_n}")
         max_id = max(max_id, a, b)
-        if a == b:
-            continue
         edges.append((a, b))
 
     if declared_n is not None:

@@ -538,7 +538,7 @@ def run_lockstep(episodes: list[Episode], agents: list[tuple[Agent, Agent]]) -> 
             for agent, played, at in groups:
                 for r, kind in zip(at, agent.select(played)):
                     kinds[r] = kind
-            pools = [agent.candidate_pool(ep) for agent, ep in zip(players, episodes)]
+            pools = [agent.pool(ep) for agent, ep in zip(players, episodes)]
             stacked_pool = None
             if any(pool is not None for pool in pools):
                 stacked_pool = np.concatenate([np.ones(n, dtype=bool) if pool is None else pool

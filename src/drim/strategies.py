@@ -120,7 +120,7 @@ class Agent:
     def select(self, episodes: Sequence) -> list[StrategyKind]:
         raise NotImplementedError
 
-    def candidate_pool(self, episode) -> np.ndarray | None:
+    def pool(self, episode) -> np.ndarray | None:
         return None
 
 

@@ -46,15 +46,14 @@ SETTING_FLAGS = [
 OPTION_STRINGS = {
     "train": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--policies", "--scheme", "--out", "--spec"],
     "eval": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--no-auto-train", "--policies", "--runs",
-             "--scheme", "--fps", "--oms", "--out", "--schemes", "--spec", "--workers"],
-    "sweep": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--no-auto-train", "--policies", "--runs",
-              "--scheme", "--axis", "--out", "--schemes", "--spec", "--values", "--workers"],
+             "--scheme", "--axis", "--fps", "--oms", "--out", "--schemes", "--spec", "--values",
+             "--workers"],
     "report": [*HELP_FLAGS, "--layout", "--out", "--results"],
 }
 
 
 class TestParser:
-    @pytest.mark.parametrize("cmd", ["train", "eval", "sweep", "report"])
+    @pytest.mark.parametrize("cmd", ["train", "eval", "report"])
     def test_help_available(self, cmd, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([cmd, "--help"])
@@ -71,14 +70,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["destroy"])
 
+    def test_sweep_command_is_gone(self, capsys):
+        # `eval --axis` sweeps; there is no second command for it
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--axis", "ip", "--values", "1,2"])
+        assert exc.value.code == 2
+        assert "argument command: invalid choice: 'sweep'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,message", [
         (["train", "--opponent", "cf"], "unrecognized arguments: --opponent cf"),
         (["train", "--fp", "cf", "--runs", "9"], "unrecognized arguments: --runs 9"),
         (["train", "--fp", "cf", "--no-auto-train"], "unrecognized arguments: --no-auto-train"),
-        (["sweep", "--axis", "ip", "--range", "1:5"], "unrecognized arguments: --range 1:5"),
+        (["train", "--axis", "ip", "--values", "1"],
+         "unrecognized arguments: --axis ip --values 1"),
+        (["eval", "--axis", "ip", "--range", "1:5"], "unrecognized arguments: --range 1:5"),
+        (["eval", "--axis", "p_t"], "argument --axis: invalid choice: 'p_t'"),
         (["eval", "--workers", "0"], "argument --workers: expected an integer >= 1, got '0'"),
         (["eval", "--workers", "two"], "argument --workers: expected an integer >= 1, got 'two'"),
-        (["sweep", "--axis", "ip", "--workers", "0"],
+        (["eval", "--axis", "ip", "--workers", "0"],
          "argument --workers: expected an integer >= 1, got '0'"),
         (["eval", "--workers", "-1"], "argument --workers: expected an integer >= 1, got '-1'"),
         (["eval", "--schemes", "foo"], "argument --schemes: invalid choice: 'foo' (choose from "
@@ -86,12 +95,12 @@ class TestParser:
         (["eval", "--oms", "uom,xyz"], "argument --oms: invalid choice: 'xyz'"),
         (["eval", "--fps", "zzz"], "argument --fps: invalid choice: 'zzz'"),
         (["eval", "--fps", "cf,random,cf"], "argument --fps: 'cf' given twice"),
-        (["sweep", "--axis", "ip", "--schemes", "storm,storm"],
+        (["eval", "--axis", "ip", "--schemes", "storm,storm"],
          "argument --schemes: 'storm' given twice"),
-        (["sweep", "--axis", "ip", "--schemes", "drim-a,"],
+        (["eval", "--axis", "ip", "--schemes", "drim-a,"],
          "argument --schemes: invalid choice: ''"),
-    ], ids=["train-opponent", "train-runs", "train-no-auto-train", "sweep-range",
-            "eval-workers-zero", "eval-workers-word", "sweep-workers-zero",
+    ], ids=["train-opponent", "train-runs", "train-no-auto-train", "train-sweep", "sweep-range",
+            "axis-unknown", "eval-workers-zero", "eval-workers-word", "sweep-workers-zero",
             "eval-workers-negative", "eval-schemes-unknown", "eval-oms-unknown",
             "eval-fps-unknown", "eval-fps-repeated", "sweep-schemes-repeated",
             "sweep-schemes-empty-entry"])
@@ -155,11 +164,11 @@ class TestCommands:
 
     def test_sweep_fails_before_training_when_seeds_outnumber_users(self, tmp_path, capsys,
                                                                     monkeypatch):
-        rc = self._ring_game(tmp_path, monkeypatch, "sweep", "--axis", "ip", "--values", "1",
+        rc = self._ring_game(tmp_path, monkeypatch, "eval", "--axis", "ip", "--values", "1",
                              "--schemes", "storm", *FAST)
         assert rc == 2
         err = capsys.readouterr().err
-        assert "drim sweep: error: --k 3" in err and "n=5" in err
+        assert "drim eval: error: --k 3" in err and "n=5" in err
 
     @pytest.mark.parametrize("command", [["train"], ["eval", "--runs", "2"]])
     @pytest.mark.parametrize("dataset, cause", [
@@ -251,10 +260,12 @@ class TestCommands:
     @pytest.mark.parametrize("argv, spec_text, env, message", [
         (["eval", "--runs", "0"], None, None, "runs must be >= 1"),
         (["eval", "--p-nv", "2"], None, None, "p_nv must lie in [0, 1], got 2.0"),
-        (["sweep", "--axis", "p_nv", "--values", "0.2,7"], None, None,
+        (["eval", "--axis", "p_nv", "--values", "0.2,7"], None, None,
          "p_nv must lie in [0, 1], got 7.0"),
-        (["sweep", "--axis", "p_nv", "--values", "0.2,0.2"], None, None,
+        (["eval", "--axis", "p_nv", "--values", "0.2,0.2"], None, None,
          "sweep points 0.2 and 0.2 share the coordinate sweep_value=0.2"),
+        (["eval", "--values", "1,2"], None, None,
+         "sweep_values ('1', '2') given without a sweep_axis"),
         (["eval"], "[episode]\nk = 0\n", None, "k must be a whole number >= 1, got 0"),
         (["eval"], "[episode]\nk = three\n", None,
          "k: invalid literal for int() with base 10: 'three'"),
@@ -262,11 +273,11 @@ class TestCommands:
          "auto_train: expected one of 1/yes/true/on or 0/no/false/off, got 'ture'"),
         (["eval"], "[experiment]\nrunz = 3\n", None, "unknown key 'runz' in [experiment]"),
         (["eval", "--spec", "absent.cfg"], None, None, "config file absent.cfg not found"),
-        (["sweep", "--axis", "ip", "--runs", "0"], None, None, "runs must be >= 1"),
+        (["eval", "--axis", "ip", "--runs", "0"], None, None, "runs must be >= 1"),
         (["eval"], None, "abc", "DRIM_WORKERS='abc' is not an integer >= 1"),
-        (["sweep", "--axis", "ip"], None, "0", "DRIM_WORKERS='0' is not an integer >= 1"),
+        (["eval", "--axis", "ip"], None, "0", "DRIM_WORKERS='0' is not an integer >= 1"),
     ], ids=["runs-zero", "p-nv-two", "sweep-point-out-of-range", "sweep-points-share-coordinate",
-            "file-k-zero", "file-k-word", "file-auto-train-typo", "file-unknown-key",
+            "values-without-axis", "file-k-zero", "file-k-word", "file-auto-train-typo", "file-unknown-key",
             "missing-spec-file", "sweep-runs-zero", "workers-env-word", "workers-env-zero"])
     def test_bad_setting_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, spec_text,
                                         env, message):
@@ -295,19 +306,33 @@ class TestCommands:
         cfg = tmp_path / "spec.cfg"
         cfg.write_text("[sweep]\naxis = ip\nvalues = 2 3\n")
         for argv in (["--values", "4"], ["--spec", str(cfg)], []):
-            assert main(["sweep", "--axis", "ip", "--out", str(tmp_path), *argv]) == 0
+            assert main(["eval", "--axis", "ip", "--out", str(tmp_path), *argv]) == 0
         assert [spec.sweep_values for spec in specs] == [(4,), (2, 3), (1, 2, 3, 4, 5)]
 
     def test_sweep(self, tiny_edges, tmp_path, capsys):
         out = tmp_path / "sweep"
         rc = main([
-            "sweep", "--axis", "ip", "--values", "1,2", "--scheme", "drim-na",
+            "eval", "--axis", "ip", "--values", "1,2", "--scheme", "drim-na",
             "--om", "nom", "--fp", "cf", "--dataset", str(tiny_edges),
             "--out", str(out), *FAST,
         ])
         assert rc == 0
         text = (out / "results.csv").read_text()
         assert ",ip,1," in text and ",ip,2," in text
+        assert "drim-na/nom vs cf @1: decided n^T" in capsys.readouterr().out
+
+    def test_sweep_flags_match_spec_file(self, tiny_edges, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("[sweep]\naxis = ip\nvalues = 1 2\n")
+        cell = ["--scheme", "drim-a", "--om", "nom", "--fp", "cf", "--dataset", str(tiny_edges),
+                "--policies", str(tmp_path / "policies"), *FAST]
+        assert main(["eval", "--axis", "ip", "--values", "1,2", "--out", str(tmp_path / "flags"),
+                     *cell]) == 0
+        assert main(["eval", "--spec", str(cfg), "--out", str(tmp_path / "file"), *cell]) == 0
+        for name in ("results.csv", "raw_runs.csv", "counters.csv"):
+            flags = (tmp_path / "flags" / name).read_bytes()
+            assert flags == (tmp_path / "file" / name).read_bytes(), name
+        assert b",ip,2," in (tmp_path / "flags" / "results.csv").read_bytes()
 
     def test_eval_then_table2_report(self, tiny_edges, tmp_path, capsys):
         out = tmp_path / "table2"

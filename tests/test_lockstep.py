@@ -308,7 +308,7 @@ class TestBatchedStep:
         pools = [None] * len(episodes)
         if pooled:  # C-STORM's pools: each replica's best community of its own view
             cstorm = make_scheme_agent(Scheme.C_STORM, rl.init_params(2, 8, 0))
-            pools = [cstorm.candidate_pool(ep) for ep in episodes]
+            pools = [cstorm.pool(ep) for ep in episodes]
             pools[1] = None  # a replica played by an agent without a pool
         n = episodes[0].graph.n
         stacked_pool = (np.concatenate([np.ones(n, dtype=bool) if p is None else p for p in pools])

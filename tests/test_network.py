@@ -213,6 +213,13 @@ class TestLoadEdgeList:
         g = load_edge_list(io.BytesIO(b"1 1\n"))
         assert g.num_edges == 0
         assert g.n == 1
+        # the same graph with and without a self-loop line
+        plain = load_edge_list(io.BytesIO(b"1 2\n2 3\n"))
+        looped = load_edge_list(io.BytesIO(b"1 2\n3 3\n2 3\n"))
+        assert looped.n == plain.n == 3
+        for name in ("edge_u", "edge_v", "indptr", "indices"):
+            assert getattr(looped, name).tolist() == getattr(plain, name).tolist()
+        assert looped.degrees().tolist() == plain.degrees().tolist()
 
     def test_duplicates_deduped(self):
         g = load_edge_list(io.BytesIO(b"1 2\n2 1\n1 2\n"))

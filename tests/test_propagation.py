@@ -50,7 +50,7 @@ class PoolAgent(FixedStrategyAgent):
         super().__init__(kind)
         self.user = user
 
-    def candidate_pool(self, episode):
+    def pool(self, episode):
         return np.arange(episode.pop.n) == self.user
 
 
