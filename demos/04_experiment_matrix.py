@@ -10,8 +10,8 @@ own `timings.csv`).
 would also train what is missing:
 
     drim train --scheme drim-a --fp drl --out results/table1
-    drim eval  --schemes drim-a,drim-na,storm,cstorm --oms uom,hom,nom \
-               --fps random,af,bf,sgf,cf,drl --out results/table1
+    drim eval  --scheme drim-a,drim-na,storm,cstorm --om uom,hom,nom \
+               --fp random,af,bf,sgf,cf,drl --out results/table1
     drim eval  --axis ip --fp drl --out results/fig3a
     drim report --layout table1 --results results/table1
     drim report --layout table2 --results results/table1

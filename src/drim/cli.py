@@ -1,5 +1,9 @@
 """Command-line interface: train, eval, report.
 
+`train` trains one cell (one scheme, opinion model and FP strategy);
+`eval` evaluates a grid of them, so its `--scheme`, `--om` and `--fp`
+take comma lists of distinct names. A config file names one cell.
+
 `report --layout table2` (the paper's runtime table) reads the
 `timings.csv` that `eval` writes, so it times the lockstep batches the
 results came from."""
@@ -50,14 +54,20 @@ _FLAG_OPTIONS = {
 def _add_common_overrides(p: argparse.ArgumentParser, evaluates: bool = True) -> None:
     """A flag for each setting in `SPEC_KEYS` that the command reads, so
     no flag is silently ignored: a command that only trains reads neither
-    `runs`, `auto_train` nor [sweep], and takes no `--workers`."""
+    `runs`, `auto_train` nor [sweep], and takes no `--workers`. A command
+    that evaluates reads a grid of cells: its cell flags take comma lists,
+    kept as `<key>_grid` so they name the grid, not the spec's cell."""
     for key, (section, convert) in SPEC_KEYS.items():
         if not evaluates and (section == "sweep" or key in ("runs", "auto_train")):
             continue
-        options = dict(_FLAG_OPTIONS.get(key, {"type": convert}))
-        p.add_argument(options.pop("flag", "--" + key.replace("_", "-")), dest=key, **options)
+        options = dict(_FLAG_OPTIONS.get(key, {"type": convert}), dest=key)
+        if evaluates and key in ("scheme", "opinion_model", "fp_strategy"):
+            choices = options.pop("choices")
+            options.update(dest=key + "_grid", type=_comma_list(choices), metavar="LIST",
+                           help=f"comma list of {', '.join(choices)} (default: the spec's one)")
+        p.add_argument(options.pop("flag", "--" + key.replace("_", "-")), **options)
     if evaluates:
-        p.add_argument("--workers", type=_positive_int,
+        p.add_argument("--workers", type=int,
                        help="worker processes (default: $DRIM_WORKERS, else min(usable cpus, 4))")
 
 
@@ -88,8 +98,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = _spec_from_args(args)
-    schemes = tuple(map(Scheme, args.schemes)) if args.schemes else None
-    rows = run_grid(spec, schemes, args.oms, args.fps, workers=args.workers)
+    schemes = tuple(map(Scheme, args.scheme_grid)) if args.scheme_grid else None
+    rows = run_grid(spec, schemes, args.opinion_model_grid, args.fp_strategy_grid,
+                    workers=args.workers)
     for row in rows:
         print(f"{row.scheme}/{row.opinion_model} vs {row.fp_strategy}"
               f"{'' if row.sweep_value == 'none' else ' @' + row.sweep_value}: "
@@ -97,17 +108,6 @@ def cmd_eval(args) -> int:
               f"(raw {row.mean_n_true:.1f} ± {row.std_n_true:.1f})")
     print(f"wrote {spec.out_dir}/results.csv")
     return 0
-
-
-def _positive_int(text: str) -> int:
-    """An integer flag that must be at least 1: `--workers`."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
 
 
 def _comma_list(choices: tuple[str, ...]):
@@ -153,9 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate scheme/OM/FP cells", allow_abbrev=False)
     p.add_argument("--spec", help="config file")
-    p.add_argument("--schemes", type=_comma_list(SCHEMES), help="comma list (overrides --scheme)")
-    p.add_argument("--oms", type=_comma_list(OPINION_MODELS), help="comma list of opinion models")
-    p.add_argument("--fps", type=_comma_list(FP_STRATEGIES), help="comma list of FP strategies")
     _add_common_overrides(p)
     p.set_defaults(func=cmd_eval, usage_error=p.error)
 

@@ -9,8 +9,9 @@ users to immutable seed roles with confident opinions built from
 
 Opinions are stored as one (4, n) array `bdua` whose rows b, d, u, a are
 also exposed as flat arrays, for cheap vectorized queries (influence
-counts, free-node masks) and column gathers in the wave kernel;
-single-user reads and writes go through `get_opinion` / `set_opinion`.
+counts, free-node masks) and column gathers in the wave kernel; user
+i's opinion reads as `Opinion(*bdua[:, i])` and is written by
+`set_opinion`.
 """
 
 from __future__ import annotations
@@ -78,9 +79,6 @@ class PopulationState:
     @property
     def a(self) -> np.ndarray:
         return self.bdua[3]
-
-    def get_opinion(self, i: int) -> Opinion:
-        return Opinion(self.b[i], self.d[i], self.u[i], self.a[i])
 
     def set_opinion(self, i: int, op: Opinion) -> None:
         self.b[i] = op.b

@@ -392,8 +392,8 @@ class Episode:
     series per step, and the audit log. Sub-seeds for population
     sampling, edge masking, dynamics and C-STORM's communities
     (`community_seed`) derive from the config seed, so an episode is
-    reproducible end to end. `communities` holds C-STORM's labels of
-    the view, keyed by community count, once an agent has computed them.
+    reproducible end to end. `communities` holds C-STORM's community
+    label of each user of the view, once an agent has computed them.
     """
 
     def __init__(self, graph: Graph, cfg: EpisodeConfig):
@@ -408,7 +408,7 @@ class Episode:
         self.obs = (full_view(graph) if cfg.p_nv >= 1.0
                     else mask_network(graph, cfg.p_nv, np.random.default_rng(mask_seed)))
         self.rng = np.random.default_rng(dyn_seed)
-        self.communities: dict[int, np.ndarray] = {}
+        self.communities: np.ndarray | None = None
         self.counters = WaveCounters()
         self.t = 0
         nt, nf = decided_influence_counts(self.pop)[0].tolist()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from drim import baselines
 from drim.baselines import CommunityRestriction
 from drim.datasets import load_urv_email
 from drim.network import Graph
@@ -13,9 +14,9 @@ from drim.rl import PolicyAgent, init_params, make_scheme_agent
 from drim.strategies import Scheme, StrategyKind, action_space, make_heuristic_agent
 
 
-def cstorm_agent(params, k: int) -> CommunityRestriction:
-    """A C-STORM policy agent restricted to the best of k communities."""
-    return CommunityRestriction(PolicyAgent(params, action_space(Scheme.C_STORM)), k)
+def cstorm_agent(params) -> CommunityRestriction:
+    """A C-STORM policy agent restricted to the best of its communities."""
+    return CommunityRestriction(PolicyAgent(params, action_space(Scheme.C_STORM)))
 
 
 def two_triangles():
@@ -34,7 +35,8 @@ class TestActionSpaces:
 
 
 class TestCommunityRestriction:
-    def test_pool_is_community_with_most_free_nodes(self):
+    def test_pool_is_community_with_most_free_nodes(self, monkeypatch):
+        monkeypatch.setattr(baselines, "COMMUNITIES", 2)
         g = two_triangles()
         cfg = EpisodeConfig(k=1, opinion_model=NOM, rng_seed=0)
         ep = Episode(g, cfg)
@@ -42,13 +44,14 @@ class TestCommunityRestriction:
         for i in (3, 4, 5):
             ep.pop.u[i] = 0.1
             ep.pop.b[i] = 0.9
-        restriction = CommunityRestriction(make_heuristic_agent("cf"), k=2)
+        restriction = CommunityRestriction(make_heuristic_agent("cf"))
         pool = restriction.pool(ep)
         assert pool[:3].all()
         assert not pool[3:].any()
-        assert set(ep.communities) == {2}  # the labels live on the episode
+        assert ep.communities.max() == 1  # the two triangles' labels live on the episode
 
-    def test_seed_selected_inside_best_community(self):
+    def test_seed_selected_inside_best_community(self, monkeypatch):
+        monkeypatch.setattr(baselines, "COMMUNITIES", 2)
         g = two_triangles()
         cfg = EpisodeConfig(k=1, opinion_model=NOM, rng_seed=0)
         ep = Episode(g, cfg)
@@ -56,40 +59,38 @@ class TestCommunityRestriction:
             ep.pop.u[i] = 0.1
             ep.pop.b[i] = 0.9
         params = init_params(2, 8, rng_seed=1)
-        agent = cstorm_agent(params, 2)
+        agent = cstorm_agent(params)
         # BF for the false party blocks next to the decided-true triangle
         run_lockstep([ep], [(agent, make_heuristic_agent("bf"))])
         fp_entry, entry = ep.logs
         assert fp_entry.seed in (3, 4, 5)
         assert entry.seed in (0, 1, 2)
 
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            CommunityRestriction(make_heuristic_agent("cf"), k=0)
-
 
 class TestCstormReducesToStorm:
-    def test_single_community_matches_storm_selections(self):
+    def test_single_community_matches_storm_selections(self, monkeypatch):
+        monkeypatch.setattr(baselines, "COMMUNITIES", 1)
         g = load_urv_email()
         cfg = EpisodeConfig(k=6, opinion_model=UOM, rng_seed=21)
         params = init_params(2, 16, rng_seed=2)
         fp = make_heuristic_agent("cf")
 
         storm_ep = run_episode(g, cfg, make_scheme_agent(Scheme.STORM, params), fp)
-        cstorm_ep = run_episode(g, cfg, cstorm_agent(params, 1), fp)
+        cstorm_ep = run_episode(g, cfg, cstorm_agent(params), fp)
         assert [e.seed for e in storm_ep.logs] == [e.seed for e in cstorm_ep.logs]
         assert [e.strategy for e in storm_ep.logs] == [e.strategy for e in cstorm_ep.logs]
 
 
 class TestDeterminism:
-    def test_cstorm_reproducible(self):
+    def test_cstorm_reproducible(self, monkeypatch):
+        monkeypatch.setattr(baselines, "COMMUNITIES", 4)
         g = load_urv_email()
         cfg = EpisodeConfig(k=4, opinion_model=UOM, rng_seed=9)
         params = init_params(2, 16, rng_seed=3)
         runs = []
         for _ in range(2):
             ep = run_episode(
-                g, cfg, cstorm_agent(params, 4),
+                g, cfg, cstorm_agent(params),
                 make_heuristic_agent("random"),
             )
             runs.append([e.seed for e in ep.logs])

@@ -46,8 +46,7 @@ SETTING_FLAGS = [
 OPTION_STRINGS = {
     "train": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--policies", "--scheme", "--out", "--spec"],
     "eval": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--no-auto-train", "--policies", "--runs",
-             "--scheme", "--axis", "--fps", "--oms", "--out", "--schemes", "--spec", "--values",
-             "--workers"],
+             "--scheme", "--axis", "--out", "--spec", "--values", "--workers"],
     "report": [*HELP_FLAGS, "--layout", "--out", "--results"],
 }
 
@@ -85,25 +84,22 @@ class TestParser:
          "unrecognized arguments: --axis ip --values 1"),
         (["eval", "--axis", "ip", "--range", "1:5"], "unrecognized arguments: --range 1:5"),
         (["eval", "--axis", "p_t"], "argument --axis: invalid choice: 'p_t'"),
-        (["eval", "--workers", "0"], "argument --workers: expected an integer >= 1, got '0'"),
-        (["eval", "--workers", "two"], "argument --workers: expected an integer >= 1, got 'two'"),
-        (["eval", "--axis", "ip", "--workers", "0"],
-         "argument --workers: expected an integer >= 1, got '0'"),
-        (["eval", "--workers", "-1"], "argument --workers: expected an integer >= 1, got '-1'"),
-        (["eval", "--schemes", "foo"], "argument --schemes: invalid choice: 'foo' (choose from "
-                                       "drim-a, drim-na, storm, cstorm)"),
-        (["eval", "--oms", "uom,xyz"], "argument --oms: invalid choice: 'xyz'"),
-        (["eval", "--fps", "zzz"], "argument --fps: invalid choice: 'zzz'"),
-        (["eval", "--fps", "cf,random,cf"], "argument --fps: 'cf' given twice"),
-        (["eval", "--axis", "ip", "--schemes", "storm,storm"],
-         "argument --schemes: 'storm' given twice"),
-        (["eval", "--axis", "ip", "--schemes", "drim-a,"],
-         "argument --schemes: invalid choice: ''"),
+        (["eval", "--scheme", "foo"], "argument --scheme: invalid choice: 'foo' (choose from "
+                                      "drim-a, drim-na, storm, cstorm)"),
+        (["eval", "--om", "uom,xyz"], "argument --om: invalid choice: 'xyz'"),
+        (["eval", "--fp", "zzz"], "argument --fp: invalid choice: 'zzz'"),
+        (["eval", "--fp", "cf,random,cf"], "argument --fp: 'cf' given twice"),
+        (["eval", "--axis", "ip", "--scheme", "storm,storm"],
+         "argument --scheme: 'storm' given twice"),
+        (["eval", "--axis", "ip", "--scheme", "drim-a,"],
+         "argument --scheme: invalid choice: ''"),
+        (["eval", "--schemes", "drim-a"], "unrecognized arguments: --schemes drim-a"),
+        (["train", "--scheme", "drim-a,storm"],
+         "argument --scheme: invalid choice: 'drim-a,storm'"),
     ], ids=["train-opponent", "train-runs", "train-no-auto-train", "train-sweep", "sweep-range",
-            "axis-unknown", "eval-workers-zero", "eval-workers-word", "sweep-workers-zero",
-            "eval-workers-negative", "eval-schemes-unknown", "eval-oms-unknown",
-            "eval-fps-unknown", "eval-fps-repeated", "sweep-schemes-repeated",
-            "sweep-schemes-empty-entry"])
+            "axis-unknown", "eval-schemes-unknown", "eval-oms-unknown", "eval-fps-unknown",
+            "eval-fps-repeated", "sweep-schemes-repeated", "sweep-schemes-empty-entry",
+            "eval-schemes-gone", "train-scheme-list"])
     def test_ignored_settings_rejected(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
@@ -121,16 +117,6 @@ class TestCommands:
         assert rc == 0
         assert (out / "results.csv").exists()
         capsys.readouterr()
-
-    def test_eval_workers_zero_fails_before_training(self, tiny_edges, tmp_path, capsys):
-        out = tmp_path / "res"
-        args = list(FAST)
-        args[args.index("--workers") + 1] = "0"
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--dataset", str(tiny_edges), "--out", str(out), *args])
-        assert exc.value.code == 2
-        assert "argument --workers: expected an integer >= 1, got '0'" in capsys.readouterr().err
-        assert not out.exists()
 
     def _ring_game(self, tmp_path, monkeypatch, command, *args):
         """`command` on a 5-node ring at k = 3: 2·k = 6 seeds would not fit."""
@@ -165,7 +151,7 @@ class TestCommands:
     def test_sweep_fails_before_training_when_seeds_outnumber_users(self, tmp_path, capsys,
                                                                     monkeypatch):
         rc = self._ring_game(tmp_path, monkeypatch, "eval", "--axis", "ip", "--values", "1",
-                             "--schemes", "storm", *FAST)
+                             "--scheme", "storm", *FAST)
         assert rc == 2
         err = capsys.readouterr().err
         assert "drim eval: error: --k 3" in err and "n=5" in err
@@ -276,9 +262,16 @@ class TestCommands:
         (["eval", "--axis", "ip", "--runs", "0"], None, None, "runs must be >= 1"),
         (["eval"], None, "abc", "DRIM_WORKERS='abc' is not an integer >= 1"),
         (["eval", "--axis", "ip"], None, "0", "DRIM_WORKERS='0' is not an integer >= 1"),
+        (["eval", "--workers", "0"], None, None, "workers=0 is not an integer >= 1"),
+        (["eval", "--workers", "two"], None, None, "argument --workers: invalid int value: 'two'"),
+        (["eval", "--workers", "-1"], None, None, "workers=-1 is not an integer >= 1"),
+        (["eval", "--axis", "ip", "--workers", "0"], None, None,
+         "workers=0 is not an integer >= 1"),
     ], ids=["runs-zero", "p-nv-two", "sweep-point-out-of-range", "sweep-points-share-coordinate",
             "values-without-axis", "file-k-zero", "file-k-word", "file-auto-train-typo", "file-unknown-key",
-            "missing-spec-file", "sweep-runs-zero", "workers-env-word", "workers-env-zero"])
+            "missing-spec-file", "sweep-runs-zero", "workers-env-word", "workers-env-zero",
+            "eval-workers-zero", "eval-workers-word", "eval-workers-negative",
+            "sweep-workers-zero"])
     def test_bad_setting_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, spec_text,
                                         env, message):
         def no_work(*args, **kwargs):
@@ -334,11 +327,23 @@ class TestCommands:
             assert flags == (tmp_path / "file" / name).read_bytes(), name
         assert b",ip,2," in (tmp_path / "flags" / "results.csv").read_bytes()
 
+    def test_cell_flags_match_spec_file(self, tiny_edges, tmp_path, capsys):
+        cfg = tmp_path / "cell.cfg"
+        cfg.write_text("[experiment]\nscheme = storm\nopinion_model = nom\nfp_strategy = cf\n")
+        common = ["--dataset", str(tiny_edges), "--policies", str(tmp_path / "policies"), *FAST]
+        assert main(["eval", "--scheme", "storm", "--om", "nom", "--fp", "cf",
+                     "--out", str(tmp_path / "flags"), *common]) == 0
+        assert main(["eval", "--spec", str(cfg), "--out", str(tmp_path / "file"), *common]) == 0
+        for name in ("results.csv", "raw_runs.csv", "counters.csv"):
+            flags = (tmp_path / "flags" / name).read_bytes()
+            assert flags == (tmp_path / "file" / name).read_bytes(), name
+        assert b"storm,nom,cf," in (tmp_path / "file" / "results.csv").read_bytes()
+
     def test_eval_then_table2_report(self, tiny_edges, tmp_path, capsys):
         out = tmp_path / "table2"
         assert main([
-            "eval", "--schemes", "drim-a,drim-na,storm,cstorm", "--om", "nom",
-            "--fps", "cf,random", "--dataset", str(tiny_edges), "--out", str(out),
+            "eval", "--scheme", "drim-a,drim-na,storm,cstorm", "--om", "nom",
+            "--fp", "cf,random", "--dataset", str(tiny_edges), "--out", str(out),
             *TRAIN_FAST, "--runs", "3", "--workers", "2",
         ]) == 0
         capsys.readouterr()

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_wave import SIMPLEX_TOL
 
-from drim import harness, network, propagation, rl
+from drim import baselines, harness, network, propagation, rl
 from drim.baselines import CommunityRestriction
 from drim.datasets import load_urv_email
 from drim.network import Graph, spectral_communities
@@ -385,15 +385,16 @@ class TestCommunityLabelsPerReplica:
         cfg = EpisodeConfig(k=3, opinion_model=NOM)
         games = [Episode(g, cfg.with_seed(seed)) for seed in range(4)]
         run_lockstep(games, [(tp_agent, make_heuristic_agent("random"))] * len(games))
-        k = tp_agent.k
+        k = baselines.COMMUNITIES
         assert len(calls) == 1 and set(g._embeddings) == {k}
         for game in games:
             assert game.obs is g
-            assert np.array_equal(game.communities[k], spectral_communities(
+            assert np.array_equal(game.communities, spectral_communities(
                 g, k, np.random.default_rng(game.community_seed)))
         assert len(calls) == 1
 
-    def test_masked_cstorm_replicas_plan_on_their_own_communities(self):
+    def test_masked_cstorm_replicas_plan_on_their_own_communities(self, monkeypatch):
+        monkeypatch.setattr(baselines, "COMMUNITIES", 3)
         rng = np.random.default_rng(11)
         edges = [(i, j) for i in range(30) for j in range(i + 1, 30)
                  if (i < 15) == (j < 15) and rng.random() < 0.3]
@@ -401,15 +402,14 @@ class TestCommunityLabelsPerReplica:
         params = rl.init_params(len(action_space(Scheme.C_STORM)), 8, 3)
         cfg = EpisodeConfig(k=4, opinion_model=NOM, p_nv=0.6)
         cfgs = [cfg.with_seed(seed) for seed in (5, 6, 7)]
-        tp_agent = CommunityRestriction(PolicyAgent(params, action_space(Scheme.C_STORM)), 3)
+        tp_agent = CommunityRestriction(PolicyAgent(params, action_space(Scheme.C_STORM)))
         fp_agent = make_heuristic_agent("random")
         episodes = run_lockstep([Episode(g, c) for c in cfgs], [(tp_agent, fp_agent)] * 3)
 
         labels = []
         for got, c in zip(episodes, cfgs):
             want = spectral_communities(got.obs, 3, np.random.default_rng(got.community_seed))
-            assert set(got.communities) == {3}
-            assert np.array_equal(got.communities[3], want)
+            assert np.array_equal(got.communities, want)
             labels.append(want)
             _assert_same_episode(got, run_episode(g, c, tp_agent, fp_agent))
         # the replicas' views differ, so one set of labels could not serve all three

@@ -26,7 +26,7 @@ class TestInitPopulation:
     def test_fresh_opinions(self):
         state = init_population(3, rng_seed=0, prior_a=0.5)
         for i in range(3):
-            op = state.get_opinion(i)
+            op = Opinion(*state.bdua[:, i])
             assert op.b == pytest.approx(1 / 103, abs=TOL)
             assert op.d == pytest.approx(1 / 103, abs=TOL)
             assert op.u == pytest.approx(101 / 103, abs=TOL)
@@ -69,7 +69,7 @@ class TestPromoteSeed:
     def test_true_party_promotion(self):
         state = init_population(10, rng_seed=0)
         promote_seed(state, 5, Party.TRUE_PARTY)
-        op = state.get_opinion(5)
+        op = Opinion(*state.bdua[:, 5])
         assert op.b == pytest.approx(100 / 103, abs=TOL)
         assert op.d == pytest.approx(1 / 103, abs=TOL)
         assert op.u == pytest.approx(2 / 103, abs=TOL)
@@ -80,7 +80,7 @@ class TestPromoteSeed:
     def test_false_party_promotion(self):
         state = init_population(10, rng_seed=0)
         promote_seed(state, 7, Party.FALSE_PARTY)
-        op = state.get_opinion(7)
+        op = Opinion(*state.bdua[:, 7])
         assert op.b == pytest.approx(1 / 103, abs=TOL)
         assert op.d == pytest.approx(100 / 103, abs=TOL)
         assert op.u == pytest.approx(2 / 103, abs=TOL)
@@ -222,7 +222,7 @@ class TestSnapshot:
     def test_seed_opinion_immutable_after_promotion(self):
         state = init_population(3, rng_seed=0)
         promote_seed(state, 0, Party.TRUE_PARTY)
-        before = state.get_opinion(0)
+        before = Opinion(*state.bdua[:, 0])
         # downstream code must check the latch; verify it is set
         assert state.frozen[0]
-        assert state.get_opinion(0) == before
+        assert Opinion(*state.bdua[:, 0]) == before

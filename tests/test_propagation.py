@@ -70,17 +70,17 @@ class TestPropagateWave:
     def test_path_cascade_matches_fusion_oracle(self):
         g = path_graph(3)
         state = all_on_population(3)
-        fresh = state.get_opinion(1)
+        fresh = Opinion(*state.bdua[:, 1])
         promote_seed(state, 0, Party.TRUE_PARTY)
-        tip = state.get_opinion(0)
+        tip = Opinion(*state.bdua[:, 0])
 
         # oracle: b updates from the tip, then c updates from the updated b
         expect_1 = fuse(fresh, tip, trust_coefficient(NOM, fresh, tip))
         expect_2 = fuse(fresh, expect_1, trust_coefficient(NOM, fresh, expect_1))
 
         propagate_wave(state, g, Party.TRUE_PARTY, NOM, (np.random.default_rng(0),))
-        got_1 = state.get_opinion(1)
-        got_2 = state.get_opinion(2)
+        got_1 = Opinion(*state.bdua[:, 1])
+        got_2 = Opinion(*state.bdua[:, 2])
         for got, expect in ((got_1, expect_1), (got_2, expect_2)):
             for x, y in zip(got, expect):
                 assert x == pytest.approx(y, abs=TOL)
@@ -126,10 +126,10 @@ class TestPropagateWave:
         state = all_on_population(3)
         promote_seed(state, 0, Party.TRUE_PARTY)
         promote_seed(state, 1, Party.FALSE_PARTY)
-        fip_before = state.get_opinion(1)
+        fip_before = Opinion(*state.bdua[:, 1])
         fresh_u = state.u[2]
         propagate_wave(state, g, Party.TRUE_PARTY, NOM, (np.random.default_rng(0),))
-        assert state.get_opinion(1) == fip_before
+        assert Opinion(*state.bdua[:, 1]) == fip_before
         assert state.u[2] == fresh_u  # the wave stops at the inert opponent seed
 
     def test_frozen_users_keep_opinions_but_can_forward(self):
@@ -137,13 +137,13 @@ class TestPropagateWave:
         state = all_on_population(3)
         promote_seed(state, 0, Party.TRUE_PARTY)
         state.frozen[1] = True
-        frozen_before = state.get_opinion(1)
-        fresh = state.get_opinion(2)
+        frozen_before = Opinion(*state.bdua[:, 1])
+        fresh = Opinion(*state.bdua[:, 2])
         propagate_wave(state, g, Party.TRUE_PARTY, NOM, (np.random.default_rng(0),))
-        assert state.get_opinion(1) == frozen_before
+        assert Opinion(*state.bdua[:, 1]) == frozen_before
         # node 2 received node 1's (unchanged) fresh-ish opinion
         expect = fuse(fresh, frozen_before, trust_coefficient(NOM, fresh, frozen_before))
-        for x, y in zip(state.get_opinion(2), expect):
+        for x, y in zip(Opinion(*state.bdua[:, 2]), expect):
             assert x == pytest.approx(y, abs=TOL)
 
     def test_multi_sender_fusion_in_ascending_order(self):
@@ -151,13 +151,13 @@ class TestPropagateWave:
         g = Graph(3, [(0, 2), (1, 2)])
         state = all_on_population(3)
         promote_seed(state, 1, Party.TRUE_PARTY)
-        fresh = state.get_opinion(2)
+        fresh = Opinion(*state.bdua[:, 2])
         promote_seed(state, 0, Party.TRUE_PARTY)
-        tip = state.get_opinion(0)
+        tip = Opinion(*state.bdua[:, 0])
         expect = fuse(fresh, tip, trust_coefficient(NOM, fresh, tip))
         expect = fuse(expect, tip, trust_coefficient(NOM, expect, tip))
         propagate_wave(state, g, Party.TRUE_PARTY, NOM, (np.random.default_rng(0),))
-        for x, y in zip(state.get_opinion(2), expect):
+        for x, y in zip(Opinion(*state.bdua[:, 2]), expect):
             assert x == pytest.approx(y, abs=TOL)
 
     def test_wave_processes_each_user_once(self):
@@ -165,12 +165,12 @@ class TestPropagateWave:
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         state = all_on_population(4)
         promote_seed(state, 0, Party.TRUE_PARTY)
-        tip = state.get_opinion(0)
-        fresh = state.get_opinion(2)
+        tip = Opinion(*state.bdua[:, 0])
+        fresh = Opinion(*state.bdua[:, 2])
         propagate_wave(state, g, Party.TRUE_PARTY, NOM, (np.random.default_rng(0),))
         # node 2 is reached by senders 1 and 3 in one layer: two fusions, one read
         op1 = fuse(fresh, tip, trust_coefficient(NOM, fresh, tip))
-        got = state.get_opinion(2)
+        got = Opinion(*state.bdua[:, 2])
         assert got.u < op1.u  # more than one fusion happened
 
     def test_free_nodes_shrink_monotonically_under_fusion_only_models(self):
@@ -229,13 +229,13 @@ class TestRoundSchedule:
         ep = Episode(g, cfg)
         ep.pop.p_read[:] = 1.0
         ep.pop.p_share[:] = 1.0
-        fresh = ep.pop.get_opinion(1)
+        fresh = Opinion(*ep.pop.bdua[:, 1])
         tip = opinion_from_evidence(TIP_EVIDENCE, 1.0)
         once = fuse(fresh, tip, trust_coefficient(NOM, fresh, tip))
         twice = fuse(once, tip, trust_coefficient(NOM, once, tip))
         run_lockstep([ep], [(FixedStrategyAgent(StrategyKind.CF), PoolAgent(StrategyKind.CF, 2))])
         assert [e.seed for e in ep.logs] == [2, 0]
-        got = ep.pop.get_opinion(1)
+        got = Opinion(*ep.pop.bdua[:, 1])
         for x, y in zip(got, twice):
             assert x == pytest.approx(y, abs=TOL)
 
