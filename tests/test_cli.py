@@ -84,6 +84,7 @@ class TestParser:
          "unrecognized arguments: --axis ip --values 1"),
         (["eval", "--axis", "ip", "--range", "1:5"], "unrecognized arguments: --range 1:5"),
         (["eval", "--axis", "p_t"], "argument --axis: invalid choice: 'p_t'"),
+        (["eval", "--workers", "two"], "argument --workers: invalid int value: 'two'"),
         (["eval", "--scheme", "foo"], "argument --scheme: invalid choice: 'foo' (choose from "
                                       "drim-a, drim-na, storm, cstorm)"),
         (["eval", "--om", "uom,xyz"], "argument --om: invalid choice: 'xyz'"),
@@ -97,9 +98,9 @@ class TestParser:
         (["train", "--scheme", "drim-a,storm"],
          "argument --scheme: invalid choice: 'drim-a,storm'"),
     ], ids=["train-opponent", "train-runs", "train-no-auto-train", "train-sweep", "sweep-range",
-            "axis-unknown", "eval-schemes-unknown", "eval-oms-unknown", "eval-fps-unknown",
-            "eval-fps-repeated", "sweep-schemes-repeated", "sweep-schemes-empty-entry",
-            "eval-schemes-gone", "train-scheme-list"])
+            "axis-unknown", "eval-workers-word", "eval-schemes-unknown", "eval-oms-unknown",
+            "eval-fps-unknown", "eval-fps-repeated", "sweep-schemes-repeated",
+            "sweep-schemes-empty-entry", "eval-schemes-gone", "train-scheme-list"])
     def test_ignored_settings_rejected(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
@@ -117,6 +118,16 @@ class TestCommands:
         assert rc == 0
         assert (out / "results.csv").exists()
         capsys.readouterr()
+
+    def test_eval_workers_zero_fails_before_training(self, tiny_edges, tmp_path, capsys):
+        out = tmp_path / "res"
+        args = list(FAST)
+        args[args.index("--workers") + 1] = "0"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--dataset", str(tiny_edges), "--out", str(out), *args])
+        assert exc.value.code == 2
+        assert "drim eval: error: workers=0 is not an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def _ring_game(self, tmp_path, monkeypatch, command, *args):
         """`command` on a 5-node ring at k = 3: 2·k = 6 seeds would not fit."""
@@ -263,14 +274,13 @@ class TestCommands:
         (["eval"], None, "abc", "DRIM_WORKERS='abc' is not an integer >= 1"),
         (["eval", "--axis", "ip"], None, "0", "DRIM_WORKERS='0' is not an integer >= 1"),
         (["eval", "--workers", "0"], None, None, "workers=0 is not an integer >= 1"),
-        (["eval", "--workers", "two"], None, None, "argument --workers: invalid int value: 'two'"),
         (["eval", "--workers", "-1"], None, None, "workers=-1 is not an integer >= 1"),
         (["eval", "--axis", "ip", "--workers", "0"], None, None,
          "workers=0 is not an integer >= 1"),
     ], ids=["runs-zero", "p-nv-two", "sweep-point-out-of-range", "sweep-points-share-coordinate",
             "values-without-axis", "file-k-zero", "file-k-word", "file-auto-train-typo", "file-unknown-key",
             "missing-spec-file", "sweep-runs-zero", "workers-env-word", "workers-env-zero",
-            "eval-workers-zero", "eval-workers-word", "eval-workers-negative",
+            "eval-workers-zero", "eval-workers-negative",
             "sweep-workers-zero"])
     def test_bad_setting_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, spec_text,
                                         env, message):
