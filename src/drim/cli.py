@@ -163,12 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "(table2 reads their timings.csv)")
     p.add_argument("--out", default=".",
                    help="output directory, receives <layout>.csv (default: the working directory)")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, usage_error=p.error)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # parse_args would report a subcommand's leftovers under the top usage
+        args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except UnplayableSpec as exc:  # a usage error, found while the graph loads

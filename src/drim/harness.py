@@ -323,12 +323,15 @@ def load_graph(spec: ExperimentSpec) -> Graph:
         raise UnplayableSpec(f"--dataset {spec.dataset}: {exc}") from exc
 
 
-def check_playable(spec: ExperimentSpec, graph: Graph) -> None:
-    """Raise `UnplayableSpec` unless the graph holds the 2·k users that
-    a game of k rounds seeds, before anything is trained or started."""
+def check_playable(spec: ExperimentSpec, graph: Graph, fps: tuple[str, ...]) -> None:
+    """Raise `UnplayableSpec` unless the graph holds the 2·k users that k rounds
+    seed and, if fps holds "drl", self-play can split `updates`, before anything trains."""
     if 2 * spec.k > graph.n:
         raise UnplayableSpec(f"--k {spec.k}: k rounds seed 2·k = {2 * spec.k} users, "
                              f"but the graph has only n={graph.n}")
+    if "drl" in fps and spec.ppo.side_updates() is None:
+        raise UnplayableSpec(f"--updates {spec.ppo.updates}: self-play cannot split it evenly over"
+                             f" 2 sides × {spec.ppo.selfplay_alternations} alternation(s)")
 
 
 # ----------------------------------------------------------------------
@@ -374,7 +377,7 @@ def train_policy(spec: ExperimentSpec, scheme: Scheme, fp: str) -> TrainResult:
     atomically, so an existing TP file means a complete set.
     """
     graph = load_graph(spec)
-    check_playable(spec, graph)
+    check_playable(spec, graph, (fp,))
     cfg = spec.episode_config()
     seed = derive_seed(spec.master_seed, "train", scheme.value, spec.opinion_model, fp)
     with single_thread_blas():
@@ -522,7 +525,7 @@ def run_grid(
                     "spec's dataset, not on the graph passed in; train it first"
                 )
     graph = graph if graph is not None else load_graph(spec)
-    check_playable(spec, graph)
+    check_playable(spec, graph, fp_strategies)
     points = list(spec.sweep_values) if spec.sweep_axis else [None]
 
     for om in opinion_models:

@@ -31,8 +31,8 @@ step of the array operators of `drim.opinion` over all its events at
 once. Every event sees the opinions the wave-by-wave, level-by-level,
 sender-by-sender order would give it, so the results are exact. A
 target that freezes skips its later events, in its own wave or a later
-one, and they are taken back out of the fusion count; a degenerate
-fusion (beta <= 1e-12) is skipped and counted.
+one; a degenerate fusion (beta <= 1e-12) is skipped. The totals are
+counted once per turn, from the ids its levels and fusion steps hit.
 
 Draw-order contract: within a level, a replica's s reached users, in
 ascending id order, take 2·s uniforms from its generator in one
@@ -168,18 +168,12 @@ class WaveCounters:
     degenerate: int = 0
 
 
-# WaveCounters fields, in order: the rows of the kernel's (fields, replicas) tally.
-_COUNTERS = tuple(f.name for f in fields(WaveCounters))
-_REACHED, _READS, _FUSIONS, _REFRESHES, _FROZEN, _DEGENERATE = range(len(_COUNTERS))
-
-
 def _fuse_step(
     state: PopulationState,
     model: TrustModel,
     ids: np.ndarray,
     senders: np.ndarray,
-    tally: np.ndarray,
-    n: int,
+    hits: dict[str, list[np.ndarray]],
 ) -> bool:
     """Run one depth of a wave's fusion schedule: reader ids[i] fuses senders[i].
 
@@ -188,28 +182,23 @@ def _fuse_step(
     distinct; and every event lies deeper than its sender's last event,
     so each sender's opinion is settled and no reader of the step is
     another's sender. Results are written through to the state; a
-    reader whose fusion freezes it is latched here. Totals go to column
-    ids // n of tally. Returns whether any reader froze.
+    reader whose fusion freezes it is latched here. Refreshed, degenerate
+    and frozen readers join their lists in hits. Returns whether any froze.
     """
     bdua, frozen = state.bdua, state.frozen
-    replicas = tally.shape[1]
-
-    def per_replica(users):
-        return np.bincount(users // n, minlength=replicas)
-
     op_i = bdua.take(ids, axis=1)
     op_j = bdua.take(senders, axis=1)
     if model.variant is TrustVariant.UOM:
         due = refresh_due(op_i, model)
         if np.count_nonzero(due):
-            tally[_REFRESHES] += per_replica(ids[due])
+            hits["refreshes"].append(ids[due])
             maxed = vacuity_maximize(op_i)
             op_i = np.array([np.where(due, x, y) for x, y in zip(maxed, op_i)])
     new = fuse(op_i, op_j, trust_coefficient(model, op_i, op_j))
     skipped = np.isnan(new.u)
     bad = int(np.count_nonzero(skipped))
     if bad:  # dogmatic pair slipped past the freeze latch: keep op_i
-        tally[_DEGENERATE] += per_replica(ids[skipped])
+        hits["degenerate"].append(ids[skipped])
         new = [np.where(skipped, y, x) for x, y in zip(new, op_i)]
     for row, x in zip(bdua, new):
         row[ids] = x
@@ -221,7 +210,7 @@ def _fuse_step(
         if np.count_nonzero(stop):
             halted = ids[stop]
             frozen[halted] = True
-            tally[_FROZEN] += per_replica(halted)
+            hits["frozen"].append(halted)
             return True
     return False
 
@@ -250,7 +239,8 @@ def propagate_wave(
     if seeds.size == 0:
         return state
     cuts = np.arange(1, replicas) * n  # first user of every replica but the first
-    tally = np.zeros((len(_COUNTERS), replicas), dtype=np.int64)
+    # Per WaveCounters field, the ids of the users each level or fusion step hit
+    hits = {f.name: [np.empty(0, np.int64)] for f in fields(WaveCounters)}
     indptr, indices = g.indptr, g.indices
     frozen = state.frozen
     key_dtype = np.min_scalar_type(state.n)
@@ -300,8 +290,8 @@ def propagate_wave(
                                     if lo < hi], axis=1)
             read = draws[0] < state.p_read.take(reached)
             share = read & (draws[1] < state.p_share.take(reached))
-            tally[_REACHED] += np.diff(segments)
-            tally[_READS] += np.bincount(reached[read] // n, minlength=replicas)
+            hits["reached"].append(reached)
+            hits["reads"].append(reached[read])
             # Readers frozen at the start of the turn take no events; those
             # that freeze during it skip theirs when the schedule runs.
             fusing = (read & ~frozen.take(reached)).nonzero()[0]
@@ -342,7 +332,6 @@ def propagate_wave(
         steps = np.bincount(depth).cumsum()  # depths run 1, 2, ..., max
         order = depth.astype(np.min_scalar_type(steps.size)).argsort(kind="stable")
         readers, froms = readers.take(order), froms.take(order)
-        tally[_FUSIONS] += np.bincount(readers // n, minlength=replicas)
         halts = False
         steps = steps.tolist()
         for lo, hi in zip(steps, steps[1:]):
@@ -350,14 +339,15 @@ def propagate_wave(
             if halts:  # a reader that froze skips its later events
                 live = ~frozen.take(ids)
                 if not live.all():
-                    tally[_FUSIONS] -= np.bincount(ids[~live] // n, minlength=replicas)
                     ids, senders = ids[live], senders[live]
                     if ids.size == 0:
                         continue
-            halts |= _fuse_step(state, model, ids, senders, tally, n)
+            hits["fusions"].append(ids)
+            halts |= _fuse_step(state, model, ids, senders, hits)
     if counters is not None:
-        for c, column in zip(counters, tally.T.tolist()):
-            for name, x in zip(_COUNTERS, column):
+        for name, ids in hits.items():
+            totals = np.bincount(np.concatenate(ids) // n, minlength=replicas)
+            for c, x in zip(counters, totals.tolist()):
                 setattr(c, name, getattr(c, name) + x)
     return state
 

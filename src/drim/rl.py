@@ -57,24 +57,27 @@ class PPOConfig:
     updates: int = 200
     entropy_coef: float = 0.01
     hidden: int = 64
-    selfplay_updates_per_side: int = 25
     selfplay_alternations: int = 4
 
     def __post_init__(self) -> None:
         for name in ("gamma", "clip_epsilon"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
-        for name in ("epochs", "rollout_episodes", "updates", "hidden",
-                     "selfplay_updates_per_side", "selfplay_alternations"):
+        for name in ("epochs", "rollout_episodes", "updates", "hidden", "selfplay_alternations"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be a whole number, got {value!r}")
         for name in ("epochs", "actor_lr", "critic_lr", "rollout_episodes", "updates",
-                     "hidden", "selfplay_updates_per_side", "selfplay_alternations"):
+                     "hidden", "selfplay_alternations"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0 <= self.entropy_coef < math.inf:
             raise ValueError(f"entropy_coef must be non-negative and finite, got {self.entropy_coef}")
+
+    def side_updates(self) -> int | None:
+        """Self-play's updates per side and alternation, None unless `updates` splits evenly."""
+        per_side, rest = divmod(self.updates, 2 * self.selfplay_alternations)
+        return None if rest else per_side
 
 
 class Mlp:
@@ -440,8 +443,8 @@ def train_agent(
     opponent is a strategy name (af/bf/sgf/cf/random) or 'drl', which
     trains both sides by alternating-freeze self-play: the true party
     trains against a frozen false-party policy, then roles swap, for the
-    configured number of alternations. The false party's DRL agent always
-    uses the full four-action set.
+    configured number of alternations, each side training its share of
+    `updates`, which must split evenly. The FP's DRL agent uses all four actions.
     """
     seed_seq = np.random.SeedSequence(rng_seed)
     tp_space = action_space(scheme)
@@ -462,7 +465,7 @@ def train_agent(
     tp_params = init_params(len(tp_space), ppo_cfg.hidden, np.random.default_rng(tp_init))
     fp_params = init_params(len(fp_space), ppo_cfg.hidden, np.random.default_rng(fp_init))
     curve: list[tuple[int, float, float]] = []
-    side_updates = ppo_cfg.selfplay_updates_per_side
+    side_updates = ppo_cfg.side_updates()
     for alternation in seed_seq.spawn(ppo_cfg.selfplay_alternations):
         tp_seed, fp_seed = alternation.spawn(2)
         frozen_fp = PolicyAgent(fp_params.copy(), fp_space)

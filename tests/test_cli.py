@@ -32,6 +32,11 @@ TRAIN_FAST = [
     "--k", "3", "--updates", "1", "--rollout-episodes", "2", "--epochs", "2", "--hidden", "8",
 ]
 FAST = [*TRAIN_FAST, "--workers", "1", "--runs", "2"]
+# A self-play cell of one alternation; it trains updates / 2 updates per side.
+SELFPLAY_FAST = [
+    "--k", "3", "--selfplay-alternations", "1", "--rollout-episodes", "2", "--epochs", "2",
+    "--hidden", "8",
+]
 
 # Every subcommand's option strings, pinned so no flag is added or lost
 # unnoticed. SETTING_FLAGS are the flags of the experiment settings every
@@ -40,8 +45,7 @@ HELP_FLAGS = ["-h", "--help"]
 SETTING_FLAGS = [
     "--actor-lr", "--clip-epsilon", "--critic-lr", "--dataset", "--entropy-coef", "--epochs",
     "--gamma", "--hidden", "--k", "--master-seed", "--om", "--p-f", "--p-nv", "--p-t",
-    "--prior-a", "--rollout-episodes", "--selfplay-alternations", "--selfplay-updates-per-side",
-    "--updates",
+    "--prior-a", "--rollout-episodes", "--selfplay-alternations", "--updates",
 ]
 OPTION_STRINGS = {
     "train": [*HELP_FLAGS, *SETTING_FLAGS, "--fp", "--policies", "--scheme", "--out", "--spec"],
@@ -106,6 +110,19 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,unknown", [
+        (["train", "--opponent", "cf"], "--opponent cf"),
+        (["eval", "--schemes", "drim-a"], "--schemes drim-a"),
+        (["report", "--layout", "table2", "--results", "res", "--bogus", "1"], "--bogus 1"),
+    ], ids=["train", "eval", "report"])
+    def test_unknown_option_prints_subcommand_usage(self, argv, unknown, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: drim {argv[0]} ")
+        assert err.endswith(f"drim {argv[0]}: error: unrecognized arguments: {unknown}\n")
 
 
 class TestCommands:
@@ -211,8 +228,7 @@ class TestCommands:
                                                 monkeypatch):
         out = tmp_path / "res"
         cell = ["--scheme", "drim-a", "--om", "nom", "--fp", "drl", "--dataset", str(tiny_edges),
-                "--out", str(out), *TRAIN_FAST, "--selfplay-updates-per-side", "1",
-                "--selfplay-alternations", "1"]
+                "--out", str(out), *SELFPLAY_FAST, "--updates", "2"]
         assert main(["train", *cell]) == 0
         wrote = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
         assert [path.endswith("_fp.bin") for path in wrote] == [True, False]
@@ -229,6 +245,28 @@ class TestCommands:
         assert sorted(str(out / "policies" / path) for path in policies if "curve" not in path) \
             == sorted(wrote)
 
+    def test_selfplay_splits_updates_over_sides(self, tiny_edges, tmp_path):
+        out = tmp_path / "res"
+        rc = main(["train", "--scheme", "drim-a", "--fp", "drl", "--dataset", str(tiny_edges),
+                   "--out", str(out), *SELFPLAY_FAST, "--updates", "4"])
+        assert rc == 0
+        curve = next((out / "policies").glob("*.curve.csv")).read_text().splitlines()
+        assert [row.split(",")[0] for row in curve[1:]] == ["0", "1"]  # 4 = 2 sides · 2
+
+    def test_selfplay_uneven_updates_is_usage_error(self, tiny_edges, tmp_path, capsys,
+                                                    monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a policy")
+
+        monkeypatch.setattr(harness, "train_agent", no_training)
+        out = tmp_path / "res"
+        rc = main(["train", "--scheme", "drim-a", "--fp", "drl", "--dataset", str(tiny_edges),
+                   "--out", str(out), *SELFPLAY_FAST, "--updates", "3"])
+        assert rc == 2
+        assert ("drim train: error: --updates 3: self-play cannot split it evenly over 2 sides "
+                "× 1 alternation(s)\n") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_rejects_workers(self, tiny_edges, tmp_path, capsys):
         out = tmp_path / "res"
         with pytest.raises(SystemExit) as exc:
@@ -239,9 +277,8 @@ class TestCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
-        ("--gamma", "1.0"), ("--selfplay-updates-per-side", "0"),
-        ("--selfplay-alternations", "0"), ("--actor-lr", "nan"), ("--critic-lr", "inf"),
-        ("--entropy-coef", "-5.0"),
+        ("--gamma", "1.0"), ("--selfplay-alternations", "0"), ("--actor-lr", "nan"),
+        ("--critic-lr", "inf"), ("--entropy-coef", "-5.0"),
     ])
     def test_train_rejects_bad_ppo_values_before_training(self, tiny_edges, tmp_path, capsys,
                                                           flag, value):

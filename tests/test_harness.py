@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +75,7 @@ def tiny_spec(tmp_path: Path, dataset: Path, **kw) -> ExperimentSpec:
         k=3,
         master_seed=0,
         ppo=PPOConfig(hidden=8, rollout_episodes=2, updates=1, epochs=3,
-                      selfplay_updates_per_side=1, selfplay_alternations=1),
+                      selfplay_alternations=1),
     )
     defaults.update(kw)
     return ExperimentSpec(**defaults)
@@ -374,6 +375,7 @@ class TestPolicyCache:
 
     def test_selfplay_produces_both_sides(self, tmp_path, tiny_dataset):
         spec = tiny_spec(tmp_path, tiny_dataset, fp_strategy="drl")
+        spec = replace(spec, ppo=replace(spec.ppo, updates=2))  # one update per side
         ensure_policies(spec, [(spec.scheme, "drl")], workers=1)
         tp_path, fp_path = policy_paths(spec, spec.scheme, "drl")
         assert tp_path.exists() and fp_path.exists()
@@ -394,12 +396,13 @@ class TestPolicyCache:
         assert len({paths["tiny"], paths["other"], paths["bundled"]}) == 3
 
     # The default spec's tag. It moved from "baf6b1fa" when the draw-order
-    # contract joined the key, so policies of the old stream are retrained.
-    PARENT_DEFAULT_TAG = "91710efc"
+    # contract joined the key, so policies of the old stream are retrained,
+    # and from "91710efc" when selfplay_updates_per_side left PPOConfig.
+    PARENT_DEFAULT_TAG = "ae52b998"
 
     def test_tag_covers_every_ppo_field(self):
         # Each PPO field and each [episode] setting, changed alone, moves the tag.
-        from dataclasses import fields, replace
+        from dataclasses import fields
 
         from drim.config import SPEC_KEYS
         from drim.harness import _policy_tag
@@ -722,7 +725,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key,text", [
         ("gamma", "1.0"), ("gamma", "1.5"), ("gamma", "0"),
-        ("selfplay_updates_per_side", "0"), ("selfplay_alternations", "0"),
+        ("selfplay_alternations", "0"),
         ("actor_lr", "nan"), ("critic_lr", "inf"), ("entropy_coef", "-5.0"),
         ("entropy_coef", "nan"),
     ])

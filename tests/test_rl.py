@@ -357,7 +357,7 @@ class TestOneLearnerPerBatch:
 
 
 @pytest.mark.parametrize("name", ["epochs", "rollout_episodes", "updates", "hidden",
-                                  "selfplay_updates_per_side", "selfplay_alternations"])
+                                  "selfplay_alternations"])
 @pytest.mark.parametrize("value", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
 def test_ppo_config_rejects_non_integer_counts(name, value):
     pattern = f"{name} must be a whole number, got {value!r}"

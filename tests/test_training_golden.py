@@ -33,7 +33,7 @@ def train_golden_cell(name: str, policy_dir: Path) -> dict[str, Path]:
     mapped to the store file it was saved from."""
     scheme, om, fp, p_nv = GOLDEN_CELLS[name]
     ppo = rl.PPOConfig(updates=2, rollout_episodes=3, epochs=2, hidden=8,
-                       selfplay_updates_per_side=1, selfplay_alternations=1)
+                       selfplay_alternations=1)
     spec = harness.ExperimentSpec(scheme=scheme, opinion_model=om, fp_strategy=fp, p_nv=p_nv,
                                   k=5, master_seed=0, policy_dir=policy_dir, ppo=ppo)
     harness.train_policy(spec, scheme, fp)
