@@ -21,6 +21,7 @@ from drim.harness import (
     OPINION_MODELS,
     SWEEP_DEFAULTS,
     ExperimentSpec,
+    MissingPolicy,
     UnplayableSpec,
     emit_report,
     policy_paths,
@@ -173,7 +174,7 @@ def main(argv=None) -> int:
         args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
-    except UnplayableSpec as exc:  # a usage error, found while the graph loads
+    except (UnplayableSpec, MissingPolicy) as exc:  # usage errors found once the command runs
         print(f"drim {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

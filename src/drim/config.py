@@ -60,8 +60,11 @@ SPEC_KEYS = {
 def _read_file(path: str | Path) -> list[tuple[str, str]]:
     """(flat key, text) of every setting in an INI config file."""
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"config file {path} not found")
+    try:
+        if not parser.read(path):
+            raise FileNotFoundError(f"config file {path} not found")
+    except configparser.Error as exc:  # a duplicate key, no section header, a line without =
+        raise ValueError(f"config file {path}: {' '.join(str(exc).split())}") from None
     keys = {(section, key.removeprefix(f"{section}_")): key
             for key, (section, _) in SPEC_KEYS.items()}
     sections = {section for section, _ in keys}

@@ -308,6 +308,10 @@ def _parallel_map(fn, items: list, workers: int | None = None) -> list:
             return list(pool.map(fn, items))
 
 
+class MissingPolicy(FileNotFoundError):
+    """A policy file an evaluation needs is missing, and auto_train is off."""
+
+
 class UnplayableSpec(ValueError):
     """The spec cannot be played: its dataset is missing, unreadable or
     not an edge list, or its game does not fit its graph."""
@@ -413,7 +417,7 @@ def ensure_policies(spec: ExperimentSpec, cells: list[tuple[Scheme, str]], worke
     """Train (in parallel) any policies the given cells are missing."""
     missing = _missing_policies(spec, cells)
     if missing and not spec.auto_train:
-        raise FileNotFoundError(f"missing policy file {missing[0][2]} (auto_train disabled)")
+        raise MissingPolicy(f"missing policy file {missing[0][2]} (auto_train disabled)")
     _parallel_map(_train_one, [(spec, scheme, fp) for scheme, fp, _ in missing], workers)
 
 
@@ -553,7 +557,7 @@ def run_grid(
 
 
 # ----------------------------------------------------------------------
-# CSV writers / readers
+# CSV writers
 # ----------------------------------------------------------------------
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -570,23 +574,6 @@ def _write_csv(path: Path, header, rows) -> None:
 def write_results_csv(path: Path, rows: list[ResultRow]) -> None:
     _write_csv(path, (f.name for f in fields(ResultRow)),
                (row.csv_values() for row in sorted(rows, key=attrgetter(*COORDINATES))))
-
-
-def _read_csv(path: Path, columns) -> list[dict[str, str]]:
-    """The records of a result CSV; a file lacking any of `columns`, such
-    as one an older drim wrote, is a ValueError naming them."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path} has no {', '.join(missing)} column")
-        return list(reader)
-
-
-def read_results_csv(path: Path) -> list[ResultRow]:
-    types = get_type_hints(ResultRow)
-    return [ResultRow(**{name: kind(rec[name]) for name, kind in types.items()})
-            for rec in _read_csv(path, types)]
 
 
 def write_raw_csv(path: Path, raw_rows: list[dict]) -> None:
@@ -623,104 +610,112 @@ LAYOUTS = ("table1", "fig2", "fig3a", "fig3b", "fig3c", "table2")
 _SCHEME_ORDER = tuple(s.value for s in Scheme)
 
 
-def _cell_value(rows, **filters) -> ResultRow:
-    matches = [
-        r for r in rows
-        if all(getattr(r, key) == val for key, val in filters.items())
-    ]
-    wanted = ", ".join(f"{k}={v}" for k, v in filters.items())
+def _read_cells(results_dirs: list[str | Path], name: str, columns: dict) -> dict:
+    """The rows of each `--results` directory's `name` CSV by cell (their
+    `COORDINATES` values), then by argument index, so a directory given
+    twice counts as two. A row is ("<file>:<line>", its `columns` (name:
+    type), converted). A missing column, a value that does not convert and
+    a cell outside drim's grids are ValueErrors naming the file."""
+    index: dict[tuple, dict] = {}
+    for argument, path in enumerate(Path(d) / name for d in results_dirs):
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh, restval="")  # a short row's missing values fail below
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{path} has no {', '.join(missing)} column")
+            for rec in reader:
+                place = f"{path}:{reader.line_num}"
+                try:
+                    rec = {c: kind(rec[c]) for c, kind in columns.items()}
+                    cell = tuple(rec[c] for c in COORDINATES)
+                    if cell not in index:  # one outside drim's grids fails as its spec would
+                        scheme, om, fp, axis, value = cell
+                        ExperimentSpec(Scheme(scheme), om, fp,
+                                       sweep_axis=None if axis == "none" else axis,
+                                       sweep_values=None if axis == value == "none" else (value,))
+                except ValueError as exc:
+                    raise ValueError(f"{place}: {exc}") from None
+                index.setdefault(cell, {}).setdefault(argument, []).append((place, rec))
+    return index
+
+
+def _lookup(index: dict, one_row: bool, **filters) -> list[dict]:
+    """The records of the one cell, from one argument, that the filters
+    (coordinate=value) match: none is a `missing result cell`, two (two
+    arguments, two cells or, if `one_row`, two rows) an `ambiguous result cell`."""
+    wanted = ", ".join(f"{c}={filters[c]}" for c in COORDINATES if c in filters)
+    matches = [rows for cell, by_argument in index.items()
+               if all(filters.get(c, value) == value for c, value in zip(COORDINATES, cell))
+               for rows in by_argument.values()]
+    if one_row:
+        matches = [[row] for rows in matches for row in rows]
     if not matches:
         raise ValueError(f"missing result cell: {wanted}")
     if len(matches) > 1:
-        raise ValueError(f"ambiguous result cell: {wanted} matches {len(matches)} rows")
-    return matches[0]
+        (first, _), (second, _) = matches[0][0], matches[1][0]
+        raise ValueError(f"ambiguous result cell: {wanted} in {first} and {second}")
+    return [rec for _, rec in matches[0]]
 
 
-def _pivot_results(rows: list[ResultRow], layout: str) -> tuple[list, list[list]]:
-    """Header and lines of a results.csv layout: decided true-party counts."""
-    lines: list[list] = []
+def _pivot_results(index: dict, layout: str) -> tuple[list, list[list]]:
+    """Header and lines of a results.csv layout: one line per (label,
+    filters) and one column per (name, filters), each entry the decided
+    true-party count of the one row both match."""
+    fps = [(fp, {"fp_strategy": fp, "sweep_axis": "none"}) for fp in FP_STRATEGIES]
     if layout == "table1":
-        header = ["scheme_om"] + list(FP_STRATEGIES)
-        for scheme in _SCHEME_ORDER:
-            for om in OPINION_MODELS:
-                line = [f"{scheme}/{om}"]
-                for fp in FP_STRATEGIES:
-                    cell = _cell_value(rows, scheme=scheme, opinion_model=om,
-                                       fp_strategy=fp, sweep_axis="none")
-                    line.append(f"{cell.mean_decided_n_true:.4f}")
-                lines.append(line)
+        corner, columns = "scheme_om", fps
+        lines = [(f"{scheme}/{om}", {"scheme": scheme, "opinion_model": om})
+                 for scheme in _SCHEME_ORDER for om in OPINION_MODELS]
     elif layout == "fig2":
-        header = ["scheme"] + list(FP_STRATEGIES)
-        for scheme in _SCHEME_ORDER:
-            line = [scheme]
-            for fp in FP_STRATEGIES:
-                cell = _cell_value(rows, scheme=scheme, opinion_model="uom",
-                                   fp_strategy=fp, sweep_axis="none")
-                line.append(f"{cell.mean_decided_n_true:.4f}")
-            lines.append(line)
+        corner, columns = "scheme", fps
+        lines = [(scheme, {"scheme": scheme, "opinion_model": "uom"}) for scheme in _SCHEME_ORDER]
     else:  # fig3a, fig3b, fig3c
-        axis = {"fig3a": "ip", "fig3b": "p_nv", "fig3c": "prior_a"}[layout]
-        header = [axis] + list(_SCHEME_ORDER)
-        values = sorted(
-            {r.sweep_value for r in rows if r.sweep_axis == axis},
-            key=float,
-        )
+        corner = {"fig3a": "ip", "fig3b": "p_nv", "fig3c": "prior_a"}[layout]
+        columns = [(scheme, {"scheme": scheme}) for scheme in _SCHEME_ORDER]
+        values = sorted({cell[4] for cell in index if cell[3] == corner}, key=float)
         if not values:
-            raise ValueError(f"missing result cell: sweep_axis={axis}")
-        for value in values:
-            line = [value]
-            for scheme in _SCHEME_ORDER:
-                cell = _cell_value(rows, scheme=scheme, sweep_axis=axis, sweep_value=value)
-                line.append(f"{cell.mean_decided_n_true:.4f}")
-            lines.append(line)
-    return header, lines
+            raise ValueError(f"missing result cell: sweep_axis={corner}")
+        lines = [(value, {"sweep_axis": corner, "sweep_value": value}) for value in values]
+    return [corner, *(name for name, _ in columns)], [
+        [label, *(f"{_lookup(index, True, **line, **column)[0]['mean_decided_n_true']:.4f}"
+                  for _, column in columns)]
+        for label, line in lines]
 
 
-def _table2(results_dirs: list[str | Path]) -> tuple[list, list[list]]:
-    """Header and lines of table2 from the `sweep_axis = none` rows of the
-    directories' `timings.csv`: per scheme, seconds per episode (its runs'
-    seconds over its runs, i.e. the summed batch clocks over the summed
-    batch sizes) and the mean batch size."""
-    seconds: dict[str, list[float]] = {scheme: [] for scheme in _SCHEME_ORDER}
-    batches: dict[str, set] = {scheme: set() for scheme in _SCHEME_ORDER}
-    home: dict[tuple, Path] = {}
-    for results_dir in map(Path, results_dirs):
-        for rec in _read_csv(results_dir / "timings.csv", (*COORDINATES, "seconds", "batch")):
-            if rec["sweep_axis"] != "none":
-                continue
-            cell = tuple(rec[c] for c in COORDINATES)
-            if home.setdefault(cell, results_dir) != results_dir:
-                wanted = ", ".join(f"{c}={v}" for c, v in zip(COORDINATES, cell))
-                raise ValueError(f"ambiguous result cell: {wanted} in {home[cell]} "
-                                 f"and {results_dir}")
-            seconds[rec["scheme"]].append(float(rec["seconds"]))
-            batches[rec["scheme"]].add((cell, rec["batch"]))
-    missing = [scheme for scheme in _SCHEME_ORDER if not seconds[scheme]]
+def _table2(index: dict) -> tuple[list, list[list]]:
+    """Header and lines of table2 from the `sweep_axis = none` cells of a
+    timings.csv index: per scheme, seconds per episode (its runs' seconds
+    over its runs, i.e. the summed batch clocks over the summed batch
+    sizes) and the mean batch size."""
+    runs: dict[str, list] = {scheme: [] for scheme in _SCHEME_ORDER}
+    for cell in index:
+        if cell[3] == "none":
+            records = _lookup(index, False, **dict(zip(COORDINATES, cell)))
+            runs[cell[0]] += [(cell, rec) for rec in records]
+    missing = [scheme for scheme in _SCHEME_ORDER if not runs[scheme]]
     if missing:
         raise ValueError(f"missing result cell: scheme={','.join(missing)}")
-    header = ["scheme", "mean_episode_seconds", "episodes_per_batch"]
-    return header, [[scheme, f"{sum(seconds[scheme]) / len(seconds[scheme]):.6f}",
-                     f"{len(seconds[scheme]) / len(batches[scheme]):.4f}"]
-                    for scheme in _SCHEME_ORDER]
+    return ["scheme", "mean_episode_seconds", "episodes_per_batch"], [
+        [scheme, f"{sum(rec['seconds'] for _, rec in rows) / len(rows):.6f}",
+         f"{len(rows) / len({(cell, rec['batch']) for cell, rec in rows}):.4f}"]
+        for scheme, rows in runs.items()]
 
 
 def emit_report(results_dirs: list[str | Path], layout: str, out_path: Path) -> Path:
     """Pivot the result files of output directories into one layout CSV
-    keyed to the experiment grids.
-
-    table2 reads each directory's `timings.csv` (`_table2`); the other
-    layouts read `results.csv`, and their cells report the decided
-    true-party count. A cell that more than one row matches, as when two
-    directories hold it, is an error rather than a silent pick.
-    """
+    keyed to the experiment grids: table2 from their `timings.csv`, the
+    others from their `results.csv`, each cell the decided true-party
+    count. Every layout looks its cells up in one index (`_read_cells`,
+    `_lookup`), so a cell that more than one row matches, as when two
+    directories hold it, is an error rather than a silent pick."""
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}")
     if layout == "table2":
-        header, lines = _table2(results_dirs)
+        columns = {**dict.fromkeys(COORDINATES, str), "seconds": float, "batch": str}
+        header, lines = _table2(_read_cells(results_dirs, "timings.csv", columns))
     else:
-        rows = [row for results_dir in results_dirs
-                for row in read_results_csv(Path(results_dir) / "results.csv")]
-        header, lines = _pivot_results(rows, layout)
+        index = _read_cells(results_dirs, "results.csv", get_type_hints(ResultRow))
+        header, lines = _pivot_results(index, layout)
 
     _write_csv(out_path, header, lines)
     return Path(out_path)

@@ -307,6 +307,13 @@ class TestCommands:
          "auto_train: expected one of 1/yes/true/on or 0/no/false/off, got 'ture'"),
         (["eval"], "[experiment]\nrunz = 3\n", None, "unknown key 'runz' in [experiment]"),
         (["eval", "--spec", "absent.cfg"], None, None, "config file absent.cfg not found"),
+        (["eval"], "[episode]\nk = 3\nk = 4\n", None,
+         "config file spec.cfg: While reading from 'spec.cfg' [line 3]: option 'k' in section "
+         "'episode' already exists"),
+        (["eval"], "k = 3\n", None, "config file spec.cfg: File contains no section headers. "
+                                    "file: 'spec.cfg', line: 1 'k = 3\\n'"),
+        (["eval"], "[episode]\nk\n", None, "config file spec.cfg: Source contains parsing "
+                                           "errors: 'spec.cfg' [line 2]: 'k\\n'"),
         (["eval", "--axis", "ip", "--runs", "0"], None, None, "runs must be >= 1"),
         (["eval"], None, "abc", "DRIM_WORKERS='abc' is not an integer >= 1"),
         (["eval", "--axis", "ip"], None, "0", "DRIM_WORKERS='0' is not an integer >= 1"),
@@ -316,7 +323,8 @@ class TestCommands:
          "workers=0 is not an integer >= 1"),
     ], ids=["runs-zero", "p-nv-two", "sweep-point-out-of-range", "sweep-points-share-coordinate",
             "values-without-axis", "file-k-zero", "file-k-word", "file-auto-train-typo", "file-unknown-key",
-            "missing-spec-file", "sweep-runs-zero", "workers-env-word", "workers-env-zero",
+            "missing-spec-file", "file-duplicate-key", "file-no-section-header",
+            "file-key-without-equals", "sweep-runs-zero", "workers-env-word", "workers-env-zero",
             "eval-workers-zero", "eval-workers-negative",
             "sweep-workers-zero"])
     def test_bad_setting_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, spec_text,
@@ -339,6 +347,24 @@ class TestCommands:
         assert err.startswith(f"usage: drim {argv[0]}")
         assert f"drim {argv[0]}: error: {message}\n" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == (["spec.cfg"] if spec_text else [])
+
+    def test_missing_policy_without_auto_train_is_usage_error(self, tiny_edges, tmp_path,
+                                                              capsys, monkeypatch):
+        out = tmp_path / "res"
+        argv = ["eval", "--dataset", str(tiny_edges), "--no-auto-train", "--out", str(out), *FAST]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"drim eval: error: missing policy file "
+                            rf"{re.escape(str(out / 'policies'))}/drim-a_uom_vs_cf_\w+_s0\.bin "
+                            rf"\(auto_train disabled\)\n", err)
+        assert not out.exists()
+
+        def absent(*args, **kwargs):  # any other missing file is not a usage error
+            raise FileNotFoundError("elsewhere")
+
+        monkeypatch.setattr(cli, "run_grid", absent)
+        with pytest.raises(FileNotFoundError, match="elsewhere"):
+            main(argv)
 
     def test_sweep_points_come_from_values_else_file_else_axis(self, tmp_path, monkeypatch):
         specs = []

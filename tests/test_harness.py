@@ -27,7 +27,6 @@ from drim.harness import (
     emit_report,
     ensure_policies,
     policy_paths,
-    read_results_csv,
     run_grid,
     worker_count,
     write_counters_csv,
@@ -264,9 +263,10 @@ class TestRunGrid:
     def test_results_csv_round_trip(self, tmp_path, tiny_dataset):
         spec = tiny_spec(tmp_path, tiny_dataset)
         rows = run_grid(spec, workers=1)
-        loaded = read_results_csv(spec.out_dir / "results.csv")
+        with open(spec.out_dir / "results.csv", newline="") as fh:
+            loaded = list(csv.DictReader(fh))
         assert len(loaded) == len(rows)
-        assert loaded[0].mean_decided_n_true == pytest.approx(
+        assert float(loaded[0]["mean_decided_n_true"]) == pytest.approx(
             round(rows[0].mean_decided_n_true, 4)
         )
 
@@ -531,6 +531,82 @@ def results_dir(path: Path, rows: list[ResultRow]) -> list[Path]:
     return [path]
 
 
+def pinned_dir(path: Path) -> list[Path]:
+    """One output directory for the layout pins: a results.csv of every
+    Table 1 cell and each axis's five default points (uom vs drl), and a
+    timings.csv of three runs, in two batches, of their cf and drl cells."""
+    cells = [(scheme, om, fp, "none", "none") for scheme in ("drim-a", "drim-na", "storm", "cstorm")
+             for om in OPINION_MODELS for fp in FP_STRATEGIES]
+    cells += [(scheme, "uom", "drl", axis, f"{value:g}") for axis, values in SWEEP_DEFAULTS.items()
+              for value in values for scheme in ("drim-a", "drim-na", "storm", "cstorm")]
+    write_results_csv(path / "results.csv", [ResultRow(*cell, 2, 800.0 - 3.5 * i, 10.0, 300.0,
+                                                       1000 / (i + 3))
+                                             for i, cell in enumerate(cells)])
+    write_timings_csv(path / "timings.csv", [(*cell, run, (i % 7 + 1) / (run + 3), run // 2)
+                                             for i, cell in enumerate(cells)
+                                             if cell[2] in ("cf", "drl") for run in range(3)])
+    return [path]
+
+
+# Each layout of pinned_dir, as drim wrote it before its layouts shared one
+# reader; a change to any byte is a change to the report.
+LAYOUT_PINS = {
+    "table1": """\
+scheme_om,random,af,bf,sgf,cf,drl
+drim-a/uom,333.3333,250.0000,200.0000,166.6667,142.8571,125.0000
+drim-a/hom,111.1111,100.0000,90.9091,83.3333,76.9231,71.4286
+drim-a/nom,66.6667,62.5000,58.8235,55.5556,52.6316,50.0000
+drim-na/uom,47.6190,45.4545,43.4783,41.6667,40.0000,38.4615
+drim-na/hom,37.0370,35.7143,34.4828,33.3333,32.2581,31.2500
+drim-na/nom,30.3030,29.4118,28.5714,27.7778,27.0270,26.3158
+storm/uom,25.6410,25.0000,24.3902,23.8095,23.2558,22.7273
+storm/hom,22.2222,21.7391,21.2766,20.8333,20.4082,20.0000
+storm/nom,19.6078,19.2308,18.8679,18.5185,18.1818,17.8571
+cstorm/uom,17.5439,17.2414,16.9492,16.6667,16.3934,16.1290
+cstorm/hom,15.8730,15.6250,15.3846,15.1515,14.9254,14.7059
+cstorm/nom,14.4928,14.2857,14.0845,13.8889,13.6986,13.5135
+""",
+    "fig2": """\
+scheme,random,af,bf,sgf,cf,drl
+drim-a,333.3333,250.0000,200.0000,166.6667,142.8571,125.0000
+drim-na,47.6190,45.4545,43.4783,41.6667,40.0000,38.4615
+storm,25.6410,25.0000,24.3902,23.8095,23.2558,22.7273
+cstorm,17.5439,17.2414,16.9492,16.6667,16.3934,16.1290
+""",
+    "fig3a": """\
+ip,drim-a,drim-na,storm,cstorm
+1,13.3333,13.1579,12.9870,12.8205
+2,12.6582,12.5000,12.3457,12.1951
+3,12.0482,11.9048,11.7647,11.6279
+4,11.4943,11.3636,11.2360,11.1111
+5,10.9890,10.8696,10.7527,10.6383
+""",
+    "fig3b": """\
+p_nv,drim-a,drim-na,storm,cstorm
+0.2,10.5263,10.4167,10.3093,10.2041
+0.4,10.1010,10.0000,9.9010,9.8039
+0.6,9.7087,9.6154,9.5238,9.4340
+0.8,9.3458,9.2593,9.1743,9.0909
+1,9.0090,8.9286,8.8496,8.7719
+""",
+    "fig3c": """\
+prior_a,drim-a,drim-na,storm,cstorm
+0.1,8.6957,8.6207,8.5470,8.4746
+0.3,8.4034,8.3333,8.2645,8.1967
+0.5,8.1301,8.0645,8.0000,7.9365
+0.7,7.8740,7.8125,7.7519,7.6923
+0.9,7.6336,7.5758,7.5188,7.4627
+""",
+    "table2": """\
+scheme,mean_episode_seconds,episodes_per_batch
+drim-a,1.175000,1.5000
+drim-na,0.696296,1.5000
+storm,1.436111,1.5000
+cstorm,0.652778,1.5000
+""",
+}
+
+
 class TestEmitReport:
     def test_table1_shape(self, tmp_path):
         out = emit_report(results_dir(tmp_path, synthetic_rows()), "table1", tmp_path / "t1.csv")
@@ -646,6 +722,60 @@ class TestEmitReport:
     def test_unknown_layout(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report(results_dir(tmp_path, synthetic_rows()), "fig9", tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUT_PINS))
+    def test_layout_bytes_pinned(self, tmp_path, layout):
+        out = emit_report(pinned_dir(tmp_path), layout, tmp_path / "out.csv")
+        assert out.read_bytes() == LAYOUT_PINS[layout].encode()
+
+    @pytest.mark.parametrize("layout, name, duplicate_row, named", [
+        ("table2", "timings.csv", False, "scheme=drim-a, opinion_model=uom, fp_strategy=cf, "
+                                         "sweep_axis=none, sweep_value=none in {d}/timings.csv:2 "
+                                         "and {d}/timings.csv:2"),
+        ("table1", "results.csv", False, "scheme=drim-a, opinion_model=uom, fp_strategy=random, "
+                                         "sweep_axis=none in {d}/results.csv:66 and "
+                                         "{d}/results.csv:66"),
+        ("fig3a", "results.csv", True, "scheme=drim-a, sweep_axis=ip, sweep_value=1 in "
+                                       "{d}/results.csv:3 and {d}/results.csv:7"),
+    ], ids=["table2-directory-twice", "table1-directory-twice", "fig3a-row-twice"])
+    def test_cell_matched_twice_is_ambiguous(self, tmp_path, layout, name, duplicate_row, named):
+        # one directory given twice counts as two; a results.csv cell is one row
+        d = pinned_dir(tmp_path)[0]
+        path = d / name
+        lines = path.read_text().splitlines(keepends=True)
+        if duplicate_row:
+            path.write_text("".join(lines[:1] + [line for line in lines[1:] if ",ip,1," in line]
+                                    * 2))
+            dirs = [d]
+        else:
+            dirs = [d, d]
+        with pytest.raises(ValueError) as exc:
+            emit_report(dirs, layout, tmp_path / "out.csv")
+        assert str(exc.value) == "ambiguous result cell: " + named.format(d=d)
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("layout, name, pick, column, value, named", [
+        ("table1", "results.csv", ",none,none,", 0, "bogus", "'bogus' is not a valid Scheme"),
+        ("table2", "timings.csv", ",none,none,", 0, "bogus", "'bogus' is not a valid Scheme"),
+        ("table2", "timings.csv", ",none,none,", 1, "xom", "unknown opinion model 'xom'"),
+        ("fig3a", "results.csv", ",ip,1,", 4, "none", "could not convert string to float: 'none'"),
+        ("table1", "results.csv", ",none,none,", 4, "0.5",
+         "sweep_values ('0.5',) given without a sweep_axis"),
+    ], ids=["results-scheme", "timings-scheme", "timings-om", "sweep-value-word",
+            "sweep-value-without-axis"])
+    def test_cell_outside_the_grids_is_named(self, tmp_path, layout, name, pick, column, value,
+                                             named):
+        # the file keeps one row, the one `pick` finds, with one coordinate changed
+        d = pinned_dir(tmp_path)[0]
+        path = d / name
+        header, *lines = path.read_text().splitlines()
+        row = next(line for line in lines if pick in line).split(",")
+        row[column] = value
+        path.write_text(f"{header}\n{','.join(row)}\n")
+        with pytest.raises(ValueError) as exc:
+            emit_report([d], layout, tmp_path / "out.csv")
+        assert str(exc.value) == f"{path}:2: {named}"
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestConfigFile:
@@ -811,9 +941,9 @@ class TestAtomicResultCsvs:
         out = tmp_path / "out" / "fig2.csv"
         emit_report(dirs, "fig2", out)
         before = out.read_bytes()
-        header, lines = harness._pivot_results(synthetic_rows(), "fig2")
+        header, *lines = csv.reader(before.decode().splitlines())
         monkeypatch.setattr(harness, "_pivot_results",
-                            lambda rows, layout: (header, lines * 50 + [[Unprintable()]]))
+                            lambda index, layout: (header, lines * 50 + [[Unprintable()]]))
         with pytest.raises(ValueError, match="cannot format"):
             emit_report(dirs, "fig2", out)
         assert out.read_bytes() == before
