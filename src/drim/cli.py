@@ -6,7 +6,8 @@ take comma lists of distinct names. A config file names one cell.
 
 `report --layout table2` (the paper's runtime table) reads the
 `timings.csv` that `eval` writes, so it times the lockstep batches the
-results came from."""
+results came from. Every command reports a usage error one way:
+`drim <cmd>: error: <message>` on stderr, exit 2, nothing written."""
 
 from __future__ import annotations
 
@@ -32,6 +33,8 @@ from drim.harness import (
 from drim.strategies import Scheme
 
 SCHEMES = tuple(s.value for s in Scheme)
+# What train and eval report as usage errors once the graph loads.
+_RUN_FAILURES = (UnplayableSpec, MissingPolicy)
 
 # Settings whose flag is not `--<key with dashes>` taking the key's
 # converter: the historical short spellings, choice lists, help texts and
@@ -69,13 +72,13 @@ def _add_common_overrides(p: argparse.ArgumentParser, evaluates: bool = True) ->
         p.add_argument(options.pop("flag", "--" + key.replace("_", "-")), **options)
     if evaluates:
         p.add_argument("--workers", type=int,
-                       help="worker processes (default: $DRIM_WORKERS, else min(usable cpus, 4))")
+                       help="worker processes (default: min(usable cpus, 4))")
 
 
 def _spec_from_args(args) -> ExperimentSpec:
     """The one path from a command's input to its spec: its flags over
     its `--spec` file. A value the spec rejects, a missing file and, for
-    a command that evaluates, a bad `DRIM_WORKERS` are usage errors:
+    a command that evaluates, a `--workers` below 1 are usage errors:
     exit 2 before anything is written."""
     overrides = {key: getattr(args, key, None) for key in SPEC_KEYS}
     try:
@@ -127,11 +130,7 @@ def _comma_list(choices: tuple[str, ...]):
 
 def cmd_report(args) -> int:
     out = Path(args.out) / f"{args.layout}.csv"
-    try:
-        emit_report(args.results, args.layout, out)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"report failed: {exc}", file=sys.stderr)
-        return 2
+    emit_report(args.results, args.layout, out)
     print(f"wrote {out}")
     return 0
 
@@ -150,12 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
                        allow_abbrev=False)
     p.add_argument("--spec", help="config file with defaults")
     _add_common_overrides(p, evaluates=False)
-    p.set_defaults(func=cmd_train, usage_error=p.error)
+    p.set_defaults(func=cmd_train, usage_error=p.error, failures=_RUN_FAILURES)
 
     p = sub.add_parser("eval", help="evaluate scheme/OM/FP cells", allow_abbrev=False)
     p.add_argument("--spec", help="config file")
     _add_common_overrides(p)
-    p.set_defaults(func=cmd_eval, usage_error=p.error)
+    p.set_defaults(func=cmd_eval, usage_error=p.error, failures=_RUN_FAILURES)
 
     p = sub.add_parser("report", help="pivot results into a layout CSV", allow_abbrev=False)
     p.add_argument("--layout", required=True, choices=LAYOUTS)
@@ -164,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(table2 reads their timings.csv)")
     p.add_argument("--out", default=".",
                    help="output directory, receives <layout>.csv (default: the working directory)")
-    p.set_defaults(func=cmd_report, usage_error=p.error)
+    # A report fails on its result files: a missing or ambiguous cell, a bad row.
+    p.set_defaults(func=cmd_report, usage_error=p.error, failures=(ValueError, FileNotFoundError))
     return parser
 
 
@@ -174,7 +174,7 @@ def main(argv=None) -> int:
         args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
-    except (UnplayableSpec, MissingPolicy) as exc:  # usage errors found once the command runs
+    except args.failures as exc:  # usage errors found once the command runs
         print(f"drim {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

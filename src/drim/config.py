@@ -59,7 +59,7 @@ SPEC_KEYS = {
 
 def _read_file(path: str | Path) -> list[tuple[str, str]]:
     """(flat key, text) of every setting in an INI config file."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a `%` in a value is literal
     try:
         if not parser.read(path):
             raise FileNotFoundError(f"config file {path} not found")

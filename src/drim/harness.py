@@ -17,11 +17,12 @@ one column per `ResultRow` field. `ExperimentSpec` is the one place
 that turns sweep points into their axis's type.
 
 A cell's runs are split into one contiguous batch per worker process
-(`worker_count()` bounds them), and each batch runs its episodes in
-lockstep (`propagation.run_lockstep`). The harness builds no planning
-view: each episode picks its own, and at p_nv = 1 that view is the graph
-itself (`network.full_view`), so every episode on the graph, in every
-cell and training run, shares its cached degrees and 2-hop counts.
+(`worker_count`: the `workers` argument if given, else min(usable CPUs,
+4)), and each batch runs its episodes in lockstep
+(`propagation.run_lockstep`). The harness builds no planning view: each
+episode picks its own, and at p_nv = 1 that view is the graph itself
+(`network.full_view`), so every episode on the graph, in every cell and
+training run, shares its cached degrees and 2-hop counts.
 Every CSV goes through one writer, `_write_csv`, which writes atomically.
 
 The process pool is the only parallelism: every pooled map and every
@@ -88,8 +89,6 @@ _SWEEP_FIELDS = {"ip": "p_t", "p_nv": "p_nv", "prior_a": "prior_a"}
 
 # The columns that name a cell; they lead every result CSV.
 COORDINATES = ("scheme", "opinion_model", "fp_strategy", "sweep_axis", "sweep_value")
-
-WORKER_ENV_VAR = "DRIM_WORKERS"
 
 
 @dataclass
@@ -214,20 +213,11 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 
 def worker_count(workers: int | None = None) -> int:
-    """Worker processes: `workers` if given, else `DRIM_WORKERS` if set,
-    else min(CPUs this process may run on, 4)."""
+    """Worker processes: `workers` if given, else min(CPUs this process
+    may run on, 4)."""
     if workers is not None:
         if workers < 1:
             raise ValueError(f"workers={workers!r} is not an integer >= 1")
-        return workers
-    env = os.environ.get(WORKER_ENV_VAR)
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"{WORKER_ENV_VAR}={env!r} is not an integer >= 1")
         return workers
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cpus or 1, 4))

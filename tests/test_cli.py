@@ -146,6 +146,20 @@ class TestCommands:
         assert "drim eval: error: workers=0 is not an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eval_ignores_workers_in_environment(self, tiny_edges, tmp_path, monkeypatch):
+        monkeypatch.setenv("DRIM_WORKERS", "0")
+        out = tmp_path / "res"  # no --workers, so the pool size is the default's
+        argv = ["eval", "--dataset", str(tiny_edges), "--out", str(out), *TRAIN_FAST, "--runs", "1"]
+        assert main(argv) == 0
+        assert (out / "results.csv").exists()
+
+    def test_percent_in_spec_dataset_names_the_dataset(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("spec.cfg").write_text("[experiment]\ndataset = a%b.edges\n")
+        assert main(["eval", "--spec", "spec.cfg", "--out", "res"]) == 2
+        assert capsys.readouterr().err.startswith("drim eval: error: --dataset a%b.edges: [Errno 2]")
+        assert not Path("res").exists()
+
     def _ring_game(self, tmp_path, monkeypatch, command, *args):
         """`command` on a 5-node ring at k = 3: 2·k = 6 seeds would not fit."""
         def no_pool(*args, **kwargs):
@@ -291,52 +305,48 @@ class TestCommands:
         assert re.search(f"drim train: error: {field} must.*got {value}", capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, spec_text, env, message", [
-        (["eval", "--runs", "0"], None, None, "runs must be >= 1"),
-        (["eval", "--p-nv", "2"], None, None, "p_nv must lie in [0, 1], got 2.0"),
-        (["eval", "--axis", "p_nv", "--values", "0.2,7"], None, None,
+    @pytest.mark.parametrize("argv, spec_text, message", [
+        (["eval", "--runs", "0"], None, "runs must be >= 1"),
+        (["eval", "--p-nv", "2"], None, "p_nv must lie in [0, 1], got 2.0"),
+        (["eval", "--axis", "p_nv", "--values", "0.2,7"], None,
          "p_nv must lie in [0, 1], got 7.0"),
-        (["eval", "--axis", "p_nv", "--values", "0.2,0.2"], None, None,
+        (["eval", "--axis", "p_nv", "--values", "0.2,0.2"], None,
          "sweep points 0.2 and 0.2 share the coordinate sweep_value=0.2"),
-        (["eval", "--values", "1,2"], None, None,
+        (["eval", "--values", "1,2"], None,
          "sweep_values ('1', '2') given without a sweep_axis"),
-        (["eval"], "[episode]\nk = 0\n", None, "k must be a whole number >= 1, got 0"),
-        (["eval"], "[episode]\nk = three\n", None,
+        (["eval"], "[episode]\nk = 0\n", "k must be a whole number >= 1, got 0"),
+        (["eval"], "[episode]\nk = three\n",
          "k: invalid literal for int() with base 10: 'three'"),
-        (["train"], "[experiment]\nauto_train = ture\n", None,
+        (["train"], "[experiment]\nauto_train = ture\n",
          "auto_train: expected one of 1/yes/true/on or 0/no/false/off, got 'ture'"),
-        (["eval"], "[experiment]\nrunz = 3\n", None, "unknown key 'runz' in [experiment]"),
-        (["eval", "--spec", "absent.cfg"], None, None, "config file absent.cfg not found"),
-        (["eval"], "[episode]\nk = 3\nk = 4\n", None,
+        (["eval"], "[experiment]\nrunz = 3\n", "unknown key 'runz' in [experiment]"),
+        (["eval", "--spec", "absent.cfg"], None, "config file absent.cfg not found"),
+        (["eval"], "[episode]\nk = 3\nk = 4\n",
          "config file spec.cfg: While reading from 'spec.cfg' [line 3]: option 'k' in section "
          "'episode' already exists"),
-        (["eval"], "k = 3\n", None, "config file spec.cfg: File contains no section headers. "
-                                    "file: 'spec.cfg', line: 1 'k = 3\\n'"),
-        (["eval"], "[episode]\nk\n", None, "config file spec.cfg: Source contains parsing "
-                                           "errors: 'spec.cfg' [line 2]: 'k\\n'"),
-        (["eval", "--axis", "ip", "--runs", "0"], None, None, "runs must be >= 1"),
-        (["eval"], None, "abc", "DRIM_WORKERS='abc' is not an integer >= 1"),
-        (["eval", "--axis", "ip"], None, "0", "DRIM_WORKERS='0' is not an integer >= 1"),
-        (["eval", "--workers", "0"], None, None, "workers=0 is not an integer >= 1"),
-        (["eval", "--workers", "-1"], None, None, "workers=-1 is not an integer >= 1"),
-        (["eval", "--axis", "ip", "--workers", "0"], None, None,
+        (["eval"], "k = 3\n", "config file spec.cfg: File contains no section headers. "
+                              "file: 'spec.cfg', line: 1 'k = 3\\n'"),
+        (["eval"], "[episode]\nk\n", "config file spec.cfg: Source contains parsing "
+                                     "errors: 'spec.cfg' [line 2]: 'k\\n'"),
+        (["eval", "--axis", "ip", "--runs", "0"], None, "runs must be >= 1"),
+        (["eval", "--workers", "0"], None, "workers=0 is not an integer >= 1"),
+        (["eval", "--workers", "-1"], None, "workers=-1 is not an integer >= 1"),
+        (["eval", "--axis", "ip", "--workers", "0"], None,
          "workers=0 is not an integer >= 1"),
     ], ids=["runs-zero", "p-nv-two", "sweep-point-out-of-range", "sweep-points-share-coordinate",
             "values-without-axis", "file-k-zero", "file-k-word", "file-auto-train-typo", "file-unknown-key",
             "missing-spec-file", "file-duplicate-key", "file-no-section-header",
-            "file-key-without-equals", "sweep-runs-zero", "workers-env-word", "workers-env-zero",
+            "file-key-without-equals", "sweep-runs-zero",
             "eval-workers-zero", "eval-workers-negative",
             "sweep-workers-zero"])
     def test_bad_setting_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, spec_text,
-                                        env, message):
+                                        message):
         def no_work(*args, **kwargs):
             raise AssertionError("loaded a graph or trained a policy")
 
         monkeypatch.setattr(harness, "load_graph", no_work)
         monkeypatch.setattr(harness, "train_agent", no_work)
         monkeypatch.chdir(tmp_path)
-        if env is not None:
-            monkeypatch.setenv("DRIM_WORKERS", env)
         if spec_text is not None:
             Path("spec.cfg").write_text(spec_text)
             argv = [*argv, "--spec", "spec.cfg"]
@@ -460,7 +470,9 @@ class TestCommands:
         reports = tmp_path / "reports"
         rc = main(["report", "--layout", "fig3a", "--results", *dirs, "--out", str(reports)])
         assert rc == 2
-        assert "ambiguous result cell: scheme=drim-a" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("drim report: error: ambiguous result cell")
+        assert "ambiguous result cell: scheme=drim-a" in err
         assert not (reports / "fig3a.csv").exists()
 
     def test_report_missing_cell_fails(self, tmp_path, capsys):
