@@ -12,9 +12,13 @@ so any spec re-run reproduces its result CSVs byte for byte
 (wall-clock timings live in a separate file, `timings.csv`, which Table 2
 is reported from). Per-run wave-kernel
 counters go to `counters.csv`, which is byte-reproducible too. Every
-result CSV leads with the `COORDINATES` columns, and `results.csv` has
-one column per `ResultRow` field. `ExperimentSpec` is the one place
-that turns sweep points into their axis's type.
+run leaves its batch as one record (its final counts, wave counters and
+seconds, stamped by `run_cell` with its coordinates, `run` and `batch`),
+and `raw_runs.csv`, `counters.csv` and `timings.csv` each project their
+columns from those records. Every result CSV leads with the
+`COORDINATES` columns, and `results.csv` has one column per `ResultRow`
+field. `ExperimentSpec` is the one place that turns sweep points into
+their axis's type.
 
 A cell's runs are split into one contiguous batch per worker process
 (`worker_count`: the `workers` argument if given, else min(usable CPUs,
@@ -213,10 +217,10 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 
 def worker_count(workers: int | None = None) -> int:
-    """Worker processes: `workers` if given, else min(CPUs this process
-    may run on, 4)."""
+    """Worker processes: `workers` if given (a whole number >= 1, not a
+    bool), else min(CPUs this process may run on, 4)."""
     if workers is not None:
-        if workers < 1:
+        if isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
             raise ValueError(f"workers={workers!r} is not an integer >= 1")
         return workers
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -289,13 +293,14 @@ def single_thread_blas() -> Iterator[None]:
             setter(threads)
 
 
-def _parallel_map(fn, items: list, workers: int | None = None) -> list:
+def _parallel_map(fn, calls: list[tuple], workers: int | None = None) -> list:
+    """fn(*args) for each argument tuple in calls, in order."""
     workers = worker_count(workers)
     with single_thread_blas():
-        if workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            return list(pool.map(fn, items))
+        if workers <= 1 or len(calls) <= 1:
+            return [fn(*args) for args in calls]
+        with ProcessPoolExecutor(max_workers=min(workers, len(calls))) as pool:
+            return list(pool.map(fn, *zip(*calls)))
 
 
 class MissingPolicy(FileNotFoundError):
@@ -323,9 +328,13 @@ def check_playable(spec: ExperimentSpec, graph: Graph, fps: tuple[str, ...]) -> 
     if 2 * spec.k > graph.n:
         raise UnplayableSpec(f"--k {spec.k}: k rounds seed 2·k = {2 * spec.k} users, "
                              f"but the graph has only n={graph.n}")
-    if "drl" in fps and spec.ppo.side_updates() is None:
-        raise UnplayableSpec(f"--updates {spec.ppo.updates}: self-play cannot split it evenly over"
-                             f" 2 sides × {spec.ppo.selfplay_alternations} alternation(s)")
+    if "drl" in fps:
+        try:
+            spec.ppo.side_updates()
+        except ValueError as exc:
+            raise UnplayableSpec(f"--updates {spec.ppo.updates}: self-play cannot split it evenly"
+                                 f" over 2 sides × {spec.ppo.selfplay_alternations} alternation(s)"
+                                 ) from exc
 
 
 # ----------------------------------------------------------------------
@@ -386,10 +395,6 @@ def train_policy(spec: ExperimentSpec, scheme: Scheme, fp: str) -> TrainResult:
     return result
 
 
-def _train_one(cell: tuple[ExperimentSpec, Scheme, str]) -> None:
-    train_policy(*cell)
-
-
 def _missing_policies(
     spec: ExperimentSpec, cells: list[tuple[Scheme, str]]
 ) -> list[tuple[Scheme, str, Path]]:
@@ -408,7 +413,7 @@ def ensure_policies(spec: ExperimentSpec, cells: list[tuple[Scheme, str]], worke
     missing = _missing_policies(spec, cells)
     if missing and not spec.auto_train:
         raise MissingPolicy(f"missing policy file {missing[0][2]} (auto_train disabled)")
-    _parallel_map(_train_one, [(spec, scheme, fp) for scheme, fp, _ in missing], workers)
+    _parallel_map(train_policy, [(spec, scheme, fp) for scheme, fp, _ in missing], workers)
 
 
 def load_cell_agents(spec: ExperimentSpec, scheme: Scheme, fp: str) -> tuple[Agent, Agent]:
@@ -428,26 +433,18 @@ def load_cell_agents(spec: ExperimentSpec, scheme: Scheme, fp: str) -> tuple[Age
 # Evaluation
 # ----------------------------------------------------------------------
 
-@dataclass
-class _EvalTask:
-    """One worker's share of a cell: its runs' configs, in run order."""
-
-    graph: Graph
-    cfgs: list[EpisodeConfig]
-    tp_agent: Agent
-    fp_agent: Agent
-
-
-def _run_eval(task: _EvalTask) -> list[tuple[dict[str, float], float, WaveCounters]]:
-    """Run the task's episodes in lockstep, the cell's one pair of agents
-    playing every episode. A lockstep episode has no wall clock of its
-    own, so each is timed as the batch's wall clock (episode set-up
-    included) over the batch size."""
+def _run_eval(graph: Graph, cfgs: list[EpisodeConfig], tp_agent: Agent,
+              fp_agent: Agent) -> list[dict]:
+    """Run one batch of episodes in lockstep, the cell's one pair of
+    agents playing every episode, and return one record per episode: its
+    final counts, wave counters and `seconds`. A lockstep episode has no
+    wall clock of its own, so each is timed as the batch's wall clock
+    (episode set-up included) over the batch size."""
     start = time.perf_counter()
-    episodes = [Episode(task.graph, cfg) for cfg in task.cfgs]
-    run_lockstep(episodes, [(task.tp_agent, task.fp_agent)] * len(episodes))
+    episodes = [Episode(graph, cfg) for cfg in cfgs]
+    run_lockstep(episodes, [(tp_agent, fp_agent)] * len(episodes))
     seconds = (time.perf_counter() - start) / len(episodes)
-    return [(ep.final_metrics(), seconds, ep.counters) for ep in episodes]
+    return [{**ep.final_metrics(), **asdict(ep.counters), "seconds": seconds} for ep in episodes]
 
 
 def run_cell(
@@ -457,25 +454,25 @@ def run_cell(
     fp: str,
     sweep_value=None,
     workers: int | None = None,
-) -> tuple[ResultRow, list[dict], list[tuple[float, int]]]:
+) -> tuple[ResultRow, list[dict]]:
     """Evaluate one cell: `spec.runs` episodes with derived seeds, split
-    into one contiguous lockstep batch per worker. Also returns each
-    run's (seconds, batch index)."""
+    into one contiguous lockstep batch per worker. Returns the cell's
+    row and one record per run, in run order: the run's coordinates,
+    `run` and `batch` (its batch index within the cell), then what
+    `_run_eval` recorded."""
     cfg = spec.episode_config(sweep_value)
     tp_agent, fp_agent = load_cell_agents(spec, scheme, fp)
     coords = spec.coordinates(scheme, fp, sweep_value)
     workers = worker_count(workers)
     cfgs = [cfg.with_seed(derive_seed(spec.master_seed, *coords, run)) for run in range(spec.runs)]
-    tasks = [
-        _EvalTask(graph, [cfgs[run] for run in batch], tp_agent, fp_agent)
-        for batch in np.array_split(np.arange(spec.runs), min(workers, spec.runs))
-    ]
-    batches = _parallel_map(_run_eval, tasks, workers)
-    outcomes = [o for batch in batches for o in batch]
-    metrics = [m for m, _, _ in outcomes]
-    n_true = np.array([m["n_true"] for m in metrics])
-    decided = np.array([m["decided_n_true"] for m in metrics])
-    n_false = np.array([m["n_false"] for m in metrics])
+    parts = np.array_split(np.arange(spec.runs), min(workers, spec.runs))
+    calls = [(graph, [cfgs[run] for run in part], tp_agent, fp_agent) for part in parts]
+    batches = _parallel_map(_run_eval, calls, workers)
+    runs = [{**dict(zip(COORDINATES, coords)), "run": int(run), "batch": b, **rec}
+            for b, (part, batch) in enumerate(zip(parts, batches)) for run, rec in zip(part, batch)]
+    n_true = np.array([rec["n_true"] for rec in runs])
+    decided = np.array([rec["decided_n_true"] for rec in runs])
+    n_false = np.array([rec["n_false"] for rec in runs])
     row = ResultRow(
         *coords,
         runs=spec.runs,
@@ -484,11 +481,7 @@ def run_cell(
         mean_n_false=float(n_false.mean()),
         mean_decided_n_true=float(decided.mean()),
     )
-    raw = [
-        {**dict(zip(COORDINATES, coords)), "run": run, **m, **asdict(counters)}
-        for run, (m, _, counters) in enumerate(outcomes)
-    ]
-    return row, raw, [(s, b) for b, batch in enumerate(batches) for _, s, _ in batch]
+    return row, runs
 
 
 def run_grid(
@@ -526,23 +519,20 @@ def run_grid(
         ensure_policies(replace(spec, opinion_model=om), cells, workers)
 
     rows: list[ResultRow] = []
-    raw_rows: list[dict] = []
-    timing_rows: list[tuple] = []
+    runs: list[dict] = []
     for om in opinion_models:
         om_spec = replace(spec, opinion_model=om)
         for scheme in schemes:
             for fp in fp_strategies:
                 for point in points:
-                    row, raw, timings = run_cell(om_spec, graph, scheme, fp, point, workers)
+                    row, cell_runs = run_cell(om_spec, graph, scheme, fp, point, workers)
                     rows.append(row)
-                    raw_rows.extend(raw)
-                    coords = om_spec.coordinates(scheme, fp, point)
-                    timing_rows.extend((*coords, run, s, b) for run, (s, b) in enumerate(timings))
+                    runs.extend(cell_runs)
 
     write_results_csv(spec.out_dir / "results.csv", rows)
-    write_raw_csv(spec.out_dir / "raw_runs.csv", raw_rows)
-    write_counters_csv(spec.out_dir / "counters.csv", raw_rows)
-    write_timings_csv(spec.out_dir / "timings.csv", timing_rows)
+    write_raw_csv(spec.out_dir / "raw_runs.csv", runs)
+    write_counters_csv(spec.out_dir / "counters.csv", runs)
+    write_timings_csv(spec.out_dir / "timings.csv", runs)
     return rows
 
 
@@ -566,22 +556,24 @@ def write_results_csv(path: Path, rows: list[ResultRow]) -> None:
                (row.csv_values() for row in sorted(rows, key=attrgetter(*COORDINATES))))
 
 
-def write_raw_csv(path: Path, raw_rows: list[dict]) -> None:
+def write_raw_csv(path: Path, runs: list[dict]) -> None:
+    """Per-run final counts of `run_cell`'s run records."""
     cols = (*COORDINATES, "run", "n_true", "n_false", "decided_n_true", "decided_n_false")
-    _write_csv(path, cols, ([rec[c] for c in cols] for rec in raw_rows))
+    _write_csv(path, cols, ([rec[c] for c in cols] for rec in runs))
 
 
-def write_counters_csv(path: Path, raw_rows: list[dict]) -> None:
+def write_counters_csv(path: Path, runs: list[dict]) -> None:
     """Per-run wave-kernel counters (`WaveCounters`), keyed like raw_runs.csv."""
     cols = (*COORDINATES, "run", *(f.name for f in fields(WaveCounters)))
-    _write_csv(path, cols, ([rec[c] for c in cols] for rec in raw_rows))
+    _write_csv(path, cols, ([rec[c] for c in cols] for rec in runs))
 
 
-def write_timings_csv(path: Path, timing_rows: list[tuple]) -> None:
+def write_timings_csv(path: Path, runs: list[dict]) -> None:
     """Per-run seconds (a lockstep batch's wall clock over its batch size)
     and the run's batch index within its cell."""
-    _write_csv(path, (*COORDINATES, "run", "seconds", "batch"),
-               ([*key, f"{seconds:.6f}", batch] for *key, seconds, batch in timing_rows))
+    cols = (*COORDINATES, "run", "seconds", "batch")
+    _write_csv(path, cols, ([f"{rec[c]:.6f}" if c == "seconds" else rec[c] for c in cols]
+                            for rec in runs))
 
 
 def write_roundlog_csv(path: Path, episode_logs: list[tuple[int, list[RoundLog]]]) -> None:

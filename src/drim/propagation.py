@@ -192,8 +192,7 @@ def _fuse_step(
         due = refresh_due(op_i, model)
         if np.count_nonzero(due):
             hits["refreshes"].append(ids[due])
-            maxed = vacuity_maximize(op_i)
-            op_i = np.array([np.where(due, x, y) for x, y in zip(maxed, op_i)])
+            op_i[:, due] = vacuity_maximize(op_i[:, due])
     new = fuse(op_i, op_j, trust_coefficient(model, op_i, op_j))
     skipped = np.isnan(new.u)
     bad = int(np.count_nonzero(skipped))

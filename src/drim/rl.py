@@ -12,8 +12,11 @@ Rollouts are played by the same driver as evaluation: each update's
 episodes run in one `run_lockstep` call, where one learner
 (`LearnerAgent`) plays its party in all of them beside one opponent
 agent and records per episode the states, actions, log-probabilities
-and values it saw. `make_scheme_agent` builds any scheme's evaluation
-agent from trained parameters.
+and values it saw. Rollouts hand over `Batch`es: `collect_episode`
+makes each finished episode a one-episode batch, and `collect_rollouts`
+concatenates them into the update's batch (`Batch.concat`).
+`make_scheme_agent` builds any scheme's evaluation agent from trained
+parameters.
 """
 
 from __future__ import annotations
@@ -74,10 +77,14 @@ class PPOConfig:
         if not 0 <= self.entropy_coef < math.inf:
             raise ValueError(f"entropy_coef must be non-negative and finite, got {self.entropy_coef}")
 
-    def side_updates(self) -> int | None:
-        """Self-play's updates per side and alternation, None unless `updates` splits evenly."""
+    def side_updates(self) -> int:
+        """Self-play's updates per side and alternation; a ValueError
+        unless `updates` splits evenly."""
         per_side, rest = divmod(self.updates, 2 * self.selfplay_alternations)
-        return None if rest else per_side
+        if rest:
+            raise ValueError(f"updates={self.updates} does not split evenly over 2 sides × "
+                             f"selfplay_alternations={self.selfplay_alternations}")
+        return per_side
 
 
 class Mlp:
@@ -198,19 +205,10 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
 
 
 @dataclass
-class Trajectory:
-    """One learner episode: per-step records plus derived returns."""
-
-    states: np.ndarray
-    actions: np.ndarray
-    log_probs: np.ndarray
-    rewards: np.ndarray
-    values: np.ndarray
-    returns: np.ndarray
-
-
-@dataclass
 class Batch:
+    """A learner's steps in one or more episodes, one row per step, and
+    each episode's summed reward."""
+
     states: np.ndarray
     actions: np.ndarray
     log_probs: np.ndarray
@@ -219,17 +217,13 @@ class Batch:
     episode_rewards: list[float] = field(default_factory=list)
 
     @classmethod
-    def from_trajectories(cls, trajectories: list[Trajectory]) -> "Batch":
-        if not trajectories:
+    def concat(cls, batches: list["Batch"]) -> "Batch":
+        """The batches' steps and episodes, one batch after another."""
+        if not batches:
             raise ValueError("empty rollout batch")
-        return cls(
-            states=np.concatenate([t.states for t in trajectories]),
-            actions=np.concatenate([t.actions for t in trajectories]),
-            log_probs=np.concatenate([t.log_probs for t in trajectories]),
-            returns=np.concatenate([t.returns for t in trajectories]),
-            values=np.concatenate([t.values for t in trajectories]),
-            episode_rewards=[float(t.rewards.sum()) for t in trajectories],
-        )
+        steps = ("states", "actions", "log_probs", "returns", "values")
+        return cls(*(np.concatenate([getattr(b, name) for b in batches]) for name in steps),
+                   episode_rewards=[r for b in batches for r in b.episode_rewards])
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -355,18 +349,19 @@ class LearnerAgent(PolicyAgent):
 
 
 def collect_episode(episode: Episode, learner: LearnerAgent, party: Party,
-                    gamma: float) -> Trajectory:
-    """The learner's trajectory through one finished episode: its
-    recorded steps there, and party's step rewards from the episode log."""
+                    gamma: float) -> Batch:
+    """The learner's one-episode batch from one finished episode: its
+    recorded steps there, and returns from party's step rewards in the
+    episode log."""
     states, actions, log_probs, values = zip(*learner.steps[episode])
     rewards = np.asarray([e.reward for e in episode.logs if e.party is party], dtype=float)
-    return Trajectory(
+    return Batch(
         states=np.asarray(states, dtype=float),
         actions=np.asarray(actions, dtype=np.int64),
         log_probs=np.asarray(log_probs, dtype=float),
-        rewards=rewards,
-        values=np.asarray(values, dtype=float),
         returns=discounted_returns(rewards, gamma),
+        values=np.asarray(values, dtype=float),
+        episode_rewards=[float(rewards.sum())],
     )
 
 
@@ -399,7 +394,7 @@ def collect_rollouts(
 ) -> Batch:
     """Roll several independent episodes in one `run_lockstep` call, one
     learner and one opponent playing them all, and concatenate the
-    learner's trajectories."""
+    learner's one-episode batches."""
     rngs = {}
     for child in seed_seq.spawn(episodes):
         env_seed, sample_seed = child.spawn(2)
@@ -409,8 +404,7 @@ def collect_rollouts(
     agent, opponent = scheme_agent(matchup.scheme, learner), matchup.opponent
     pair = (agent, opponent) if matchup.party is Party.TRUE_PARTY else (opponent, agent)
     games = run_lockstep(list(rngs), [pair] * episodes)
-    return Batch.from_trajectories(
-        [collect_episode(ep, learner, matchup.party, gamma) for ep in games])
+    return Batch.concat([collect_episode(ep, learner, matchup.party, gamma) for ep in games])
 
 
 def train_loop(
@@ -444,7 +438,8 @@ def train_agent(
     trains both sides by alternating-freeze self-play: the true party
     trains against a frozen false-party policy, then roles swap, for the
     configured number of alternations, each side training its share of
-    `updates`, which must split evenly. The FP's DRL agent uses all four actions.
+    `updates`, which must split evenly (else `PPOConfig.side_updates`
+    raises a ValueError). The FP's DRL agent uses all four actions.
     """
     seed_seq = np.random.SeedSequence(rng_seed)
     tp_space = action_space(scheme)

@@ -481,3 +481,50 @@ class TestCommands:
             "--out", str(tmp_path / "reports"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag", ["--results", "--out"])
+    def test_report_path_that_is_not_a_directory_is_usage_error(self, tmp_path, capsys,
+                                                                monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        harness.write_results_csv(Path("res/results.csv"), [
+            harness.ResultRow(scheme, "uom", "cf", "ip", "1", 2, 1.0, 0.0, 1.0, 1.0)
+            for scheme in ("drim-a", "drim-na", "storm", "cstorm")])
+        Path("taken").write_text("a file\n")
+        paths = {"--results": "res", "--out": "reports", flag: "taken"}
+        rc = main(["report", "--layout", "fig3a", "--results", paths["--results"],
+                   "--out", paths["--out"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("drim report: error: ") and "'taken" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["res", "taken"]
+        assert Path("taken").read_text() == "a file\n"
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("argv, spec_text, flag, path", [
+        (["--out", "taken"], None, "--out", "taken"),
+        (["--out", "taken/res"], None, "--out", "taken/res"),
+        (["--policies", "taken"], None, "--policies", "taken"),
+        ([], "[experiment]\nout_dir = taken\n", "--out", "taken"),
+        ([], "[experiment]\npolicy_dir = taken/policies\n", "--policies", "taken/policies"),
+    ], ids=["out", "under-out", "policies", "file-out-dir", "file-under-policy-dir"])
+    def test_path_that_is_not_a_directory_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                         command, argv, spec_text, flag, path):
+        def no_work(*args, **kwargs):
+            raise AssertionError("loaded a graph or trained a policy")
+
+        monkeypatch.setattr(harness, "load_graph", no_work)
+        monkeypatch.setattr(harness, "train_agent", no_work)
+        monkeypatch.chdir(tmp_path)
+        Path("taken").write_text("a file\n")
+        if spec_text is not None:
+            Path("spec.cfg").write_text(spec_text)
+            argv = [*argv, "--spec", "spec.cfg"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: drim {command}")
+        assert f"drim {command}: error: {flag} {path}: taken is not a directory\n" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [*(["spec.cfg"] if spec_text else []),
+                                                              "taken"]
+        assert Path("taken").read_text() == "a file\n"

@@ -18,6 +18,7 @@ import pytest
 from drim.baselines import CommunityRestriction
 from drim.config import parse_spec_file
 from drim.harness import (
+    COORDINATES,
     FP_STRATEGIES,
     OPINION_MODELS,
     SWEEP_DEFAULTS,
@@ -40,6 +41,12 @@ from drim.population import Party
 from drim.propagation import EpisodeConfig, RoundLog, run_episode, run_lockstep
 from drim.rl import PPOConfig, load_params, save_params
 from drim.strategies import Scheme, make_heuristic_agent
+
+
+def timing_records(rows) -> list[dict]:
+    """Run records holding what timings.csv reads, from (*coordinates,
+    run, seconds, batch) tuples."""
+    return [dict(zip((*COORDINATES, "run", "seconds", "batch"), row)) for row in rows]
 
 
 @pytest.fixture(scope="module")
@@ -163,13 +170,29 @@ class TestWorkerCount:
     def test_explicit_value_used(self):
         assert worker_count(2) == 2
 
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_explicit_below_one_rejected_before_training(self, tmp_path, tiny_dataset, value):
+    @pytest.mark.parametrize("value", [2.5, True, False, "2", 2.0])
+    def test_non_whole_number_rejected_with_name_and_value(self, value):
+        message = f"workers={value!r} is not an integer >= 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            worker_count(value)
+
+    def test_numpy_integer_accepted(self):
+        assert worker_count(np.int64(3)) == 3
+
+    @staticmethod
+    def _rejected_before_training(tmp_path, tiny_dataset, value):
         spec = tiny_spec(tmp_path, tiny_dataset)
         with pytest.raises(ValueError, match=f"workers={value!r} is not an integer >= 1"):
             run_grid(spec, workers=value)
         assert not spec.policy_dir.exists() or not any(spec.policy_dir.iterdir())
         assert not spec.out_dir.exists() or not any(spec.out_dir.iterdir())
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_explicit_below_one_rejected_before_training(self, tmp_path, tiny_dataset, value):
+        self._rejected_before_training(tmp_path, tiny_dataset, value)
+
+    def test_fraction_rejected_before_training(self, tmp_path, tiny_dataset):
+        self._rejected_before_training(tmp_path, tiny_dataset, 2.5)
 
 
 class TestSeedDerivation:
@@ -285,7 +308,7 @@ class TestSingleThreadBlas:
         if not controls:
             pytest.skip("no OpenBLAS loaded")
         before = [get() for get, _ in controls]
-        reports = _parallel_map(_blas_probe, [0, 1], workers=2)
+        reports = _parallel_map(_blas_probe, [(0,), (1,)], workers=2)
         assert reports == [([1] * len(controls), 1)] * 2
         assert [get() for get, _ in controls] == before
 
@@ -323,7 +346,7 @@ class TestLateLoadedBlas:
         "from test_harness import _blas_probe\n"
         "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
         "if _openblas_controls():\n"
-        "    reports = _parallel_map(_blas_probe, [0, 1], workers=2)\n"
+        "    reports = _parallel_map(_blas_probe, [(0,), (1,)], workers=2)\n"
         "    print(json.dumps([reports, os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
     )
 
@@ -528,9 +551,9 @@ def pinned_dir(path: Path) -> list[Path]:
     write_results_csv(path / "results.csv", [ResultRow(*cell, 2, 800.0 - 3.5 * i, 10.0, 300.0,
                                                        1000 / (i + 3))
                                              for i, cell in enumerate(cells)])
-    write_timings_csv(path / "timings.csv", [(*cell, run, (i % 7 + 1) / (run + 3), run // 2)
-                                             for i, cell in enumerate(cells)
-                                             if cell[2] in ("cf", "drl") for run in range(3)])
+    write_timings_csv(path / "timings.csv", timing_records(
+        (*cell, run, (i % 7 + 1) / (run + 3), run // 2) for i, cell in enumerate(cells)
+        if cell[2] in ("cf", "drl") for run in range(3)))
     return [path]
 
 
@@ -651,9 +674,9 @@ class TestEmitReport:
     def _timings_dir(path: Path, schemes, sweep_axis="none", sweep_value="none") -> Path:
         """An output directory whose timings.csv holds two runs, one
         batch each, of one cell per scheme."""
-        write_timings_csv(path / "timings.csv", [
+        write_timings_csv(path / "timings.csv", timing_records(
             (scheme, "uom", "cf", sweep_axis, sweep_value, run, 0.25 * (run + 1), run)
-            for scheme in schemes for run in (0, 1)])
+            for scheme in schemes for run in (0, 1)))
         return path
 
     def test_table2_scheme_in_two_directories_is_ambiguous(self, tmp_path):
@@ -665,9 +688,9 @@ class TestEmitReport:
         assert not (tmp_path / "t2.csv").exists()
 
     def test_table2_pools_cells_across_directories(self, tmp_path):
-        write_timings_csv(tmp_path / "b" / "timings.csv", [
+        write_timings_csv(tmp_path / "b" / "timings.csv", timing_records(
             (scheme, om, "cf", "none", "none", run, 0.5, run // 2)
-            for scheme in ("storm", "cstorm") for om in ("hom", "nom") for run in range(4)])
+            for scheme in ("storm", "cstorm") for om in ("hom", "nom") for run in range(4)))
         dirs = [self._timings_dir(tmp_path / "a", ("drim-a", "drim-na")), tmp_path / "b",
                 self._timings_dir(tmp_path / "sweep", ("storm",), "ip", "2")]
         out = emit_report(dirs, "table2", tmp_path / "t2.csv")
@@ -907,7 +930,8 @@ class TestAtomicResultCsvs:
         ("results.csv", write_results_csv, synthetic_rows(), [object()]),
         ("raw_runs.csv", write_raw_csv, [GOOD_RAW], [{"scheme": "x"}]),
         ("counters.csv", write_counters_csv, [GOOD_RAW], [{"scheme": "x"}]),
-        ("timings.csv", write_timings_csv, [("a", "b", "c", "d", "e", 0, 0.5, 0)], [("x",)]),
+        ("timings.csv", write_timings_csv, [{**GOOD_RAW, "seconds": 0.5, "batch": 0}],
+         [{"scheme": "x"}]),
         ("rounds.csv", write_roundlog_csv,
          [(0, [RoundLog(1, Party.FALSE_PARTY, 3, "cf", 0, 1, 1)])], [(1, [object()])]),
     ])

@@ -266,9 +266,9 @@ class TestBanditTraining:
 class TestRollouts:
     def test_episode_has_k_learner_steps(self):
         cfg = EpisodeConfig(k=5, opinion_model=NOM, rng_seed=0)
-        _, traj = learner_episode(cfg, Party.TRUE_PARTY, "cf", seed=0)
-        assert len(traj.actions) == 5
-        assert traj.states.shape == (5, 2)
+        _, batch = learner_episode(cfg, Party.TRUE_PARTY, "cf", seed=0)
+        assert len(batch) == 5
+        assert batch.states.shape == (5, 2)
 
     def test_rollout_batch_reproducible(self):
         cfg = EpisodeConfig(k=3, opinion_model=NOM, rng_seed=0)
@@ -281,24 +281,26 @@ class TestRollouts:
 
     def test_learner_rewards_telescope_to_decided_gain(self):
         cfg = EpisodeConfig(k=6, opinion_model=UOM, rng_seed=4)
-        ep, traj = learner_episode(cfg, Party.TRUE_PARTY, "cf")
+        ep, batch = learner_episode(cfg, Party.TRUE_PARTY, "cf")
         series = ep.n_true_series
-        assert traj.rewards.sum() == pytest.approx(series[-1] - series[0])
+        rewards = [e.reward for e in ep.logs if e.party is Party.TRUE_PARTY]
+        assert sum(rewards) == pytest.approx(series[-1] - series[0])
+        assert batch.episode_rewards == [pytest.approx(sum(rewards))]
 
     def test_fp_learner_steps_on_odd_parity(self):
         cfg = EpisodeConfig(k=4, opinion_model=NOM, rng_seed=2)
-        ep, traj = learner_episode(cfg, Party.FALSE_PARTY, "cf")
-        assert len(traj.actions) == 4
+        ep, batch = learner_episode(cfg, Party.FALSE_PARTY, "cf")
+        assert len(batch) == 4
         fp_steps = [e.t for e in ep.logs if e.party is Party.FALSE_PARTY]
         assert fp_steps == [1, 3, 5, 7]
         assert ep.t == 8  # opponent finished the final round
 
     def test_returns_use_paper_discounting(self):
         cfg = EpisodeConfig(k=3, opinion_model=NOM, rng_seed=0)
-        _, traj = learner_episode(cfg, Party.TRUE_PARTY, "cf", gamma=0.5)
-        r = traj.rewards
+        ep, batch = learner_episode(cfg, Party.TRUE_PARTY, "cf", gamma=0.5)
+        r = [e.reward for e in ep.logs if e.party is Party.TRUE_PARTY]
         expected_first = 0.5 * r[0] + 0.25 * r[1] + 0.125 * r[2]
-        assert traj.returns[0] == pytest.approx(expected_first)
+        assert batch.returns[0] == pytest.approx(expected_first)
 
     @pytest.mark.parametrize("party, scheme, opponent, model", [
         (Party.TRUE_PARTY, Scheme.DRIM_A, "cf", UOM),
@@ -366,6 +368,18 @@ def test_ppo_config_rejects_non_integer_counts(name, value):
     with pytest.raises(ValueError, match=pattern):
         parse_spec_file(None, {name: value})
     assert getattr(PPOConfig(**{name: np.int64(3)}), name) == 3
+
+
+def test_selfplay_uneven_updates_is_value_error(monkeypatch):
+    def no_rollouts(*args, **kwargs):
+        raise AssertionError("collected a rollout")
+
+    monkeypatch.setattr(rl, "collect_rollouts", no_rollouts)
+    ppo = PPOConfig(updates=3, selfplay_alternations=1, rollout_episodes=1, epochs=1)
+    with pytest.raises(ValueError, match="^updates=3 does not split evenly over 2 sides × "
+                                         "selfplay_alternations=1$"):
+        rl.train_agent(Scheme.STORM, "drl", load_urv_email(), EpisodeConfig(k=2), ppo, 0)
+    assert PPOConfig(updates=4, selfplay_alternations=1).side_updates() == 2
 
 
 class TestPolicyAgent:
