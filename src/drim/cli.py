@@ -7,7 +7,10 @@ take comma lists of distinct names. A config file names one cell.
 `report --layout table2` (the paper's runtime table) reads the
 `timings.csv` that `eval` writes, so it times the lockstep batches the
 results came from. Every command reports a usage error one way:
-`drim <cmd>: error: <message>` on stderr, exit 2, nothing written."""
+`drim <cmd>: error: <message>` on stderr, exit 2, nothing written. The
+CLI checks only settings: the graph, the output and policy directories
+and the policy store are the harness's (`harness.check_playable`, then
+`MissingPolicy`), so the library call fails the same way."""
 
 from __future__ import annotations
 
@@ -77,11 +80,11 @@ def _add_common_overrides(p: argparse.ArgumentParser, evaluates: bool = True) ->
 
 def _spec_from_args(args) -> ExperimentSpec:
     """The one path from a command's input to its spec: its flags over
-    its `--spec` file. A value the spec rejects, a missing file, an
-    output or policy directory (`--out`, `--policies`) that is, or lies
-    under, something other than a directory and, for a command that
-    evaluates, a `--workers` below 1 are usage errors: exit 2 before
-    anything is written."""
+    its `--spec` file. Only settings are checked here: a value the spec
+    rejects, a missing config file and, for a command that evaluates, a
+    `--workers` below 1 are usage errors (usage line, exit 2). The world
+    the run touches (graph, output and policy directories, policy store)
+    is checked by the harness (`check_playable`, `MissingPolicy`)."""
     overrides = {key: getattr(args, key, None) for key in SPEC_KEYS}
     try:
         spec = parse_spec_file(args.spec, overrides)
@@ -89,10 +92,6 @@ def _spec_from_args(args) -> ExperimentSpec:
             worker_count(args.workers)
     except (ValueError, FileNotFoundError) as exc:
         args.usage_error(str(exc))
-    for flag, path in (("--out", spec.out_dir), ("--policies", spec.policy_dir)):
-        existing = next((p for p in (path, *path.parents) if p.exists()), None)
-        if existing is not None and not existing.is_dir():
-            args.usage_error(f"{flag} {path}: {existing} is not a directory")
     return spec
 
 
@@ -169,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(table2 reads their timings.csv)")
     p.add_argument("--out", default=".",
                    help="output directory, receives <layout>.csv (default: the working directory)")
-    # A report fails on its paths and result files: a missing file, a path
-    # that is not a directory, a missing or ambiguous cell, a bad row.
+    # A report fails on its paths and result files: a missing file, a file
+    # given as a directory, a missing or ambiguous cell, a bad row.
     p.set_defaults(func=cmd_report, usage_error=p.error, failures=(ValueError, OSError))
     return parser
 

@@ -124,6 +124,7 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be a whole number, got {value!r}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        self.scheme = Scheme(self.scheme)
         if self.opinion_model not in OPINION_MODELS:
             raise ValueError(f"unknown opinion model {self.opinion_model!r}")
         if self.fp_strategy not in FP_STRATEGIES:
@@ -308,8 +309,9 @@ class MissingPolicy(FileNotFoundError):
 
 
 class UnplayableSpec(ValueError):
-    """The spec cannot be played: its dataset is missing, unreadable or
-    not an edge list, or its game does not fit its graph."""
+    """The spec cannot be played: its dataset does not load, its game does
+    not fit its graph, its output or policy directory is a file or lies
+    under one, or a policy file in its store does not load."""
 
 
 def load_graph(spec: ExperimentSpec) -> Graph:
@@ -323,8 +325,14 @@ def load_graph(spec: ExperimentSpec) -> Graph:
 
 
 def check_playable(spec: ExperimentSpec, graph: Graph, fps: tuple[str, ...]) -> None:
-    """Raise `UnplayableSpec` unless the graph holds the 2·k users that k rounds
-    seed and, if fps holds "drl", self-play can split `updates`, before anything trains."""
+    """The one gate before `train_policy` or `run_grid` trains or writes:
+    raise `UnplayableSpec` unless the graph holds the 2·k users that k rounds
+    seed, if fps holds "drl", self-play can split `updates`, and the output
+    and policy directories are, or can be made, directories."""
+    for flag, path in (("--out", spec.out_dir), ("--policies", spec.policy_dir)):
+        existing = next((p for p in (path, *path.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise UnplayableSpec(f"{flag} {path}: {existing} is not a directory")
     if 2 * spec.k > graph.n:
         raise UnplayableSpec(f"--k {spec.k}: k rounds seed 2·k = {2 * spec.k} users, "
                              f"but the graph has only n={graph.n}")
@@ -395,37 +403,35 @@ def train_policy(spec: ExperimentSpec, scheme: Scheme, fp: str) -> TrainResult:
     return result
 
 
-def _missing_policies(
-    spec: ExperimentSpec, cells: list[tuple[Scheme, str]]
-) -> list[tuple[Scheme, str, Path]]:
-    """(scheme, fp, first missing policy file) of every distinct cell lacking one."""
+def ensure_policies(spec: ExperimentSpec, cells: list[tuple[Scheme, str]], workers: int | None = None) -> None:
+    """Train (in parallel) any policies the given cells are missing; with
+    auto_train off, the first missing file is `MissingPolicy`."""
     missing = {}
     for scheme, fp in cells:
         paths = [path for path in policy_paths(spec, scheme, fp) if path is not None]
         absent = [path for path in paths if not path.exists()]
+        if absent and not spec.auto_train:
+            raise MissingPolicy(f"missing policy file {absent[0]} (auto_train disabled)")
         if absent:
-            missing.setdefault(paths[0], (scheme, fp, absent[0]))
-    return list(missing.values())
-
-
-def ensure_policies(spec: ExperimentSpec, cells: list[tuple[Scheme, str]], workers: int | None = None) -> None:
-    """Train (in parallel) any policies the given cells are missing."""
-    missing = _missing_policies(spec, cells)
-    if missing and not spec.auto_train:
-        raise MissingPolicy(f"missing policy file {missing[0][2]} (auto_train disabled)")
-    _parallel_map(train_policy, [(spec, scheme, fp) for scheme, fp, _ in missing], workers)
+            missing.setdefault(paths[0], (spec, scheme, fp))
+    _parallel_map(train_policy, list(missing.values()), workers)
 
 
 def load_cell_agents(spec: ExperimentSpec, scheme: Scheme, fp: str) -> tuple[Agent, Agent]:
-    """Evaluation agents (tp_agent, fp_agent) for one cell."""
+    """Evaluation agents (tp_agent, fp_agent) for one cell; a policy file
+    that does not load is `UnplayableSpec`, as a bad `--dataset` is."""
     tp_path, fp_path = policy_paths(spec, scheme, fp)
-    params = load_params(tp_path, expected_actions=len(action_space(scheme)))
+    try:
+        params = load_params(tp_path, expected_actions=len(action_space(scheme)))
+        fp_params = None if fp_path is None else load_params(
+            fp_path, expected_actions=len(action_space(Scheme.DRIM_A)))
+    except ValueError as exc:
+        raise UnplayableSpec(f"--policies {spec.policy_dir}: {exc}") from exc
     tp_agent = make_scheme_agent(scheme, params)
-    if fp == "drl":
-        fp_params = load_params(fp_path, expected_actions=len(action_space(Scheme.DRIM_A)))
-        fp_agent = PolicyAgent(fp_params, action_space(Scheme.DRIM_A))
-    else:
+    if fp_params is None:
         fp_agent = make_heuristic_agent(fp)
+    else:
+        fp_agent = PolicyAgent(fp_params, action_space(Scheme.DRIM_A))
     return tp_agent, fp_agent
 
 
@@ -495,33 +501,27 @@ def run_grid(
     """Evaluate a grid of cells sharing the spec's episode and training
     configuration; write combined result CSVs into spec.out_dir.
 
-    Missing policies are trained on the spec's dataset. A caller-supplied
-    graph must come with every policy already in place: a ValueError
-    naming the first missing file is raised before anything is trained.
+    `check_playable` runs first, then missing policies are trained on the
+    spec's dataset. Policies are keyed by that dataset's bytes, so a
+    caller-supplied graph turns auto_train off: every policy must already
+    be in place, and a missing one is `MissingPolicy` before anything runs.
     """
+    if graph is not None:
+        spec = replace(spec, auto_train=False)
     schemes = schemes or (spec.scheme,)
-    opinion_models = opinion_models or (spec.opinion_model,)
     fp_strategies = fp_strategies or (spec.fp_strategy,)
     cells = [(s, fp) for s in schemes for fp in fp_strategies]
-    if graph is not None:
-        for om in opinion_models:
-            missing = _missing_policies(replace(spec, opinion_model=om), cells)
-            if missing:
-                raise ValueError(
-                    f"missing policy file {missing[0][2]}: run_grid would train it on the "
-                    "spec's dataset, not on the graph passed in; train it first"
-                )
+    om_specs = [replace(spec, opinion_model=om) for om in opinion_models or (spec.opinion_model,)]
     graph = graph if graph is not None else load_graph(spec)
     check_playable(spec, graph, fp_strategies)
     points = list(spec.sweep_values) if spec.sweep_axis else [None]
 
-    for om in opinion_models:
-        ensure_policies(replace(spec, opinion_model=om), cells, workers)
+    for om_spec in om_specs:
+        ensure_policies(om_spec, cells, workers)
 
     rows: list[ResultRow] = []
     runs: list[dict] = []
-    for om in opinion_models:
-        om_spec = replace(spec, opinion_model=om)
+    for om_spec in om_specs:
         for scheme in schemes:
             for fp in fp_strategies:
                 for point in points:
@@ -612,7 +612,7 @@ def _read_cells(results_dirs: list[str | Path], name: str, columns: dict) -> dic
                     cell = tuple(rec[c] for c in COORDINATES)
                     if cell not in index:  # one outside drim's grids fails as its spec would
                         scheme, om, fp, axis, value = cell
-                        ExperimentSpec(Scheme(scheme), om, fp,
+                        ExperimentSpec(scheme, om, fp,
                                        sweep_axis=None if axis == "none" else axis,
                                        sweep_values=None if axis == value == "none" else (value,))
                 except ValueError as exc:

@@ -259,6 +259,21 @@ class TestCommands:
         assert sorted(str(out / "policies" / path) for path in policies if "curve" not in path) \
             == sorted(wrote)
 
+    @pytest.mark.parametrize("side", ["tp", "fp"])
+    def test_policy_file_that_does_not_load_is_usage_error(self, tiny_edges, tmp_path, capsys,
+                                                            side):
+        out = tmp_path / "res"
+        cell = ["--scheme", "drim-a", "--fp", "drl", "--dataset", str(tiny_edges),
+                "--out", str(out), *SELFPLAY_FAST, "--updates", "2"]
+        assert main(["train", *cell]) == 0
+        fp_path, tp_path = (Path(line.split()[1]) for line in capsys.readouterr().out.splitlines())
+        junk = {"tp": tp_path, "fp": fp_path}[side]
+        junk.write_bytes(b"junk")
+        assert main(["eval", *cell, "--runs", "2", "--workers", "1"]) == 2
+        assert capsys.readouterr().err == (f"drim eval: error: --policies {out / 'policies'}: "
+                                           f"{junk}: not a policy parameter file\n")
+        assert [p.name for p in out.iterdir()] == ["policies"]
+
     def test_selfplay_splits_updates_over_sides(self, tiny_edges, tmp_path):
         out = tmp_path / "res"
         rc = main(["train", "--scheme", "drim-a", "--fp", "drl", "--dataset", str(tiny_edges),
@@ -510,20 +525,16 @@ class TestCommands:
     def test_path_that_is_not_a_directory_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                                          command, argv, spec_text, flag, path):
         def no_work(*args, **kwargs):
-            raise AssertionError("loaded a graph or trained a policy")
+            raise AssertionError("trained a policy")
 
-        monkeypatch.setattr(harness, "load_graph", no_work)
         monkeypatch.setattr(harness, "train_agent", no_work)
         monkeypatch.chdir(tmp_path)
         Path("taken").write_text("a file\n")
         if spec_text is not None:
             Path("spec.cfg").write_text(spec_text)
             argv = [*argv, "--spec", "spec.cfg"]
-        with pytest.raises(SystemExit) as exc:
-            main([command, *argv])
-        assert exc.value.code == 2
+        assert main([command, *argv]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"usage: drim {command}")
         assert f"drim {command}: error: {flag} {path}: taken is not a directory\n" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == [*(["spec.cfg"] if spec_text else []),
                                                               "taken"]

@@ -24,11 +24,13 @@ from drim.harness import (
     SWEEP_DEFAULTS,
     ExperimentSpec,
     ResultRow,
+    UnplayableSpec,
     derive_seed,
     emit_report,
     ensure_policies,
     policy_paths,
     run_grid,
+    train_policy,
     worker_count,
     write_counters_csv,
     write_raw_csv,
@@ -145,6 +147,13 @@ class TestExperimentSpec:
     def test_sweep_points_sharing_a_coordinate_rejected(self, axis, values, named):
         with pytest.raises(ValueError, match=re.escape(f"sweep points {named}")):
             ExperimentSpec(sweep_axis=axis, sweep_values=values)
+
+    def test_scheme_converted_like_the_other_cell_names(self):
+        spec = ExperimentSpec(scheme="storm")
+        assert spec.scheme is Scheme.STORM
+        assert policy_paths(spec, spec.scheme, "cf")[0].name.startswith("storm_uom_vs_cf_")
+        with pytest.raises(ValueError, match="'bogus' is not a valid Scheme"):
+            ExperimentSpec(scheme="bogus")
 
     def test_unit_interval_bounds_accepted(self):
         for value in (0.0, 1.0):
@@ -278,6 +287,39 @@ class TestRunGrid:
         assert float(loaded[0]["mean_decided_n_true"]) == pytest.approx(
             round(rows[0].mean_decided_n_true, 4)
         )
+
+
+class TestGate:
+    """`check_playable` stops `run_grid` and `train_policy` before they train or write."""
+
+    @pytest.fixture
+    def ring(self, tmp_path, monkeypatch) -> Path:
+        from drim import harness
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a policy")
+
+        monkeypatch.setattr(harness, "train_agent", no_training)
+        monkeypatch.chdir(tmp_path)
+        Path("taken").write_text("a file\n")
+        path = Path("ring.edges")
+        path.write_text("".join(f"{i} {i % 12 + 1}\n" for i in range(1, 13)))
+        return path
+
+    @pytest.mark.parametrize("out_dir", ["taken", "taken/res"])
+    def test_run_grid_output_directory_under_a_file(self, tmp_path, ring, out_dir):
+        spec = tiny_spec(tmp_path, ring, out_dir=Path(out_dir), policy_dir=Path("pol"))
+        with pytest.raises(UnplayableSpec, match=f"^--out {out_dir}: taken is not a directory$"):
+            run_grid(spec, workers=1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ring.edges", "taken"]
+        assert Path("taken").read_text() == "a file\n"
+
+    def test_train_policy_directory_under_a_file(self, tmp_path, ring):
+        spec = tiny_spec(tmp_path, ring, out_dir=Path("res"), policy_dir=Path("taken/pol"))
+        with pytest.raises(UnplayableSpec,
+                           match="^--policies taken/pol: taken is not a directory$"):
+            train_policy(spec, spec.scheme, spec.fp_strategy)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ring.edges", "taken"]
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -474,7 +474,7 @@ class TestCallerGraph:
         ring = Graph(30, [(i, (i + 1) % 30) for i in range(30)])
         spec = harness.ExperimentSpec(out_dir=tmp_path / "out", runs=2, k=3)
         tp_path, _ = harness.policy_paths(spec, spec.scheme, spec.fp_strategy)
-        with pytest.raises(ValueError, match=tp_path.name):
+        with pytest.raises(harness.MissingPolicy, match=tp_path.name):
             harness.run_grid(spec, graph=ring, workers=1)
         assert not tp_path.exists()
         assert not spec.out_dir.exists()
