@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Train a small PPO seed-selection agent and watch it specialize.
 
-Uses a reduced budget (a few minutes of CPU). The agent learns which
+Uses a reduced budget (about ten seconds of CPU). The agent learns which
 heuristic to fire from the 2-component cascade state; on this graph the
 activity-first action is weak, so a trained policy learns to avoid it.
 """
@@ -22,7 +22,7 @@ print("training drim-a against a centrality-first false party...")
 with single_thread_blas():  # the same policy bytes on any core count
     result = train_agent(Scheme.DRIM_A, "cf", graph, episode_cfg, ppo_cfg, rng_seed=11)
 print("update  mean_return  entropy")
-for update, mean_return, entropy in result.curve:
+for update, (mean_return, entropy) in enumerate(result.curve):
     print(f"{update:>6d}  {mean_return:>11.1f}  {entropy:.3f}")
 
 names = [k.value for k in action_space(Scheme.DRIM_A)]

@@ -101,14 +101,13 @@ def cmd_train(args) -> int:
     tp_path, fp_path = policy_paths(spec, spec.scheme, spec.fp_strategy)
     if fp_path is not None:
         print(f"wrote {fp_path}")
-    print(f"wrote {tp_path} (final mean return {result.curve[-1][1]:.1f})")
+    print(f"wrote {tp_path} (final mean return {result.curve[-1][0]:.1f})")
     return 0
 
 
 def cmd_eval(args) -> int:
     spec = _spec_from_args(args)
-    schemes = tuple(map(Scheme, args.scheme_grid)) if args.scheme_grid else None
-    rows = run_grid(spec, schemes, args.opinion_model_grid, args.fp_strategy_grid,
+    rows = run_grid(spec, args.scheme_grid, args.opinion_model_grid, args.fp_strategy_grid,
                     workers=args.workers)
     for row in rows:
         print(f"{row.scheme}/{row.opinion_model} vs {row.fp_strategy}"

@@ -398,7 +398,7 @@ def train_policy(spec: ExperimentSpec, scheme: Scheme, fp: str) -> TrainResult:
     if fp_path is not None:
         save_params(result.opponent_params, fp_path)
     _write_csv(tp_path.with_suffix(".curve.csv"), ("update", "mean_return", "entropy"),
-               ((u, f"{r:.4f}", f"{e:.6f}") for u, r, e in result.curve))
+               ((u, f"{r:.4f}", f"{e:.6f}") for u, (r, e) in enumerate(result.curve)))
     save_params(result.params, tp_path)
     return result
 
@@ -492,7 +492,7 @@ def run_cell(
 
 def run_grid(
     spec: ExperimentSpec,
-    schemes: tuple[Scheme, ...] | None = None,
+    schemes: tuple[Scheme | str, ...] | None = None,
     opinion_models: tuple[str, ...] | None = None,
     fp_strategies: tuple[str, ...] | None = None,
     graph: Graph | None = None,
@@ -501,14 +501,20 @@ def run_grid(
     """Evaluate a grid of cells sharing the spec's episode and training
     configuration; write combined result CSVs into spec.out_dir.
 
-    `check_playable` runs first, then missing policies are trained on the
-    spec's dataset. Policies are keyed by that dataset's bytes, so a
-    caller-supplied graph turns auto_train off: every policy must already
-    be in place, and a missing one is `MissingPolicy` before anything runs.
+    Before the graph loads, a `schemes` entry may be a scheme's value, and
+    an entry repeated on any axis is a ValueError. Then `check_playable`
+    runs, and missing policies are trained on the spec's dataset, which
+    keys them, so a passed graph needs auto_train off (else ValueError).
     """
-    if graph is not None:
-        spec = replace(spec, auto_train=False)
-    schemes = schemes or (spec.scheme,)
+    if graph is not None and spec.auto_train:
+        raise ValueError("policies are keyed by the spec's dataset, so a graph passed to "
+                         "run_grid needs auto_train=False")
+    schemes = tuple(map(Scheme, schemes or (spec.scheme,)))
+    for name, given in (("schemes", [s.value for s in schemes]), ("opinion_models", opinion_models),
+                        ("fp_strategies", fp_strategies)):
+        repeated = next((v for i, v in enumerate(given or ()) if v in given[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"{name}: {repeated!r} given twice")
     fp_strategies = fp_strategies or (spec.fp_strategy,)
     cells = [(s, fp) for s in schemes for fp in fp_strategies]
     om_specs = [replace(spec, opinion_model=om) for om in opinion_models or (spec.opinion_model,)]
@@ -522,12 +528,11 @@ def run_grid(
     rows: list[ResultRow] = []
     runs: list[dict] = []
     for om_spec in om_specs:
-        for scheme in schemes:
-            for fp in fp_strategies:
-                for point in points:
-                    row, cell_runs = run_cell(om_spec, graph, scheme, fp, point, workers)
-                    rows.append(row)
-                    runs.extend(cell_runs)
+        for scheme, fp in cells:
+            for point in points:
+                row, cell_runs = run_cell(om_spec, graph, scheme, fp, point, workers)
+                rows.append(row)
+                runs.extend(cell_runs)
 
     write_results_csv(spec.out_dir / "results.csv", rows)
     write_raw_csv(spec.out_dir / "raw_runs.csv", runs)

@@ -8,15 +8,15 @@ Returns follow the episode reward discounting exactly (no GAE), and the
 advantage is return minus the collection-time value estimate, normalized
 per batch.
 
-Rollouts are played by the same driver as evaluation: each update's
-episodes run in one `run_lockstep` call, where one learner
-(`LearnerAgent`) plays its party in all of them beside one opponent
-agent and records per episode the states, actions, log-probabilities
-and values it saw. Rollouts hand over `Batch`es: `collect_episode`
-makes each finished episode a one-episode batch, and `collect_rollouts`
-concatenates them into the update's batch (`Batch.concat`).
-`make_scheme_agent` builds any scheme's evaluation agent from trained
-parameters.
+Rollouts are played by the same driver as evaluation: `train_loop`
+trains in one `Matchup`, and each update's episodes run in one
+`run_lockstep` call, where one learner (`LearnerAgent`) plays its party
+in all of them beside the matchup's opponent and records per episode the
+states, actions, log-probabilities and values it saw. Rollouts hand over
+`Batch`es: `collect_episode` makes each finished episode a one-episode
+batch, and `collect_rollouts` concatenates them into the update's batch
+(`Batch.concat`). `make_scheme_agent` builds any scheme's evaluation
+agent from trained parameters.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -381,46 +381,46 @@ class Matchup:
 @dataclass
 class TrainResult:
     params: PolicyParams
-    curve: list[tuple[int, float, float]]  # (update, mean episode reward, entropy)
+    curve: list[tuple[float, float]]  # (mean episode reward, entropy); row i is update i
     opponent_params: PolicyParams | None = None
 
 
 def collect_rollouts(
     params: PolicyParams,
     matchup: Matchup,
-    episodes: int,
+    ppo_cfg: PPOConfig,
     seed_seq: np.random.SeedSequence,
-    gamma: float,
 ) -> Batch:
-    """Roll several independent episodes in one `run_lockstep` call, one
-    learner and one opponent playing them all, and concatenate the
-    learner's one-episode batches."""
+    """Roll `ppo_cfg.rollout_episodes` episodes of the matchup in one
+    `run_lockstep` call, one learner and one opponent playing them all,
+    and concatenate the learner's batches, discounted by `ppo_cfg.gamma`."""
     rngs = {}
-    for child in seed_seq.spawn(episodes):
+    for child in seed_seq.spawn(ppo_cfg.rollout_episodes):
         env_seed, sample_seed = child.spawn(2)
         cfg = matchup.episode_cfg.with_seed(int(env_seed.generate_state(1)[0]))
         rngs[Episode(matchup.graph, cfg)] = np.random.default_rng(sample_seed)
     learner = LearnerAgent(params, action_space(matchup.scheme), rngs)
     agent, opponent = scheme_agent(matchup.scheme, learner), matchup.opponent
     pair = (agent, opponent) if matchup.party is Party.TRUE_PARTY else (opponent, agent)
-    games = run_lockstep(list(rngs), [pair] * episodes)
-    return Batch.concat([collect_episode(ep, learner, matchup.party, gamma) for ep in games])
+    games = run_lockstep(list(rngs), [pair] * len(rngs))
+    return Batch.concat([collect_episode(ep, learner, matchup.party, ppo_cfg.gamma)
+                         for ep in games])
 
 
 def train_loop(
     params: PolicyParams,
-    rollout: Callable[[PolicyParams, np.random.SeedSequence], Batch],
+    matchup: Matchup,
     ppo_cfg: PPOConfig,
     seed_seq: np.random.SeedSequence,
     updates: int,
 ) -> TrainResult:
-    """Alternate rollout collection (`rollout(params, seed_seq)`) and
-    `updates` PPO updates."""
+    """`updates` PPO updates of params in the matchup, each one
+    `collect_rollouts` then `ppo_update`; curve row i is update i."""
     curve = []
-    for update, child in enumerate(seed_seq.spawn(updates)):
-        batch = rollout(params, child)
+    for child in seed_seq.spawn(updates):
+        batch = collect_rollouts(params, matchup, ppo_cfg, child)
         params, diag = ppo_update(params, batch, ppo_cfg)
-        curve.append((update, float(np.mean(batch.episode_rewards)), diag.entropy))
+        curve.append((float(np.mean(batch.episode_rewards)), diag.entropy))
     return TrainResult(params, curve)
 
 
@@ -434,45 +434,40 @@ def train_agent(
 ) -> TrainResult:
     """Train the true party's agent for a scheme against one opponent.
 
-    opponent is a strategy name (af/bf/sgf/cf/random) or 'drl', which
-    trains both sides by alternating-freeze self-play: the true party
-    trains against a frozen false-party policy, then roles swap, for the
-    configured number of alternations, each side training its share of
-    `updates`, which must split evenly (else `PPOConfig.side_updates`
-    raises a ValueError). The FP's DRL agent uses all four actions.
+    opponent is a strategy name (af/bf/sgf/cf/random), trained in one
+    `Matchup`, or 'drl', which trains both sides by alternating-freeze
+    self-play: the true party trains against a frozen false-party policy,
+    then roles swap, for the configured number of alternations, each side
+    training its share of `updates` in its own matchup; the share must
+    split evenly (else `PPOConfig.side_updates` raises a ValueError). The
+    FP's DRL agent uses all four actions.
     """
     seed_seq = np.random.SeedSequence(rng_seed)
     tp_space = action_space(scheme)
 
-    def rollout(party: Party, learner_scheme: Scheme, rival: Agent):
-        matchup = Matchup(graph, episode_cfg, party, learner_scheme, rival)
-        return lambda params, seeds: collect_rollouts(
-            params, matchup, ppo_cfg.rollout_episodes, seeds, ppo_cfg.gamma)
-
     if opponent != "drl":
         init_seed, loop_seed = seed_seq.spawn(2)
         params = init_params(len(tp_space), ppo_cfg.hidden, np.random.default_rng(init_seed))
-        tp_rollout = rollout(Party.TRUE_PARTY, scheme, make_heuristic_agent(opponent))
-        return train_loop(params, tp_rollout, ppo_cfg, loop_seed, ppo_cfg.updates)
+        game = Matchup(graph, episode_cfg, Party.TRUE_PARTY, scheme, make_heuristic_agent(opponent))
+        return train_loop(params, game, ppo_cfg, loop_seed, ppo_cfg.updates)
 
     fp_space = action_space(Scheme.DRIM_A)
     tp_init, fp_init, _ = seed_seq.spawn(3)
     tp_params = init_params(len(tp_space), ppo_cfg.hidden, np.random.default_rng(tp_init))
     fp_params = init_params(len(fp_space), ppo_cfg.hidden, np.random.default_rng(fp_init))
-    curve: list[tuple[int, float, float]] = []
+    curve: list[tuple[float, float]] = []
     side_updates = ppo_cfg.side_updates()
     for alternation in seed_seq.spawn(ppo_cfg.selfplay_alternations):
         tp_seed, fp_seed = alternation.spawn(2)
         frozen_fp = PolicyAgent(fp_params.copy(), fp_space)
-        tp_rollout = rollout(Party.TRUE_PARTY, scheme, frozen_fp)
-        result = train_loop(tp_params, tp_rollout, ppo_cfg, tp_seed, side_updates)
+        tp_game = Matchup(graph, episode_cfg, Party.TRUE_PARTY, scheme, frozen_fp)
+        result = train_loop(tp_params, tp_game, ppo_cfg, tp_seed, side_updates)
         tp_params = result.params
-        base = len(curve)
-        curve.extend((base + i, r, e) for i, r, e in result.curve)
+        curve += result.curve
 
         frozen_tp = make_scheme_agent(scheme, tp_params.copy())
-        fp_rollout = rollout(Party.FALSE_PARTY, Scheme.DRIM_A, frozen_tp)
-        fp_params = train_loop(fp_params, fp_rollout, ppo_cfg, fp_seed, side_updates).params
+        fp_game = Matchup(graph, episode_cfg, Party.FALSE_PARTY, Scheme.DRIM_A, frozen_tp)
+        fp_params = train_loop(fp_params, fp_game, ppo_cfg, fp_seed, side_updates).params
     return TrainResult(tp_params, curve, opponent_params=fp_params)
 
 

@@ -1,4 +1,4 @@
-"""The demo scripts run end to end (training demo 03 excluded: minutes)."""
+"""The demo scripts run end to end."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_opinion_algebra.py", "02_single_episode.py", "04_experiment_matrix.py"]
+    "demo", ["01_opinion_algebra.py", "02_single_episode.py", "03_train_agent.py",
+             "04_experiment_matrix.py"]
 )
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)

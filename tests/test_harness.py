@@ -289,6 +289,39 @@ class TestRunGrid:
         )
 
 
+class TestGridAxes:
+    """`run_grid` checks its axes as `ExperimentSpec` checks its cell."""
+
+    def test_scheme_values_run_as_their_schemes(self, tmp_path, tiny_dataset):
+        spec = tiny_spec(tmp_path / "a", tiny_dataset, runs=1)
+        rows = run_grid(spec, schemes=("storm",), workers=1)
+        same = replace(spec, out_dir=tmp_path / "b")
+        run_grid(same, schemes=(Scheme.STORM,), workers=1)
+        assert [row.scheme for row in rows] == ["storm"]
+        for name in ("results.csv", "raw_runs.csv"):
+            assert (spec.out_dir / name).read_bytes() == (same.out_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("axis, given, named", [
+        ("schemes", (Scheme.STORM, Scheme.STORM), "storm"),
+        ("schemes", ("storm", Scheme.STORM), "storm"),
+        ("opinion_models", ("nom", "uom", "nom"), "nom"),
+        ("fp_strategies", ("cf", "cf"), "cf"),
+    ])
+    def test_repeated_entry_rejected_before_the_graph_loads(self, tmp_path, monkeypatch, axis,
+                                                            given, named):
+        from drim import harness
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("loaded a graph or trained a policy")
+
+        monkeypatch.setattr(harness, "load_graph", no_work)
+        monkeypatch.setattr(harness, "train_agent", no_work)
+        spec = tiny_spec(tmp_path, tmp_path / "absent.edges")
+        with pytest.raises(ValueError, match=f"^{axis}: '{named}' given twice$"):
+            run_grid(spec, workers=1, **{axis: given})
+        assert not spec.out_dir.exists()
+
+
 class TestGate:
     """`check_playable` stops `run_grid` and `train_policy` before they train or write."""
 

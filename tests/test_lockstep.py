@@ -472,12 +472,26 @@ class TestCallerGraph:
         monkeypatch.setattr(harness, "train_policy", no_training)
         monkeypatch.setattr(harness, "load_graph", no_training)
         ring = Graph(30, [(i, (i + 1) % 30) for i in range(30)])
-        spec = harness.ExperimentSpec(out_dir=tmp_path / "out", runs=2, k=3)
+        spec = harness.ExperimentSpec(out_dir=tmp_path / "out", runs=2, k=3, auto_train=False)
         tp_path, _ = harness.policy_paths(spec, spec.scheme, spec.fp_strategy)
         with pytest.raises(harness.MissingPolicy, match=tp_path.name):
             harness.run_grid(spec, graph=ring, workers=1)
         assert not tp_path.exists()
         assert not spec.out_dir.exists()
+
+    def test_caller_graph_with_auto_train_on_is_value_error(self, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("loaded a graph or trained a policy")
+
+        monkeypatch.setattr(harness, "train_policy", no_work)
+        monkeypatch.setattr(harness, "load_graph", no_work)
+        ring = Graph(30, [(i, (i + 1) % 30) for i in range(30)])
+        spec = harness.ExperimentSpec(out_dir=tmp_path / "out", policy_dir=tmp_path / "pol",
+                                      runs=2, k=3)
+        with pytest.raises(ValueError, match="^policies are keyed by the spec's dataset, so a "
+                                             "graph passed to run_grid needs auto_train=False$"):
+            harness.run_grid(spec, graph=ring, workers=1)
+        assert not spec.out_dir.exists() and not spec.policy_dir.exists()
 
     def test_caller_graph_with_policies_in_place_evaluates(self, tmp_path):
         ring = Graph(30, [(i, (i + 1) % 30) for i in range(30)])

@@ -8,9 +8,10 @@ import pytest
 from drim import baselines, rl
 from drim.config import parse_spec_file
 from drim.datasets import load_urv_email
+from drim.network import Graph
 from drim.opinion import NOM, UOM
 from drim.population import Party
-from drim.propagation import Episode, EpisodeConfig, run_lockstep
+from drim.propagation import Episode, EpisodeConfig, discounted_returns, run_lockstep
 from drim.rl import (
     Batch,
     LearnerAgent,
@@ -33,11 +34,13 @@ from drim.rl import (
 from drim.strategies import Scheme, StrategyKind, action_space, make_heuristic_agent
 
 
-def bandit_rollout(episodes: int, best: int = 2):
-    """Rollout callable for `train_loop`: one-step episodes in which a
-    single action pays 1 and the rest pay 0."""
+def bandit_rollouts(best: int = 2):
+    """Stand-in for `rl.collect_rollouts` that ignores the matchup:
+    `ppo_cfg.rollout_episodes` one-step episodes in which a single action
+    pays 1 and the rest pay 0."""
 
-    def rollout(params, seed_seq):
+    def collect_rollouts(params, matchup, ppo_cfg, seed_seq):
+        episodes = ppo_cfg.rollout_episodes
         rng = np.random.default_rng(seed_seq)
         state = np.ones(2)
         (probs,) = policy_forward(params, [state])
@@ -47,12 +50,12 @@ def bandit_rollout(episodes: int, best: int = 2):
             states=np.ones((episodes, 2)),
             actions=actions,
             log_probs=np.log(probs[actions]),
-            returns=0.95 * rewards,
+            returns=ppo_cfg.gamma * rewards,
             values=np.full(episodes, value_forward(params, [state])[0]),
             episode_rewards=rewards.tolist(),
         )
 
-    return rollout
+    return collect_rollouts
 
 
 def learner_episode(cfg, party, opponent, seed=1, gamma=0.95):
@@ -245,21 +248,23 @@ class TestPpoUpdate:
 
 
 class TestBanditTraining:
-    def test_dominant_action_learned(self):
+    def test_dominant_action_learned(self, monkeypatch):
+        monkeypatch.setattr(rl, "collect_rollouts", bandit_rollouts(best=2))
         cfg = PPOConfig(hidden=16, rollout_episodes=16, updates=80, epochs=40, actor_lr=0.01)
         params = init_params(4, 16, np.random.default_rng(1))
-        result = train_loop(params, bandit_rollout(16, best=2), cfg, np.random.SeedSequence(2),
-                            cfg.updates)
+        result = train_loop(params, None, cfg, np.random.SeedSequence(2), cfg.updates)
         (probs,) = policy_forward(result.params, np.ones((1, 2)))
         assert probs[2] > 0.95
 
-    def test_training_reproducible(self):
+    def test_training_reproducible(self, monkeypatch):
+        monkeypatch.setattr(rl, "collect_rollouts", bandit_rollouts())
         cfg = PPOConfig(hidden=8, rollout_episodes=4, updates=5, epochs=5)
         curves = []
         for _ in range(2):
             params = init_params(4, 8, np.random.default_rng(1))
-            result = train_loop(params, bandit_rollout(4), cfg, np.random.SeedSequence(3), cfg.updates)
+            result = train_loop(params, None, cfg, np.random.SeedSequence(3), cfg.updates)
             curves.append(result.curve)
+        assert len(curves[0]) == cfg.updates
         assert curves[0] == curves[1]
 
 
@@ -273,8 +278,9 @@ class TestRollouts:
     def test_rollout_batch_reproducible(self):
         cfg = EpisodeConfig(k=3, opinion_model=NOM, rng_seed=0)
         params = init_params(4, 16, rng_seed=0)
-        a = collect_rollouts(params, matchup(cfg), 2, np.random.SeedSequence(7), 0.95)
-        b = collect_rollouts(params, matchup(cfg), 2, np.random.SeedSequence(7), 0.95)
+        ppo = PPOConfig(rollout_episodes=2, gamma=0.95)
+        a = collect_rollouts(params, matchup(cfg), ppo, np.random.SeedSequence(7))
+        b = collect_rollouts(params, matchup(cfg), ppo, np.random.SeedSequence(7))
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.returns, b.returns)
@@ -315,14 +321,15 @@ class TestRollouts:
         params.actor.b3 += np.linspace(-0.5, 0.5, params.n_actions)
         params.critic.b3 += 0.25
         seeds = np.random.SeedSequence(13)
-        batched = collect_rollouts(params, game, 4, seeds, 0.9)
+        batched = collect_rollouts(params, game, PPOConfig(rollout_episodes=4, gamma=0.9), seeds)
         # collect_rollouts spawns one child per episode, so the i-th episode
         # alone is a one-episode batch from a parent whose one child is child i
         alone = []
         for child in np.random.SeedSequence(13).spawn(4):
             parent = np.random.SeedSequence(child.entropy, spawn_key=child.spawn_key[:-1],
                                             n_children_spawned=child.spawn_key[-1])
-            alone.append(collect_rollouts(params, game, 1, parent, 0.9))
+            alone.append(collect_rollouts(params, game, PPOConfig(rollout_episodes=1, gamma=0.9),
+                                          parent))
         assert batched.episode_rewards == [r for b in alone for r in b.episode_rewards]
         for name in ("states", "actions", "log_probs", "values", "returns"):
             assert np.array_equal(getattr(batched, name),
@@ -340,7 +347,8 @@ class TestOneLearnerPerBatch:
 
         monkeypatch.setattr(rl, "policy_forward", policy_forward)
         cfg = EpisodeConfig(k=3, opinion_model=NOM)
-        collect_rollouts(init_params(4, 8, 0), matchup(cfg), 4, np.random.SeedSequence(3), 0.95)
+        collect_rollouts(init_params(4, 8, 0), matchup(cfg), PPOConfig(rollout_episodes=4),
+                         np.random.SeedSequence(3))
         assert rows == [4] * cfg.k
 
     def test_one_learner_and_one_community_restriction_per_cstorm_batch(self, monkeypatch):
@@ -353,9 +361,61 @@ class TestOneLearnerPerBatch:
             monkeypatch.setattr(cls, "__init__", init)
         cfg = EpisodeConfig(k=2, opinion_model=NOM, p_nv=0.6)
         game = matchup(cfg, scheme=Scheme.C_STORM)
-        collect_rollouts(init_params(2, 8, 0), game, 4, np.random.SeedSequence(3), 0.95)
+        collect_rollouts(init_params(2, 8, 0), game, PPOConfig(rollout_episodes=4),
+                         np.random.SeedSequence(3))
         assert [type(agent) for agent in built] == [LearnerAgent, baselines.CommunityRestriction]
         assert not hasattr(built[0], "party")
+
+
+class TestLearnerLoop:
+    def test_collect_rollouts_reads_episodes_and_discount_from_ppo_config(self, monkeypatch):
+        played = []
+        real = rl.collect_episode
+
+        def collect_episode(episode, learner, party, gamma):
+            played.append(([e.reward for e in episode.logs if e.party is party], gamma))
+            return real(episode, learner, party, gamma)
+
+        monkeypatch.setattr(rl, "collect_episode", collect_episode)
+        cfg = EpisodeConfig(k=3, opinion_model=NOM)
+        batch = collect_rollouts(init_params(4, 8, 0), matchup(cfg, opponent="cf"),
+                                 PPOConfig(rollout_episodes=3, gamma=0.5), np.random.SeedSequence(1))
+        assert [gamma for _, gamma in played] == [0.5] * 3
+        assert batch.episode_rewards == [pytest.approx(sum(r)) for r, _ in played]
+        assert np.array_equal(batch.returns,
+                              np.concatenate([discounted_returns(r, 0.5) for r, _ in played]))
+
+    @pytest.mark.parametrize("fp, updates, alternations, parties", [
+        ("cf", 3, 1, ("tp",) * 3),
+        ("drl", 4, 2, ("tp", "fp") * 2),
+    ], ids=["heuristic", "selfplay"])
+    def test_train_agent_reaches_rollouts_and_updates_once_per_update(
+            self, monkeypatch, fp, updates, alternations, parties):
+        calls, tp_rewards = [], []
+        real_collect, real_update = rl.collect_rollouts, rl.ppo_update
+
+        def collect_rollouts(params, matchup, ppo_cfg, seed_seq):
+            batch = real_collect(params, matchup, ppo_cfg, seed_seq)
+            calls.append(matchup.party.value)
+            if matchup.party is Party.TRUE_PARTY:
+                tp_rewards.append(float(np.mean(batch.episode_rewards)))
+            return batch
+
+        def ppo_update(params, batch, cfg):
+            calls.append("update")
+            return real_update(params, batch, cfg)
+
+        monkeypatch.setattr(rl, "collect_rollouts", collect_rollouts)
+        monkeypatch.setattr(rl, "ppo_update", ppo_update)
+        ring = Graph(12, [(i, (i + 1) % 12) for i in range(12)])
+        ppo = PPOConfig(updates=updates, selfplay_alternations=alternations, rollout_episodes=2,
+                        epochs=1, hidden=4)
+        result = rl.train_agent(Scheme.DRIM_A, fp, ring, EpisodeConfig(k=2, opinion_model=NOM),
+                                ppo, 0)
+        assert calls == [c for party in parties for c in (party, "update")]
+        # one (mean return, entropy) row per true-party update, in order
+        assert [reward for reward, _ in result.curve] == tp_rewards
+        assert all(len(row) == 2 for row in result.curve)
 
 
 @pytest.mark.parametrize("name", ["epochs", "rollout_episodes", "updates", "hidden",
