@@ -14,8 +14,8 @@ fresh generator of one fixed seed. The batched wave runs that state as
 R = 10 lockstep replicas (stacked population, one generator each), the
 way `run_lockstep` does, and the batched turn runs the true party's
 turn of p_t = 2 waves over them as one call, as `run_lockstep` does
-for each party turn; it runs at R = 80 too, where the grouping sort is
-no longer a radix sort. The masked-view benchmark builds one p_nv = 0.6
+for each party turn; it runs at R = 80 and R = 160 too, where the
+grouping sort is no longer a radix sort. The masked-view benchmark builds one p_nv = 0.6
 view of the bundled graph from a fixed seed, as each eval-cstorm-masked
 episode does. The spectral benchmarks split one such fixed view into 8
 communities, C-STORM's community step on a fresh masked view (each round
@@ -44,6 +44,7 @@ REPLICAS = 10
 # R·n = 90 640 > 65 535: the kernel's grouping sort key outgrows uint16
 # and numpy's stable argsort leaves radix sort for a comparison sort.
 WIDE_REPLICAS = 80
+WIDEST_REPLICAS = 160
 
 
 def _mid_episode():
@@ -104,6 +105,10 @@ def test_one_batched_turn_uom(benchmark):
 
 def test_one_batched_turn_uom_r80(benchmark):
     _batched_turn_uom(benchmark, WIDE_REPLICAS)
+
+
+def test_one_batched_turn_uom_r160(benchmark):
+    _batched_turn_uom(benchmark, WIDEST_REPLICAS)
 
 
 def test_fuse_1k(benchmark):

@@ -26,9 +26,9 @@ for model, name in ((UOM, "UOM"), (HOM, "HOM"), (NOM, "NOM")):
         for entry in episode.logs[:6]:
             print(f"  {entry.t:<2d} {entry.party.value:<5s} {entry.strategy:<8s} "
                   f"{entry.seed:<5d} {entry.n_true:<6d} {entry.n_false:<7d} {entry.reward:+.0f}")
-        marks = [0, 20, 40, 60, 80, 100]
-        print("decided true-party counts at steps", marks, ":",
-              [episode.n_true_series[t] for t in marks])
+        marks = [1, 20, 40, 60, 80, 100]
+        print("decided true-party counts after steps", marks, ":",
+              [episode.logs[t - 1].n_true for t in marks])
         write_roundlog_csv("demo_roundlog.csv", [(0, episode.logs)])
         print("full audit trail written to demo_roundlog.csv")
 

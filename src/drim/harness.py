@@ -69,6 +69,7 @@ from drim.propagation import (
 )
 from drim.propagation import run_episode  # noqa: F401  (re-exported; perfbench's tracer rebinds it)
 from drim.rl import (
+    POLICY_CONTRACT,
     PolicyAgent,
     PPOConfig,
     TrainResult,
@@ -239,18 +240,22 @@ _OPENBLAS_SYMBOLS = (
 _OPENBLAS_ENV_VAR = "OPENBLAS_NUM_THREADS"
 
 
-def _openblas_controls() -> list[tuple]:
-    """(get, set) ctypes functions of every OpenBLAS loaded in this process;
-    empty without /proc or without OpenBLAS (MKL, Accelerate)."""
+def _openblas_libraries() -> list[ctypes.CDLL]:
+    """Every OpenBLAS loaded in this process; empty without /proc or
+    without OpenBLAS (MKL, Accelerate)."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh
                            if "openblas" in line.lower() and ".so" in line})
     except OSError:
         return []
+    return [ctypes.CDLL(lib) for lib in libs]
+
+
+def _openblas_controls() -> list[tuple]:
+    """(get, set) ctypes functions of every OpenBLAS loaded in this process."""
     controls = []
-    for lib in libs:
-        handle = ctypes.CDLL(lib)
+    for handle in _openblas_libraries():
         for get, set_ in _OPENBLAS_SYMBOLS:
             if hasattr(handle, get) and hasattr(handle, set_):
                 getter, setter = getattr(handle, get), getattr(handle, set_)
@@ -353,7 +358,8 @@ def _policy_tag(spec: ExperimentSpec, *contracts: str) -> str:
     """Hash of what determines a policy besides its cell and master seed:
     the PPO and training-episode settings, the edge-list file's bytes
     (the bundled file when the spec names no dataset), the wave's
-    draw-order contract and the scheme's own `contracts`, if any."""
+    draw-order contract, the learner's `POLICY_CONTRACT` and the
+    scheme's own `contracts`, if any."""
     cfg = spec.episode_config()
     dataset = urv_email_path() if spec.dataset is None else Path(spec.dataset)
     text = "|".join(
@@ -363,6 +369,7 @@ def _policy_tag(spec: ExperimentSpec, *contracts: str) -> str:
             cfg.k, cfg.p_t, cfg.p_f, cfg.p_nv, cfg.prior_a,
             hashlib.sha256(dataset.read_bytes()).hexdigest(),
             DRAW_CONTRACT,
+            POLICY_CONTRACT,
             *contracts,
         )
     )

@@ -10,8 +10,9 @@ users to immutable seed roles with confident opinions built from
 Opinions are stored as one (4, n) array `bdua` whose rows b, d, u, a are
 also exposed as flat arrays, for cheap vectorized queries (influence
 counts, free-node masks) and column gathers in the wave kernel; user
-i's opinion reads as `Opinion(*bdua[:, i])` and is written by
-`set_opinion`.
+i's opinion reads as `Opinion(*bdua[:, i])` and is written as
+`bdua[:, i] = …`. The population holds the present; the decided counts
+of past steps are in the episode's round log (`Episode.logs`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from drim.opinion import Evidence, Opinion, opinion_from_evidence
+from drim.opinion import Evidence, opinion_from_evidence
 
 BEHAVIOR_LEVELS = (1.0, 0.5, 0.25, 0.1)
 
@@ -29,6 +30,10 @@ TIP_EVIDENCE = Evidence(100.0, 1.0, 2.0)
 FIP_EVIDENCE = Evidence(1.0, 100.0, 2.0)
 
 FREE_VACUITY_THRESHOLD = 0.5
+
+# The seed opinions as `bdua` columns, written at every promotion
+_TIP_OPINION = np.array(opinion_from_evidence(TIP_EVIDENCE, 1.0))
+_FIP_OPINION = np.array(opinion_from_evidence(FIP_EVIDENCE, 0.0))
 
 
 class Role(Enum):
@@ -79,12 +84,6 @@ class PopulationState:
     @property
     def a(self) -> np.ndarray:
         return self.bdua[3]
-
-    def set_opinion(self, i: int, op: Opinion) -> None:
-        self.b[i] = op.b
-        self.d[i] = op.d
-        self.u[i] = op.u
-        self.a[i] = op.a
 
     def seed_ids(self, party: Party) -> np.ndarray:
         code = Role.TIP_SEED.value if party is Party.TRUE_PARTY else Role.FIP_SEED.value
@@ -153,10 +152,10 @@ def promote_seed(state: PopulationState, user: int, party: Party) -> None:
         raise ValueError(f"user {user} already holds role {Role(state.role[user]).name}")
     if party is Party.TRUE_PARTY:
         state.role[user] = Role.TIP_SEED.value
-        state.set_opinion(user, opinion_from_evidence(TIP_EVIDENCE, 1.0))
+        state.bdua[:, user] = _TIP_OPINION
     else:
         state.role[user] = Role.FIP_SEED.value
-        state.set_opinion(user, opinion_from_evidence(FIP_EVIDENCE, 0.0))
+        state.bdua[:, user] = _FIP_OPINION
     state.frozen[user] = True
 
 
@@ -176,8 +175,8 @@ def decided_influence_counts(state: PopulationState, replicas: int = 1) -> np.nd
 
     Row r holds (true, false) decided counts of replica r of a state
     stacked from `replicas` populations of equal size. A fresh
-    population is all-undecided, so these counts start at zero; they are
-    the reward baseline and the headline experiment metric.
+    population is all-undecided, so these counts start at zero; the
+    round log records them after each step, for rewards and results.
     """
     pb, _ = state.projected()
     decided = state.u < FREE_VACUITY_THRESHOLD

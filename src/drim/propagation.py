@@ -66,7 +66,8 @@ every episode on the graph shares its cached degrees and 2-hop counts,
 else an edge mask drawn from the episode's seed.
 
 Rewards use decided influence counts (vacuity below 0.5) so that the
-all-undecided starting population contributes a zero baseline.
+all-undecided starting population contributes a zero baseline. Each
+party step appends one `RoundLog` to `Episode.logs`, the episode's record.
 """
 
 from __future__ import annotations
@@ -137,8 +138,9 @@ class EpisodeConfig:
 
 @dataclass
 class RoundLog:
-    """Audit entry for one party-step; strategy is the value of the
-    `StrategyKind` that picked the seed (af, bf, sgf or cf)."""
+    """Record of party step t (1, 2, ...): the seed, the value of the
+    `StrategyKind` that picked it (af, bf, sgf or cf), the decided
+    counts the step's waves left, and the party's reward."""
 
     t: int
     party: Party
@@ -377,8 +379,9 @@ def discounted_returns(rewards, gamma: float) -> np.ndarray:
 class Episode:
     """One competitive episode on a fixed graph.
 
-    Holds the population, the view both parties plan on, decided-count
-    series per step, and the audit log. Sub-seeds for population
+    Holds the population, the view both parties plan on, and the round
+    log: one `RoundLog` per party step, the episode's one record of its
+    steps, decided counts and rewards. Sub-seeds for population
     sampling, edge masking, dynamics and C-STORM's communities
     (`community_seed`) derive from the config seed, so an episode is
     reproducible end to end. `communities` holds C-STORM's community
@@ -399,13 +402,9 @@ class Episode:
         self.rng = np.random.default_rng(dyn_seed)
         self.communities: np.ndarray | None = None
         self.counters = WaveCounters()
-        self.t = 0
-        nt, nf = decided_influence_counts(self.pop)[0].tolist()
-        self.n_true_series = [nt]
-        self.n_false_series = [nf]
         self.logs: list[RoundLog] = []
-        start = extract_state(free_mask(self.pop), [self.obs])[0]
-        self.state_norm = np.maximum(start, 1)
+        # Every user starts free: the state starts at the view's edges and top degree.
+        self.state_norm = np.maximum([self.obs.num_edges, self.obs.degrees().max()], 1)
 
     def resolve_seed(
         self, kind: StrategyKind, party: Party, pool_mask: np.ndarray | None, pick: int
@@ -431,33 +430,32 @@ class Episode:
         raise RuntimeError("no legitimate users left to seed")
 
     def close_step(self, party: Party, fired: str, seed: int, nt: int, nf: int) -> RoundLog:
-        """Close a party's step once its waves have run, given the decided
-        counts (nt, nf) they left: counts, reward, log.
+        """Log a party's step once its waves have run, given the decided
+        counts (nt, nf) they left; the entry is step len(logs) + 1.
 
         The reward is the net change of the party's decided count since
-        its own previous step: n_t - n_{t-2}. The false party moves
-        first, so its t=1 reward compares against the pre-game baseline
-        n_0; the true party's first reward is at t=2, also against n_0.
+        its own previous step, the entry two back. A party's first step
+        compares against the pre-game count, which is 0: every user
+        starts undecided.
         """
-        self.t += 1
-        self.n_true_series.append(nt)
-        self.n_false_series.append(nf)
-        counts = self.n_true_series if party is Party.TRUE_PARTY else self.n_false_series
-        prev = self.t - 2 if self.t >= 2 else 0
-        reward = counts[self.t] - counts[prev]
-        entry = RoundLog(self.t, party, seed, fired, nt, nf, reward)
+        own = nt if party is Party.TRUE_PARTY else nf
+        if len(self.logs) >= 2:
+            prev = self.logs[-2]
+            own -= prev.n_true if party is Party.TRUE_PARTY else prev.n_false
+        entry = RoundLog(len(self.logs) + 1, party, seed, fired, nt, nf, own)
         self.logs.append(entry)
         return entry
 
     def final_metrics(self) -> dict[str, int]:
         """Raw influence counts at the end, and the decided counts the
-        last step left."""
+        last step left (0 before any step)."""
         n_true, n_false = influence_counts(self.pop)
+        decided = (self.logs[-1].n_true, self.logs[-1].n_false) if self.logs else (0, 0)
         return {
             "n_true": n_true,
             "n_false": n_false,
-            "decided_n_true": self.n_true_series[-1],
-            "decided_n_false": self.n_false_series[-1],
+            "decided_n_true": decided[0],
+            "decided_n_false": decided[1],
         }
 
 

@@ -34,7 +34,14 @@ import numpy as np
 
 from drim.baselines import scheme_agent
 from drim.network import Graph
-from drim.population import Party
+from drim.opinion import HOM, NOM, UOM
+from drim.population import (
+    FIP_EVIDENCE,
+    FREE_VACUITY_THRESHOLD,
+    LEGITIMATE_EVIDENCE,
+    TIP_EVIDENCE,
+    Party,
+)
 from drim.propagation import (
     Episode,
     EpisodeConfig,
@@ -45,6 +52,17 @@ from drim.propagation import (
 from drim.strategies import Agent, Scheme, StrategyKind, action_space, make_heuristic_agent
 
 STATE_DIM = 2
+
+# What decides a trained policy besides its PPO and episode settings, its
+# graph and the wave's draws; `harness._policy_tag` hashes it, so a policy
+# trained under another contract is retrained, not reused. Bump a version
+# when its part changes; the constants enter by their repr.
+POLICY_CONTRACT = "|".join(map(repr, (
+    "learner v1: tanh MLPs, full-batch gradient steps on the clipped surrogate",
+    "reward v1: the party's decided-count change since its previous step",
+    "state v1: free edges and largest free degree over their start",
+    UOM, HOM, NOM, LEGITIMATE_EVIDENCE, TIP_EVIDENCE, FIP_EVIDENCE, FREE_VACUITY_THRESHOLD,
+)))
 
 _MAGIC = b"DRIMPOLv1\n"
 

@@ -481,8 +481,9 @@ class TestPolicyCache:
 
     # The default spec's tag. It moved from "baf6b1fa" when the draw-order
     # contract joined the key, so policies of the old stream are retrained,
-    # and from "91710efc" when selfplay_updates_per_side left PPOConfig.
-    PARENT_DEFAULT_TAG = "ae52b998"
+    # from "91710efc" when selfplay_updates_per_side left PPOConfig, and
+    # from "ae52b998" when rl.POLICY_CONTRACT joined the key.
+    PARENT_DEFAULT_TAG = "6bc30d07"
 
     def test_tag_covers_every_ppo_field(self):
         # Each PPO field and each [episode] setting, changed alone, moves the tag.
@@ -524,6 +525,20 @@ class TestPolicyCache:
         spec = ExperimentSpec()
         before = harness._policy_tag(spec)
         monkeypatch.setattr(harness, "DRAW_CONTRACT", "another stream")
+        assert harness._policy_tag(spec) != before
+
+    def test_tag_covers_policy_contract(self, monkeypatch):
+        from drim import harness, rl
+        from drim.opinion import HOM, NOM, UOM
+        from drim.population import (FIP_EVIDENCE, FREE_VACUITY_THRESHOLD,
+                                     LEGITIMATE_EVIDENCE, TIP_EVIDENCE)
+
+        for constant in (UOM, HOM, NOM, LEGITIMATE_EVIDENCE, TIP_EVIDENCE, FIP_EVIDENCE,
+                         FREE_VACUITY_THRESHOLD):
+            assert repr(constant) in rl.POLICY_CONTRACT
+        spec = ExperimentSpec()
+        before = harness._policy_tag(spec)
+        monkeypatch.setattr(harness, "POLICY_CONTRACT", rl.POLICY_CONTRACT + "|reward v2")
         assert harness._policy_tag(spec) != before
 
     def test_failed_write_leaves_no_policy_and_retrains(self, tmp_path, tiny_dataset, monkeypatch):

@@ -106,7 +106,7 @@ class TestPromoteSeed:
 def single_user_counts(op: Opinion) -> tuple[int, int]:
     """influence_counts of a one-user population holding op."""
     state = init_population(1, rng_seed=0)
-    state.set_opinion(0, op)
+    state.bdua[:, 0] = op
     return influence_counts(state)
 
 

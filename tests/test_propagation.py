@@ -317,26 +317,26 @@ class TestRewards:
         # FP moves first: its t=1 reward is against the pre-game baseline n_0
         ep = run_cf(edgeless_episode(4))
         entry = ep.logs[0]
-        assert (entry.t, ep.n_false_series[:2]) == (1, [0, 1])
+        assert (entry.t, entry.n_false) == (1, 1)
         assert entry.reward == 1.0
 
     def test_true_party_first_step(self):
         # TP's first step is t=2, also rewarded against n_0, not n_1
         ep = edgeless_episode(4)
-        ep.pop.set_opinion(3, Opinion(0.8, 0.0, 0.2, 0.5))  # user 3 decided true
+        ep.pop.bdua[:, 3] = Opinion(0.8, 0.0, 0.2, 0.5)  # user 3 decided true
         run_cf(ep)  # FP seeds 0: n_T 1; TP seeds 1: n_T 2
         entry = ep.logs[1]
-        assert (entry.t, ep.n_true_series) == (2, [0, 1, 2])
+        assert (entry.t, [e.n_true for e in ep.logs]) == (2, [1, 2])
         assert entry.reward == 2.0
 
     def test_stagnant_counts(self):
         ep = edgeless_episode(4, k=2)
-        ep.pop.set_opinion(1, Opinion(0.0, 0.8, 0.2, 0.5))  # user 1 decided false
+        ep.pop.bdua[:, 1] = Opinion(0.0, 0.8, 0.2, 0.5)  # user 1 decided false
         # FP seeds 0: n_F 2; TP seeds 1: n_F 1; FP seeds 2: n_F 2; TP seeds 3
         run_cf(ep)
         entry = ep.logs[2]
         # net change since FP's own previous step (t=1), not since t=2
-        assert ep.n_false_series[:4] == [0, 2, 1, 2]
+        assert [e.n_false for e in ep.logs[:3]] == [2, 1, 2]
         assert entry.reward == 0.0
 
     def test_reward_telescoping_over_episode(self):
@@ -344,12 +344,12 @@ class TestRewards:
         cfg = EpisodeConfig(k=12, opinion_model=UOM, rng_seed=2)
         ep = run_episode(g, cfg, RandomStrategyAgent(), RandomStrategyAgent())
         # each party's rewards telescope to the count at its own last step
-        for party, series, last in (
-            (Party.TRUE_PARTY, ep.n_true_series, -1),
-            (Party.FALSE_PARTY, ep.n_false_series, -2),
+        for party, last in (
+            (Party.TRUE_PARTY, ep.logs[-1].n_true),
+            (Party.FALSE_PARTY, ep.logs[-2].n_false),
         ):
             rewards = [e.reward for e in ep.logs if e.party is party]
-            assert sum(rewards) == pytest.approx(series[last] - series[0])
+            assert sum(rewards) == pytest.approx(last)
 
     def test_logged_counts_are_decided_counts(self):
         g = load_urv_email()
@@ -413,6 +413,27 @@ class TestEpisodeConfig:
         with pytest.raises(ValueError, match=r"k=3 .* n=5"):
             Episode(ring, EpisodeConfig(k=3))
         Episode(Graph(6, [(i, (i + 1) % 6) for i in range(6)]), EpisodeConfig(k=3))
+
+
+class TestFreshEpisode:
+    """What `Episode` takes for granted instead of counting: a fresh user's
+    vacuity is 101/103, so every user starts free and none decided."""
+
+    @pytest.mark.parametrize("prior_a", [0.0, 0.5, 1.0])
+    def test_every_user_free_and_none_decided(self, prior_a):
+        ep = Episode(load_urv_email(), EpisodeConfig(prior_a=prior_a, rng_seed=3))
+        assert free_mask(ep.pop).all()
+        assert decided_influence_counts(ep.pop).tolist() == [[0, 0]]
+        assert ep.logs == []
+        metrics = ep.final_metrics()
+        assert (metrics["decided_n_true"], metrics["decided_n_false"]) == (0, 0)
+
+    @pytest.mark.parametrize("p_nv", [1.0, 0.6])
+    def test_state_norm_is_the_views_edges_and_largest_degree(self, p_nv):
+        ep = Episode(load_urv_email(), EpisodeConfig(p_nv=p_nv, rng_seed=3))
+        view = (ep.obs.num_edges, int(ep.obs.degrees().max()))
+        assert ep.state_norm.tolist() == list(view)
+        assert extract_state(free_mask(ep.pop), [ep.obs]).tolist() == [list(view)]
 
 
 class TestEpisodeView:
