@@ -44,6 +44,8 @@ import ctypes
 import hashlib
 import io
 import os
+import signal
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -299,13 +301,35 @@ def single_thread_blas() -> Iterator[None]:
             setter(threads)
 
 
+_PR_SET_PDEATHSIG = 1  # prctl option, from <linux/prctl.h>
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: on Linux, have the kernel SIGKILL this
+    worker when its parent dies, and exit at once if the parent died
+    before that took effect (the worker was then reparented). On other
+    platforms it does nothing, and a killed parent may leave its
+    workers behind."""
+    if sys.platform != "linux":
+        return
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def _parallel_map(fn, calls: list[tuple], workers: int | None = None) -> list:
-    """fn(*args) for each argument tuple in calls, in order."""
+    """fn(*args) for each argument tuple in calls, in order. Pool workers
+    exit with a killed parent (`_exit_with_parent`)."""
     workers = worker_count(workers)
     with single_thread_blas():
         if workers <= 1 or len(calls) <= 1:
             return [fn(*args) for args in calls]
-        with ProcessPoolExecutor(max_workers=min(workers, len(calls))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(calls)),
+                                 initializer=_exit_with_parent,
+                                 initargs=(os.getpid(),)) as pool:
             return list(pool.map(fn, *zip(*calls)))
 
 

@@ -11,12 +11,15 @@ Opinions are stored as one (4, n) array `bdua` whose rows b, d, u, a are
 also exposed as flat arrays, for cheap vectorized queries (influence
 counts, free-node masks) and column gathers in the wave kernel; user
 i's opinion reads as `Opinion(*bdua[:, i])` and is written as
-`bdua[:, i] = …`. The population holds the present; the decided counts
-of past steps are in the episode's round log (`Episode.logs`).
+`bdua[:, i] = …`. A `PopulationState` is exactly its five per-user
+arrays; `init_population` draws them and `stack_populations` joins
+them. The population holds the present; the decided counts of past
+steps are in the episode's round log (`Episode.logs`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -31,10 +34,6 @@ FIP_EVIDENCE = Evidence(1.0, 100.0, 2.0)
 
 FREE_VACUITY_THRESHOLD = 0.5
 
-# The seed opinions as `bdua` columns, written at every promotion
-_TIP_OPINION = np.array(opinion_from_evidence(TIP_EVIDENCE, 1.0))
-_FIP_OPINION = np.array(opinion_from_evidence(FIP_EVIDENCE, 0.0))
-
 
 class Role(Enum):
     LEGITIMATE = 0
@@ -47,27 +46,27 @@ class Party(Enum):
     FALSE_PARTY = "fp"
 
 
+@dataclass(slots=True, eq=False)
 class PopulationState:
-    """Mutable per-replica user state.
+    """Mutable per-replica user state: its per-user arrays and nothing
+    else (the last axis of each indexes the n users).
 
-    Arrays (all length n): b, d, u, a opinion components, which are the
-    rows of the (4, n) array `bdua` (write them in place); p_read,
-    p_share behavior probabilities; role codes; frozen latches. Seed
+    `bdua` is the (4, n) array of opinion components, whose rows are
+    b, d, u, a (write them in place); p_read, p_share are behavior
+    probabilities; role holds role codes and frozen the latches. Seed
     users are frozen at promotion and their opinions never change
-    afterwards.
+    afterwards. States compare by identity.
     """
 
-    __slots__ = ("n", "bdua", "p_read", "p_share", "role", "frozen")
+    bdua: np.ndarray
+    p_read: np.ndarray
+    p_share: np.ndarray
+    role: np.ndarray
+    frozen: np.ndarray
 
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"population needs at least one user, got n={n}")
-        self.n = n
-        self.bdua = np.array([np.zeros(n), np.zeros(n), np.ones(n), np.full(n, 0.5)])
-        self.p_read = np.ones(n)
-        self.p_share = np.ones(n)
-        self.role = np.full(n, Role.LEGITIMATE.value, dtype=np.int8)
-        self.frozen = np.zeros(n, dtype=bool)
+    @property
+    def n(self) -> int:
+        return self.bdua.shape[1]
 
     @property
     def b(self) -> np.ndarray:
@@ -86,8 +85,7 @@ class PopulationState:
         return self.bdua[3]
 
     def seed_ids(self, party: Party) -> np.ndarray:
-        code = Role.TIP_SEED.value if party is Party.TRUE_PARTY else Role.FIP_SEED.value
-        return np.flatnonzero(self.role == code)
+        return np.flatnonzero(self.role == _SEEDS[party][0])
 
     def projected(self) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized projection: P(b) = b + a·u and P(d) = d + (1-a)·u."""
@@ -95,8 +93,13 @@ class PopulationState:
         return pb, 1.0 - pb
 
 
-# The per-user arrays of a PopulationState (the last axis indexes users).
-_ARRAYS = ("bdua", "p_read", "p_share", "role", "frozen")
+_ARRAYS = tuple(f.name for f in fields(PopulationState))
+
+# Each party's seed role code and seed opinion as a `bdua` column
+_SEEDS = {
+    Party.TRUE_PARTY: (Role.TIP_SEED.value, np.array(opinion_from_evidence(TIP_EVIDENCE, 1.0))),
+    Party.FALSE_PARTY: (Role.FIP_SEED.value, np.array(opinion_from_evidence(FIP_EVIDENCE, 0.0))),
+}
 
 
 def init_population(
@@ -112,18 +115,18 @@ def init_population(
     """
     if not 0.0 <= prior_a <= 1.0:  # also refuses NaN
         raise ValueError(f"prior belief must lie in [0, 1], got {prior_a}")
-    state = PopulationState(n)
-    base = opinion_from_evidence(LEGITIMATE_EVIDENCE, 0.5)
-    state.b[:] = base.b
-    state.d[:] = base.d
-    state.u[:] = base.u
-    state.a[:] = prior_a
-
+    if n < 1:
+        raise ValueError(f"population needs at least one user, got n={n}")
+    base = np.array(opinion_from_evidence(LEGITIMATE_EVIDENCE, prior_a))
     rng = np.random.default_rng(rng_seed)
     levels = np.array(BEHAVIOR_LEVELS)
-    state.p_read = rng.choice(levels, size=n)
-    state.p_share = rng.choice(levels, size=n)
-    return state
+    return PopulationState(
+        bdua=np.repeat(base[:, None], n, axis=1),
+        p_read=rng.choice(levels, size=n),  # drawn before p_share
+        p_share=rng.choice(levels, size=n),
+        role=np.full(n, Role.LEGITIMATE.value, dtype=np.int8),
+        frozen=np.zeros(n, dtype=bool),
+    )
 
 
 def stack_populations(states: list[PopulationState]) -> PopulationState:
@@ -137,9 +140,8 @@ def stack_populations(states: list[PopulationState]) -> PopulationState:
     n = states[0].n
     if any(s.n != n for s in states):
         raise ValueError("stacked populations must all have the same size")
-    stacked = PopulationState(n * len(states))
-    for name in _ARRAYS:
-        setattr(stacked, name, np.concatenate([getattr(s, name) for s in states], axis=-1))
+    stacked = PopulationState(*(np.concatenate([getattr(s, name) for s in states], axis=-1)
+                                for name in _ARRAYS))
     for r, s in enumerate(states):
         for name in _ARRAYS:
             setattr(s, name, getattr(stacked, name)[..., r * n:(r + 1) * n])
@@ -150,12 +152,7 @@ def promote_seed(state: PopulationState, user: int, party: Party) -> None:
     """Turn a legitimate user into an immutable seed of the given party."""
     if state.role[user] != Role.LEGITIMATE.value:
         raise ValueError(f"user {user} already holds role {Role(state.role[user]).name}")
-    if party is Party.TRUE_PARTY:
-        state.role[user] = Role.TIP_SEED.value
-        state.bdua[:, user] = _TIP_OPINION
-    else:
-        state.role[user] = Role.FIP_SEED.value
-        state.bdua[:, user] = _FIP_OPINION
+    state.role[user], state.bdua[:, user] = _SEEDS[party]
     state.frozen[user] = True
 
 

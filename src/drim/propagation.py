@@ -364,18 +364,6 @@ def extract_state(free: np.ndarray, views: Sequence[Graph]) -> np.ndarray:
     return np.stack([edges, max_deg], axis=1)
 
 
-def discounted_returns(rewards, gamma: float) -> np.ndarray:
-    """Discounted tail sum from every start index T: sum_{t>=T} gamma^(t-T+1) R_t."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma={gamma} outside (0, 1)")
-    out = np.zeros(len(rewards))
-    g = 0.0
-    for i in range(len(rewards) - 1, -1, -1):
-        g = gamma * (rewards[i] + g)
-        out[i] = g
-    return out
-
-
 class Episode:
     """One competitive episode on a fixed graph.
 

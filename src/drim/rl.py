@@ -45,7 +45,6 @@ from drim.population import (
 from drim.propagation import (
     Episode,
     EpisodeConfig,
-    discounted_returns,
     normalized_states,
     run_lockstep,
 )
@@ -364,6 +363,18 @@ class LearnerAgent(PolicyAgent):
             self.steps[ep].append((state, action, np.log(max(p[action], 1e-300)), float(value)))
             kinds.append(self.action_set[action])
         return kinds
+
+
+def discounted_returns(rewards, gamma: float) -> np.ndarray:
+    """Discounted tail sum from every start index T: sum_{t>=T} gamma^(t-T+1) R_t."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma={gamma} outside (0, 1)")
+    out = np.zeros(len(rewards))
+    g = 0.0
+    for i in range(len(rewards) - 1, -1, -1):
+        g = gamma * (rewards[i] + g)
+        out[i] = g
+    return out
 
 
 def collect_episode(episode: Episode, learner: LearnerAgent, party: Party,

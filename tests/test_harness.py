@@ -7,8 +7,10 @@ import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -411,6 +413,56 @@ class TestSingleThreadBlas:
                                   env=env, check=True, timeout=300, capture_output=True, text=True)
             policies.append(Path(proc.stdout.strip()).read_bytes())
         assert policies[0] == policies[1]
+
+
+def _running(pid: int) -> bool:
+    """Whether process pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestWorkerLifetime:
+    BLOCKING_POOL = (
+        "import os, sys, time\n"
+        "from pathlib import Path\n"
+        "from drim.harness import _parallel_map\n"
+        "def block(out, i):\n"
+        "    (Path(out) / str(os.getpid())).touch()\n"
+        "    time.sleep(120)\n"
+        "if __name__ == '__main__':\n"
+        "    _parallel_map(block, [(sys.argv[1], 0), (sys.argv[1], 1)], workers=2)\n"
+    )
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="parent-death signal is Linux's")
+    def test_pool_workers_exit_with_a_killed_parent(self, tmp_path):
+        script, pid_dir = tmp_path / "pool.py", tmp_path / "pids"
+        script.write_text(self.BLOCKING_POOL)
+        pid_dir.mkdir()
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        parent = subprocess.Popen([sys.executable, str(script), str(pid_dir)], env=env)
+        pids: list[int] = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(pids) < 2 and time.monotonic() < deadline and parent.poll() is None:
+                time.sleep(0.05)
+                pids = [int(p.name) for p in pid_dir.iterdir()]
+            assert len(pids) == 2, "the pool's two workers never started"
+            parent.kill()
+            parent.wait()
+            deadline = time.monotonic() + 5
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if _running(pid)] == []
+        finally:
+            parent.kill()
+            parent.wait()
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestLateLoadedBlas:

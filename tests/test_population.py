@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
+
 import numpy as np
 import pytest
 
@@ -102,6 +105,25 @@ class TestPromoteSeed:
         assert state.seed_ids(Party.TRUE_PARTY).tolist() == [4, 9]
         assert state.seed_ids(Party.FALSE_PARTY).tolist() == [1]
 
+
+class TestPerUserArrays:
+    def test_promotion_changes_only_its_user(self):
+        state = init_population(5, rng_seed=0)
+        before = copy.deepcopy(state)
+        promote_seed(state, 0, Party.FALSE_PARTY)
+        for name in ("bdua", "p_read", "p_share", "role", "frozen"):
+            got, old = getattr(state, name), getattr(before, name)
+            assert np.array_equal(got[..., 1:], old[..., 1:]), name
+        assert state.role[0] == Role.FIP_SEED.value and state.frozen[0]
+
+    def test_arrays_share_no_memory(self):
+        state = init_population(5, rng_seed=0)
+        arrays = [state.bdua, state.p_read, state.p_share, state.role, state.frozen]
+        for x, y in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(x, y)
+        state.u[1] = 0.25
+        assert state.u.tolist() == [101 / 103, 0.25, 101 / 103, 101 / 103, 101 / 103]
+        assert state.n == 5
 
 def single_user_counts(op: Opinion) -> tuple[int, int]:
     """influence_counts of a one-user population holding op."""

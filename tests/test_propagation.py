@@ -27,13 +27,13 @@ from drim.population import (
 from drim.propagation import (
     Episode,
     EpisodeConfig,
-    discounted_returns,
     extract_state,
     normalized_states,
     propagate_wave,
     run_episode,
     run_lockstep,
 )
+from drim.rl import discounted_returns
 from drim.strategies import FixedStrategyAgent, RandomStrategyAgent, StrategyKind
 
 TOL = 1e-9

@@ -11,7 +11,7 @@ from drim.datasets import load_urv_email
 from drim.network import Graph
 from drim.opinion import NOM, UOM
 from drim.population import Party
-from drim.propagation import Episode, EpisodeConfig, discounted_returns, run_lockstep
+from drim.propagation import Episode, EpisodeConfig, run_lockstep
 from drim.rl import (
     Batch,
     LearnerAgent,
@@ -22,6 +22,7 @@ from drim.rl import (
     collect_episode,
     collect_rollouts,
     critic_loss_and_grads,
+    discounted_returns,
     init_params,
     load_params,
     policy_forward,
