@@ -43,6 +43,7 @@ import csv
 import ctypes
 import hashlib
 import io
+import multiprocessing
 import os
 import signal
 import sys
@@ -303,6 +304,12 @@ def single_thread_blas() -> Iterator[None]:
 
 _PR_SET_PDEATHSIG = 1  # prctl option, from <linux/prctl.h>
 
+# On Linux pool workers are forked from the process that maps, whatever the
+# interpreter's default start method (forkserver from Python 3.14 on):
+# `_exit_with_parent` takes that process for their parent, and
+# `single_thread_blas` relies on workers inheriting its BLAS setting.
+_POOL_CONTEXT = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+
 
 def _exit_with_parent(parent: int) -> None:
     """Pool-worker initializer: on Linux, have the kernel SIGKILL this
@@ -322,12 +329,14 @@ def _exit_with_parent(parent: int) -> None:
 
 def _parallel_map(fn, calls: list[tuple], workers: int | None = None) -> list:
     """fn(*args) for each argument tuple in calls, in order. Pool workers
-    exit with a killed parent (`_exit_with_parent`)."""
+    are forked on Linux (`_POOL_CONTEXT`) and exit with a killed parent
+    (`_exit_with_parent`)."""
     workers = worker_count(workers)
     with single_thread_blas():
         if workers <= 1 or len(calls) <= 1:
             return [fn(*args) for args in calls]
         with ProcessPoolExecutor(max_workers=min(workers, len(calls)),
+                                 mp_context=_POOL_CONTEXT,
                                  initializer=_exit_with_parent,
                                  initargs=(os.getpid(),)) as pool:
             return list(pool.map(fn, *zip(*calls)))

@@ -113,11 +113,9 @@ def init_population(
     prior_a and reading/sharing probabilities sampled uniformly from the
     four-level set.
     """
-    if not 0.0 <= prior_a <= 1.0:  # also refuses NaN
-        raise ValueError(f"prior belief must lie in [0, 1], got {prior_a}")
     if n < 1:
         raise ValueError(f"population needs at least one user, got n={n}")
-    base = np.array(opinion_from_evidence(LEGITIMATE_EVIDENCE, prior_a))
+    base = np.array(opinion_from_evidence(LEGITIMATE_EVIDENCE, prior_a))  # checks prior_a
     rng = np.random.default_rng(rng_seed)
     levels = np.array(BEHAVIOR_LEVELS)
     return PopulationState(

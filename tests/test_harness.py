@@ -435,16 +435,36 @@ class TestWorkerLifetime:
         "if __name__ == '__main__':\n"
         "    _parallel_map(block, [(sys.argv[1], 0), (sys.argv[1], 1)], workers=2)\n"
     )
+    # forkserver is Linux's default start method from Python 3.14 on
+    FORKSERVER_DEFAULT = (
+        "import multiprocessing, os\n"
+        "from drim.harness import _parallel_map\n"
+        "def parent(i):\n"
+        "    return os.getppid()\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('forkserver')\n"
+        "    assert _parallel_map(parent, [(0,), (1,)], workers=2) == [os.getpid()] * 2\n"
+    )
+
+    @staticmethod
+    def _env() -> dict[str, str]:
+        env = dict(os.environ)
+        root = Path(__file__).resolve().parents[1]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        return env
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="pool workers are forked on Linux")
+    def test_workers_are_forked_whatever_the_default_start_method(self, tmp_path):
+        script = tmp_path / "forkserver.py"
+        script.write_text(self.FORKSERVER_DEFAULT)
+        subprocess.run([sys.executable, str(script)], env=self._env(), check=True, timeout=300)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="parent-death signal is Linux's")
     def test_pool_workers_exit_with_a_killed_parent(self, tmp_path):
         script, pid_dir = tmp_path / "pool.py", tmp_path / "pids"
         script.write_text(self.BLOCKING_POOL)
         pid_dir.mkdir()
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        parent = subprocess.Popen([sys.executable, str(script), str(pid_dir)], env=env)
+        parent = subprocess.Popen([sys.executable, str(script), str(pid_dir)], env=self._env())
         pids: list[int] = []
         try:
             deadline = time.monotonic() + 60

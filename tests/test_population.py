@@ -67,6 +67,14 @@ class TestInitPopulation:
         state = init_population(4, rng_seed=0, prior_a=0.9)
         assert np.all(state.a == 0.9)
 
+    def test_arrays_share_no_memory(self):
+        state = init_population(5, rng_seed=0)
+        arrays = [state.bdua, state.p_read, state.p_share, state.role, state.frozen]
+        for x, y in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(x, y)
+        state.u[1] = 0.25
+        assert state.u.tolist() == [101 / 103, 0.25, 101 / 103, 101 / 103, 101 / 103]
+
 
 class TestPromoteSeed:
     def test_true_party_promotion(self):
@@ -82,12 +90,17 @@ class TestPromoteSeed:
 
     def test_false_party_promotion(self):
         state = init_population(10, rng_seed=0)
+        before = copy.deepcopy(state)
         promote_seed(state, 7, Party.FALSE_PARTY)
         op = Opinion(*state.bdua[:, 7])
         assert op.b == pytest.approx(1 / 103, abs=TOL)
         assert op.d == pytest.approx(100 / 103, abs=TOL)
         assert op.u == pytest.approx(2 / 103, abs=TOL)
         assert op.a == 0.0
+        others = np.arange(10) != 7
+        for name in ("bdua", "p_read", "p_share", "role", "frozen"):
+            assert np.array_equal(getattr(state, name)[..., others],
+                                  getattr(before, name)[..., others]), name
 
     def test_double_promotion_rejected(self):
         state = init_population(10, rng_seed=0)
@@ -105,25 +118,6 @@ class TestPromoteSeed:
         assert state.seed_ids(Party.TRUE_PARTY).tolist() == [4, 9]
         assert state.seed_ids(Party.FALSE_PARTY).tolist() == [1]
 
-
-class TestPerUserArrays:
-    def test_promotion_changes_only_its_user(self):
-        state = init_population(5, rng_seed=0)
-        before = copy.deepcopy(state)
-        promote_seed(state, 0, Party.FALSE_PARTY)
-        for name in ("bdua", "p_read", "p_share", "role", "frozen"):
-            got, old = getattr(state, name), getattr(before, name)
-            assert np.array_equal(got[..., 1:], old[..., 1:]), name
-        assert state.role[0] == Role.FIP_SEED.value and state.frozen[0]
-
-    def test_arrays_share_no_memory(self):
-        state = init_population(5, rng_seed=0)
-        arrays = [state.bdua, state.p_read, state.p_share, state.role, state.frozen]
-        for x, y in itertools.combinations(arrays, 2):
-            assert not np.shares_memory(x, y)
-        state.u[1] = 0.25
-        assert state.u.tolist() == [101 / 103, 0.25, 101 / 103, 101 / 103, 101 / 103]
-        assert state.n == 5
 
 def single_user_counts(op: Opinion) -> tuple[int, int]:
     """influence_counts of a one-user population holding op."""
