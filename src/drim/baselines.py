@@ -12,8 +12,10 @@ on the view, so at p_nv = 1 (the view is the graph) a process solves
 once per graph and each episode only runs its seeded k-means. The agent
 itself keeps no per-episode state, so one serves any number of
 episodes. Building a C-STORM agent is what loads scipy into a drim
-process, and only its sparse matrices and ARPACK (`scipy.sparse.linalg`):
-the k-means step is numpy.
+process, and only the pieces of it the spectral step uses: sparse
+matrices, csgraph's components and normalized Laplacian
+(`scipy.sparse.csgraph`) and ARPACK (`scipy.sparse.linalg`). The k-means
+step is numpy.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ class CommunityRestriction(Agent):
     communities."""
 
     def __init__(self, inner: Agent):
-        # Load spectral_communities' scipy module (sparse matrices and
-        # ARPACK) here: C-STORM agents are built in the parent, so forked
-        # pool workers inherit it instead of each importing it again.
+        # Load spectral_communities' scipy modules (csgraph and ARPACK)
+        # here: C-STORM agents are built in the parent, so forked pool
+        # workers inherit them instead of each importing them again.
+        import scipy.sparse.csgraph  # noqa: F401
         import scipy.sparse.linalg  # noqa: F401
 
         self.inner = inner

@@ -10,12 +10,12 @@ cached degrees, 2-hop counts and spectral embeddings. Spreading always
 runs on the full graph; only planning queries (degree, free degree, 2-hop
 neighborhoods, communities) consult the view.
 
-Only `spectral_communities` (C-STORM's community step) needs scipy, and
-only for sparse matrices and ARPACK (`scipy.sparse.linalg`), imported
-when a view is first solved. It labels the view's components, its
-isolated users and its k-means clusters in numpy; the rest of the
-module, and every drim process that never builds a C-STORM agent, runs
-on numpy alone.
+Only `spectral_communities` (C-STORM's community step) needs scipy,
+imported when a view is first solved: sparse matrices, csgraph's
+connected components and normalized Laplacian (`scipy.sparse.csgraph`)
+and ARPACK (`scipy.sparse.linalg`). Its k-means runs in numpy; the rest
+of the module, and every drim process that never builds a C-STORM
+agent, runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -160,35 +160,19 @@ def neighbor_sums(edge_u: np.ndarray, edge_v: np.ndarray, weights: np.ndarray) -
             + np.bincount(edge_v, weights=weights.take(edge_u), minlength=size))
 
 
-def _component_roots(g: Graph) -> np.ndarray:
-    """The smallest user id in every user's connected component (an
-    isolated user is its own root), in numpy over the CSR: each round,
-    every user with an edge takes the smallest label among its own and its
-    neighbors', then every label jumps to its label's label; the rounds
-    stop when no label changes."""
-    roots = np.arange(g.n)
-    linked = np.flatnonzero(g.degrees())
-    starts = g.indptr[linked]
-    while True:
-        low = roots.copy()
-        low[linked] = np.minimum(roots[linked], np.minimum.reduceat(roots[g.indices], starts))
-        low = low[low]
-        if np.array_equal(low, roots):
-            return roots
-        roots = low
-
-
 def _spectral_embedding(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(users, vectors): the users the spectral step embeds, ascending,
     and their rows of k smallest eigenvectors of the normalized Laplacian
     L = I - D^{-1/2} A D^{-1/2}, orthonormal columns. Cached on g per k
     (`Graph._embeddings`), as it depends on the view alone.
 
-    Isolated users (no visible edge) are left out. Each component of two
-    or more users has a zero mode in closed form, its D^{1/2}-weighted
-    indicator (von Luxburg, Stat. Comput. 17, 2007). With m < k such
-    components, the other k - m vectors are the smallest eigenvectors of
-    L over the linked users with the m zero modes moved to eigenvalue
+    Components and L come from one scipy adjacency of g: csgraph's
+    `connected_components` and `laplacian(normed=True)`. Isolated users
+    (no visible edge) are left out. Each component of two or more users
+    has a zero mode in closed form, its D^{1/2}-weighted indicator (von
+    Luxburg, Stat. Comput. 17, 2007). With m < k such components, the
+    other k - m vectors are the smallest eigenvectors of L over the
+    linked users with the m zero modes moved to eigenvalue
     _ZERO_MODE_SHIFT, from one ARPACK solve (`eigsh`, relative tolerance
     _EIGSH_TOL, a Gaussian start vector of the fixed seed
     _EIGSH_START_SEED), or from a dense `eigh` below _DENSE_BELOW linked
@@ -200,14 +184,20 @@ def _spectral_embedding(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     cached = g._embeddings.get(k)
     if cached is not None:
         return cached
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components, laplacian
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+
     deg = g.degrees()
     linked = np.flatnonzero(deg)
     size = linked.size
-    _, component, sizes = np.unique(_component_roots(g)[linked], return_inverse=True,
-                                    return_counts=True)
-    # number the components largest first; roots ascend, so ties keep the smallest root first
+    adjacency = csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+    _, first, component, sizes = np.unique(
+        connected_components(adjacency, directed=False)[1][linked],
+        return_index=True, return_inverse=True, return_counts=True)
+    # number the components largest first, ties to the one holding the smallest user
     rank = np.empty_like(sizes)
-    rank[np.argsort(-sizes, kind="stable")] = np.arange(sizes.size)
+    rank[np.lexsort((first, -sizes))] = np.arange(sizes.size)
     component = rank[component]
     m = sizes.size
     sqrt_deg = np.sqrt(deg[linked])
@@ -218,16 +208,8 @@ def _spectral_embedding(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
         keep = component < k
         cached = g._embeddings[k] = linked[keep], zero[keep, :k]
         return cached
-    from scipy.sparse import csr_matrix, identity
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
-
-    # L over the linked users: isolated rows of g's CSR are empty, so the
-    # linked rows keep g's row pointers, with the columns renumbered
-    position = np.cumsum(deg > 0) - 1
-    cols = position[g.indices]
-    weights = (1.0 / sqrt_deg)[np.repeat(np.arange(size), deg[linked])] / sqrt_deg[cols]
-    lap = identity(size, format="csr") - csr_matrix(
-        (weights, cols, np.append(g.indptr[linked], g.indices.size)), shape=(size, size))
+    # tocsr: laplacian returns COO for a CSR input
+    lap = laplacian(adjacency, normed=True).tocsr()[linked][:, linked]
     shifted = _ZERO_MODE_SHIFT * zero
 
     def deflated(x):
@@ -288,7 +270,7 @@ def spectral_communities(
     k-means (`_kmeans`). Users the embedding leaves out, isolated users
     and those of components beyond the k largest, take the label of the
     largest community found (the lowest such label on ties), or 0 when
-    no user is embedded. Loads scipy's sparse and ARPACK modules on the
+    no user is embedded. Loads scipy's csgraph and ARPACK modules on the
     first solve, so only C-STORM pays for them.
     """
     if not 1 <= k <= g.n:

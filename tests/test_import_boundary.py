@@ -2,11 +2,12 @@
 
 Importing drim and running its DRIM schemes (SGF's 2-hop counts
 included) loads no scipy module; building a C-STORM agent loads
-`scipy.sparse.linalg`, all that `spectral_communities` uses (no
-`scipy.cluster` or `scipy.spatial`), so its episodes load nothing more. Importing the
-harness does load `numpy.random`, which numpy loads lazily, so a pool worker does not
-load it inside its first timed batch. Each check runs in a fresh interpreter, since
-other tests load scipy and numpy.random into this one.
+`scipy.sparse.csgraph` and `scipy.sparse.linalg`, all that
+`spectral_communities` uses (no `scipy.cluster` or `scipy.spatial`), so
+a masked C-STORM episode loads nothing more. Importing the harness does
+load `numpy.random`, which numpy loads lazily, so a pool worker does not
+load it inside its first timed batch. Each check runs in a fresh
+interpreter, since other tests load scipy and numpy.random into this one.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ def test_only_c_storm_loads_scipy():
     assert stages["import"] == []
     assert "sgf" in stages["strategies"]
     assert stages["episode"] == []
-    assert "scipy.sparse.linalg" in stages["c_storm"]
+    assert {"scipy.sparse.csgraph", "scipy.sparse.linalg"} <= set(stages["c_storm"])
     # a C-STORM episode solves a masked view with what the agent loaded:
-    # sparse matrices and ARPACK, no k-means or spatial module
+    # sparse matrices, csgraph and ARPACK, no k-means or spatial module
     assert stages["communities"] == 8
     assert stages["c_storm_episode"] == stages["c_storm"]
     assert not [m for m in stages["c_storm_episode"]

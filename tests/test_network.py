@@ -489,7 +489,7 @@ class TestSpectralCommunities:
         view = mask_network(load_urv_email(), 0.6, np.random.default_rng(mask_seed))
         values, vectors = dense_laplacian_spectrum(view)
         assert values[k] - values[k - 1] > 1e-3  # the k-dim eigenspace is well defined
-        roots = network._component_roots(view)
+        roots = np.array(bfs_component_roots(view))
         linked = view.degrees() > 0
         assert np.unique(roots[linked]).size == np.count_nonzero(values < 1e-9) >= 2
         got = embedded(view, k)
@@ -605,11 +605,26 @@ def test_spectral_labels_on_random_graphs(case, k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(raw_graphs())
-def test_component_roots_match_bfs(case):
+@given(raw_graphs(), st.integers(2, 8))
+def test_zero_modes_cover_bfs_components(case, k):
+    """The embedding's zero modes are supported exactly on the BFS
+    components of two or more users, largest first with ties to the
+    smallest root; isolated users are left out, and with k or more such
+    components only the users of the k largest are embedded."""
     n, edges, _ = case
     g = Graph(n, edges)
-    assert network._component_roots(g).tolist() == bfs_component_roots(g)
+    k = min(k, n)
+    roots = np.array(bfs_component_roots(g))
+    components, sizes = np.unique(roots, return_counts=True)
+    components, sizes = components[sizes >= 2], sizes[sizes >= 2]
+    kept = components[np.lexsort((components, -sizes))][:k]
+    users, vectors = network._spectral_embedding(g, k)
+    assert users.tolist() == np.flatnonzero(np.isin(roots, kept)).tolist()
+    sqrt_deg = np.sqrt(g.degrees()[users])
+    for column, root in zip(vectors.T, kept):
+        member = roots[users] == root
+        assert np.array_equal(column != 0, member)
+        assert np.allclose(column[member], sqrt_deg[member] / np.linalg.norm(sqrt_deg[member]))
 
 
 def _modularity(g: Graph, labels: np.ndarray) -> float:
