@@ -34,7 +34,6 @@ for model, name in ((UOM, "UOM"), (HOM, "HOM"), (NOM, "NOM")):
 
     metrics = episode.final_metrics()
     print(f"\n{name}: decided n^T={metrics['decided_n_true']:.0f} "
-          f"decided n^F={metrics['decided_n_false']:.0f} "
-          f"(raw n^T={metrics['n_true']:.0f})")
+          f"decided n^F={metrics['decided_n_false']:.0f}")
 
 print("\nUOM keeps minds changeable; under HOM/NOM the first mover locks users in.")

@@ -112,8 +112,7 @@ def cmd_eval(args) -> int:
     for row in rows:
         print(f"{row.scheme}/{row.opinion_model} vs {row.fp_strategy}"
               f"{'' if row.sweep_value == 'none' else ' @' + row.sweep_value}: "
-              f"decided n^T {row.mean_decided_n_true:.1f} "
-              f"(raw {row.mean_n_true:.1f} ± {row.std_n_true:.1f})")
+              f"decided n^T {row.mean_decided_n_true:.1f}")
     print(f"wrote {spec.out_dir}/results.csv")
     return 0
 

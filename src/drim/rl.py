@@ -1,12 +1,13 @@
 """From-scratch PPO actor-critic over the 2-component cascade state.
 
-Both networks are tiny fully-connected MLPs (2 -> H -> H -> out) with
-tanh hidden activations, trained by plain gradient steps on the clipped
-surrogate (actor) and squared return error (critic). Gradients are
-analytic numpy backprop; finite differences verify them in the tests.
-Returns follow the episode reward discounting exactly (no GAE), and the
-advantage is return minus the collection-time value estimate, normalized
-per batch.
+Both networks are tiny fully-connected MLPs (2 -> H -> H -> out, tanh
+hidden layers), each an `Mlp`: the named tuple of its six arrays, whose
+layout `Mlp.shapes` states once. They train by plain gradient steps on
+the clipped surrogate (actor) and squared return error (critic).
+Gradients are analytic numpy backprop; finite differences verify them in
+the tests. Returns follow the episode reward discounting exactly (no
+GAE), and the advantage is return minus the collection-time value
+estimate, normalized per batch.
 
 Rollouts are played by the same driver as evaluation: `train_loop`
 trains in one `Matchup`, and each update's episodes run in one
@@ -28,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,61 +105,48 @@ class PPOConfig:
         return per_side
 
 
-class Mlp:
-    """Two-hidden-layer tanh MLP with linear head."""
+class Mlp(NamedTuple):
+    """Two-hidden-layer tanh MLP with linear head, as its six arrays: the
+    one weight layout. `shapes` gives it as an `Mlp` of shape tuples;
+    `backward`'s gradients, copies and the policy file follow it."""
 
-    __slots__ = ("w1", "b1", "w2", "b2", "w3", "b3")
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+    w3: np.ndarray
+    b3: np.ndarray
 
-    def __init__(self, w1, b1, w2, b2, w3, b3):
-        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = w1, b1, w2, b2, w3, b3
+    @staticmethod
+    def shapes(in_dim: int, hidden: int, out_dim: int) -> "Mlp":
+        return Mlp((in_dim, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, out_dim), (out_dim,))
 
     @classmethod
     def create(cls, in_dim: int, hidden: int, out_dim: int, rng: np.random.Generator) -> "Mlp":
-        # Xavier-scaled hidden layers; zero head so the initial policy is
-        # uniform and the initial value estimate is zero.
-        w1 = rng.normal(0.0, np.sqrt(1.0 / in_dim), size=(in_dim, hidden))
-        w2 = rng.normal(0.0, np.sqrt(1.0 / hidden), size=(hidden, hidden))
-        return cls(
-            w1, np.zeros(hidden), w2, np.zeros(hidden),
-            np.zeros((hidden, out_dim)), np.zeros(out_dim),
-        )
-
-    @property
-    def out_dim(self) -> int:
-        return self.w3.shape[1]
-
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[1]
+        # Xavier-scaled hidden layers; zero biases and head, so the initial
+        # policy is uniform and the initial value estimate is zero.
+        shapes = cls.shapes(in_dim, hidden, out_dim)
+        w1 = rng.normal(0.0, np.sqrt(1.0 / in_dim), size=shapes.w1)
+        w2 = rng.normal(0.0, np.sqrt(1.0 / hidden), size=shapes.w2)
+        return cls._make(map(np.zeros, shapes))._replace(w1=w1, w2=w2)
 
     def forward(self, x: np.ndarray):
         h1 = np.tanh(x @ self.w1 + self.b1)
         h2 = np.tanh(h1 @ self.w2 + self.b2)
         return h2 @ self.w3 + self.b3, (x, h1, h2)
 
-    def backward(self, cache, dz) -> dict[str, np.ndarray]:
+    def backward(self, cache, dz) -> "Mlp":
         x, h1, h2 = cache
-        grads: dict[str, np.ndarray] = {}
-        grads["w3"] = h2.T @ dz
-        grads["b3"] = dz.sum(axis=0)
         dh2 = (dz @ self.w3.T) * (1.0 - h2 * h2)
-        grads["w2"] = h1.T @ dh2
-        grads["b2"] = dh2.sum(axis=0)
         dh1 = (dh2 @ self.w2.T) * (1.0 - h1 * h1)
-        grads["w1"] = x.T @ dh1
-        grads["b1"] = dh1.sum(axis=0)
-        return grads
+        return Mlp(x.T @ dh1, dh1.sum(axis=0), h1.T @ dh2, dh2.sum(axis=0), h2.T @ dz, dz.sum(axis=0))
 
-    def apply_gradients(self, grads: dict[str, np.ndarray], lr: float) -> None:
-        for name, g in grads.items():
-            arr = getattr(self, name)
+    def apply_gradients(self, grads: "Mlp", lr: float) -> None:
+        for arr, g in zip(self, grads):
             arr -= lr * g
 
     def copy(self) -> "Mlp":
-        return Mlp(*(a.copy() for a in (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)))
-
-    def arrays(self) -> list[np.ndarray]:
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
+        return self._make(a.copy() for a in self)
 
 
 @dataclass
@@ -170,7 +158,7 @@ class PolicyParams:
 
     @property
     def n_actions(self) -> int:
-        return self.actor.out_dim
+        return len(self.actor.b3)
 
     def copy(self) -> "PolicyParams":
         return PolicyParams(self.actor.copy(), self.critic.copy())
@@ -518,12 +506,12 @@ def atomic_write(path: str | Path) -> Iterator[IO[bytes]]:
 
 def save_params(params: PolicyParams, path: str | Path) -> None:
     """Little-endian binary dump: magic, action count, hidden width,
-    then each array as (rows, cols, float64 data) in fixed order.
-    Written atomically (`atomic_write`)."""
-    arrays = params.actor.arrays() + params.critic.arrays()
+    then the actor's arrays and the critic's, each in `Mlp` field order
+    as (rows, cols, float64 data). Written atomically (`atomic_write`)."""
+    arrays = [*params.actor, *params.critic]
     with atomic_write(path) as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<II", params.n_actions, params.actor.hidden))
+        fh.write(struct.pack("<II", params.n_actions, len(params.actor.b1)))
         fh.write(struct.pack("<I", len(arrays)))
         for arr in arrays:
             mat = np.atleast_2d(np.asarray(arr, dtype="<f8"))
@@ -531,19 +519,11 @@ def save_params(params: PolicyParams, path: str | Path) -> None:
             fh.write(mat.tobytes(order="C"))
 
 
-def _param_shapes(n_actions: int, hidden: int) -> list[tuple[int, ...]]:
-    """Shapes of a policy's twelve arrays, in `save_params` order: the
-    actor's, then the critic's (one output), each w1, b1, w2, b2, w3, b3."""
-    return [shape for out in (n_actions, 1)
-            for shape in ((STATE_DIM, hidden), (hidden,), (hidden, hidden), (hidden,),
-                          (hidden, out), (out,))]
-
-
 def load_params(path: str | Path, expected_actions: int | None = None) -> PolicyParams:
     """Read a `save_params` file. Its header's action count and hidden
-    width declare every array's shape (`_param_shapes`); each stored
-    array must have it (a bias is stored as one row), and the file must
-    end after the last one."""
+    width declare every array's shape (`Mlp.shapes` of the actor, then
+    of a one-output critic); each stored array must have it (a bias is
+    stored as one row), and the file must end after the last one."""
     blob = Path(path).read_bytes()
     if not blob.startswith(_MAGIC):
         raise ValueError(f"{path}: not a policy parameter file")
@@ -555,7 +535,7 @@ def load_params(path: str | Path, expected_actions: int | None = None) -> Policy
         raise ValueError(
             f"{path}: policy trained for {n_actions} actions, expected {expected_actions}"
         )
-    shapes = _param_shapes(n_actions, hidden)
+    shapes = [*Mlp.shapes(STATE_DIM, hidden, n_actions), *Mlp.shapes(STATE_DIM, hidden, 1)]
     if count != len(shapes):
         raise ValueError(f"{path}: expected {len(shapes)} arrays, found {count}")
     arrays = []

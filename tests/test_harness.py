@@ -624,7 +624,7 @@ class TestPolicyCache:
                 raise OSError("disk full")
 
         def save_then_fail(params, path):
-            params.critic.w3 = Unwritable()  # raises after ten of twelve arrays
+            params.critic = params.critic._replace(w3=Unwritable())  # raises after ten of twelve arrays
             save_params(params, path)
 
         monkeypatch.setattr(harness, "save_params", save_then_fail)

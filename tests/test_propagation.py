@@ -2,8 +2,7 @@
 
 The wave oracle recomputes expected opinions by applying the opinion
 operators step by step in the test, independent of the engine's BFS
-bookkeeping. `discounted_return` below is the scalar oracle for the
-vectorized `discounted_returns`.
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from drim.propagation import (
     run_episode,
     run_lockstep,
 )
-from drim.rl import discounted_returns
 from drim.strategies import FixedStrategyAgent, RandomStrategyAgent, StrategyKind
 
 TOL = 1e-9
@@ -52,11 +50,6 @@ class PoolAgent(FixedStrategyAgent):
 
     def pool(self, episode):
         return np.arange(episode.pop.n) == self.user
-
-
-def discounted_return(rewards, T: int, gamma: float) -> float:
-    """Discounted tail sum starting at index T: sum_t gamma^(t-T+1) R_t."""
-    return sum(gamma ** (offset + 1) * r for offset, r in enumerate(rewards[T:]))
 
 
 def all_on_population(n, seed=0):
@@ -363,32 +356,6 @@ class TestRewards:
         assert metrics["n_true"] + metrics["n_false"] == g.n
         assert all(type(value) is int for value in metrics.values())
         assert all(type(entry.reward) is int for entry in ep.logs)
-
-
-class TestDiscountedReturn:
-    def test_single_reward(self):
-        assert discounted_returns([1.0], 0.95)[0] == pytest.approx(0.95)
-
-    def test_two_rewards(self):
-        assert discounted_returns([1.0, 1.0], 0.5).tolist() == pytest.approx([0.75, 0.5])
-
-    def test_empty_tail(self):
-        assert discounted_return([1.0, 2.0], 2, 0.95) == 0.0
-        assert discounted_returns([], 0.95).size == 0
-
-    def test_all_zero(self):
-        assert not discounted_returns([0.0] * 5, 0.95).any()
-
-    def test_vector_matches_scalar(self):
-        rewards = [1.0, -2.0, 0.5, 3.0]
-        vec = discounted_returns(rewards, 0.9)
-        for T in range(4):
-            assert vec[T] == pytest.approx(discounted_return(rewards, T, 0.9))
-
-    def test_rejects_bad_gamma(self):
-        for gamma in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                discounted_returns([1.0], gamma)
 
 
 class TestEpisodeConfig:

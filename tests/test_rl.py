@@ -1,4 +1,9 @@
-"""PPO machinery: forward passes, analytic gradients, updates, persistence."""
+"""PPO machinery: forward passes, analytic gradients, updates, discounted
+returns, persistence.
+
+`discounted_return` below is the scalar oracle for the vectorized
+`discounted_returns`.
+"""
 
 from __future__ import annotations
 
@@ -87,6 +92,11 @@ def random_batch(rng, n=48, n_actions=4):
     )
 
 
+def discounted_return(rewards, T: int, gamma: float) -> float:
+    """Discounted tail sum starting at index T: sum_t gamma^(t-T+1) R_t."""
+    return sum(gamma ** (offset + 1) * r for offset, r in enumerate(rewards[T:]))
+
+
 class TestPolicyForward:
     def test_valid_distribution(self):
         params = init_params(4, 16, rng_seed=0)
@@ -123,13 +133,13 @@ class TestGradients:
         for batch_seed in range(5):
             rng = np.random.default_rng(batch_seed)
             params = init_params(4, 8, rng)
-            params.actor.w3 += rng.normal(0, 0.3, params.actor.w3.shape)
-            params.actor.b3 += rng.normal(0, 0.3, params.actor.b3.shape)
+            params.actor.w3[...] += rng.normal(0, 0.3, params.actor.w3.shape)
+            params.actor.b3[...] += rng.normal(0, 0.3, params.actor.b3.shape)
             batch = random_batch(rng)
             adv = batch.returns - batch.values
             adv = (adv - adv.mean()) / adv.std()
             _, grads, _, _ = actor_loss_and_grads(params, batch, adv, cfg)
-            names = ["w1", "b1", "w2", "b2", "w3", "b3"]
+            names = rl.Mlp._fields
             for _ in range(10):
                 name = names[rng.integers(len(names))]
                 flat = getattr(params.actor, name).reshape(-1)
@@ -141,7 +151,7 @@ class TestGradients:
                 lm, _, _, _ = actor_loss_and_grads(params, batch, adv, cfg)
                 flat[idx] = orig
                 fd = (lp - lm) / (2 * h)
-                an = grads[name].reshape(-1)[idx]
+                an = getattr(grads, name).reshape(-1)[idx]
                 rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
                 assert rel < 1e-4, f"{name}[{idx}]: fd={fd} analytic={an}"
 
@@ -150,10 +160,10 @@ class TestGradients:
         for batch_seed in range(5):
             rng = np.random.default_rng(100 + batch_seed)
             params = init_params(4, 8, rng)
-            params.critic.w3 += rng.normal(0, 0.3, params.critic.w3.shape)
+            params.critic.w3[...] += rng.normal(0, 0.3, params.critic.w3.shape)
             batch = random_batch(rng)
             _, grads = critic_loss_and_grads(params, batch)
-            names = ["w1", "b1", "w2", "b2", "w3", "b3"]
+            names = rl.Mlp._fields
             for _ in range(10):
                 name = names[rng.integers(len(names))]
                 flat = getattr(params.critic, name).reshape(-1)
@@ -165,7 +175,7 @@ class TestGradients:
                 lm, _ = critic_loss_and_grads(params, batch)
                 flat[idx] = orig
                 fd = (lp - lm) / (2 * h)
-                an = grads[name].reshape(-1)[idx]
+                an = getattr(grads, name).reshape(-1)[idx]
                 rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
                 assert rel < 1e-4, f"{name}[{idx}]: fd={fd} analytic={an}"
 
@@ -203,12 +213,12 @@ class TestPpoUpdate:
         )
         cfg = PPOConfig(hidden=16, epochs=5, entropy_coef=0.0)
         new, _ = ppo_update(params, batch, cfg)
-        for a, b in zip(params.actor.arrays(), new.actor.arrays()):
+        for a, b in zip(params.actor, new.actor):
             assert np.array_equal(a, b)
 
     def test_entropy_term_produces_drift_when_enabled(self):
         params = init_params(4, 16, rng_seed=3)
-        params.actor.b3 += np.array([1.0, 0.0, -1.0, 0.0])
+        params.actor.b3[...] += np.array([1.0, 0.0, -1.0, 0.0])
         rng = np.random.default_rng(5)
         returns = rng.normal(0, 1, 12)
         batch = Batch(
@@ -269,6 +279,32 @@ class TestBanditTraining:
         assert curves[0] == curves[1]
 
 
+class TestDiscountedReturn:
+    def test_single_reward(self):
+        assert discounted_returns([1.0], 0.95)[0] == pytest.approx(0.95)
+
+    def test_two_rewards(self):
+        assert discounted_returns([1.0, 1.0], 0.5).tolist() == pytest.approx([0.75, 0.5])
+
+    def test_empty_tail(self):
+        assert discounted_return([1.0, 2.0], 2, 0.95) == 0.0
+        assert discounted_returns([], 0.95).size == 0
+
+    def test_all_zero(self):
+        assert not discounted_returns([0.0] * 5, 0.95).any()
+
+    def test_vector_matches_scalar(self):
+        rewards = [1.0, -2.0, 0.5, 3.0]
+        vec = discounted_returns(rewards, 0.9)
+        for T in range(4):
+            assert vec[T] == pytest.approx(discounted_return(rewards, T, 0.9))
+
+    def test_rejects_bad_gamma(self):
+        for gamma in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                discounted_returns([1.0], gamma)
+
+
 class TestRollouts:
     def test_episode_has_k_learner_steps(self):
         cfg = EpisodeConfig(k=5, opinion_model=NOM, rng_seed=0)
@@ -318,8 +354,8 @@ class TestRollouts:
         cfg = EpisodeConfig(k=4, opinion_model=model, p_nv=0.6)
         game = matchup(cfg, party, opponent, scheme)
         params = init_params(len(action_space(scheme)), 8, rng_seed=5)
-        params.actor.b3 += np.linspace(-0.5, 0.5, params.n_actions)
-        params.critic.b3 += 0.25
+        params.actor.b3[...] += np.linspace(-0.5, 0.5, params.n_actions)
+        params.critic.b3[...] += 0.25
         seeds = np.random.SeedSequence(13)
         batched = collect_rollouts(params, game, PPOConfig(rollout_episodes=4, gamma=0.9), seeds)
         # collect_rollouts spawns one child per episode, so the i-th episode
@@ -459,14 +495,11 @@ class TestPolicyAgent:
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         params = init_params(4, 16, rng_seed=9)
-        params.actor.w3 += 0.123456789
+        params.actor.w3[...] += 0.123456789
         path = tmp_path / "policy.bin"
         save_params(params, path)
         loaded = load_params(path)
-        for a, b in zip(
-            params.actor.arrays() + params.critic.arrays(),
-            loaded.actor.arrays() + loaded.critic.arrays(),
-        ):
+        for a, b in zip([*params.actor, *params.critic], [*loaded.actor, *loaded.critic]):
             assert np.array_equal(a, np.asarray(b).reshape(a.shape))
 
     def test_action_space_mismatch_rejected(self, tmp_path):
@@ -536,7 +569,7 @@ class TestPersistence:
                 raise OSError("disk full")
 
         params = init_params(4, 16, rng_seed=10)
-        params.critic.b3 = Unwritable()  # the last of twelve arrays
+        params.critic = params.critic._replace(b3=Unwritable())  # the last of twelve arrays
         with pytest.raises(OSError, match="disk full"):
             save_params(params, path)
         assert path.read_bytes() == before
