@@ -15,14 +15,14 @@ R = 10 lockstep replicas (stacked population, one generator each), the
 way `run_lockstep` does, and the batched turn runs the true party's
 turn of p_t = 2 waves over them as one call, as `run_lockstep` does
 for each party turn; it runs at R = 80 and R = 160 too, where the
-grouping sort is no longer a radix sort. The masked-view benchmark builds one p_nv = 0.6
-view of the bundled graph from a fixed seed, as each eval-cstorm-masked
-episode does. The spectral benchmarks split one such fixed view into 8
-communities, C-STORM's community step on a fresh masked view (each round
-solves, as every eval-cstorm-masked episode does), and the full graph,
-whose embedding is solved once and cached, as at p_nv = 1, so each
-round is the per-episode k-means alone; OpenBLAS is held at one thread,
-as in every evaluation.
+kernel's cost should stay linear in R. The masked-view benchmark builds
+one p_nv = 0.6 view of the bundled graph from a fixed seed, as each
+eval-cstorm-masked episode does. The spectral benchmarks split one such
+fixed view into 8 communities, C-STORM's community step on a fresh
+masked view (each round solves, as every eval-cstorm-masked episode
+does), and the full graph, whose embedding is solved once and cached,
+as at p_nv = 1, so each round is the per-episode k-means alone;
+OpenBLAS is held at one thread, as in every evaluation.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from drim.propagation import propagate_wave
 
 GRAPH = load_urv_email()
 REPLICAS = 10
-# R·n = 90 640 > 65 535: the kernel's grouping sort key outgrows uint16
-# and numpy's stable argsort leaves radix sort for a comparison sort.
 WIDE_REPLICAS = 80
 WIDEST_REPLICAS = 160
 

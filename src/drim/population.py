@@ -9,11 +9,11 @@ users to immutable seed roles with confident opinions built from
 
 Opinions are stored as one (4, n) array `bdua` whose rows b, d, u, a are
 also exposed as flat arrays, for cheap vectorized queries (influence
-counts, free-node masks) and column gathers in the wave kernel; user
-i's opinion reads as `Opinion(*bdua[:, i])` and is written as
-`bdua[:, i] = …`. A `PopulationState` is exactly its five per-user
-arrays; `init_population` draws them and `stack_populations` joins
-them. The population holds the present; the decided counts of past
+counts, free-node masks) and for the wave kernel, which takes each row
+as one C array; user i's opinion reads as `Opinion(*bdua[:, i])` and is
+written as `bdua[:, i] = …`. A `PopulationState` is exactly its five
+per-user arrays; `init_population` draws them and `stack_populations`
+joins them. The population holds the present; the decided counts of past
 steps are in the episode's round log (`Episode.logs`).
 """
 
@@ -85,7 +85,7 @@ class PopulationState:
         return self.bdua[3]
 
     def seed_ids(self, party: Party) -> np.ndarray:
-        return np.flatnonzero(self.role == _SEEDS[party][0])
+        return np.flatnonzero(self.role == seed_role(party))
 
     def projected(self) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized projection: P(b) = b + a·u and P(d) = d + (1-a)·u."""
@@ -100,6 +100,11 @@ _SEEDS = {
     Party.TRUE_PARTY: (Role.TIP_SEED.value, np.array(opinion_from_evidence(TIP_EVIDENCE, 1.0))),
     Party.FALSE_PARTY: (Role.FIP_SEED.value, np.array(opinion_from_evidence(FIP_EVIDENCE, 0.0))),
 }
+
+
+def seed_role(party: Party) -> int:
+    """The role code of the party's seeds."""
+    return _SEEDS[party][0]
 
 
 def init_population(

@@ -10,29 +10,21 @@ opinion with probability p_share. Users are processed at most once per
 wave; seeds of either party and frozen users never update (frozen
 readers may still re-share their settled opinion).
 
-The wave kernel is level-synchronous over the CSR adjacency (Beamer et
-al., SC 2012), and one call runs a party's whole turn: its waves' BFS
-one after another, in the order (and so with the draws) of one call
-per wave. Per BFS level it gathers the (target, sender) pairs of the
-frontier, groups them by target with a stable sort on the narrowest
-unsigned dtype that holds R·n (a radix sort while that is 16 bits or
-less; senders stay in frontier order, which is ascending id), draws, and
-turns each reading target's senders into fusion events, unless the
-target was frozen when the turn began. The BFS never depends on an
-opinion, so fusion waits until every level of every wave of the turn
-is done and then runs on one dependency-depth schedule, the level
-scheduling of sparse triangular solves (Anderson & Saad, "Solving
-sparse triangular linear systems on parallel computers", Int. J. High
-Speed Computing 1(1), 1989): an event lies one step past its reader's
-previous event and past its sender's last, and, across waves, past
-every event of an earlier wave that read its reader (write after read:
-`last_read`, kept only while a later wave follows). Each depth is one
-step of the array operators of `drim.opinion` over all its events at
-once. Every event sees the opinions the wave-by-wave, level-by-level,
-sender-by-sender order would give it, so the results are exact. A
-target that freezes skips its later events, in its own wave or a later
-one; a degenerate fusion (beta <= 1e-12) is skipped. The totals are
-counted once per turn, from the ids its levels and fusion steps hit.
+The wave kernel is one C function (`wave.c`, beside this module), and
+one call runs a party's whole turn: each replica in turn, its waves one
+after another, each a BFS level by level in the sequential order of the
+scalar reference. Per level it collects the fresh targets in ascending
+id order, takes their draws, and lets each reader that is not frozen
+fuse its senders (the neighbors that shared at the previous level) in
+ascending id order: the UOM refresh before each fusion when it is due,
+the freeze latch after it, and a degenerate fusion (beta <= 1e-12)
+counted and skipped. Its arithmetic copies `drim.opinion` operand for
+operand, so the opinions equal, bit for bit, what the array operators
+give; `fuse` and `apply_uom_refresh` stay importable from here, but the
+kernel does not call them. The module compiles `wave.c` on first import
+(`cc`, without contraction into fused multiply-adds, which would change
+the bits) into `__pycache__/wave-<hash>.so` beside it, keyed by the
+source, the command and the platform, and loads it from there.
 
 Draw-order contract: within a level, a replica's s reached users, in
 ascending id order, take 2·s uniforms from its generator in one
@@ -46,19 +38,17 @@ contract: change it whenever the wave's draws change.
 Lockstep replicas: the kernel also runs R independent episodes at once
 (`run_lockstep`), the way vectorized RL environments step a batch
 (EnvPool, arXiv:2206.10558). Replica r owns users r·n … r·n+n-1 of one
-stacked population, and the wave runs over the disjoint union of R
-copies of the graph, read from the one CSR with ids offset by r·n; each
-level's reached users are split by replica, and replica r takes its
-block of draws from its own generator, so every replica sees exactly
-the draws and the fusions of its solo run. The party turn is the unit
-of lockstep work: each agent makes one `select` for all the replicas it
-plays (a policy agent in one stacked observation pass and one forward),
-`select_seed` scores each chosen strategy once on the stacked planning
-views, one kernel call runs the turn's waves, and one count covers the
-stacked population. `run_lockstep` is the only round loop:
-`run_episode` is its R = 1 case, evaluation runs a worker's share of a
-cell through it, and PPO training runs each update's rollout episodes
-through it with the learner as one of the agents.
+stacked population and reads the one CSR of the graph; replicas share
+no users and replica r draws from its own generator, so every replica
+sees exactly the draws and the fusions of its solo run. The party turn
+is the unit of lockstep work: each agent makes one `select` for all the
+replicas it plays (a policy agent in one stacked observation pass and
+one forward), `select_seed` scores each chosen strategy once on the
+stacked planning views, one kernel call runs the turn's waves, and one
+count covers the stacked population. `run_lockstep` is the only round
+loop: `run_episode` is its R = 1 case, evaluation runs a worker's share
+of a cell through it, and PPO training runs each update's rollout
+episodes through it with the learner as one of the agents.
 
 Both parties plan on the episode's view (`Episode.obs`), a
 `network.Graph`: at p_nv = 1 the graph itself (`network.full_view`), so
@@ -72,8 +62,15 @@ party step appends one `RoundLog` to `Episode.logs`, the episode's record.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import subprocess
+import sysconfig
+import tempfile
 from dataclasses import dataclass, fields, replace
 from numbers import Integral
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -86,21 +83,18 @@ from drim.opinion import (
     TrustModel,
     TrustVariant,
     UOM,
-    apply_uom_refresh,  # noqa: F401  (re-exported; the kernel works from refresh_due)
-    fuse,
-    refresh_due,
-    trust_coefficient,
-    vacuity_maximize,
+    apply_uom_refresh,  # noqa: F401  (re-exported; perfbench's tracer rebinds it)
+    fuse,  # noqa: F401  (re-exported; perfbench's tracer rebinds it)
 )
 from drim.population import (
     Party,
     PopulationState,
-    Role,
     decided_influence_counts,
     free_mask,
     influence_counts,
     init_population,
     promote_seed,
+    seed_role,
     stack_populations,
 )
 from drim.strategies import Agent, StrategyKind, select_seed
@@ -170,50 +164,71 @@ class WaveCounters:
     degenerate: int = 0
 
 
-def _fuse_step(
-    state: PopulationState,
-    model: TrustModel,
-    ids: np.ndarray,
-    senders: np.ndarray,
-    hits: dict[str, list[np.ndarray]],
-) -> bool:
-    """Run one depth of a wave's fusion schedule: reader ids[i] fuses senders[i].
+# The command that builds wave.c: no -march and no fast-math, and no
+# contraction of a*b + c into a fused multiply-add (clang on arm64
+# contracts by default), so the bits equal numpy's.
+_COMMAND = ("{cc}", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-o", "{out}", "{source}",
+            "-lm")
 
-    Two ordering invariants make one vectorised step exact: every event
-    lies deeper than its reader's previous event, so the ids are
-    distinct; and every event lies deeper than its sender's last event,
-    so each sender's opinion is settled and no reader of the step is
-    another's sender. Results are written through to the state; a
-    reader whose fusion freezes it is latched here. Refreshed, degenerate
-    and frozen readers join their lists in hits. Returns whether any froze.
+
+def _build(source: Path, cache: Path, compiler: str = "cc") -> Path:
+    """The shared library of the C file `source`, compiled into `cache`
+    unless a build of the same source, command and platform is there.
+
+    The library is written under a temporary name beside its target and
+    then renamed, so a concurrent import never loads half a file. A
+    failed build raises ImportError with the command and its stderr.
     """
-    bdua, frozen = state.bdua, state.frozen
-    op_i = bdua.take(ids, axis=1)
-    op_j = bdua.take(senders, axis=1)
-    if model.variant is TrustVariant.UOM:
-        due = refresh_due(op_i, model)
-        if np.count_nonzero(due):
-            hits["refreshes"].append(ids[due])
-            op_i[:, due] = vacuity_maximize(op_i[:, due])
-    new = fuse(op_i, op_j, trust_coefficient(model, op_i, op_j))
-    skipped = np.isnan(new.u)
-    bad = int(np.count_nonzero(skipped))
-    if bad:  # dogmatic pair slipped past the freeze latch: keep op_i
-        hits["degenerate"].append(ids[skipped])
-        new = [np.where(skipped, y, x) for x, y in zip(new, op_i)]
-    for row, x in zip(bdua, new):
-        row[ids] = x
-    stop = new[2] <= model.t_u
-    if bad:  # a skipped fusion is no fusion: nothing to freeze on
-        stop &= ~skipped
-    if np.count_nonzero(stop):
-        stop &= ~refresh_due(new, model)
-        if np.count_nonzero(stop):
-            halted = ids[stop]
-            frozen[halted] = True
-            hits["frozen"].append(halted)
-            return True
-    return False
+    key = hashlib.sha256(source.read_bytes())
+    key.update("\0".join([compiler, *_COMMAND, sysconfig.get_platform()]).encode())
+    target = cache / f"{source.stem}-{key.hexdigest()}.so"
+    if target.exists():
+        return target
+    cache.mkdir(parents=True, exist_ok=True)
+    fd, scratch = tempfile.mkstemp(suffix=".so", prefix=f"{source.stem}-", dir=cache)
+    os.close(fd)
+    command = [arg.format(cc=compiler, out=scratch, source=source) for arg in _COMMAND]
+    try:
+        done = subprocess.run(command, capture_output=True, text=True, check=False)
+    except OSError as error:
+        os.unlink(scratch)
+        raise ImportError(f"cannot build the wave kernel: {' '.join(command)}: {error}") from None
+    if done.returncode:
+        os.unlink(scratch)
+        raise ImportError(f"cannot build the wave kernel: {' '.join(command)} exited "
+                          f"{done.returncode}:\n{done.stderr}")
+    os.replace(scratch, target)
+    return target
+
+
+_SOURCE = Path(__file__).with_name("wave.c")
+_KERNEL = ctypes.CDLL(str(_build(_SOURCE, _SOURCE.parent / "__pycache__"))).drim_propagate_turn
+_KERNEL.restype = ctypes.c_int
+_KERNEL.argtypes = (
+    [ctypes.c_int64] * 2  # replicas, n
+    + [ctypes.c_void_p] * 10  # indptr, indices, b, d, u, a, p_read, p_share, role, frozen
+    + [ctypes.c_int8, ctypes.c_int]  # the party's seed role, the model code
+    + [ctypes.c_double] * 3  # xi, t_d, t_u
+    + [ctypes.c_int64]  # waves
+    + [ctypes.c_void_p] * 3  # generator states, their next_double, counters
+)
+# The model codes of wave.c, and its counters: the WaveCounters fields in order
+_MODEL_CODES = {TrustVariant.UOM: 0, TrustVariant.HOM: 1, TrustVariant.NOM: 2}
+_COUNTERS = [f.name for f in fields(WaveCounters)]
+
+
+def _address(array, dtype, size: int, name: str, written: bool = False) -> int:
+    """The data address of `array`, once it is a C-contiguous 1-D `dtype`
+    array of `size` entries (and writeable, if `written`)."""
+    if not isinstance(array, np.ndarray) or array.dtype != dtype:
+        raise TypeError(f"{name} must be a numpy {np.dtype(dtype)} array, "
+                        f"got {getattr(array, 'dtype', type(array).__name__)}")
+    if array.shape != (size,) or not array.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous 1-D array of {size} entries, "
+                         f"got shape {array.shape}")
+    if written and not array.flags.writeable:
+        raise ValueError(f"{name} must be writeable")
+    return array.ctypes.data
 
 
 def propagate_wave(
@@ -229,126 +244,45 @@ def propagate_wave(
 
     state holds R = len(rngs) replicas of g's users: replica r owns users
     r·n … r·n+n-1 (n = g.n), its edges are g's shifted by r·n, and
-    rngs[r] takes its draws. counters, when given, hold one
-    `WaveCounters` per replica, and accumulate the turn's totals. The
-    result equals `waves` calls of one wave each.
+    rngs[r] (a `numpy.random.Generator`) takes its draws. counters, when
+    given, hold one `WaveCounters` per replica, and accumulate the
+    turn's totals. The result equals `waves` calls of one wave each.
+    Every array is checked before the kernel touches it.
     """
     replicas, n = len(rngs), g.n
     if state.n != replicas * n:
         raise ValueError(f"{replicas} replicas of {n} users, but the state holds {state.n}")
-    seeds = state.seed_ids(party)
-    if seeds.size == 0:
-        return state
-    cuts = np.arange(1, replicas) * n  # first user of every replica but the first
-    # Per WaveCounters field, the ids of the users each level or fusion step hit
-    hits = {f.name: [np.empty(0, np.int64)] for f in fields(WaveCounters)}
-    indptr, indices = g.indptr, g.indices
-    frozen = state.frozen
-    key_dtype = np.min_scalar_type(state.n)
-    # Seeds of either party never read or update.
-    unseeded = state.role == Role.LEGITIMATE.value
-
-    # The schedule: last[u] is the depth of u's last fusion event so far,
-    # 0 for a user without one; last_read[u] the depth of the deepest
-    # event of an earlier wave that read u; events holds (depths,
-    # readers, senders) of each level's fusion events.
-    last = np.zeros(state.n, dtype=np.int64)
-    last_read = np.zeros(state.n, dtype=np.int64)
-    events = []
-
-    for wave in range(waves):
-        visited = ~unseeded
-        sharers = seeds  # own seeds are the origins
-        while sharers.size:
-            # (target, sender) pairs in frontier order, then grouped by target
-            local = sharers % n  # ids in g
-            starts = indptr.take(local)
-            degree = indptr.take(local + 1) - starts
-            ends = degree.cumsum()
-            if ends[-1] == 0:
-                break
-            slots = np.arange(ends[-1]) + (starts - (ends - degree)).repeat(degree)
-            targets = indices.take(slots)
-            targets += (sharers - local).repeat(degree)  # back to the sender's replica: + r·n
-            fresh = (~visited.take(targets)).nonzero()[0]
-            if fresh.size == 0:
-                break
-            senders = sharers.repeat(degree).take(fresh)
-            targets = targets.take(fresh)
-            order = targets.astype(key_dtype).argsort(kind="stable")
-            targets, senders = targets.take(order), senders.take(order)
-            bounds = np.empty(targets.size + 1, dtype=bool)
-            bounds[0] = bounds[-1] = True
-            np.not_equal(targets[1:], targets[:-1], out=bounds[1:-1])
-            bounds = bounds.nonzero()[0]  # group starts, then the end of the last group
-            reached = targets.take(bounds[:-1])
-            visited[reached] = True
-
-            # reached is ascending, so each replica's users are one segment of it
-            segments = [0, *reached.searchsorted(cuts).tolist(), reached.size]
-            draws = np.concatenate([rngs[r].random((2, hi - lo))
-                                    for r, (lo, hi) in enumerate(zip(segments, segments[1:]))
-                                    if lo < hi], axis=1)
-            read = draws[0] < state.p_read.take(reached)
-            share = read & (draws[1] < state.p_share.take(reached))
-            hits["reached"].append(reached)
-            hits["reads"].append(reached[read])
-            # Readers frozen at the start of the turn take no events; those
-            # that freeze during it skip theirs when the schedule runs.
-            fusing = (read & ~frozen.take(reached)).nonzero()[0]
-            if fusing.size:
-                # Event k of a reader with senders s_0, s_1, ... lies at depth
-                # d_k = k + max(f + 1, max_{j<=k}(last[s_j] - j + 1)): one past
-                # its previous event, past its sender's last, and past its
-                # floor f, the deeper of its own last event and the last
-                # earlier-wave event that read it (0 in a turn's first wave).
-                # Numbering the level's events i = 0, 1, ..., that is i plus a
-                # running max of last[s_i] + 1 - i within each reader's run
-                # (its first entry raised to f + 1 - i), one running max over
-                # keys that carry the index of the run's first event in their
-                # high 32 bits.
-                first = bounds.take(fusing)
-                count = bounds.take(fusing + 1) - first
-                ends = count.cumsum()
-                start = ends - count  # each run's first event
-                i = np.arange(ends[-1])
-                ev_senders = senders.take(i + (first - start).repeat(count))
-                ev_readers = reached.take(fusing)
-                key = last.take(ev_senders) + 1 - i
-                if wave:
-                    floor = np.maximum(last.take(ev_readers), last_read.take(ev_readers))
-                    key[start] = np.maximum(key.take(start), floor + 1 - start)
-                high = start.repeat(count) << 32
-                depth = np.maximum.accumulate(high + key) - high + i
-                last[ev_readers] = depth.take(ends - 1)
-                if wave + 1 < waves:  # a later wave must not update a user before this read
-                    np.maximum.at(last_read, ev_senders, depth)
-                events.append((depth, ev_readers.repeat(count), ev_senders))
-            sharers = reached[share]
-
-    if events:
-        # One fusion step per depth, in depth order; a stable sort keeps
-        # each step's events in wave, level, reader and sender order.
-        depth, readers, froms = (np.concatenate(x) for x in zip(*events))
-        steps = np.bincount(depth).cumsum()  # depths run 1, 2, ..., max
-        order = depth.astype(np.min_scalar_type(steps.size)).argsort(kind="stable")
-        readers, froms = readers.take(order), froms.take(order)
-        halts = False
-        steps = steps.tolist()
-        for lo, hi in zip(steps, steps[1:]):
-            ids, senders = readers[lo:hi], froms[lo:hi]
-            if halts:  # a reader that froze skips its later events
-                live = ~frozen.take(ids)
-                if not live.all():
-                    ids, senders = ids[live], senders[live]
-                    if ids.size == 0:
-                        continue
-            hits["fusions"].append(ids)
-            halts |= _fuse_step(state, model, ids, senders, hits)
+    if counters is not None and len(counters) != replicas:
+        raise ValueError(f"{len(counters)} counters for {replicas} replicas")
+    if len(state.bdua) != 4:
+        raise ValueError(f"bdua must have 4 rows, got {len(state.bdua)}")
+    size = replicas * n
+    arrays = [
+        _address(g.indptr, np.int64, n + 1, "indptr"),
+        _address(g.indices, np.int64, int(g.indptr[-1]), "indices"),
+        *(_address(row, np.float64, size, f"bdua row {i}", written=True)
+          for i, row in enumerate(state.bdua)),
+        _address(state.p_read, np.float64, size, "p_read"),
+        _address(state.p_share, np.float64, size, "p_share"),
+        _address(state.role, np.int8, size, "role"),
+        _address(state.frozen, np.bool_, size, "frozen", written=True),
+    ]
+    generators = []
+    for rng in rngs:
+        if not isinstance(rng, np.random.Generator):
+            raise TypeError(f"rngs must hold numpy.random.Generator objects, "
+                            f"got {type(rng).__name__}")
+        generators.append(rng.bit_generator.ctypes)
+    states = (ctypes.c_void_p * replicas)(*(c.state_address for c in generators))
+    draws = (ctypes.c_void_p * replicas)(
+        *(ctypes.cast(c.next_double, ctypes.c_void_p) for c in generators))
+    tally = np.zeros((replicas, len(_COUNTERS)), dtype=np.int64)
+    if _KERNEL(replicas, n, *arrays, seed_role(party), _MODEL_CODES[model.variant],
+               model.xi, model.t_d, model.t_u, waves, states, draws, tally.ctypes.data):
+        raise MemoryError("the wave kernel could not allocate its scratch arrays")
     if counters is not None:
-        for name, ids in hits.items():
-            totals = np.bincount(np.concatenate(ids) // n, minlength=replicas)
-            for c, x in zip(counters, totals.tolist()):
+        for c, totals in zip(counters, tally.tolist()):
+            for name, x in zip(_COUNTERS, totals):
                 setattr(c, name, getattr(c, name) + x)
     return state
 

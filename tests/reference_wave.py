@@ -1,15 +1,17 @@
 """Reference implementation for the differential tests: the scalar wave.
 
 This is the per-pair wave loop and the scalar opinion operators that
-drim used before the level-synchronous kernel, kept verbatim except that
+drim used before its array kernels, kept verbatim except that
 adjacency lists are rebuilt here from the graph's edge arrays (the Graph
 no longer stores them), that a subnormal base rate takes the boundary
 branch of `vacuity_maximize`, as it does in `drim.opinion`, and that
 the draws follow the kernel's block contract: per level, one scalar read
 draw per reached user in ascending id order, then one share draw per
-reached user in the same order, a user sharing only if it read. Tests
-run it side by side with `drim.propagation.propagate_wave` and
-`drim.opinion`, and require equal results and an equal generator state.
+reached user in the same order, a user sharing only if it read. The C
+kernel (`drim/wave.c`) runs this loop's order, level by level, with the
+arithmetic of the array operators. Tests run it side by side with
+`drim.propagation.propagate_wave` and `drim.opinion`, and require equal
+results and an equal generator state.
 """
 
 from __future__ import annotations

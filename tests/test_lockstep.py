@@ -138,8 +138,8 @@ class TestLockstepMatchesSolo:
             _assert_same_episode(got, want)
 
     def test_replicas_past_sixteen_bit_ids(self):
-        # 58 replicas of the bundled graph hold 65 714 users, so each level
-        # groups its pairs on uint32 keys: numpy's stable sort, not radix.
+        # 58 replicas of the bundled graph hold 65 714 users, more than
+        # 16-bit ids can number.
         g = load_urv_email()
         replicas = 65_536 // g.n + 1
         assert np.min_scalar_type(replicas * g.n) == np.uint32

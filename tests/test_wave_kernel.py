@@ -1,4 +1,4 @@
-"""The level-synchronous wave kernel against the scalar reference.
+"""The wave kernel (`drim/wave.c`) against the scalar reference.
 
 Oracles:
   - differential: `reference_wave.propagate_wave` (the scalar per-pair
@@ -9,16 +9,22 @@ Oracles:
     within a few ulp under HOM (`np.hypot` and `math.hypot` disagree by
     one ulp on some inputs), and equal `WaveCounters`, counted here per
     event;
-  - draw contract: with p_read and p_share in {0, 1}, a wave takes one
-    `random((2, s))` block per level of s reached users;
-  - depth schedule: on a graph with every outcome known, a counting
-    wrapper on `propagation.fuse` sees one fusion step per dependency
-    depth, not one per sender rank of each BFS level;
+  - draw contract: with p_read and p_share in {0, 1}, a wave takes two
+    draws per reached user and level, `random((2, s))` for a level of s;
+  - fixed outcomes: on graphs where every read and share is known, a
+    reader fuses all its senders of a level, a reader that freezes skips
+    its later senders, and the frozen opinion is the one `drim.opinion`
+    gives;
   - turn schedule: one call running a party turn's waves must equal one
     call per wave, and the reference run wave by wave, bit for bit
     (opinions, latches, counters and generator states), including a
     user read in one wave and updated in the next, and a reader frozen
     in one wave whose later events are skipped and untallied;
+  - binding: the kernel rejects a generator that is not a
+    `numpy.random.Generator` and an array of another dtype or layout
+    before it runs, and a stacked replica's view runs as its copy does;
+  - build: a second build of the same source does not run the compiler,
+    and a failed build is an ImportError naming the command;
   - goldens: results.csv / raw_runs.csv / counters.csv of small fixed
     specs, written by `write_golden_cell` under the block draw contract,
     must come out byte for byte.
@@ -144,19 +150,6 @@ class TestDifferentialAgainstScalarWave:
             _assert_same(kernel, reference, model, kernel_rng, reference_rng)
 
 
-class RecordingRng:
-    """A generator that logs the size of each `random` call and its state after."""
-
-    def __init__(self, seed: int):
-        self.rng = np.random.default_rng(seed)
-        self.blocks = []
-
-    def random(self, size):
-        out = self.rng.random(size)
-        self.blocks.append((size, self.rng.bit_generator.state))
-        return out
-
-
 class TestDrawContract:
     """With p_read and p_share in {0, 1} every outcome is known, so the
     blocks a wave draws are pinned without a reference."""
@@ -169,14 +162,12 @@ class TestDrawContract:
         state.p_share[2] = 0.0  # reads, does not share: 6 stays unreached
         state.p_read[3] = 0.0  # does not read, so does not share: 7 stays unreached
         promote_seed(state, 0, Party.TRUE_PARTY)
-        rng, counters = RecordingRng(5), WaveCounters()
+        rng, counters = np.random.default_rng(5), WaveCounters()
         propagate_wave(state, g, Party.TRUE_PARTY, NOM, (rng,), counters=(counters,))
         fresh = np.random.default_rng(5)
-        sizes = [size for size, _ in rng.blocks]
-        assert sizes == [(2, 3), (2, 2)]  # levels {1, 2, 3} and {4, 5}
-        for size, state_after in rng.blocks:
-            fresh.random(2 * size[1])
-            assert state_after == fresh.bit_generator.state
+        fresh.random((2, 3))  # level {1, 2, 3}
+        fresh.random((2, 2))  # level {4, 5}
+        assert rng.bit_generator.state == fresh.bit_generator.state
         assert (counters.reached, counters.reads) == (5, 4)
 
     def test_unread_user_never_shares(self):
@@ -196,28 +187,19 @@ class TestDrawContract:
 class TestDepthSchedule:
     """With p_read = p_share = 1, seeds 0-3 and user 4 reading all four at
     level 1, beside a chain 5-6-7-8 of single-sender readers hanging off
-    seed 0 at levels 1 to 4, fusion is four steps deep: a rank-by-rank
-    schedule would take 4 + 1 + 1 + 1 = 7 steps."""
+    seed 0 at levels 1 to 4."""
 
     EDGES = [(0, 4), (1, 4), (2, 4), (3, 4), (0, 5), (5, 6), (6, 7), (7, 8)]
 
-    def _wave(self, monkeypatch, n, edges, model):
+    def _wave(self, n, edges, model):
         """One wave from seeds 0-3, checked against the scalar reference;
-        returns the state before and after, the counters, and the size
-        of every fusion step."""
+        returns the state before and after, and the counters."""
         g = Graph(n, edges)
         state = init_population(n, 0)
         state.p_read[:] = state.p_share[:] = 1.0
         for user in range(4):
             promote_seed(state, user, Party.TRUE_PARTY)
         before, reference = copy.deepcopy(state), copy.deepcopy(state)
-        steps = []
-
-        def counting_fuse(op_i, op_j, c):
-            steps.append(np.size(op_i[0]))
-            return fuse(op_i, op_j, c)
-
-        monkeypatch.setattr(propagation, "fuse", counting_fuse)
         rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
         counters, reference_counters = WaveCounters(), WaveCounters()
         propagate_wave(state, g, Party.TRUE_PARTY, model, (rng,), counters=(counters,))
@@ -225,20 +207,17 @@ class TestDepthSchedule:
                                       counters=reference_counters)
         _assert_same(state, reference, model, rng, reference_rng)
         assert counters == reference_counters
-        return before, state, counters, steps
+        return before, state, counters
 
-    def test_one_fusion_step_per_depth(self, monkeypatch):
-        _, _, counters, steps = self._wave(monkeypatch, 9, self.EDGES, UOM)
-        assert steps == [2, 2, 2, 2]  # user 4 and the chain reader of each depth
-        assert counters.fusions == 8
+    def test_one_fusion_step_per_depth(self):
+        _, _, counters = self._wave(9, self.EDGES, UOM)
+        assert counters.fusions == 8  # user 4 reads all four seeds, the chain one each
 
-    def test_frozen_reader_skips_its_later_events(self, monkeypatch):
+    def test_frozen_reader_skips_its_later_events(self):
         # Under NOM a fresh user freezes after its second seed fusion at the
-        # default t_u, so user 4 halts at depth 2 and drops its events at
-        # depths 3 and 4; user 9 reads 4 at level 2, at depth 5.
-        before, state, counters, steps = self._wave(
-            monkeypatch, 10, [*self.EDGES, (4, 9)], NOM)
-        assert steps == [2, 2, 1, 1, 1]
+        # default t_u, so user 4 halts after seeds 0 and 1 and skips 2 and
+        # 3; user 9 reads 4 at level 2.
+        before, state, counters = self._wave(10, [*self.EDGES, (4, 9)], NOM)
         assert state.frozen[4]
         assert counters.fusions == 2 + 4 + 1  # user 4, the chain, user 9
         halted = fuse(fuse(before.bdua[:, 4], before.bdua[:, 0], 1.0), before.bdua[:, 1], 1.0)
@@ -294,11 +273,11 @@ class TestTurnSchedule:
             assert rng.bit_generator.state == other_rng.bit_generator.state
             _assert_same(got, want, model, rng, want_rng)
 
-    def _turn(self, monkeypatch, n, edges, seeds, model, waves=2):
+    def _turn(self, n, edges, seeds, model, waves=2):
         """A turn of the true party from `seeds` with p_read = p_share = 1,
         checked against one call per wave and the reference; returns the
-        state after each wave of the per-wave calls, the turn's state and
-        counters, and the size of every fusion step."""
+        state after each wave of the per-wave calls, and the turn's state
+        and counters."""
         g = Graph(n, edges)
         state = init_population(n, 0)
         state.p_read[:] = state.p_share[:] = 1.0
@@ -313,13 +292,6 @@ class TestTurnSchedule:
             snapshots.append(per_wave.bdua.copy())
             reference_wave.propagate_wave(reference, g, Party.TRUE_PARTY, model, reference_rng,
                                           counters=want)
-        steps = []
-
-        def counting_fuse(op_i, op_j, c):
-            steps.append(np.size(op_i[0]))
-            return fuse(op_i, op_j, c)
-
-        monkeypatch.setattr(propagation, "fuse", counting_fuse)
         propagate_wave(state, g, Party.TRUE_PARTY, model, (rng,), counters=(counters,),
                        waves=waves)
         assert np.array_equal(state.bdua, per_wave.bdua)
@@ -327,35 +299,28 @@ class TestTurnSchedule:
         assert rng.bit_generator.state == wave_rng.bit_generator.state
         _assert_same(state, reference, model, rng, reference_rng)
         assert counters == want
-        return snapshots, state, counters, steps
+        return snapshots, state, counters
 
-    def test_user_read_in_one_wave_waits_to_update_in_the_next(self, monkeypatch):
+    def test_user_read_in_one_wave_waits_to_update_in_the_next(self):
         # Seed 0 reaches 1, 3 and 5 at level 1, and 2 reads them in that
-        # order at level 2, so 2 reads 5 at depth 4 of wave 1. In wave 2, 5
-        # reads 0 again: by its own last event it could go at depth 2, but
-        # it must wait past depth 4, or 2 would read 5's wave-2 opinion.
+        # order at level 2. In wave 2, 5 reads 0 again, and 2 then reads
+        # 5's wave-2 opinion.
         model = TrustModel(TrustVariant.NOM, t_u=0.0)  # nobody freezes
         edges = [(0, 1), (0, 3), (0, 5), (1, 2), (3, 2), (5, 2)]
-        snapshots, _, counters, steps = self._turn(monkeypatch, 6, edges, [0], model)
+        snapshots, _, counters = self._turn(6, edges, [0], model)
         assert not np.array_equal(snapshots[0][:, 5], snapshots[1][:, 5])  # 5 updated in wave 2
-        # wave 1: {1, 3, 5}, then 2 <- 1, 3, 5 at depths 2-4; wave 2: 1, 3
-        # and 5 each one past the wave-1 read of them (3, 4, 5), then 2 <- 1,
-        # 3, 5 at depths 5-7
-        assert steps == [3, 1, 2, 2, 2, 1, 1]
-        assert counters.fusions == 12
+        assert counters.fusions == 12  # per wave: 1, 3 and 5 <- 0, then 2 <- 1, 3, 5
 
-    def test_reader_frozen_in_one_wave_skips_its_later_events(self, monkeypatch):
+    def test_reader_frozen_in_one_wave_skips_its_later_events(self):
         # Under NOM a fresh user freezes after its second seed fusion at the
         # default t_u: user 4 reads seeds 0 and 1 and freezes in wave 1, and
         # 9 freezes on reading it. Both still read and 4 still shares in
         # wave 2, but the turn's wave-2 events of both are skipped, not
         # fused and not counted.
-        snapshots, state, counters, steps = self._turn(
-            monkeypatch, 10, [(0, 4), (1, 4), (4, 9)], [0, 1], NOM)
+        snapshots, state, counters = self._turn(10, [(0, 4), (1, 4), (4, 9)], [0, 1], NOM)
         assert state.frozen[4] and state.frozen[9]
         assert np.array_equal(snapshots[0], snapshots[1])
-        assert steps == [1, 1, 1]  # wave 1: 4 <- 0, 4 <- 1, 9 <- 4
-        assert counters.fusions == 3
+        assert counters.fusions == 3  # wave 1: 4 <- 0, 4 <- 1, 9 <- 4
         assert counters.reads == 4
 
 
@@ -393,6 +358,91 @@ class TestDegenerateFusion:
         assert c.degenerate == 0
         assert 0 < c.reads <= c.reached
         assert c.fusions > 0
+
+
+class TestBinding:
+    """The kernel's arguments are checked before it touches memory."""
+
+    def _case(self, replicas=1):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        states = [_population(4, seed, [0], [3]) for seed in range(replicas)]
+        return g, (states[0] if replicas == 1 else stack_populations(states))
+
+    def test_rejects_a_generator_of_another_kind(self):
+        g, state = self._case()
+        before = copy.deepcopy(state)
+        with pytest.raises(TypeError, match="numpy.random.Generator.*RandomState"):
+            propagate_wave(state, g, Party.TRUE_PARTY, UOM, (np.random.RandomState(0),))
+        assert np.array_equal(state.bdua, before.bdua)
+
+    def test_rejects_an_array_of_another_dtype(self):
+        g, state = self._case()
+        state.p_read = state.p_read.astype(np.float32)
+        with pytest.raises(TypeError, match="p_read must be a numpy float64 array, got float32"):
+            propagate_wave(state, g, Party.TRUE_PARTY, UOM, (np.random.default_rng(0),))
+
+    def test_rejects_a_row_that_is_not_contiguous(self):
+        g, state = self._case()
+        state.bdua = np.asfortranarray(state.bdua)
+        with pytest.raises(ValueError, match="bdua row 0 must be a C-contiguous 1-D array"):
+            propagate_wave(state, g, Party.TRUE_PARTY, UOM, (np.random.default_rng(0),))
+
+    def test_rejects_counters_of_another_length(self):
+        g, state = self._case(replicas=2)
+        rngs = [np.random.default_rng(r) for r in range(2)]
+        with pytest.raises(ValueError, match="1 counters for 2 replicas"):
+            propagate_wave(state, g, Party.TRUE_PARTY, UOM, rngs, counters=[WaveCounters()])
+
+    @pytest.mark.parametrize("model", [UOM, HOM, NOM], ids=["uom", "hom", "nom"])
+    def test_stacked_replica_runs_as_its_copy(self, model):
+        from drim.datasets import load_urv_email
+
+        g = load_urv_email()
+        replicas = [init_population(g.n, seed) for seed in range(3)]
+        for state in replicas:
+            for user in (5, 77, 400):
+                promote_seed(state, user, Party.TRUE_PARTY)
+        stacked = stack_populations(replicas)
+        others = stacked.bdua.copy()
+        alone = copy.deepcopy(replicas[1])
+        rng, alone_rng = np.random.default_rng(8), np.random.default_rng(8)
+        counters, alone_counters = WaveCounters(), WaveCounters()
+        propagate_wave(replicas[1], g, Party.TRUE_PARTY, model, (rng,), (counters,), waves=2)
+        propagate_wave(alone, g, Party.TRUE_PARTY, model, (alone_rng,), (alone_counters,),
+                       waves=2)
+        assert counters == alone_counters and counters.fusions > 0
+        assert rng.bit_generator.state == alone_rng.bit_generator.state
+        assert np.array_equal(replicas[1].bdua, alone.bdua)
+        assert np.array_equal(replicas[1].frozen, alone.frozen)
+        untouched = np.r_[0:g.n, 2 * g.n:3 * g.n]
+        assert np.array_equal(stacked.bdua[:, untouched], others[:, untouched])
+
+
+class TestBuild:
+    """`propagation._build` compiles once per source, command and platform."""
+
+    def test_second_build_of_the_same_source_does_not_compile(self, tmp_path, monkeypatch):
+        first = propagation._build(propagation._SOURCE, tmp_path)
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the compiler ran again")
+
+        monkeypatch.setattr(propagation.subprocess, "run", no_compiler)
+        assert propagation._build(propagation._SOURCE, tmp_path) == first
+        assert sorted(tmp_path.iterdir()) == [first]
+
+    def test_failed_build_names_the_command(self, tmp_path):
+        source = tmp_path / "broken.c"
+        source.write_text("this is not C\n")
+        with pytest.raises(ImportError, match=r"(?s)cc -O2 -shared -fPIC -ffp-contract=off "
+                                              r"-o .*broken\.c -lm exited \d+:.*error"):
+            propagation._build(source, tmp_path / "cache")
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_missing_compiler_names_the_command(self, tmp_path):
+        with pytest.raises(ImportError, match="no-such-cc -O2"):
+            propagation._build(propagation._SOURCE, tmp_path, compiler="no-such-cc")
+        assert list(tmp_path.iterdir()) == []
 
 
 def _golden_spec(out_dir: Path, opinion_model: str, scheme: Scheme, fp: str, p_nv: float):
