@@ -167,27 +167,32 @@ class WaveCounters:
 # The command that builds wave.c: no -march and no fast-math, and no
 # contraction of a*b + c into a fused multiply-add (clang on arm64
 # contracts by default), so the bits equal numpy's.
-_COMMAND = ("{cc}", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-o", "{out}", "{source}",
+_COMMAND = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-o", "{out}", "{source}",
             "-lm")
 
 
-def _build(source: Path, cache: Path, compiler: str = "cc") -> Path:
+def _build(source: Path, cache: Path) -> Path:
     """The shared library of the C file `source`, compiled into `cache`
     unless a build of the same source, command and platform is there.
 
     The library is written under a temporary name beside its target and
     then renamed, so a concurrent import never loads half a file. A
-    failed build raises ImportError with the command and its stderr.
+    cache that cannot be written, or a failed build, raises ImportError
+    that names the cause (the build's: its command and its stderr).
     """
     key = hashlib.sha256(source.read_bytes())
-    key.update("\0".join([compiler, *_COMMAND, sysconfig.get_platform()]).encode())
+    key.update("\0".join([*_COMMAND, sysconfig.get_platform()]).encode())
     target = cache / f"{source.stem}-{key.hexdigest()}.so"
     if target.exists():
         return target
-    cache.mkdir(parents=True, exist_ok=True)
-    fd, scratch = tempfile.mkstemp(suffix=".so", prefix=f"{source.stem}-", dir=cache)
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, scratch = tempfile.mkstemp(suffix=".so", prefix=f"{source.stem}-", dir=cache)
+    except OSError as error:
+        raise ImportError(f"cannot build the wave kernel: its cache {cache} must be a "
+                          f"writable directory: {error}") from None
     os.close(fd)
-    command = [arg.format(cc=compiler, out=scratch, source=source) for arg in _COMMAND]
+    command = [arg.format(out=scratch, source=source) for arg in _COMMAND]
     try:
         done = subprocess.run(command, capture_output=True, text=True, check=False)
     except OSError as error:

@@ -7,7 +7,8 @@
    loop follows the sequential semantics of the scalar reference
    (tests/reference_wave.py), level by level:
 
-     - the fresh targets of the level are collected and sorted ascending;
+     - the fresh targets of the level are marked in a bitmap and read
+       off it in ascending id order;
      - 2·s uniforms are drawn from the replica's generator, s read draws
        then s share draws, as numpy's rng.random((2, s)) draws them;
      - each target that reads and is not frozen fuses, in ascending id
@@ -21,7 +22,8 @@
    numpy's evaluation order, and its minimum/maximum copy numpy's (NaN
    propagates, ties keep the first operand), so the bits equal numpy's.
    Build it without contraction into fused multiply-adds
-   (-ffp-contract=off) and without fast-math. */
+   (-ffp-contract=off) and without fast-math. The bitmap's bits are
+   found with __builtin_ctzll, which gcc and clang provide. */
 
 #include <float.h>
 #include <math.h>
@@ -35,10 +37,6 @@ enum { MODEL_UOM, MODEL_HOM, MODEL_NOM };
 
 /* The WaveCounters fields, in their declaration order */
 enum { REACHED, READS, FUSIONS, REFRESHES, FROZEN, DEGENERATE, COUNTERS };
-
-/* A user's mark in a wave: not reached yet, reached (or a seed), or
-   reached at the level being collected */
-enum { UNSEEN, SEEN, FRESH };
 
 /* Role code of a user that is no seed (population.Role.LEGITIMATE) */
 #define LEGITIMATE 0
@@ -179,12 +177,6 @@ static void fuse_senders(const users *p, int64_t t, const int64_t *indptr,
     p->a[t] = o.a;
 }
 
-static int ascending(const void *x, const void *y)
-{
-    int64_t a = *(const int64_t *)x, b = *(const int64_t *)y;
-    return (a > b) - (a < b);
-}
-
 /* Returns 0, or -1 when the scratch memory could not be allocated. */
 int drim_propagate_turn(int64_t replicas, int64_t n, const int64_t *indptr,
                         const int64_t *indices, double *b, double *d, double *u, double *a,
@@ -194,13 +186,17 @@ int drim_propagate_turn(int64_t replicas, int64_t n, const int64_t *indptr,
                         const next_double_fn *next_double, int64_t *counters)
 {
     trust_model m = {model_code, xi, t_d, t_u};
+    /* Per wave, visited marks the seeds of either party and the users
+       reached so far; fresh holds one bit per user of the level being
+       collected. */
     uint8_t *visited = malloc((size_t)n);
+    uint64_t *fresh = calloc(((size_t)n + 63) / 64, sizeof *fresh);
     uint8_t *shared = calloc((size_t)n, 1);
     int64_t *sharers = malloc((size_t)n * sizeof *sharers);
     int64_t *level = malloc((size_t)n * sizeof *level);
     double *draws = malloc(2 * (size_t)n * sizeof *draws);
     int status = -1;
-    if (!visited || !shared || !sharers || !level || !draws)
+    if (!visited || !fresh || !shared || !sharers || !level || !draws)
         goto done;
 
     for (int64_t r = 0; r < replicas; r++) {
@@ -214,7 +210,7 @@ int drim_propagate_turn(int64_t replicas, int64_t n, const int64_t *indptr,
             /* Seeds of either party never read or update; own seeds are the origins. */
             int64_t senders = 0;
             for (int64_t v = 0; v < n; v++) {
-                visited[v] = p.role[v] == LEGITIMATE ? UNSEEN : SEEN;
+                visited[v] = p.role[v] != LEGITIMATE;
                 if (p.role[v] == seed_role)
                     sharers[senders++] = v;
             }
@@ -226,22 +222,19 @@ int drim_propagate_turn(int64_t replicas, int64_t n, const int64_t *indptr,
                     int64_t v = sharers[i];
                     for (int64_t k = indptr[v]; k < indptr[v + 1]; k++) {
                         int64_t t = indices[k];
-                        if (visited[t] == UNSEEN) {
-                            visited[t] = FRESH;
-                            level[s++] = t;
+                        if (!visited[t]) {
+                            visited[t] = 1;
+                            fresh[t / 64] |= (uint64_t)1 << (t % 64);
+                            s++;
                         }
                     }
                 }
-                /* The level in ascending order: few targets are sorted, many
-                   are read off their marks. */
-                if (s * 16 < n)
-                    qsort(level, (size_t)s, sizeof *level, ascending);
-                else
-                    for (int64_t v = 0, k = 0; k < s; v++)
-                        if (visited[v] == FRESH)
-                            level[k++] = v;
-                for (int64_t i = 0; i < s; i++)
-                    visited[level[i]] = SEEN;
+                /* The level in ascending order, read off its bits */
+                for (int64_t w = 0, k = 0; k < s; w++) {
+                    for (uint64_t bits = fresh[w]; bits; bits &= bits - 1)
+                        level[k++] = w * 64 + __builtin_ctzll(bits);
+                    fresh[w] = 0;
+                }
                 for (int64_t i = 0; i < 2 * s; i++)
                     draws[i] = draw(state);
                 count[REACHED] += s;
@@ -271,6 +264,7 @@ int drim_propagate_turn(int64_t replicas, int64_t n, const int64_t *indptr,
     status = 0;
 done:
     free(visited);
+    free(fresh);
     free(shared);
     free(sharers);
     free(level);

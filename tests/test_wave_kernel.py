@@ -439,10 +439,28 @@ class TestBuild:
             propagation._build(source, tmp_path / "cache")
         assert list((tmp_path / "cache").iterdir()) == []
 
-    def test_missing_compiler_names_the_command(self, tmp_path):
-        with pytest.raises(ImportError, match="no-such-cc -O2"):
-            propagation._build(propagation._SOURCE, tmp_path, compiler="no-such-cc")
+    def test_missing_compiler_names_the_command(self, tmp_path, monkeypatch):
+        def no_compiler(command, **kwargs):
+            raise FileNotFoundError(2, "No such file or directory", command[0])
+
+        monkeypatch.setattr(propagation.subprocess, "run", no_compiler)
+        with pytest.raises(ImportError, match=r"cc -O2 .* -lm: .*No such file"):
+            propagation._build(propagation._SOURCE, tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_cache_names_the_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(ImportError, match=r"cache .*file.cache must be a writable directory"):
+            propagation._build(propagation._SOURCE, tmp_path / "file" / "cache")
+
+        # A read-only directory; chmod would not stop a root user.
+        def read_only(**kwargs):
+            raise PermissionError(13, "Permission denied", str(kwargs["dir"]))
+
+        monkeypatch.setattr(propagation.tempfile, "mkstemp", read_only)
+        with pytest.raises(ImportError, match=r"cache .* must be a writable directory: "
+                                              r".*Permission denied"):
+            propagation._build(propagation._SOURCE, tmp_path)
 
 
 def _golden_spec(out_dir: Path, opinion_model: str, scheme: Scheme, fp: str, p_nv: float):
