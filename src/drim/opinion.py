@@ -18,12 +18,16 @@ Operators implemented here:
 
 Array-first: every operator from `project` down works elementwise on
 numpy arrays. An opinion argument is anything that unpacks into
-(b, d, u, a): an `Opinion` whose fields are floats or equal-shape
-arrays, or a (4, ...) array whose rows are b, d, u, a. A scalar is the
-0-d case. Results come back as `Opinion`s of arrays (0-d for scalar
-input), and applying an operator to an array gives, bit for bit, what
-applying it to each element on its own gives. The wave kernel in
-`propagation`, the population and the tests all use this one copy.
+(b, d, u, a): an `Opinion` whose fields are floats or arrays that
+broadcast together, or a (4, ...) array whose rows are b, d, u, a. A
+scalar is the 0-d case. Results come back as `Opinion`s of float64
+arrays (float64 scalars for scalar input), and applying an operator to
+an array gives, bit for bit, what applying it to each element on its own
+gives.
+
+`dissonance` down to `apply_uom_refresh` call the C operators of
+`wave.c`, which the wave kernel in `propagation` runs too; importing
+this module builds it (`_build`) unless `__pycache__/` holds its build.
 
 Degenerate fusion (beta <= 1e-12, two dogmatic opinions under full
 trust) is reported per element: every component of that element comes
@@ -36,20 +40,18 @@ concurrent simulation replicas.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import subprocess
+import sysconfig
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-
-# Drift beyond this after fusion triggers renormalization of (b, d, u).
-_RENORM_TOL = 1e-12
-
-# Denominators smaller than this are treated as degenerate.
-_DEGENERATE_TOL = 1e-12
-
-# Smallest normal float: base rates closer than this to 0 or 1 are boundaries.
-_TINY = np.finfo(float).tiny
 
 
 class Opinion(NamedTuple):
@@ -143,11 +145,7 @@ def dissonance(op):
     (b + d) · Bal(b, d) with Bal(b, d) = 1 - |b - d| / (b + d).
     A vacuous opinion (b + d = 0) carries no conflict, so returns 0.
     """
-    b, d, _, _ = op
-    mass = b + d
-    has_mass = mass > 0.0
-    bal = 1.0 - np.abs(b - d) / np.where(has_mass, mass, 1.0)
-    return np.where(has_mass, mass * bal, 0.0)
+    return _apply(_DISSONANCE, op, rows=1)[0][0]
 
 
 def trust_coefficient(model: TrustModel, op_i, op_j):
@@ -158,18 +156,9 @@ def trust_coefficient(model: TrustModel, op_i, op_j):
          expressed no stance (b = d = 0).
     NOM: 1 — no trust filter (the scalar 1.0, which broadcasts).
     """
-    variant = model.variant
-    if variant is TrustVariant.NOM:
+    if model.variant is TrustVariant.NOM:
         return 1.0
-    b_i, d_i, u_i, _ = op_i
-    b_j, d_j, u_j, _ = op_j
-    if variant is TrustVariant.UOM:
-        return (1.0 - u_i) * (1.0 - u_j)
-    # HOM
-    denom = np.hypot(b_i, d_i) * np.hypot(b_j, d_j)
-    stance = denom > 0.0  # False also on underflow of the norm product
-    cos = (b_i * b_j + d_i * d_j) / np.where(stance, denom, 1.0)
-    return np.where(stance, np.minimum(1.0, np.maximum(0.0, cos)), 0.0)
+    return _apply(_TRUST, (*op_i, *op_j), model, rows=1)[0][0]
 
 
 def fuse(op_i, op_j, c) -> Opinion:
@@ -188,40 +177,13 @@ def fuse(op_i, op_j, c) -> Opinion:
     the receiver's base rate is kept. β = 0 happens only for c = 1 with
     two dogmatic opinions: such an element comes back all-NaN, and a
     scalar call raises ValueError; callers must pre-apply vacuity
-    maximization, freeze such users, or skip the element.
+    maximization, freeze such users, or skip the element. A NaN input
+    gives NaN, and raises nothing.
     """
-    b_i, d_i, u_i, a_i = op_i
-    b_j, d_j, u_j, a_j = op_j
-    certainty_j = 1.0 - u_j
-    u_x = 1.0 - c * certainty_j
-    beta = 1.0 - c * (1.0 - u_i) * certainty_j
-    degenerate = beta <= _DEGENERATE_TOL
-    if np.count_nonzero(degenerate):
-        if np.ndim(degenerate) == 0:
-            raise ValueError(
-                "degenerate fusion: both opinions dogmatic under full trust (beta = 0)"
-            )
-        beta = np.where(degenerate, np.nan, beta)
-    b = (b_i * u_x + c * b_j * u_i) / beta
-    d = (d_i * u_x + c * d_j * u_i) / beta
-    u_ix = u_i * u_x
-    u = u_ix / beta
-
-    a_den = beta - u_ix
-    keep_a = np.abs(a_den) <= _DEGENERATE_TOL
-    kept = np.count_nonzero(keep_a)
-    if kept:
-        a_den = np.where(keep_a, 1.0, a_den)
-    a = ((a_i - (a_i + a_j) * u_i) * u_x + a_j * u_i) / a_den
-    a = np.minimum(1.0, np.maximum(0.0, a))
-    if kept:
-        a = np.where(keep_a, a_i, a)
-
-    total = b + d + u
-    drift = np.abs(total - 1.0) > _RENORM_TOL
-    if np.count_nonzero(drift):
-        b, d, u = (np.where(drift, x / total, x) for x in (b, d, u))
-    return Opinion(b, d, u, a)
+    fused, degenerate = _apply(_FUSE, (*op_i, *op_j, c))
+    if degenerate and fused.ndim == 1:  # a scalar call
+        raise ValueError("degenerate fusion: both opinions dogmatic under full trust (beta = 0)")
+    return Opinion(*fused)
 
 
 def vacuity_maximize(op) -> Opinion:
@@ -230,49 +192,98 @@ def vacuity_maximize(op) -> Opinion:
     Interior base rate: ü = min(P(b)/a, P(d)/(1-a)), b̈ = P(b) - a·ü,
     d̈ = P(d) - (1-a)·ü. At least one of b̈, d̈ is zero. At the boundaries
     a = 0 and a = 1 the maximal vacuity is P(d) and P(b) respectively; a
-    base rate within the smallest normal float of a boundary counts as it.
+    base rate within the smallest normal float of a boundary counts as
+    it, since a·u underflows there and the interior formula would lose
+    the vacuity it is meant to maximize.
     """
-    pb, pd = project(op)
-    a = op[3]
-    # A subnormal a (or 1 - a) counts as the boundary: there a·u underflows,
-    # so the interior formula would lose the vacuity it is meant to maximize.
-    low, high = a < _TINY, 1.0 - a < _TINY
-    interior = (a >= _TINY) & (1.0 - a >= _TINY)
-    u = np.minimum(pb / np.where(interior, a, 1.0), pd / np.where(interior, 1.0 - a, 1.0))
-    b = np.maximum(0.0, pb - a * u)
-    d = np.maximum(0.0, pd - (1.0 - a) * u)
-    return Opinion(
-        np.where(low, pb, np.where(high, 0.0, b)),
-        np.where(low, 0.0, np.where(high, pd, d)),
-        np.where(low, pd, np.where(high, pb, u)),
-        a,
-    )
-
-
-def refresh_due(op, model: TrustModel):
-    """Mask of the elements the UOM refresh acts on.
-
-    True only under the UOM variant, where u < xi and dissonance > t_d.
-    The same test exempts a low-vacuity user from the freeze latch.
-    """
-    if model.variant is not TrustVariant.UOM:
-        return np.zeros(np.shape(op[2]), dtype=bool)
-    low = op[2] < model.xi
-    if not np.count_nonzero(low):
-        return low
-    return low & (dissonance(op) > model.t_d)
+    return Opinion(*_apply(_VACUITY_MAXIMIZE, op)[0])
 
 
 def apply_uom_refresh(op, model: TrustModel):
     """Vacuity-maximize a low-vacuity, high-dissonance opinion.
 
-    Acts, elementwise, where `refresh_due` holds; returns the opinion
-    itself when no element qualifies. Applied to a receiver immediately
-    before each fusion so that users stuck on conflicting evidence can
-    absorb new information.
+    Acts, elementwise, only under the UOM variant, where u < xi and
+    dissonance > t_d; the same test exempts a low-vacuity user from the
+    freeze latch. Returns the opinion itself when no element qualifies.
+    Applied to a receiver immediately before each fusion so that users
+    stuck on conflicting evidence can absorb new information.
     """
-    due = refresh_due(op, model)
-    if not np.count_nonzero(due):
-        return op
-    maxed = vacuity_maximize(op)
-    return Opinion(*(np.where(due, x, y) for x, y in zip(maxed, op)))
+    refreshed, due = _apply(_REFRESH, op, model)
+    return Opinion(*refreshed) if due else op
+
+
+# The command that builds wave.c: no -march and no fast-math, and no
+# contraction of a*b + c into a fused multiply-add (clang on arm64
+# contracts by default), so the bits stay those the goldens pin.
+_COMMAND = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-o", "{out}", "{source}",
+            "-lm")
+
+
+def _build(source: Path, cache: Path) -> Path:
+    """The shared library of the C file `source`, compiled into `cache`
+    unless a build of the same source, command and platform is there.
+
+    The library is written under a temporary name beside its target and
+    then renamed, so a concurrent import never loads half a file; the
+    builds of other keys are then removed. A cache that cannot be
+    written, or a failed build, raises ImportError that names the cause
+    (the build's: its command and its stderr).
+    """
+    key = hashlib.sha256(source.read_bytes())
+    key.update("\0".join([*_COMMAND, sysconfig.get_platform()]).encode())
+    target = cache / f"{source.stem}-{key.hexdigest()}.so"
+    if target.exists():
+        return target
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, scratch = tempfile.mkstemp(suffix=".so", prefix=f"{source.stem}-", dir=cache)
+    except OSError as error:
+        raise ImportError(f"cannot build the wave kernel: its cache {cache} must be a "
+                          f"writable directory: {error}") from None
+    os.close(fd)
+    command = [arg.format(out=scratch, source=source) for arg in _COMMAND]
+    try:
+        done = subprocess.run(command, capture_output=True, text=True, check=False)
+    except OSError as error:
+        os.unlink(scratch)
+        raise ImportError(f"cannot build the wave kernel: {' '.join(command)}: {error}") from None
+    if done.returncode:
+        os.unlink(scratch)
+        raise ImportError(f"cannot build the wave kernel: {' '.join(command)} exited "
+                          f"{done.returncode}:\n{done.stderr}")
+    os.replace(scratch, target)
+    # Only hash-named files: a temporary one may be another build's.
+    for stale in cache.glob(f"{source.stem}-{'[0-9a-f]' * 64}.so"):
+        if stale != target:
+            stale.unlink(missing_ok=True)
+    return target
+
+
+_SOURCE = Path(__file__).with_name("wave.c")
+_LIBRARY = ctypes.CDLL(str(_build(_SOURCE, _SOURCE.parent / "__pycache__")))
+_OPERATOR = _LIBRARY.drim_opinion_op
+_OPERATOR.restype = ctypes.c_int64
+_OPERATOR.argtypes = (
+    [ctypes.c_int, ctypes.c_int64, ctypes.c_int]  # operator, n, model code
+    + [ctypes.c_double] * 2  # xi, t_d
+    + [ctypes.c_void_p] * 4  # x, y, c, out
+)
+# The operator and model codes of wave.c
+_DISSONANCE, _TRUST, _FUSE, _VACUITY_MAXIMIZE, _REFRESH = range(5)
+_MODEL_CODES = {TrustVariant.UOM: 0, TrustVariant.HOM: 1, TrustVariant.NOM: 2}
+
+
+def _apply(code: int, operands, model: TrustModel = UOM, rows: int = 4):
+    """Run wave.c's operator `code` on `operands`, broadcast together:
+    the four components of x, then those of y, then c, as it reads them
+    (model gives trust and the refresh their variant and thresholds).
+    Returns the result, shaped (rows, *broadcast shape), and C's count.
+    """
+    x = np.stack(np.broadcast_arrays(*operands)).astype(np.float64, copy=False)
+    shape, n = x.shape[1:], x[0].size
+    x = x.reshape(len(x), n)
+    out = np.empty((rows, n))
+    y, c = (x[at].ctypes.data if len(x) > at else None for at in (4, 8))
+    count = _OPERATOR(code, n, _MODEL_CODES[model.variant], model.xi, model.t_d,
+                      x.ctypes.data, y, c, out.ctypes.data)
+    return out.reshape(rows, *shape), count

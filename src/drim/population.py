@@ -88,7 +88,8 @@ class PopulationState:
         return np.flatnonzero(self.role == seed_role(party))
 
     def projected(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized projection: P(b) = b + a·u and P(d) = d + (1-a)·u."""
+        """Vectorized projection: P(b) = b + a·u, and 1 - P(b) as P(d)
+        (BF reads these bits; d + (1-a)·u may differ in the last place)."""
         pb = self.b + self.a * self.u
         return pb, 1.0 - pb
 

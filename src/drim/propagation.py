@@ -10,21 +10,18 @@ opinion with probability p_share. Users are processed at most once per
 wave; seeds of either party and frozen users never update (frozen
 readers may still re-share their settled opinion).
 
-The wave kernel is one C function (`wave.c`, beside this module), and
-one call runs a party's whole turn: each replica in turn, its waves one
-after another, each a BFS level by level in the sequential order of the
-scalar reference. Per level it collects the fresh targets in ascending
-id order, takes their draws, and lets each reader that is not frozen
-fuse its senders (the neighbors that shared at the previous level) in
-ascending id order: the UOM refresh before each fusion when it is due,
-the freeze latch after it, and a degenerate fusion (beta <= 1e-12)
-counted and skipped. Its arithmetic copies `drim.opinion` operand for
-operand, so the opinions equal, bit for bit, what the array operators
-give; `fuse` and `apply_uom_refresh` stay importable from here, but the
-kernel does not call them. The module compiles `wave.c` on first import
-(`cc`, without contraction into fused multiply-adds, which would change
-the bits) into `__pycache__/wave-<hash>.so` beside it, keyed by the
-source, the command and the platform, and loads it from there.
+The wave kernel is one C function (`wave.c`, beside this module, which
+`drim.opinion` builds and loads), and one call runs a party's whole
+turn: each replica in turn, its waves one after another, each a BFS
+level by level in the sequential order of the scalar reference. Per
+level it collects the fresh targets in ascending id order, takes their
+draws, and lets each reader that is not frozen fuse its senders (the
+neighbors that shared at the previous level) in ascending id order: the
+UOM refresh before each fusion when it is due, the freeze latch after
+it, and a degenerate fusion (beta <= 1e-12) counted and skipped. It
+calls the C operators that `drim.opinion`'s operators call, per pair;
+`fuse` and `apply_uom_refresh` stay importable from here, but the kernel
+does not call them.
 
 Draw-order contract: within a level, a replica's s reached users, in
 ascending id order, take 2·s uniforms from its generator in one
@@ -63,14 +60,8 @@ party step appends one `RoundLog` to `Episode.logs`, the episode's record.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import sysconfig
-import tempfile
 from dataclasses import dataclass, fields, replace
 from numbers import Integral
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -80,9 +71,10 @@ import numpy.random  # noqa: F401
 
 from drim.network import Graph, full_view, mask_network
 from drim.opinion import (
-    TrustModel,
-    TrustVariant,
     UOM,
+    _LIBRARY,
+    _MODEL_CODES,
+    TrustModel,
     apply_uom_refresh,  # noqa: F401  (re-exported; perfbench's tracer rebinds it)
     fuse,  # noqa: F401  (re-exported; perfbench's tracer rebinds it)
 )
@@ -164,50 +156,7 @@ class WaveCounters:
     degenerate: int = 0
 
 
-# The command that builds wave.c: no -march and no fast-math, and no
-# contraction of a*b + c into a fused multiply-add (clang on arm64
-# contracts by default), so the bits equal numpy's.
-_COMMAND = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-o", "{out}", "{source}",
-            "-lm")
-
-
-def _build(source: Path, cache: Path) -> Path:
-    """The shared library of the C file `source`, compiled into `cache`
-    unless a build of the same source, command and platform is there.
-
-    The library is written under a temporary name beside its target and
-    then renamed, so a concurrent import never loads half a file. A
-    cache that cannot be written, or a failed build, raises ImportError
-    that names the cause (the build's: its command and its stderr).
-    """
-    key = hashlib.sha256(source.read_bytes())
-    key.update("\0".join([*_COMMAND, sysconfig.get_platform()]).encode())
-    target = cache / f"{source.stem}-{key.hexdigest()}.so"
-    if target.exists():
-        return target
-    try:
-        cache.mkdir(parents=True, exist_ok=True)
-        fd, scratch = tempfile.mkstemp(suffix=".so", prefix=f"{source.stem}-", dir=cache)
-    except OSError as error:
-        raise ImportError(f"cannot build the wave kernel: its cache {cache} must be a "
-                          f"writable directory: {error}") from None
-    os.close(fd)
-    command = [arg.format(out=scratch, source=source) for arg in _COMMAND]
-    try:
-        done = subprocess.run(command, capture_output=True, text=True, check=False)
-    except OSError as error:
-        os.unlink(scratch)
-        raise ImportError(f"cannot build the wave kernel: {' '.join(command)}: {error}") from None
-    if done.returncode:
-        os.unlink(scratch)
-        raise ImportError(f"cannot build the wave kernel: {' '.join(command)} exited "
-                          f"{done.returncode}:\n{done.stderr}")
-    os.replace(scratch, target)
-    return target
-
-
-_SOURCE = Path(__file__).with_name("wave.c")
-_KERNEL = ctypes.CDLL(str(_build(_SOURCE, _SOURCE.parent / "__pycache__"))).drim_propagate_turn
+_KERNEL = _LIBRARY.drim_propagate_turn
 _KERNEL.restype = ctypes.c_int
 _KERNEL.argtypes = (
     [ctypes.c_int64] * 2  # replicas, n
@@ -217,8 +166,7 @@ _KERNEL.argtypes = (
     + [ctypes.c_int64]  # waves
     + [ctypes.c_void_p] * 3  # generator states, their next_double, counters
 )
-# The model codes of wave.c, and its counters: the WaveCounters fields in order
-_MODEL_CODES = {TrustVariant.UOM: 0, TrustVariant.HOM: 1, TrustVariant.NOM: 2}
+# The kernel's counters: the WaveCounters fields in order
 _COUNTERS = [f.name for f in fields(WaveCounters)]
 
 

@@ -1,4 +1,13 @@
-/* The wave kernel of drim.propagation: one party turn in one call.
+/* The opinion algebra of drim and its wave kernel: one party turn in
+   one call.
+
+   The subjective-logic operators below (dissonance, trust, fusion,
+   vacuity maximization, the UOM refresh) are drim's only copy of them.
+   drim.opinion calls them over arrays through drim_opinion_op, and the
+   kernel calls them per pair; `inline` keeps them inlined there. They
+   keep numpy's evaluation order, and minimum/maximum numpy's (NaN
+   propagates, ties keep the first operand), since the goldens pin the
+   bits of the numpy operators they replaced.
 
    drim_propagate_turn runs `waves` BFS information waves from the
    party's seed set for each of R replicas of a population, one replica
@@ -18,9 +27,6 @@
        (beta <= 1e-12) is counted and skipped;
      - the targets that read and share are the next level's senders.
 
-   The opinion arithmetic copies drim.opinion operand for operand, in
-   numpy's evaluation order, and its minimum/maximum copy numpy's (NaN
-   propagates, ties keep the first operand), so the bits equal numpy's.
    Build it without contraction into fused multiply-adds
    (-ffp-contract=off) and without fast-math. The bitmap's bits are
    found with __builtin_ctzll, which gcc and clang provide. */
@@ -32,7 +38,7 @@
 
 typedef double (*next_double_fn)(void *state);
 
-/* Trust models, as drim.propagation numbers them */
+/* Trust models, as drim.opinion numbers them */
 enum { MODEL_UOM, MODEL_HOM, MODEL_NOM };
 
 /* The WaveCounters fields, in their declaration order */
@@ -57,7 +63,7 @@ static double maximum(double x, double y) { return (x >= y || x != x) ? x : y; }
 
 static double minimum(double x, double y) { return (x <= y || x != x) ? x : y; }
 
-static double dissonance(opinion o)
+static inline double dissonance(opinion o)
 {
     double mass = o.b + o.d;
     if (!(mass > 0.0))
@@ -66,12 +72,12 @@ static double dissonance(opinion o)
     return mass * bal;
 }
 
-static int refresh_due(opinion o, const trust_model *m)
+static inline int refresh_due(opinion o, const trust_model *m)
 {
     return m->code == MODEL_UOM && o.u < m->xi && dissonance(o) > m->t_d;
 }
 
-static opinion vacuity_maximize(opinion o)
+static inline opinion vacuity_maximize(opinion o)
 {
     double pb = o.b + o.a * o.u;
     double pd = o.d + (1.0 - o.a) * o.u;
@@ -85,7 +91,7 @@ static opinion vacuity_maximize(opinion o)
     return out;
 }
 
-static double trust_coefficient(const trust_model *m, opinion i, opinion j)
+static inline double trust_coefficient(const trust_model *m, opinion i, opinion j)
 {
     if (m->code == MODEL_NOM)
         return 1.0;
@@ -97,12 +103,17 @@ static double trust_coefficient(const trust_model *m, opinion i, opinion j)
     return stance ? minimum(1.0, maximum(0.0, cosine)) : 0.0;
 }
 
-/* All NaN for a degenerate pair, as drim.opinion.fuse */
-static opinion fuse(opinion i, opinion j, double c)
+/* The pair is degenerate when this is at most DEGENERATE_TOL */
+static inline double fusion_beta(opinion i, opinion j, double c)
 {
-    double certainty_j = 1.0 - j.u;
-    double u_x = 1.0 - c * certainty_j;
-    double beta = 1.0 - c * (1.0 - i.u) * certainty_j;
+    return 1.0 - c * (1.0 - i.u) * (1.0 - j.u);
+}
+
+/* All NaN for a degenerate pair */
+static inline opinion fuse(opinion i, opinion j, double c)
+{
+    double u_x = 1.0 - c * (1.0 - j.u);
+    double beta = fusion_beta(i, j, c);
     if (beta <= DEGENERATE_TOL)
         beta = NAN;
     double b = (i.b * u_x + c * j.b * i.u) / beta;
@@ -127,6 +138,53 @@ static opinion fuse(opinion i, opinion j, double c)
     }
     opinion out = {b, d, u, a};
     return out;
+}
+
+/* The operators of drim_opinion_op, as drim.opinion numbers them */
+enum { OP_DISSONANCE, OP_TRUST, OP_FUSE, OP_VACUITY_MAXIMIZE, OP_REFRESH };
+
+/* Element k of a (4, n) array whose rows are b, d, u, a */
+static opinion column(const double *rows, int64_t n, int64_t k)
+{
+    opinion o = {rows[k], rows[n + k], rows[2 * n + k], rows[3 * n + k]};
+    return o;
+}
+
+/* Operator `op` over n elements. x and y hold (4, n) opinions (y for
+   trust and fusion only) and c a fusion's n trust coefficients; out takes
+   (4, n) opinions, or the (1, n) values of dissonance and trust. Returns
+   the elements OP_REFRESH refreshed, or the degenerate pairs of OP_FUSE
+   (their elements all NaN), else 0. */
+int64_t drim_opinion_op(int op, int64_t n, int model_code, double xi, double t_d,
+                        const double *x, const double *y, const double *c, double *out)
+{
+    trust_model m = {model_code, xi, t_d, 0.0};
+    int64_t count = 0;
+    for (int64_t k = 0; k < n; k++) {
+        opinion o = column(x, n, k);
+        if (op == OP_DISSONANCE) {
+            out[k] = dissonance(o);
+            continue;
+        }
+        if (op == OP_TRUST) {
+            out[k] = trust_coefficient(&m, o, column(y, n, k));
+            continue;
+        }
+        if (op == OP_FUSE) {
+            count += fusion_beta(o, column(y, n, k), c[k]) <= DEGENERATE_TOL;
+            o = fuse(o, column(y, n, k), c[k]);
+        } else if (op == OP_VACUITY_MAXIMIZE) {
+            o = vacuity_maximize(o);
+        } else if (refresh_due(o, &m)) { /* OP_REFRESH */
+            o = vacuity_maximize(o);
+            count++;
+        }
+        out[k] = o.b;
+        out[n + k] = o.d;
+        out[2 * n + k] = o.u;
+        out[3 * n + k] = o.a;
+    }
+    return count;
 }
 
 /* One replica's users: its slices of the stacked arrays */

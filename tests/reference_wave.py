@@ -4,19 +4,20 @@ This is the per-pair wave loop and the scalar opinion operators that
 drim used before its array kernels, kept verbatim except that
 adjacency lists are rebuilt here from the graph's edge arrays (the Graph
 no longer stores them), that a subnormal base rate takes the boundary
-branch of `vacuity_maximize`, as it does in `drim.opinion`, and that
-the draws follow the kernel's block contract: per level, one scalar read
-draw per reached user in ascending id order, then one share draw per
-reached user in the same order, a user sharing only if it read. The C
-kernel (`drim/wave.c`) runs this loop's order, level by level, with the
-arithmetic of the array operators. Tests run it side by side with
-`drim.propagation.propagate_wave` and `drim.opinion`, and require equal
-results and an equal generator state.
+branch of `vacuity_maximize`, as it does in `drim.opinion`, that HOM's
+norms take libm's `hypot` (through `np.hypot`), as `wave.c` does, and
+that the draws follow the kernel's block contract: per level, one scalar
+read draw per reached user in ascending id order, then one share draw
+per reached user in the same order, a user sharing only if it read.
+
+It is the only copy of the opinion algebra outside `drim/wave.c`, whose
+C operators serve both the wave kernel and `drim.opinion`. Tests run it
+side by side with `drim.propagation.propagate_wave` and the operators
+of `drim.opinion`, and require equal bits and an equal generator state.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 
 import numpy as np
@@ -81,7 +82,8 @@ def trust_coefficient(model: TrustModel, op_i: Opinion, op_j: Opinion) -> float:
     if variant is TrustVariant.UOM:
         return (1.0 - op_i.u) * (1.0 - op_j.u)
     # HOM
-    denom = math.hypot(op_i.b, op_i.d) * math.hypot(op_j.b, op_j.d)
+    # np.hypot is libm's hypot, as wave.c's is; math.hypot may differ by one ulp.
+    denom = np.hypot(op_i.b, op_i.d) * np.hypot(op_j.b, op_j.d)
     if denom <= 0.0:  # also covers underflow of the norm product
         return 0.0
     cos = (op_i.b * op_j.b + op_i.d * op_j.d) / denom

@@ -196,9 +196,21 @@ class TestFuse:
         with pytest.raises(ValueError):
             fuse(dog_i, dog_j, 1.0)
 
+    def test_nan_input_gives_nan_without_raising(self):
+        got = fuse(Opinion(math.nan, 0.0, 0.5, 0.5), Opinion(0.2, 0.3, 0.5, 0.5), 1.0)
+        assert math.isnan(got.b) and got.d == pytest.approx(0.2, abs=TOL)
+        got = fuse(Opinion(1.0, 0.0, math.nan, 0.5), Opinion(0.0, 1.0, 0.0, 0.5), 1.0)
+        assert all(math.isnan(x) for x in got[:3])
+
     def test_dogmatic_pair_with_partial_trust_is_fine(self):
         got = fuse(Opinion(1, 0, 0, 0.5), Opinion(0, 1, 0, 0.5), 0.5)
         assert_valid(got)
+
+    def test_drift_off_the_simplex_is_renormalized(self):
+        op_i, op_j = Opinion(0.5, 0.5, 0.5, 0.5), Opinion(0.2, 0.3, 0.5, 0.5)
+        got = fuse(op_i, op_j, 0.5)
+        assert got.b + got.d + got.u == pytest.approx(1.0, abs=1e-15)
+        assert all(_same_bits(x, y) for x, y in zip(got, ref.fuse(op_i, op_j, 0.5)))
 
     def test_fully_vacuous_pair_keeps_receiver_base_rate(self):
         got = fuse(Opinion(0, 0, 1, 0.3), Opinion(0, 0, 1, 0.9), 1.0)
@@ -250,6 +262,10 @@ class TestVacuityMaximize:
         assert min(got.b, got.d) == pytest.approx(0.0, abs=TOL)
         assert got.u >= op.u - TOL
 
+    def test_nan_propagates(self):
+        got = vacuity_maximize(Opinion(math.nan, 0.2, 0.3, 0.5))
+        assert all(math.isnan(x) for x in got[:3])
+
     @pytest.mark.parametrize("a", [5e-324, 1e-310, 0.0])
     def test_subnormal_base_rate_keeps_vacuity(self, a):
         # P(b) = a·u underflows to 0 at a subnormal base rate; the result
@@ -280,6 +296,11 @@ class TestUomRefresh:
     def test_high_vacuity_untouched(self):
         op = Opinion(0.3, 0.3, 0.4, 0.5)
         assert apply_uom_refresh(op, UOM) == op
+
+    def test_thresholds_are_strict(self):
+        op = Opinion(0.49, 0.505, 0.005, 0.5)
+        assert apply_uom_refresh(op, TrustModel(TrustVariant.UOM, xi=op.u)) is op
+        assert apply_uom_refresh(op, TrustModel(TrustVariant.UOM, t_d=dissonance(op))) is op
 
     def test_non_uom_variant_is_noop(self):
         op = Opinion(0.49, 0.505, 0.005, 0.5)
@@ -331,7 +352,10 @@ def _fuse_one(fuse_fn, op_i, op_j, c):
 
 
 def _same_bits(x, y) -> bool:
-    return np.array_equal(np.asarray(x), np.asarray(y), equal_nan=True)
+    """Equal values, NaN where NaN, and zeros of the same sign."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x) & ~np.isnan(x), np.signbit(y) & ~np.isnan(y)))
 
 
 def _pair_arrays(op_i, op_j):
@@ -399,14 +423,26 @@ class TestArrayAlgebraMatchesScalarReference:
             assert all(_same_bits(x[k], y) for x, y in zip(maxed, ref.vacuity_maximize(one_i)))
             assert all(_same_bits(x[k], y)
                        for x, y in zip(refreshed, ref.apply_uom_refresh(one_i, UOM)))
-            for model in (UOM, NOM):
+            for model in (UOM, HOM, NOM):
                 assert _same_bits(trust_coefficient(model, one_i, one_j),
                                   ref.trust_coefficient(model, one_i, one_j))
-            # np.hypot and math.hypot may differ by one ulp
-            assert trust_coefficient(HOM, one_i, one_j) == pytest.approx(
-                ref.trust_coefficient(HOM, one_i, one_j), rel=1e-15, abs=1e-15)
             want = _fuse_one(ref.fuse, one_i, one_j, c)
             assert all(_same_bits(x[k], y) for x, y in zip(fused, want))
+
+    def test_signed_zeros_match_the_reference(self):
+        # Hypothesis draws no -0.0. On a tie of 0.0 and -0.0, min and max
+        # keep their first operand, in C as in numpy and in Python.
+        zeros = [Opinion(-0.0, 0.5, 0.5, 0.5), Opinion(0.5, -0.0, 0.5, 0.5),
+                 Opinion(-0.0, -0.0, 1.0, 0.5), Opinion(-0.0, 1.0, 0.0, -0.0)]
+        for one_i in zeros:
+            assert all(_same_bits(x, y)
+                       for x, y in zip(vacuity_maximize(one_i), ref.vacuity_maximize(one_i)))
+            for one_j in zeros:
+                for model in (UOM, HOM):
+                    assert _same_bits(trust_coefficient(model, one_i, one_j),
+                                      ref.trust_coefficient(model, one_i, one_j))
+                assert all(_same_bits(x, y) for x, y in zip(fuse(one_i, one_j, 0.5),
+                                                            ref.fuse(one_i, one_j, 0.5)))
 
 
 class TestArrayAlgebraProperties:

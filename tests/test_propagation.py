@@ -1,8 +1,8 @@
 """Cascade waves, round scheduling, state extraction, and rewards.
 
-The wave oracle recomputes expected opinions by applying the opinion
-operators step by step in the test, independent of the engine's BFS
-bookkeeping.
+The wave oracle recomputes expected opinions by applying the scalar
+reference operators (`reference_wave`) step by step in the test,
+independent of the engine's BFS bookkeeping and of its C operators.
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference_wave import fuse, trust_coefficient
 
 from drim.datasets import load_urv_email
 from drim.network import Graph, full_view
-from drim.opinion import NOM, UOM, Opinion, fuse, opinion_from_evidence, trust_coefficient
+from drim.opinion import NOM, UOM, Opinion, opinion_from_evidence
 from drim.population import (
     TIP_EVIDENCE,
     Party,
