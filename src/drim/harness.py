@@ -481,14 +481,14 @@ def load_cell_agents(spec: ExperimentSpec, scheme: Scheme, fp: str) -> tuple[Age
 
 def _run_eval(graph: Graph, cfgs: list[EpisodeConfig], tp_agent: Agent,
               fp_agent: Agent) -> list[dict]:
-    """Run one batch of episodes in lockstep, the cell's one pair of
-    agents playing every episode, and return one record per episode: its
+    """Run one batch of episodes in lockstep, the cell's one agent per
+    party playing every episode, and return one record per episode: its
     final counts, wave counters and `seconds`. A lockstep episode has no
     wall clock of its own, so each is timed as the batch's wall clock
     (episode set-up included) over the batch size."""
     start = time.perf_counter()
     episodes = [Episode(graph, cfg) for cfg in cfgs]
-    run_lockstep(episodes, [(tp_agent, fp_agent)] * len(episodes))
+    run_lockstep(episodes, tp_agent, fp_agent)
     seconds = (time.perf_counter() - start) / len(episodes)
     return [{**ep.final_metrics(), **asdict(ep.counters), "seconds": seconds} for ep in episodes]
 

@@ -37,15 +37,16 @@ Lockstep replicas: the kernel also runs R independent episodes at once
 (EnvPool, arXiv:2206.10558). Replica r owns users r·n … r·n+n-1 of one
 stacked population and reads the one CSR of the graph; replicas share
 no users and replica r draws from its own generator, so every replica
-sees exactly the draws and the fusions of its solo run. The party turn
-is the unit of lockstep work: each agent makes one `select` for all the
-replicas it plays (a policy agent in one stacked observation pass and
-one forward), `select_seed` scores each chosen strategy once on the
-stacked planning views, one kernel call runs the turn's waves, and one
-count covers the stacked population. `run_lockstep` is the only round
-loop: `run_episode` is its R = 1 case, evaluation runs a worker's share
-of a cell through it, and PPO training runs each update's rollout
-episodes through it with the learner as one of the agents.
+sees exactly the draws and the fusions of its solo run. One agent per
+party plays every replica, and the party turn is the unit of lockstep
+work: the party's agent makes one `select` for all the replicas (a
+policy agent in one stacked observation pass and one forward),
+`select_seed` scores each chosen strategy once on the stacked planning
+views, one kernel call runs the turn's waves, and one count covers the
+stacked population. `run_lockstep` is the only round loop: `run_episode`
+is its R = 1 case, evaluation runs a worker's share of a cell through
+it, and PPO training runs each update's rollout episodes through it with
+the learner as one of the two agents.
 
 Both parties plan on the episode's view (`Episode.obs`), a
 `network.Graph`: at p_nv = 1 the graph itself (`network.full_view`), so
@@ -349,19 +350,19 @@ def run_episode(
     fp_agent: Agent,
 ) -> Episode:
     """Run one episode: `run_lockstep` of a single episode."""
-    return run_lockstep([Episode(graph, cfg)], [(tp_agent, fp_agent)])[0]
+    return run_lockstep([Episode(graph, cfg)], tp_agent, fp_agent)[0]
 
 
-def run_lockstep(episodes: list[Episode], agents: list[tuple[Agent, Agent]]) -> list[Episode]:
+def run_lockstep(episodes: list[Episode], tp_agent: Agent, fp_agent: Agent) -> list[Episode]:
     """Run fresh episodes of one graph and scenario in lockstep (in place).
 
-    agents holds one (tp_agent, fp_agent) pair per episode, and one pair
-    may serve them all: per-episode state lives on the `Episode`, or is
-    keyed by it (a `LearnerAgent`'s generators and records). The
-    episodes may differ only in their seeds.
+    One agent per party plays every episode: per-episode state lives on
+    the `Episode`, or is keyed by it (a `LearnerAgent`'s generators and
+    records). The episodes may differ only in their seeds, and each must
+    be fresh (no step played) and listed once.
     Their populations are stacked (each `Episode.pop` becomes a view of
     its slice), and a party's turn is one batched step over all of
-    them: each agent makes one `select` for all the episodes it plays,
+    them: the party's agent makes one `select` for all the episodes,
     `select_seed` scores the chosen strategies on the stacked planning
     views, one `propagate_wave` call runs the turn's waves, each replica
     drawing from its own generator, and one `decided_influence_counts`
@@ -370,41 +371,24 @@ def run_lockstep(episodes: list[Episode], agents: list[tuple[Agent, Agent]]) -> 
     alone.
     """
     first = episodes[0]
-    model = first.cfg.opinion_model
-    shared = (first.cfg.k, first.cfg.p_t, first.cfg.p_f, model)
-    for ep in episodes:
-        if ep.graph is not first.graph or (
-                ep.cfg.k, ep.cfg.p_t, ep.cfg.p_f, ep.cfg.opinion_model) != shared:
+    for r, ep in enumerate(episodes):
+        if ep.graph is not first.graph or replace(ep.cfg, rng_seed=first.cfg.rng_seed) != first.cfg:
             raise ValueError("lockstep episodes must share the graph and the scenario")
-    if len(agents) != len(episodes):
-        raise ValueError(f"{len(agents)} agent pairs for {len(episodes)} episodes")
-    replicas, n = len(episodes), first.graph.n
+        if ep.logs or episodes.index(ep) < r:
+            raise ValueError(f"lockstep episode {r} is not fresh: it has played or is listed twice")
+    model, replicas = first.cfg.opinion_model, len(episodes)
     pop = stack_populations([ep.pop for ep in episodes])
     views = [ep.obs for ep in episodes]
     rngs = [ep.rng for ep in episodes]
     counters = [ep.counters for ep in episodes]
-    # (party, waves, each replica's agent, each agent's episodes and their
-    # rows); the false party moves first
-    turns = []
-    for party, side, waves in ((Party.FALSE_PARTY, 1, first.cfg.p_f),
-                               (Party.TRUE_PARTY, 0, first.cfg.p_t)):
-        players = [pair[side] for pair in agents]
-        rows: dict[int, list[int]] = {}
-        for r, agent in enumerate(players):
-            rows.setdefault(id(agent), []).append(r)
-        groups = [(players[at[0]], [episodes[r] for r in at], at) for at in rows.values()]
-        turns.append((party, waves, players, groups))
+    # the false party moves first
+    turns = ((Party.FALSE_PARTY, fp_agent, first.cfg.p_f),
+             (Party.TRUE_PARTY, tp_agent, first.cfg.p_t))
     for _ in range(first.cfg.k):
-        for party, waves, players, groups in turns:
-            kinds: list = [None] * replicas
-            for agent, played, at in groups:
-                for r, kind in zip(at, agent.select(played)):
-                    kinds[r] = kind
-            pools = [agent.pool(ep) for agent, ep in zip(players, episodes)]
-            stacked_pool = None
-            if any(pool is not None for pool in pools):
-                stacked_pool = np.concatenate([np.ones(n, dtype=bool) if pool is None else pool
-                                               for pool in pools])
+        for party, agent, waves in turns:
+            kinds = agent.select(episodes)
+            pools = [agent.pool(ep) for ep in episodes]
+            stacked_pool = None if pools[0] is None else np.concatenate(pools)
             picks = select_seed(kinds, party, pop, views, stacked_pool).tolist()
             steps = []
             for ep, kind, pool, pick in zip(episodes, kinds, pools, picks):

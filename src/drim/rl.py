@@ -11,13 +11,13 @@ estimate, normalized per batch.
 
 Rollouts are played by the same driver as evaluation: `train_loop`
 trains in one `Matchup`, and each update's episodes run in one
-`run_lockstep` call, where one learner (`LearnerAgent`) plays its party
-in all of them beside the matchup's opponent and records per episode the
-states, actions, log-probabilities and values it saw. Rollouts hand over
-`Batch`es: `collect_episode` makes each finished episode a one-episode
-batch, and `collect_rollouts` concatenates them into the update's batch
-(`Batch.concat`). `make_scheme_agent` builds any scheme's evaluation
-agent from trained parameters.
+`run_lockstep` call: one learner (`LearnerAgent`) plays its party in all
+of them, the matchup's opponent the other, and the learner records per
+episode the states, actions, log-probabilities and values it saw.
+Rollouts hand over `Batch`es: `collect_episode` makes each finished
+episode a one-episode batch, and `collect_rollouts` concatenates them
+into the update's batch (`Batch.concat`). `make_scheme_agent` builds any
+scheme's evaluation agent from trained parameters.
 """
 
 from __future__ import annotations
@@ -419,7 +419,7 @@ def collect_rollouts(
     learner = LearnerAgent(params, action_space(matchup.scheme), rngs)
     agent, opponent = scheme_agent(matchup.scheme, learner), matchup.opponent
     pair = (agent, opponent) if matchup.party is Party.TRUE_PARTY else (opponent, agent)
-    games = run_lockstep(list(rngs), [pair] * len(rngs))
+    games = run_lockstep(list(rngs), *pair)
     return Batch.concat([collect_episode(ep, learner, matchup.party, ppo_cfg.gamma)
                          for ep in games])
 

@@ -61,7 +61,7 @@ class TestCommunityRestriction:
         params = init_params(2, 8, rng_seed=1)
         agent = cstorm_agent(params)
         # BF for the false party blocks next to the decided-true triangle
-        run_lockstep([ep], [(agent, make_heuristic_agent("bf"))])
+        run_lockstep([ep], agent, make_heuristic_agent("bf"))
         fp_entry, entry = ep.logs
         assert fp_entry.seed in (3, 4, 5)
         assert entry.seed in (0, 1, 2)

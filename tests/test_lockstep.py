@@ -83,9 +83,9 @@ def _episodes(g: Graph, cfgs, dogmatic: float) -> list[Episode]:
     return episodes
 
 
-def _agents(count: int, fp: str) -> list[tuple]:
-    """One (random TP, heuristic FP) pair per episode."""
-    return [(RandomStrategyAgent(), make_heuristic_agent(fp)) for _ in range(count)]
+def _agents(fp: str) -> tuple:
+    """A random TP agent and a heuristic FP agent, to play every episode of a batch."""
+    return RandomStrategyAgent(), make_heuristic_agent(fp)
 
 
 def _assert_same_episode(got: Episode, want: Episode) -> None:
@@ -121,9 +121,9 @@ class TestLockstepMatchesSolo:
         g = Graph(n, edges)
         cfg = EpisodeConfig(k=k, opinion_model=model, p_nv=p_nv)
         cfgs = [cfg.with_seed(seed) for seed in seeds]
-        batched = run_lockstep(_episodes(g, cfgs, dogmatic), _agents(len(cfgs), fp))
+        batched = run_lockstep(_episodes(g, cfgs, dogmatic), *_agents(fp))
         for got, want in zip(batched, _episodes(g, cfgs, dogmatic)):
-            run_lockstep([want], _agents(1, fp))
+            run_lockstep([want], *_agents(fp))
             _assert_same_episode(got, want)
 
     def test_degenerate_fusions_are_reached(self):
@@ -131,10 +131,10 @@ class TestLockstepMatchesSolo:
         g = Graph(12, [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (3, 9)])
         cfg = EpisodeConfig(k=4, opinion_model=LATCH_OFF[2])
         cfgs = [cfg.with_seed(seed) for seed in range(4)]
-        batched = run_lockstep(_episodes(g, cfgs, 0.5), _agents(len(cfgs), "cf"))
+        batched = run_lockstep(_episodes(g, cfgs, 0.5), *_agents("cf"))
         assert sum(ep.counters.degenerate for ep in batched) > 0
         for got, want in zip(batched, _episodes(g, cfgs, 0.5)):
-            run_lockstep([want], _agents(1, "cf"))
+            run_lockstep([want], *_agents("cf"))
             _assert_same_episode(got, want)
 
     def test_replicas_past_sixteen_bit_ids(self):
@@ -144,21 +144,33 @@ class TestLockstepMatchesSolo:
         replicas = 65_536 // g.n + 1
         assert np.min_scalar_type(replicas * g.n) == np.uint32
         cfgs = [EpisodeConfig(k=2, rng_seed=seed) for seed in range(replicas)]
-        batched = run_lockstep([Episode(g, cfg) for cfg in cfgs], _agents(replicas, "cf"))
+        batched = run_lockstep([Episode(g, cfg) for cfg in cfgs], *_agents("cf"))
         for got, cfg in zip(batched, cfgs):
-            _assert_same_episode(got, run_episode(g, cfg, *_agents(1, "cf")[0]))
+            _assert_same_episode(got, run_episode(g, cfg, *_agents("cf")))
 
     def test_rejects_mixed_scenarios(self):
         g = Graph(6, [(0, 1), (1, 2)])
-        episodes = [Episode(g, EpisodeConfig(k=2)), Episode(g, EpisodeConfig(k=3))]
-        with pytest.raises(ValueError, match="scenario"):
-            run_lockstep(episodes, _agents(2, "random"))
+        for other in (EpisodeConfig(k=3), EpisodeConfig(k=2, p_nv=0.6)):
+            episodes = [Episode(g, EpisodeConfig(k=2)), Episode(g, other)]
+            with pytest.raises(ValueError, match="scenario"):
+                run_lockstep(episodes, *_agents("random"))
 
-    def test_rejects_an_agent_pair_count_other_than_the_episode_count(self):
-        g = Graph(6, [(0, 1), (1, 2)])
-        episodes = [Episode(g, EpisodeConfig(k=2, rng_seed=seed)) for seed in range(2)]
-        with pytest.raises(ValueError, match="1 agent pairs for 2 episodes"):
-            run_lockstep(episodes, _agents(1, "random"))
+    def test_rejects_an_episode_that_has_played(self):
+        g = Graph(8, [(i, i + 1) for i in range(7)])
+        played = Episode(g, EpisodeConfig(k=2, rng_seed=3))
+        run_lockstep([played], *_agents("cf"))
+        logs = list(played.logs)
+        fresh = Episode(g, EpisodeConfig(k=2, rng_seed=4))
+        with pytest.raises(ValueError, match="episode 1 is not fresh"):
+            run_lockstep([fresh, played], *_agents("cf"))
+        assert played.logs == logs and not fresh.logs
+
+    def test_rejects_an_episode_listed_twice(self):
+        g = Graph(8, [(i, i + 1) for i in range(7)])
+        ep = Episode(g, EpisodeConfig(k=2, rng_seed=3))
+        with pytest.raises(ValueError, match="episode 2 is not fresh"):
+            run_lockstep([ep, Episode(g, EpisodeConfig(k=2, rng_seed=4)), ep], *_agents("cf"))
+        assert not ep.logs
 
 
 class TestStacking:
@@ -217,7 +229,7 @@ class TestBatchedEpisodeInvariants:
         g = load_urv_email()
         cfg = EpisodeConfig(k=6)
         episodes = [Episode(g, cfg.with_seed(seed)) for seed in range(3)]
-        run_lockstep(episodes, _agents(len(episodes), "bf"))
+        run_lockstep(episodes, *_agents("bf"))
 
         assert not latch_problems
         tip = opinion_from_evidence(TIP_EVIDENCE, 1.0)
@@ -236,12 +248,43 @@ class TestBatchedEpisodeInvariants:
             assert np.all(pop.frozen[np.concatenate(list(seeds.values()))])
 
 
+class TestReachIsBlindToOpinions:
+    """Whether a user is reached, reads or shares depends only on the
+    graph, the seeds, p_read, p_share and the draws; its opinion and its
+    freeze latch decide only what it fuses. So with agents that never
+    read opinions (fixed AF, SGF or CF on each side), a seeded batch
+    plays the same seeds, reaches and reads the same users and ends with
+    the same generator state under every trust model. BF, the random
+    agent (which may pick BF) and policies (whose state counts free
+    users) read opinions and are out of scope. A change that lets
+    opinions steer reach, such as frozen users that stop sharing, must
+    change this test."""
+
+    @pytest.mark.parametrize("p_nv", [1.0, 0.6])
+    @pytest.mark.parametrize("tp, fp", [("cf", "cf"), ("af", "cf"), ("sgf", "cf"),
+                                        ("cf", "sgf"), ("af", "af"), ("sgf", "af")])
+    def test_seeds_reach_and_draws_match_across_trust_models(self, tp, fp, p_nv):
+        g = load_urv_email()
+        reach, outcome = set(), set()
+        for model in (UOM, HOM, NOM, *LATCH_OFF):
+            cfg = EpisodeConfig(k=10, opinion_model=model, p_nv=p_nv)
+            episodes = run_lockstep([Episode(g, cfg.with_seed(seed)) for seed in (3, 11)],
+                                    make_heuristic_agent(tp), make_heuristic_agent(fp))
+            reach.add(tuple((tuple((e.party, e.seed, e.strategy) for e in ep.logs),
+                             ep.counters.reached, ep.counters.reads,
+                             str(ep.rng.bit_generator.state)) for ep in episodes))
+            outcome.add(tuple((ep.counters.fusions, ep.logs[-1].n_true, ep.logs[-1].n_false)
+                              for ep in episodes))
+        assert len(reach) == 1
+        assert len(outcome) > 1  # the models do convert differently
+
+
 def _mid_game(p_nv: float, replicas: int = 4) -> list[Episode]:
     """Replicas of the bundled graph six rounds into a game, restacked."""
     g = load_urv_email()
     cfg = EpisodeConfig(k=6, opinion_model=NOM, p_nv=p_nv)
     episodes = [Episode(g, cfg.with_seed(seed)) for seed in range(replicas)]
-    run_lockstep(episodes, _agents(replicas, "random"))
+    run_lockstep(episodes, *_agents("random"))
     return episodes
 
 
@@ -311,7 +354,7 @@ class TestBatchedStep:
         if pooled:  # C-STORM's pools: each replica's best community of its own view
             cstorm = make_scheme_agent(Scheme.C_STORM, rl.init_params(2, 8, 0))
             pools = [cstorm.pool(ep) for ep in episodes]
-            pools[1] = None  # a replica played by an agent without a pool
+            pools[1] = None  # a replica whose stacked pool admits every user
         n = episodes[0].graph.n
         stacked_pool = (np.concatenate([np.ones(n, dtype=bool) if p is None else p for p in pools])
                         if pooled else None)
@@ -363,7 +406,7 @@ class TestBatchedStep:
         g = load_urv_email()
         cfg = EpisodeConfig(k=3, p_t=2, p_f=3)
         run_lockstep([Episode(g, cfg.with_seed(seed)) for seed in range(4)],
-                     [(RandomStrategyAgent(), make_heuristic_agent("cf"))] * 4)
+                     RandomStrategyAgent(), make_heuristic_agent("cf"))
         turn = [(Party.FALSE_PARTY, 4, 3), (Party.TRUE_PARTY, 4, 2)]
         assert calls == turn * cfg.k
 
@@ -386,7 +429,7 @@ class TestCommunityLabelsPerReplica:
         tp_agent = CommunityRestriction(PolicyAgent(params, action_space(Scheme.C_STORM)))
         cfg = EpisodeConfig(k=3, opinion_model=NOM)
         games = [Episode(g, cfg.with_seed(seed)) for seed in range(4)]
-        run_lockstep(games, [(tp_agent, make_heuristic_agent("random"))] * len(games))
+        run_lockstep(games, tp_agent, make_heuristic_agent("random"))
         k = baselines.COMMUNITIES
         assert len(calls) == 1 and set(g._embeddings) == {k}
         for game in games:
@@ -406,7 +449,7 @@ class TestCommunityLabelsPerReplica:
         cfgs = [cfg.with_seed(seed) for seed in (5, 6, 7)]
         tp_agent = CommunityRestriction(PolicyAgent(params, action_space(Scheme.C_STORM)))
         fp_agent = make_heuristic_agent("random")
-        episodes = run_lockstep([Episode(g, c) for c in cfgs], [(tp_agent, fp_agent)] * 3)
+        episodes = run_lockstep([Episode(g, c) for c in cfgs], tp_agent, fp_agent)
 
         labels = []
         for got, c in zip(episodes, cfgs):

@@ -227,7 +227,7 @@ class TestRoundSchedule:
         tip = opinion_from_evidence(TIP_EVIDENCE, 1.0)
         once = fuse(fresh, tip, trust_coefficient(NOM, fresh, tip))
         twice = fuse(once, tip, trust_coefficient(NOM, once, tip))
-        run_lockstep([ep], [(FixedStrategyAgent(StrategyKind.CF), PoolAgent(StrategyKind.CF, 2))])
+        run_lockstep([ep], FixedStrategyAgent(StrategyKind.CF), PoolAgent(StrategyKind.CF, 2))
         assert [e.seed for e in ep.logs] == [2, 0]
         got = Opinion(*ep.pop.bdua[:, 1])
         for x, y in zip(got, twice):
@@ -303,7 +303,7 @@ def edgeless_episode(n: int, k: int = 1) -> Episode:
 def run_cf(ep: Episode) -> Episode:
     """Play ep to the end with CF on both sides."""
     cf = FixedStrategyAgent(StrategyKind.CF)
-    return run_lockstep([ep], [(cf, cf)])[0]
+    return run_lockstep([ep], cf, cf)[0]
 
 
 class TestRewards:

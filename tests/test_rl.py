@@ -73,7 +73,7 @@ def learner_episode(cfg, party, opponent, seed=1, gamma=0.95):
     learner = LearnerAgent(params, action_space(Scheme.DRIM_A), {ep: np.random.default_rng(seed)})
     opponent = make_heuristic_agent(opponent)
     agents = (learner, opponent) if party is Party.TRUE_PARTY else (opponent, learner)
-    run_lockstep([ep], [agents])
+    run_lockstep([ep], *agents)
     return ep, collect_episode(ep, learner, party, gamma)
 
 
