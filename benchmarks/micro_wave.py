@@ -15,7 +15,10 @@ R = 10 lockstep replicas (stacked population, one generator each), the
 way `run_lockstep` does, and the batched turn runs the true party's
 turn of p_t = 2 waves over them as one call, as `run_lockstep` does
 for each party turn; it runs at R = 80 and R = 160 too, where the
-kernel's cost should stay linear in R. The masked-view benchmark builds
+kernel's cost should stay linear in R. The BF scoring benchmark scores
+BF for the true party over the same R = 10 replicas on the full graph,
+one `select_seed` call, as a lockstep turn in which every episode
+chose BF does. The masked-view benchmark builds
 one p_nv = 0.6 view of the bundled graph from a fixed seed, as each
 eval-cstorm-masked episode does. The spectral benchmarks split one such
 fixed view into 8 communities, C-STORM's community step on a fresh
@@ -38,6 +41,7 @@ from drim.network import mask_network, spectral_communities
 from drim.opinion import NOM, UOM, Opinion, fuse, trust_coefficient
 from drim.population import Party, init_population, promote_seed, stack_populations
 from drim.propagation import propagate_wave
+from drim.strategies import StrategyKind, select_seed
 
 GRAPH = load_urv_email()
 REPLICAS = 10
@@ -107,6 +111,12 @@ def test_one_batched_turn_uom_r80(benchmark):
 
 def test_one_batched_turn_uom_r160(benchmark):
     _batched_turn_uom(benchmark, WIDEST_REPLICAS)
+
+
+def test_bf_scoring_r10(benchmark):
+    stacked = stack_populations([_mid_episode() for _ in range(REPLICAS)])
+    benchmark(select_seed, [StrategyKind.BF] * REPLICAS, Party.TRUE_PARTY, stacked,
+              [GRAPH] * REPLICAS)
 
 
 def test_fuse_1k(benchmark):

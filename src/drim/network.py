@@ -152,14 +152,6 @@ def mask_network(g: Graph, p_nv: float, rng_seed: int | np.random.Generator) -> 
     return Graph(g.n, np.stack([g.edge_u[visible], g.edge_v[visible]], axis=1))
 
 
-def neighbor_sums(edge_u: np.ndarray, edge_v: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Sum of weights over every node's neighbors along the edges
-    (edge_u[i], edge_v[i]); a free mask as weights gives free degrees."""
-    size = weights.size
-    return (np.bincount(edge_u, weights=weights.take(edge_v), minlength=size)
-            + np.bincount(edge_v, weights=weights.take(edge_u), minlength=size))
-
-
 def _spectral_embedding(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(users, vectors): the users the spectral step embeds, ascending,
     and their rows of k smallest eigenvectors of the normalized Laplacian

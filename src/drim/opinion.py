@@ -273,6 +273,20 @@ _DISSONANCE, _TRUST, _FUSE, _VACUITY_MAXIMIZE, _REFRESH = range(5)
 _MODEL_CODES = {TrustVariant.UOM: 0, TrustVariant.HOM: 1, TrustVariant.NOM: 2}
 
 
+def _address(array, dtype, size: int, name: str, written: bool = False) -> int:
+    """The data address of `array`, once it is a C-contiguous 1-D `dtype`
+    array of `size` entries (and writeable, if `written`)."""
+    if not isinstance(array, np.ndarray) or array.dtype != dtype:
+        raise TypeError(f"{name} must be a numpy {np.dtype(dtype)} array, "
+                        f"got {getattr(array, 'dtype', type(array).__name__)}")
+    if array.shape != (size,) or not array.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous 1-D array of {size} entries, "
+                         f"got shape {array.shape}")
+    if written and not array.flags.writeable:
+        raise ValueError(f"{name} must be writeable")
+    return array.ctypes.data
+
+
 def _apply(code: int, operands, model: TrustModel = UOM, rows: int = 4):
     """Run wave.c's operator `code` on `operands`, broadcast together:
     the four components of x, then those of y, then c, as it reads them

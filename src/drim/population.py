@@ -176,8 +176,8 @@ def decided_influence_counts(state: PopulationState, replicas: int = 1) -> np.nd
 
     Row r holds (true, false) decided counts of replica r of a state
     stacked from `replicas` populations of equal size. A fresh
-    population is all-undecided, so these counts start at zero; the
-    round log records them after each step, for rewards and results.
+    population is all-undecided, so these counts start at zero. The
+    tests' oracle for the counts `propagate_wave` returns.
     """
     pb, _ = state.projected()
     decided = state.u < FREE_VACUITY_THRESHOLD

@@ -20,8 +20,9 @@ neighbors that shared at the previous level) in ascending id order: the
 UOM refresh before each fusion when it is due, the freeze latch after
 it, and a degenerate fusion (beta <= 1e-12) counted and skipped. It
 calls the C operators that `drim.opinion`'s operators call, per pair;
-`fuse` and `apply_uom_refresh` stay importable from here, but the kernel
-does not call them.
+`fuse`, `apply_uom_refresh` and `decided_influence_counts` stay
+importable from here, but the kernel does not call them: it counts each
+replica's decided users after the turn itself.
 
 Draw-order contract: within a level, a replica's s reached users, in
 ascending id order, take 2·s uniforms from its generator in one
@@ -40,10 +41,10 @@ no users and replica r draws from its own generator, so every replica
 sees exactly the draws and the fusions of its solo run. One agent per
 party plays every replica, and the party turn is the unit of lockstep
 work: the party's agent makes one `select` for all the replicas (a
-policy agent in one stacked observation pass and one forward),
-`select_seed` scores each chosen strategy once on the stacked planning
-views, one kernel call runs the turn's waves, and one count covers the
-stacked population. `run_lockstep` is the only round loop: `run_episode`
+policy agent in one stacked observation pass and one forward), one
+`select_seed` call scores every replica's chosen strategy, and one
+kernel call runs the turn's waves and counts each replica's decided
+users after them. `run_lockstep` is the only round loop: `run_episode`
 is its R = 1 case, evaluation runs a worker's share of a cell through
 it, and PPO training runs each update's rollout episodes through it with
 the learner as one of the two agents.
@@ -70,19 +71,21 @@ import numpy as np
 # with this module, not inside the first episode a pool worker times.
 import numpy.random  # noqa: F401
 
+from drim import population
 from drim.network import Graph, full_view, mask_network
 from drim.opinion import (
     UOM,
     _LIBRARY,
     _MODEL_CODES,
     TrustModel,
+    _address,
     apply_uom_refresh,  # noqa: F401  (re-exported; perfbench's tracer rebinds it)
     fuse,  # noqa: F401  (re-exported; perfbench's tracer rebinds it)
 )
 from drim.population import (
     Party,
     PopulationState,
-    decided_influence_counts,
+    decided_influence_counts,  # noqa: F401  (re-exported; perfbench's tracer rebinds it)
     free_mask,
     influence_counts,
     init_population,
@@ -163,26 +166,12 @@ _KERNEL.argtypes = (
     [ctypes.c_int64] * 2  # replicas, n
     + [ctypes.c_void_p] * 10  # indptr, indices, b, d, u, a, p_read, p_share, role, frozen
     + [ctypes.c_int8, ctypes.c_int]  # the party's seed role, the model code
-    + [ctypes.c_double] * 3  # xi, t_d, t_u
+    + [ctypes.c_double] * 4  # xi, t_d, t_u, the free-vacuity threshold
     + [ctypes.c_int64]  # waves
-    + [ctypes.c_void_p] * 3  # generator states, their next_double, counters
+    + [ctypes.c_void_p] * 3  # generator states, their next_double, the tally
 )
-# The kernel's counters: the WaveCounters fields in order
+# A replica's tally: the WaveCounters fields in order, then its decided counts
 _COUNTERS = [f.name for f in fields(WaveCounters)]
-
-
-def _address(array, dtype, size: int, name: str, written: bool = False) -> int:
-    """The data address of `array`, once it is a C-contiguous 1-D `dtype`
-    array of `size` entries (and writeable, if `written`)."""
-    if not isinstance(array, np.ndarray) or array.dtype != dtype:
-        raise TypeError(f"{name} must be a numpy {np.dtype(dtype)} array, "
-                        f"got {getattr(array, 'dtype', type(array).__name__)}")
-    if array.shape != (size,) or not array.flags.c_contiguous:
-        raise ValueError(f"{name} must be a C-contiguous 1-D array of {size} entries, "
-                         f"got shape {array.shape}")
-    if written and not array.flags.writeable:
-        raise ValueError(f"{name} must be writeable")
-    return array.ctypes.data
 
 
 def propagate_wave(
@@ -193,15 +182,16 @@ def propagate_wave(
     rngs: Sequence[np.random.Generator],
     counters: Sequence[WaveCounters] | None = None,
     waves: int = 1,
-) -> PopulationState:
+) -> np.ndarray:
     """Run a party turn's `waves` BFS information waves from its seed set (in place).
 
     state holds R = len(rngs) replicas of g's users: replica r owns users
     r·n … r·n+n-1 (n = g.n), its edges are g's shifted by r·n, and
     rngs[r] (a `numpy.random.Generator`) takes its draws. counters, when
     given, hold one `WaveCounters` per replica, and accumulate the
-    turn's totals. The result equals `waves` calls of one wave each.
-    Every array is checked before the kernel touches it.
+    turn's totals. The state equals `waves` calls of one wave each.
+    Every array is checked before the kernel touches it. Returns
+    `decided_influence_counts(state, R)` after the turn, an (R, 2) int64 array.
     """
     replicas, n = len(rngs), g.n
     if state.n != replicas * n:
@@ -230,15 +220,16 @@ def propagate_wave(
     states = (ctypes.c_void_p * replicas)(*(c.state_address for c in generators))
     draws = (ctypes.c_void_p * replicas)(
         *(ctypes.cast(c.next_double, ctypes.c_void_p) for c in generators))
-    tally = np.zeros((replicas, len(_COUNTERS)), dtype=np.int64)
+    tally = np.zeros((replicas, len(_COUNTERS) + 2), dtype=np.int64)
     if _KERNEL(replicas, n, *arrays, seed_role(party), _MODEL_CODES[model.variant],
-               model.xi, model.t_d, model.t_u, waves, states, draws, tally.ctypes.data):
+               model.xi, model.t_d, model.t_u, population.FREE_VACUITY_THRESHOLD, waves,
+               states, draws, tally.ctypes.data):
         raise MemoryError("the wave kernel could not allocate its scratch arrays")
     if counters is not None:
         for c, totals in zip(counters, tally.tolist()):
             for name, x in zip(_COUNTERS, totals):
                 setattr(c, name, getattr(c, name) + x)
-    return state
+    return tally[:, len(_COUNTERS):]
 
 
 def extract_state(free: np.ndarray, views: Sequence[Graph]) -> np.ndarray:
@@ -364,11 +355,10 @@ def run_lockstep(episodes: list[Episode], tp_agent: Agent, fp_agent: Agent) -> l
     its slice), and a party's turn is one batched step over all of
     them: the party's agent makes one `select` for all the episodes,
     `select_seed` scores the chosen strategies on the stacked planning
-    views, one `propagate_wave` call runs the turn's waves, each replica
-    drawing from its own generator, and one `decided_influence_counts`
-    call counts the outcome. Fallbacks, promotions, rewards and logs
-    stay per episode, so every episode ends exactly as it would if run
-    alone.
+    views, and one `propagate_wave` call runs the turn's waves, each
+    replica drawing from its own generator, and counts the decided users
+    they leave. Fallbacks, promotions, rewards and logs stay per episode,
+    so every episode ends exactly as it would if run alone.
     """
     first = episodes[0]
     for r, ep in enumerate(episodes):
@@ -376,7 +366,7 @@ def run_lockstep(episodes: list[Episode], tp_agent: Agent, fp_agent: Agent) -> l
             raise ValueError("lockstep episodes must share the graph and the scenario")
         if ep.logs or episodes.index(ep) < r:
             raise ValueError(f"lockstep episode {r} is not fresh: it has played or is listed twice")
-    model, replicas = first.cfg.opinion_model, len(episodes)
+    model = first.cfg.opinion_model
     pop = stack_populations([ep.pop for ep in episodes])
     views = [ep.obs for ep in episodes]
     rngs = [ep.rng for ep in episodes]
@@ -395,8 +385,7 @@ def run_lockstep(episodes: list[Episode], tp_agent: Agent, fp_agent: Agent) -> l
                 fired, seed = ep.resolve_seed(kind, party, pool, pick)
                 promote_seed(ep.pop, seed, party)
                 steps.append((fired, seed))
-            propagate_wave(pop, first.graph, party, model, rngs, counters, waves)
-            counts = decided_influence_counts(pop, replicas).tolist()
+            counts = propagate_wave(pop, first.graph, party, model, rngs, counters, waves).tolist()
             for ep, (fired, seed), (nt, nf) in zip(episodes, steps, counts):
                 ep.close_step(party, fired, seed, nt, nf)
     return episodes

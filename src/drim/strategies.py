@@ -13,21 +13,24 @@ All candidate pools exclude existing seeds of either party; planning
 statistics come from the observable (possibly masked) graph. Ties break
 to the lowest user id. Seeds are chosen for a lockstep batch at once:
 an agent picks a strategy for every episode it plays, and
-`select_seed` scores each strategy once over the stacked population
-and planning views of the replicas that chose it. A miss is signalled
-by -1; `Episode.resolve_seed` resolves it in two steps: a BF miss falls
-back to SGF, and an exhausted community pool is dropped.
+`select_seed` scores every replica's strategy on its own view in one
+C call (`wave.c`'s `drim_select_seeds`). A miss is signalled by -1;
+`Episode.resolve_seed` resolves it in two steps: a BF miss falls back
+to SGF, and an exhausted community pool is dropped.
 """
 
 from __future__ import annotations
 
+import ctypes
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from drim.network import Graph, neighbor_sums
-from drim.population import Party, PopulationState, Role, free_mask
+from drim import population
+from drim.network import Graph
+from drim.opinion import _LIBRARY, _address
+from drim.population import Party, PopulationState
 
 
 class StrategyKind(Enum):
@@ -57,10 +60,17 @@ def action_space(scheme: Scheme) -> tuple[StrategyKind, ...]:
     return _ACTION_SPACES[scheme]
 
 
-# A free neighbor weighs 2**_FREE_BIT in BF's neighbor sums: more than
-# any user's aligned neighbors together, and every sum stays exact in a
-# float64.
-_FREE_BIT = 32
+_KINDS = list(StrategyKind)  # wave.c's strategy codes are their positions here
+
+_SELECT = _LIBRARY.drim_select_seeds
+_SELECT.restype = ctypes.c_int
+_SELECT.argtypes = (
+    [ctypes.c_int64] * 2  # replicas, n
+    + [ctypes.c_void_p, ctypes.c_int]  # kind codes, whether the party blocks true-aligned users
+    + [ctypes.c_void_p] * 3  # per replica: its view's indptr and indices, its 2-hop counts
+    + [ctypes.c_void_p] * 7  # b, u, a, p_read, p_share, role, pool
+    + [ctypes.c_double, ctypes.c_void_p]  # the free-vacuity threshold, picks
+)
 
 
 def select_seed(
@@ -74,42 +84,36 @@ def select_seed(
     picks among replica r's users, or -1 where it has no candidate.
 
     state holds R = len(views) replicas of n users stacked, replica r's
-    as r·n … r·n+n-1, and replica r plans on views[r]. Each kind is
-    scored once, on the stacked arrays of all the replicas that chose
-    it. pool_mask, over all R·n users, optionally restricts candidates
-    (community-based agents).
+    as r·n … r·n+n-1, and replica r plans on views[r]. pool_mask, a bool
+    array over all R·n users, optionally restricts candidates
+    (community-based agents). SGF reads the views' cached
+    `within2_counts`. Every array is checked before C reads it.
     """
     replicas, n = len(views), views[0].n
-    eligible = state.role == Role.LEGITIMATE.value
-    if pool_mask is not None:
-        eligible &= pool_mask
-    eligible = eligible.reshape(replicas, n)
-    rows_of: dict[StrategyKind, list[int]] = {}
-    for r, kind in enumerate(kinds):
-        rows_of.setdefault(kind, []).append(r)
-    scores = np.empty((replicas, n))
-    for kind, rows in rows_of.items():
-        if kind is StrategyKind.AF:
-            scores[rows] = (state.p_read * state.p_share).reshape(replicas, n)[rows]
-        elif kind is StrategyKind.CF:
-            scores[rows] = [views[r].degrees() for r in rows]
-        elif kind is StrategyKind.SGF:
-            scores[rows] = [views[r].within2_counts() for r in rows]
-        else:  # BF: candidates adjacent to opponent-aligned users, strict projection
-            pb, pd = state.projected()
-            aligned = pb > 0.5 if party is Party.FALSE_PARTY else pd > 0.5
-            # One sum over each user's neighbors counts both: its free
-            # neighbors above bit _FREE_BIT, its aligned ones below it.
-            mark = np.where(free_mask(state), float(1 << _FREE_BIT), 0.0) + aligned
-            # the rows' views, stacked as their users are
-            eu = np.concatenate([views[r].edge_u + r * n for r in rows])
-            ev = np.concatenate([views[r].edge_v + r * n for r in rows])
-            around = neighbor_sums(eu, ev, mark).astype(np.int64).reshape(replicas, n)[rows]
-            eligible[rows] &= (around & ((1 << _FREE_BIT) - 1)) > 0
-            scores[rows] = around >> _FREE_BIT
-    masked = np.where(eligible, scores, -1.0)
-    best = masked.argmax(axis=1)  # ties to the lowest id
-    return np.where(masked[np.arange(replicas), best] < 0.0, -1, best)
+    size = replicas * n
+    if len(kinds) != replicas or state.n != size or any(view.n != n for view in views):
+        raise ValueError(f"{len(kinds)} strategies and a state of {state.n} users do not match "
+                         f"{replicas} views of {sorted({view.n for view in views})} users")
+    if pool_mask is not None and getattr(pool_mask, "dtype", None) != np.bool_:
+        raise ValueError(f"pool_mask must be a bool array of {size} entries")
+    csr = {id(view): (_address(view.indptr, np.int64, n + 1, "indptr"),  # once per view
+                      _address(view.indices, np.int64, int(view.indptr[-1]), "indices"))
+           for view in {id(view): view for view in views}.values()}
+    pointers = [(*csr[id(view)], _address(view.within2_counts(), np.int64, n, "2-hop counts")
+                 if kind is StrategyKind.SGF else None) for kind, view in zip(kinds, views)]
+    indptrs, indices, within2 = ((ctypes.c_void_p * replicas)(*column) for column in zip(*pointers))
+    arrays = [
+        *(_address(getattr(state, name), np.float64, size, name)
+          for name in ("b", "u", "a", "p_read", "p_share")),
+        _address(state.role, np.int8, size, "role"),
+        None if pool_mask is None else _address(pool_mask, np.bool_, size, "pool_mask"),
+    ]
+    codes = (ctypes.c_int32 * replicas)(*map(_KINDS.index, kinds))
+    picks = np.empty(replicas, dtype=np.int64)
+    if _SELECT(replicas, n, codes, party is Party.FALSE_PARTY, indptrs, indices, within2,
+               *arrays, population.FREE_VACUITY_THRESHOLD, picks.ctypes.data):
+        raise MemoryError("seed selection could not allocate its scratch array")
+    return picks
 
 
 class Agent:

@@ -7,7 +7,8 @@ wave counters and round logs. The harness built on it must write the
 same result CSVs at any worker count. Each batched piece of a party
 turn (the stacked policy forward, observations, seed scores and
 decided counts) must equal its per-episode value computed the way the
-per-episode driver did, and a turn is one kernel call.
+per-episode driver did, the counts the kernel returns after every turn
+must be `decided_influence_counts`', and a turn is one kernel call.
 """
 
 from __future__ import annotations
@@ -393,6 +394,26 @@ class TestBatchedStep:
             assert row == [np.count_nonzero(decided & (pb >= 0.5)),
                            np.count_nonzero(decided & (pb < 0.5))]
             assert row[0] == ep.logs[-1].n_true and row[1] == ep.logs[-1].n_false
+
+    @pytest.mark.parametrize("model", [UOM, HOM, NOM, *LATCH_OFF],
+                             ids=["uom", "hom", "nom", "uom-t0", "hom-t0", "nom-t0"])
+    def test_kernel_counts_are_the_numpy_counts_after_every_turn(self, model, monkeypatch):
+        seen = []
+        real = propagation.propagate_wave
+
+        def propagate_wave(state, g, party, model, rngs, counters=None, waves=1):
+            counts = real(state, g, party, model, rngs, counters, waves)
+            assert counts.tolist() == decided_influence_counts(state, len(rngs)).tolist()
+            seen.append(counts)
+            return counts
+
+        monkeypatch.setattr(propagation, "propagate_wave", propagate_wave)
+        cfg = EpisodeConfig(k=4, opinion_model=model)
+        cfgs = [cfg.with_seed(seed) for seed in range(3)]
+        episodes = run_lockstep(_episodes(load_urv_email(), cfgs, 0.05), *_agents("bf"))
+        assert len(seen) == 2 * cfg.k
+        for r, ep in enumerate(episodes):
+            assert [[log.n_true, log.n_false] for log in ep.logs] == [c[r].tolist() for c in seen]
 
     def test_one_kernel_call_per_party_turn(self, monkeypatch):
         calls = []

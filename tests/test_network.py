@@ -1,7 +1,6 @@
 """Graph loading, masking, queries, and spectral communities.
 
-Oracles: a per-node loop over each node's visible neighbors for free
-degrees, for 1-to-2-hop neighborhood sizes both a plain BFS over the
+Oracles: for 1-to-2-hop neighborhood sizes both a plain BFS over the
 visible edge set and scipy's sparse A + A² (the formula the numpy counts
 replaced), for components a BFS, and for the spectral embedding dense
 `eigh` of the normalized Laplacian: its k smallest eigenvectors span the
@@ -28,7 +27,6 @@ from drim.network import (
     full_view,
     load_edge_list,
     mask_network,
-    neighbor_sums,
     spectral_communities,
 )
 
@@ -66,12 +64,6 @@ def bfs_within(g: Graph, src: int, d: int) -> int:
                     nxt.append(nb)
         frontier = nxt
     return sum(1 for k in dist.values() if 1 <= k <= d)
-
-
-def free_degree_loop(g: Graph, free: np.ndarray) -> list[int]:
-    """Free neighbors of every node, one node at a time."""
-    return [sum(1 for nb in g.indices[g.indptr[v]:g.indptr[v + 1]].tolist() if free[nb])
-            for v in range(g.n)]
 
 
 def sparse_within2(g: Graph) -> np.ndarray:
@@ -355,19 +347,6 @@ class TestQueries:
         with pytest.raises(ValueError, match=r"edge \(1, 9\) out of range for n=3"):
             Graph(3, [(0, 1), (1, 9)])
 
-    def test_free_degree_star(self):
-        ov = make_star(4)
-        assert neighbor_sums(ov.edge_u, ov.edge_v, np.array([False, True, True, False, False]))[0] == 2
-        assert neighbor_sums(ov.edge_u, ov.edge_v, np.zeros(5, dtype=bool))[0] == 0
-        assert neighbor_sums(ov.edge_u, ov.edge_v, np.ones(5, dtype=bool))[0] == ov.degrees()[0]
-
-    def test_free_degrees_vectorized_matches_scalar(self):
-        g = load_urv_email()
-        rng = np.random.default_rng(0)
-        for ov in (g, mask_network(g, 0.4, rng_seed=1)):
-            mask = rng.random(g.n) < 0.4
-            assert neighbor_sums(ov.edge_u, ov.edge_v, mask).tolist() == free_degree_loop(ov, mask)
-
     def test_within_two_hops_path(self):
         assert make_path(4).within2_counts().tolist() == [2, 3, 3, 2]
 
@@ -419,7 +398,6 @@ class TestQueries:
         ov = Graph(g.n, np.stack([g.edge_u[visible], g.edge_v[visible]], axis=1))
         assert ov.degrees()[0] == 1
         assert ov.within2_counts()[1] == 1
-        assert neighbor_sums(ov.edge_u, ov.edge_v, np.array([False, True, True]))[0] == 1
 
 
 class TestSpectralCommunities:

@@ -1,15 +1,31 @@
-"""Strategy selection rules and action spaces."""
+"""Strategy selection rules and action spaces.
+
+Oracle for the scorer: `reference_select.select_seed`, the numpy scorer
+that `wave.c`'s `drim_select_seeds` replaced, must pick the same users
+on stacked batches of random graphs, opinions, pools and kinds.
+"""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+import reference_select
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from drim.network import Graph, full_view
+from drim import population
+from drim.network import Graph, full_view, mask_network
 from drim.opinion import NOM
-from drim.population import Party, Role, init_population, promote_seed, stack_populations
+from drim.population import (
+    BEHAVIOR_LEVELS,
+    Party,
+    Role,
+    init_population,
+    promote_seed,
+    stack_populations,
+)
 from drim.propagation import EpisodeConfig, run_episode
 from drim.strategies import (
     FixedStrategyAgent,
@@ -172,6 +188,143 @@ class TestMissesOnlyWithoutEligibleUsers:
             assert ((picks(kind) < 0) == ~has_eligible).all(), kind
         bf_missed = picks(StrategyKind.BF) < 0
         assert (picks(StrategyKind.SGF)[bf_missed & has_eligible] >= 0).all()
+
+
+# (b, d, u, a) of users on the rules' boundaries: P(b) = b + a·u exactly
+# 0.5 (so 1 - P(b) is 0.5 too), u exactly 0.5 (free), or both.
+BOUNDARY = [(0.25, 0.25, 0.5, 0.5), (0.5, 0.5, 0.0, 0.5), (0.3, 0.2, 0.5, 0.4),
+            (0.5, 0.0, 0.5, 0.0), (0.0, 0.0, 1.0, 0.5)]
+
+
+@st.composite
+def scoring_cases(draw):
+    """R replicas of one base graph with isolated users, each planning on
+    its own masked view (or the graph itself), with random and boundary
+    opinions, tied behaviour levels, seeds of both parties, a kind per
+    replica and a pool that may be empty."""
+    replicas = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=14))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    base = Graph(n, draw(st.lists(pairs, max_size=4 * n)))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    level = st.sampled_from(BEHAVIOR_LEVELS) | unit
+    states, views = [], []
+    for _ in range(replicas):
+        p_nv = draw(st.sampled_from([1.0, 0.5, 0.8]))
+        views.append(mask_network(base, p_nv, draw(st.integers(0, 2**32 - 1))))
+        state = init_population(n, draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        for user in range(n):
+            if draw(st.booleans()):
+                opinion = draw(st.sampled_from(BOUNDARY))
+            else:
+                b, d, u = draw(unit), draw(unit), draw(unit)
+                total = b + d + u or 1.0
+                opinion = (b / total, d / total, u / total, draw(unit))
+            state.bdua[:, user] = opinion
+            state.p_read[user], state.p_share[user] = draw(level), draw(level)
+        for user in draw(st.lists(st.integers(0, n - 1), max_size=n // 2, unique=True)):
+            promote_seed(state, user, draw(st.sampled_from(list(Party))))
+        states.append(state)
+    kinds = draw(st.lists(st.sampled_from(list(StrategyKind)), min_size=replicas,
+                          max_size=replicas))
+    size = replicas * n
+    pool = draw(st.sampled_from(["none", "random", "random", "empty"]))
+    if pool == "none":
+        pool = None
+    elif pool == "empty":
+        pool = np.zeros(size, dtype=bool)
+    else:
+        pool = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+    return stack_populations(states), views, kinds, pool
+
+
+class TestScorerAgainstNumpy:
+    @given(scoring_cases(), st.sampled_from(list(Party)), st.sampled_from([0.5, 0.3, 0.9]))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_picks_match_the_numpy_scorer(self, case, party, threshold):
+        # BF reads the free-vacuity threshold when called, as free_mask does.
+        state, views, kinds, pool = case
+        with mock.patch.object(population, "FREE_VACUITY_THRESHOLD", threshold):
+            got = select_seed(kinds, party, state, views, pool).tolist()
+            want = reference_select.select_seed(kinds, party, state, views, pool).tolist()
+        assert got == want
+
+    @pytest.mark.parametrize("party", list(Party))
+    def test_ties_and_both_projection_boundaries(self, party):
+        # 0 - 1 - 2 - 3 - 4 - 5: users 1 and 4 lean to either side by
+        # exactly 0.5, which is no lean; 0 and 5 lean strictly, so BF's
+        # candidates are 1 (for a true opponent at 0) or 4 (false at 5).
+        g = path(6)
+        state = init_population(6, rng_seed=0)
+        state.bdua[:, 0] = (0.9, 0.0, 0.1, 0.5)
+        state.bdua[:, 5] = (0.0, 0.9, 0.1, 0.5)
+        state.bdua[:, 1] = state.bdua[:, 4] = (0.25, 0.25, 0.5, 0.5)
+        state.p_read[:] = state.p_share[:] = 0.5
+        kinds = list(StrategyKind)
+        views = [g] * len(kinds)
+        stacked = stack_populations([state] + [init_population(6, 0) for _ in kinds[1:]])
+        for r in range(1, len(kinds)):
+            stacked.bdua[:, r * 6:(r + 1) * 6] = stacked.bdua[:, :6]
+            stacked.p_read[r * 6:(r + 1) * 6] = stacked.p_share[r * 6:(r + 1) * 6] = 0.5
+        got = select_seed(kinds, party, stacked, views).tolist()
+        assert got == reference_select.select_seed(kinds, party, stacked, views).tolist()
+        blocker = 1 if party is Party.FALSE_PARTY else 4
+        assert got == [0, blocker, 2, 1]  # AF ties to 0, SGF to 2 and CF to 1
+
+
+class TestBlockingAtTheFreeThreshold:
+    @pytest.mark.parametrize("threshold", [0.5, 0.3, 0.9])
+    @pytest.mark.parametrize("party", list(Party))
+    def test_a_neighbour_at_exactly_the_threshold_is_free(self, party, threshold, monkeypatch):
+        # 2 leans to the opponent, so 0 and 1 are BF's candidates. 1's
+        # other neighbour 3 has u at exactly the threshold, which is free;
+        # 0's other neighbour 4 has u just below it, which is not. BF
+        # reads the threshold when called.
+        monkeypatch.setattr(population, "FREE_VACUITY_THRESHOLD", threshold)
+        g = Graph(5, [(0, 2), (1, 2), (1, 3), (0, 4)])
+        state = init_population(5, rng_seed=0)
+        lean = (0.9, 0.0) if party is Party.FALSE_PARTY else (0.0, 0.9)  # the opponent's side
+        state.bdua[:, 2] = (*lean, 0.1, 0.5)
+        for user, u in ((3, threshold), (4, threshold - 0.01)):
+            state.bdua[:, user] = ((1.0 - u) / 2, (1.0 - u) / 2, u, 0.5)
+        assert pick(StrategyKind.BF, party, state, g) == 1
+
+
+class TestBindingChecks:
+    """Every mismatch is refused before C reads anything."""
+
+    def test_fewer_kinds_than_views(self):
+        g = path(6)
+        state = stack_populations([init_population(6, 1), init_population(6, 2)])
+        with pytest.raises(ValueError, match="1 strategies and a state of 12 users do not match"):
+            select_seed([StrategyKind.CF], Party.TRUE_PARTY, state, [g, g])
+
+    def test_state_of_another_size(self):
+        with pytest.raises(ValueError, match=r"state of 5 users do not match 2 views of \[5\]"):
+            select_seed([StrategyKind.CF] * 2, Party.TRUE_PARTY, init_population(5, 0),
+                        [path(5), path(5)])
+
+    def test_views_of_differing_sizes(self):
+        state = init_population(10, 0)
+        with pytest.raises(ValueError, match=r"do not match 2 views of \[5, 6\] users"):
+            select_seed([StrategyKind.CF] * 2, Party.TRUE_PARTY, state, [path(5), path(6)])
+
+    @pytest.mark.parametrize("pool", [np.ones(5, dtype=np.int8), np.ones(4, dtype=bool),
+                                      [True] * 5, np.ones((1, 5), dtype=bool)])
+    def test_pool_not_a_bool_array_of_every_user(self, pool):
+        with pytest.raises(ValueError, match="pool_mask must be a .*5 entries"):
+            select_seed([StrategyKind.CF], Party.TRUE_PARTY, init_population(5, 0), [path(5)],
+                        pool)
+
+    def test_array_of_another_dtype_or_layout(self):
+        state = init_population(5, 0)
+        state.p_read = state.p_read.astype(np.float32)
+        with pytest.raises(TypeError, match="p_read must be a numpy float64 array"):
+            select_seed([StrategyKind.AF], Party.TRUE_PARTY, state, [path(5)])
+        state = init_population(5, 0)
+        with pytest.raises(ValueError, match="pool_mask must be a C-contiguous"):
+            select_seed([StrategyKind.AF], Party.TRUE_PARTY, state, [path(5)],
+                        np.ones(10, dtype=bool)[::2])
 
 
 class TestRandomMetaStrategy:

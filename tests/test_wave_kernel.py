@@ -6,7 +6,10 @@ Oracles:
     copy of the same state with a copy of the same generator must leave
     identical roles, freeze latches and generator state, opinions equal
     bit for bit under every model, and equal `WaveCounters`, counted
-    here per event;
+    here per event; also on graphs of 1, 63, 64, 65, 128 and 129 users
+    (the level bitmap's word boundaries), with isolated users, and with a
+    party that holds every user but one, where the decided counts the
+    kernel returns must be `decided_influence_counts`' after each wave;
   - draw contract: with p_read and p_share in {0, 1}, a wave takes two
     draws per reached user and level, `random((2, s))` for a level of s;
   - fixed outcomes: on graphs where every read and share is known, a
@@ -40,10 +43,16 @@ import reference_wave
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from drim import harness, opinion, rl
+from drim import harness, opinion, population, rl
 from drim.network import Graph
 from drim.opinion import HOM, NOM, UOM, TrustModel, TrustVariant
-from drim.population import Party, init_population, promote_seed, stack_populations
+from drim.population import (
+    Party,
+    decided_influence_counts,
+    init_population,
+    promote_seed,
+    stack_populations,
+)
 from drim.propagation import EpisodeConfig, WaveCounters, propagate_wave, run_episode
 from drim.strategies import RandomStrategyAgent, Scheme, action_space, make_heuristic_agent
 
@@ -143,6 +152,75 @@ class TestDifferentialAgainstScalarWave:
             propagate_wave(kernel, g, party, model, (kernel_rng,))
             reference_wave.propagate_wave(reference, g, party, model, reference_rng)
             _assert_same(kernel, reference, kernel_rng, reference_rng)
+
+
+def _run_both(g, kernel, model, parties, seed=0) -> None:
+    """Run a wave for each of `parties` in turn with the kernel and the
+    reference on a copy, and require the same bits, counters and
+    generator state, and the kernel's decided counts to be
+    `decided_influence_counts`' after each wave."""
+    reference = copy.deepcopy(kernel)
+    kernel_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    counters, reference_counters = WaveCounters(), WaveCounters()
+    for party in parties:
+        counts = propagate_wave(kernel, g, party, model, (kernel_rng,), counters=(counters,))
+        reference_wave.propagate_wave(reference, g, party, model, reference_rng,
+                                      counters=reference_counters)
+        _assert_same(kernel, reference, kernel_rng, reference_rng)
+        assert counters == reference_counters
+        assert counts.dtype == np.int64
+        assert counts.tolist() == decided_influence_counts(kernel).tolist()
+
+
+MODELS = [UOM, HOM, NOM, *LATCH_OFF]
+MODEL_IDS = ["uom", "hom", "nom", "uom-t0", "hom-t0", "nom-t0"]
+PARTIES = [Party.TRUE_PARTY, Party.FALSE_PARTY, Party.TRUE_PARTY, Party.TRUE_PARTY]
+
+
+class TestBitmapWords:
+    """The level bitmap holds 64 users a word: levels that start, end or
+    lie across a word boundary, users the waves never reach, and a level
+    of one user."""
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+    def test_graphs_around_word_sizes(self, n, model):
+        rng = np.random.default_rng(n)
+        path = [(i, i + 1) for i in range(n - 1)]
+        g = Graph(n, path + [tuple(e) for e in rng.integers(0, n, size=(n, 2)).tolist()])
+        tip = [0, n - 1] if n > 1 else [0]
+        fip = [n // 2] if n > 2 else []
+        _run_both(g, _population(n, n, tip, fip), model, PARTIES, seed=n)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_isolated_users(self, model):
+        # Odd users are isolated; the even ones form a cycle through the
+        # word boundaries 63 | 64 and 127 | 128. Half the isolated users
+        # hold u = 0.5 exactly, which is not decided.
+        n = 130
+        evens = list(range(0, n, 2))
+        g = Graph(n, list(zip(evens, evens[1:] + evens[:1])) + [(62, 128), (0, 64)])
+        state = _population(n, 1, [0, 66], [126])
+        state.bdua[:, 1::4] = np.array([[0.25], [0.25], [0.5], [0.5]])
+        _run_both(g, state, model, PARTIES, seed=1)
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.9])
+    def test_decided_counts_read_the_threshold_when_called(self, threshold, monkeypatch):
+        monkeypatch.setattr(population, "FREE_VACUITY_THRESHOLD", threshold)
+        n = 65
+        g = Graph(n, [(i, (i * 7 + 3) % n) for i in range(n)] + [(i, i + 1) for i in range(n - 1)])
+        _run_both(g, _population(n, 4, [0, 40], [64]), UOM, PARTIES, seed=4)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("free", [0, 63, 64, 128])
+    def test_a_party_holding_every_user_but_one(self, free, model):
+        n = 129
+        rng = np.random.default_rng(free)
+        g = Graph(n, rng.integers(0, n, size=(3 * n, 2)))
+        state = _population(n, free, [v for v in range(n) if v != free], [])
+        state.p_read[free] = state.p_share[free] = 1.0
+        _run_both(g, state, model, [Party.TRUE_PARTY, Party.FALSE_PARTY, Party.TRUE_PARTY],
+                  seed=free)
 
 
 class TestDrawContract:
